@@ -23,6 +23,7 @@ from .diagrams import Diagram, identity, _canon
 from .errors import (
     BadDegree,
     BudgetExceeded,
+    CrossCheckFailed,
     DegreeMismatch,
     NotAMonoid,
     NotAnIdeal,
@@ -386,7 +387,7 @@ def is_aperiodic(sg):
     """True when every subgroup is trivial.
 
     Computed two ways (all H-classes singletons; all element periods 1) and
-    cross-asserted.
+    cross-checked; CrossCheckFailed if they disagree.
     """
     g = green(sg)
     by_h = g.num_h == sg.size
@@ -395,7 +396,8 @@ def is_aperiodic(sg):
         if index_period(sg, i)[1] != 1:
             by_period = False
             break
-    assert by_h == by_period, "H-class and period aperiodicity tests disagree"
+    if by_h != by_period:
+        raise CrossCheckFailed("H-class and period aperiodicity tests disagree")
     return by_h
 
 

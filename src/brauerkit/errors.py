@@ -68,6 +68,14 @@ class SideConditionFailed(BrauerKitError):
         self.condition = condition
 
 
+class KernelFixpointError(BrauerKitError):
+    """A computed group kernel is not closed under products or weak conjugation."""
+
+
+class CrossCheckFailed(BrauerKitError):
+    """Two independent computations of the same invariant disagree."""
+
+
 class ChecksumMismatch(BrauerKitError):
     """Cache file content does not match its recorded checksum."""
 

@@ -6,6 +6,15 @@ x̄xx̄ = x̄ and k is in the kernel, xkx̄ and x̄kx are too.  By Ash's theorem
 this coincides with the set of elements related to the group identity
 under every relational morphism into a group, so aperiodicity of the
 kernel decides membership in the aperiodic-by-group product variety.
+
+The fixpoint is computed with whole-table matrix operations on the m x m
+product table T.  The weak-inverse pairs are one 0/1 matrix P̄, with
+P̄[x̄, x] = 1 when T[T[x̄, x], x̄] = x̄.  A weak-conjugation sweep over a
+candidate kernel K is two matrix products: with W[x, y] = 1 when y is in
+xK, (P̄ W)[x̄, y] > 0 exactly when y x̄ is some x k x̄, and likewise with
+W marking Kx for the x̄ k x.  The matrices are float32, whose integers are
+exact up to 2^24, far above any count here (at most m).  A sweep holds a
+few m x m float32 arrays besides the table, 4 m^2 bytes each.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import Parity, parity
-from .engine import generated_subsemigroup, index_period
+from .engine import TABLE_CELL_LIMIT, generated_subsemigroup, index_period
+from .errors import BudgetExceeded, KernelFixpointError
 
 
 @dataclass(frozen=True)
@@ -26,92 +36,79 @@ class KernelResult:
     witness: int | None  # id of a period >= 2 kernel element, when present
 
 
-def weak_inverse_pairs(sg, formulation="bar"):
-    """All ordered pairs (x, x̄) for the chosen weak-inverse condition.
-
-    "bar" requires x̄xx̄ = x̄ (the adopted formulation); "self" requires
-    xx̄x = x.  Both closures agree at the fixpoint, which the test suite
-    asserts on concrete instances.
-    """
-    m = sg.size
+def _table(sg):
+    """sg's product table as an array; BudgetExceeded when it is too big."""
     table = sg.product_table() if hasattr(sg, "product_table") else sg.table
-    pairs = []
-    if table is not None:
-        table = np.asarray(table)
-        ids = np.arange(m)
-        if formulation == "bar":
-            for xbar in range(m):
-                res = table[table[xbar, :], xbar]
-                for x in np.flatnonzero(res == xbar):
-                    pairs.append((int(x), xbar))
-        elif formulation == "self":
-            for x in range(m):
-                res = table[table[x, :], x]
-                for xbar in np.flatnonzero(res == x):
-                    pairs.append((x, int(xbar)))
-        else:
-            raise ValueError(f"unknown formulation {formulation!r}")
-        return pairs
-    for x in range(m):
-        for xbar in range(m):
-            if formulation == "bar":
-                ok = sg.mul(sg.mul(xbar, x), xbar) == xbar
-            elif formulation == "self":
-                ok = sg.mul(sg.mul(x, xbar), x) == x
-            else:
-                raise ValueError(f"unknown formulation {formulation!r}")
-            if ok:
-                pairs.append((x, xbar))
-    return pairs
+    if table is None:
+        raise BudgetExceeded(
+            f"the group kernel needs the {sg.size} x {sg.size} product table, "
+            f"which is over TABLE_CELL_LIMIT = {TABLE_CELL_LIMIT} cells")
+    return np.asarray(table)
 
 
-def kernel(sg, sweep_order="forward", formulation="bar"):
+def _pair_matrix(table):
+    """P̄[x̄, x] = 1.0 when x̄xx̄ = x̄, else 0.0, as float32."""
+    rows = np.arange(len(table))[:, None]
+    return (table[table, rows] == rows).astype(np.float32)
+
+
+def weak_inverse_pairs(sg):
+    """All ordered pairs (x, x̄) with x̄xx̄ = x̄, ordered by x̄ and then x."""
+    xbars, xs = np.nonzero(_pair_matrix(_table(sg)))
+    return list(zip(xs.tolist(), xbars.tolist()))
+
+
+def _conjugates(table, pairs, kids):
+    """Mask of every xkx̄ and x̄kx over the weak-inverse pairs and k in kids."""
+    m = len(table)
+    rows = np.arange(m)[:, None]
+    out = np.zeros(m, dtype=bool)
+    reach = np.zeros((m, m), dtype=np.float32)
+    reach[rows, table[:, kids]] = 1  # reach[x, y]: y in xK
+    out[table.T[(pairs @ reach) > 0]] = True  # y x̄ = x k x̄
+    reach[:] = 0
+    reach[rows, table[kids, :].T] = 1  # reach[x, y]: y in Kx
+    out[table[(pairs @ reach) > 0]] = True  # x̄ y = x̄ k x
+    return out
+
+
+def _check_fixpoint(sg, table, pairs, kids):
+    """Raise KernelFixpointError unless kids is closed under both operations."""
+    if generated_subsemigroup(sg, kids) != list(kids):
+        raise KernelFixpointError("the kernel is not closed under products")
+    member = np.zeros(len(table), dtype=bool)
+    member[kids] = True
+    if (_conjugates(table, pairs, kids) & ~member).any():
+        raise KernelFixpointError("the kernel is not closed under weak conjugation")
+
+
+def kernel(sg):
     """Group kernel of sg by fixpoint iteration from the idempotents.
 
-    Rounds alternate product closure with one weak-conjugation sweep over
-    all pairs; sweep_order only affects intermediate growth, not the
-    fixpoint (asserted by the reversed-order rerun in the tests), and the
-    two weak-inverse formulations yield the same fixpoint.
+    Each round closes the candidate set under products and then adds one
+    weak-conjugation sweep of it, as two matrix products over the pair
+    matrix; iteration stops at the first round that adds nothing.  The
+    fixpoint is then checked again, raising KernelFixpointError if the
+    kernel is not closed under products or a full sweep adds anything.
+    Raises BudgetExceeded when sg's product table is over TABLE_CELL_LIMIT.
     """
-    m = sg.size
-    table = sg.product_table() if hasattr(sg, "product_table") else sg.table
-    pairs = weak_inverse_pairs(sg, formulation=formulation)
-    if sweep_order == "reversed":
-        pairs = pairs[::-1]
-    elif sweep_order != "forward":
-        raise ValueError(f"unknown sweep order {sweep_order!r}")
-
-    member = np.zeros(m, dtype=bool)
+    table = _table(sg)
+    pairs = _pair_matrix(table)
+    member = np.zeros(sg.size, dtype=bool)
     member[list(sg.idempotent_ids())] = True
     iterations = 0
     while True:
         iterations += 1
         before = int(member.sum())
-        closed = generated_subsemigroup(sg, np.flatnonzero(member))
+        kids = generated_subsemigroup(sg, np.flatnonzero(member))
         member[:] = False
-        member[closed] = True
-        kids = np.flatnonzero(member)
-        if table is not None:
-            table = np.asarray(table)
-            for x, xbar in pairs:
-                member[table[table[x, kids], xbar]] = True
-                member[table[table[xbar, kids], x]] = True
-        else:
-            for x, xbar in pairs:
-                for k in kids:
-                    member[sg.mul(sg.mul(x, int(k)), xbar)] = True
-                    member[sg.mul(sg.mul(xbar, int(k)), x)] = True
+        member[kids] = True
+        member |= _conjugates(table, pairs, kids)
         if int(member.sum()) == before:
             break
 
     kids = [int(i) for i in np.flatnonzero(member)]
-    # post-hoc fixpoint verification: one more full sweep must add nothing
-    assert generated_subsemigroup(sg, kids) == kids
-    if table is not None:
-        arr = np.array(kids)
-        for x, xbar in pairs:
-            assert member[table[table[x, arr], xbar]].all()
-            assert member[table[table[xbar, arr], x]].all()
+    _check_fixpoint(sg, table, pairs, kids)
 
     witness = None
     aperiodic = True

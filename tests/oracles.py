@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from brauerkit import Diagram, diagram
 
 
@@ -249,3 +251,77 @@ def oracle_random_pair_diagram(n, rng):
         else:
             blocks.append([p])
     return diagram(n, blocks)
+
+
+# ---------------------------------------------------------------------------
+# group kernel by a per-pair sweep
+
+
+def oracle_weak_inverse_pairs(sg, formulation="bar"):
+    """Ordered pairs (x, x̄), one sg.mul at a time.
+
+    "bar" requires x̄xx̄ = x̄, listed by x̄ and then x; "self" requires
+    xx̄x = x, listed by x and then x̄.
+    """
+    m = sg.size
+    if formulation == "bar":
+        return [(x, xbar) for xbar in range(m) for x in range(m)
+                if sg.mul(sg.mul(xbar, x), xbar) == xbar]
+    if formulation == "self":
+        return [(x, xbar) for x in range(m) for xbar in range(m)
+                if sg.mul(sg.mul(x, xbar), x) == x]
+    raise ValueError(f"unknown formulation {formulation!r}")
+
+
+def _oracle_closure(table, seeds):
+    closed = set(seeds)
+    frontier = list(closed)
+    while frontier:
+        new = {table[x][s] for x in frontier for s in seeds} - closed
+        closed |= new
+        frontier = list(new)
+    return closed
+
+
+def _oracle_period(table, x):
+    seen = {}
+    power, k = x, 1
+    while power not in seen:
+        seen[power] = k
+        power = table[power][x]
+        k += 1
+    return k - seen[power]
+
+
+def oracle_kernel(sg, sweep_order="forward", formulation="bar"):
+    """Group kernel as (ids, rounds, aperiodic, witness), one pair at a time.
+
+    Each round closes the set under products, then sweeps every
+    weak-inverse pair (x, x̄) in the given order, adding xkx̄ and x̄kx for
+    every k in the closed set, and stops at the first round that adds
+    nothing.  The witness is the smallest kernel id of period >= 2.
+    """
+    table = np.asarray(sg.product_table() if hasattr(sg, "product_table") else sg.table)
+    rows = table.tolist()
+    pairs = oracle_weak_inverse_pairs(sg, formulation)
+    if sweep_order == "reversed":
+        pairs = pairs[::-1]
+    elif sweep_order != "forward":
+        raise ValueError(f"unknown sweep order {sweep_order!r}")
+    member = np.zeros(sg.size, dtype=bool)
+    member[[i for i in range(sg.size) if rows[i][i] == i]] = True
+    rounds = 0
+    while True:
+        rounds += 1
+        before = int(member.sum())
+        kids = np.array(sorted(_oracle_closure(rows, np.flatnonzero(member).tolist())))
+        member[:] = False
+        member[kids] = True
+        for x, xbar in pairs:
+            member[table[table[x, kids], xbar]] = True
+            member[table[table[xbar, kids], x]] = True
+        if int(member.sum()) == before:
+            break
+    kids = np.flatnonzero(member).tolist()
+    witness = next((k for k in kids if _oracle_period(rows, k) != 1), None)
+    return tuple(kids), rounds, witness is None, witness

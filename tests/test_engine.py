@@ -1,6 +1,7 @@
 """Semigroup engine: closures, Green data, ideals, quotients, embeddings."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +33,12 @@ from brauerkit import (
     singular_part,
     units,
 )
+from brauerkit import engine
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, t1_chain
 from brauerkit.errors import (
     BadDegree,
     BudgetExceeded,
+    CrossCheckFailed,
     NotAMonoid,
     NotAnIdeal,
     NotIdempotent,
@@ -168,6 +171,14 @@ def test_index_period():
 def test_aperiodicity():
     assert is_aperiodic(_j(5))
     assert not is_aperiodic(_b(3))
+
+
+def test_aperiodicity_cross_check_raises_on_disagreement(monkeypatch):
+    sg = _j(3)
+    forged = SimpleNamespace(num_h=sg.size - 1)  # claims a nontrivial H-class
+    monkeypatch.setattr(engine, "green", lambda _: forged)
+    with pytest.raises(CrossCheckFailed, match="disagree"):
+        is_aperiodic(sg)
 
 
 # ---------------------------------------------------------------------------

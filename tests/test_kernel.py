@@ -1,8 +1,18 @@
 """Group-kernel computation and the aperiodic-by-group test."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from brauerkit import (
+    adjacent_contraction,
     as_closure,
+    closure,
     construct,
+    double_contraction,
     in_A_star_G,
     index_period,
     kernel,
@@ -13,10 +23,24 @@ from brauerkit import (
     verify_parity_morphism_a4,
     weak_inverse_pairs,
 )
+from brauerkit.errors import BudgetExceeded
+from oracles import oracle_kernel, oracle_weak_inverse_pairs
 
 
 def _sg(family, n):
     return as_closure(construct(family, n))
+
+
+def _t1sub_ea6():
+    """The chain-generated submonoid of EA:6 used by the standard ledger."""
+    zeta2 = rotation(6) * rotation(6)
+    g5 = adjacent_contraction(6, 5)
+    g65 = adjacent_contraction(6, 6) * g5
+    return closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)
+
+
+def _result(res):
+    return res.kernel_ids, res.iterations, res.is_aperiodic, res.witness
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +57,16 @@ def test_star_gives_weak_inverses_in_brauer_4():
 
 def test_weak_inverse_formulations_are_transposes():
     sg = _sg("A", 3)
-    bar = set(weak_inverse_pairs(sg, formulation="bar"))
-    self_form = set(weak_inverse_pairs(sg, formulation="self"))
+    bar = set(oracle_weak_inverse_pairs(sg, formulation="bar"))
+    self_form = set(oracle_weak_inverse_pairs(sg, formulation="self"))
     assert bar == {(x, y) for y, x in self_form}
+
+
+@pytest.mark.parametrize("family, n", [("B", 3), ("A", 4), ("PB", 3), ("PA", 3)])
+def test_weak_inverse_pairs_match_brute_force_in_order(family, n):
+    sg = _sg(family, n)
+    expected = oracle_weak_inverse_pairs(sg)
+    assert weak_inverse_pairs(sg) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +116,61 @@ def test_kernel_of_partial_annular_4():
 def test_kernel_fixpoint_is_sweep_and_formulation_invariant():
     for family in ("A", "PA"):
         sg = _sg(family, 4)
-        base = set(kernel(sg).kernel_ids)
-        assert set(kernel(sg, sweep_order="reversed").kernel_ids) == base
-        assert set(kernel(sg, formulation="self").kernel_ids) == base
+        base = _result(kernel(sg))
+        for sweep_order in ("forward", "reversed"):
+            for formulation in ("bar", "self"):
+                assert oracle_kernel(sg, sweep_order, formulation) == base
+
+
+@pytest.mark.parametrize("name", ["B:3", "B:4", "A:3", "A:5", "EA:4", "PB:3",
+                                  "PA:3", "J:5", "SYM:4", "t1sub(EA:6)"])
+def test_kernel_matches_the_per_pair_oracle(name):
+    if name == "t1sub(EA:6)":
+        sg = _t1sub_ea6()
+    else:
+        family, n = name.split(":")
+        sg = _sg(family, int(n))
+    assert _result(kernel(sg)) == oracle_kernel(sg)
+
+
+def test_kernel_without_a_product_table_exceeds_the_budget(monkeypatch):
+    sg = _sg("A", 3)
+    monkeypatch.setattr(sg, "product_table", lambda: None)
+    with pytest.raises(BudgetExceeded, match="12 x 12 product table.*TABLE_CELL_LIMIT"):
+        kernel(sg)
+    with pytest.raises(BudgetExceeded):
+        weak_inverse_pairs(sg)
+
+
+# In SYM:3 a transposition t alone is not closed under products, and {1, t}
+# is a subgroup that is not normal, so not closed under weak conjugation.
+_FIXPOINT_CHECK = """
+from brauerkit import as_closure, construct
+from brauerkit.errors import KernelFixpointError
+from brauerkit.kernel import _check_fixpoint, _pair_matrix
+
+sg = as_closure(construct("SYM", 3))
+table = sg.product_table()
+one = sg.identity_id
+t = next(i for i in range(sg.size) if i != one and sg.mul(i, i) == one)
+for candidate in ([t], sorted([one, t])):
+    try:
+        _check_fixpoint(sg, table, _pair_matrix(table), candidate)
+    except KernelFixpointError as exc:
+        print(exc)
+"""
+
+
+def test_fixpoint_check_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _FIXPOINT_CHECK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "the kernel is not closed under products",
+        "the kernel is not closed under weak conjugation",
+    ]
 
 
 def test_kernel_monotone_under_the_annular_inclusion():
