@@ -3,12 +3,19 @@
 Semigroups are materialized as closures: elements get dense integer ids in
 BFS discovery order (seeds first, in the order given, then products), and
 the right Cayley graph over the generating set is recorded during the
-search.  Green's relations come from strongly connected components of the
-Cayley graphs; the J-order is the condensation reachability order.
+search, together with a BFS word (parent, letter) for every element.
+Green's relations come from strongly connected components of the Cayley
+graphs; the J-order is the condensation reachability order.
 
-A full product table is built lazily (and only below a size limit) by
-dynamic programming over the BFS parent structure, so it costs one numpy
-gather per element column instead of one diagram product per entry.
+Once a closure is built, no analysis multiplies diagrams again.  Every
+product of two elements is an integer operation on the closure
+(SemigroupClosure.multiply): a gather from the product table when one has
+been built, otherwise a walk along y's word from x over the right Cayley
+graph, x y = rc[x parent(y), letter(y)], one BFS depth level at a time
+(Froidure & Pin, Algorithms for computing finite semigroups, 1997).  The
+left Cayley graph and the full product table are the same walk done for
+whole rows by dynamic programming over the depth levels; the table is
+built lazily and only below a size limit.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import (
 DEFAULT_BUDGET = 5_000_000
 TABLE_CELL_LIMIT = 16_000_000  # max product-table entries (int32)
 ALL_GENS_LIMIT = 2_000  # max size for all-elements-as-generators closures
+_PAIR_BATCH = 1 << 18  # products per batch in generated_subsemigroup
 
 
 class SemigroupClosure:
@@ -56,6 +64,7 @@ class SemigroupClosure:
         self.identity_id = identity_id
         self._left_cayley = None
         self._table = None
+        self._walk = None
         self._green = None
         self._idempotents = None
 
@@ -71,12 +80,14 @@ class SemigroupClosure:
 
     @property
     def left_cayley(self):
+        """lc[y, i] = g_i y for each multiplier g_i, as integer ids.
+
+        Built by the same depth-level walk as the product table, from the
+        multipliers' ids: no diagram product is taken.
+        """
         if self._left_cayley is None:
-            idx = self.index
-            lc = np.empty((self.size, len(self.multipliers)), dtype=np.int32)
-            for gi, g in enumerate(self.multipliers):
-                lc[:, gi] = [idx[g * x] for x in self.elements]
-            self._left_cayley = lc
+            self._left_cayley = self._rows_times_all(
+                np.asarray(self.generators, dtype=np.int32)).T.copy()
         return self._left_cayley
 
     def product_table(self, cell_limit=TABLE_CELL_LIMIT):
@@ -85,30 +96,85 @@ class SemigroupClosure:
             m = self.size
             if m * m > cell_limit:
                 return None
-            table = np.empty((m, m), dtype=np.int32)
-            rc = self.right_cayley
-            for y in range(m):
-                p = self.parent[y]
-                if p < 0:
-                    if self.letter[y] >= 0:
-                        table[:, y] = rc[:, self.letter[y]]
-                    else:
-                        table[:, y] = np.arange(m, dtype=np.int32)
-                else:
-                    table[:, y] = rc[table[:, p], self.letter[y]]
-            self._table = table
+            self._table = self._rows_times_all(np.arange(m, dtype=np.int32))
         return self._table
 
-    def mul(self, i, j):
+    def _walk_data(self):
+        """The right Cayley graph with a "stay" column, and the BFS words.
+
+        rc[:, g] (g = number of multipliers) is the identity map.  Row d of
+        words holds, for every element y, the letter of y's ancestor at BFS
+        depth d (its seed's generator letter at d = 0), and g past y's depth
+        or for the identity seed; letters are stored in the smallest
+        unsigned type that holds g.  Returns (rc, words, depth).
+        """
+        if self._walk is None:
+            m = self.size
+            g = len(self.multipliers)
+            rc = np.empty((m, g + 1), dtype=np.int32)
+            rc[:, :g] = self.right_cayley
+            rc[:, g] = np.arange(m, dtype=np.int32)
+            parent = self.parent
+            letter = np.where(self.letter < 0, g, self.letter).astype(np.int32)
+            depth = np.zeros(m, dtype=np.int32)
+            anc = parent.copy()
+            while (alive := anc >= 0).any():
+                depth[alive] += 1
+                anc[alive] = parent[anc[alive]]
+            words = np.full((int(depth.max(initial=0)) + 1, m), g,
+                            dtype=np.min_scalar_type(g))
+            rows = np.arange(m)
+            anc = rows
+            while rows.size:
+                words[depth[anc], rows] = letter[anc]
+                up = parent[anc] >= 0
+                rows, anc = rows[up], parent[anc[up]]
+            self._walk = rc, words, depth
+        return self._walk
+
+    def multiply(self, xs, ys):
+        """Ids of x y for ids xs, ys (arrays broadcast against each other).
+
+        A gather from the product table when it has been built; otherwise
+        each y's word is followed from x over the right Cayley graph, one
+        depth level at a time, so a batch of pairs costs one gather per
+        level and no diagram product.
+        """
         if self._table is not None:
-            return int(self._table[i, j])
-        return self.index[self.elements[i] * self.elements[j]]
+            return self._table[xs, ys]
+        rc, words, depth = self._walk_data()
+        xs, ys = np.broadcast_arrays(xs, ys)
+        out = np.array(xs, dtype=np.int32)
+        if out.size:
+            for level in words[:int(depth[ys].max()) + 1]:
+                out = rc[out, level[ys]]
+        return out
+
+    def _rows_times_all(self, xs):
+        """P[r, y] = xs[r] y for every element y, by DP over depth levels.
+
+        A seed y is a multiplier or the identity, so P[:, y] is one step of
+        the right Cayley graph from xs; any other y is parent(y) letter(y),
+        so P[:, y] = rc[P[:, parent(y)], letter(y)], whose parent column a
+        lower level already holds.  Row d of the words holds the letters of
+        the elements at depth d.
+        """
+        rc, words, depth = self._walk_data()
+        out = np.empty((len(xs), self.size), dtype=np.int32)
+        for d, level in enumerate(words):
+            ys = np.flatnonzero(depth == d)
+            src = xs[:, None] if d == 0 else out[:, self.parent[ys]]
+            out[:, ys] = rc[src, level[ys]]
+        return out
+
+    def mul(self, i, j):
+        return int(self.multiply(i, j))
 
     def idempotent_ids(self):
         if self._idempotents is None:
+            ids = np.arange(self.size)
             self._idempotents = tuple(
-                i for i in range(self.size) if self.mul(i, i) == i
-            )
+                np.flatnonzero(self.multiply(ids, ids) == ids).tolist())
         return self._idempotents
 
     def _adjacency(self):
@@ -236,8 +302,17 @@ def closure_from_elements(elems, *, identity_hint=None, size_limit=ALL_GENS_LIMI
     ident = index.get(identity(degree))
     if ident is None:
         ident = identity_hint
+    return _table_closure(elems, index, table, ident)
+
+
+def _table_closure(elems, index, table, identity_id):
+    """Closure view of a closed element set with a known product table.
+
+    Every element is its own generator, so the table is both Cayley graphs.
+    """
+    m = len(elems)
     sg = SemigroupClosure(
-        degree=degree,
+        degree=elems[0].n,
         elements=elems,
         index=index,
         gen_ids=list(range(m)),
@@ -245,7 +320,7 @@ def closure_from_elements(elems, *, identity_hint=None, size_limit=ALL_GENS_LIMI
         right_cayley=table,
         parent=np.full(m, -1, dtype=np.int32),
         letter=np.arange(m, dtype=np.int32),
-        identity_id=ident,
+        identity_id=identity_id,
     )
     sg._table = table
     sg._left_cayley = table.T.copy()
@@ -265,6 +340,9 @@ class AbstractSemigroup:
     @property
     def size(self):
         return self.table.shape[0]
+
+    def multiply(self, xs, ys):
+        return self.table[xs, ys]
 
     def mul(self, i, j):
         return int(self.table[i, j])
@@ -391,14 +469,22 @@ def is_aperiodic(sg):
     """
     g = green(sg)
     by_h = g.num_h == sg.size
-    by_period = True
-    for i in range(sg.size):
-        if index_period(sg, i)[1] != 1:
-            by_period = False
-            break
-    if by_h != by_period:
+    if by_h != _periods_all_one(sg):
         raise CrossCheckFailed("H-class and period aperiodicity tests disagree")
     return by_h
+
+
+def _periods_all_one(sg):
+    """True when every element x has period 1, that is x^N x = x^N.
+
+    N = 2^bitlen(m) is at least every index (at most m), and x^N x = x^N
+    holds for such N exactly when the period divides 1.
+    """
+    ids = np.arange(sg.size)
+    power = ids
+    for _ in range(sg.size.bit_length()):
+        power = sg.multiply(power, power)
+    return bool((sg.multiply(power, ids) == power).all())
 
 
 def essential_depth(sg):
@@ -420,7 +506,8 @@ def essential_depth(sg):
             indeg[d] -= 1
             if indeg[d] == 0:
                 topo.append(d)
-    assert len(out) == g.num_j, "J-order condensation is not acyclic"
+    if len(out) != g.num_j:
+        raise CrossCheckFailed("J-order condensation is not acyclic")
     depth = {}
     best = 0
     for c in out:
@@ -443,32 +530,24 @@ def singular_part(sg):
 
 
 def generated_subsemigroup(sg, seed_ids):
-    """Ids of the subsemigroup generated by seed_ids inside sg."""
-    seeds = sorted(set(int(s) for s in seed_ids))
-    if not seeds:
-        return []
-    table = sg.product_table() if isinstance(sg, SemigroupClosure) else sg.table
-    if table is not None:
-        table = np.asarray(table)
-        seeds_arr = np.array(seeds)
-        closed = set(seeds)
-        frontier = seeds_arr
-        while frontier.size:
-            prods = np.unique(table[np.ix_(frontier, seeds_arr)])
-            new = [int(p) for p in prods if int(p) not in closed]
-            closed.update(new)
-            frontier = np.array(new, dtype=np.int64)
-        return sorted(closed)
-    closed = set(seeds)
-    queue = list(seeds)
-    while queue:
-        x = queue.pop()
-        for s in seeds:
-            p = sg.mul(x, s)
-            if p not in closed:
-                closed.add(p)
-                queue.append(p)
-    return sorted(closed)
+    """Ids of the subsemigroup generated by seed_ids inside sg, ascending.
+
+    Grows a member mask by right multiplication of each new frontier by
+    the seeds, in batches of at most _PAIR_BATCH products.
+    """
+    member = np.zeros(sg.size, dtype=bool)
+    member[np.asarray(seed_ids, dtype=np.int64)] = True
+    seeds = np.flatnonzero(member)
+    frontier = seeds
+    step = max(1, _PAIR_BATCH // max(1, len(seeds)))
+    while frontier.size:
+        fresh = np.zeros(sg.size, dtype=bool)
+        for lo in range(0, len(frontier), step):
+            fresh[sg.multiply(frontier[lo:lo + step, None], seeds)] = True
+        fresh &= ~member
+        member |= fresh
+        frontier = np.flatnonzero(fresh)
+    return np.flatnonzero(member).tolist()
 
 
 def idempotents(sg):
@@ -489,14 +568,27 @@ def principal_ideal(sg, e_id):
 
 
 def local_monoid(sg, e_id):
-    """The monoid e S e as its own closure; identity element e."""
+    """The monoid e S e as its own closure; identity element e.
+
+    Its elements are sg's elements e x e in id order, and its product table
+    comes from sg's products, so no diagram is multiplied.  Raises
+    BudgetExceeded when that table would be over TABLE_CELL_LIMIT cells.
+    """
     if sg.mul(e_id, e_id) != e_id:
         raise NotIdempotent(f"element {e_id} is not idempotent")
-    ids = sorted({sg.mul(e_id, sg.mul(x, e_id)) for x in range(sg.size)})
-    elems = [sg.elements[i] for i in ids]
-    e_diagram = sg.elements[e_id]
-    local = closure_from_elements(elems, identity_hint=elems.index(e_diagram))
-    return local
+    member = np.zeros(sg.size, dtype=bool)
+    member[sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id))] = True
+    ids = np.flatnonzero(member)
+    k = len(ids)
+    if k * k > TABLE_CELL_LIMIT:
+        raise BudgetExceeded(
+            f"local monoid of {k} elements is over TABLE_CELL_LIMIT")
+    pos = np.zeros(sg.size, dtype=np.int32)
+    pos[ids] = np.arange(k, dtype=np.int32)
+    table = pos[sg.multiply(ids[:, None], ids)]
+    elems = [sg.elements[i] for i in ids.tolist()]
+    return _table_closure(elems, {d: i for i, d in enumerate(elems)}, table,
+                          int(pos[e_id]))
 
 
 def rees_quotient(sg, ideal_ids):
@@ -521,29 +613,27 @@ def rees_quotient(sg, ideal_ids):
         if not member[sg.table[arr, :]].all() or not member[sg.table[:, arr]].all():
             raise NotAnIdeal("set is not closed under multiplication")
 
-    keep = [i for i in range(sg.size) if not member[i]]
-    pos = {x: k for k, x in enumerate(keep)}
+    keep = np.flatnonzero(~member)
     k = len(keep)
+    pos = np.full(sg.size, k, dtype=np.int32)
+    pos[keep] = np.arange(k, dtype=np.int32)
     table = np.full((k + 1, k + 1), k, dtype=np.int32)
-    for a, x in enumerate(keep):
-        for b, y in enumerate(keep):
-            p = sg.mul(x, y)
-            table[a, b] = k if member[p] else pos[p]
-    quotient = AbstractSemigroup(table, zero=k, source_ids=tuple(keep))
+    table[:k, :k] = pos[sg.multiply(keep[:, None], keep)]
+    quotient = AbstractSemigroup(table, zero=k, source_ids=tuple(keep.tolist()))
     _spot_check_associativity(quotient)
     return quotient
 
 
 def _spot_check_associativity(ab, samples=60, seed=0):
+    """Raise CrossCheckFailed if (xy)z != x(yz) on a sampled triple."""
     import random
 
     rng = random.Random(seed)
     m = ab.size
     for _ in range(samples):
         x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-        assert ab.mul(ab.mul(x, y), z) == ab.mul(x, ab.mul(y, z)), (
-            f"product table not associative at {(x, y, z)}"
-        )
+        if ab.mul(ab.mul(x, y), z) != ab.mul(x, ab.mul(y, z)):
+            raise CrossCheckFailed(f"product table not associative at {(x, y, z)}")
 
 
 def is_inverse(sg):
@@ -553,11 +643,9 @@ def is_inverse(sg):
     regular_r = {int(g.r[e]) for e in idem}
     if regular_r != set(range(g.num_r)):
         return False
-    for a in idem:
-        for b in idem:
-            if sg.mul(a, b) != sg.mul(b, a):
-                return False
-    return True
+    es = np.array(idem, dtype=np.int64)
+    prods = sg.multiply(es[:, None], es)
+    return bool((prods == prods.T).all())
 
 
 def l_leq(sg, a, b):

@@ -49,7 +49,7 @@ from .engine import (
     closure,
     closure_from_elements,
 )
-from .errors import BadDegree, BudgetExceeded
+from .errors import BadDegree, BudgetExceeded, CrossCheckFailed
 
 FAMILY_IDS = ("C", "B", "PB", "J", "PJ", "A", "PA", "EA", "SYM")
 
@@ -396,10 +396,12 @@ def as_closure(instance, budget=None):
     Generated instances rebuild their defining closure.  Enumerated ones
     first try a verified candidate generating set (kept only if its closure
     equals the element set exactly), falling back to the all-generators
-    table, which is quadratic and size-guarded.
+    table, which is quadratic and size-guarded.  Views are cached by the
+    instance's content, since instances of one size can differ.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    key = (instance.family, instance.degree, len(instance.elements))
+    key = (instance.family, instance.degree, instance.strategy,
+           instance.generators, instance.elements)
     cached = _CLOSURE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -411,7 +413,10 @@ def as_closure(instance, budget=None):
 def _as_closure_uncached(instance, budget):
     if instance.strategy == "generated":
         sg = closure(list(instance.generators), include_identity=True, budget=budget)
-        assert frozenset(sg.elements) == instance.elements
+        if frozenset(sg.elements) != instance.elements:
+            raise CrossCheckFailed(
+                f"closure of the {instance.family}:{instance.degree} generators "
+                f"({sg.size} elements) differs from the instance ({instance.size})")
         return sg
     cand = _candidate_generators(instance.family, instance.degree)
     if cand is not None:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from .diagrams import encode
 from .engine import (
     SemigroupClosure,
-    closure,
     essential_depth,
     generated_subsemigroup,
     is_aperiodic,
@@ -346,9 +345,7 @@ class Ledger:
         )
 
         def covered():
-            span = closure([sg.elements[i] for i in pool])
-            have = frozenset(span.elements)
-            return all(sg.elements[i] in have for i in ses_ids)
+            return set(ses_ids) <= set(generated_subsemigroup(sg, pool))
 
         c6 = self._require(
             f"SeS-in-idempotent-span({s_ref})", covered(),

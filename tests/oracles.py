@@ -7,6 +7,10 @@ direct row relabeling, and counts through recurrences distinct from the
 closed forms in the library.  Only the public Diagram constructor and the
 signed block view are shared, since tests must talk about the same
 objects.
+
+The exception is the section on closure analyses by diagram products:
+the engine answers these by integer walks over a closure's Cayley data,
+and the references here multiply the diagrams themselves instead.
 """
 
 from __future__ import annotations
@@ -15,7 +19,15 @@ import itertools
 
 import numpy as np
 
-from brauerkit import Diagram, diagram
+from brauerkit import (
+    Diagram,
+    adjacent_contraction,
+    closure,
+    closure_from_elements,
+    diagram,
+    double_contraction,
+    rotation,
+)
 
 
 def signed_blocks(a):
@@ -325,3 +337,57 @@ def oracle_kernel(sg, sweep_order="forward", formulation="bar"):
     kids = np.flatnonzero(member).tolist()
     witness = next((k for k in kids if _oracle_period(rows, k) != 1), None)
     return tuple(kids), rounds, witness is None, witness
+
+
+# ---------------------------------------------------------------------------
+# closure analyses by diagram products
+
+
+def oracle_left_cayley(sg):
+    """lc[y, i] = g_i y, one diagram product per entry."""
+    idx = sg.index
+    lc = np.empty((sg.size, len(sg.multipliers)), dtype=np.int32)
+    for gi, g in enumerate(sg.multipliers):
+        lc[:, gi] = [idx[g * x] for x in sg.elements]
+    return lc
+
+
+def oracle_idempotent_ids(sg):
+    return tuple(i for i, x in enumerate(sg.elements) if x * x == x)
+
+
+def oracle_span(sg, seed_ids):
+    """Ids in sg of the standalone diagram closure of the seed elements."""
+    span = closure([sg.elements[i] for i in seed_ids])
+    return sorted(sg.index[d] for d in span.elements)
+
+
+def oracle_local_monoid(sg, e_id):
+    """e S e from diagram products, as an all-generators closure."""
+    e = sg.elements[e_id]
+    ids = sorted({sg.index[e * x * e] for x in sg.elements})
+    elems = [sg.elements[i] for i in ids]
+    return closure_from_elements(elems, identity_hint=elems.index(e),
+                                 size_limit=len(elems))
+
+
+def oracle_rees_table(sg, ideal_ids):
+    """Table of S/I: the non-ideal elements in id order, then the zero."""
+    ideal = set(ideal_ids)
+    keep = [i for i in range(sg.size) if i not in ideal]
+    pos = {x: k for k, x in enumerate(keep)}
+    k = len(keep)
+    table = np.full((k + 1, k + 1), k, dtype=np.int32)
+    for a, x in enumerate(keep):
+        for b, y in enumerate(keep):
+            p = sg.index[sg.elements[x] * sg.elements[y]]
+            table[a, b] = pos.get(p, k)
+    return table
+
+
+def t1sub_ea6():
+    """The chain-generated submonoid of EA:6 used by the standard ledger."""
+    zeta2 = rotation(6) * rotation(6)
+    g5 = adjacent_contraction(6, 5)
+    g65 = adjacent_contraction(6, 6) * g5
+    return closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)

@@ -1,10 +1,15 @@
 """Semigroup engine: closures, Green data, ideals, quotients, embeddings."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauerkit import (
     AbstractSemigroup,
@@ -42,6 +47,14 @@ from brauerkit.errors import (
     NotAMonoid,
     NotAnIdeal,
     NotIdempotent,
+)
+from oracles import (
+    oracle_idempotent_ids,
+    oracle_left_cayley,
+    oracle_local_monoid,
+    oracle_rees_table,
+    oracle_span,
+    t1sub_ea6,
 )
 
 
@@ -99,10 +112,7 @@ def test_product_table_and_left_cayley_agree_with_diagrams():
     for _ in range(200):
         i, j = rng.randrange(sg.size), rng.randrange(sg.size)
         assert table[i, j] == sg.index[sg.elements[i] * sg.elements[j]]
-    lc = sg.left_cayley
-    for gi, g in enumerate(sg.multipliers):
-        for i in range(sg.size):
-            assert lc[i, gi] == sg.index[g * sg.elements[i]]
+    assert np.array_equal(sg.left_cayley, oracle_left_cayley(sg))
 
 
 def test_closure_from_elements_round_trip():
@@ -121,6 +131,62 @@ def test_closure_from_elements_size_guard():
     elems = list(construct("B", 3).elements)
     with pytest.raises(BudgetExceeded):
         closure_from_elements(elems, size_limit=5)
+
+
+# ---------------------------------------------------------------------------
+# products as word walks, against the diagram-product oracles
+
+_ORACLE_CASES = ["B:3", "B:4", "B:5", "B:6", "A:4", "A:5", "A:6", "A:7", "A:8",
+                 "J:6", "EA:6", "PB:4", "PA:4", "SYM:5", "t1sub(EA:6)"]
+
+
+def _instance(name):
+    if name == "t1sub(EA:6)":
+        return t1sub_ea6(), 6
+    family, n = name.split(":")
+    return as_closure(construct(family, int(n))), int(n)
+
+
+@pytest.mark.parametrize("name", _ORACLE_CASES)
+def test_integer_analyses_match_diagram_products(name):
+    sg, n = _instance(name)
+    assert np.array_equal(sg.left_cayley, oracle_left_cayley(sg))
+    assert sg.idempotent_ids() == oracle_idempotent_ids(sg)
+
+    rng = random.Random(n)
+    idem = list(sg.idempotent_ids())
+    seed_sets = [sg.generators[:4],
+                 rng.sample(range(sg.size), 2),
+                 rng.sample(idem, min(6, len(idem)))]
+    for seeds in seed_sets:
+        assert generated_subsemigroup(sg, seeds) == oracle_span(sg, seeds)
+
+    e_id = sg.index.get(adjacent_contraction(n, n - 1), sg.identity_id)
+    lm, want = local_monoid(sg, e_id), oracle_local_monoid(sg, e_id)
+    assert lm.elements == want.elements
+    assert lm.identity_id == want.identity_id
+    assert np.array_equal(lm.product_table(), want.product_table())
+
+    ideal = principal_ideal(sg, e_id)
+    assert np.array_equal(rees_quotient(sg, ideal).table, oracle_rees_table(sg, ideal))
+
+
+_WALKED = {"B:6": as_closure(construct("B", 6)),
+           "J:5": closure([adjacent_contraction(5, i) for i in range(1, 5)],
+                          include_identity=True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_WALKED)), st.data())
+def test_word_walk_products_without_a_table(name, data):
+    sg = _WALKED[name]
+    assert sg._table is None
+    ids = st.integers(0, sg.size - 1)
+    xs = data.draw(st.lists(ids, min_size=1, max_size=30))
+    ys = data.draw(st.lists(ids, min_size=len(xs), max_size=len(xs)))
+    want = [sg.index[sg.elements[x] * sg.elements[y]] for x, y in zip(xs, ys)]
+    assert sg.multiply(np.array(xs), np.array(ys)).tolist() == want
+    assert [sg.mul(x, y) for x, y in zip(xs, ys)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +403,40 @@ def test_abstract_semigroup_from_table():
     assert ab.idempotent_ids() == (0,)
     assert index_period(ab, 1) == (1, 2)
     assert not is_aperiodic(ab)
+
+
+# ---------------------------------------------------------------------------
+# claim-guarding checks raise typed errors, also under python -O
+
+_GUARDED = {
+    "as_closure": """
+from brauerkit import FamilyInstance, as_closure, from_permutation, identity
+swap = from_permutation(3, (2, 1, 3))
+as_closure(FamilyInstance("SYM", 3, "generated", frozenset({identity(3)}), (swap,)))
+""",
+    "essential_depth": """
+import dataclasses
+from brauerkit import as_closure, construct, essential_depth, green
+sg = as_closure(construct("B", 2))
+sg._green = dataclasses.replace(green(sg), j_order=frozenset({(0, 1), (1, 0)}))
+essential_depth(sg)
+""",
+    "associativity": """
+from brauerkit import AbstractSemigroup
+from brauerkit.engine import _spot_check_associativity
+_spot_check_associativity(AbstractSemigroup([[1, 1], [0, 0]]))
+""",
+}
+
+
+@pytest.mark.parametrize("check", sorted(_GUARDED))
+def test_claim_checks_raise_under_python_O(check):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from brauerkit.errors import CrossCheckFailed\ntry:\n"
+            + "".join(f"    {line}\n" for line in _GUARDED[check].strip().splitlines())
+            + "except CrossCheckFailed:\n    print('CrossCheckFailed')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["CrossCheckFailed"]

@@ -4,6 +4,7 @@ import pytest
 
 from brauerkit import (
     FAMILY_IDS,
+    FamilyInstance,
     adjacent_contraction,
     as_closure,
     bell_number,
@@ -12,6 +13,7 @@ from brauerkit import (
     closure,
     construct,
     double_factorial_odd,
+    from_permutation,
     identity,
     involution_count,
     membership,
@@ -186,6 +188,19 @@ def test_as_closure_fallback_for_pa():
     sg = as_closure(inst)
     assert frozenset(sg.elements) == inst.elements
     assert len(sg.multipliers) == inst.size
+
+
+def test_as_closure_cache_tells_same_size_instances_apart():
+    # Two generated SYM:3 instances of two elements each, told apart only
+    # by which transposition they hold.
+    views = []
+    for perm in ((2, 1, 3), (1, 3, 2)):
+        swap = from_permutation(3, perm)
+        inst = FamilyInstance("SYM", 3, "generated",
+                              frozenset({identity(3), swap}), (swap,))
+        views.append((inst, as_closure(inst)))
+    for inst, sg in views:
+        assert sg.element_set() == inst.elements
 
 
 def test_rotated_planar_candidate_set_is_proper():

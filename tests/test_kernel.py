@@ -8,11 +8,8 @@ from pathlib import Path
 import pytest
 
 from brauerkit import (
-    adjacent_contraction,
     as_closure,
-    closure,
     construct,
-    double_contraction,
     in_A_star_G,
     index_period,
     kernel,
@@ -24,19 +21,11 @@ from brauerkit import (
     weak_inverse_pairs,
 )
 from brauerkit.errors import BudgetExceeded
-from oracles import oracle_kernel, oracle_weak_inverse_pairs
+from oracles import oracle_kernel, oracle_weak_inverse_pairs, t1sub_ea6
 
 
 def _sg(family, n):
     return as_closure(construct(family, n))
-
-
-def _t1sub_ea6():
-    """The chain-generated submonoid of EA:6 used by the standard ledger."""
-    zeta2 = rotation(6) * rotation(6)
-    g5 = adjacent_contraction(6, 5)
-    g65 = adjacent_contraction(6, 6) * g5
-    return closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)
 
 
 def _result(res):
@@ -126,7 +115,7 @@ def test_kernel_fixpoint_is_sweep_and_formulation_invariant():
                                   "PA:3", "J:5", "SYM:4", "t1sub(EA:6)"])
 def test_kernel_matches_the_per_pair_oracle(name):
     if name == "t1sub(EA:6)":
-        sg = _t1sub_ea6()
+        sg = t1sub_ea6()
     else:
         family, n = name.split(":")
         sg = _sg(family, int(n))
