@@ -38,7 +38,6 @@ from .diagrams import (
     twist,
 )
 from .engine import (
-    AbstractSemigroup,
     GreenData,
     SemigroupClosure,
     closure,
@@ -56,6 +55,7 @@ from .engine import (
     principal_ideal,
     rees_quotient,
     singular_part,
+    subsemigroup,
     t1_chain,
     units,
 )

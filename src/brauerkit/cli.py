@@ -26,7 +26,7 @@ from collections import Counter
 from . import __version__
 from .diagrams import encode, identity
 from .engine import essential_depth, green, index_period, is_aperiodic, units
-from .errors import BrauerKitError
+from .errors import BrauerKitError, CrossCheckFailed
 from .families import (
     FAMILY_IDS,
     as_closure,
@@ -119,8 +119,10 @@ def cmd_count(args):
         formula = _COUNT_FORMULAS.get(args.family)
         row["formula"] = formula(k) if formula else ""
         row["count"] = construct(args.family, k, budget=args.budget).size
-        if formula:
-            assert row["count"] == row["formula"], (args.family, k)
+        if formula and row["count"] != row["formula"]:
+            raise CrossCheckFailed(
+                f"{args.family}:{k} has {row['count']} elements, "
+                f"the formula gives {row['formula']}")
         rows.append(row)
     _emit_rows(rows, ["family", "n", "count", "formula"], args.format, sys.stdout)
     return 0

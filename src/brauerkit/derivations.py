@@ -26,8 +26,6 @@ Derivation routes, per family:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .diagrams import (
     adjacent_contraction,
     contraction,
@@ -36,17 +34,15 @@ from .diagrams import (
     rotation,
 )
 from .engine import (
-    AbstractSemigroup,
     closure,
-    closure_from_elements,
     idempotent_generated,
     pad_embedding,
     principal_ideal,
     rees_quotient,
+    subsemigroup,
 )
-from .errors import NotASubsemigroup
 from .families import as_closure, construct
-from .kernel import kernel, kernel_elements
+from .kernel import kernel
 from .ledger import InstanceRef, Ledger
 
 FAMILY_ROWS = (
@@ -78,15 +74,16 @@ def _register_family(ledger, code, n, compute_kernel=False):
     return ref, sg
 
 
-def _register_pad(ledger, code, n, small_sg, fam_ref):
-    """Padded copy of the degree-n family inside degree n+2.
+def _register_pad(ledger, code, n, small_sg, fam_ref, big_sg):
+    """Padded copy of the degree-n family inside the degree-(n+2) one.
 
     The image equals the local monoid of the larger family at its end-cap
-    idempotent, which is what the local and principal rules consume.
+    idempotent, which is what the local and principal rules consume.  It
+    is big_sg restricted to the images, in small_sg's order.
     """
     target = n + 2
-    elems = [pad_embedding(d, target) for d in small_sg.elements]
-    padded = closure_from_elements(elems, identity_hint=small_sg.identity_id)
+    padded = subsemigroup(
+        big_sg, [big_sg.index[pad_embedding(d, target)] for d in small_sg.elements])
     ref = ledger.register(
         "pad", f"pad({code}:{n})", padded,
         description=f"degree-{target} copies of {code}:{n} with a fixed end-cap",
@@ -99,18 +96,9 @@ def _register_pad(ledger, code, n, small_sg, fam_ref):
 
 
 def _register_ideal(ledger, key, sg, ids, description):
-    """Ideal of a closure as an abstract semigroup over the parent table."""
-    table = sg.product_table()
-    ids = np.asarray(sorted(ids), dtype=np.int64)
-    lookup = np.full(sg.size, -1, dtype=np.int64)
-    lookup[ids] = np.arange(len(ids))
-    sub = lookup[table[np.ix_(ids, ids)]]
-    if (sub < 0).any():
-        raise NotASubsemigroup(f"{key}: element set is not closed")
-    abstract = AbstractSemigroup(sub, source_ids=tuple(int(i) for i in ids))
-    elements = frozenset(sg.elements[int(i)] for i in ids)
-    ref = ledger.register("ideal", key, abstract,
-                          elements=elements, description=description)
+    """Ideal of a closure as sg restricted to its ids, in id order."""
+    ref = ledger.register("ideal", key, subsemigroup(sg, sorted(ids)),
+                          description=description)
     ledger.assert_base_facts(ref)
     return ref
 
@@ -181,7 +169,8 @@ def build_standard_ledger():
     for code, n in [("B", 1), ("B", 2), ("B", 3), ("B", 4),
                     ("A", 1), ("A", 3), ("A", 4), ("EA", 4),
                     ("PB", 1), ("PB", 2), ("PA", 1), ("PA", 2)]:
-        pads[code, n] = _register_pad(led, code, n, sgs[code, n], fam[code, n])
+        pads[code, n] = _register_pad(led, code, n, sgs[code, n], fam[code, n],
+                                      sgs[code, n + 2])
 
     # Brauer tower: principal rule at the end-cap, one step per two degrees.
     for n in (3, 4, 5, 6):
@@ -209,7 +198,6 @@ def build_standard_ledger():
 
     # Lower bound for EA_6: the chain subsemigroup generated by the double
     # contraction, whose group kernel contains a padded EA_4.
-    six = sgs["EA", 6]
     zeta2 = rotation(6) * rotation(6)
     g5 = adjacent_contraction(6, 5)
     g65 = adjacent_contraction(6, 6) * g5
@@ -220,17 +208,14 @@ def build_standard_ledger():
     )
     led.assert_base_facts(t1_ref)
 
-    result = kernel(t1)
-    ker_sg = closure_from_elements(kernel_elements(t1, result))
+    ker_sg = subsemigroup(t1, kernel(t1).kernel_ids)
     ker_ref = led.register(
         "kernel", "kernel(t1sub(EA:6))", ker_sg,
         description="group kernel of t1sub(EA:6)",
     )
     led.assert_base_facts(ker_ref)
 
-    egen_sg = closure_from_elements(
-        [t1.elements[i] for i in idempotent_generated(t1)]
-    )
+    egen_sg = subsemigroup(t1, idempotent_generated(t1))
     egen_ref = led.register(
         "egen", "egen(t1sub(EA:6))", egen_sg,
         description="idempotent-generated subsemigroup of t1sub(EA:6)",
@@ -241,7 +226,6 @@ def build_standard_ledger():
     led.apply_subsemigroup_rule(egen_ref, ker_ref)
     led.apply_kernel_chain_rule(t1_ref, ker_ref)
     led.apply_subsemigroup_rule(t1_ref, fam["EA", 6])
-    assert six.element_set() >= t1.element_set()
 
     # Partial-matching towers: ideal + quotient + local, then contained
     # full-matching families for lower bounds.
@@ -265,7 +249,7 @@ def build_annular_ledger():
         fam[n], sgs[n] = _register_family(led, "A", n, compute_kernel=(n == 4))
     pads = {}
     for n in (1, 3, 4):
-        pads[n] = _register_pad(led, "A", n, sgs[n], fam[n])
+        pads[n] = _register_pad(led, "A", n, sgs[n], fam[n], sgs[n + 2])
     for n in (3, 5):
         _apply_principal(led, n, fam[n], sgs[n], pads[n - 2],
                          unit_gen_ids=[sgs[n].index[rotation(n)]])

@@ -16,6 +16,14 @@ graph, x y = rc[x parent(y), letter(y)], one BFS depth level at a time
 left Cayley graph and the full product table are the same walk done for
 whole rows by dynamic programming over the depth levels; the table is
 built lazily and only below a size limit.
+
+SemigroupClosure is the only semigroup class.  A semigroup derived from a
+closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
+whose table restricts the parent's integer products: subsemigroup() for
+ideals, local monoids e S e, padded copies and group kernels, and
+rees_quotient() for S/I, whose ids stand for no diagram.  Only the
+all-generators view of an element set with no known generating set,
+closure_from_elements, takes one diagram product per table cell.
 """
 
 from __future__ import annotations
@@ -29,11 +37,13 @@ from scipy.sparse import csgraph
 from .diagrams import Diagram, identity, _canon
 from .errors import (
     BadDegree,
+    BadIndex,
     BudgetExceeded,
     CrossCheckFailed,
     DegreeMismatch,
     NotAMonoid,
     NotAnIdeal,
+    NotASubsemigroup,
     NotIdempotent,
 )
 
@@ -44,11 +54,15 @@ _PAIR_BATCH = 1 << 18  # products per batch in generated_subsemigroup
 
 
 class SemigroupClosure:
-    """A concrete finite diagram semigroup with dense ids and Cayley data.
+    """A finite semigroup with dense ids 0..size-1 and Cayley data.
 
-    identity_id is the id of a two-sided identity element when one exists
-    (the identity diagram for ordinary closures; the designated idempotent
-    for local monoids).
+    A closure of diagram generators (closure) holds the right Cayley graph
+    over its multipliers and a BFS word per element; a table-backed one
+    (from_table) holds its full product table, every element being its own
+    generator.  elements[i] is the diagram of id i, or elements is None for
+    a Rees quotient.  identity_id is the id of the two-sided identity when
+    one exists (the identity diagram for ordinary closures, the designated
+    idempotent e for local monoids e S e).
     """
 
     def __init__(self, degree, elements, index, gen_ids, multipliers,
@@ -62,18 +76,42 @@ class SemigroupClosure:
         self.parent = parent
         self.letter = letter
         self.identity_id = identity_id
+        self.size = len(parent)
         self._left_cayley = None
         self._table = None
         self._walk = None
         self._green = None
         self._idempotents = None
 
-    @property
-    def size(self):
-        return len(self.elements)
+    @classmethod
+    def from_table(cls, table, elements=None):
+        """The semigroup over ids 0..m-1 whose m x m product table is table.
+
+        identity_id is worked out from the table as its unique two-sided
+        identity, or None when it has none.
+        """
+        table = np.asarray(table, dtype=np.int32)
+        m = len(table)
+        ids = np.arange(m)
+        ident = np.flatnonzero((table == ids).all(axis=1)
+                               & (table == ids[:, None]).all(axis=0))
+        sg = cls(
+            degree=elements[0].n if elements else None,
+            elements=elements,
+            index=None if elements is None else {d: i for i, d in enumerate(elements)},
+            gen_ids=list(range(m)),
+            multipliers=elements,
+            right_cayley=table,
+            parent=np.full(m, -1, dtype=np.int32),
+            letter=np.arange(m, dtype=np.int32),
+            identity_id=int(ident[0]) if ident.size else None,
+        )
+        sg._table = table
+        sg._left_cayley = table.T.copy()
+        return sg
 
     def __len__(self):
-        return len(self.elements)
+        return self.size
 
     def element_set(self):
         return frozenset(self.elements)
@@ -179,7 +217,7 @@ class SemigroupClosure:
 
     def _adjacency(self):
         m = self.size
-        g = len(self.multipliers)
+        g = len(self.generators)
         if g == 0:
             empty = sparse.csr_matrix((m, m))
             return empty, empty
@@ -270,19 +308,21 @@ def closure(gens, *, include_identity=False, budget=None):
     )
 
 
-def closure_from_elements(elems, *, identity_hint=None, size_limit=ALL_GENS_LIMIT):
-    """Closure view of an already-closed element set (all elements generate).
+def closure_from_elements(elems):
+    """All-generators view of an already-closed element set, by diagrams.
 
-    Builds the full product table up front (m^2 diagram products), so it is
-    guarded by size_limit.  Raises ValueError if the set is not closed.
+    Takes one diagram product per table cell, so it is refused above
+    ALL_GENS_LIMIT elements; as_closure falls back to it only when no
+    generating set of a family is known.  Raises ValueError if the set is
+    not closed.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
         raise BadDegree("empty element set")
     m = len(elems)
-    if m > size_limit:
+    if m > ALL_GENS_LIMIT:
         raise BudgetExceeded(
-            f"refusing all-generators closure over {m} > {size_limit} elements"
+            f"refusing all-generators closure over {m} > {ALL_GENS_LIMIT} elements"
         )
     degree = elems[0].n
     index = {}
@@ -299,68 +339,32 @@ def closure_from_elements(elems, *, identity_hint=None, size_limit=ALL_GENS_LIMI
                     f"element set is not closed under the product ({i} * {j})"
                 )
             table[i, j] = p
-    ident = index.get(identity(degree))
-    if ident is None:
-        ident = identity_hint
-    return _table_closure(elems, index, table, ident)
+    return SemigroupClosure.from_table(table, elems)
 
 
-def _table_closure(elems, index, table, identity_id):
-    """Closure view of a closed element set with a known product table.
+def subsemigroup(sg, ids):
+    """The closed id set ids of sg as a table-backed SemigroupClosure.
 
-    Every element is its own generator, so the table is both Cayley graphs.
+    Its elements are sg's elements at ids, in the order given, and its
+    table is the restriction of sg's products, so no diagram is multiplied.
+    Raises NotASubsemigroup when a product leaves ids, BadIndex when an id
+    repeats, and BudgetExceeded when the table would be over
+    TABLE_CELL_LIMIT cells.
     """
-    m = len(elems)
-    sg = SemigroupClosure(
-        degree=elems[0].n,
-        elements=elems,
-        index=index,
-        gen_ids=list(range(m)),
-        multipliers=elems,
-        right_cayley=table,
-        parent=np.full(m, -1, dtype=np.int32),
-        letter=np.arange(m, dtype=np.int32),
-        identity_id=identity_id,
-    )
-    sg._table = table
-    sg._left_cayley = table.T.copy()
-    return sg
-
-
-class AbstractSemigroup:
-    """Finite semigroup given by a product table (used for Rees quotients)."""
-
-    def __init__(self, table, zero=None, source_ids=None):
-        self.table = np.asarray(table, dtype=np.int32)
-        self.zero = zero
-        self.source_ids = source_ids
-        self._green = None
-        self._idempotents = None
-
-    @property
-    def size(self):
-        return self.table.shape[0]
-
-    def multiply(self, xs, ys):
-        return self.table[xs, ys]
-
-    def mul(self, i, j):
-        return int(self.table[i, j])
-
-    def idempotent_ids(self):
-        if self._idempotents is None:
-            m = self.size
-            diag = self.table[np.arange(m), np.arange(m)]
-            self._idempotents = tuple(int(i) for i in np.flatnonzero(diag == np.arange(m)))
-        return self._idempotents
-
-    def _adjacency(self):
-        m = self.size
-        rows = np.repeat(np.arange(m), m)
-        ones = np.ones(m * m, dtype=np.int8)
-        right = sparse.csr_matrix((ones, (rows, self.table.ravel())), shape=(m, m))
-        left = sparse.csr_matrix((ones, (rows, self.table.T.ravel())), shape=(m, m))
-        return right, left
+    ids = np.asarray(ids, dtype=np.int64)
+    k = len(ids)
+    if k * k > TABLE_CELL_LIMIT:
+        raise BudgetExceeded(
+            f"subsemigroup of {k} elements is over TABLE_CELL_LIMIT")
+    pos = np.full(sg.size, -1, dtype=np.int32)
+    pos[ids] = np.arange(k, dtype=np.int32)
+    if (pos[ids] != np.arange(k)).any():
+        raise BadIndex("subsemigroup ids repeat")
+    table = pos[sg.multiply(ids[:, None], ids)]
+    if (table < 0).any():
+        raise NotASubsemigroup(
+            f"the {k} ids are not closed under the product")
+    return SemigroupClosure.from_table(table, [sg.elements[i] for i in ids.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +473,22 @@ def is_aperiodic(sg):
     """
     g = green(sg)
     by_h = g.num_h == sg.size
-    if by_h != _periods_all_one(sg):
+    if by_h != period_one(sg, np.arange(sg.size)).all():
         raise CrossCheckFailed("H-class and period aperiodicity tests disagree")
     return by_h
 
 
-def _periods_all_one(sg):
-    """True when every element x has period 1, that is x^N x = x^N.
+def period_one(sg, ids):
+    """Mask over ids of the elements x of period 1, that is x^N x = x^N.
 
     N = 2^bitlen(m) is at least every index (at most m), and x^N x = x^N
     holds for such N exactly when the period divides 1.
     """
-    ids = np.arange(sg.size)
+    ids = np.asarray(ids)
     power = ids
     for _ in range(sg.size.bit_length()):
         power = sg.multiply(power, power)
-    return bool((sg.multiply(power, ids) == power).all())
+    return sg.multiply(power, ids) == power
 
 
 def essential_depth(sg):
@@ -568,50 +572,33 @@ def principal_ideal(sg, e_id):
 
 
 def local_monoid(sg, e_id):
-    """The monoid e S e as its own closure; identity element e.
+    """The monoid e S e: subsemigroup of sg's elements e x e in id order.
 
-    Its elements are sg's elements e x e in id order, and its product table
-    comes from sg's products, so no diagram is multiplied.  Raises
-    BudgetExceeded when that table would be over TABLE_CELL_LIMIT cells.
+    Its identity is e.  Raises NotIdempotent when e is not idempotent and
+    BudgetExceeded as subsemigroup does.
     """
     if sg.mul(e_id, e_id) != e_id:
         raise NotIdempotent(f"element {e_id} is not idempotent")
     member = np.zeros(sg.size, dtype=bool)
     member[sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id))] = True
-    ids = np.flatnonzero(member)
-    k = len(ids)
-    if k * k > TABLE_CELL_LIMIT:
-        raise BudgetExceeded(
-            f"local monoid of {k} elements is over TABLE_CELL_LIMIT")
-    pos = np.zeros(sg.size, dtype=np.int32)
-    pos[ids] = np.arange(k, dtype=np.int32)
-    table = pos[sg.multiply(ids[:, None], ids)]
-    elems = [sg.elements[i] for i in ids.tolist()]
-    return _table_closure(elems, {d: i for i, d in enumerate(elems)}, table,
-                          int(pos[e_id]))
+    return subsemigroup(sg, np.flatnonzero(member))
 
 
 def rees_quotient(sg, ideal_ids):
-    """Rees quotient S/I as an AbstractSemigroup with adjoined zero.
+    """Rees quotient S/I: a table-backed SemigroupClosure with no elements.
 
-    Raises NotAnIdeal when I is empty or not closed under two-sided
-    multiplication by S.  Element 0..k-1 are the non-ideal elements of S in
-    id order; the last element is the zero.
+    Ids 0..k-1 are the non-ideal elements of S in id order, and the last
+    id, k, is the adjoined zero.  Raises NotAnIdeal when I is empty or not
+    closed under two-sided multiplication by S's generators.
     """
     ideal = sorted(set(int(i) for i in ideal_ids))
     if not ideal:
         raise NotAnIdeal("empty set is not an ideal")
     member = np.zeros(sg.size, dtype=bool)
     member[ideal] = True
-    if isinstance(sg, SemigroupClosure):
-        arr = np.array(ideal)
-        if len(sg.multipliers):
-            if not member[sg.right_cayley[arr]].all() or not member[sg.left_cayley[arr]].all():
-                raise NotAnIdeal("set is not closed under multiplication by generators")
-    else:
-        arr = np.array(ideal)
-        if not member[sg.table[arr, :]].all() or not member[sg.table[:, arr]].all():
-            raise NotAnIdeal("set is not closed under multiplication")
+    arr = np.array(ideal)
+    if not member[sg.right_cayley[arr]].all() or not member[sg.left_cayley[arr]].all():
+        raise NotAnIdeal("set is not closed under multiplication by generators")
 
     keep = np.flatnonzero(~member)
     k = len(keep)
@@ -619,20 +606,20 @@ def rees_quotient(sg, ideal_ids):
     pos[keep] = np.arange(k, dtype=np.int32)
     table = np.full((k + 1, k + 1), k, dtype=np.int32)
     table[:k, :k] = pos[sg.multiply(keep[:, None], keep)]
-    quotient = AbstractSemigroup(table, zero=k, source_ids=tuple(keep.tolist()))
+    quotient = SemigroupClosure.from_table(table)
     _spot_check_associativity(quotient)
     return quotient
 
 
-def _spot_check_associativity(ab, samples=60, seed=0):
+def _spot_check_associativity(sg, samples=60, seed=0):
     """Raise CrossCheckFailed if (xy)z != x(yz) on a sampled triple."""
     import random
 
     rng = random.Random(seed)
-    m = ab.size
+    m = sg.size
     for _ in range(samples):
         x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-        if ab.mul(ab.mul(x, y), z) != ab.mul(x, ab.mul(y, z)):
+        if sg.mul(sg.mul(x, y), z) != sg.mul(x, sg.mul(y, z)):
             raise CrossCheckFailed(f"product table not associative at {(x, y, z)}")
 
 

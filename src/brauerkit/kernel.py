@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import Parity, parity
-from .engine import TABLE_CELL_LIMIT, generated_subsemigroup, index_period
+from .engine import TABLE_CELL_LIMIT, generated_subsemigroup, period_one
 from .errors import BudgetExceeded, KernelFixpointError
 
 
@@ -38,7 +38,7 @@ class KernelResult:
 
 def _table(sg):
     """sg's product table as an array; BudgetExceeded when it is too big."""
-    table = sg.product_table() if hasattr(sg, "product_table") else sg.table
+    table = sg.product_table()
     if table is None:
         raise BudgetExceeded(
             f"the group kernel needs the {sg.size} x {sg.size} product table, "
@@ -110,18 +110,12 @@ def kernel(sg):
     kids = [int(i) for i in np.flatnonzero(member)]
     _check_fixpoint(sg, table, pairs, kids)
 
-    witness = None
-    aperiodic = True
-    for k in kids:
-        if index_period(sg, k)[1] != 1:
-            aperiodic = False
-            witness = k
-            break
+    periodic = np.flatnonzero(~period_one(sg, kids))
     return KernelResult(
         kernel_ids=tuple(kids),
         iterations=iterations,
-        is_aperiodic=aperiodic,
-        witness=witness,
+        is_aperiodic=not periodic.size,
+        witness=kids[periodic[0]] if periodic.size else None,
     )
 
 
@@ -170,8 +164,9 @@ def verify_parity_morphism_a4():
             return (1,)
         if p is Parity.ODD:
             return (-1,)
-        assert p is Parity.RANK_ZERO
-        return (-1, 1)
+        if p is Parity.RANK_ZERO:
+            return (-1, 1)
+        raise ValueError(f"A:4 element {i} has {p.value} parity")
 
     tau2 = [(x, s) for x in range(sg.size) for s in sign_of(x)]
 

@@ -134,7 +134,8 @@ def load_or_build(family, degree, budget=None, cache_dir=None):
 
 
 def make_report(target, anchor, params, verdict, details, duration_ms):
-    assert verdict in ("PASS", "FAIL")
+    if verdict not in ("PASS", "FAIL"):
+        raise ValueError(f"verdict must be PASS or FAIL, got {verdict!r}")
     return {
         "target": target,
         "anchor": anchor,

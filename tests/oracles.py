@@ -23,7 +23,6 @@ from brauerkit import (
     Diagram,
     adjacent_contraction,
     closure,
-    closure_from_elements,
     diagram,
     double_contraction,
     rotation,
@@ -313,7 +312,7 @@ def oracle_kernel(sg, sweep_order="forward", formulation="bar"):
     every k in the closed set, and stops at the first round that adds
     nothing.  The witness is the smallest kernel id of period >= 2.
     """
-    table = np.asarray(sg.product_table() if hasattr(sg, "product_table") else sg.table)
+    table = np.asarray(sg.product_table())
     rows = table.tolist()
     pairs = oracle_weak_inverse_pairs(sg, formulation)
     if sweep_order == "reversed":
@@ -362,13 +361,21 @@ def oracle_span(sg, seed_ids):
     return sorted(sg.index[d] for d in span.elements)
 
 
-def oracle_local_monoid(sg, e_id):
-    """e S e from diagram products, as an all-generators closure."""
+def oracle_local_elements(sg, e_id):
+    """The elements e x e of sg in id order, from diagram products."""
     e = sg.elements[e_id]
-    ids = sorted({sg.index[e * x * e] for x in sg.elements})
-    elems = [sg.elements[i] for i in ids]
-    return closure_from_elements(elems, identity_hint=elems.index(e),
-                                 size_limit=len(elems))
+    return [sg.elements[i] for i in sorted({sg.index[e * x * e] for x in sg.elements})]
+
+
+def oracle_table(elems):
+    """Product table of a closed diagram list, one diagram product per cell,
+    and the position of its two-sided identity (None when there is none)."""
+    index = {d: i for i, d in enumerate(elems)}
+    rows = [[index[x * y] for y in elems] for x in elems]
+    k = len(elems)
+    identity_id = next((i for i in range(k)
+                        if all(rows[i][j] == j == rows[j][i] for j in range(k))), None)
+    return np.array(rows, dtype=np.int32), identity_id
 
 
 def oracle_rees_table(sg, ideal_ids):

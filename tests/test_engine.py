@@ -1,5 +1,6 @@
 """Semigroup engine: closures, Green data, ideals, quotients, embeddings."""
 
+import ast
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brauerkit import (
-    AbstractSemigroup,
+    InstanceRef,
     adjacent_contraction,
     as_closure,
     closure,
@@ -36,24 +37,29 @@ from brauerkit import (
     rees_quotient,
     rotation,
     singular_part,
+    subsemigroup,
     units,
 )
 from brauerkit import engine
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, t1_chain
 from brauerkit.errors import (
     BadDegree,
+    BadIndex,
     BudgetExceeded,
     CrossCheckFailed,
     NotAMonoid,
     NotAnIdeal,
+    NotASubsemigroup,
     NotIdempotent,
 )
 from oracles import (
     oracle_idempotent_ids,
+    oracle_kernel,
     oracle_left_cayley,
-    oracle_local_monoid,
+    oracle_local_elements,
     oracle_rees_table,
     oracle_span,
+    oracle_table,
     t1sub_ea6,
 )
 
@@ -128,28 +134,71 @@ def test_closure_from_elements_rejects_open_sets():
 
 
 def test_closure_from_elements_size_guard():
-    elems = list(construct("B", 3).elements)
+    elems = construct("B", 6).sorted_elements()[:2001]
     with pytest.raises(BudgetExceeded):
-        closure_from_elements(elems, size_limit=5)
+        closure_from_elements(elems)
+
+
+def test_subsemigroup_rejects_open_and_repeated_ids():
+    sg = _b(3)
+    r = sg.index[rotation(3)]
+    with pytest.raises(NotASubsemigroup):
+        subsemigroup(sg, [r])  # missing the higher powers
+    with pytest.raises(BadIndex):
+        subsemigroup(sg, [sg.identity_id, sg.identity_id])
 
 
 # ---------------------------------------------------------------------------
 # products as word walks, against the diagram-product oracles
 
 _ORACLE_CASES = ["B:3", "B:4", "B:5", "B:6", "A:4", "A:5", "A:6", "A:7", "A:8",
-                 "J:6", "EA:6", "PB:4", "PA:4", "SYM:5", "t1sub(EA:6)"]
+                 "J:6", "EA:6", "PB:4", "PA:4", "SYM:5", "t1sub(EA:6)",
+                 "pad(B:4)", "pad(A:4)", "pad(PA:2)",
+                 "kernel(t1sub(EA:6))", "egen(t1sub(EA:6))"]
+
+# Subsemigroups the standard ledger restricts from a parent's products,
+# by key (whose prefix is the instance kind) with their degree.
+_RESTRICTED = {"pad(B:4)": 6, "pad(A:4)": 6, "pad(PA:2)": 4,
+               "kernel(t1sub(EA:6))": 6, "egen(t1sub(EA:6))": 6}
 
 
-def _instance(name):
+def _restricted_elements(led, name):
+    """The elements the ledger's restriction should hold, in order."""
+    if name.startswith("pad("):
+        family, n = name[4:-1].split(":")
+        small = as_closure(construct(family, int(n)))
+        return [pad_embedding(d, int(n) + 2) for d in small.elements]
+    t1 = led.instances[InstanceRef("sub", "t1sub(EA:6)")].sg
+    if name.startswith("kernel("):
+        return [t1.elements[i] for i in oracle_kernel(t1)[0]]
+    return [t1.elements[i] for i in oracle_span(t1, oracle_idempotent_ids(t1))]
+
+
+def _assert_diagram_table(sg, elems):
+    """sg holds elems in this order, with their diagram-product table."""
+    table, identity_id = oracle_table(elems)
+    assert sg.elements == elems
+    assert sg.identity_id == identity_id
+    assert np.array_equal(sg.product_table(), table)
+
+
+def _instance(name, request):
+    """(closure, degree, the elements a restriction should hold, or None)."""
+    if name in _RESTRICTED:
+        led, _ = request.getfixturevalue("derived_standard_ledger")
+        sg = led.instances[InstanceRef(name.split("(")[0], name)].sg
+        return sg, _RESTRICTED[name], _restricted_elements(led, name)
     if name == "t1sub(EA:6)":
-        return t1sub_ea6(), 6
+        return t1sub_ea6(), 6, None
     family, n = name.split(":")
-    return as_closure(construct(family, int(n))), int(n)
+    return as_closure(construct(family, int(n))), int(n), None
 
 
 @pytest.mark.parametrize("name", _ORACLE_CASES)
-def test_integer_analyses_match_diagram_products(name):
-    sg, n = _instance(name)
+def test_integer_analyses_match_diagram_products(name, request):
+    sg, n, elems = _instance(name, request)
+    if elems is not None:
+        _assert_diagram_table(sg, elems)
     assert np.array_equal(sg.left_cayley, oracle_left_cayley(sg))
     assert sg.idempotent_ids() == oracle_idempotent_ids(sg)
 
@@ -162,13 +211,11 @@ def test_integer_analyses_match_diagram_products(name):
         assert generated_subsemigroup(sg, seeds) == oracle_span(sg, seeds)
 
     e_id = sg.index.get(adjacent_contraction(n, n - 1), sg.identity_id)
-    lm, want = local_monoid(sg, e_id), oracle_local_monoid(sg, e_id)
-    assert lm.elements == want.elements
-    assert lm.identity_id == want.identity_id
-    assert np.array_equal(lm.product_table(), want.product_table())
+    _assert_diagram_table(local_monoid(sg, e_id), oracle_local_elements(sg, e_id))
 
     ideal = principal_ideal(sg, e_id)
-    assert np.array_equal(rees_quotient(sg, ideal).table, oracle_rees_table(sg, ideal))
+    assert np.array_equal(rees_quotient(sg, ideal).product_table(),
+                          oracle_rees_table(sg, ideal))
 
 
 _WALKED = {"B:6": as_closure(construct("B", 6)),
@@ -305,10 +352,11 @@ def test_rees_quotient_of_brauer_4():
     ideal = principal_ideal(sg, sg.index[contraction(4, 1, 2)])
     q = rees_quotient(sg, ideal)
     assert q.size == 24 + 1
-    assert q.zero == 24
+    assert q.elements is None
+    zero = q.size - 1
     for x in range(q.size):
-        assert q.mul(x, q.zero) == q.zero
-        assert q.mul(q.zero, x) == q.zero
+        assert q.mul(x, zero) == zero
+        assert q.mul(zero, x) == zero
     g = green(q)
     assert g.num_j == 2
     assert not is_aperiodic(q)
@@ -396,13 +444,16 @@ def test_essential_depth_values():
     assert essential_depth(as_closure(construct("A", 4))) == 2
 
 
-def test_abstract_semigroup_from_table():
-    table = [[0, 1], [1, 0]]  # the two-element group
-    ab = AbstractSemigroup(table)
-    assert ab.size == 2
-    assert ab.idempotent_ids() == (0,)
-    assert index_period(ab, 1) == (1, 2)
-    assert not is_aperiodic(ab)
+def test_semigroup_from_table():
+    group = SemigroupClosure.from_table([[0, 1], [1, 0]])
+    assert group.size == 2 and group.elements is None
+    assert group.identity_id == 0
+    assert group.idempotent_ids() == (0,)
+    assert index_period(group, 1) == (1, 2)
+    assert not is_aperiodic(group)
+    left_zero = SemigroupClosure.from_table([[0, 0], [1, 1]])
+    assert left_zero.identity_id is None  # x y = x: no two-sided identity
+    assert is_aperiodic(left_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +473,22 @@ sg._green = dataclasses.replace(green(sg), j_order=frozenset({(0, 1), (1, 0)}))
 essential_depth(sg)
 """,
     "associativity": """
-from brauerkit import AbstractSemigroup
+from brauerkit import SemigroupClosure
 from brauerkit.engine import _spot_check_associativity
-_spot_check_associativity(AbstractSemigroup([[1, 1], [0, 0]]))
+_spot_check_associativity(SemigroupClosure.from_table([[1, 1], [0, 0]]))
+""",
+    "count": """
+from brauerkit import cli
+cli._COUNT_FORMULAS["B"] = lambda n: 0
+cli.cmd_count(cli.build_parser().parse_args(["count", "--family", "B", "--n", "2"]))
+""",
+    "verify_sample": """
+from brauerkit import Ledger, as_closure, construct
+led = Ledger()
+led.assert_base_facts(led.register("family", "B:2", as_closure(construct("B", 2))))
+for check in led.checks.values():
+    check.passed = not check.passed
+led.verify_sample()
 """,
 }
 
@@ -440,3 +504,13 @@ def test_claim_checks_raise_under_python_O(check):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["CrossCheckFailed"]
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts, so no claim may rest on one.
+    package = Path(__file__).resolve().parents[1] / "src" / "brauerkit"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

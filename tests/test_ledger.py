@@ -7,13 +7,13 @@ from brauerkit import (
     Ledger,
     adjacent_contraction,
     as_closure,
-    closure_from_elements,
     construct,
     contraction,
     pad_embedding,
     principal_ideal,
     rees_quotient,
     rotation,
+    subsemigroup,
     units,
 )
 from brauerkit.derivations import build_annular_ledger, build_standard_ledger
@@ -113,7 +113,7 @@ def test_ideal_rule_bounds_above():
     led = Ledger()
     ref, sg = _family(led, "B", 3)
     ids = principal_ideal(sg, sg.index[contraction(3, 1, 2)])
-    ideal_sg = closure_from_elements([sg.elements[i] for i in ids])
+    ideal_sg = subsemigroup(sg, ids)
     i_ref = led.register("ideal", "sing(B:3)", ideal_sg)
     q_ref = led.register("quotient", "quot(B:3/sing)", rees_quotient(sg, ids),
                          elements=frozenset())
@@ -132,12 +132,10 @@ def test_local_rule_ties_ideal_to_local_monoid():
     ref, sg = _family(led, "B", 4)
     e_id = sg.index[adjacent_contraction(4, 3)]
     ids = principal_ideal(sg, e_id)
-    ideal_sg = closure_from_elements([sg.elements[i] for i in ids])
-    i_ref = led.register("ideal", "sing(B:4)", ideal_sg)
-    padded = [pad_embedding(d, 4) for d in construct("B", 2).sorted_elements()]
-    local_sg = closure_from_elements(
-        padded, identity_hint=padded.index(adjacent_contraction(4, 3))
-    )
+    i_ref = led.register("ideal", "sing(B:4)", subsemigroup(sg, ids))
+    local_sg = subsemigroup(sg, [sg.index[pad_embedding(d, 4)]
+                                 for d in construct("B", 2).sorted_elements()])
+    assert local_sg.elements[local_sg.identity_id] == adjacent_contraction(4, 3)
     l_ref = led.register("local", "pad(B:2)", local_sg)
     for r in (ref, i_ref, l_ref):
         led.assert_base_facts(r)
@@ -151,7 +149,7 @@ def test_principal_rule_pins_brauer_3():
     led = Ledger()
     ref, sg = _family(led, "B", 3)
     e = adjacent_contraction(3, 2)
-    local_sg = closure_from_elements([e], identity_hint=0)
+    local_sg = subsemigroup(sg, [sg.index[e]])
     l_ref = led.register("local", "pad(B:1)", local_sg)
     led.assert_base_facts(ref)
     led.assert_base_facts(l_ref)
@@ -187,7 +185,7 @@ def test_subsemigroup_rule_moves_bounds_both_ways():
 def test_ideal_rule_rejects_non_ideal():
     led = Ledger()
     ref, sg = _family(led, "B", 3)
-    unit_sg = closure_from_elements([sg.elements[i] for i in units(sg)])
+    unit_sg = subsemigroup(sg, units(sg))
     u_ref = led.register("sub", "units(B:3)", unit_sg)
     q = rees_quotient(sg, principal_ideal(sg, sg.index[contraction(3, 1, 2)]))
     q_ref = led.register("quotient", "bogus", q, elements=frozenset())

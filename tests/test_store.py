@@ -118,5 +118,5 @@ def test_make_report_schema():
                       "PASS", "ok", 12)
     assert list(rep) == ["target", "anchor", "params", "verdict",
                         "details", "duration_ms"]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         make_report("x", "y", {}, "MAYBE", "", 0)
