@@ -228,18 +228,19 @@ def cmd_verify(args):
 
 
 def cmd_complexity(args):
-    from .derivations import build_standard_ledger, standard_table
+    from .derivations import FAMILY_ROWS, build_standard_ledger, standard_table
+    keep = set(args.targets)
+    missing = keep - {f"{code}:{n}" for code, degrees in FAMILY_ROWS
+                      for n in degrees}
+    if missing:
+        print(f"unknown table row(s): {', '.join(sorted(missing))}",
+              file=sys.stderr)
+        return 2
     led = build_standard_ledger()
     entries = led.derive_all()
     rows = standard_table(entries)
-    if args.targets:
-        keep = set(args.targets)
+    if keep:
         rows = [r for r in rows if f"{r['family']}:{r['n']}" in keep]
-        missing = keep - {f"{r['family']}:{r['n']}" for r in rows}
-        if missing:
-            print(f"unknown table row(s): {', '.join(sorted(missing))}",
-                  file=sys.stderr)
-            return 2
     shaped = [
         {
             "family": r["family"], "n": r["n"], "lo": r["lo"], "hi": r["hi"],

@@ -21,9 +21,11 @@ SemigroupClosure is the only semigroup class.  A semigroup derived from a
 closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
 whose table restricts the parent's integer products: subsemigroup() for
 ideals, local monoids e S e, padded copies and group kernels, and
-rees_quotient() for S/I, whose ids stand for no diagram.  Only the
+rees_quotient() for S/I, whose ids stand for no diagram.  The
 all-generators view of an element set with no known generating set,
-closure_from_elements, takes one diagram product per table cell.
+closure_from_elements, is the same search grown from generators picked
+greedily from the set, so it takes one diagram product per element and
+picked generator, and its table is again the closure's integer products.
 """
 
 from __future__ import annotations
@@ -232,6 +234,83 @@ class SemigroupClosure:
         return right, left
 
 
+class _RightCayleySearch:
+    """Froidure-Pin search of a right Cayley graph that takes generators
+    one at a time.
+
+    Elements get ids in discovery order; a seed has parent -1 and its
+    generator's letter (-1 for the identity).  run() fills, in id order,
+    every row's columns for the generators added since that row was last
+    extended, so each (element, generator) product is taken exactly once,
+    however the generators are interleaved with runs.  A product outside
+    `within` (a dict of allowed elements to their positions) raises
+    ValueError; past `budget` elements, BudgetExceeded.
+    """
+
+    def __init__(self, budget, within=None):
+        self.budget = budget
+        self.within = within
+        self.elements = []
+        self.index = {}
+        self.parent = []
+        self.letter = []
+        self.rows = []
+        self.multipliers = []
+
+    def _add(self, d, parent, let):
+        self.index[d] = len(self.elements)
+        self.elements.append(d)
+        self.parent.append(parent)
+        self.letter.append(let)
+        self.rows.append([])
+
+    def seed(self, d, let=-1):
+        if d not in self.index:
+            self._add(d, -1, let)
+
+    def add_generator(self, g):
+        self.multipliers.append(g)
+        self.seed(g, len(self.multipliers) - 1)
+
+    def run(self):
+        gens = self.multipliers
+        q = 0
+        while q < len(self.elements):
+            x = self.elements[q]
+            row = self.rows[q]
+            for gi in range(len(row), len(gens)):
+                p = x * gens[gi]
+                pid = self.index.get(p)
+                if pid is None:
+                    if self.within is not None and p not in self.within:
+                        raise ValueError(
+                            "element set is not closed under the product "
+                            f"({self.within[x]} * {self.within[gens[gi]]})")
+                    pid = len(self.elements)
+                    if pid >= self.budget:
+                        raise BudgetExceeded(
+                            f"closure exceeded budget of {self.budget} elements"
+                        )
+                    self._add(p, q, gi)
+                row.append(pid)
+            q += 1
+
+    def closure(self, degree):
+        m = len(self.elements)
+        return SemigroupClosure(
+            degree=degree,
+            elements=self.elements,
+            index=self.index,
+            gen_ids=[self.index[g] for g in self.multipliers],
+            multipliers=self.multipliers,
+            right_cayley=np.array(self.rows, dtype=np.int32).reshape(
+                m, len(self.multipliers)),
+            parent=np.array(self.parent, dtype=np.int32),
+            letter=np.array(self.letter, dtype=np.int32),
+            identity_id=self.index.get(identity(degree)),
+        )
+
+
 def closure(gens, *, include_identity=False, budget=None):
     """BFS closure of a generator list under the diagram product.
 
@@ -242,79 +321,31 @@ def closure(gens, *, include_identity=False, budget=None):
     gens = list(gens)
     if not gens and not include_identity:
         raise BadDegree("need at least one generator (or include_identity)")
-    budget = DEFAULT_BUDGET if budget is None else budget
     degree = gens[0].n if gens else 1
     for g in gens:
         if g.n != degree:
             raise DegreeMismatch(f"generator degrees {degree} vs {g.n}")
-
-    elements = []
-    index = {}
-    parent = []
-    letter = []
-
-    def add_seed(d, let):
-        if d not in index:
-            index[d] = len(elements)
-            elements.append(d)
-            parent.append(-1)
-            letter.append(let)
-
-    multipliers = list(dict.fromkeys(gens))
+    search = _RightCayleySearch(DEFAULT_BUDGET if budget is None else budget)
     if include_identity:
-        add_seed(identity(degree), -1)
-    for gi, g in enumerate(multipliers):
-        add_seed(g, gi)
-
-    gen_ids = [index[g] for g in multipliers]
-    rc_rows = []
-    q = 0
-    while q < len(elements):
-        x = elements[q]
-        row = []
-        for gi, g in enumerate(multipliers):
-            p = x * g
-            pid = index.get(p)
-            if pid is None:
-                pid = len(elements)
-                if pid >= budget:
-                    raise BudgetExceeded(
-                        f"closure exceeded budget of {budget} elements"
-                    )
-                index[p] = pid
-                elements.append(p)
-                parent.append(q)
-                letter.append(gi)
-            row.append(pid)
-        rc_rows.append(row)
-        q += 1
-
-    m = len(elements)
-    right = (
-        np.array(rc_rows, dtype=np.int32)
-        if multipliers
-        else np.empty((m, 0), dtype=np.int32)
-    )
-    return SemigroupClosure(
-        degree=degree,
-        elements=elements,
-        index=index,
-        gen_ids=gen_ids,
-        multipliers=multipliers,
-        right_cayley=right,
-        parent=np.array(parent, dtype=np.int32),
-        letter=np.array(letter, dtype=np.int32),
-        identity_id=index.get(identity(degree)),
-    )
+        search.seed(identity(degree))
+    for g in dict.fromkeys(gens):
+        search.add_generator(g)
+    search.run()
+    return search.closure(degree)
 
 
 def closure_from_elements(elems):
-    """All-generators view of an already-closed element set, by diagrams.
+    """All-generators view of an already-closed element set.
 
-    Takes one diagram product per table cell, so it is refused above
-    ALL_GENS_LIMIT elements; as_closure falls back to it only when no
-    generating set of a family is known.  Raises ValueError if the set is
-    not closed.
+    The set's closure is searched from a generating set picked greedily:
+    scanning elems in the order given, each element not yet in the closure
+    becomes the next generator, and the search is extended by it.  That
+    takes |S| x g diagram products for g generators (at most |S|^2, when
+    every element is needed), and the table is then the restriction of
+    the closure's integer products, with ids in the order given.  Refused
+    above ALL_GENS_LIMIT elements; as_closure falls back to it only when
+    no generating set of a family is known.  Raises ValueError at the
+    first product outside the set.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
@@ -325,21 +356,16 @@ def closure_from_elements(elems):
             f"refusing all-generators closure over {m} > {ALL_GENS_LIMIT} elements"
         )
     degree = elems[0].n
-    index = {}
     for d in elems:
         if d.n != degree:
             raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
-        index[d] = len(index)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            p = index.get(x * y)
-            if p is None:
-                raise ValueError(
-                    f"element set is not closed under the product ({i} * {j})"
-                )
-            table[i, j] = p
-    return SemigroupClosure.from_table(table, elems)
+    search = _RightCayleySearch(m, within={d: i for i, d in enumerate(elems)})
+    for d in elems:
+        if d not in search.index:
+            search.add_generator(d)
+            search.run()
+    sg = search.closure(degree)
+    return subsemigroup(sg, [sg.index[d] for d in elems])
 
 
 def subsemigroup(sg, ids):

@@ -396,8 +396,10 @@ def as_closure(instance, budget=None):
     Generated instances rebuild their defining closure.  Enumerated ones
     first try a verified candidate generating set (kept only if its closure
     equals the element set exactly), falling back to the all-generators
-    table, which is quadratic and size-guarded.  Views are cached by the
-    instance's content, since instances of one size can differ.
+    table, whose closure is searched from a greedily picked generating set
+    (one diagram product per element and picked generator) and which is
+    size-guarded.  Views are cached by the instance's content, since
+    instances of one size can differ.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     key = (instance.family, instance.degree, instance.strategy,

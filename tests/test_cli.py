@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from brauerkit import derivations
 from brauerkit.cli import main
 from brauerkit.store import CACHE_DIR_ENV
+from brauerkit.verify import expected_table
 
 
 @pytest.fixture
@@ -210,10 +216,27 @@ def test_complexity_filter_and_explain(cache_dir, capsys):
     assert tree["interval"] == [2, 2]
 
 
-def test_complexity_unknown_row_exits_2(cache_dir, capsys):
+def test_complexity_unknown_row_exits_2(cache_dir, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the ledger was built for an unknown row")
+
+    monkeypatch.setattr(derivations, "build_standard_ledger", refuse)
     code, _, err = _run(capsys, "complexity", "B:9")
     assert code == 2
     assert "unknown table row" in err
+
+
+def test_complexity_table_under_python_O(tmp_path):
+    # python -O strips asserts; the table must not depend on any.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, **{CACHE_DIR_ENV: str(tmp_path)})
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "brauerkit", "complexity", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    rows = {(r["family"], r["n"]): (r["lo"], r["hi"])
+            for r in json.loads(proc.stdout)}
+    assert rows == expected_table()
 
 
 def test_complexity_unknown_explain_exits_2(cache_dir, capsys):

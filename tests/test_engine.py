@@ -1,6 +1,7 @@
 """Semigroup engine: closures, Green data, ideals, quotients, embeddings."""
 
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from brauerkit import (
     is_inverse,
     local_monoid,
     pad_embedding,
+    partial_identity,
     principal_ideal,
     rees_quotient,
     rotation,
@@ -40,7 +42,7 @@ from brauerkit import (
     subsemigroup,
     units,
 )
-from brauerkit import engine
+from brauerkit import diagrams, engine
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, t1_chain
 from brauerkit.errors import (
     BadDegree,
@@ -137,6 +139,63 @@ def test_closure_from_elements_size_guard():
     elems = construct("B", 6).sorted_elements()[:2001]
     with pytest.raises(BudgetExceeded):
         closure_from_elements(elems)
+
+
+@pytest.mark.parametrize("name", ["PA:2", "PA:3", "PA:4", "PJ:4", "C:3",
+                                  "B:3 shuffled"])
+def test_closure_from_elements_matches_diagram_table(name):
+    family, n = name.split()[0].split(":")
+    elems = construct(family, int(n)).sorted_elements()
+    if name.endswith("shuffled"):
+        random.Random(5).shuffle(elems)
+    sg = closure_from_elements(elems)
+    _assert_diagram_table(sg, elems)
+    assert sg.generators == list(range(len(elems)))
+
+
+def _count_products(monkeypatch):
+    count = [0]
+    multiply = diagrams.multiply
+
+    def counted(a, b):
+        count[0] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(diagrams, "multiply", counted)
+    return count
+
+
+def _partial_identity_semilattice(n):
+    """The 2^n partial identities of degree n by ascending rank, so that
+    none is a product of the ones before it."""
+    out = []
+    for rank in range(n + 1):
+        for kept in itertools.combinations(range(1, n + 1), rank):
+            d = identity(n)
+            for i in set(range(1, n + 1)) - set(kept):
+                d = d * partial_identity(n, i)
+            out.append(d)
+    return out
+
+
+def test_closure_from_elements_takes_one_product_per_element_and_generator(
+        monkeypatch):
+    pa4 = construct("PA", 4).sorted_elements()
+    lattice = _partial_identity_semilattice(6)
+    count = _count_products(monkeypatch)
+    closure_from_elements(pa4)
+    assert count[0] <= 589 * 12
+    count[0] = 0
+    closure_from_elements(lattice)
+    assert count[0] <= 64 ** 2
+
+
+def test_closure_from_elements_stops_at_the_first_product_outside(monkeypatch):
+    gens = list(construct("B", 6).generators)
+    count = _count_products(monkeypatch)
+    with pytest.raises(ValueError):
+        closure_from_elements(gens)
+    assert count[0] <= len(gens) ** 2
 
 
 def test_subsemigroup_rejects_open_and_repeated_ids():
