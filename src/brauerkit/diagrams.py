@@ -14,12 +14,22 @@ values are immutable, so diagrams are safe to share and to use as dict keys.
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  Text round-trip uses
 the v1 format  "n:[{1,1'},{2,2'}]"  (top points primed).
+
+The same canonical form, written as an array, is the label array: point p
+carries the number of its block, blocks numbered by their least point, so
+the array is a restricted growth string over the 2n points.  Closures and
+the cache hold diagrams as label arrays, and multiply_labels takes the
+product of a whole batch of them by one diagram with numpy.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import (
     BadDegree,
@@ -47,7 +57,7 @@ class Parity(Enum):
     RANK_ZERO = "rank-zero"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     n: int
     blocks: tuple[tuple[int, ...], ...]
@@ -171,6 +181,140 @@ def multiply(a, b):
     for p in range(2 * n, 3 * n):
         groups.setdefault(find(p), []).append(p - n)
     return Diagram(n, tuple(sorted(tuple(g) for g in groups.values())))
+
+
+# ---------------------------------------------------------------------------
+# label arrays and the batched product
+
+
+def label_dtype(n):
+    """The integer type of degree-n label arrays: int8 while 2n labels fit."""
+    return np.int8 if n < 64 else np.int16
+
+
+def label_array(ds, n):
+    """The label arrays of the degree-n diagrams ds, one row each."""
+    rows = []
+    for d in ds:
+        row = [0] * (2 * n)
+        for k, b in enumerate(d.blocks):
+            for p in b:
+                row[p] = k
+        rows.append(row)
+    return np.array(rows, dtype=label_dtype(n)).reshape(len(rows), 2 * n)
+
+
+def labels(a):
+    """The label array of a: entry p is the number of p's block."""
+    return label_array([a], a.n)[0]
+
+
+def label_keys(labs):
+    """The rows of a label array as bytes, which tell diagrams apart."""
+    labs = np.ascontiguousarray(labs)
+    return labs.view(np.dtype((np.void, labs.dtype.itemsize * labs.shape[1]))
+                     ).ravel().tolist()
+
+
+def from_label_array(labs):
+    """The diagrams whose label arrays are the rows of labs.
+
+    Each row must be a restricted growth string; the rows are not checked.
+    A stable sort of a row lists its blocks in order, each ascending, so
+    rows whose sorted labels agree are cut into blocks at the same places.
+    The cyclic garbage collector is paused meanwhile: the new objects hold
+    no cycles, and its passes over a growing heap would cost more than
+    making them.
+    """
+    n = labs.shape[1] // 2
+    order = np.argsort(labs, axis=1, kind="stable")
+    ordered = labs[np.arange(len(labs))[:, None], order]
+    cutters = {}
+    out = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, (pts, shape) in enumerate(zip(order.tolist(), label_keys(ordered))):
+            cut = cutters.get(shape)
+            if cut is None:
+                cut = cutters[shape] = _block_cutter(ordered[i].tolist())
+            out.append(Diagram(n, cut(tuple(pts))))
+    finally:
+        if enabled:
+            gc.enable()
+    return out
+
+
+def _block_cutter(ordered):
+    """A function cutting sorted points into blocks where ordered changes."""
+    cuts = [0] + [p for p in range(1, len(ordered)) if ordered[p] != ordered[p - 1]]
+    if len(cuts) == 1:
+        return lambda pts: (pts,)
+    cuts.append(len(ordered))
+    return itemgetter(*(slice(a, b) for a, b in zip(cuts, cuts[1:])))
+
+
+def from_labels(lab):
+    """The diagram whose label array is lab; inverse of labels."""
+    return from_label_array(np.asarray(lab)[None])[0]
+
+
+def _block_successors(labs):
+    """succ[r, p]: the next point after p in its block of row r, cyclically."""
+    k, m = labs.shape
+    rows = np.arange(k)[:, None]
+    order = np.argsort(labs, axis=1, kind="stable")
+    ordered = labs[rows, order]
+    pos = np.arange(m)
+    starts = np.ones((k, m), dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    ends = np.ones((k, m), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    succ = np.empty_like(order)
+    succ[rows, order] = order[rows, np.where(ends, first, pos + 1)]
+    return succ
+
+
+def multiply_labels(xs, b):
+    """Label arrays of x*b for every row x of the k x 2n label array xs.
+
+    b is one label array.  The 3n points of the stacked picture are
+    numbered with the outer rows first, in canonical order: x's bottom row
+    0..n-1, b's top row n..2n-1, then the joined middle row 2n..3n-1.
+    Every point points to the next point of its block in x and in b,
+    cyclically, so each component is strongly connected.  A point's label
+    starts as its own number and takes the least label over its two
+    pointers and over the point its label names (pointer jumping) until
+    nothing changes; each component then carries its least point, an
+    outer one unless the component vanishes.  Ranking the outer labels
+    gives the canonical form.
+    """
+    k, m = xs.shape
+    if len(b) != m:
+        raise DegreeMismatch(f"degree {m // 2} vs {len(b) // 2}")
+    n = m // 2
+    size = 3 * n
+    x_node = np.r_[0:n, 2 * n:3 * n]
+    b_node = np.r_[2 * n:3 * n, n:2 * n]
+    via_b = np.arange(size)
+    via_b[b_node] = b_node[_block_successors(np.asarray(b)[None])[0]]
+    rows = np.arange(k)[:, None]
+    offsets = rows * size
+    via_x = np.tile(np.arange(size), (k, 1))  # b's top row points to itself
+    via_x[:, x_node] = x_node[_block_successors(xs)]
+    via_x += offsets
+    lab = np.tile(np.arange(size), (k, 1))
+    while True:
+        new = np.minimum(lab, lab.ravel()[via_x])
+        np.minimum(new, new[:, via_b], out=new)
+        np.minimum(new, new.ravel()[new + offsets], out=new)
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    outer = lab[:, :m]
+    rank = np.cumsum(outer == np.arange(m), axis=1) - 1
+    return rank[rows, outer].astype(label_dtype(n))
 
 
 def star(a):

@@ -3,9 +3,15 @@
 Semigroups are materialized as closures: elements get dense integer ids in
 BFS discovery order (seeds first, in the order given, then products), and
 the right Cayley graph over the generating set is recorded during the
-search, together with a BFS word (parent, letter) for every element.
-Green's relations come from strongly connected components of the Cayley
-graphs; the J-order is the condensation reachability order.
+search, together with a BFS word (parent, letter) for every element.  The
+search runs one BFS level at a time over label arrays: each level is
+multiplied by each generator in numpy batches (diagrams.multiply_labels),
+and new elements are numbered in row-major (element, generator) order, so
+ids, words and Cayley graphs are those of a search taking one product at
+a time (Froidure & Pin 1997; East, Egri-Nagy, Mitchell & Peresse,
+Computing finite semigroups, 2019).  Green's relations come from strongly
+connected components of the Cayley graphs; the J-order is the
+condensation reachability order.
 
 Once a closure is built, no analysis multiplies diagrams again.  Every
 product of two elements is an integer operation on the closure
@@ -36,6 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from . import diagrams
 from .diagrams import Diagram, identity, _canon
 from .errors import (
     BadDegree,
@@ -52,7 +59,7 @@ from .errors import (
 DEFAULT_BUDGET = 5_000_000
 TABLE_CELL_LIMIT = 16_000_000  # max product-table entries (int32)
 ALL_GENS_LIMIT = 2_000  # max size for all-elements-as-generators closures
-_PAIR_BATCH = 1 << 18  # products per batch in generated_subsemigroup
+_PAIR_BATCH = 1 << 18  # products per batch in searches and generated_subsemigroup
 
 
 class SemigroupClosure:
@@ -235,79 +242,146 @@ class SemigroupClosure:
 
 
 class _RightCayleySearch:
-    """Froidure-Pin search of a right Cayley graph that takes generators
-    one at a time.
+    """Froidure-Pin search of a right Cayley graph, one BFS level at a
+    time, that takes generators one at a time.
 
-    Elements get ids in discovery order; a seed has parent -1 and its
-    generator's letter (-1 for the identity).  run() fills, in id order,
-    every row's columns for the generators added since that row was last
+    Elements are held as label arrays (diagrams.label_array) and told
+    apart by their bytes, and get ids in discovery order; a seed has
+    parent -1 and its generator's letter (-1 for the identity).  run()
+    extends every row by the generators added since that row was last
     extended, so each (element, generator) product is taken exactly once,
-    however the generators are interleaved with runs.  A product outside
-    `within` (a dict of allowed elements to their positions) raises
-    ValueError; past `budget` elements, BudgetExceeded.
+    however the generators are interleaved with runs.  A level is the
+    rows that exist when it starts; their products are taken in batches
+    of one generator (diagrams.multiply_labels) over at most _PAIR_BATCH
+    products, and new elements get ids in row-major (id, generator)
+    order, the order of a loop over the rows one product at a time.  A
+    new product outside `within` (a dict of allowed label bytes to their
+    positions) raises ValueError; an id reaching `budget`, BudgetExceeded.
     """
 
-    def __init__(self, budget, within=None):
+    def __init__(self, degree, budget, within=None):
+        self.degree = degree
         self.budget = budget
         self.within = within
-        self.elements = []
+        self.size = 0
         self.index = {}
-        self.parent = []
-        self.letter = []
-        self.rows = []
+        self.labels = np.empty((16, 2 * degree), dtype=diagrams.label_dtype(degree))
+        self.parent = np.empty(16, dtype=np.int32)
+        self.letter = np.empty(16, dtype=np.int32)
+        self.filled = np.empty(16, dtype=np.int32)
+        self.rows = np.empty((16, 4), dtype=np.int32)
         self.multipliers = []
+        self.multiplier_labels = []
 
-    def _add(self, d, parent, let):
-        self.index[d] = len(self.elements)
-        self.elements.append(d)
-        self.parent.append(parent)
-        self.letter.append(let)
-        self.rows.append([])
+    def _reserve(self, m, g):
+        """Grow the row arrays to hold m rows and the rows to hold g columns."""
+        cap, gcap = self.rows.shape
+        if m > cap or g > gcap:
+            cap, gcap = max(cap, 2 * m), max(gcap, 2 * g)
+            for name in ("labels", "parent", "letter", "filled"):
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:self.size] = old[:self.size]
+                setattr(self, name, grown)
+            rows = np.empty((cap, gcap), dtype=np.int32)
+            rows[:self.size, :self.rows.shape[1]] = self.rows[:self.size]
+            self.rows = rows
 
     def seed(self, d, let=-1):
-        if d not in self.index:
-            self._add(d, -1, let)
+        lab = diagrams.labels(d)
+        if lab.tobytes() not in self.index:
+            q = self.size
+            self._reserve(q + 1, len(self.multipliers))
+            self.index[lab.tobytes()] = q
+            self.labels[q] = lab
+            self.parent[q], self.letter[q], self.filled[q] = -1, let, 0
+            self.size = q + 1
 
     def add_generator(self, g):
         self.multipliers.append(g)
+        self.multiplier_labels.append(diagrams.labels(g))
+        self._reserve(self.size, len(self.multipliers))
         self.seed(g, len(self.multipliers) - 1)
 
     def run(self):
-        gens = self.multipliers
-        q = 0
-        while q < len(self.elements):
-            x = self.elements[q]
-            row = self.rows[q]
-            for gi in range(len(row), len(gens)):
-                p = x * gens[gi]
-                pid = self.index.get(p)
-                if pid is None:
-                    if self.within is not None and p not in self.within:
-                        raise ValueError(
-                            "element set is not closed under the product "
-                            f"({self.within[x]} * {self.within[gens[gi]]})")
-                    pid = len(self.elements)
-                    if pid >= self.budget:
-                        raise BudgetExceeded(
-                            f"closure exceeded budget of {self.budget} elements"
-                        )
-                    self._add(p, q, gi)
-                row.append(pid)
-            q += 1
+        g = len(self.multipliers)
+        step = max(1, _PAIR_BATCH // max(1, g))
+        lo = 0
+        while lo < self.size:
+            hi = self.size
+            for start in range(lo, hi, step):
+                self._extend(start, min(hi, start + step))
+            lo = hi
 
-    def closure(self, degree):
-        m = len(self.elements)
+    def _extend(self, lo, hi):
+        """Take the missing products of rows lo..hi-1 and number the new ones."""
+        g = len(self.multipliers)
+        need = self.filled[lo:hi, None] <= np.arange(g)
+        xs = self.labels[lo:hi]
+        prods = np.empty((hi - lo, g, xs.shape[1]), dtype=xs.dtype)
+        for gi in range(g):
+            rows = np.flatnonzero(need[:, gi])
+            if rows.size:
+                prods[rows, gi] = diagrams.multiply_labels(
+                    xs[rows], self.multiplier_labels[gi])
+        cells = prods[need]
+        keys = diagrams.label_keys(cells)
+        ids = list(map(self.index.get, keys))
+        if None in ids:
+            qs, letters = np.nonzero(need)
+            qs += lo
+            fresh = self._number(keys, ids, qs, letters)
+            m = self.size + len(fresh)
+            self._reserve(m, g)
+            self.labels[self.size:m] = cells[fresh]
+            self.parent[self.size:m] = qs[fresh]
+            self.letter[self.size:m] = letters[fresh]
+            self.filled[self.size:m] = 0
+            self.size = m
+        self.rows[lo:hi, :g][need] = ids
+        self.filled[lo:hi] = g
+
+    def _number(self, keys, ids, qs, letters):
+        """Number the cells whose keys are new, in cell order, into ids.
+
+        Cell c is the product of row qs[c] by generator letters[c].
+        Returns the cells that hold the new elements, in id order.
+        """
+        index, within = self.index, self.within
+        fresh = []
+        for c in [c for c, pid in enumerate(ids) if pid is None]:
+            pid = index.get(keys[c])
+            if pid is None:
+                if within is not None and keys[c] not in within:
+                    q, gi = qs[c], letters[c]
+                    raise ValueError(
+                        "element set is not closed under the product "
+                        f"({within[self.labels[q].tobytes()]} * "
+                        f"{within[self.multiplier_labels[gi].tobytes()]})")
+                pid = self.size + len(fresh)
+                if pid >= self.budget:
+                    raise BudgetExceeded(
+                        f"closure exceeded budget of {self.budget} elements"
+                    )
+                index[keys[c]] = pid
+                fresh.append(c)
+            ids[c] = pid
+        return fresh
+
+    def closure(self):
+        m = self.size
+        elements = diagrams.from_label_array(self.labels[:m])
+        identity_key = diagrams.labels(identity(self.degree)).tobytes()
         return SemigroupClosure(
-            degree=degree,
-            elements=self.elements,
-            index=self.index,
-            gen_ids=[self.index[g] for g in self.multipliers],
+            degree=self.degree,
+            elements=elements,
+            index={d: i for i, d in enumerate(elements)},
+            gen_ids=[self.index[lab.tobytes()] for lab in self.multiplier_labels],
             multipliers=self.multipliers,
-            right_cayley=np.array(self.rows, dtype=np.int32).reshape(
-                m, len(self.multipliers)),
-            parent=np.array(self.parent, dtype=np.int32),
-            letter=np.array(self.letter, dtype=np.int32),
-            identity_id=self.index.get(identity(degree)),
+            right_cayley=self.rows[:m, :len(self.multipliers)].copy(),
+            parent=self.parent[:m].copy(),
+            letter=self.letter[:m].copy(),
+            identity_id=self.index.get(identity_key),
         )
 
 
@@ -325,27 +399,25 @@ def closure(gens, *, include_identity=False, budget=None):
     for g in gens:
         if g.n != degree:
             raise DegreeMismatch(f"generator degrees {degree} vs {g.n}")
-    search = _RightCayleySearch(DEFAULT_BUDGET if budget is None else budget)
+    search = _RightCayleySearch(degree, DEFAULT_BUDGET if budget is None else budget)
     if include_identity:
         search.seed(identity(degree))
     for g in dict.fromkeys(gens):
         search.add_generator(g)
     search.run()
-    return search.closure(degree)
+    return search.closure()
 
 
 def closure_from_elements(elems):
     """All-generators view of an already-closed element set.
 
-    The set's closure is searched from a generating set picked greedily:
-    scanning elems in the order given, each element not yet in the closure
-    becomes the next generator, and the search is extended by it.  That
-    takes |S| x g diagram products for g generators (at most |S|^2, when
-    every element is needed), and the table is then the restriction of
-    the closure's integer products, with ids in the order given.  Refused
-    above ALL_GENS_LIMIT elements; as_closure falls back to it only when
-    no generating set of a family is known.  Raises ValueError at the
-    first product outside the set.
+    The set's closure is searched from a generating set picked greedily
+    (_greedy_closure), which takes |S| x g diagram products for g
+    generators (at most |S|^2, when every element is needed), and the
+    table is then the restriction of the closure's integer products, with
+    ids in the order given.  Refused above ALL_GENS_LIMIT elements;
+    as_closure falls back to it only when no generating set of a family is
+    known.  Raises ValueError at the first product outside the set.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
@@ -359,13 +431,24 @@ def closure_from_elements(elems):
     for d in elems:
         if d.n != degree:
             raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
-    search = _RightCayleySearch(m, within={d: i for i, d in enumerate(elems)})
-    for d in elems:
-        if d not in search.index:
+    sg = _greedy_closure(elems, degree)
+    return subsemigroup(sg, [sg.index[d] for d in elems])
+
+
+def _greedy_closure(elems, degree):
+    """The closure of the distinct elements elems, from greedy generators.
+
+    Scanning elems in the order given, each element not yet in the closure
+    becomes the next generator, and the search is extended by it.
+    """
+    keys = diagrams.label_keys(diagrams.label_array(elems, degree))
+    search = _RightCayleySearch(degree, len(elems),
+                                within={k: i for i, k in enumerate(keys)})
+    for d, key in zip(elems, keys):
+        if key not in search.index:
             search.add_generator(d)
             search.run()
-    sg = search.closure(degree)
-    return subsemigroup(sg, [sg.index[d] for d in elems])
+    return search.closure()
 
 
 def subsemigroup(sg, ids):

@@ -180,6 +180,15 @@ def enumerate_partitions(n):
 # ---------------------------------------------------------------------------
 # construction strategies
 
+# Closures by instance content (see as_closure), since instances of one
+# size can differ.
+_CLOSURE_CACHE = {}
+
+
+def _content_key(instance):
+    return (instance.family, instance.degree, instance.strategy,
+            instance.generators, instance.elements)
+
 
 def _symmetric_group_generators(n):
     gens = []
@@ -190,40 +199,43 @@ def _symmetric_group_generators(n):
     return gens
 
 
+def _generated(family, n, gens, budget, note):
+    """The instance generated by gens and the identity.
+
+    Its closure is kept in the closure cache, so as_closure does not build
+    it again.
+    """
+    sg = closure(gens, include_identity=True, budget=budget)
+    instance = FamilyInstance(
+        family=family, degree=n, strategy="generated",
+        elements=frozenset(sg.elements), generators=tuple(gens), note=note,
+    )
+    _CLOSURE_CACHE[_content_key(instance)] = sg
+    return instance
+
+
 def _construct_b(n, budget):
     _check_budget(double_factorial_odd(n), budget, f"B at degree {n}")
     gens = _symmetric_group_generators(n)
     if n >= 2:
         gens.append(contraction(n, 1, 2))
-    sg = closure(gens, include_identity=True, budget=budget)
-    return FamilyInstance(
-        family="B", degree=n, strategy="generated",
-        elements=frozenset(sg.elements), generators=tuple(gens),
-        note="closure of symmetric-group generators and one contraction",
-    )
+    return _generated("B", n, gens, budget,
+                      "closure of symmetric-group generators and one contraction")
 
 
 def _construct_j(n, budget):
     _check_budget(catalan(n), budget, f"J at degree {n}")
     gens = [adjacent_contraction(n, i) for i in range(1, n)]
-    sg = closure(gens, include_identity=True, budget=budget)
-    return FamilyInstance(
-        family="J", degree=n, strategy="generated",
-        elements=frozenset(sg.elements), generators=tuple(gens),
-        note="closure of the adjacent contractions plus identity",
-    )
+    return _generated("J", n, gens, budget,
+                      "closure of the adjacent contractions plus identity")
 
 
 def _construct_a(n, budget):
     gens = [rotation(n)]
     if n >= 2:
         gens.append(contraction(n, 1, 2))
-    sg = closure(gens, include_identity=True, budget=budget)
-    return FamilyInstance(
-        family="A", degree=n, strategy="generated",
-        elements=frozenset(sg.elements), generators=tuple(gens),
-        note="closure of the rotation and one contraction plus identity",
-    )
+    return _generated("A", n, gens, budget,
+                      "closure of the rotation and one contraction plus identity")
 
 
 def _construct_ea(n, budget):
@@ -387,23 +399,21 @@ def _candidate_generators(family, n):
     return None
 
 
-_CLOSURE_CACHE = {}
-
-
 def as_closure(instance, budget=None):
     """A SemigroupClosure over the instance's elements.
 
-    Generated instances rebuild their defining closure.  Enumerated ones
-    first try a verified candidate generating set (kept only if its closure
-    equals the element set exactly), falling back to the all-generators
-    table, whose closure is searched from a greedily picked generating set
-    (one diagram product per element and picked generator) and which is
-    size-guarded.  Views are cached by the instance's content, since
-    instances of one size can differ.
+    Generated instances take their defining closure, which construct
+    caches when it builds one (an instance loaded from a cache file
+    rebuilds it, unless construct built the same one in this process).
+    Enumerated ones first try a verified candidate generating set (kept
+    only if its closure equals the element set exactly), falling back to
+    the all-generators table, whose closure is searched from a greedily
+    picked generating set (one diagram product per element and picked
+    generator) and which is size-guarded.  Views are cached by the
+    instance's content, since instances of one size can differ.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    key = (instance.family, instance.degree, instance.strategy,
-           instance.generators, instance.elements)
+    key = _content_key(instance)
     cached = _CLOSURE_CACHE.get(key)
     if cached is not None:
         return cached

@@ -1,12 +1,15 @@
 """Persistent family cache and report helpers.
 
 Cache files are line-oriented text so they diff cleanly under review: a
-header naming the family, degree, and construction strategy, the encoded
-generators, the sorted encoded elements, and a trailing sha256 line over
-everything above it.  Writes go through a temp file and os.replace, so a
-reader never sees a partial cache.  A stale format version is an error
-rather than a silent rebuild; callers that own construction (the gen
-command) catch it and rebuild.
+header naming the family, degree, and construction strategy, the
+generators, the sorted elements, and a trailing sha256 line over
+everything above it.  Format v2 writes each diagram as its label string:
+its label array (diagrams.label_array) with one base-36 digit per point,
+so degrees up to 18 fit, and a reader decodes all of them at once.
+Writes go through a temp file and os.replace, so a reader never sees a
+partial cache.  A stale format version is an error rather than a silent
+rebuild; callers that own construction (the gen command) catch it and
+rebuild.
 """
 
 from __future__ import annotations
@@ -16,13 +19,20 @@ import os
 import tempfile
 from pathlib import Path
 
-from .diagrams import decode, encode
-from .errors import ChecksumMismatch, ParseError, VersionMismatch
+import numpy as np
+
+from .diagrams import from_label_array, label_array
+from .errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
 from .families import FamilyInstance, construct
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_MAGIC = "brauerkit-cache"
 CACHE_DIR_ENV = "BRAUERKIT_CACHE_DIR"
+
+_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+MAX_CACHE_DEGREE = len(_DIGITS) // 2
+_DIGIT_VALUE = np.full(256, -1, dtype=np.int16)
+_DIGIT_VALUE[np.frombuffer(_DIGITS, dtype=np.uint8)] = np.arange(len(_DIGITS))
 
 
 def default_cache_dir(override=None):
@@ -39,21 +49,47 @@ def cache_path(cache_dir, family, degree):
 
 
 def _checksum(body):
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def _label_strings(ds, n):
+    """The label strings of the degree-n diagrams ds."""
+    codes = np.frombuffer(_DIGITS, dtype=np.uint8)[label_array(ds, n)]
+    return codes.view(f"S{2 * n}").ravel().astype(str).tolist()
+
+
+def _decode_labels(lines, n, what):
+    """The label array of label-string lines, checked to be canonical."""
+    width = 2 * n
+    if any(len(line) != width for line in lines):
+        raise ParseError(f"{what}: label line is not {width} characters long")
+    codes = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+    labs = _DIGIT_VALUE[codes].reshape(len(lines), width)
+    if (labs < 0).any():
+        raise ParseError(f"{what}: label line holds a non-digit character")
+    highest = np.maximum.accumulate(labs, axis=1)
+    if (labs[:, :1] != 0).any() or (labs[:, 1:] > highest[:, :-1] + 1).any():
+        raise ParseError(f"{what}: label line is not a restricted growth string")
+    return labs
 
 
 def save_cache(instance, path):
     path = Path(path)
+    n = instance.degree
+    if n > MAX_CACHE_DEGREE:
+        raise BadDegree(
+            f"cache format {CACHE_FORMAT_VERSION} holds degrees up to "
+            f"{MAX_CACHE_DEGREE}, got {n}")
     lines = [
         f"{CACHE_MAGIC} {CACHE_FORMAT_VERSION}",
         f"family {instance.family}",
-        f"degree {instance.degree}",
+        f"degree {n}",
         f"strategy {instance.strategy}",
         f"generators {len(instance.generators)}",
     ]
-    lines.extend(encode(g) for g in instance.generators)
+    lines.extend(_label_strings(instance.generators, n))
     lines.append(f"elements {instance.size}")
-    lines.extend(encode(d) for d in instance.sorted_elements())
+    lines.extend(sorted(_label_strings(instance.elements, n)))
     body = "\n".join(lines) + "\n"
     body += f"sha256 {_checksum(body)}\n"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -76,6 +112,13 @@ def _expect(line, keyword):
     return parts[1]
 
 
+def _expect_count(line, keyword):
+    value = _expect(line, keyword)
+    if not value.isdigit():
+        raise ParseError(f"expected a count after '{keyword}', got {line!r}")
+    return int(value)
+
+
 def load_cache(path):
     path = Path(path)
     text = path.read_text()
@@ -93,23 +136,26 @@ def load_cache(path):
             "rebuild with the gen command"
         )
     family = _expect(lines[1], "family")
-    degree = int(_expect(lines[2], "degree"))
+    degree = _expect_count(lines[2], "degree")
+    if not 1 <= degree <= MAX_CACHE_DEGREE:
+        raise ParseError(
+            f"{path}: degree {degree} is outside 1..{MAX_CACHE_DEGREE}")
     strategy = _expect(lines[3], "strategy")
-    n_gens = int(_expect(lines[4], "generators"))
-    pos = 5
-    generators = tuple(
-        decode(lines[pos + i], n=degree) for i in range(n_gens)
-    )
-    pos += n_gens
-    n_elems = int(_expect(lines[pos], "elements"))
+    n_gens = _expect_count(lines[4], "generators")
+    pos = 5 + n_gens
+    if pos >= len(lines) - 1:
+        raise ParseError(f"{path}: generator count disagrees with line count")
+    generators = tuple(from_label_array(
+        _decode_labels(lines[5:pos], degree, path)))
+    n_elems = _expect_count(lines[pos], "elements")
     pos += 1
     if pos + n_elems != len(lines) - 1:
         raise ParseError(f"{path}: element count disagrees with line count")
-    elements = frozenset(
-        decode(lines[pos + i], n=degree) for i in range(n_elems)
-    )
-    if len(elements) != n_elems:
+    element_lines = lines[pos:-1]
+    if len(set(element_lines)) != n_elems:
         raise ParseError(f"{path}: duplicate elements in cache")
+    elements = frozenset(from_label_array(
+        _decode_labels(element_lines, degree, path)))
     return FamilyInstance(
         family=family, degree=degree, strategy=strategy,
         elements=elements, generators=generators,

@@ -8,9 +8,11 @@ closed forms in the library.  Only the public Diagram constructor and the
 signed block view are shared, since tests must talk about the same
 objects.
 
-The exception is the section on closure analyses by diagram products:
-the engine answers these by integer walks over a closure's Cayley data,
-and the references here multiply the diagrams themselves instead.
+The exceptions are the sections on closures and on closure analyses by
+diagram products: the engine searches closures in batches of label
+arrays and answers analyses by integer walks over a closure's Cayley
+data, and the references here multiply the diagrams themselves, one
+product at a time, with the merging product above.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from brauerkit import (
     closure,
     diagram,
     double_contraction,
+    identity,
     rotation,
 )
+from brauerkit.errors import BudgetExceeded
 
 
 def signed_blocks(a):
@@ -398,3 +402,97 @@ def t1sub_ea6():
     g5 = adjacent_contraction(6, 5)
     g65 = adjacent_contraction(6, 6) * g5
     return closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)
+
+
+# ---------------------------------------------------------------------------
+# closures one diagram product at a time
+
+
+class _ScalarSearch:
+    """The Froidure-Pin right Cayley search with one diagram product per
+    (element, generator) pair, taken in row-major order: row q is extended
+    by every generator added since it was last extended, and a product
+    not seen before gets the next id."""
+
+    def __init__(self, budget, within=None):
+        self.budget = budget
+        self.within = within
+        self.elements = []
+        self.index = {}
+        self.parent = []
+        self.letter = []
+        self.rows = []
+        self.multipliers = []
+
+    def _add(self, d, parent, let):
+        self.index[d] = len(self.elements)
+        self.elements.append(d)
+        self.parent.append(parent)
+        self.letter.append(let)
+        self.rows.append([])
+
+    def seed(self, d, let=-1):
+        if d not in self.index:
+            self._add(d, -1, let)
+
+    def add_generator(self, g):
+        self.multipliers.append(g)
+        self.seed(g, len(self.multipliers) - 1)
+
+    def run(self):
+        gens = self.multipliers
+        q = 0
+        while q < len(self.elements):
+            x = self.elements[q]
+            row = self.rows[q]
+            for gi in range(len(row), len(gens)):
+                p = oracle_multiply(x, gens[gi])
+                pid = self.index.get(p)
+                if pid is None:
+                    if self.within is not None and p not in self.within:
+                        raise ValueError(
+                            "element set is not closed under the product "
+                            f"({self.within[x]} * {self.within[gens[gi]]})")
+                    pid = len(self.elements)
+                    if pid >= self.budget:
+                        raise BudgetExceeded(
+                            f"closure exceeded budget of {self.budget} elements")
+                    self._add(p, q, gi)
+                row.append(pid)
+            q += 1
+
+    def result(self):
+        """The search as plain data: elements, parent, letter, right Cayley
+        rows, generator ids and the id of the identity (or None)."""
+        n = self.elements[0].n
+        return {
+            "elements": self.elements,
+            "parent": self.parent,
+            "letter": self.letter,
+            "right_cayley": self.rows,
+            "generators": [self.index[g] for g in self.multipliers],
+            "identity_id": self.index.get(identity(n)),
+        }
+
+
+def oracle_closure(gens, include_identity=False, budget=10 ** 6):
+    """The closure of gens (the identity first when asked) as plain data."""
+    search = _ScalarSearch(budget)
+    if include_identity:
+        search.seed(identity(gens[0].n))
+    for g in dict.fromkeys(gens):
+        search.add_generator(g)
+    search.run()
+    return search.result()
+
+
+def oracle_greedy_closure(elems):
+    """The closure of a closed element set searched from greedy generators:
+    each element not yet reached, in the order given, is the next one."""
+    elems = list(dict.fromkeys(elems))
+    search = _ScalarSearch(len(elems), within={d: i for i, d in enumerate(elems)})
+    for d in elems:
+        if d not in search.index:
+            search.add_generator(d)
+            search.run()
+    return search.result()

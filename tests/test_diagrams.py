@@ -10,6 +10,7 @@ from brauerkit import (
     Parity,
     StringKind,
     adjacent_contraction,
+    construct,
     capped_rotation,
     cascade,
     classify_strings,
@@ -39,6 +40,13 @@ from brauerkit import (
     shift,
     star,
     twist,
+)
+from brauerkit.diagrams import (
+    from_label_array,
+    from_labels,
+    label_array,
+    labels,
+    multiply_labels,
 )
 from brauerkit.errors import (
     BadDegree,
@@ -117,6 +125,48 @@ def test_multiply_partition_diagrams_against_oracle():
         a = random_partition_diagram(3, rng)
         b = random_partition_diagram(3, rng)
         assert multiply(a, b) == oracle_multiply(a, b)
+
+
+# Family instances the batched product is checked on, by degree; each
+# holds degree 1, and C, PB and PJ hold rank-0 diagrams.
+_BATCH_DEGREES = {"C": (1, 2, 3), "B": (1, 2, 3, 4), "PB": (1, 2, 3),
+                  "J": (1, 3, 5), "PJ": (1, 2, 4), "A": (1, 3, 5),
+                  "PA": (1, 2, 3), "EA": (2, 4), "SYM": (1, 3, 4)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_DEGREES)), st.data())
+def test_batched_product_matches_scalar_and_glue_products(family, data):
+    n = data.draw(st.sampled_from(_BATCH_DEGREES[family]))
+    pick = st.sampled_from(construct(family, n).sorted_elements())
+    xs = data.draw(st.lists(pick, min_size=1, max_size=12))
+    b = data.draw(pick)
+    got = from_label_array(multiply_labels(label_array(xs, n), labels(b)))
+    assert got == [multiply(x, b) for x in xs] == [oracle_multiply(x, b) for x in xs]
+    assert all(from_labels(labels(d)) == d for d in xs + [b])
+
+
+@pytest.mark.parametrize("family, n", [("C", 1), ("C", 2), ("PB", 2), ("PJ", 1)])
+def test_batched_product_on_every_pair(family, n):
+    elems = construct(family, n).sorted_elements()
+    assert any(d.rank == 0 for d in elems)
+    labs = label_array(elems, n)
+    for b in elems:
+        got = from_label_array(multiply_labels(labs, labels(b)))
+        assert got == [oracle_multiply(x, b) for x in elems]
+
+
+def test_label_arrays_are_canonical():
+    d = diagram(3, [[-3, 1], [2], [3, -1, -2]])
+    assert labels(d).tolist() == [0, 1, 2, 2, 2, 0]
+    assert from_labels([0, 1, 2, 2, 2, 0]) == d
+    assert labels(identity(2)).tolist() == [0, 1, 0, 1]
+
+
+def test_batched_product_edge_cases():
+    with pytest.raises(DegreeMismatch):
+        multiply_labels(label_array([identity(2)], 2), labels(identity(3)))
+    assert multiply_labels(label_array([], 3), labels(identity(3))).shape == (0, 6)
 
 
 def test_multiply_requires_equal_degree():

@@ -42,7 +42,7 @@ from brauerkit import (
     subsemigroup,
     units,
 )
-from brauerkit import diagrams, engine
+from brauerkit import diagrams, engine, families
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, t1_chain
 from brauerkit.errors import (
     BadDegree,
@@ -55,6 +55,8 @@ from brauerkit.errors import (
     NotIdempotent,
 )
 from oracles import (
+    oracle_closure,
+    oracle_greedy_closure,
     oracle_idempotent_ids,
     oracle_kernel,
     oracle_left_cayley,
@@ -154,15 +156,38 @@ def test_closure_from_elements_matches_diagram_table(name):
 
 
 def _count_products(monkeypatch):
+    """Count diagram products: scalar ones, and the rows of batched ones."""
     count = [0]
     multiply = diagrams.multiply
+    multiply_labels = diagrams.multiply_labels
 
     def counted(a, b):
         count[0] += 1
         return multiply(a, b)
 
+    def counted_rows(xs, b):
+        count[0] += len(xs)
+        return multiply_labels(xs, b)
+
     monkeypatch.setattr(diagrams, "multiply", counted)
+    monkeypatch.setattr(diagrams, "multiply_labels", counted_rows)
     return count
+
+
+def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
+    gens = construct("B", 6).generators
+    count = _count_products(monkeypatch)
+    sg = closure(gens, include_identity=True)
+    assert (sg.size, len(gens)) == (10395, 3)
+    assert count[0] == 10395 * 3
+
+
+def test_as_closure_takes_the_closure_construct_built(monkeypatch):
+    inst = construct("J", 7)
+    count = _count_products(monkeypatch)
+    sg = as_closure(inst)
+    assert count[0] == 0
+    assert sg.element_set() == inst.elements and sg.size == 429
 
 
 def _partial_identity_semilattice(n):
@@ -196,6 +221,86 @@ def test_closure_from_elements_stops_at_the_first_product_outside(monkeypatch):
     with pytest.raises(ValueError):
         closure_from_elements(gens)
     assert count[0] <= len(gens) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the level-synchronous search against the scalar loop
+
+
+def _assert_same_search(sg, want):
+    assert sg.elements == want["elements"]
+    assert sg.parent.tolist() == want["parent"]
+    assert sg.letter.tolist() == want["letter"]
+    assert sg.right_cayley.tolist() == want["right_cayley"]
+    assert sg.generators == want["generators"]
+    assert sg.identity_id == want["identity_id"]
+    assert sg.index == {d: i for i, d in enumerate(want["elements"])}
+
+
+# How as_closure searches each instance: from the generators the instance
+# was built from, from a verified candidate set, or from greedy generators.
+_SEARCHES = {"B:5": "generators", "J:6": "generators", "A:6": "generators",
+             "EA:6": "candidates", "PB:4": "candidates", "SYM:5": "candidates",
+             "PA:3": "greedy", "PA:4": "greedy", "C:3": "greedy"}
+
+
+@pytest.mark.parametrize("name", [*_SEARCHES, "t1sub(EA:6)"])
+def test_closure_matches_the_scalar_search(name):
+    if name == "t1sub(EA:6)":
+        gens = t1sub_ea6().multipliers
+        _assert_same_search(closure(gens, include_identity=True),
+                            oracle_closure(gens, include_identity=True))
+        return
+    family, n = name.split(":")
+    inst = construct(family, int(n))
+    how = _SEARCHES[name]
+    if how == "greedy":
+        elems = inst.sorted_elements()
+        _assert_same_search(engine._greedy_closure(elems, int(n)),
+                            oracle_greedy_closure(elems))
+        return
+    gens = (list(inst.generators) if how == "generators"
+            else families._candidate_generators(family, int(n)))
+    sg = as_closure(inst)
+    assert sg.multipliers == gens
+    _assert_same_search(sg, oracle_closure(gens, include_identity=True))
+
+
+@pytest.mark.parametrize("name", ["B:3", "PJ:4"])
+def test_greedy_search_matches_the_scalar_search_on_shuffled_sets(name):
+    family, n = name.split(":")
+    elems = construct(family, int(n)).sorted_elements()
+    random.Random(11).shuffle(elems)
+    _assert_same_search(engine._greedy_closure(elems, int(n)),
+                        oracle_greedy_closure(elems))
+
+
+def _open_sets():
+    b4 = construct("B", 4).sorted_elements()
+    return {"rotation(4)": [rotation(4)],
+            "B:6 generators": list(construct("B", 6).generators),
+            "B:4 less one element": b4[:40] + b4[41:],
+            "B:4 less its identity": [d for d in b4 if d != identity(4)][::-1]}
+
+
+@pytest.mark.parametrize("name", sorted(_open_sets()))
+def test_closure_from_elements_fails_where_the_scalar_search_fails(name):
+    elems = _open_sets()[name]
+    with pytest.raises(ValueError) as want:
+        oracle_greedy_closure(elems)
+    with pytest.raises(ValueError) as got:
+        closure_from_elements(elems)
+    assert str(got.value) == str(want.value)
+
+
+def test_budget_stops_the_search_at_the_first_id_past_it():
+    gens = list(construct("B", 4).generators)
+    assert closure(gens, include_identity=True, budget=105).size == 105
+    for budget in (1, 4, 50, 104):
+        with pytest.raises(BudgetExceeded):
+            oracle_closure(gens, include_identity=True, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            closure(gens, include_identity=True, budget=budget)
 
 
 def test_subsemigroup_rejects_open_and_repeated_ids():

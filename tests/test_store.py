@@ -1,11 +1,17 @@
 """Cache file format: atomic writes, integrity checks, rebuild policy."""
 
+import hashlib
+import json
+
 import pytest
 
-from brauerkit import construct, load_cache, save_cache
-from brauerkit.errors import ChecksumMismatch, ParseError, VersionMismatch
+from brauerkit import FamilyInstance, construct, encode, identity, load_cache, save_cache
+from brauerkit.cli import main
+from brauerkit.diagrams import from_labels
+from brauerkit.errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
 from brauerkit.store import (
     CACHE_DIR_ENV,
+    CACHE_FORMAT_VERSION,
     cache_path,
     default_cache_dir,
     load_or_build,
@@ -35,22 +41,75 @@ def test_no_temp_files_left_behind(b4_cache, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["B-4.cache"]
 
 
+def _reseal(path, lines):
+    """Write lines (the last one a stale sha256 line) with a fresh seal."""
+    body = "\n".join(lines[:-1]) + "\n"
+    path.write_text(body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+
+
 def test_tampering_is_detected(b4_cache):
     _, path = b4_cache
     text = path.read_text()
-    path.write_text(text.replace("{1,2}", "{2,1}", 1))
+    # one digit of the first element's label string
+    at = text.index("\n", text.index("\nelements ") + 1) + 2
+    path.write_text(text[:at] + ("2" if text[at] == "1" else "1") + text[at + 1:])
     with pytest.raises(ChecksumMismatch):
         load_cache(path)
+
+
+def test_labels_are_written_one_digit_per_point(b4_cache):
+    inst, path = b4_cache
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"brauerkit-cache {CACHE_FORMAT_VERSION}" == "brauerkit-cache 2"
+    start = lines.index(f"elements {inst.size}") + 1
+    body = lines[start:-1]
+    assert body == sorted(body)
+    assert {from_labels([int(c, 36) for c in line]) for line in body} == inst.elements
+
+
+@pytest.mark.parametrize("bad", ["10234567", "01234566x", "0123456", "0123456!",
+                                 "01234568", "0123456\u00e9"])
+def test_malformed_label_line_is_a_parse_error(b4_cache, bad):
+    inst, path = b4_cache
+    lines = path.read_text().splitlines()
+    lines[lines.index(f"elements {inst.size}") + 1] = bad
+    _reseal(path, lines)
+    with pytest.raises(ParseError):
+        load_cache(path)
+
+
+def test_duplicate_elements_are_a_parse_error(b4_cache):
+    inst, path = b4_cache
+    lines = path.read_text().splitlines()
+    start = lines.index(f"elements {inst.size}") + 1
+    lines[start + 1] = lines[start]
+    _reseal(path, lines)
+    with pytest.raises(ParseError, match="duplicate"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("degree", ["19", "0", "four"])
+def test_degrees_base_36_cannot_hold_are_a_parse_error(b4_cache, degree):
+    _, path = b4_cache
+    lines = path.read_text().splitlines()
+    lines[2] = f"degree {degree}"
+    _reseal(path, lines)
+    with pytest.raises(ParseError):
+        load_cache(path)
+
+
+def test_save_refuses_degrees_base_36_cannot_hold(tmp_path):
+    big = FamilyInstance(family="SYM", degree=19, strategy="enumerated",
+                         elements=frozenset({identity(19)}))
+    with pytest.raises(BadDegree):
+        save_cache(big, tmp_path / "SYM-19.cache")
 
 
 def test_version_bump_is_an_error_with_rebuild_hint(b4_cache):
     _, path = b4_cache
     lines = path.read_text().splitlines()
     lines[0] = "brauerkit-cache 999"
-    body = "\n".join(lines[:-1]) + "\n"
-    import hashlib
-
-    path.write_text(body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+    _reseal(path, lines)
     with pytest.raises(VersionMismatch) as info:
         load_cache(path)
     assert "rebuild" in str(info.value)
@@ -60,10 +119,7 @@ def test_truncation_is_a_parse_error(b4_cache):
     _, path = b4_cache
     lines = path.read_text().splitlines()
     del lines[10]  # drop one element line
-    body = "\n".join(lines[:-1]) + "\n"
-    import hashlib
-
-    path.write_text(body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+    _reseal(path, lines)
     with pytest.raises(ParseError):
         load_cache(path)
 
@@ -88,12 +144,26 @@ def test_load_or_build_rebuilds_on_version_mismatch(tmp_path):
     path = cache_path(tmp_path, "J", 3)
     lines = path.read_text().splitlines()
     lines[0] = "brauerkit-cache 0"
-    body = "\n".join(lines[:-1]) + "\n"
-    import hashlib
-
-    path.write_text(body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+    _reseal(path, lines)
     inst, hit = load_or_build("J", 3, cache_dir=tmp_path)
     assert not hit
+    assert load_cache(path).elements == inst.elements
+
+
+def test_gen_rebuilds_a_v1_file(tmp_path, capsys):
+    inst = construct("J", 3)
+    path = cache_path(tmp_path, "J", 3)
+    lines = ["brauerkit-cache 1", "family J", "degree 3", "strategy generated",
+             f"generators {len(inst.generators)}",
+             *(encode(g) for g in inst.generators),
+             f"elements {inst.size}", *(encode(d) for d in inst.sorted_elements()),
+             "sha256 -"]
+    _reseal(path, lines)
+    with pytest.raises(VersionMismatch):
+        load_cache(path)
+    assert main(["gen", "--family", "J", "--n", "3", "--format", "json",
+                 "--cache-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["source"] == "built"
     assert load_cache(path).elements == inst.elements
 
 
