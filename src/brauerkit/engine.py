@@ -733,15 +733,16 @@ def _spot_check_associativity(sg, samples=60, seed=0):
 
 
 def is_inverse(sg):
-    """True when every element is regular and idempotents commute."""
+    """True when every R-class and every L-class holds exactly one idempotent.
+
+    That is, every element is regular and idempotents commute (Howie,
+    Fundamentals of Semigroup Theory, Thm 5.1.1); it takes two counts over
+    the Green data.
+    """
     g = green(sg)
-    idem = sg.idempotent_ids()
-    regular_r = {int(g.r[e]) for e in idem}
-    if regular_r != set(range(g.num_r)):
-        return False
-    es = np.array(idem, dtype=np.int64)
-    prods = sg.multiply(es[:, None], es)
-    return bool((prods == prods.T).all())
+    idem = np.asarray(sg.idempotent_ids(), dtype=np.int64)
+    return bool((np.bincount(g.r[idem], minlength=g.num_r) == 1).all()
+                and (np.bincount(g.l[idem], minlength=g.num_l) == 1).all())
 
 
 def l_leq(sg, a, b):

@@ -12,7 +12,10 @@ The exceptions are the sections on closures and on closure analyses by
 diagram products: the engine searches closures in batches of label
 arrays and answers analyses by integer walks over a closure's Cayley
 data, and the references here multiply the diagrams themselves, one
-product at a time, with the merging product above.
+product at a time, with the merging product above.  oracle_is_inverse
+keeps the commuting-idempotents test that the engine replaced by counting
+idempotents per Green class, and count_products counts the package's own
+diagram products, for tests that require none.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from brauerkit import (
     adjacent_contraction,
     closure,
     diagram,
+    diagrams,
     double_contraction,
+    green,
     identity,
     rotation,
 )
@@ -346,6 +351,25 @@ def oracle_kernel(sg, sweep_order="forward", formulation="bar"):
 # closure analyses by diagram products
 
 
+def count_products(monkeypatch):
+    """Count diagram products: scalar ones, and the rows of batched ones."""
+    count = [0]
+    multiply = diagrams.multiply
+    multiply_labels = diagrams.multiply_labels
+
+    def counted(a, b):
+        count[0] += 1
+        return multiply(a, b)
+
+    def counted_rows(xs, b):
+        count[0] += len(xs)
+        return multiply_labels(xs, b)
+
+    monkeypatch.setattr(diagrams, "multiply", counted)
+    monkeypatch.setattr(diagrams, "multiply_labels", counted_rows)
+    return count
+
+
 def oracle_left_cayley(sg):
     """lc[y, i] = g_i y, one diagram product per entry."""
     idx = sg.index
@@ -394,6 +418,33 @@ def oracle_rees_table(sg, ideal_ids):
             p = sg.index[sg.elements[x] * sg.elements[y]]
             table[a, b] = pos.get(p, k)
     return table
+
+
+def oracle_iso(a_elems, b_elems, mapping):
+    """(bijective, multiplicative) verdicts for mapping from a onto b.
+
+    Bijective: the images are distinct and are exactly b's elements.
+    Multiplicative: mapping(x y) == mapping(x) mapping(y) for all x, y in
+    a, one diagram product on each side.
+    """
+    elems = list(a_elems)
+    image = {mapping(x) for x in elems}
+    bijective = len(image) == len(elems) and image == set(b_elems)
+    multiplicative = all(mapping(x * y) == mapping(x) * mapping(y)
+                         for x in elems for y in elems)
+    return bijective, multiplicative
+
+
+def oracle_is_inverse(sg):
+    """Every element regular (each R-class holds an idempotent) and the
+    idempotents commute, by one product per pair of idempotents."""
+    g = green(sg)
+    idem = sg.idempotent_ids()
+    if {int(g.r[e]) for e in idem} != set(range(g.num_r)):
+        return False
+    es = np.array(idem, dtype=np.int64)
+    prods = sg.multiply(es[:, None], es)
+    return bool((prods == prods.T).all())
 
 
 def t1sub_ea6():

@@ -42,7 +42,7 @@ from brauerkit import (
     subsemigroup,
     units,
 )
-from brauerkit import diagrams, engine, families
+from brauerkit import engine, families
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, t1_chain
 from brauerkit.errors import (
     BadDegree,
@@ -55,9 +55,11 @@ from brauerkit.errors import (
     NotIdempotent,
 )
 from oracles import (
+    count_products,
     oracle_closure,
     oracle_greedy_closure,
     oracle_idempotent_ids,
+    oracle_is_inverse,
     oracle_kernel,
     oracle_left_cayley,
     oracle_local_elements,
@@ -155,28 +157,9 @@ def test_closure_from_elements_matches_diagram_table(name):
     assert sg.generators == list(range(len(elems)))
 
 
-def _count_products(monkeypatch):
-    """Count diagram products: scalar ones, and the rows of batched ones."""
-    count = [0]
-    multiply = diagrams.multiply
-    multiply_labels = diagrams.multiply_labels
-
-    def counted(a, b):
-        count[0] += 1
-        return multiply(a, b)
-
-    def counted_rows(xs, b):
-        count[0] += len(xs)
-        return multiply_labels(xs, b)
-
-    monkeypatch.setattr(diagrams, "multiply", counted)
-    monkeypatch.setattr(diagrams, "multiply_labels", counted_rows)
-    return count
-
-
 def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
     gens = construct("B", 6).generators
-    count = _count_products(monkeypatch)
+    count = count_products(monkeypatch)
     sg = closure(gens, include_identity=True)
     assert (sg.size, len(gens)) == (10395, 3)
     assert count[0] == 10395 * 3
@@ -184,7 +167,7 @@ def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
 
 def test_as_closure_takes_the_closure_construct_built(monkeypatch):
     inst = construct("J", 7)
-    count = _count_products(monkeypatch)
+    count = count_products(monkeypatch)
     sg = as_closure(inst)
     assert count[0] == 0
     assert sg.element_set() == inst.elements and sg.size == 429
@@ -207,7 +190,7 @@ def test_closure_from_elements_takes_one_product_per_element_and_generator(
         monkeypatch):
     pa4 = construct("PA", 4).sorted_elements()
     lattice = _partial_identity_semilattice(6)
-    count = _count_products(monkeypatch)
+    count = count_products(monkeypatch)
     closure_from_elements(pa4)
     assert count[0] <= 589 * 12
     count[0] = 0
@@ -217,7 +200,7 @@ def test_closure_from_elements_takes_one_product_per_element_and_generator(
 
 def test_closure_from_elements_stops_at_the_first_product_outside(monkeypatch):
     gens = list(construct("B", 6).generators)
-    count = _count_products(monkeypatch)
+    count = count_products(monkeypatch)
     with pytest.raises(ValueError):
         closure_from_elements(gens)
     assert count[0] <= len(gens) ** 2
@@ -549,6 +532,19 @@ def test_is_inverse():
     assert is_inverse(_b(2))
     assert not is_inverse(_b(4))
     assert is_inverse(as_closure(construct("SYM", 3)))
+
+
+def test_is_inverse_matches_the_commuting_idempotents_oracle(
+        derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    sgs = [inst.sg for inst in led.instances.values() if inst.sg.size <= 1_500]
+    assert len(sgs) == 55
+    verdicts = set()
+    for sg in sgs + [_b(6)]:
+        verdict = is_inverse(sg)
+        assert verdict == oracle_is_inverse(sg)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_left_order_basics():

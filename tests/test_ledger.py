@@ -9,6 +9,7 @@ from brauerkit import (
     as_closure,
     construct,
     contraction,
+    from_permutation,
     pad_embedding,
     principal_ideal,
     rees_quotient,
@@ -18,11 +19,13 @@ from brauerkit import (
 )
 from brauerkit.derivations import build_annular_ledger, build_standard_ledger
 from brauerkit.errors import (
+    CrossCheckFailed,
     NotAnIdeal,
     NotASubsemigroup,
     NotIdempotent,
     SideConditionFailed,
 )
+from oracles import count_products, oracle_iso
 
 
 def _family(led, code, n):
@@ -237,6 +240,103 @@ def test_isomorphism_rule_rejects_non_bijections():
     assert info.value.condition.startswith("iso-bijection")
 
 
+def _pad_pair(code, n):
+    """A ledger holding the family code:n and its padded copy two degrees up,
+    with the padding map, before any rule is applied."""
+    led = Ledger()
+    ref, sg = _family(led, code, n)
+    big = as_closure(construct(code, n + 2))
+    pad_sg = subsemigroup(big, [big.index[pad_embedding(d, n + 2)]
+                                for d in sg.elements])
+    pad_ref = led.register("pad", f"pad({code}:{n})", pad_sg)
+    return led, ref, pad_ref, lambda d: pad_embedding(d, n + 2)
+
+
+def _check(led, prefix):
+    return next(c for c in led.checks.values() if c.name.startswith(prefix))
+
+
+def test_isomorphism_rule_rejects_a_non_multiplicative_bijection():
+    led, ref, pad_ref, pad = _pad_pair("B", 3)
+    swap = {from_permutation(3, (2, 1, 3)): contraction(3, 1, 2),
+            contraction(3, 1, 2): from_permutation(3, (2, 1, 3))}
+
+    def mapping(d):
+        return pad(swap.get(d, d))
+
+    with pytest.raises(SideConditionFailed) as info:
+        led.apply_isomorphism_rule(ref, pad_ref, mapping)
+    assert info.value.condition.startswith("iso-multiplicative")
+    verdicts = (_check(led, "iso-bijection").passed,
+                _check(led, "iso-multiplicative").passed)
+    assert verdicts == (True, False)
+    a, b = led.instances[ref].sg, led.instances[pad_ref].sg
+    assert oracle_iso(a.elements, b.elements, mapping) == verdicts
+
+
+def test_isomorphism_rule_fails_images_outside_the_target_as_a_side_condition():
+    led, ref, pad_ref, pad = _pad_pair("B", 3)
+
+    def mapping(d):  # degree-7 images, none of them in the degree-5 pad
+        return pad_embedding(pad(d), 7)
+
+    with pytest.raises(SideConditionFailed) as info:
+        led.apply_isomorphism_rule(ref, pad_ref, mapping)
+    assert info.value.condition.startswith("iso-bijection")
+    check = _check(led, "iso-bijection")
+    assert not check.passed and check.rerun() is False
+
+
+def test_verify_sample_catches_a_tampered_product_table():
+    led, ref, pad_ref, pad = _pad_pair("B", 3)
+    led.apply_isomorphism_rule(ref, pad_ref, pad)
+    assert led.verify_sample(count=10) == 2
+    table = led.instances[pad_ref].sg.product_table()
+    table[3, 5] = (table[3, 5] + 1) % len(table)
+    with pytest.raises(CrossCheckFailed, match=r"iso-multiplicative\(B:3 -> "):
+        led.verify_sample(count=10)
+
+
+def test_isomorphism_rule_maps_each_element_once_per_check(
+        derived_standard_ledger):
+    std, _ = derived_standard_ledger
+    led = Ledger()
+    ref = led.register("family", "B:4",
+                       std.instances[InstanceRef("family", "B:4")].sg)
+    pad_ref = led.register("pad", "pad(B:4)",
+                           std.instances[InstanceRef("pad", "pad(B:4)")].sg)
+    calls = [0]
+
+    def mapping(d):
+        calls[0] += 1
+        return pad_embedding(d, 6)
+
+    led.apply_isomorphism_rule(ref, pad_ref, mapping)
+    assert calls[0] == 2 * 105
+    for check in led.checks.values():
+        calls[0] = 0
+        assert check.rerun() is True
+        assert calls[0] == 105
+
+
+_PADS = [("B", 1), ("B", 2), ("B", 3), ("B", 4), ("A", 1), ("A", 3),
+         ("A", 4), ("EA", 4), ("PB", 1), ("PB", 2), ("PA", 1), ("PA", 2)]
+
+
+@pytest.mark.parametrize("code,n", _PADS, ids=[f"{c}:{n}" for c, n in _PADS])
+def test_isomorphism_checks_match_the_diagram_product_oracle(
+        derived_standard_ledger, code, n):
+    led, _ = derived_standard_ledger
+    a = led.instances[InstanceRef("family", f"{code}:{n}")].sg
+    b = led.instances[InstanceRef("pad", f"pad({code}:{n})")].sg
+    arrow = f"({code}:{n} -> pad({code}:{n}))"
+    checks = [_check(led, f"iso-bijection{arrow}"),
+              _check(led, f"iso-multiplicative{arrow}")]
+    want = oracle_iso(a.elements, b.elements, lambda d: pad_embedding(d, n + 2))
+    assert tuple(c.passed for c in checks) == want == (True, True)
+    assert tuple(bool(c.rerun()) for c in checks) == want
+
+
 # ---------------------------------------------------------------------------
 # the shipped derivations
 
@@ -286,6 +386,17 @@ def test_derivation_tree_shape(derived_standard_ledger):
 def test_verify_sample_reruns_checks(derived_standard_ledger):
     led, _ = derived_standard_ledger
     assert led.verify_sample(count=15, seed=3) == 15
+
+
+def test_replaying_every_check_takes_no_diagram_product(
+        derived_standard_ledger, monkeypatch):
+    led, _ = derived_standard_ledger
+    assert len(led.checks) == 211
+    count = count_products(monkeypatch)
+    for check in led.checks.values():
+        if check.rerun is not None:
+            assert bool(check.rerun()) == check.passed, check.name
+    assert count[0] == 0
 
 
 def test_excluding_the_kernel_chain_rule_loses_the_lower_bound():
