@@ -37,7 +37,6 @@ from .families import (
     involution_count,
 )
 from .kernel import kernel
-from .ledger import InstanceRef
 from .store import default_cache_dir, load_or_build, make_report
 from .verify import TARGETS, run_target
 
@@ -236,8 +235,12 @@ def cmd_complexity(args):
         print(f"unknown table row(s): {', '.join(sorted(missing))}",
               file=sys.stderr)
         return 2
+    if args.verify_checks < 0:
+        print("--verify-checks must be at least 0", file=sys.stderr)
+        return 2
     led = build_standard_ledger()
-    entries = led.derive_all()
+    entries = led.derive_all(exclude_rules=args.exclude_rule,
+                             order_seed=args.order_seed)
     rows = standard_table(entries)
     if keep:
         rows = [r for r in rows if f"{r['family']}:{r['n']}" in keep]
@@ -251,6 +254,9 @@ def cmd_complexity(args):
     ]
     _emit_rows(shaped, ["family", "n", "lo", "hi", "interval", "status"],
                args.format, sys.stdout)
+    if args.verify_checks:
+        n = led.verify_sample(count=args.verify_checks)
+        print(f"re-ran {n} stored checks, all reproduced", file=sys.stderr)
     if args.explain:
         matches = [ref for ref in led.instances if ref.key == args.explain]
         if not matches:
@@ -319,6 +325,14 @@ def build_parser():
                      help="optional row filters like B:4")
     cpx.add_argument("--explain", default=None, metavar="KEY",
                      help="print the derivation tree of one instance")
+    cpx.add_argument("--exclude-rule", action="append", default=[], metavar="KIND",
+                     choices=("ideal", "local", "principal", "kernel-chain",
+                              "sub", "iso"),
+                     help="drop a rule kind before deriving (repeatable)")
+    cpx.add_argument("--order-seed", type=int, default=None, metavar="N",
+                     help="shuffle the rule application order")
+    cpx.add_argument("--verify-checks", type=int, default=0, metavar="N",
+                     help="re-run N stored side-condition checks")
     common["fmt"](cpx)
     cpx.set_defaults(func=cmd_complexity)
     return parser

@@ -27,11 +27,9 @@ SemigroupClosure is the only semigroup class.  A semigroup derived from a
 closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
 whose table restricts the parent's integer products: subsemigroup() for
 ideals, local monoids e S e, padded copies and group kernels, and
-rees_quotient() for S/I, whose ids stand for no diagram.  The
-all-generators view of an element set with no known generating set,
-closure_from_elements, is the same search grown from generators picked
-greedily from the set, so it takes one diagram product per element and
-picked generator, and its table is again the closure's integer products.
+rees_quotient() for S/I, whose ids stand for no diagram.  An element set
+with no known generating set gets its closure from the same search, grown
+from generators picked greedily from the set (closure_from_elements).
 """
 
 from __future__ import annotations
@@ -57,21 +55,21 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 5_000_000
-TABLE_CELL_LIMIT = 16_000_000  # max product-table entries (int32)
-ALL_GENS_LIMIT = 2_000  # max size for all-elements-as-generators closures
+TABLE_CELL_LIMIT = 16_000_000  # max int32 cells of a product table or Cayley graph
 _PAIR_BATCH = 1 << 18  # products per batch in searches and generated_subsemigroup
 
 
 class SemigroupClosure:
     """A finite semigroup with dense ids 0..size-1 and Cayley data.
 
-    A closure of diagram generators (closure) holds the right Cayley graph
-    over its multipliers and a BFS word per element; a table-backed one
-    (from_table) holds its full product table, every element being its own
-    generator.  elements[i] is the diagram of id i, or elements is None for
-    a Rees quotient.  identity_id is the id of the two-sided identity when
-    one exists (the identity diagram for ordinary closures, the designated
-    idempotent e for local monoids e S e).
+    A closure of diagram generators (closure, or closure_from_elements for
+    an element set) holds the right Cayley graph over its multipliers and a
+    BFS word per element; a table-backed one (from_table) holds its full
+    product table, every element being its own generator.  elements[i] is
+    the diagram of id i, or elements is None for a Rees quotient.
+    identity_id is the id of the two-sided identity when one exists (the
+    identity diagram for ordinary closures, the designated idempotent e
+    for local monoids e S e).
     """
 
     def __init__(self, degree, elements, index, gen_ids, multipliers,
@@ -409,43 +407,32 @@ def closure(gens, *, include_identity=False, budget=None):
 
 
 def closure_from_elements(elems):
-    """All-generators view of an already-closed element set.
+    """The closure of an already-closed element set, from greedy generators.
 
-    The set's closure is searched from a generating set picked greedily
-    (_greedy_closure), which takes |S| x g diagram products for g
-    generators (at most |S|^2, when every element is needed), and the
-    table is then the restriction of the closure's integer products, with
-    ids in the order given.  Refused above ALL_GENS_LIMIT elements;
-    as_closure falls back to it only when no generating set of a family is
-    known.  Raises ValueError at the first product outside the set.
+    Scanning the distinct elements in the order given, each one not yet in
+    the closure becomes the next generator and the search is extended by
+    it, so the search takes |S| x g diagram products for the g generators
+    picked (at most |S|^2, when every element is needed).  Ids are the
+    search's, as in closure.  Raises ValueError at the first product
+    outside the set, and BudgetExceeded before |S| x g, the cells of the
+    right Cayley graph, would pass TABLE_CELL_LIMIT.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
         raise BadDegree("empty element set")
-    m = len(elems)
-    if m > ALL_GENS_LIMIT:
-        raise BudgetExceeded(
-            f"refusing all-generators closure over {m} > {ALL_GENS_LIMIT} elements"
-        )
     degree = elems[0].n
     for d in elems:
         if d.n != degree:
             raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
-    sg = _greedy_closure(elems, degree)
-    return subsemigroup(sg, [sg.index[d] for d in elems])
-
-
-def _greedy_closure(elems, degree):
-    """The closure of the distinct elements elems, from greedy generators.
-
-    Scanning elems in the order given, each element not yet in the closure
-    becomes the next generator, and the search is extended by it.
-    """
     keys = diagrams.label_keys(diagrams.label_array(elems, degree))
     search = _RightCayleySearch(degree, len(elems),
                                 within={k: i for i, k in enumerate(keys)})
     for d, key in zip(elems, keys):
         if key not in search.index:
+            if len(elems) * (len(search.multipliers) + 1) > TABLE_CELL_LIMIT:
+                raise BudgetExceeded(
+                    f"{len(elems)} elements need over {len(search.multipliers)} greedy "
+                    "generators, over TABLE_CELL_LIMIT Cayley graph cells")
             search.add_generator(d)
             search.run()
     return search.closure()

@@ -43,9 +43,7 @@ from .diagrams import (
     rotation,
 )
 from .engine import (
-    ALL_GENS_LIMIT,
     DEFAULT_BUDGET,
-    SemigroupClosure,
     closure,
     closure_from_elements,
 )
@@ -406,10 +404,9 @@ def as_closure(instance, budget=None):
     caches when it builds one (an instance loaded from a cache file
     rebuilds it, unless construct built the same one in this process).
     Enumerated ones first try a verified candidate generating set (kept
-    only if its closure equals the element set exactly), falling back to
-    the all-generators table, whose closure is searched from a greedily
-    picked generating set (one diagram product per element and picked
-    generator) and which is size-guarded.  Views are cached by the
+    only if its closure equals the element set exactly), and otherwise
+    search the closure from generators picked greedily from the sorted
+    elements (closure_from_elements).  Closures are cached by the
     instance's content, since instances of one size can differ.
     """
     budget = DEFAULT_BUDGET if budget is None else budget

@@ -262,7 +262,8 @@ class Ledger:
             c_ker = self._add_check(
                 f"kernel-aperiodic({ref})", res.is_aperiodic,
                 f"kernel has {len(res.kernel_ids)} elements, "
-                + ("aperiodic" if res.is_aperiodic else f"witness id {res.witness}"),
+                + ("aperiodic" if res.is_aperiodic
+                   else f"witness {encode(sg.elements[res.witness])}"),
                 rerun=lambda: kernel(sg).is_aperiodic,
             )
             if res.is_aperiodic:
@@ -318,7 +319,7 @@ class Ledger:
         local = self._inst(local_ref)
         self._require(
             f"idempotent(e in {s.ref})", s.sg.mul(e_id, e_id) == e_id,
-            f"element {e_id} squares to itself",
+            f"element {encode(s.sg.elements[e_id])} squares to itself",
             rerun=lambda: s.sg.mul(e_id, e_id) == e_id, exc=NotIdempotent,
         )
         ses = frozenset(s.sg.elements[i] for i in principal_ideal(s.sg, e_id))
@@ -357,7 +358,7 @@ class Ledger:
         nonunit_idem = sg.mul(e_id, e_id) == e_id and e_id not in unit_ids
         c2 = self._require(
             f"idempotent-nonunit(e in {s_ref})", nonunit_idem,
-            f"element {e_id} is an idempotent outside the units",
+            f"element {encode(sg.elements[e_id])} is an idempotent outside the units",
             rerun=lambda: sg.mul(e_id, e_id) == e_id and e_id not in set(units(sg)),
         )
         gens = sorted(unit_ids) if unit_gen_ids is None else sorted(unit_gen_ids)

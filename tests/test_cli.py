@@ -63,6 +63,15 @@ def test_gen_respects_explicit_cache_dir_flag(tmp_path, capsys):
     assert (other / "J-2.cache").exists()
 
 
+def test_gen_analyses_pa5(cache_dir, capsys):
+    code, out, _ = _run(capsys, "gen", "--family", "PA", "--n", "5",
+                        "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert "green_summary" not in data
+    assert (data["count"], data["j_classes"], data["essential_depth"]) == (5046, 6, 4)
+
+
 def test_gen_budget_error_exits_1(cache_dir, capsys):
     code, _, err = _run(capsys, "gen", "--family", "C", "--n", "6")
     assert code == 1
@@ -216,6 +225,27 @@ def test_complexity_filter_and_explain(cache_dir, capsys):
     assert tree["interval"] == [2, 2]
 
 
+def test_complexity_exclude_rule_widens_the_kernel_chain_rows(cache_dir, capsys):
+    code, out, err = _run(capsys, "complexity", "--format", "json",
+                          "--exclude-rule", "kernel-chain")
+    assert code == 0
+    rows = {(r["family"], r["n"]): (r["lo"], r["hi"]) for r in json.loads(out)}
+    widened = {k for k, v in rows.items() if v != expected_table()[k]}
+    assert widened == {("A", 6), ("EA", 6)}
+    assert rows["A", 6] == rows["EA", 6] == (1, 2)
+    assert sum(lo == hi for lo, hi in rows.values()) == 26
+
+
+def test_complexity_order_seed_and_replayed_checks_keep_the_table(
+        cache_dir, capsys):
+    _, plain, _ = _run(capsys, "complexity")
+    code, seeded, err = _run(capsys, "complexity", "--order-seed", "7",
+                             "--verify-checks", "20")
+    assert code == 0
+    assert seeded == plain
+    assert "re-ran 20 stored checks, all reproduced" in err
+
+
 def test_complexity_unknown_row_exits_2(cache_dir, capsys, monkeypatch):
     def refuse():
         raise AssertionError("the ledger was built for an unknown row")
@@ -224,6 +254,9 @@ def test_complexity_unknown_row_exits_2(cache_dir, capsys, monkeypatch):
     code, _, err = _run(capsys, "complexity", "B:9")
     assert code == 2
     assert "unknown table row" in err
+    code, _, err = _run(capsys, "complexity", "--verify-checks", "-1")
+    assert code == 2
+    assert "--verify-checks must be at least 0" in err
 
 
 def test_complexity_table_under_python_O(tmp_path):

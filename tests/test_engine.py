@@ -139,10 +139,11 @@ def test_closure_from_elements_rejects_open_sets():
         closure_from_elements([rotation(4)])  # missing the higher powers
 
 
-def test_closure_from_elements_size_guard():
-    elems = construct("B", 6).sorted_elements()[:2001]
-    with pytest.raises(BudgetExceeded):
-        closure_from_elements(elems)
+def test_as_closure_searches_pa5_from_greedy_generators():
+    inst = construct("PA", 5)
+    sg = as_closure(inst)
+    assert sg.size == 5046 and sg.element_set() == inst.elements
+    assert len(sg.multipliers) < sg.size
 
 
 @pytest.mark.parametrize("name", ["PA:2", "PA:3", "PA:4", "PJ:4", "C:3",
@@ -153,8 +154,8 @@ def test_closure_from_elements_matches_diagram_table(name):
     if name.endswith("shuffled"):
         random.Random(5).shuffle(elems)
     sg = closure_from_elements(elems)
-    _assert_diagram_table(sg, elems)
-    assert sg.generators == list(range(len(elems)))
+    assert sg.element_set() == set(elems)
+    _assert_diagram_table(sg, sg.elements)
 
 
 def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
@@ -198,6 +199,16 @@ def test_closure_from_elements_takes_one_product_per_element_and_generator(
     assert count[0] <= 64 ** 2
 
 
+def test_closure_from_elements_stops_before_the_cell_limit(monkeypatch):
+    pa4 = construct("PA", 4).sorted_elements()
+    g = len(closure_from_elements(pa4).multipliers)
+    monkeypatch.setattr(engine, "TABLE_CELL_LIMIT", len(pa4) * g)
+    assert len(closure_from_elements(pa4).multipliers) == g
+    monkeypatch.setattr(engine, "TABLE_CELL_LIMIT", len(pa4) * g - 1)
+    with pytest.raises(BudgetExceeded):
+        closure_from_elements(pa4)
+
+
 def test_closure_from_elements_stops_at_the_first_product_outside(monkeypatch):
     gens = list(construct("B", 6).generators)
     count = count_products(monkeypatch)
@@ -239,7 +250,7 @@ def test_closure_matches_the_scalar_search(name):
     how = _SEARCHES[name]
     if how == "greedy":
         elems = inst.sorted_elements()
-        _assert_same_search(engine._greedy_closure(elems, int(n)),
+        _assert_same_search(closure_from_elements(elems),
                             oracle_greedy_closure(elems))
         return
     gens = (list(inst.generators) if how == "generators"
@@ -254,7 +265,7 @@ def test_greedy_search_matches_the_scalar_search_on_shuffled_sets(name):
     family, n = name.split(":")
     elems = construct(family, int(n)).sorted_elements()
     random.Random(11).shuffle(elems)
-    _assert_same_search(engine._greedy_closure(elems, int(n)),
+    _assert_same_search(closure_from_elements(elems),
                         oracle_greedy_closure(elems))
 
 

@@ -1,5 +1,7 @@
 """Bound ledger: base facts, rules, propagation, reporting."""
 
+import json
+
 import pytest
 
 from brauerkit import (
@@ -9,6 +11,7 @@ from brauerkit import (
     as_closure,
     construct,
     contraction,
+    encode,
     from_permutation,
     pad_embedding,
     principal_ideal,
@@ -17,6 +20,7 @@ from brauerkit import (
     subsemigroup,
     units,
 )
+from brauerkit.cli import main
 from brauerkit.derivations import build_annular_ledger, build_standard_ledger
 from brauerkit.errors import (
     CrossCheckFailed,
@@ -397,6 +401,17 @@ def test_replaying_every_check_takes_no_diagram_product(
         if check.rerun is not None:
             assert bool(check.rerun()) == check.passed, check.name
     assert count[0] == 0
+
+
+def test_check_details_name_elements_by_their_encoding(
+        derived_standard_ledger, capsys):
+    led, _ = derived_standard_ledger
+    details = {c.name: c.detail for c in led.checks.values()}
+    assert (encode(adjacent_contraction(4, 3))
+            in details["idempotent(e in PA:4)"])
+    assert main(["kernel", "--family", "PA", "--n", "4", "--format", "json"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness in details["kernel-aperiodic(PA:4)"]
 
 
 def test_excluding_the_kernel_chain_rule_loses_the_lower_bound():
