@@ -7,27 +7,25 @@ the canonical point order bottom 1 < ... < bottom n < top 1 < ... < top n.
 In the public factory `diagram` and in `signed_blocks`, bottom i is the
 positive integer i and top i is -i.
 
-Blocks are stored as sorted tuples, listed by minimum point; singletons are
-kept explicitly.  Equality and hashing use only this canonical form, and
-values are immutable, so diagrams are safe to share and to use as dict keys.
+A diagram is identified by its label array: point p carries the number of
+its block, blocks numbered by their least point, so the array is a
+restricted growth string over the 2n points.  Diagram.key holds its bytes,
+and equality and hashing use only that; the blocks (sorted tuples listed by
+least point, singletons kept explicitly) are decoded from it on first use.
+Values are immutable, so diagrams are safe to share and to use as dict
+keys.  Closures and the cache hold label arrays, which label_array and
+from_label_array turn into diagrams and back without decoding blocks, and
+multiply_labels takes the product of a whole batch of them by one diagram
+with numpy.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  Text round-trip uses
 the v1 format  "n:[{1,1'},{2,2'}]"  (top points primed).
-
-The same canonical form, written as an array, is the label array: point p
-carries the number of its block, blocks numbered by their least point, so
-the array is a restricted growth string over the 2n points.  Closures and
-the cache hold diagrams as label arrays, and multiply_labels takes the
-product of a whole batch of them by one diagram with numpy.
 """
 
 from __future__ import annotations
 
-import gc
-from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 
 import numpy as np
 
@@ -57,10 +55,67 @@ class Parity(Enum):
     RANK_ZERO = "rank-zero"
 
 
-@dataclass(frozen=True, slots=True)
 class Diagram:
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    """A degree-n diagram, identified by the bytes of its label array.
+
+    key is the label_dtype(n) bytes of the restricted growth string that
+    numbers each point's block (see label_array); blocks, the sorted
+    tuples listed by least point, is decoded from key on first use and
+    kept.  Values are immutable.
+    """
+
+    __slots__ = ("n", "key", "_blocks")
+
+    def __init__(self, n, blocks):
+        """The diagram with these blocks, which must be in canonical form."""
+        row = [0] * (2 * n)
+        for k, b in enumerate(blocks):
+            for p in b:
+                row[p] = k
+        _set_n(self, n)
+        _set_key(self, _key(n, row))
+        _set_blocks(self, blocks)
+
+    @staticmethod
+    def _from_key(n, key):
+        """The degree-n diagram whose label array has the bytes key."""
+        d = _new(Diagram)
+        _set_n(d, n)
+        _set_key(d, key)
+        return d
+
+    @property
+    def blocks(self):
+        """Blocks as sorted tuples of point codes, listed by least point."""
+        try:
+            return self._blocks
+        except AttributeError:
+            pass
+        row = _row(self)
+        parts = [[] for _ in range(max(row) + 1)]
+        for p, k in enumerate(row):
+            parts[k].append(p)
+        blocks = tuple(map(tuple, parts))
+        _set_blocks(self, blocks)
+        return blocks
+
+    def __eq__(self, other):
+        # Keys of different degrees differ in length, so never compare equal.
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Diagram._from_key, (self.n, self.key)
 
     @property
     def signed_blocks(self):
@@ -112,6 +167,22 @@ class Diagram:
         return f"Diagram({encode(self)!r})"
 
 
+_new = object.__new__
+_set_n = Diagram.n.__set__
+_set_key = Diagram.key.__set__
+_set_blocks = Diagram._blocks.__set__
+
+
+def _key(n, row):
+    """The key of the degree-n label array row, a list of ints."""
+    return bytes(row) if n < 64 else np.array(row, dtype=np.int16).tobytes()
+
+
+def _row(d):
+    """d's label array as a sequence of ints."""
+    return d.key if d.n < 64 else np.frombuffer(d.key, dtype=np.int16).tolist()
+
+
 def _canon(blocks):
     """Sort points within blocks and blocks by minimum point."""
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -149,7 +220,9 @@ def multiply(a, b):
     """Diagram product: stack a under b and join a's top row to b's bottom row.
 
     Connected components are computed by union-find over the 3n points of
-    the stacked picture; components not meeting an outer row vanish.
+    the stacked picture: a's points are 0..2n-1 and b's point q is q + n.
+    Components not meeting an outer row vanish, and numbering the rest by
+    their least outer point gives the product's label array.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degree {a.n} vs {b.n}")
@@ -162,25 +235,21 @@ def multiply(a, b):
             x = parent[x]
         return x
 
-    for block in a.blocks:
-        r = find(block[0])
-        for p in block[1:]:
-            rp = find(p)
-            if rp != r:
-                parent[rp] = r
-    for block in b.blocks:
-        r = find(block[0] + n)
-        for p in block[1:]:
-            rp = find(p + n)
-            if rp != r:
-                parent[rp] = r
+    head = {}
+    for p, k in enumerate(_row(a)):
+        parent[p] = head.setdefault(k, p)
+    head = {}
+    for q, k in enumerate(_row(b), n):
+        r = head.setdefault(k, q)
+        if r != q:
+            r, rq = find(r), find(q)
+            if rq != r:
+                parent[rq] = r
 
-    groups = {}
-    for p in range(n):
-        groups.setdefault(find(p), []).append(p)
-    for p in range(2 * n, 3 * n):
-        groups.setdefault(find(p), []).append(p - n)
-    return Diagram(n, tuple(sorted(tuple(g) for g in groups.values())))
+    number = {}
+    row = [number.setdefault(find(p), len(number))
+           for p in (*range(n), *range(2 * n, 3 * n))]
+    return Diagram._from_key(n, _key(n, row))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +263,8 @@ def label_dtype(n):
 
 def label_array(ds, n):
     """The label arrays of the degree-n diagrams ds, one row each."""
-    rows = []
-    for d in ds:
-        row = [0] * (2 * n)
-        for k, b in enumerate(d.blocks):
-            for p in b:
-                row[p] = k
-        rows.append(row)
-    return np.array(rows, dtype=label_dtype(n)).reshape(len(rows), 2 * n)
+    keys = b"".join(d.key for d in ds)
+    return np.frombuffer(keys, dtype=label_dtype(n)).reshape(-1, 2 * n)
 
 
 def labels(a):
@@ -220,38 +283,11 @@ def from_label_array(labs):
     """The diagrams whose label arrays are the rows of labs.
 
     Each row must be a restricted growth string; the rows are not checked.
-    A stable sort of a row lists its blocks in order, each ascending, so
-    rows whose sorted labels agree are cut into blocks at the same places.
-    The cyclic garbage collector is paused meanwhile: the new objects hold
-    no cycles, and its passes over a growing heap would cost more than
-    making them.
     """
     n = labs.shape[1] // 2
-    order = np.argsort(labs, axis=1, kind="stable")
-    ordered = labs[np.arange(len(labs))[:, None], order]
-    cutters = {}
-    out = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i, (pts, shape) in enumerate(zip(order.tolist(), label_keys(ordered))):
-            cut = cutters.get(shape)
-            if cut is None:
-                cut = cutters[shape] = _block_cutter(ordered[i].tolist())
-            out.append(Diagram(n, cut(tuple(pts))))
-    finally:
-        if enabled:
-            gc.enable()
-    return out
-
-
-def _block_cutter(ordered):
-    """A function cutting sorted points into blocks where ordered changes."""
-    cuts = [0] + [p for p in range(1, len(ordered)) if ordered[p] != ordered[p - 1]]
-    if len(cuts) == 1:
-        return lambda pts: (pts,)
-    cuts.append(len(ordered))
-    return itemgetter(*(slice(a, b) for a, b in zip(cuts, cuts[1:])))
+    from_key = Diagram._from_key
+    return [from_key(n, k)
+            for k in label_keys(np.asarray(labs, dtype=label_dtype(n)))]
 
 
 def from_labels(lab):

@@ -244,17 +244,18 @@ class _RightCayleySearch:
     time, that takes generators one at a time.
 
     Elements are held as label arrays (diagrams.label_array) and told
-    apart by their bytes, and get ids in discovery order; a seed has
-    parent -1 and its generator's letter (-1 for the identity).  run()
-    extends every row by the generators added since that row was last
-    extended, so each (element, generator) product is taken exactly once,
-    however the generators are interleaved with runs.  A level is the
-    rows that exist when it starts; their products are taken in batches
-    of one generator (diagrams.multiply_labels) over at most _PAIR_BATCH
-    products, and new elements get ids in row-major (id, generator)
-    order, the order of a loop over the rows one product at a time.  A
-    new product outside `within` (a dict of allowed label bytes to their
-    positions) raises ValueError; an id reaching `budget`, BudgetExceeded.
+    apart by their bytes, the diagrams' keys, and get ids in discovery
+    order; a seed has parent -1 and its generator's letter (-1 for the
+    identity).  run() extends every row by the generators added since
+    that row was last extended, so each (element, generator) product is
+    taken exactly once, however the generators are interleaved with
+    runs.  A level is the rows that exist when it starts; their products
+    are taken in batches of one generator (diagrams.multiply_labels) over
+    at most _PAIR_BATCH products, and new elements get ids in row-major
+    (id, generator) order, the order of a loop over the rows one product
+    at a time.  A new product outside `within` (a dict of allowed label
+    bytes to their positions) raises ValueError; an id reaching `budget`,
+    BudgetExceeded.
     """
 
     def __init__(self, degree, budget, within=None):
@@ -286,12 +287,11 @@ class _RightCayleySearch:
             self.rows = rows
 
     def seed(self, d, let=-1):
-        lab = diagrams.labels(d)
-        if lab.tobytes() not in self.index:
+        if d.key not in self.index:
             q = self.size
             self._reserve(q + 1, len(self.multipliers))
-            self.index[lab.tobytes()] = q
-            self.labels[q] = lab
+            self.index[d.key] = q
+            self.labels[q] = diagrams.labels(d)
             self.parent[q], self.letter[q], self.filled[q] = -1, let, 0
             self.size = q + 1
 
@@ -355,7 +355,7 @@ class _RightCayleySearch:
                     raise ValueError(
                         "element set is not closed under the product "
                         f"({within[self.labels[q].tobytes()]} * "
-                        f"{within[self.multiplier_labels[gi].tobytes()]})")
+                        f"{within[self.multipliers[gi].key]})")
                 pid = self.size + len(fresh)
                 if pid >= self.budget:
                     raise BudgetExceeded(
@@ -368,18 +368,19 @@ class _RightCayleySearch:
 
     def closure(self):
         m = self.size
-        elements = diagrams.from_label_array(self.labels[:m])
-        identity_key = diagrams.labels(identity(self.degree)).tobytes()
+        from_key = Diagram._from_key
+        # index holds the keys in id order, since ids are handed out in turn
+        elements = [from_key(self.degree, k) for k in self.index]
         return SemigroupClosure(
             degree=self.degree,
             elements=elements,
             index={d: i for i, d in enumerate(elements)},
-            gen_ids=[self.index[lab.tobytes()] for lab in self.multiplier_labels],
+            gen_ids=[self.index[g.key] for g in self.multipliers],
             multipliers=self.multipliers,
             right_cayley=self.rows[:m, :len(self.multipliers)].copy(),
             parent=self.parent[:m].copy(),
             letter=self.letter[:m].copy(),
-            identity_id=self.index.get(identity_key),
+            identity_id=self.index.get(identity(self.degree).key),
         )
 
 
@@ -424,11 +425,10 @@ def closure_from_elements(elems):
     for d in elems:
         if d.n != degree:
             raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
-    keys = diagrams.label_keys(diagrams.label_array(elems, degree))
     search = _RightCayleySearch(degree, len(elems),
-                                within={k: i for i, k in enumerate(keys)})
-    for d, key in zip(elems, keys):
-        if key not in search.index:
+                                within={d.key: i for i, d in enumerate(elems)})
+    for d in elems:
+        if d.key not in search.index:
             if len(elems) * (len(search.multipliers) + 1) > TABLE_CELL_LIMIT:
                 raise BudgetExceeded(
                     f"{len(elems)} elements need over {len(search.multipliers)} greedy "
@@ -494,39 +494,37 @@ def green(sg):
     both = right + left
     num_j, j_lab = csgraph.connected_components(both, directed=True, connection="strong")
 
-    h_key = {}
-    h_lab = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        key = (int(r_lab[i]), int(l_lab[i]))
-        h_lab[i] = h_key.setdefault(key, len(h_key))
-    num_h = len(h_key)
+    # H-classes numbered by first appearance of their (R, L) pair
+    pair = r_lab.astype(np.int64) * num_l + l_lab
+    _, first, pair_h = np.unique(pair, return_index=True, return_inverse=True)
+    num_h = len(first)
+    renumber = np.empty(num_h, dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(num_h)
+    h_lab = renumber[pair_h.ravel()]
 
     coo = both.tocoo()
-    src_c = j_lab[coo.row]
-    dst_c = j_lab[coo.col]
+    src_c = j_lab[coo.row].astype(np.int64)
+    dst_c = j_lab[coo.col].astype(np.int64)
     mask = src_c != dst_c
-    order_edges = frozenset(
-        (int(a), int(b)) for a, b in zip(src_c[mask], dst_c[mask])
-    )
+    edges = np.unique(src_c[mask] * num_j + dst_c[mask])
+    order_edges = frozenset(zip((edges // num_j).tolist(), (edges % num_j).tolist()))
 
-    members = [[] for _ in range(num_j)]
-    for i in range(m):
-        members[j_lab[i]].append(i)
+    by_j = np.argsort(j_lab, kind="stable")
+    members = np.split(by_j, np.cumsum(np.bincount(j_lab, minlength=num_j))[:-1])
 
-    idem = set(sg.idempotent_ids())
+    idem = np.zeros(m, dtype=bool)
+    idem[list(sg.idempotent_ids())] = True
     regular = []
     subgroup = []
     essential = []
-    for c in range(num_j):
-        es = [i for i in members[c] if i in idem]
-        if not es:
+    for ms in members:
+        es = ms[idem[ms]]
+        if not es.size:
             regular.append(False)
             subgroup.append(0)
             essential.append(False)
             continue
-        e = min(es)
-        h_of_e = h_lab[e]
-        order = int(np.count_nonzero(h_lab[np.array(members[c])] == h_of_e))
+        order = int(np.count_nonzero(h_lab[ms] == h_lab[es[0]]))
         regular.append(True)
         subgroup.append(order)
         essential.append(order > 1)
@@ -534,7 +532,7 @@ def green(sg):
     data = GreenData(
         r=r_lab, l=l_lab, j=j_lab, h=h_lab,
         num_r=num_r, num_l=num_l, num_j=num_j, num_h=num_h,
-        j_members=tuple(tuple(ms) for ms in members),
+        j_members=tuple(tuple(ms.tolist()) for ms in members),
         j_regular=tuple(regular),
         j_subgroup_order=tuple(subgroup),
         j_essential=tuple(essential),

@@ -156,11 +156,7 @@ def enumerate_partitions(n):
     # a[i] = block index of point i with the growth constraint
     a = [0] * m
     while True:
-        k = max(a) + 1
-        blocks = [[] for _ in range(k)]
-        for i, bi in enumerate(a):
-            blocks[bi].append(i)
-        out.append(Diagram(n, tuple(sorted(tuple(b) for b in blocks))))
+        out.append(Diagram._from_key(n, bytes(a)))  # a is the label array
         # odometer step
         i = m - 1
         while i > 0:

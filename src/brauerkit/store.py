@@ -61,7 +61,7 @@ def _label_strings(ds, n):
 def _decode_labels(lines, n, what):
     """The label array of label-string lines, checked to be canonical."""
     width = 2 * n
-    if any(len(line) != width for line in lines):
+    if set(map(len, lines)) - {width}:
         raise ParseError(f"{what}: label line is not {width} characters long")
     codes = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
     labs = _DIGIT_VALUE[codes].reshape(len(lines), width)

@@ -15,14 +15,20 @@ data, and the references here multiply the diagrams themselves, one
 product at a time, with the merging product above.  oracle_is_inverse
 keeps the commuting-idempotents test that the engine replaced by counting
 idempotents per Green class, and count_products counts the package's own
-diagram products, for tests that require none.
+diagram products, for tests that require none.  BlocksDiagram keeps the
+diagram as its tuple of sorted blocks, with the block-by-block label
+array loop and union-find product that Diagram's label bytes replaced,
+and oracle_green keeps the per-element loops over Green's SCC labels that
+engine.green replaced with numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from brauerkit import (
     Diagram,
@@ -35,6 +41,7 @@ from brauerkit import (
     identity,
     rotation,
 )
+from brauerkit.engine import GreenData
 from brauerkit.errors import BudgetExceeded
 
 
@@ -271,6 +278,78 @@ def oracle_random_pair_diagram(n, rng):
         else:
             blocks.append([p])
     return diagram(n, blocks)
+
+
+# ---------------------------------------------------------------------------
+# diagrams as tuples of sorted blocks
+
+
+@dataclass(frozen=True, slots=True)
+class BlocksDiagram:
+    """A degree-n diagram held as its blocks: sorted tuples of point codes
+    (bottom i -> i-1, top i -> n+i-1), listed by least point."""
+
+    n: int
+    blocks: tuple
+
+    @classmethod
+    def of(cls, n, blocks):
+        return cls(n, tuple(sorted(tuple(sorted(b)) for b in blocks)))
+
+    def _through(self):
+        return [b for b in self.blocks if b[0] < self.n <= b[-1]]
+
+    @property
+    def rank(self):
+        return len(self._through())
+
+    def dom(self):
+        return tuple(sorted(p + 1 for b in self._through() for p in b if p < self.n))
+
+    def ran(self):
+        return tuple(sorted(p - self.n + 1 for b in self._through() for p in b
+                            if p >= self.n))
+
+    def star(self):
+        n = self.n
+        return BlocksDiagram.of(n, [[p + n if p < n else p - n for p in b]
+                                    for b in self.blocks])
+
+    def __mul__(self, other):
+        n = self.n
+        parent = list(range(3 * n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for offset, d in ((0, self), (n, other)):
+            for block in d.blocks:
+                r = find(block[0] + offset)
+                for p in block[1:]:
+                    rp = find(p + offset)
+                    if rp != r:
+                        parent[rp] = r
+        groups = {}
+        for p in range(n):
+            groups.setdefault(find(p), []).append(p)
+        for p in range(2 * n, 3 * n):
+            groups.setdefault(find(p), []).append(p - n)
+        return BlocksDiagram.of(n, groups.values())
+
+
+def oracle_label_array(ds, n):
+    """The label arrays of the degree-n diagrams ds, block by block."""
+    rows = []
+    for d in ds:
+        row = [0] * (2 * n)
+        for k, b in enumerate(d.blocks):
+            for p in b:
+                row[p] = k
+        rows.append(row)
+    return np.array(rows, dtype=diagrams.label_dtype(n)).reshape(len(rows), 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +626,58 @@ def oracle_greedy_closure(elems):
             search.add_generator(d)
             search.run()
     return search.result()
+
+
+# ---------------------------------------------------------------------------
+# Green structure one element at a time
+
+
+def oracle_green(sg):
+    """GreenData of sg from its SCC labels, by loops over the elements."""
+    m = sg.size
+    right, left = sg._adjacency()
+    num_r, r_lab = csgraph.connected_components(right, directed=True, connection="strong")
+    num_l, l_lab = csgraph.connected_components(left, directed=True, connection="strong")
+    both = right + left
+    num_j, j_lab = csgraph.connected_components(both, directed=True, connection="strong")
+
+    h_key = {}
+    h_lab = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        key = (int(r_lab[i]), int(l_lab[i]))
+        h_lab[i] = h_key.setdefault(key, len(h_key))
+
+    coo = both.tocoo()
+    src_c = j_lab[coo.row]
+    dst_c = j_lab[coo.col]
+    mask = src_c != dst_c
+    order_edges = frozenset(
+        (int(a), int(b)) for a, b in zip(src_c[mask], dst_c[mask]))
+
+    members = [[] for _ in range(num_j)]
+    for i in range(m):
+        members[j_lab[i]].append(i)
+
+    idem = set(sg.idempotent_ids())
+    regular, subgroup, essential = [], [], []
+    for c in range(num_j):
+        es = [i for i in members[c] if i in idem]
+        if not es:
+            regular.append(False)
+            subgroup.append(0)
+            essential.append(False)
+            continue
+        order = int(np.count_nonzero(h_lab[np.array(members[c])] == h_lab[min(es)]))
+        regular.append(True)
+        subgroup.append(order)
+        essential.append(order > 1)
+
+    return GreenData(
+        r=r_lab, l=l_lab, j=j_lab, h=h_lab,
+        num_r=num_r, num_l=num_l, num_j=num_j, num_h=len(h_key),
+        j_members=tuple(tuple(ms) for ms in members),
+        j_regular=tuple(regular),
+        j_subgroup_order=tuple(subgroup),
+        j_essential=tuple(essential),
+        j_order=order_edges,
+    )

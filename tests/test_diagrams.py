@@ -1,7 +1,10 @@
 """Diagram calculus: constructors, products, invariants, codec."""
 
+import copy
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,7 +61,9 @@ from brauerkit.errors import (
 )
 
 from oracles import (
+    BlocksDiagram,
     oracle_annular,
+    oracle_label_array,
     oracle_multiply,
     oracle_planar_pairs,
     oracle_random_pair_diagram,
@@ -161,6 +166,61 @@ def test_label_arrays_are_canonical():
     assert labels(d).tolist() == [0, 1, 2, 2, 2, 0]
     assert from_labels([0, 1, 2, 2, 2, 0]) == d
     assert labels(identity(2)).tolist() == [0, 1, 0, 1]
+
+
+def _blocks_of_labels(n, lab):
+    """The BlocksDiagram whose label array is lab."""
+    return BlocksDiagram.of(n, [[p for p in range(2 * n) if lab[p] == k]
+                                for k in set(lab)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_DEGREES)), st.data())
+def test_label_bytes_diagram_matches_blocks_diagram(family, data):
+    n = data.draw(st.sampled_from(_BATCH_DEGREES[family]))
+    pick = st.sampled_from(construct(family, n).sorted_elements())
+    # fresh diagrams, whose blocks are not decoded yet
+    x, y = (Diagram._from_key(n, data.draw(pick).key) for _ in range(2))
+    ox, oy = (_blocks_of_labels(n, list(d.key)) for d in (x, y))
+    assert (x.blocks, y.blocks) == (ox.blocks, oy.blocks)
+    assert np.array_equal(label_array([x, y], n), oracle_label_array([ox, oy], n))
+    assert from_label_array(oracle_label_array([ox, oy], n)) == [x, y]
+    assert Diagram(n, ox.blocks) == x and Diagram(n, ox.blocks).key == x.key
+    assert encode(x) == encode(ox)
+    assert (x.rank, x.dom(), x.ran()) == (ox.rank, ox.dom(), ox.ran())
+    for got, want in ((x.star(), ox.star()), (x * y, ox * oy), (y * x, oy * ox)):
+        assert got.blocks == want.blocks
+        assert np.array_equal(labels(got), oracle_label_array([want], n)[0])
+    assert (x == y) == (ox == oy) and (x != y) == (ox != oy)
+    assert hash(x) == hash(Diagram._from_key(n, bytes(x.key)))
+
+
+def test_wide_degrees_use_two_byte_labels():
+    n = 64
+    z, e = rotation(n), adjacent_contraction(n, n)
+    oz, oe = (BlocksDiagram(n, d.blocks) for d in (z, e))
+    assert len(z.key) == 4 * n and labels(z).dtype == np.int16
+    for got, want in ((z * e, oz * oe), (e * z * e, oe * oz * oe)):
+        assert Diagram._from_key(n, got.key).blocks == want.blocks
+        assert got.key == oracle_label_array([want], n).tobytes()
+
+
+def test_diagrams_are_immutable_values():
+    d = diagram(3, [[-3, 1], [2], [3, -1, -2]])
+    with pytest.raises(AttributeError):
+        d.n = 4
+    with pytest.raises(AttributeError):
+        d.key = identity(3).key
+    with pytest.raises(AttributeError):
+        del d.key
+    for fresh in (d, Diagram._from_key(3, d.key)):
+        for copied in [pickle.loads(pickle.dumps(fresh, proto))
+                       for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+                       ] + [copy.deepcopy(fresh), copy.copy(fresh)]:
+            assert copied == d and hash(copied) == hash(d)
+            assert copied.blocks == d.blocks
+    assert identity(1) != identity(2) and identity(2) != identity(4)
+    assert len({identity(k) for k in range(1, 6)}) == 5
 
 
 def test_batched_product_edge_cases():

@@ -1,6 +1,7 @@
 """Semigroup engine: closures, Green data, ideals, quotients, embeddings."""
 
 import ast
+import dataclasses
 import itertools
 import os
 import random
@@ -57,6 +58,7 @@ from brauerkit.errors import (
 from oracles import (
     count_products,
     oracle_closure,
+    oracle_green,
     oracle_greedy_closure,
     oracle_idempotent_ids,
     oracle_is_inverse,
@@ -406,6 +408,35 @@ def test_green_data_on_brauer_4():
     assert sorted(g.j_regular) == [True, True, True]
     assert sorted(g.j_essential) == [False, True, True]
     assert g.num_j == 3
+
+
+def _assert_same_green(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def test_green_matches_elementwise_oracle_on_ledger_instances(derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    assert len(led.instances) == 56
+    for reg in led.instances.values():
+        _assert_same_green(green(reg.sg), oracle_green(reg.sg))
+
+
+@pytest.mark.parametrize("family, n", [("B", 6), ("A", 8), ("J", 9), ("EA", 8),
+                                       ("PB", 5), ("SYM", 7)])
+def test_green_matches_elementwise_oracle_on_census_closures(family, n):
+    sg = as_closure(construct(family, n))
+    _assert_same_green(green(sg), oracle_green(sg))
+
+
+def test_closure_never_decodes_blocks():
+    sg = closure(construct("J", 6).generators, include_identity=True)
+    assert sg.size == 132
+    assert not any(hasattr(d, "_blocks") for d in sg.elements)
 
 
 def test_green_counts_are_consistent():

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from brauerkit import FamilyInstance, construct, encode, identity, load_cache, save_cache
+from brauerkit import (
+    FamilyInstance,
+    closure,
+    construct,
+    encode,
+    identity,
+    load_cache,
+    save_cache,
+)
 from brauerkit.cli import main
 from brauerkit.diagrams import from_labels
 from brauerkit.errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
@@ -35,6 +43,23 @@ def test_round_trip(b4_cache):
     assert loaded.strategy == inst.strategy
     assert loaded.elements == inst.elements
     assert loaded.generators == inst.generators
+
+
+def test_cache_bytes_are_stable(b4_cache):
+    _, path = b4_cache
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d9d08b0391951d5d3d6916ff197b24ad2110f95ddb095096d0064c0e6490f9fd")
+
+
+def test_round_trip_never_decodes_blocks(tmp_path):
+    gens = construct("B", 6).generators
+    sg = closure(gens, include_identity=True)
+    inst = FamilyInstance(family="B", degree=6, strategy="generated",
+                          elements=frozenset(sg.elements), generators=gens)
+    loaded = load_cache(save_cache(inst, cache_path(tmp_path, "B", 6)))
+    assert loaded.elements == inst.elements and loaded.generators == gens
+    assert not any(hasattr(d, "_blocks")
+                   for d in [*inst.elements, *loaded.elements, *loaded.generators])
 
 
 def test_no_temp_files_left_behind(b4_cache, tmp_path):
