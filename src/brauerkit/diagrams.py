@@ -15,8 +15,8 @@ least point, singletons kept explicitly) are decoded from it on first use.
 Values are immutable, so diagrams are safe to share and to use as dict
 keys.  Closures and the cache hold label arrays, which label_array and
 from_label_array turn into diagrams and back without decoding blocks, and
-multiply_labels takes the product of a whole batch of them by one diagram
-with numpy.
+multiply_labels takes the products of a whole batch of them by a stack of
+diagrams with numpy.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  Text round-trip uses
@@ -312,45 +312,54 @@ def _block_successors(labs):
     return succ
 
 
-def multiply_labels(xs, b):
-    """Label arrays of x*b for every row x of the k x 2n label array xs.
+def multiply_labels(xs, bs):
+    """Label arrays of x*b for every row x of xs and every row b of bs.
 
-    b is one label array.  The 3n points of the stacked picture are
-    numbered with the outer rows first, in canonical order: x's bottom row
-    0..n-1, b's top row n..2n-1, then the joined middle row 2n..3n-1.
-    Every point points to the next point of its block in x and in b,
-    cyclically, so each component is strongly connected.  A point's label
+    xs is a k x 2n and bs a g x 2n stack of label arrays; the result has
+    shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  The 3n
+    points of the stacked picture are numbered with the outer rows first,
+    in canonical order: x's bottom row 0..n-1, b's top row n..2n-1, then
+    the joined middle row 2n..3n-1.  Every point points to the next point
+    of its block in x and in b, cyclically, so each component is strongly
+    connected; the block successors of every x and every b are worked out
+    once, for all the products.  Then, one b at a time, a point's label
     starts as its own number and takes the least label over its two
     pointers and over the point its label names (pointer jumping) until
     nothing changes; each component then carries its least point, an
     outer one unless the component vanishes.  Ranking the outer labels
     gives the canonical form.
     """
+    xs, bs = np.asarray(xs), np.asarray(bs)
     k, m = xs.shape
-    if len(b) != m:
-        raise DegreeMismatch(f"degree {m // 2} vs {len(b) // 2}")
+    g, mb = bs.shape
+    if mb != m:
+        raise DegreeMismatch(f"degree {m // 2} vs {mb // 2}")
     n = m // 2
     size = 3 * n
+    out = np.empty((k, g, m), dtype=label_dtype(n))
     x_node = np.r_[0:n, 2 * n:3 * n]
     b_node = np.r_[2 * n:3 * n, n:2 * n]
-    via_b = np.arange(size)
-    via_b[b_node] = b_node[_block_successors(np.asarray(b)[None])[0]]
+    via_bs = np.tile(np.arange(size), (g, 1))
+    via_bs[:, b_node] = b_node[_block_successors(bs)]
     rows = np.arange(k)[:, None]
     offsets = rows * size
     via_x = np.tile(np.arange(size), (k, 1))  # b's top row points to itself
     via_x[:, x_node] = x_node[_block_successors(xs)]
     via_x += offsets
-    lab = np.tile(np.arange(size), (k, 1))
-    while True:
-        new = np.minimum(lab, lab.ravel()[via_x])
-        np.minimum(new, new[:, via_b], out=new)
-        np.minimum(new, new.ravel()[new + offsets], out=new)
-        if np.array_equal(new, lab):
-            break
-        lab = new
-    outer = lab[:, :m]
-    rank = np.cumsum(outer == np.arange(m), axis=1) - 1
-    return rank[rows, outer].astype(label_dtype(n))
+    start = np.tile(np.arange(size), (k, 1))
+    for j, via_b in enumerate(via_bs):
+        lab = start
+        while True:
+            new = np.minimum(lab, lab.ravel()[via_x])
+            np.minimum(new, new[:, via_b], out=new)
+            np.minimum(new, new.ravel()[new + offsets], out=new)
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        outer = lab[:, :m]
+        rank = np.cumsum(outer == np.arange(m), axis=1) - 1
+        out[:, j] = rank[rows, outer]
+    return out
 
 
 def star(a):
@@ -548,6 +557,33 @@ def parity(a):
     if kinds == {False}:
         return Parity.ODD
     return Parity.MIXED
+
+
+def even_or_rank_zero(labs):
+    """Mask over the rows of a label array: parity(row) is EVEN or RANK_ZERO.
+
+    The same verdicts as parity, without decoding blocks.  For every
+    (row, block) it flags which index parities the block meets on the
+    bottom and on the top row; a through block passes when it meets one
+    parity on each row and the two are equal, and a row passes when all
+    its through blocks do.
+    """
+    labs = np.asarray(labs)
+    k, m = labs.shape
+    n = m // 2
+    rows = np.arange(k)[:, None]
+    # meets[side, odd][r, b]: block b of row r holds a point of odd (or
+    # even) index on the bottom (side 0) or top (side 1) row; point p of a
+    # row has index p + 1
+    meets = np.zeros((2, 2, k, m), dtype=bool)
+    for side in (0, 1):
+        for odd in (0, 1):
+            cols = side * n + np.arange(odd ^ 1, n, 2)
+            meets[side, odd][rows, labs[:, cols]] = True
+    bot, top = meets
+    through = bot.any(axis=0) & top.any(axis=0)
+    matched = (bot[0] != bot[1]) & (top[0] != top[1]) & (bot[0] == top[0])
+    return ~(through & ~matched).any(axis=1)
 
 
 def is_projection(a):

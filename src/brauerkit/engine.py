@@ -5,13 +5,13 @@ BFS discovery order (seeds first, in the order given, then products), and
 the right Cayley graph over the generating set is recorded during the
 search, together with a BFS word (parent, letter) for every element.  The
 search runs one BFS level at a time over label arrays: each level is
-multiplied by each generator in numpy batches (diagrams.multiply_labels),
-and new elements are numbered in row-major (element, generator) order, so
-ids, words and Cayley graphs are those of a search taking one product at
-a time (Froidure & Pin 1997; East, Egri-Nagy, Mitchell & Peresse,
-Computing finite semigroups, 2019).  Green's relations come from strongly
-connected components of the Cayley graphs; the J-order is the
-condensation reachability order.
+multiplied by the stack of generators in numpy batches
+(diagrams.multiply_labels), and new elements are numbered in row-major
+(element, generator) order, so ids, words and Cayley graphs are those of
+a search taking one product at a time (Froidure & Pin 1997; East,
+Egri-Nagy, Mitchell & Peresse, Computing finite semigroups, 2019).
+Green's relations come from strongly connected components of the Cayley
+graphs; the J-order is the condensation reachability order.
 
 Once a closure is built, no analysis multiplies diagrams again.  Every
 product of two elements is an integer operation on the closure
@@ -21,7 +21,9 @@ graph, x y = rc[x parent(y), letter(y)], one BFS depth level at a time
 (Froidure & Pin, Algorithms for computing finite semigroups, 1997).  The
 left Cayley graph and the full product table are the same walk done for
 whole rows by dynamic programming over the depth levels; the table is
-built lazily and only below a size limit.
+built lazily and only below a size limit.  The squaring map i -> i i is
+one batched product, kept (SemigroupClosure.squares); idempotents and
+the period test read it, so powers x^(2^k) are integer gathers.
 
 SemigroupClosure is the only semigroup class.  A semigroup derived from a
 closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
@@ -88,6 +90,7 @@ class SemigroupClosure:
         self._table = None
         self._walk = None
         self._green = None
+        self._squares = None
         self._idempotents = None
 
     @classmethod
@@ -215,11 +218,18 @@ class SemigroupClosure:
     def mul(self, i, j):
         return int(self.multiply(i, j))
 
+    def squares(self):
+        """sq[i] = i i for every id i, one batched product, kept."""
+        if self._squares is None:
+            ids = np.arange(self.size, dtype=np.int32)
+            self._squares = self.multiply(ids, ids)
+            self._squares.flags.writeable = False
+        return self._squares
+
     def idempotent_ids(self):
         if self._idempotents is None:
-            ids = np.arange(self.size)
-            self._idempotents = tuple(
-                np.flatnonzero(self.multiply(ids, ids) == ids).tolist())
+            self._idempotents = tuple(np.flatnonzero(
+                self.squares() == np.arange(self.size)).tolist())
         return self._idempotents
 
     def _adjacency(self):
@@ -250,12 +260,13 @@ class _RightCayleySearch:
     that row was last extended, so each (element, generator) product is
     taken exactly once, however the generators are interleaved with
     runs.  A level is the rows that exist when it starts; their products
-    are taken in batches of one generator (diagrams.multiply_labels) over
-    at most _PAIR_BATCH products, and new elements get ids in row-major
-    (id, generator) order, the order of a loop over the rows one product
-    at a time.  A new product outside `within` (a dict of allowed label
-    bytes to their positions) raises ValueError; an id reaching `budget`,
-    BudgetExceeded.
+    are taken in batches of at most _PAIR_BATCH products, the rows of a
+    batch that miss the same generators in one diagrams.multiply_labels
+    call by the stack of those generators, and new elements get ids in
+    row-major (id, generator) order, the order of a loop over the rows
+    one product at a time.  A new product outside `within` (a dict of
+    allowed label bytes to their positions) raises ValueError; an id
+    reaching `budget`, BudgetExceeded.
     """
 
     def __init__(self, degree, budget, within=None):
@@ -270,7 +281,7 @@ class _RightCayleySearch:
         self.filled = np.empty(16, dtype=np.int32)
         self.rows = np.empty((16, 4), dtype=np.int32)
         self.multipliers = []
-        self.multiplier_labels = []
+        self.multiplier_labels = self.labels[:0].copy()
 
     def _reserve(self, m, g):
         """Grow the row arrays to hold m rows and the rows to hold g columns."""
@@ -297,7 +308,8 @@ class _RightCayleySearch:
 
     def add_generator(self, g):
         self.multipliers.append(g)
-        self.multiplier_labels.append(diagrams.labels(g))
+        self.multiplier_labels = np.vstack(
+            [self.multiplier_labels, diagrams.labels(g)])
         self._reserve(self.size, len(self.multipliers))
         self.seed(g, len(self.multipliers) - 1)
 
@@ -312,16 +324,20 @@ class _RightCayleySearch:
             lo = hi
 
     def _extend(self, lo, hi):
-        """Take the missing products of rows lo..hi-1 and number the new ones."""
-        g = len(self.multipliers)
-        need = self.filled[lo:hi, None] <= np.arange(g)
+        """Take the missing products of rows lo..hi-1 and number the new ones.
+
+        Rows are grouped by the generators they have been extended by, and
+        each group takes its products in one diagrams.multiply_labels call.
+        """
+        gen_labels = self.multiplier_labels
+        g = len(gen_labels)
+        filled = self.filled[lo:hi]
+        need = filled[:, None] <= np.arange(g)
         xs = self.labels[lo:hi]
         prods = np.empty((hi - lo, g, xs.shape[1]), dtype=xs.dtype)
-        for gi in range(g):
-            rows = np.flatnonzero(need[:, gi])
-            if rows.size:
-                prods[rows, gi] = diagrams.multiply_labels(
-                    xs[rows], self.multiplier_labels[gi])
+        for f in np.unique(filled[filled < g]).tolist():
+            rows = np.flatnonzero(filled == f)
+            prods[rows, f:] = diagrams.multiply_labels(xs[rows], gen_labels[f:])
         cells = prods[need]
         keys = diagrams.label_keys(cells)
         ids = list(map(self.index.get, keys))
@@ -562,8 +578,10 @@ def index_period(sg, i):
 def is_aperiodic(sg):
     """True when every subgroup is trivial.
 
-    Computed two ways (all H-classes singletons; all element periods 1) and
-    cross-checked; CrossCheckFailed if they disagree.
+    Computed two ways (all H-classes singletons; all element periods 1,
+    by period_one over every id) and cross-checked; CrossCheckFailed if
+    they disagree.  With the Green data built, the period test takes one
+    batched product beyond the squaring map.
     """
     g = green(sg)
     by_h = g.num_h == sg.size
@@ -576,12 +594,15 @@ def period_one(sg, ids):
     """Mask over ids of the elements x of period 1, that is x^N x = x^N.
 
     N = 2^bitlen(m) is at least every index (at most m), and x^N x = x^N
-    holds for such N exactly when the period divides 1.
+    holds for such N exactly when the period divides 1.  x^N is bitlen(m)
+    steps of the squaring map (sg.squares), integer gathers, so only
+    x^N x is a batched product.
     """
-    ids = np.asarray(ids)
+    ids = np.asarray(ids, dtype=np.int64)
+    sq = sg.squares()
     power = ids
     for _ in range(sg.size.bit_length()):
-        power = sg.multiply(power, power)
+        power = sq[power]
     return sg.multiply(power, ids) == power
 
 

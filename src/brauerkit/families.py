@@ -25,12 +25,16 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .diagrams import (
     Diagram,
     Parity,
     adjacent_contraction,
     contraction,
     encode,
+    even_or_rank_zero,
+    from_label_array,
     from_permutation,
     identity,
     is_annular,
@@ -38,6 +42,8 @@ from .diagrams import (
     is_jones,
     is_partial_brauer,
     is_planar,
+    label_array,
+    label_dtype,
     parity,
     partial_identity,
     rotation,
@@ -235,10 +241,9 @@ def _construct_a(n, budget):
 def _construct_ea(n, budget):
     if n % 2:
         raise BadDegree(f"even-annular family needs even degree, got {n}")
-    base = construct("A", n, budget=budget)
-    kept = frozenset(
-        a for a in base.elements if parity(a) in (Parity.EVEN, Parity.RANK_ZERO)
-    )
+    elems = list(construct("A", n, budget=budget).elements)
+    kept = frozenset(itertools.compress(
+        elems, even_or_rank_zero(label_array(elems, n)).tolist()))
     return FamilyInstance(
         family="EA", degree=n, strategy="enumerated",
         elements=kept,
@@ -300,9 +305,13 @@ def _construct_c(n, budget):
 
 def _construct_sym(n, budget):
     _check_budget(math.factorial(n), budget, f"SYM at degree {n}")
-    elems = frozenset(
-        from_permutation(n, images) for images in itertools.permutations(range(1, n + 1))
-    )
+    # the diagram of k -> images[k] joins top point j to bottom point
+    # images^-1[j], the number of its block: label array [0..n-1, images^-1]
+    images = np.array(list(itertools.permutations(range(n))))
+    labs = np.empty((len(images), 2 * n), dtype=label_dtype(n))
+    labs[:, :n] = np.arange(n)
+    labs[:, n:] = np.argsort(images, axis=1)
+    elems = frozenset(from_label_array(labs))
     return FamilyInstance(
         family="SYM", degree=n, strategy="enumerated",
         elements=elems,

@@ -19,7 +19,9 @@ diagram products, for tests that require none.  BlocksDiagram keeps the
 diagram as its tuple of sorted blocks, with the block-by-block label
 array loop and union-find product that Diagram's label bytes replaced,
 and oracle_green keeps the per-element loops over Green's SCC labels that
-engine.green replaced with numpy.
+engine.green replaced with numpy.  oracle_period_one keeps the period test
+by repeated squaring, one batched product per squaring, that
+engine.period_one replaced with the gathers of its squaring map.
 """
 
 from __future__ import annotations
@@ -426,12 +428,23 @@ def oracle_kernel(sg, sweep_order="forward", formulation="bar"):
     return tuple(kids), rounds, witness is None, witness
 
 
+def oracle_period_one(sg, ids):
+    """Mask over ids of the elements x with x^N x = x^N, N = 2^bitlen(m),
+    squaring the powers bitlen(m) times by sg.multiply."""
+    ids = np.asarray(ids)
+    power = ids
+    for _ in range(sg.size.bit_length()):
+        power = sg.multiply(power, power)
+    return sg.multiply(power, ids) == power
+
+
 # ---------------------------------------------------------------------------
 # closure analyses by diagram products
 
 
 def count_products(monkeypatch):
-    """Count diagram products: scalar ones, and the rows of batched ones."""
+    """Count diagram products: scalar ones, and the (row, diagram) pairs
+    of batched ones."""
     count = [0]
     multiply = diagrams.multiply
     multiply_labels = diagrams.multiply_labels
@@ -440,9 +453,9 @@ def count_products(monkeypatch):
         count[0] += 1
         return multiply(a, b)
 
-    def counted_rows(xs, b):
-        count[0] += len(xs)
-        return multiply_labels(xs, b)
+    def counted_rows(xs, bs):
+        count[0] += len(xs) * len(bs)
+        return multiply_labels(xs, bs)
 
     monkeypatch.setattr(diagrams, "multiply", counted)
     monkeypatch.setattr(diagrams, "multiply_labels", counted_rows)

@@ -45,6 +45,7 @@ from brauerkit import (
     twist,
 )
 from brauerkit.diagrams import (
+    even_or_rank_zero,
     from_label_array,
     from_labels,
     label_array,
@@ -144,11 +145,17 @@ _BATCH_DEGREES = {"C": (1, 2, 3), "B": (1, 2, 3, 4), "PB": (1, 2, 3),
 def test_batched_product_matches_scalar_and_glue_products(family, data):
     n = data.draw(st.sampled_from(_BATCH_DEGREES[family]))
     pick = st.sampled_from(construct(family, n).sorted_elements())
-    xs = data.draw(st.lists(pick, min_size=1, max_size=12))
-    b = data.draw(pick)
-    got = from_label_array(multiply_labels(label_array(xs, n), labels(b)))
-    assert got == [multiply(x, b) for x in xs] == [oracle_multiply(x, b) for x in xs]
-    assert all(from_labels(labels(d)) == d for d in xs + [b])
+    xs = data.draw(st.lists(pick, max_size=12))
+    bs = data.draw(st.lists(pick, max_size=4))
+    labs = label_array(xs, n)
+    got = multiply_labels(labs, label_array(bs, n))
+    assert got.shape == (len(xs), len(bs), 2 * n)
+    for j, b in enumerate(bs):
+        one = multiply_labels(labs, labels(b)[None])
+        assert np.array_equal(got[:, j], one[:, 0])
+        assert (from_label_array(got[:, j]) == [multiply(x, b) for x in xs]
+                == [oracle_multiply(x, b) for x in xs])
+    assert all(from_labels(labels(d)) == d for d in xs + bs)
 
 
 @pytest.mark.parametrize("family, n", [("C", 1), ("C", 2), ("PB", 2), ("PJ", 1)])
@@ -156,9 +163,9 @@ def test_batched_product_on_every_pair(family, n):
     elems = construct(family, n).sorted_elements()
     assert any(d.rank == 0 for d in elems)
     labs = label_array(elems, n)
-    for b in elems:
-        got = from_label_array(multiply_labels(labs, labels(b)))
-        assert got == [oracle_multiply(x, b) for x in elems]
+    got = multiply_labels(labs, labs)
+    for j, b in enumerate(elems):
+        assert from_label_array(got[:, j]) == [oracle_multiply(x, b) for x in elems]
 
 
 def test_label_arrays_are_canonical():
@@ -224,9 +231,15 @@ def test_diagrams_are_immutable_values():
 
 
 def test_batched_product_edge_cases():
+    two, three, none = (label_array([identity(2)], 2), label_array([identity(3)], 3),
+                        label_array([], 3))
     with pytest.raises(DegreeMismatch):
-        multiply_labels(label_array([identity(2)], 2), labels(identity(3)))
-    assert multiply_labels(label_array([], 3), labels(identity(3))).shape == (0, 6)
+        multiply_labels(two, three)
+    with pytest.raises(DegreeMismatch):
+        multiply_labels(three, two)
+    assert multiply_labels(none, three).shape == (0, 1, 6)
+    assert multiply_labels(three, none).shape == (1, 0, 6)
+    assert multiply_labels(none, none).shape == (0, 0, 6)
 
 
 def test_multiply_requires_equal_degree():
@@ -365,13 +378,32 @@ def test_classify_strings_kinds():
 
 
 def test_parity_cases():
-    assert parity(identity(4)) is Parity.EVEN
-    assert parity(rotation(4)) is Parity.ODD
-    assert parity(rotation(4) * rotation(4)) is Parity.EVEN
-    assert parity(contraction(4, 1, 2)) is Parity.EVEN
-    assert parity(adjacent_contraction(2, 1)) is Parity.RANK_ZERO
-    mixed = diagram(3, [[1, -1], [2, -3], [3], [-2]])
-    assert parity(mixed) is Parity.MIXED
+    cases = {
+        Parity.EVEN: [identity(4), rotation(4) * rotation(4), contraction(4, 1, 2),
+                      diagram(3, [[1, -3], [2], [3, -1], [-2]])],
+        Parity.ODD: [rotation(4), diagram(3, [[1, -2], [2, 3], [-1, -3]])],
+        Parity.MIXED: [diagram(3, [[1, -1], [2, -3], [3], [-2]]),
+                       diagram(2, [[1, -1, 2, -2]]),
+                       diagram(2, [[1, 2, -1], [-2]]),
+                       diagram(2, [[1, 2, -2], [-1]]),
+                       diagram(2, [[1, -1, -2], [2]])],
+        Parity.RANK_ZERO: [adjacent_contraction(2, 1), diagram(1, [[1], [-1]])],
+    }
+    for kind, ds in cases.items():
+        assert {parity(d) for d in ds} == {kind}
+        want = kind in (Parity.EVEN, Parity.RANK_ZERO)
+        for d in ds:
+            assert even_or_rank_zero(labels(d)[None]).tolist() == [want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.randoms(use_true_random=False),
+       st.sampled_from([random_brauer, random_partial_brauer,
+                        random_partition_diagram]))
+def test_even_mask_matches_scalar_parity(n, rng, sample):
+    ds = [sample(n, rng) for _ in range(24)]
+    want = [parity(d) in (Parity.EVEN, Parity.RANK_ZERO) for d in ds]
+    assert even_or_rank_zero(label_array(ds, n)).tolist() == want
 
 
 def test_parity_multiplicative_on_even_annular():

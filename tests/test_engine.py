@@ -44,7 +44,7 @@ from brauerkit import (
     units,
 )
 from brauerkit import engine, families
-from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, t1_chain
+from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, period_one, t1_chain
 from brauerkit.errors import (
     BadDegree,
     BadIndex,
@@ -65,6 +65,7 @@ from oracles import (
     oracle_kernel,
     oracle_left_cayley,
     oracle_local_elements,
+    oracle_period_one,
     oracle_rees_table,
     oracle_span,
     oracle_table,
@@ -481,6 +482,39 @@ def test_aperiodicity_cross_check_raises_on_disagreement(monkeypatch):
     monkeypatch.setattr(engine, "green", lambda _: forged)
     with pytest.raises(CrossCheckFailed, match="disagree"):
         is_aperiodic(sg)
+
+
+def test_period_one_matches_repeated_squaring_on_ledger_instances(
+        derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    assert len(led.instances) == 56
+    for reg in led.instances.values():
+        ids = np.arange(reg.sg.size)
+        want = oracle_period_one(reg.sg, ids)
+        assert np.array_equal(period_one(reg.sg, ids), want)
+
+
+@pytest.mark.parametrize("family, n", [("B", 6), ("A", 8), ("J", 9), ("EA", 8),
+                                       ("PB", 5), ("SYM", 7)])
+def test_period_one_matches_repeated_squaring_on_census_closures(family, n):
+    sg = as_closure(construct(family, n))
+    ids = np.arange(sg.size)
+    assert np.array_equal(period_one(sg, ids), oracle_period_one(sg, ids))
+    assert np.array_equal(sg.squares(), sg.multiply(ids, ids))
+
+
+def test_is_aperiodic_takes_two_batched_products(monkeypatch):
+    sg = closure(construct("B", 6).generators, include_identity=True)
+    calls = []
+    multiply = SemigroupClosure.multiply
+
+    def counted(self, xs, ys):
+        calls.append(np.size(xs))
+        return multiply(self, xs, ys)
+
+    monkeypatch.setattr(SemigroupClosure, "multiply", counted)
+    assert not is_aperiodic(sg)
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Family constructions: sizes, membership, closure views."""
 
+from functools import lru_cache
+from itertools import permutations
+
 import pytest
 
 from brauerkit import (
+    Diagram,
     FAMILY_IDS,
+    Parity,
     FamilyInstance,
     adjacent_contraction,
     as_closure,
@@ -17,9 +22,12 @@ from brauerkit import (
     identity,
     involution_count,
     membership,
+    parity,
     partial_identity,
     rotation,
 )
+from brauerkit import families
+from brauerkit.diagrams import even_or_rank_zero, label_array
 from brauerkit.errors import BadDegree, BudgetExceeded
 
 from oracles import (
@@ -89,6 +97,12 @@ def test_symmetric_sizes():
     assert [construct("SYM", n).size for n in (1, 2, 3, 4)] == [1, 2, 6, 24]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_label_enumeration_matches_permutation_diagrams(n):
+    want = {from_permutation(n, p) for p in permutations(range(1, n + 1))}
+    assert construct("SYM", n).elements == want
+
+
 # ---------------------------------------------------------------------------
 # frozen sizes for the annular families (no classical closed form is used)
 
@@ -105,6 +119,27 @@ def test_annular_families_agree_with_membership_filters():
     assert construct("A", n).elements == {a for a in pb if membership("A", a)}
     assert construct("PA", n).elements == {a for a in pb if membership("PA", a)}
     assert construct("EA", n).elements == {a for a in pb if membership("EA", a)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_even_annular_filter_matches_scalar_parity(n):
+    elems = list(construct("A", n).elements)
+    # fresh diagrams, so that the shared A:n elements stay undecoded
+    fresh = [Diagram._from_key(n, d.key) for d in elems]
+    want = [parity(d) in (Parity.EVEN, Parity.RANK_ZERO) for d in fresh]
+    assert even_or_rank_zero(label_array(elems, n)).tolist() == want
+    if n % 2 == 0:
+        assert construct("EA", n).elements == {d for d, w in zip(elems, want) if w}
+
+
+def test_even_annular_and_symmetric_constructions_never_decode_blocks(monkeypatch):
+    fresh = lru_cache(maxsize=None)(families._construct_cached.__wrapped__)
+    monkeypatch.setattr(families, "_construct_cached", fresh)
+    monkeypatch.setattr(families, "_CLOSURE_CACHE", {})
+    for family, n, size in (("EA", 8, 5096), ("SYM", 7, 5040)):
+        inst = construct(family, n)
+        assert inst.size == size
+        assert not any(hasattr(d, "_blocks") for d in inst.elements)
 
 
 def test_even_annular_rejects_odd_degree():

@@ -20,8 +20,14 @@ from brauerkit import (
     verify_parity_morphism_a4,
     weak_inverse_pairs,
 )
+from brauerkit.engine import period_one
 from brauerkit.errors import BudgetExceeded
-from oracles import oracle_kernel, oracle_weak_inverse_pairs, t1sub_ea6
+from oracles import (
+    oracle_kernel,
+    oracle_period_one,
+    oracle_weak_inverse_pairs,
+    t1sub_ea6,
+)
 
 
 def _sg(family, n):
@@ -120,6 +126,17 @@ def test_kernel_matches_the_per_pair_oracle(name):
         family, n = name.split(":")
         sg = _sg(family, int(n))
     assert _result(kernel(sg)) == oracle_kernel(sg)
+
+
+@pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
+def test_period_one_on_kernel_ids_matches_repeated_squaring(name):
+    if name == "t1sub(EA:6)":
+        sg = t1sub_ea6()
+    else:
+        family, n = name.split(":")
+        sg = _sg(family, int(n))
+    kids = list(kernel(sg).kernel_ids)
+    assert period_one(sg, kids).tolist() == oracle_period_one(sg, kids).tolist()
 
 
 def test_kernel_without_a_product_table_exceeds_the_budget(monkeypatch):
