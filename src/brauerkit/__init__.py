@@ -60,6 +60,7 @@ from .engine import (
     units,
 )
 from .families import (
+    CLOSED_FORMS,
     FAMILY_IDS,
     FamilyInstance,
     as_closure,
@@ -68,8 +69,10 @@ from .families import (
     catalan,
     construct,
     double_factorial_odd,
+    generators,
     involution_count,
     membership,
+    motzkin,
 )
 from .kernel import (
     KernelResult,

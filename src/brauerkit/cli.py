@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from collections import Counter
@@ -27,15 +26,7 @@ from . import __version__
 from .diagrams import encode, identity
 from .engine import essential_depth, green, index_period, is_aperiodic, units
 from .errors import BrauerKitError, CrossCheckFailed
-from .families import (
-    FAMILY_IDS,
-    as_closure,
-    bell_number,
-    catalan,
-    construct,
-    double_factorial_odd,
-    involution_count,
-)
+from .families import CLOSED_FORMS, FAMILY_IDS, as_closure, construct
 from .kernel import kernel
 from .store import default_cache_dir, load_or_build, make_report
 from .verify import TARGETS, run_target
@@ -102,20 +93,11 @@ def cmd_gen(args):
     return 0
 
 
-_COUNT_FORMULAS = {
-    "B": lambda n: double_factorial_odd(n),
-    "J": lambda n: catalan(n),
-    "PB": lambda n: involution_count(2 * n),
-    "C": lambda n: bell_number(2 * n),
-    "SYM": lambda n: math.factorial(n),
-}
-
-
 def cmd_count(args):
     rows = []
     for k in range(1, args.n + 1):
         row = {"family": args.family, "n": k}
-        formula = _COUNT_FORMULAS.get(args.family)
+        formula = CLOSED_FORMS.get(args.family)
         row["formula"] = formula(k) if formula else ""
         row["count"] = construct(args.family, k, budget=args.budget).size
         if formula and row["count"] != row["formula"]:

@@ -29,9 +29,11 @@ SemigroupClosure is the only semigroup class.  A semigroup derived from a
 closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
 whose table restricts the parent's integer products: subsemigroup() for
 ideals, local monoids e S e, padded copies and group kernels, and
-rees_quotient() for S/I, whose ids stand for no diagram.  An element set
-with no known generating set gets its closure from the same search, grown
-from generators picked greedily from the set (closure_from_elements).
+rees_quotient() for S/I, whose ids stand for no diagram.  Every family is
+built as the closure of a generating set (families.generators), so no
+element set needs its generators found; closure_from_elements, which grows
+the same search from generators picked greedily from a set, is kept for
+callers outside the family code.
 """
 
 from __future__ import annotations
@@ -425,6 +427,9 @@ def closure(gens, *, include_identity=False, budget=None):
 
 def closure_from_elements(elems):
     """The closure of an already-closed element set, from greedy generators.
+
+    No family needs it, since each is built from a generating set; it stays
+    a public function that the benchmark harness times by name.
 
     Scanning the distinct elements in the order given, each one not yet in
     the closure becomes the next generator and the search is extended by

@@ -12,47 +12,48 @@ Family codes:
   EA   even members of A (all through strings parity-preserving), even degree
   SYM  permutation diagrams
 
-Each family is built by the documented strategy: generation (BFS closure),
-direct enumeration plus filter, or the rotated-planar formula.  A verified
-generating set may be used to speed up Cayley-graph analyses, but only
-after its closure is checked equal to the constructed element set.
+Every family is the closure, with the identity, of a generating set
+(generators), and construct checks what it builds.  Each generator must
+pass membership(family, g), so the closure lies inside the family, and
+the closure's size must equal an independent count, so it is the whole
+family: the closed forms in CLOSED_FORMS, and for EA the number of even or
+rank-zero elements of A:n.  A is defined as its generators' closure.  PA
+holds the rotation and the checked PJ:n, so every rotation zeta^a beta
+zeta^b of a planar partial matching beta, and membership bounds it from
+above.  The generating sets are the symmetric group's with one
+contraction for B (and a partial identity for PB), East's four for C (J.
+East, Generators and relations for partition monoids and algebras, J.
+Algebra 339, 2011), and the e_i, l_i, r_i of the Motzkin monoid for PJ
+(Dolinka, East and Gray, Motzkin monoids and partial Brauer monoids, J.
+Algebra 471, 2017).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .diagrams import (
     Diagram,
     Parity,
+    _canon,
     adjacent_contraction,
     contraction,
     encode,
     even_or_rank_zero,
-    from_label_array,
     from_permutation,
-    identity,
     is_annular,
     is_brauer,
     is_jones,
     is_partial_brauer,
     is_planar,
     label_array,
-    label_dtype,
     parity,
     partial_identity,
     rotation,
 )
-from .engine import (
-    DEFAULT_BUDGET,
-    closure,
-    closure_from_elements,
-)
+from .engine import DEFAULT_BUDGET, closure
 from .errors import BadDegree, BudgetExceeded, CrossCheckFailed
 
 FAMILY_IDS = ("C", "B", "PB", "J", "PJ", "A", "PA", "EA", "SYM")
@@ -62,7 +63,7 @@ FAMILY_IDS = ("C", "B", "PB", "J", "PJ", "A", "PA", "EA", "SYM")
 class FamilyInstance:
     family: str
     degree: int
-    strategy: str  # "generated" | "enumerated" | "rotated-planar"
+    strategy: str  # "generated"; older cache files say "enumerated" or "rotated-planar"
     elements: frozenset
     generators: tuple = ()
     note: str = ""
@@ -76,7 +77,7 @@ class FamilyInstance:
 
 
 # ---------------------------------------------------------------------------
-# counting helpers used for budget prechecks
+# counting helpers
 
 
 def double_factorial_odd(n):
@@ -89,6 +90,12 @@ def double_factorial_odd(n):
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def motzkin(m):
+    """Motzkin number: partial non-crossing matchings of m points in a line,
+    the sum over k of C(m, 2k) Catalan(k)."""
+    return sum(math.comb(m, 2 * k) * catalan(k) for k in range(m // 2 + 1))
 
 
 def bell_number(m):
@@ -112,73 +119,80 @@ def involution_count(m):
     return b
 
 
-def _check_budget(count, budget, what):
-    if count > budget:
-        raise BudgetExceeded(f"{what} has {count} elements, budget {budget}")
+# The size of each family at degree n, where a closed form is known.
+CLOSED_FORMS = {
+    "B": double_factorial_odd,
+    "J": catalan,
+    "PB": lambda n: involution_count(2 * n),
+    "PJ": lambda n: motzkin(2 * n),
+    "C": lambda n: bell_number(2 * n),
+    "SYM": math.factorial,
+}
 
 
 # ---------------------------------------------------------------------------
-# enumerators (iterative, stack-based)
+# generating sets
 
 
-def enumerate_partial_matchings(n):
-    """All partial matchings on the 2n points of a degree-n diagram."""
-    points = list(range(2 * n))
-    out = []
-    # stack entries: (blocks so far, remaining points)
-    stack = [((), tuple(points))]
-    while stack:
-        blocks, rest = stack.pop()
-        if not rest:
-            out.append(Diagram(n, tuple(sorted(blocks))))
-            continue
-        p, tail = rest[0], rest[1:]
-        stack.append((blocks + ((p,),), tail))
-        for qi, q in enumerate(tail):
-            pair = (p, q)
-            stack.append((blocks + (pair,), tail[:qi] + tail[qi + 1:]))
-    return out
+def _check_degree(family, n):
+    if family not in FAMILY_IDS:
+        raise KeyError(f"unknown family {family!r}; choose from {FAMILY_IDS}")
+    if n < 1:
+        raise BadDegree(f"degree must be positive, got {n}")
+    if family == "EA" and n % 2:
+        raise BadDegree(f"even-annular family needs even degree, got {n}")
 
 
-def enumerate_perfect_matchings(n):
-    """All perfect matchings on the 2n points of a degree-n diagram."""
-    out = []
-    stack = [((), tuple(range(2 * n)))]
-    while stack:
-        blocks, rest = stack.pop()
-        if not rest:
-            out.append(Diagram(n, tuple(sorted(blocks))))
-            continue
-        p, tail = rest[0], rest[1:]
-        for qi, q in enumerate(tail):
-            stack.append((blocks + ((p, q),), tail[:qi] + tail[qi + 1:]))
-    return out
+def _shift(n, i, j):
+    """Rank n-1 planar partial matching joining i to j' (|i - j| = 1), with
+    j and i' unmatched and {k, k'} elsewhere."""
+    blocks = [(i - 1, n + j - 1), (j - 1,), (n + i - 1,)]
+    blocks += [(k - 1, n + k - 1) for k in range(1, n + 1) if k not in (i, j)]
+    return Diagram(n, _canon(blocks))
 
 
-def enumerate_partitions(n):
-    """All partitions of the 2n points (restricted-growth strings)."""
-    m = 2 * n
-    out = []
-    # a[i] = block index of point i with the growth constraint
-    a = [0] * m
-    while True:
-        out.append(Diagram._from_key(n, bytes(a)))  # a is the label array
-        # odometer step
-        i = m - 1
-        while i > 0:
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, m):
-                    a[j] = 0
-                break
-            a[i] = 0
-            i -= 1
-        else:
-            return out
+def generators(family, n):
+    """The generating set that construct closes for the family at degree n.
+
+    With the identity, its closure is the whole family; construct checks
+    that.  Ids of the closure follow the order of the generators.  PA's
+    are the rotation followed by those of construct("PJ", n), so that PJ:n
+    has passed its count.
+    """
+    _check_degree(family, n)
+    if n == 1:
+        if family in ("PB", "PJ", "PA", "C"):
+            return (partial_identity(1, 1),)
+        return (rotation(1),) if family == "A" else ()
+    sym = [rotation(n)]
+    if n >= 3:
+        sym.insert(0, from_permutation(n, (2, 1) + tuple(range(3, n + 1))))
+    if family == "SYM":
+        return tuple(sym)
+    if family in ("B", "PB"):
+        extra = [partial_identity(n, 1)] if family == "PB" else []
+        return tuple(sym + [contraction(n, 1, 2)] + extra)
+    if family == "C":
+        east = [(0, 1, n, n + 1)] + [(k, n + k) for k in range(2, n)]
+        return tuple(sym + [partial_identity(n, 1), Diagram(n, _canon(east))])
+    if family == "J":
+        return tuple(adjacent_contraction(n, i) for i in range(1, n))
+    if family == "PJ":
+        return tuple([adjacent_contraction(n, i) for i in range(1, n)]
+                     + [_shift(n, i + 1, i) for i in range(1, n)]
+                     + [_shift(n, i, i + 1) for i in range(1, n)])
+    if family == "PA":
+        return (rotation(n),) + construct("PJ", n).generators
+    if family == "A":
+        return (rotation(n), contraction(n, 1, 2))
+    # EA: the n adjacent contractions and the squared rotation
+    zeta2 = from_permutation(n, [(k + 2) % n + 1 for k in range(n)])
+    return tuple(dict.fromkeys(
+        [adjacent_contraction(n, i) for i in range(1, n + 1)] + [zeta2]))
 
 
 # ---------------------------------------------------------------------------
-# construction strategies
+# construction
 
 # Closures by instance content (see as_closure), since instances of one
 # size can differ.
@@ -190,160 +204,47 @@ def _content_key(instance):
             instance.generators, instance.elements)
 
 
-def _symmetric_group_generators(n):
-    gens = []
-    if n >= 2:
-        if n >= 3:
-            gens.append(from_permutation(n, (2, 1) + tuple(range(3, n + 1))))
-        gens.append(rotation(n))
-    return gens
+def _expected_size(family, n, budget):
+    """The independent count the closure must match, or None (A and PA)."""
+    if family == "EA":
+        elems = list(construct("A", n, budget=budget).elements)
+        return int(even_or_rank_zero(label_array(elems, n)).sum())
+    form = CLOSED_FORMS.get(family)
+    return None if form is None else form(n)
 
 
-def _generated(family, n, gens, budget, note):
-    """The instance generated by gens and the identity.
-
-    Its closure is kept in the closure cache, so as_closure does not build
-    it again.
-    """
+@lru_cache(maxsize=None)
+def _construct(family, n, budget):
+    """The closure of the checked generating set, cached for as_closure."""
+    if family == "C" and n > 5:
+        raise BudgetExceeded(
+            f"partition family is capped at degree 5 (Bell growth); got {n}")
+    want = _expected_size(family, n, budget)
+    if want is not None and want > budget:
+        raise BudgetExceeded(
+            f"{family} at degree {n} has {want} elements, budget {budget}")
+    gens = generators(family, n)
+    for g in gens:
+        if not membership(family, g):
+            raise CrossCheckFailed(f"generator {encode(g)} is not in {family}:{n}")
     sg = closure(gens, include_identity=True, budget=budget)
+    if want is not None and sg.size != want:
+        raise CrossCheckFailed(
+            f"the {family}:{n} generators close to {sg.size} elements, "
+            f"the independent count is {want}")
     instance = FamilyInstance(
         family=family, degree=n, strategy="generated",
-        elements=frozenset(sg.elements), generators=tuple(gens), note=note,
+        elements=frozenset(sg.elements), generators=gens,
+        note="closure of the generators and the identity",
     )
     _CLOSURE_CACHE[_content_key(instance)] = sg
     return instance
 
 
-def _construct_b(n, budget):
-    _check_budget(double_factorial_odd(n), budget, f"B at degree {n}")
-    gens = _symmetric_group_generators(n)
-    if n >= 2:
-        gens.append(contraction(n, 1, 2))
-    return _generated("B", n, gens, budget,
-                      "closure of symmetric-group generators and one contraction")
-
-
-def _construct_j(n, budget):
-    _check_budget(catalan(n), budget, f"J at degree {n}")
-    gens = [adjacent_contraction(n, i) for i in range(1, n)]
-    return _generated("J", n, gens, budget,
-                      "closure of the adjacent contractions plus identity")
-
-
-def _construct_a(n, budget):
-    gens = [rotation(n)]
-    if n >= 2:
-        gens.append(contraction(n, 1, 2))
-    return _generated("A", n, gens, budget,
-                      "closure of the rotation and one contraction plus identity")
-
-
-def _construct_ea(n, budget):
-    if n % 2:
-        raise BadDegree(f"even-annular family needs even degree, got {n}")
-    elems = list(construct("A", n, budget=budget).elements)
-    kept = frozenset(itertools.compress(
-        elems, even_or_rank_zero(label_array(elems, n)).tolist()))
-    return FamilyInstance(
-        family="EA", degree=n, strategy="enumerated",
-        elements=kept,
-        note="parity filter of the annular family",
-    )
-
-
-def _construct_pb(n, budget):
-    _check_budget(involution_count(2 * n), budget, f"PB at degree {n}")
-    return FamilyInstance(
-        family="PB", degree=n, strategy="enumerated",
-        elements=frozenset(enumerate_partial_matchings(n)),
-        note="direct enumeration of all partial matchings",
-    )
-
-
-def _construct_pj(n, budget):
-    _check_budget(involution_count(2 * n), budget, f"PJ at degree {n}")
-    kept = frozenset(a for a in enumerate_partial_matchings(n) if is_planar(a))
-    return FamilyInstance(
-        family="PJ", degree=n, strategy="enumerated",
-        elements=kept,
-        note="planarity filter over all partial matchings",
-    )
-
-
-def _construct_pa(n, budget):
-    base = construct("PJ", n, budget=budget)
-    _check_budget(len(base.elements) * n * n, budget, f"PA at degree {n} (upper bound)")
-    zeta = rotation(n)
-    powers = [identity(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * zeta)
-    out = set()
-    for beta in base.elements:
-        for za in powers:
-            left = za * beta
-            for zb in powers:
-                out.add(left * zb)
-    return FamilyInstance(
-        family="PA", degree=n, strategy="rotated-planar",
-        elements=frozenset(out),
-        note="all rotations of planar partial matchings",
-    )
-
-
-def _construct_c(n, budget):
-    if n > 5:
-        raise BudgetExceeded(
-            f"partition family is capped at degree 5 (Bell growth); got {n}"
-        )
-    _check_budget(bell_number(2 * n), budget, f"C at degree {n}")
-    return FamilyInstance(
-        family="C", degree=n, strategy="enumerated",
-        elements=frozenset(enumerate_partitions(n)),
-        note="all partitions of the 2n points",
-    )
-
-
-def _construct_sym(n, budget):
-    _check_budget(math.factorial(n), budget, f"SYM at degree {n}")
-    # the diagram of k -> images[k] joins top point j to bottom point
-    # images^-1[j], the number of its block: label array [0..n-1, images^-1]
-    images = np.array(list(itertools.permutations(range(n))))
-    labs = np.empty((len(images), 2 * n), dtype=label_dtype(n))
-    labs[:, :n] = np.arange(n)
-    labs[:, n:] = np.argsort(images, axis=1)
-    elems = frozenset(from_label_array(labs))
-    return FamilyInstance(
-        family="SYM", degree=n, strategy="enumerated",
-        elements=elems,
-        note="all permutation diagrams",
-    )
-
-
-_CONSTRUCTORS = {
-    "C": _construct_c,
-    "B": _construct_b,
-    "PB": _construct_pb,
-    "J": _construct_j,
-    "PJ": _construct_pj,
-    "A": _construct_a,
-    "PA": _construct_pa,
-    "EA": _construct_ea,
-    "SYM": _construct_sym,
-}
-
-
-@lru_cache(maxsize=None)
-def _construct_cached(family, n, budget):
-    return _CONSTRUCTORS[family](n, budget)
-
-
 def construct(family, n, budget=None):
     """Build the family at degree n.  Raises BudgetExceeded on blow-ups."""
-    if family not in _CONSTRUCTORS:
-        raise KeyError(f"unknown family {family!r}; choose from {FAMILY_IDS}")
-    if n < 1:
-        raise BadDegree(f"degree must be positive, got {n}")
-    return _construct_cached(family, n, DEFAULT_BUDGET if budget is None else budget)
+    _check_degree(family, n)
+    return _construct(family, n, DEFAULT_BUDGET if budget is None else budget)
 
 
 def membership(family, a):
@@ -381,63 +282,26 @@ def cardinality_table(family, n_max, budget=None):
 # ---------------------------------------------------------------------------
 # closure views
 
-# Generating sets for enumerated families that make Cayley analyses cheap.
-# None is stated in the source constructions, so each is verified: the
-# closure is compared element-for-element with the constructed set and
-# discarded on mismatch.
-def _candidate_generators(family, n):
-    if family == "EA" and n >= 2:
-        gens = [adjacent_contraction(n, i) for i in range(1, n + 1)]
-        gens.append(rotation(n) * rotation(n))
-        return gens
-    if family == "PB" and n >= 2:
-        return _symmetric_group_generators(n) + [
-            contraction(n, 1, 2),
-            partial_identity(n, 1),
-        ]
-    if family == "PA" and n >= 2:
-        return [rotation(n), contraction(n, 1, 2), partial_identity(n, 1)]
-    if family == "SYM" and n >= 2:
-        return _symmetric_group_generators(n)
-    return None
-
 
 def as_closure(instance, budget=None):
     """A SemigroupClosure over the instance's elements.
 
-    Generated instances take their defining closure, which construct
-    caches when it builds one (an instance loaded from a cache file
-    rebuilds it, unless construct built the same one in this process).
-    Enumerated ones first try a verified candidate generating set (kept
-    only if its closure equals the element set exactly), and otherwise
-    search the closure from generators picked greedily from the sorted
-    elements (closure_from_elements).  Closures are cached by the
+    It is the closure of the instance's generators with the identity, or of
+    generators(family, degree) for a cache file that stores none, checked
+    equal to the element set.  construct caches the closure it builds, so
+    only an instance loaded from a cache file rebuilds it (unless construct
+    built the same one in this process).  Closures are cached by the
     instance's content, since instances of one size can differ.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     key = _content_key(instance)
-    cached = _CLOSURE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    sg = _as_closure_uncached(instance, budget)
-    _CLOSURE_CACHE[key] = sg
-    return sg
-
-
-def _as_closure_uncached(instance, budget):
-    if instance.strategy == "generated":
-        sg = closure(list(instance.generators), include_identity=True, budget=budget)
+    sg = _CLOSURE_CACHE.get(key)
+    if sg is None:
+        gens = instance.generators or generators(instance.family, instance.degree)
+        sg = closure(gens, include_identity=True,
+                     budget=DEFAULT_BUDGET if budget is None else budget)
         if frozenset(sg.elements) != instance.elements:
             raise CrossCheckFailed(
                 f"closure of the {instance.family}:{instance.degree} generators "
                 f"({sg.size} elements) differs from the instance ({instance.size})")
-        return sg
-    cand = _candidate_generators(instance.family, instance.degree)
-    if cand is not None:
-        try:
-            sg = closure(cand, include_identity=True, budget=budget)
-        except BudgetExceeded:
-            sg = None
-        if sg is not None and frozenset(sg.elements) == instance.elements:
-            return sg
-    return closure_from_elements(instance.sorted_elements())
+        _CLOSURE_CACHE[key] = sg
+    return sg

@@ -72,6 +72,16 @@ def test_gen_analyses_pa5(cache_dir, capsys):
     assert (data["count"], data["j_classes"], data["essential_depth"]) == (5046, 6, 4)
 
 
+def test_gen_analyses_c5(cache_dir, capsys):
+    code, out, _ = _run(capsys, "gen", "--family", "C", "--n", "5",
+                        "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert "green_summary" not in data
+    assert (data["count"], data["j_classes"], data["essential_depth"],
+            data["aperiodic"], data["units"]) == (115975, 6, 4, False, 120)
+
+
 def test_gen_budget_error_exits_1(cache_dir, capsys):
     code, _, err = _run(capsys, "gen", "--family", "C", "--n", "6")
     assert code == 1
@@ -88,6 +98,16 @@ def test_count_csv_has_matching_formula_column(cache_dir, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["count"] for r in rows] == ["1", "2", "5", "14", "42"]
+    assert all(r["count"] == r["formula"] for r in rows)
+
+
+def test_count_gives_the_motzkin_formula_for_planar_partial_matchings(
+        cache_dir, capsys):
+    code, out, _ = _run(capsys, "count", "--family", "PJ", "--n", "5",
+                        "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["formula"] for r in rows] == ["2", "9", "51", "323", "2188"]
     assert all(r["count"] == r["formula"] for r in rows)
 
 

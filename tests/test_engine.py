@@ -43,7 +43,7 @@ from brauerkit import (
     subsemigroup,
     units,
 )
-from brauerkit import engine, families
+from brauerkit import engine
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, period_one, t1_chain
 from brauerkit.errors import (
     BadDegree,
@@ -142,7 +142,7 @@ def test_closure_from_elements_rejects_open_sets():
         closure_from_elements([rotation(4)])  # missing the higher powers
 
 
-def test_as_closure_searches_pa5_from_greedy_generators():
+def test_as_closure_of_pa5_closes_its_generating_set():
     inst = construct("PA", 5)
     sg = as_closure(inst)
     assert sg.size == 5046 and sg.element_set() == inst.elements
@@ -234,11 +234,9 @@ def _assert_same_search(sg, want):
     assert sg.index == {d: i for i, d in enumerate(want["elements"])}
 
 
-# How as_closure searches each instance: from the generators the instance
-# was built from, from a verified candidate set, or from greedy generators.
-_SEARCHES = {"B:5": "generators", "J:6": "generators", "A:6": "generators",
-             "EA:6": "candidates", "PB:4": "candidates", "SYM:5": "candidates",
-             "PA:3": "greedy", "PA:4": "greedy", "C:3": "greedy"}
+# as_closure searches every instance from the generators it was built from.
+_SEARCHES = ("B:5", "J:6", "A:6", "EA:6", "PB:4", "SYM:5", "PJ:4", "PA:3", "PA:4",
+             "C:3")
 
 
 @pytest.mark.parametrize("name", [*_SEARCHES, "t1sub(EA:6)"])
@@ -249,16 +247,8 @@ def test_closure_matches_the_scalar_search(name):
                             oracle_closure(gens, include_identity=True))
         return
     family, n = name.split(":")
-    inst = construct(family, int(n))
-    how = _SEARCHES[name]
-    if how == "greedy":
-        elems = inst.sorted_elements()
-        _assert_same_search(closure_from_elements(elems),
-                            oracle_greedy_closure(elems))
-        return
-    gens = (list(inst.generators) if how == "generators"
-            else families._candidate_generators(family, int(n)))
-    sg = as_closure(inst)
+    gens = list(construct(family, int(n)).generators)
+    sg = as_closure(construct(family, int(n)))
     assert sg.multipliers == gens
     _assert_same_search(sg, oracle_closure(gens, include_identity=True))
 
@@ -714,8 +704,8 @@ from brauerkit.engine import _spot_check_associativity
 _spot_check_associativity(SemigroupClosure.from_table([[1, 1], [0, 0]]))
 """,
     "count": """
-from brauerkit import cli
-cli._COUNT_FORMULAS["B"] = lambda n: 0
+from brauerkit import cli, families
+families.CLOSED_FORMS["B"] = lambda n: 0
 cli.cmd_count(cli.build_parser().parse_args(["count", "--family", "B", "--n", "2"]))
 """,
     "verify_sample": """

@@ -19,18 +19,23 @@ from brauerkit import (
     construct,
     double_factorial_odd,
     from_permutation,
+    generators,
     identity,
     involution_count,
+    load_cache,
     membership,
+    motzkin,
     parity,
     partial_identity,
     rotation,
+    save_cache,
 )
-from brauerkit import families
+from brauerkit import diagrams, families
 from brauerkit.diagrams import even_or_rank_zero, label_array
-from brauerkit.errors import BadDegree, BudgetExceeded
+from brauerkit.errors import BadDegree, BudgetExceeded, CrossCheckFailed
 
 from oracles import (
+    oracle_annular,
     oracle_bell,
     oracle_catalan,
     oracle_double_factorial_odd,
@@ -39,8 +44,17 @@ from oracles import (
     oracle_noncrossing_perfect,
     oracle_partial_matchings,
     oracle_perfect_matchings,
+    oracle_planar_pairs,
     oracle_set_partitions,
 )
+
+
+@pytest.fixture
+def fresh_construct(monkeypatch):
+    """construct and as_closure with empty caches, so families are built anew."""
+    fresh = lru_cache(maxsize=None)(families._construct.__wrapped__)
+    monkeypatch.setattr(families, "_construct", fresh)
+    monkeypatch.setattr(families, "_CLOSURE_CACHE", {})
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +68,7 @@ def test_counting_helpers_match_oracles():
     for m in range(0, 12):
         assert involution_count(m) == oracle_involutions(m)
         assert bell_number(m) == oracle_bell(m)
+        assert motzkin(m) == oracle_motzkin(m)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +147,8 @@ def test_even_annular_filter_matches_scalar_parity(n):
         assert construct("EA", n).elements == {d for d, w in zip(elems, want) if w}
 
 
-def test_even_annular_and_symmetric_constructions_never_decode_blocks(monkeypatch):
-    fresh = lru_cache(maxsize=None)(families._construct_cached.__wrapped__)
-    monkeypatch.setattr(families, "_construct_cached", fresh)
-    monkeypatch.setattr(families, "_CLOSURE_CACHE", {})
+def test_even_annular_and_symmetric_constructions_never_decode_blocks(
+        fresh_construct):
     for family, n, size in (("EA", 8, 5096), ("SYM", 7, 5040)):
         inst = construct(family, n)
         assert inst.size == size
@@ -207,21 +220,18 @@ def test_as_closure_generated_families_rebuild():
     assert sg.identity_id is not None
 
 
-def test_as_closure_verified_generators_for_pb():
-    # For partial matchings a small generating set is verified and kept.
+def test_as_closure_of_pb_is_its_small_generating_set():
     inst = construct("PB", 3)
     sg = as_closure(inst)
     assert frozenset(sg.elements) == inst.elements
     assert len(sg.multipliers) < inst.size
 
 
-def test_as_closure_fallback_for_pa():
-    # The analogous three-element candidate set fails for the annular
-    # partial family, so the closure is searched from generators picked
-    # greedily from the elements.
+def test_as_closure_of_pa_is_the_rotation_and_the_pj_generators():
     inst = construct("PA", 3)
     sg = as_closure(inst)
     assert frozenset(sg.elements) == inst.elements
+    assert sg.multipliers == [rotation(3), *construct("PJ", 3).generators]
     assert len(sg.multipliers) == 7 < inst.size
 
 
@@ -246,3 +256,92 @@ def test_rotated_planar_candidate_set_is_proper():
     )
     assert cand.size == 64
     assert frozenset(cand.elements) < construct("PA", n).elements
+
+
+# ---------------------------------------------------------------------------
+# generating sets against independent oracles
+
+
+def _span(family, n):
+    return closure(generators(family, n), include_identity=True).element_set()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_partition_generators_close_to_all_set_partitions(n):
+    assert _span("C", n) == oracle_set_partitions(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partial_brauer_generators_close_to_all_partial_matchings(n):
+    assert _span("PB", n) == oracle_partial_matchings(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_motzkin_generators_close_to_the_planar_partial_matchings(n):
+    planar = {d for d in oracle_partial_matchings(n) if oracle_planar_pairs(d)}
+    assert len(planar) == oracle_motzkin(2 * n)
+    assert _span("PJ", n) == planar
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_annular_partial_generators_close_to_the_annular_partial_matchings(n):
+    annular = {d for d in oracle_partial_matchings(n) if oracle_annular(d)}
+    assert _span("PA", n) == annular
+
+
+def test_partition_family_at_degree_5_has_bell_10_elements():
+    assert construct("C", 5).size == oracle_bell(10)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_even_annular_generators_end_with_the_squared_rotation(n):
+    assert generators("EA", n)[-1] == rotation(n) * rotation(n)
+
+
+def test_building_pa4_and_pb5_takes_no_scalar_product(fresh_construct, monkeypatch):
+    count = [0]
+    multiply = diagrams.multiply
+
+    def counted(a, b):
+        count[0] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(diagrams, "multiply", counted)
+    assert construct("PA", 4).size == 589
+    assert construct("PB", 5).size == 9496
+    assert count[0] == 0
+
+
+@pytest.mark.parametrize("family, n", [("B", 4), ("J", 5), ("PB", 3), ("PJ", 4),
+                                       ("C", 3), ("SYM", 4), ("EA", 4)])
+def test_dropping_a_generator_fails_the_count(fresh_construct, monkeypatch,
+                                              family, n):
+    full = generators
+    monkeypatch.setattr(families, "generators",
+                        lambda f, k: full(f, k)[:-1] if f == family else full(f, k))
+    with pytest.raises(CrossCheckFailed):
+        construct(family, n)
+
+
+def test_a_generator_outside_the_family_fails_membership(fresh_construct,
+                                                         monkeypatch):
+    full = generators
+    monkeypatch.setattr(families, "generators",
+                        lambda f, k: full(f, k) + (partial_identity(k, 1),))
+    with pytest.raises(CrossCheckFailed):
+        construct("B", 3)
+
+
+def test_a_cache_file_with_no_generators_still_loads(tmp_path):
+    # the file written before families were built from generating sets
+    inst = construct("PB", 3)
+    old = FamilyInstance("PB", 3, "enumerated", inst.elements)
+    path = save_cache(old, tmp_path / "PB-3.cache")
+    assert "strategy enumerated\ngenerators 0\n" in path.read_text()
+    loaded = load_cache(path)
+    assert (loaded.strategy, loaded.generators) == ("enumerated", ())
+    assert loaded.elements == inst.elements
+    sg = as_closure(loaded)
+    assert sg is not as_closure(inst)
+    assert sg.element_set() == inst.elements
+    assert tuple(sg.multipliers) == generators("PB", 3)
