@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .diagrams import (
     Diagram,
+    ElementSet,
     Parity,
     StringKind,
     adjacent_contraction,

@@ -23,7 +23,7 @@ import time
 from collections import Counter
 
 from . import __version__
-from .diagrams import encode, identity
+from .diagrams import encode, identity, ranks
 from .engine import essential_depth, green, index_period, is_aperiodic, units
 from .errors import BrauerKitError, CrossCheckFailed
 from .families import CLOSED_FORMS, FAMILY_IDS, as_closure, construct
@@ -55,7 +55,9 @@ def _emit_rows(rows, headers, fmt, out):
 
 
 def _rank_histogram(elements):
-    return dict(sorted(Counter(d.rank for d in elements).items(), reverse=True))
+    """{rank: count} over an ElementSet, highest rank first."""
+    counts = Counter(ranks(elements.labels).tolist())
+    return dict(sorted(counts.items(), reverse=True))
 
 
 def cmd_gen(args):

@@ -16,7 +16,8 @@ Values are immutable, so diagrams are safe to share and to use as dict
 keys.  Closures and the cache hold label arrays, which label_array and
 from_label_array turn into diagrams and back without decoding blocks, and
 multiply_labels takes the products of a whole batch of them by a stack of
-diagrams with numpy.
+diagrams with numpy.  An ElementSet is a set of diagrams held as one label
+array, its rows sorted by their bytes.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  Text round-trip uses
@@ -25,6 +26,7 @@ the v1 format  "n:[{1,1'},{2,2'}]"  (top points primed).
 
 from __future__ import annotations
 
+from collections.abc import Set
 from enum import Enum
 
 import numpy as np
@@ -272,11 +274,14 @@ def labels(a):
     return label_array([a], a.n)[0]
 
 
+def _row_view(labs):
+    """The rows of a contiguous label array as one void value each."""
+    return labs.view(np.dtype((np.void, labs.dtype.itemsize * labs.shape[1]))).ravel()
+
+
 def label_keys(labs):
     """The rows of a label array as bytes, which tell diagrams apart."""
-    labs = np.ascontiguousarray(labs)
-    return labs.view(np.dtype((np.void, labs.dtype.itemsize * labs.shape[1]))
-                     ).ravel().tolist()
+    return _row_view(np.ascontiguousarray(labs)).tolist()
 
 
 def from_label_array(labs):
@@ -293,6 +298,105 @@ def from_label_array(labs):
 def from_labels(lab):
     """The diagram whose label array is lab; inverse of labels."""
     return from_label_array(np.asarray(lab)[None])[0]
+
+
+def _sorted_rows(labs):
+    """The rows of a contiguous label array sorted by their bytes, each once.
+
+    An array already in strictly increasing order (as a cache file or an
+    earlier set holds it) is returned as it is, after one vectorised pass
+    over neighbouring rows.
+    """
+    b = labs.view(np.uint8)
+    first = (b[1:] != b[:-1]).argmax(axis=1)
+    pairs = np.arange(len(first))
+    if (b[1:][pairs, first] > b[:-1][pairs, first]).all():
+        return labs
+    labs = labs[np.lexsort(b.T[::-1])]
+    b = labs.view(np.uint8)
+    keep = np.ones(len(labs), dtype=bool)
+    keep[1:] = (b[1:] != b[:-1]).any(axis=1)
+    return labs[keep]
+
+
+class ElementSet(Set):
+    """A set of degree-n diagrams held as their label arrays.
+
+    labels is a read-only m x 2n label array, one row per member, sorted
+    by row bytes (the order of the diagrams' keys and of their label
+    strings) and free of repeats, so two sets of one degree are equal
+    exactly when their arrays are.  Membership is a binary search over
+    the rows, and iteration makes each Diagram when it is reached.
+    Comparisons with other sets, such as a frozenset of diagrams, go
+    through the Set mixins, and the hash is that of the frozenset of the
+    same diagrams.
+    """
+
+    __slots__ = ("degree", "labels", "_rows", "_hash")
+
+    def __init__(self, degree, labs):
+        """The set of the rows of labs, label arrays of degree-n diagrams.
+
+        Repeated rows are kept once; the rows are not checked to be
+        restricted growth strings.
+        """
+        labs = np.array(labs, dtype=label_dtype(degree)).reshape(-1, 2 * degree)
+        labs = _sorted_rows(labs)
+        labs.flags.writeable = False
+        self.degree = degree
+        self.labels = labs
+        self._rows = _row_view(labs)
+        self._hash = None
+
+    @classmethod
+    def of(cls, ds, degree):
+        """The set of the degree-n diagrams ds."""
+        ds = list(ds)
+        for d in ds:
+            if d.n != degree:
+                raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
+        return cls(degree, label_array(ds, degree))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # the results of &, |, - and ^ are plain frozensets
+        return frozenset(it)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __iter__(self):
+        n, from_key = self.degree, Diagram._from_key
+        for k in label_keys(self.labels):
+            yield from_key(n, k)
+
+    def __contains__(self, d):
+        if not isinstance(d, Diagram) or d.n != self.degree:
+            return False
+        i = int(np.searchsorted(self._rows, np.void(d.key)))
+        return i < len(self._rows) and self._rows[i].tobytes() == d.key
+
+    def __le__(self, other):
+        if not isinstance(other, ElementSet):
+            return Set.__le__(self, other)
+        if self.degree != other.degree or len(self) > len(other):
+            return False
+        at = np.minimum(np.searchsorted(other._rows, self._rows), len(other) - 1)
+        return bool((other._rows[at] == self._rows).all())
+
+    def __eq__(self, other):
+        if isinstance(other, ElementSet):
+            return (self.degree == other.degree
+                    and np.array_equal(self.labels, other.labels))
+        return Set.__eq__(self, other)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = Set._hash(self)
+        return self._hash
+
+    def __repr__(self):
+        return f"ElementSet(degree={self.degree}, size={len(self)})"
 
 
 def _block_successors(labs):
@@ -584,6 +688,22 @@ def even_or_rank_zero(labs):
     through = bot.any(axis=0) & top.any(axis=0)
     matched = (bot[0] != bot[1]) & (top[0] != top[1]) & (bot[0] == top[0])
     return ~(through & ~matched).any(axis=1)
+
+
+def ranks(labs):
+    """The rank of each row of a label array, without decoding blocks.
+
+    A row's through blocks are the labels that occur in both its bottom
+    half and its top half.
+    """
+    labs = np.asarray(labs)
+    k, m = labs.shape
+    rows = np.arange(k)[:, None]
+    bottom = np.zeros((k, m), dtype=bool)
+    bottom[rows, labs[:, :m // 2]] = True
+    top = np.zeros((k, m), dtype=bool)
+    top[rows, labs[:, m // 2:]] = True
+    return (bottom & top).sum(axis=1)
 
 
 def is_projection(a):

@@ -10,8 +10,12 @@ multiplied by the stack of generators in numpy batches
 (element, generator) order, so ids, words and Cayley graphs are those of
 a search taking one product at a time (Froidure & Pin 1997; East,
 Egri-Nagy, Mitchell & Peresse, Computing finite semigroups, 2019).
-Green's relations come from strongly connected components of the Cayley
-graphs; the J-order is the condensation reachability order.
+A closure keeps the search's label array (SemigroupClosure.labels, row i
+the diagram of id i) and its dict from label bytes to ids: elements[i]
+makes the Diagram of id i only when it is read, and index looks a diagram
+up by its key, so a closure that is only analysed makes no per-element
+object.  Green's relations come from strongly connected components of the
+Cayley graphs; the J-order is the condensation reachability order.
 
 Once a closure is built, no analysis multiplies diagrams again.  Every
 product of two elements is an integer operation on the closure
@@ -38,6 +42,7 @@ callers outside the family code.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +50,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import diagrams
-from .diagrams import Diagram, identity, _canon
+from .diagrams import Diagram, ElementSet, identity, _canon
 from .errors import (
     BadDegree,
     BadIndex,
@@ -69,18 +74,25 @@ class SemigroupClosure:
     A closure of diagram generators (closure, or closure_from_elements for
     an element set) holds the right Cayley graph over its multipliers and a
     BFS word per element; a table-backed one (from_table) holds its full
-    product table, every element being its own generator.  elements[i] is
-    the diagram of id i, or elements is None for a Rees quotient.
-    identity_id is the id of the two-sided identity when one exists (the
-    identity diagram for ordinary closures, the designated idempotent e
-    for local monoids e S e).
+    product table, every element being its own generator.  labels is the
+    read-only label array whose row i is the diagram of id i, or None for a
+    Rees quotient, whose ids stand for no diagram.  elements[i] is that
+    diagram, made from row i when it is read, and index maps a diagram to
+    its id through its key; both are None when labels is.  identity_id is
+    the id of the two-sided identity when one exists (the identity diagram
+    for ordinary closures, the designated idempotent e for local monoids
+    e S e).
     """
 
-    def __init__(self, degree, elements, index, gen_ids, multipliers,
+    def __init__(self, degree, labels, key_ids, gen_ids, multipliers,
                  right_cayley, parent, letter, identity_id):
+        """key_ids maps the bytes of each row of labels to its id; None
+        has it built from labels when first needed."""
         self.degree = degree
-        self.elements = elements
-        self.index = index
+        self.labels = labels
+        self.elements = None if labels is None else _Elements(degree, labels)
+        self._key_ids = key_ids
+        self._index = None
         self.generators = gen_ids
         self.multipliers = multipliers
         self.right_cayley = right_cayley
@@ -96,9 +108,10 @@ class SemigroupClosure:
         self._idempotents = None
 
     @classmethod
-    def from_table(cls, table, elements=None):
+    def from_table(cls, table, labels=None):
         """The semigroup over ids 0..m-1 whose m x m product table is table.
 
+        labels, when given, is the label array of the ids' diagrams.
         identity_id is worked out from the table as its unique two-sided
         identity, or None when it has none.
         """
@@ -107,17 +120,21 @@ class SemigroupClosure:
         ids = np.arange(m)
         ident = np.flatnonzero((table == ids).all(axis=1)
                                & (table == ids[:, None]).all(axis=0))
+        if labels is not None:
+            labels = np.array(labels)
+            labels.flags.writeable = False
         sg = cls(
-            degree=elements[0].n if elements else None,
-            elements=elements,
-            index=None if elements is None else {d: i for i, d in enumerate(elements)},
+            degree=None if labels is None else labels.shape[1] // 2,
+            labels=labels,
+            key_ids=None,
             gen_ids=list(range(m)),
-            multipliers=elements,
+            multipliers=None,
             right_cayley=table,
             parent=np.full(m, -1, dtype=np.int32),
             letter=np.arange(m, dtype=np.int32),
             identity_id=int(ident[0]) if ident.size else None,
         )
+        sg.multipliers = sg.elements
         sg._table = table
         sg._left_cayley = table.T.copy()
         return sg
@@ -125,8 +142,32 @@ class SemigroupClosure:
     def __len__(self):
         return self.size
 
-    def element_set(self):
-        return frozenset(self.elements)
+    def _key_id_map(self):
+        """The dict from the bytes of each row of labels to its id."""
+        if self._key_ids is None:
+            self._key_ids = dict(zip(diagrams.label_keys(self.labels),
+                                     range(self.size)))
+        return self._key_ids
+
+    @property
+    def index(self):
+        """The id of each element, as a mapping from diagrams (None for a
+        Rees quotient)."""
+        if self._index is None and self.labels is not None:
+            self._index = _Index(self.degree, self._key_id_map())
+        return self._index
+
+    def element_set(self, ids=None):
+        """The ElementSet of the elements at ids, or of all elements."""
+        labs = self.labels if ids is None else self.labels[np.asarray(ids, dtype=np.intp)]
+        return ElementSet(self.degree, labs)
+
+    def ids_of(self, labs):
+        """The id of the element of each row of a label array, -1 for a row
+        that is no element."""
+        key_ids = self._key_id_map()
+        return np.array([key_ids.get(k, -1) for k in diagrams.label_keys(labs)],
+                        dtype=np.int64)
 
     @property
     def left_cayley(self):
@@ -249,6 +290,67 @@ class SemigroupClosure:
             (ones, (rows, self.left_cayley.ravel())), shape=(m, m)
         )
         return right, left
+
+
+class _Elements(Sequence):
+    """The diagrams of a closure's ids, made from its label rows when read.
+
+    An item read on its own is made fresh; iterating makes them all once
+    and keeps them, so later reads share their decoded blocks.
+    """
+
+    def __init__(self, degree, labels):
+        self._degree = degree
+        self._labels = labels
+        self._made = None
+
+    def __len__(self):
+        return len(self._labels)
+
+    def __getitem__(self, i):
+        if self._made is not None:
+            return self._made[i]
+        if isinstance(i, slice):
+            return diagrams.from_label_array(self._labels[i])
+        return Diagram._from_key(self._degree, self._labels[i].tobytes())
+
+    def __iter__(self):
+        if self._made is None:
+            self._made = diagrams.from_label_array(self._labels)
+        return iter(self._made)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+class _Index(Mapping):
+    """Diagram -> id over a closure's dict from label bytes to ids."""
+
+    def __init__(self, degree, ids):
+        self._degree = degree
+        self._ids = ids
+
+    def __getitem__(self, d):
+        i = self.get(d)
+        if i is None:
+            raise KeyError(d)
+        return i
+
+    def get(self, d, default=None):
+        if not isinstance(d, Diagram) or d.n != self._degree:
+            return default
+        return self._ids.get(d.key, default)
+
+    def __iter__(self):
+        from_key = Diagram._from_key
+        return (from_key(self._degree, k) for k in self._ids)
+
+    def __len__(self):
+        return len(self._ids)
 
 
 class _RightCayleySearch:
@@ -386,13 +488,12 @@ class _RightCayleySearch:
 
     def closure(self):
         m = self.size
-        from_key = Diagram._from_key
-        # index holds the keys in id order, since ids are handed out in turn
-        elements = [from_key(self.degree, k) for k in self.index]
+        labels = self.labels[:m].copy()
+        labels.flags.writeable = False
         return SemigroupClosure(
             degree=self.degree,
-            elements=elements,
-            index={d: i for i, d in enumerate(elements)},
+            labels=labels,
+            key_ids=self.index,
             gen_ids=[self.index[g.key] for g in self.multipliers],
             multipliers=self.multipliers,
             right_cayley=self.rows[:m, :len(self.multipliers)].copy(),
@@ -462,8 +563,9 @@ def closure_from_elements(elems):
 def subsemigroup(sg, ids):
     """The closed id set ids of sg as a table-backed SemigroupClosure.
 
-    Its elements are sg's elements at ids, in the order given, and its
-    table is the restriction of sg's products, so no diagram is multiplied.
+    Its elements are sg's elements at ids, in the order given (none when sg
+    has none), and its table is the restriction of sg's products, so no
+    diagram is multiplied.
     Raises NotASubsemigroup when a product leaves ids, BadIndex when an id
     repeats, and BudgetExceeded when the table would be over
     TABLE_CELL_LIMIT cells.
@@ -481,7 +583,8 @@ def subsemigroup(sg, ids):
     if (table < 0).any():
         raise NotASubsemigroup(
             f"the {k} ids are not closed under the product")
-    return SemigroupClosure.from_table(table, [sg.elements[i] for i in ids.tolist()])
+    return SemigroupClosure.from_table(
+        table, None if sg.labels is None else sg.labels[ids])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ East, Generators and relations for partition monoids and algebras, J.
 Algebra 339, 2011), and the e_i, l_i, r_i of the Motzkin monoid for PJ
 (Dolinka, East and Gray, Motzkin monoids and partial Brauer monoids, J.
 Algebra 471, 2017).
+
+An instance holds its elements as an ElementSet, the closure's label array
+sorted by row bytes, so instances are compared, keyed by content and
+written to the cache as arrays, with no Diagram per element.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from functools import lru_cache
 
 from .diagrams import (
     Diagram,
+    ElementSet,
     Parity,
     _canon,
     adjacent_contraction,
@@ -48,7 +53,6 @@ from .diagrams import (
     is_jones,
     is_partial_brauer,
     is_planar,
-    label_array,
     parity,
     partial_identity,
     rotation,
@@ -61,12 +65,23 @@ FAMILY_IDS = ("C", "B", "PB", "J", "PJ", "A", "PA", "EA", "SYM")
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """A family at one degree: its elements and the generators that close to them.
+
+    elements is an ElementSet; any other iterable of diagrams given for it
+    is turned into one.
+    """
+
     family: str
     degree: int
     strategy: str  # "generated"; older cache files say "enumerated" or "rotated-planar"
-    elements: frozenset
+    elements: ElementSet
     generators: tuple = ()
     note: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.elements, ElementSet):
+            object.__setattr__(
+                self, "elements", ElementSet.of(self.elements, self.degree))
 
     @property
     def size(self):
@@ -201,14 +216,15 @@ _CLOSURE_CACHE = {}
 
 def _content_key(instance):
     return (instance.family, instance.degree, instance.strategy,
-            instance.generators, instance.elements)
+            tuple(g.key for g in instance.generators),
+            instance.elements.labels.tobytes())
 
 
 def _expected_size(family, n, budget):
     """The independent count the closure must match, or None (A and PA)."""
     if family == "EA":
-        elems = list(construct("A", n, budget=budget).elements)
-        return int(even_or_rank_zero(label_array(elems, n)).sum())
+        labs = construct("A", n, budget=budget).elements.labels
+        return int(even_or_rank_zero(labs).sum())
     form = CLOSED_FORMS.get(family)
     return None if form is None else form(n)
 
@@ -234,7 +250,7 @@ def _construct(family, n, budget):
             f"the independent count is {want}")
     instance = FamilyInstance(
         family=family, degree=n, strategy="generated",
-        elements=frozenset(sg.elements), generators=gens,
+        elements=sg.element_set(), generators=gens,
         note="closure of the generators and the identity",
     )
     _CLOSURE_CACHE[_content_key(instance)] = sg
@@ -299,7 +315,7 @@ def as_closure(instance, budget=None):
         gens = instance.generators or generators(instance.family, instance.degree)
         sg = closure(gens, include_identity=True,
                      budget=DEFAULT_BUDGET if budget is None else budget)
-        if frozenset(sg.elements) != instance.elements:
+        if sg.element_set() != instance.elements:
             raise CrossCheckFailed(
                 f"closure of the {instance.family}:{instance.degree} generators "
                 f"({sg.size} elements) differs from the instance ({instance.size})")

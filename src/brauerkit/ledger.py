@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagrams import encode
+from .diagrams import ElementSet, encode
 from .engine import (
     _PAIR_BATCH,
     essential_depth,
@@ -57,7 +57,7 @@ from .errors import (
     NotIdempotent,
     SideConditionFailed,
 )
-from .kernel import kernel, kernel_elements
+from .kernel import kernel
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Fact:
 class Registered:
     ref: InstanceRef
     sg: object  # SemigroupClosure
-    elements: frozenset | None
+    elements: ElementSet | frozenset | None  # frozenset only for a quotient
     description: str
 
 
@@ -167,8 +167,10 @@ class Ledger:
         ref = InstanceRef(kind, key)
         if ref in self.instances:
             raise ValueError(f"instance {key!r} already registered")
-        if elements is None and sg.elements is not None:
-            elements = frozenset(sg.elements)
+        if elements is None and sg.labels is not None:
+            elements = sg.element_set()
+        elif elements is not None and sg.degree is not None:
+            elements = ElementSet.of(elements, sg.degree)
         self.instances[ref] = Registered(ref, sg, elements, description)
         self._by_subject[ref] = []
         return ref
@@ -287,7 +289,10 @@ class Ledger:
         s = self._inst(s_ref)
         ideal = self._inst(ideal_ref)
         quot = self._inst(quotient_ref)
-        ids = sorted(s.sg.index[d] for d in ideal.elements)
+        ids = s.sg.ids_of(ideal.elements.labels)
+        if (ids < 0).any():
+            raise KeyError(f"{ideal_ref} has elements outside {s_ref}")
+        ids = sorted(ids.tolist())
 
         def ideal_ok():
             try:
@@ -322,13 +327,12 @@ class Ledger:
             f"element {encode(s.sg.elements[e_id])} squares to itself",
             rerun=lambda: s.sg.mul(e_id, e_id) == e_id, exc=NotIdempotent,
         )
-        ses = frozenset(s.sg.elements[i] for i in principal_ideal(s.sg, e_id))
+        ses = principal_ideal(s.sg, e_id)
+        ideal_ids = np.sort(s.sg.ids_of(ideal.elements.labels))
         c_i = self._require(
-            f"ideal-is-SeS({ideal_ref})", ses == ideal.elements,
+            f"ideal-is-SeS({ideal_ref})", np.array_equal(ses, ideal_ids),
             f"principal ideal has {len(ses)} elements",
-            rerun=lambda: frozenset(
-                s.sg.elements[i] for i in principal_ideal(s.sg, e_id)
-            ) == ideal.elements,
+            rerun=lambda: np.array_equal(principal_ideal(s.sg, e_id), ideal_ids),
         )
         ese = local_monoid(s.sg, e_id).element_set()
         c_l = self._require(
@@ -425,15 +429,13 @@ class Ledger:
             rerun=lambda: not is_aperiodic(s.sg),
         )
         res = kernel(s.sg)
-        kset = frozenset(kernel_elements(s.sg, res))
+        kset = s.sg.element_set(res.kernel_ids)
         ker = self._inst(kernel_ref)
         c3 = self._require(
             f"kernel-matches({kernel_ref})", kset == ker.elements,
             f"kernel fixpoint has {len(kset)} elements "
             f"after {res.iterations} rounds",
-            rerun=lambda: frozenset(
-                kernel_elements(s.sg, kernel(s.sg))
-            ) == ker.elements,
+            rerun=lambda: s.sg.element_set(kernel(s.sg).kernel_ids) == ker.elements,
         )
         self._apps.append(_RuleApp(
             "kernel-chain", {"s": s_ref, "k": kernel_ref}, (c1, c2, c3)

@@ -5,7 +5,11 @@ header naming the family, degree, and construction strategy, the
 generators, the sorted elements, and a trailing sha256 line over
 everything above it.  Format v2 writes each diagram as its label string:
 its label array (diagrams.label_array) with one base-36 digit per point,
-so degrees up to 18 fit, and a reader decodes all of them at once.
+so degrees up to 18 fit.  The element lines are the rows of the
+instance's ElementSet in order, which is sorted string order, and a
+reader decodes all of them at once into an ElementSet, with no Diagram
+per element; repeated lines are found as equal neighbours once the rows
+are sorted.
 Writes go through a temp file and os.replace, so a reader never sees a
 partial cache.  A stale format version is an error rather than a silent
 rebuild; callers that own construction (the gen command) catch it and
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagrams import from_label_array, label_array
+from .diagrams import ElementSet, from_label_array, label_array
 from .errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
 from .families import FamilyInstance, construct
 
@@ -52,10 +56,10 @@ def _checksum(body):
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def _label_strings(ds, n):
-    """The label strings of the degree-n diagrams ds."""
-    codes = np.frombuffer(_DIGITS, dtype=np.uint8)[label_array(ds, n)]
-    return codes.view(f"S{2 * n}").ravel().astype(str).tolist()
+def _label_strings(labs):
+    """The label strings of the rows of a label array."""
+    codes = np.frombuffer(_DIGITS, dtype=np.uint8)[labs]
+    return codes.view(f"S{labs.shape[1]}").ravel().astype(str).tolist()
 
 
 def _decode_labels(lines, n, what):
@@ -87,9 +91,10 @@ def save_cache(instance, path):
         f"strategy {instance.strategy}",
         f"generators {len(instance.generators)}",
     ]
-    lines.extend(_label_strings(instance.generators, n))
+    lines.extend(_label_strings(label_array(instance.generators, n)))
     lines.append(f"elements {instance.size}")
-    lines.extend(sorted(_label_strings(instance.elements, n)))
+    # rows in byte order are label strings in sorted order
+    lines.extend(_label_strings(instance.elements.labels))
     body = "\n".join(lines) + "\n"
     body += f"sha256 {_checksum(body)}\n"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -151,11 +156,9 @@ def load_cache(path):
     pos += 1
     if pos + n_elems != len(lines) - 1:
         raise ParseError(f"{path}: element count disagrees with line count")
-    element_lines = lines[pos:-1]
-    if len(set(element_lines)) != n_elems:
+    elements = ElementSet(degree, _decode_labels(lines[pos:-1], degree, path))
+    if len(elements) != n_elems:
         raise ParseError(f"{path}: duplicate elements in cache")
-    elements = frozenset(from_label_array(
-        _decode_labels(element_lines, degree, path)))
     return FamilyInstance(
         family=family, degree=degree, strategy=strategy,
         elements=elements, generators=generators,

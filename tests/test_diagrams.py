@@ -45,12 +45,14 @@ from brauerkit import (
     twist,
 )
 from brauerkit.diagrams import (
+    ElementSet,
     even_or_rank_zero,
     from_label_array,
     from_labels,
     label_array,
     labels,
     multiply_labels,
+    ranks,
 )
 from brauerkit.errors import (
     BadDegree,
@@ -240,6 +242,52 @@ def test_batched_product_edge_cases():
     assert multiply_labels(none, three).shape == (0, 1, 6)
     assert multiply_labels(three, none).shape == (1, 0, 6)
     assert multiply_labels(none, none).shape == (0, 0, 6)
+
+
+@pytest.mark.parametrize("family, n", [("PB", 3), ("C", 3)])
+def test_element_set_agrees_with_frozenset(family, n):
+    elems = construct(family, n).sorted_elements()
+    pick = random.Random(n).sample(elems, len(elems) // 2)
+    fs = frozenset(pick)
+    es = ElementSet.of(pick[::-1] + pick[:5], n)
+    assert es == fs and fs == es and not es != fs and set(pick) == es
+    assert hash(es) == hash(fs) == hash(ElementSet.of(pick, n))
+    assert len(es) == len(fs) and set(es) == fs
+    assert list(es) == sorted(fs, key=lambda d: d.key)
+    assert not es.labels.flags.writeable
+    assert all(d in es for d in pick)
+    assert not any(d in es for d in elems if d not in fs)
+    assert identity(n + 1) not in es and encode(pick[0]) not in es
+    whole = ElementSet.of(elems, n)
+    assert es <= whole and es < whole and whole >= es and whole > es
+    assert not whole <= es and not es >= whole
+    assert es <= frozenset(elems) and fs <= whole and fs < whole
+    smaller = ElementSet.of(pick[1:], n)
+    assert smaller != es and smaller <= es and not es <= smaller
+    assert whole - es == frozenset(elems) - fs
+    assert ElementSet.of([], n) <= es and not es <= ElementSet.of([], n)
+
+
+def test_element_sets_of_different_degrees_are_unequal():
+    one, two = ElementSet(1, [[0, 0], [0, 1]]), ElementSet(2, [[0, 0, 0, 1]])
+    assert one.labels.tobytes() == two.labels.tobytes()
+    assert one != two and not one <= two and not two >= one
+    assert ElementSet(2, np.empty((0, 4))) != ElementSet(3, np.empty((0, 6)))
+
+
+def test_element_set_orders_wide_degrees_by_row_bytes():
+    n = 64
+    ds = [rotation(n), identity(n), adjacent_contraction(n, 1),
+          adjacent_contraction(n, 1) * rotation(n)]
+    es = ElementSet.of(ds, n)
+    assert [d.key for d in es] == sorted(d.key for d in ds)
+    assert all(d in es for d in ds) and rotation(n) * rotation(n) not in es
+
+
+@pytest.mark.parametrize("family, n", [("PB", 4), ("C", 3)])
+def test_ranks_match_scalar_rank(family, n):
+    elems = list(construct(family, n).elements)
+    assert ranks(label_array(elems, n)).tolist() == [d.rank for d in elems]
 
 
 def test_multiply_requires_equal_degree():

@@ -31,8 +31,8 @@ from brauerkit import (
     save_cache,
 )
 from brauerkit import diagrams, families
-from brauerkit.diagrams import even_or_rank_zero, label_array
-from brauerkit.errors import BadDegree, BudgetExceeded, CrossCheckFailed
+from brauerkit.diagrams import ElementSet, even_or_rank_zero, label_array
+from brauerkit.errors import BadDegree, BudgetExceeded, CrossCheckFailed, DegreeMismatch
 
 from oracles import (
     oracle_annular,
@@ -246,6 +246,19 @@ def test_as_closure_cache_tells_same_size_instances_apart():
         views.append((inst, as_closure(inst)))
     for inst, sg in views:
         assert sg.element_set() == inst.elements
+
+
+def test_a_family_instance_holds_an_element_set():
+    inst = construct("B", 3)
+    given = FamilyInstance("B", 3, "generated", frozenset(inst.elements),
+                           inst.generators)
+    assert isinstance(inst.elements, ElementSet)
+    assert isinstance(given.elements, ElementSet)
+    assert given.elements == inst.elements and given.size == 15
+    assert hash(given) == hash(FamilyInstance("B", 3, "generated", inst.elements,
+                                              inst.generators))
+    with pytest.raises(DegreeMismatch):
+        FamilyInstance("B", 3, "generated", {identity(3), identity(2)})
 
 
 def test_rotated_planar_candidate_set_is_proper():

@@ -13,7 +13,9 @@ from brauerkit import (
     contraction,
     encode,
     from_permutation,
+    local_monoid,
     pad_embedding,
+    partial_identity,
     principal_ideal,
     rees_quotient,
     rotation,
@@ -200,6 +202,16 @@ def test_ideal_rule_rejects_non_ideal():
         led.apply_ideal_rule(ref, u_ref, q_ref)
 
 
+def test_ideal_rule_rejects_elements_outside_the_semigroup():
+    led = Ledger()
+    ref, sg = _family(led, "B", 3)
+    pb_ref, _ = _family(led, "PB", 3)
+    q = rees_quotient(sg, principal_ideal(sg, sg.index[contraction(3, 1, 2)]))
+    q_ref = led.register("quotient", "bogus", q, elements=frozenset())
+    with pytest.raises(KeyError):
+        led.apply_ideal_rule(ref, pb_ref, q_ref)
+
+
 def test_local_rule_rejects_non_idempotent():
     led = Ledger()
     ref, sg = _family(led, "B", 3)
@@ -207,6 +219,23 @@ def test_local_rule_rejects_non_idempotent():
     l_ref = led.register("local", "y", sg, elements=frozenset())
     with pytest.raises(NotIdempotent):
         led.apply_local_rule(ref, sg.index[rotation(3)], i_ref, l_ref)
+
+
+@pytest.mark.parametrize("wrong", ["whole", "outside"])
+def test_local_rule_rejects_an_ideal_other_than_ses(wrong):
+    led = Ledger()
+    ref, sg = _family(led, "B", 4)
+    e_id = sg.index[adjacent_contraction(4, 3)]
+    if wrong == "whole":
+        i_ref = led.register("ideal", "x", sg)
+    else:  # the principal ideal with one element of PB:4 in place of one of its own
+        ses = subsemigroup(sg, principal_ideal(sg, e_id)).element_set()
+        swapped = set(ses) - {adjacent_contraction(4, 3)} | {partial_identity(4, 1)}
+        i_ref = led.register("ideal", "x", sg, elements=swapped)
+    l_ref = led.register("local", "y", local_monoid(sg, e_id))
+    with pytest.raises(SideConditionFailed) as info:
+        led.apply_local_rule(ref, e_id, i_ref, l_ref)
+    assert info.value.condition.startswith("ideal-is-SeS")
 
 
 def test_principal_rule_requires_nontrivial_units():

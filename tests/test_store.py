@@ -2,18 +2,26 @@
 
 import hashlib
 import json
+import random
+from functools import lru_cache
 
 import pytest
 
 from brauerkit import (
+    Diagram,
     FamilyInstance,
+    as_closure,
     closure,
     construct,
     encode,
+    essential_depth,
+    green,
     identity,
+    is_aperiodic,
     load_cache,
     save_cache,
 )
+from brauerkit import families
 from brauerkit.cli import main
 from brauerkit.diagrams import from_labels
 from brauerkit.errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
@@ -111,6 +119,42 @@ def test_duplicate_elements_are_a_parse_error(b4_cache):
     _reseal(path, lines)
     with pytest.raises(ParseError, match="duplicate"):
         load_cache(path)
+
+
+def test_permuted_element_lines_load_equal(b4_cache):
+    inst, path = b4_cache
+    lines = path.read_text().splitlines()
+    start = lines.index(f"elements {inst.size}") + 1
+    body = lines[start:-1]
+    lines[start:-1] = random.Random(4).sample(body, len(body))
+    assert lines[start:-1] != body
+    _reseal(path, lines)
+    assert load_cache(path).elements == inst.elements
+
+
+@pytest.mark.parametrize("family, n", [("B", 5), ("A", 6)])
+def test_build_cache_round_trip_and_analysis_make_no_element_objects(
+        family, n, tmp_path, monkeypatch):
+    monkeypatch.setattr(families, "_construct",
+                        lru_cache(maxsize=None)(families._construct.__wrapped__))
+    monkeypatch.setattr(families, "_CLOSURE_CACHE", {})
+    made = []
+    from_key = Diagram._from_key
+
+    def counting_from_key(k, key):
+        made.append(key)
+        return from_key(k, key)
+
+    monkeypatch.setattr(Diagram, "_from_key", staticmethod(counting_from_key))
+    inst = construct(family, n)
+    loaded = load_cache(save_cache(inst, cache_path(tmp_path, family, n)))
+    families._CLOSURE_CACHE.clear()  # so as_closure closes the generators again
+    sg = as_closure(loaded)
+    green(sg)
+    is_aperiodic(sg)
+    essential_depth(sg)
+    assert sg.size == inst.size and loaded.elements == inst.elements
+    assert len(made) <= len(inst.generators)
 
 
 @pytest.mark.parametrize("degree", ["19", "0", "four"])
