@@ -28,7 +28,7 @@ from .engine import essential_depth, green, index_period, is_aperiodic, units
 from .errors import BrauerKitError, CrossCheckFailed
 from .families import CLOSED_FORMS, FAMILY_IDS, as_closure, construct
 from .kernel import kernel
-from .store import default_cache_dir, load_or_build, make_report
+from .store import cache_path, default_cache_dir, load_or_build, make_report
 from .verify import TARGETS, run_target
 
 FORMATS = ("json", "csv", "md")
@@ -88,10 +88,10 @@ def cmd_gen(args):
         json.dump(out, sys.stdout, indent=2)
         print()
     else:
-        path = default_cache_dir(args.cache_dir)
         for key, value in out.items():
             print(f"{key}: {value}")
-        print(f"cache: {path / (args.family + '-' + str(args.n) + '.cache')}")
+        path = cache_path(default_cache_dir(args.cache_dir), args.family, args.n)
+        print(f"cache: {path}")
     return 0
 
 
@@ -252,11 +252,6 @@ def cmd_complexity(args):
     return 0
 
 
-def _add_family_flags(sub, required=True):
-    sub.add_argument("--family", required=required, choices=FAMILY_IDS)
-    sub.add_argument("--n", type=int, required=required)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="brauerkit",
@@ -265,43 +260,25 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(budget=lambda p: p.add_argument("--budget", type=int, default=None),
-                  fmt=lambda p: p.add_argument("--format", choices=FORMATS,
-                                               default="md"),
-                  cache=lambda p: p.add_argument("--cache-dir", default=None))
-
     gen = subs.add_parser("gen", help="build a family and cache it")
-    _add_family_flags(gen)
-    common["budget"](gen)
-    common["fmt"](gen)
-    common["cache"](gen)
-    gen.set_defaults(func=cmd_gen)
-
     count = subs.add_parser("count", help="cardinalities for degrees 1..n")
-    _add_family_flags(count)
-    common["budget"](count)
-    common["fmt"](count)
-    count.set_defaults(func=cmd_count)
-
     grn = subs.add_parser("green", help="Green-structure table")
-    _add_family_flags(grn)
-    common["budget"](grn)
-    common["fmt"](grn)
-    grn.set_defaults(func=cmd_green)
-
     ker = subs.add_parser("kernel", help="group kernel of a family instance")
-    _add_family_flags(ker)
-    common["budget"](ker)
-    common["fmt"](ker)
-    ker.set_defaults(func=cmd_kernel)
+    for sub, func in ((gen, cmd_gen), (count, cmd_count), (grn, cmd_green),
+                      (ker, cmd_kernel)):
+        sub.add_argument("--family", required=True, choices=FAMILY_IDS)
+        sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--budget", type=int, default=None)
+        sub.add_argument("--format", choices=FORMATS, default="md")
+        sub.set_defaults(func=func)
+    gen.add_argument("--cache-dir", default=None)
 
     ver = subs.add_parser("verify", help="run verification targets")
     ver.add_argument("targets", nargs="+",
                      help="target ids, or 'all' for the full suite")
     ver.add_argument("--n", type=int, default=None,
                      help="override the default maximum degree")
-    common["budget"](ver)
-    common["fmt"](ver)
+    ver.add_argument("--format", choices=FORMATS, default="md")
     ver.set_defaults(func=cmd_verify)
 
     cpx = subs.add_parser("complexity", help="derived complexity intervals")
@@ -317,7 +294,7 @@ def build_parser():
                      help="shuffle the rule application order")
     cpx.add_argument("--verify-checks", type=int, default=0, metavar="N",
                      help="re-run N stored side-condition checks")
-    common["fmt"](cpx)
+    cpx.add_argument("--format", choices=FORMATS, default="md")
     cpx.set_defaults(func=cmd_complexity)
     return parser
 

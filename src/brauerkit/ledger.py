@@ -21,11 +21,15 @@ Rules:
   iso           isomorphic instances share an interval
   axiom         imported intervals, gated by an explicit allow-list
 
-The side conditions are checked over closure ids, never by multiplying
-diagrams: the iso rule maps a's ids to b's through the mapping's images
-(phi) and compares phi(x y) with phi(x) phi(y) for every pair of ids.
+Each side condition is one test returning (verdict, detail); the test is
+run once to record the check, and a check's rerun is that same test, so
+a replay runs the code that gave the stored verdict.  The side
+conditions are checked over closure ids, never by multiplying diagrams:
+the iso rule maps a's ids to b's through the mapping's images (phi) and
+compares phi(x y) with phi(x) phi(y) for every pair of ids.
 
-derive_all iterates the registered rule applications to a fixpoint; the
+Each rule application is data: its checks and its bound moves (see
+_RuleApp).  derive_all iterates the moves to a fixpoint; the
 result is order independent (monotone interval narrowing), which the test
 suite asserts by shuffled reruns.
 """
@@ -75,7 +79,7 @@ class Check:
     name: str
     passed: bool
     detail: str
-    rerun: object = None  # zero-argument callable reproducing the boolean
+    rerun: object = None  # the check's own test, giving the verdict; None for an axiom
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,23 @@ class Entry:
         return self.lo != self.hi
 
 
-@dataclass
+@dataclass(frozen=True)
 class _RuleApp:
+    """A rule application: its checks, and the bound moves it makes.
+
+    A move (dst, srcs, shift, lo, hi) narrows dst to the sum of the bounds
+    of srcs plus shift, floored at 0: the lower bound when lo is set, the
+    upper bound when hi is set.  Its premises are the sources' lo_facts,
+    then their hi_facts.
+    """
     kind: str
-    refs: dict
     checks: tuple
+    moves: tuple
+
+
+def _tied(a, b, shift=0):
+    """Moves giving a the interval of b plus shift, then b that of a minus it."""
+    return ((a, (b,), shift, True, True), (b, (a,), -shift, True, True))
 
 
 def _iso_ids(a_sg, b_sg, mapping):
@@ -183,14 +199,17 @@ class Ledger:
 
     # -- checks and facts --------------------------------------------------
 
-    def _add_check(self, name, passed, detail, rerun=None):
-        cid = f"chk-{len(self.checks)}"
-        self.checks[cid] = Check(cid, name, bool(passed), detail, rerun)
-        return cid
+    def _check(self, name, test, exc=SideConditionFailed):
+        """Record test()'s (verdict, detail); test itself is the rerun.
 
-    def _require(self, name, passed, detail, rerun=None, exc=SideConditionFailed):
-        cid = self._add_check(name, passed, detail, rerun)
-        if not passed:
+        A failed verdict raises exc, unless exc is None (base facts only
+        record).
+        """
+        passed, detail = test()
+        cid = f"chk-{len(self.checks)}"
+        self.checks[cid] = Check(cid, name, bool(passed), detail,
+                                 lambda: bool(test()[0]))
+        if not passed and exc is not None:
             if exc is SideConditionFailed:
                 raise SideConditionFailed(name, detail)
             raise exc(f"{name}: {detail}")
@@ -229,49 +248,40 @@ class Ledger:
     # -- base facts --------------------------------------------------------
 
     def assert_base_facts(self, ref, compute_kernel=False):
-        inst = self._inst(ref)
-        sg = inst.sg
-        facts = []
-        aper = is_aperiodic(sg)
-        if aper:
-            c_aper = self._add_check(
-                f"aperiodic({ref})", True, "trivial subgroups only",
-                rerun=lambda: is_aperiodic(sg),
-            )
-            facts.append(self._add_fact(ref, 0, 0, "base-aperiodic", checks=(c_aper,)))
-            return facts
-        c_aper = self._add_check(
-            f"non-aperiodic({ref})", True, "contains a non-trivial subgroup",
-            rerun=lambda: not is_aperiodic(sg),
-        )
+        sg = self._inst(ref).sg
+        if is_aperiodic(sg):
+            c_aper = self._check(
+                f"aperiodic({ref})",
+                lambda: (is_aperiodic(sg), "trivial subgroups only"), exc=None)
+            return [self._add_fact(ref, 0, 0, "base-aperiodic", checks=(c_aper,))]
+        c_aper = self._check(
+            f"non-aperiodic({ref})",
+            lambda: (not is_aperiodic(sg), "contains a non-trivial subgroup"),
+            exc=None)
         depth = essential_depth(sg)
-        c_depth = self._add_check(
-            f"essential-depth({ref})", True, f"depth {depth}",
-            rerun=lambda: essential_depth(sg) == depth,
-        )
-        facts.append(
-            self._add_fact(ref, 1, depth, "base-depth", checks=(c_aper, c_depth))
-        )
+        c_depth = self._check(
+            f"essential-depth({ref})",
+            lambda: (essential_depth(sg) == depth, f"depth {depth}"), exc=None)
+        facts = [self._add_fact(ref, 1, depth, "base-depth", checks=(c_aper, c_depth))]
         if is_inverse(sg):
-            c_inv = self._add_check(
-                f"inverse({ref})", True,
-                "all elements regular, idempotents commute",
-                rerun=lambda: is_inverse(sg),
-            )
+            c_inv = self._check(
+                f"inverse({ref})",
+                lambda: (is_inverse(sg), "all elements regular, idempotents commute"),
+                exc=None)
             facts.append(self._add_fact(ref, 0, 1, "base-inverse", checks=(c_inv,)))
         if compute_kernel:
-            res = kernel(sg)
-            c_ker = self._add_check(
-                f"kernel-aperiodic({ref})", res.is_aperiodic,
-                f"kernel has {len(res.kernel_ids)} elements, "
-                + ("aperiodic" if res.is_aperiodic
-                   else f"witness {encode(sg.elements[res.witness])}"),
-                rerun=lambda: kernel(sg).is_aperiodic,
-            )
-            if res.is_aperiodic:
-                facts.append(
-                    self._add_fact(ref, 0, 1, "base-kernel-aperiodic", checks=(c_ker,))
-                )
+            def kernel_aperiodic():
+                res = kernel(sg)
+                return res.is_aperiodic, (
+                    f"kernel has {len(res.kernel_ids)} elements, "
+                    + ("aperiodic" if res.is_aperiodic
+                       else f"witness {encode(sg.elements[res.witness])}"))
+
+            c_ker = self._check(f"kernel-aperiodic({ref})", kernel_aperiodic,
+                                exc=None)
+            if self.checks[c_ker].passed:
+                facts.append(self._add_fact(ref, 0, 1, "base-kernel-aperiodic",
+                                            checks=(c_ker,)))
         return facts
 
     def add_axiom(self, ref, lo, hi, note):
@@ -280,7 +290,8 @@ class Ledger:
             raise SideConditionFailed(
                 "axiom-allow-list", f"{ref} is not on the axiom allow-list"
             )
-        cid = self._add_check(f"axiom({ref})", True, note)
+        cid = self._check(f"axiom({ref})", lambda: (True, note), exc=None)
+        self.checks[cid].rerun = None  # an imported interval has nothing to rerun
         return self._add_fact(ref, lo, hi, "axiom", checks=(cid,))
 
     # -- rule registration (eager side-condition verification) -------------
@@ -294,281 +305,189 @@ class Ledger:
             raise KeyError(f"{ideal_ref} has elements outside {s_ref}")
         ids = sorted(ids.tolist())
 
-        def ideal_ok():
+        def two_sided():
             try:
                 rees_quotient(s.sg, ids)
-                return True
+                ok = True
             except NotAnIdeal:
-                return False
+                ok = False
+            return ok, f"{len(ids)} elements closed under outer multiplication"
 
-        c1 = self._require(
-            f"two-sided-ideal({ideal_ref} in {s_ref})", ideal_ok(),
-            f"{len(ids)} elements closed under outer multiplication",
-            rerun=ideal_ok, exc=NotAnIdeal,
-        )
-        rebuilt = rees_quotient(s.sg, ids)
-        same = (rebuilt.size == quot.sg.size
-                and (rebuilt.product_table() == quot.sg.product_table()).all())
-        c2 = self._require(
-            f"quotient-matches({quotient_ref})", same,
-            f"Rees quotient of size {rebuilt.size} with adjoined zero",
-            rerun=lambda: (rees_quotient(s.sg, ids).product_table()
-                           == quot.sg.product_table()).all(),
+        def quotient_matches():
+            rebuilt = rees_quotient(s.sg, ids)
+            return (np.array_equal(rebuilt.product_table(), quot.sg.product_table()),
+                    f"Rees quotient of size {rebuilt.size} with adjoined zero")
+
+        checks = (
+            self._check(f"two-sided-ideal({ideal_ref} in {s_ref})", two_sided,
+                        exc=NotAnIdeal),
+            self._check(f"quotient-matches({quotient_ref})", quotient_matches),
         )
         self._apps.append(_RuleApp(
-            "ideal", {"s": s_ref, "i": ideal_ref, "q": quotient_ref}, (c1, c2)
-        ))
+            "ideal", checks, ((s_ref, (ideal_ref, quotient_ref), 0, False, True),)))
 
-    def _check_local_pair(self, s, e_id, ideal_ref, local_ref):
-        ideal = self._inst(ideal_ref)
+    def _check_local_is_ese(self, sg, e_id, local_ref):
         local = self._inst(local_ref)
-        self._require(
-            f"idempotent(e in {s.ref})", s.sg.mul(e_id, e_id) == e_id,
-            f"element {encode(s.sg.elements[e_id])} squares to itself",
-            rerun=lambda: s.sg.mul(e_id, e_id) == e_id, exc=NotIdempotent,
-        )
-        ses = principal_ideal(s.sg, e_id)
-        ideal_ids = np.sort(s.sg.ids_of(ideal.elements.labels))
-        c_i = self._require(
-            f"ideal-is-SeS({ideal_ref})", np.array_equal(ses, ideal_ids),
-            f"principal ideal has {len(ses)} elements",
-            rerun=lambda: np.array_equal(principal_ideal(s.sg, e_id), ideal_ids),
-        )
-        ese = local_monoid(s.sg, e_id).element_set()
-        c_l = self._require(
-            f"local-is-eSe({local_ref})", ese == local.elements,
-            f"local monoid has {len(ese)} elements",
-            rerun=lambda: local_monoid(s.sg, e_id).element_set() == local.elements,
-        )
-        return c_i, c_l
+
+        def local_is_ese():
+            ese = local_monoid(sg, e_id).element_set()
+            return ese == local.elements, f"local monoid has {len(ese)} elements"
+
+        return self._check(f"local-is-eSe({local_ref})", local_is_ese)
 
     def apply_local_rule(self, s_ref, e_id, ideal_ref, local_ref):
-        s = self._inst(s_ref)
-        c_i, c_l = self._check_local_pair(s, e_id, ideal_ref, local_ref)
-        self._apps.append(_RuleApp(
-            "local", {"i": ideal_ref, "l": local_ref}, (c_i, c_l)
-        ))
+        sg = self._inst(s_ref).sg
+        ideal = self._inst(ideal_ref)
+        squares = f"element {encode(sg.elements[e_id])} squares to itself"
+        self._check(f"idempotent(e in {s_ref})",
+                    lambda: (sg.mul(e_id, e_id) == e_id, squares), exc=NotIdempotent)
+        ideal_ids = np.sort(sg.ids_of(ideal.elements.labels))
+
+        def ideal_is_ses():
+            ses = principal_ideal(sg, e_id)
+            return (np.array_equal(ses, ideal_ids),
+                    f"principal ideal has {len(ses)} elements")
+
+        checks = (self._check(f"ideal-is-SeS({ideal_ref})", ideal_is_ses),
+                  self._check_local_is_ese(sg, e_id, local_ref))
+        self._apps.append(_RuleApp("local", checks, _tied(ideal_ref, local_ref)))
 
     def apply_principal_rule(self, s_ref, e_id, local_ref,
                              unit_gen_ids=None, idempotent_pool_ids=None):
-        s = self._inst(s_ref)
-        sg = s.sg
-        unit_ids = set(units(sg))
-        c1 = self._require(
-            f"units-nontrivial({s_ref})", len(unit_ids) > 1,
-            f"group of units has order {len(unit_ids)}",
-            rerun=lambda: len(units(sg)) > 1,
-        )
-        nonunit_idem = sg.mul(e_id, e_id) == e_id and e_id not in unit_ids
-        c2 = self._require(
-            f"idempotent-nonunit(e in {s_ref})", nonunit_idem,
-            f"element {encode(sg.elements[e_id])} is an idempotent outside the units",
-            rerun=lambda: sg.mul(e_id, e_id) == e_id and e_id not in set(units(sg)),
-        )
-        gens = sorted(unit_ids) if unit_gen_ids is None else sorted(unit_gen_ids)
-        units_gen = set(generated_subsemigroup(sg, gens)) == unit_ids
-        c3 = self._require(
-            f"unit-generators({s_ref})", units_gen,
-            f"{len(gens)} generators span the {len(unit_ids)} units",
-            rerun=lambda: set(generated_subsemigroup(sg, gens)) == set(units(sg)),
-        )
-        whole = len(generated_subsemigroup(sg, gens + [e_id])) == sg.size
-        c4 = self._require(
-            f"units-and-e-generate({s_ref})", whole,
-            "units together with e generate the whole monoid",
-            rerun=lambda: len(generated_subsemigroup(sg, gens + [e_id])) == sg.size,
-        )
+        sg = self._inst(s_ref).sg
+        unit_ids = units(sg)
+        gens = sorted(unit_ids if unit_gen_ids is None else unit_gen_ids)
+        pool = (list(sg.idempotent_ids()) if idempotent_pool_ids is None
+                else sorted(idempotent_pool_ids))
         ses_ids = principal_ideal(sg, e_id)
+        outside = (f"element {encode(sg.elements[e_id])} is an idempotent "
+                   "outside the units")
 
-        if idempotent_pool_ids is None:
-            pool = list(sg.idempotent_ids())
-        else:
-            pool = sorted(idempotent_pool_ids)
+        def units_nontrivial():
+            order = len(units(sg))
+            return order > 1, f"group of units has order {order}"
+
         def pool_idempotent():
             ids = np.asarray(pool, dtype=np.int64)
-            return bool((sg.multiply(ids, ids) == ids).all())
+            return (bool((sg.multiply(ids, ids) == ids).all()),
+                    f"all {len(pool)} pool elements are idempotent")
 
-        c5 = self._require(
-            f"pool-idempotent({s_ref})", pool_idempotent(),
-            f"all {len(pool)} pool elements are idempotent",
-            rerun=pool_idempotent,
+        checks = (
+            self._check(f"units-nontrivial({s_ref})", units_nontrivial),
+            self._check(
+                f"idempotent-nonunit(e in {s_ref})",
+                lambda: (sg.mul(e_id, e_id) == e_id and e_id not in units(sg),
+                         outside)),
+            self._check(
+                f"unit-generators({s_ref})",
+                lambda: (generated_subsemigroup(sg, gens) == units(sg),
+                         f"{len(gens)} generators span the {len(unit_ids)} units")),
+            self._check(
+                f"units-and-e-generate({s_ref})",
+                lambda: (len(generated_subsemigroup(sg, gens + [e_id])) == sg.size,
+                         "units together with e generate the whole monoid")),
+            self._check(f"pool-idempotent({s_ref})", pool_idempotent),
+            self._check(
+                f"SeS-in-idempotent-span({s_ref})",
+                lambda: (set(ses_ids) <= set(generated_subsemigroup(sg, pool)),
+                         f"ideal of {len(ses_ids)} elements inside the idempotent span")),
+            self._check_local_is_ese(sg, e_id, local_ref),
         )
-
-        def covered():
-            return set(ses_ids) <= set(generated_subsemigroup(sg, pool))
-
-        c6 = self._require(
-            f"SeS-in-idempotent-span({s_ref})", covered(),
-            f"ideal of {len(ses_ids)} elements inside the idempotent span",
-            rerun=covered,
-        )
-        ese = local_monoid(sg, e_id).element_set()
-        local = self._inst(local_ref)
-        c7 = self._require(
-            f"local-is-eSe({local_ref})", ese == local.elements,
-            f"local monoid has {len(ese)} elements",
-            rerun=lambda: local_monoid(sg, e_id).element_set() == local.elements,
-        )
-        self._apps.append(_RuleApp(
-            "principal", {"s": s_ref, "l": local_ref}, (c1, c2, c3, c4, c5, c6, c7)
-        ))
+        self._apps.append(_RuleApp("principal", checks, _tied(s_ref, local_ref, 1)))
 
     def apply_kernel_chain_rule(self, s_ref, kernel_ref):
-        s = self._inst(s_ref)
-        chain = t1_chain(s.sg)
-        c1 = self._require(
-            f"t1-chain({s_ref})", chain is not None,
-            "no left-order chain over the generator pool" if chain is None
-            else "generators chain as "
-            + " <= ".join(encode(s.sg.elements[i]) for i in chain),
-            rerun=lambda: t1_chain(s.sg) is not None,
-        )
-        c2 = self._require(
-            f"non-aperiodic({s_ref})", not is_aperiodic(s.sg),
-            "contains a non-trivial subgroup",
-            rerun=lambda: not is_aperiodic(s.sg),
-        )
-        res = kernel(s.sg)
-        kset = s.sg.element_set(res.kernel_ids)
+        sg = self._inst(s_ref).sg
         ker = self._inst(kernel_ref)
-        c3 = self._require(
-            f"kernel-matches({kernel_ref})", kset == ker.elements,
-            f"kernel fixpoint has {len(kset)} elements "
-            f"after {res.iterations} rounds",
-            rerun=lambda: s.sg.element_set(kernel(s.sg).kernel_ids) == ker.elements,
+
+        def chain():
+            ids = t1_chain(sg)
+            return ids is not None, (
+                "no left-order chain over the generator pool" if ids is None
+                else "generators chain as "
+                + " <= ".join(encode(sg.elements[i]) for i in ids))
+
+        def kernel_matches():
+            res = kernel(sg)
+            kset = sg.element_set(res.kernel_ids)
+            return kset == ker.elements, (f"kernel fixpoint has {len(kset)} elements "
+                                          f"after {res.iterations} rounds")
+
+        checks = (
+            self._check(f"t1-chain({s_ref})", chain),
+            self._check(f"non-aperiodic({s_ref})",
+                        lambda: (not is_aperiodic(sg), "contains a non-trivial subgroup")),
+            self._check(f"kernel-matches({kernel_ref})", kernel_matches),
         )
         self._apps.append(_RuleApp(
-            "kernel-chain", {"s": s_ref, "k": kernel_ref}, (c1, c2, c3)
-        ))
+            "kernel-chain", checks, ((s_ref, (kernel_ref,), 1, True, False),)))
 
     def apply_subsemigroup_rule(self, t_ref, s_ref):
-        t = self._inst(t_ref)
-        s = self._inst(s_ref)
-        if t.elements is None or s.elements is None:
+        t = self._inst(t_ref).elements
+        s = self._inst(s_ref).elements
+        if t is None or s is None:
             raise NotASubsemigroup("element sets unavailable for containment")
-        contained = t.elements <= s.elements
-        c1 = self._require(
-            f"subset({t_ref} in {s_ref})", contained,
-            f"{len(t.elements)} elements inside {len(s.elements)}",
-            rerun=lambda: t.elements <= s.elements, exc=NotASubsemigroup,
-        )
-        self._apps.append(_RuleApp("sub", {"t": t_ref, "s": s_ref}, (c1,)))
+        c1 = self._check(f"subset({t_ref} in {s_ref})",
+                         lambda: (t <= s, f"{len(t)} elements inside {len(s)}"),
+                         exc=NotASubsemigroup)
+        self._apps.append(_RuleApp("sub", (c1,), (
+            (s_ref, (t_ref,), 0, True, False), (t_ref, (s_ref,), 0, False, True))))
 
     def apply_isomorphism_rule(self, a_ref, b_ref, mapping):
-        a = self._inst(a_ref)
-        b = self._inst(b_ref)
-        m = a.sg.size
-        c1 = self._require(
-            f"iso-bijection({a_ref} -> {b_ref})",
-            _iso_bijective(a.sg, b.sg, mapping),
-            f"mapping is a bijection on {m} elements",
-            rerun=lambda: _iso_bijective(a.sg, b.sg, mapping),
+        a = self._inst(a_ref).sg
+        b = self._inst(b_ref).sg
+        checks = (
+            self._check(f"iso-bijection({a_ref} -> {b_ref})",
+                        lambda: (_iso_bijective(a, b, mapping),
+                                 f"mapping is a bijection on {a.size} elements")),
+            self._check(f"iso-multiplicative({a_ref} -> {b_ref})",
+                        lambda: (_iso_multiplicative(a, b, mapping),
+                                 f"checked all {a.size ** 2} products")),
         )
-        c2 = self._require(
-            f"iso-multiplicative({a_ref} -> {b_ref})",
-            _iso_multiplicative(a.sg, b.sg, mapping),
-            f"checked all {m ** 2} products",
-            rerun=lambda: _iso_multiplicative(a.sg, b.sg, mapping),
-        )
-        self._apps.append(_RuleApp("iso", {"a": a_ref, "b": b_ref}, (c1, c2)))
+        self._apps.append(_RuleApp("iso", checks, _tied(a_ref, b_ref)))
 
     # -- propagation -------------------------------------------------------
 
-    def _narrow(self, ref, lo, hi, rule, premises, checks):
-        cur = self.current(ref)
-        new_lo = max(cur.lo, lo)
-        new_hi = cur.hi if hi is None else min(cur.hi, hi)
+    def _move(self, app, dst, srcs, shift, lo, hi):
+        """Narrow dst to the summed bounds of srcs plus shift, floored at 0."""
+        cur = self.current(dst)
+        have = [self.current(r) for r in srcs]
+        new_lo = max(cur.lo, sum(c.lo for c in have) + shift) if lo else cur.lo
+        new_hi = min(cur.hi, max(0, sum(c.hi for c in have) + shift)) if hi else cur.hi
         if new_lo > new_hi:
-            raise RuntimeError(
-                f"rule {rule} drives {ref} to the empty interval "
-                f"[{new_lo},{new_hi}]"
-            )
-        if new_lo == cur.lo and new_hi == cur.hi:
+            raise RuntimeError(f"rule {app.kind} drives {dst} to the empty "
+                               f"interval [{new_lo},{new_hi}]")
+        if (new_lo, new_hi) == (cur.lo, cur.hi):
             return False
-        support = ()
-        if new_lo == cur.lo:
-            support += cur.lo_facts
-        if new_hi == cur.hi:
-            support += cur.hi_facts
-        self._add_fact(ref, new_lo, new_hi, rule,
-                       premises=tuple(premises) + support, checks=checks)
+        premises = [f for c in have if lo for f in c.lo_facts]
+        premises += [f for c in have if hi for f in c.hi_facts]
+        premises += cur.lo_facts if new_lo == cur.lo else ()
+        premises += cur.hi_facts if new_hi == cur.hi else ()
+        self._add_fact(dst, new_lo, new_hi, app.kind, premises, app.checks)
         return True
-
-    def _propagate(self, app):
-        k = app.kind
-        if k == "ideal":
-            s, i, q = app.refs["s"], app.refs["i"], app.refs["q"]
-            ci, cq = self.current(i), self.current(q)
-            return self._narrow(
-                s, 0, ci.hi + cq.hi, "ideal",
-                ci.hi_facts + cq.hi_facts, app.checks,
-            )
-        if k == "local":
-            i, l = app.refs["i"], app.refs["l"]
-            ci, cl = self.current(i), self.current(l)
-            changed = self._narrow(i, cl.lo, cl.hi, "local",
-                                   cl.lo_facts + cl.hi_facts, app.checks)
-            cl = self.current(l)
-            ci = self.current(i)
-            changed |= self._narrow(l, ci.lo, ci.hi, "local",
-                                    ci.lo_facts + ci.hi_facts, app.checks)
-            return changed
-        if k == "principal":
-            s, l = app.refs["s"], app.refs["l"]
-            cl = self.current(l)
-            changed = self._narrow(s, cl.lo + 1, cl.hi + 1, "principal",
-                                   cl.lo_facts + cl.hi_facts, app.checks)
-            cs = self.current(s)
-            changed |= self._narrow(l, max(cs.lo - 1, 0), max(cs.hi - 1, 0),
-                                    "principal", cs.lo_facts + cs.hi_facts,
-                                    app.checks)
-            return changed
-        if k == "kernel-chain":
-            s, kref = app.refs["s"], app.refs["k"]
-            ck = self.current(kref)
-            return self._narrow(s, ck.lo + 1, None, "kernel-chain",
-                                ck.lo_facts, app.checks)
-        if k == "sub":
-            t, s = app.refs["t"], app.refs["s"]
-            ct, cs = self.current(t), self.current(s)
-            changed = self._narrow(s, ct.lo, None, "sub", ct.lo_facts, app.checks)
-            cs = self.current(s)
-            changed |= self._narrow(t, 0, cs.hi, "sub", cs.hi_facts, app.checks)
-            return changed
-        if k == "iso":
-            a, b = app.refs["a"], app.refs["b"]
-            ca, cb = self.current(a), self.current(b)
-            changed = self._narrow(a, cb.lo, cb.hi, "iso",
-                                   cb.lo_facts + cb.hi_facts, app.checks)
-            cb = self.current(b)
-            ca = self.current(a)
-            changed |= self._narrow(b, ca.lo, ca.hi, "iso",
-                                    ca.lo_facts + ca.hi_facts, app.checks)
-            return changed
-        raise ValueError(f"unknown rule kind {k!r}")
 
     def derive_all(self, exclude_rules=(), order_seed=None):
         """Iterate all registered rule applications to the fixpoint."""
         for ref in self.instances:
             if not self._by_subject[ref]:
                 raise RuntimeError(f"{ref} has no base facts; derive would be vacuous")
-        apps = [a for a in self._apps if a.kind not in set(exclude_rules)]
+        skip = set(exclude_rules)
+        apps = [a for a in self._apps if a.kind not in skip]
         if order_seed is not None:
-            apps = list(apps)
             random.Random(order_seed).shuffle(apps)
         changed = True
         while changed:
             changed = False
             for app in apps:
-                changed |= self._propagate(app)
+                for move in app.moves:
+                    changed |= self._move(app, *move)
         return {ref: self.current(ref) for ref in self.instances}
 
     # -- reporting ---------------------------------------------------------
 
-    def derivation_tree(self, ref, _seen=None):
+    def derivation_tree(self, ref):
         """Nested view of the facts supporting the current interval."""
         cur = self.current(ref)
-        seen = set() if _seen is None else _seen
+        seen = set()
 
         def fact_node(fid):
             f = self.facts[fid]

@@ -226,8 +226,21 @@ def _family_filters(n):
 # generation of singular parts
 
 
-def _singular_set(sg):
-    return {sg.elements[i] for i in singular_part(sg)}
+def _singular_generation(code, degrees, contractions):
+    """Whether contractions(k) generate the singular part of code:k, each k."""
+    ok = True
+    sizes = {}
+    for k in degrees:
+        sg = as_closure(construct(code, k))
+        span = closure(contractions(k)).element_set()
+        ok &= span == sg.element_set(singular_part(sg))
+        sizes[k] = len(span)
+    return ok, {"singular_sizes": sizes}
+
+
+def _adjacent_with_wrap(k):
+    """The n adjacent contractions, including the wrapping one (n, 1)."""
+    return [adjacent_contraction(k, i) for i in range(1, k + 1)]
 
 
 @_target("sing-brauer",
@@ -235,16 +248,8 @@ def _singular_set(sg):
          "contractions",
          n=5)
 def _sing_brauer(n):
-    ok = True
-    sizes = {}
-    for k in range(2, n + 1):
-        sg = as_closure(construct("B", k))
-        gens = [contraction(k, i, j)
-                for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        span = set(closure(gens).elements)
-        ok &= span == _singular_set(sg)
-        sizes[k] = len(span)
-    return ok, {"singular_sizes": sizes}
+    return _singular_generation("B", range(2, n + 1), lambda k: [
+        contraction(k, i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
 
 
 @_target("sing-jones",
@@ -252,16 +257,8 @@ def _sing_brauer(n):
          "contractions",
          n=8)
 def _sing_jones(n):
-    ok = True
-    sizes = {}
-    for k in range(2, n + 1):
-        sg = as_closure(construct("J", k))
-        span = set(closure(
-            [adjacent_contraction(k, i) for i in range(1, k)]
-        ).elements)
-        ok &= span == _singular_set(sg)
-        sizes[k] = len(span)
-    return ok, {"singular_sizes": sizes}
+    return _singular_generation("J", range(2, n + 1), lambda k: [
+        adjacent_contraction(k, i) for i in range(1, k)])
 
 
 @_target("sing-ea",
@@ -269,16 +266,7 @@ def _sing_jones(n):
          "contractions including the wrapping one",
          n=6)
 def _sing_ea(n):
-    ok = True
-    sizes = {}
-    for k in range(2, n + 1, 2):
-        sg = as_closure(construct("EA", k))
-        span = set(closure(
-            [adjacent_contraction(k, i) for i in range(1, k + 1)]
-        ).elements)
-        ok &= span == _singular_set(sg)
-        sizes[k] = len(span)
-    return ok, {"singular_sizes": sizes}
+    return _singular_generation("EA", range(2, n + 1, 2), _adjacent_with_wrap)
 
 
 @_target("sing-annular-odd",
@@ -286,20 +274,7 @@ def _sing_ea(n):
          "n adjacent contractions",
          n=7)
 def _sing_annular_odd(n):
-    ok = True
-    sizes = {}
-    for k in range(3, n + 1, 2):
-        if k <= 6:
-            sg = as_closure(construct("A", k))
-        else:
-            sg = closure([rotation(k), adjacent_contraction(k, 1)],
-                         include_identity=True)
-        span = set(closure(
-            [adjacent_contraction(k, i) for i in range(1, k + 1)]
-        ).elements)
-        ok &= span == _singular_set(sg)
-        sizes[k] = len(span)
-    return ok, {"singular_sizes": sizes}
+    return _singular_generation("A", range(3, n + 1, 2), _adjacent_with_wrap)
 
 
 @_target("sing-annular-even",
@@ -398,10 +373,7 @@ def _depth(n):
     ok = True
     depths = {}
     for k in range(2, n + 1):
-        if k <= 6:
-            sg = as_closure(construct("B", k))
-        else:
-            sg = closure(generators("B", k), include_identity=True)
+        sg = as_closure(construct("B", k))
         depths[f"B:{k}"] = essential_depth(sg)
         ok &= depths[f"B:{k}"] == k // 2
     a4 = as_closure(construct("A", 4))

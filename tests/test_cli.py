@@ -52,7 +52,7 @@ def test_gen_md_mentions_cache_path(cache_dir, capsys):
     code, out, _ = _run(capsys, "gen", "--family", "J", "--n", "4")
     assert code == 0
     assert "count: 14" in out
-    assert str(cache_dir / "J-4.cache") in out
+    assert out.splitlines()[-1] == f"cache: {cache_dir / 'J-4.cache'}"
 
 
 def test_gen_respects_explicit_cache_dir_flag(tmp_path, capsys):
@@ -311,4 +311,10 @@ def test_version_flag(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--n", "3"])
+    assert info.value.code == 2
+
+
+def test_verify_takes_no_budget_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "codec", "--budget", "5"])
     assert info.value.code == 2

@@ -1,5 +1,6 @@
 """Bound ledger: base facts, rules, propagation, reporting."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from brauerkit import (
     principal_ideal,
     rees_quotient,
     rotation,
+    singular_part,
     subsemigroup,
     units,
 )
@@ -210,6 +212,23 @@ def test_ideal_rule_rejects_elements_outside_the_semigroup():
     q_ref = led.register("quotient", "bogus", q, elements=frozenset())
     with pytest.raises(KeyError):
         led.apply_ideal_rule(ref, pb_ref, q_ref)
+
+
+def test_a_quotient_of_another_size_fails_and_reruns_to_false():
+    led = Ledger()
+    ref, sg = _family(led, "B", 3)
+    ideal = singular_part(sg)
+    i_ref = led.register("ideal", "sing(B:3)", subsemigroup(sg, ideal))
+    b4 = as_closure(construct("B", 4))
+    q_ref = led.register("quotient", "quot(B:4/sing)",
+                         rees_quotient(b4, singular_part(b4)),
+                         elements=frozenset())
+    with pytest.raises(SideConditionFailed) as info:
+        led.apply_ideal_rule(ref, i_ref, q_ref)
+    assert info.value.condition == "quotient-matches(quot(B:4/sing))"
+    check = _check(led, "quotient-matches")
+    assert not check.passed and check.rerun() is False
+    assert led.verify_sample() == 2
 
 
 def test_local_rule_rejects_non_idempotent():
@@ -459,3 +478,27 @@ def test_derivation_order_does_not_change_the_fixpoint():
         return {ref.key: (e.lo, e.hi) for ref, e in entries.items()}
 
     assert run(1) == run(42)
+
+
+def _ledger_digest(led):
+    """sha256 of every check, every fact and every derivation tree."""
+    doc = {
+        "checks": [[c.check_id, c.name, c.passed, c.detail]
+                   for c in led.checks.values()],
+        "facts": [[f.fact_id, f.subject.kind, f.subject.key, f.lo, f.hi, f.rule,
+                   list(f.premises), list(f.checks)] for f in led.facts],
+        "trees": [led.derivation_tree(ref) for ref in led.instances],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_the_standard_ledger_is_pinned():
+    """Check wording, fact numbering and derivation trees, byte for byte.
+
+    Any change to a check's name or detail, to the order in which checks
+    or facts are recorded, or to a derivation tree changes the digest.
+    """
+    led = build_standard_ledger()
+    led.derive_all()
+    assert _ledger_digest(led) == (
+        "f137900c0a4c47d7acb5d4fd745b8b9e18e586e656a5786f533a80c52e243a69")
