@@ -149,6 +149,14 @@ def _contraction_pool_ids(sg, n):
     )
 
 
+def t1sub_ea6():
+    """The chain-generated submonoid of EA:6 with the double contraction."""
+    zeta2 = rotation(6) * rotation(6)
+    g5 = adjacent_contraction(6, 5)
+    g65 = adjacent_contraction(6, 6) * g5
+    return closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)
+
+
 def build_standard_ledger():
     """Register every instance and rule application of the standard table.
 
@@ -198,10 +206,7 @@ def build_standard_ledger():
 
     # Lower bound for EA_6: the chain subsemigroup generated by the double
     # contraction, whose group kernel contains a padded EA_4.
-    zeta2 = rotation(6) * rotation(6)
-    g5 = adjacent_contraction(6, 5)
-    g65 = adjacent_contraction(6, 6) * g5
-    t1 = closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)
+    t1 = t1sub_ea6()
     t1_ref = led.register(
         "sub", "t1sub(EA:6)", t1,
         description="chain-generated submonoid of EA:6 with the double contraction",
@@ -237,24 +242,6 @@ def build_standard_ledger():
             )
     led.apply_subsemigroup_rule(fam["B", 4], fam["PB", 4])
     led.apply_subsemigroup_rule(fam["A", 4], fam["PA", 4])
-    return led
-
-
-def build_annular_ledger():
-    """A-family slice of the standard ledger (used for order-invariance runs)."""
-    led = Ledger()
-    fam = {}
-    sgs = {}
-    for n in range(1, 7):
-        fam[n], sgs[n] = _register_family(led, "A", n, compute_kernel=(n == 4))
-    pads = {}
-    for n in (1, 3, 4):
-        pads[n] = _register_pad(led, "A", n, sgs[n], fam[n], sgs[n + 2])
-    for n in (3, 5):
-        _apply_principal(led, n, fam[n], sgs[n], pads[n - 2],
-                         unit_gen_ids=[sgs[n].index[rotation(n)]])
-    _ideal_local_chain(led, "A", 6, fam[6], sgs[6], pads[4],
-                       "sing(A:6)", "quot(A:6/sing)")
     return led
 
 

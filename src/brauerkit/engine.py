@@ -72,20 +72,20 @@ class SemigroupClosure:
     """A finite semigroup with dense ids 0..size-1 and Cayley data.
 
     A closure of diagram generators (closure, or closure_from_elements for
-    an element set) holds the right Cayley graph over its multipliers and a
-    BFS word per element; a table-backed one (from_table) holds its full
-    product table, every element being its own generator.  labels is the
-    read-only label array whose row i is the diagram of id i, or None for a
-    Rees quotient, whose ids stand for no diagram.  elements[i] is that
-    diagram, made from row i when it is read, and index maps a diagram to
-    its id through its key; both are None when labels is.  identity_id is
+    an element set) holds the right Cayley graph over its generators' ids
+    and a BFS word per element; a table-backed one (from_table) holds its
+    full product table, every element being its own generator.  labels is
+    the read-only label array whose row i is the diagram of id i, or None
+    for a Rees quotient, whose ids stand for no diagram.  elements[i] is
+    that diagram, made from row i when it is read, and index maps a diagram
+    to its id through its key; both are None when labels is.  identity_id is
     the id of the two-sided identity when one exists (the identity diagram
     for ordinary closures, the designated idempotent e for local monoids
     e S e).
     """
 
-    def __init__(self, degree, labels, key_ids, gen_ids, multipliers,
-                 right_cayley, parent, letter, identity_id):
+    def __init__(self, degree, labels, key_ids, gen_ids, right_cayley,
+                 parent, letter, identity_id):
         """key_ids maps the bytes of each row of labels to its id; None
         has it built from labels when first needed."""
         self.degree = degree
@@ -94,7 +94,6 @@ class SemigroupClosure:
         self._key_ids = key_ids
         self._index = None
         self.generators = gen_ids
-        self.multipliers = multipliers
         self.right_cayley = right_cayley
         self.parent = parent
         self.letter = letter
@@ -106,6 +105,7 @@ class SemigroupClosure:
         self._green = None
         self._squares = None
         self._idempotents = None
+        self._element_set = None
 
     @classmethod
     def from_table(cls, table, labels=None):
@@ -128,13 +128,11 @@ class SemigroupClosure:
             labels=labels,
             key_ids=None,
             gen_ids=list(range(m)),
-            multipliers=None,
             right_cayley=table,
             parent=np.full(m, -1, dtype=np.int32),
             letter=np.arange(m, dtype=np.int32),
             identity_id=int(ident[0]) if ident.size else None,
         )
-        sg.multipliers = sg.elements
         sg._table = table
         sg._left_cayley = table.T.copy()
         return sg
@@ -157,10 +155,26 @@ class SemigroupClosure:
             self._index = _Index(self.degree, self._key_id_map())
         return self._index
 
+    @property
+    def multipliers(self):
+        """The generators' diagrams, elements[generators], read-only (None
+        for a Rees quotient)."""
+        if self.labels is None:
+            return None
+        labs = self.labels[np.asarray(self.generators, dtype=np.intp)]
+        labs.flags.writeable = False
+        return _Elements(self.degree, labs)
+
     def element_set(self, ids=None):
-        """The ElementSet of the elements at ids, or of all elements."""
-        labs = self.labels if ids is None else self.labels[np.asarray(ids, dtype=np.intp)]
-        return ElementSet(self.degree, labs)
+        """The ElementSet of the elements at ids, or of all elements.
+
+        The set of all elements is sorted once and kept.
+        """
+        if ids is not None:
+            return ElementSet(self.degree, self.labels[np.asarray(ids, dtype=np.intp)])
+        if self._element_set is None:
+            self._element_set = ElementSet(self.degree, self.labels)
+        return self._element_set
 
     def ids_of(self, labs):
         """The id of the element of each row of a label array, -1 for a row
@@ -171,21 +185,22 @@ class SemigroupClosure:
 
     @property
     def left_cayley(self):
-        """lc[y, i] = g_i y for each multiplier g_i, as integer ids.
+        """lc[y, i] = g_i y for each generator g_i, as integer ids.
 
         Built by the same depth-level walk as the product table, from the
-        multipliers' ids: no diagram product is taken.
+        generators' ids: no diagram product is taken.
         """
         if self._left_cayley is None:
             self._left_cayley = self._rows_times_all(
                 np.asarray(self.generators, dtype=np.int32)).T.copy()
         return self._left_cayley
 
-    def product_table(self, cell_limit=TABLE_CELL_LIMIT):
-        """Full m x m product table, or None when it would exceed cell_limit."""
+    def product_table(self):
+        """Full m x m product table, or None when it would exceed
+        TABLE_CELL_LIMIT."""
         if self._table is None:
             m = self.size
-            if m * m > cell_limit:
+            if m * m > TABLE_CELL_LIMIT:
                 return None
             self._table = self._rows_times_all(np.arange(m, dtype=np.int32))
         return self._table
@@ -193,7 +208,7 @@ class SemigroupClosure:
     def _walk_data(self):
         """The right Cayley graph with a "stay" column, and the BFS words.
 
-        rc[:, g] (g = number of multipliers) is the identity map.  Row d of
+        rc[:, g] (g = number of generators) is the identity map.  Row d of
         words holds, for every element y, the letter of y's ancestor at BFS
         depth d (its seed's generator letter at d = 0), and g past y's depth
         or for the identity seed; letters are stored in the smallest
@@ -201,7 +216,7 @@ class SemigroupClosure:
         """
         if self._walk is None:
             m = self.size
-            g = len(self.multipliers)
+            g = len(self.generators)
             rc = np.empty((m, g + 1), dtype=np.int32)
             rc[:, :g] = self.right_cayley
             rc[:, g] = np.arange(m, dtype=np.int32)
@@ -495,7 +510,6 @@ class _RightCayleySearch:
             labels=labels,
             key_ids=self.index,
             gen_ids=[self.index[g.key] for g in self.multipliers],
-            multipliers=self.multipliers,
             right_cayley=self.rows[:m, :len(self.multipliers)].copy(),
             parent=self.parent[:m].copy(),
             letter=self.letter[:m].copy(),
@@ -834,13 +848,17 @@ def rees_quotient(sg, ideal_ids):
     return quotient
 
 
-def _spot_check_associativity(sg, samples=60, seed=0):
-    """Raise CrossCheckFailed if (xy)z != x(yz) on a sampled triple."""
+_ASSOCIATIVITY_SAMPLES = 60
+
+
+def _spot_check_associativity(sg):
+    """Raise CrossCheckFailed if (xy)z != x(yz) on one of
+    _ASSOCIATIVITY_SAMPLES triples drawn with seed 0."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     m = sg.size
-    for _ in range(samples):
+    for _ in range(_ASSOCIATIVITY_SAMPLES):
         x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
         if sg.mul(sg.mul(x, y), z) != sg.mul(x, sg.mul(y, z)):
             raise CrossCheckFailed(f"product table not associative at {(x, y, z)}")
@@ -874,28 +892,22 @@ def t1_chain(sg):
     Returns generator ids sorted ascending in the left order, or None when
     some pair is incomparable.  Only the closure's own generator pool is
     searched; this is a semi-decision, not a classifier.
+
+    Each pool element's down-set S^1 b is one breadth-first search of the
+    left Cayley graph.  In a total preorder a <_L b makes S^1 a a proper
+    subset of S^1 b, so a stable sort by down-set size is the left order.
     """
     pool = list(dict.fromkeys(sg.generators))
     if sg.identity_id is not None and sg.identity_id not in pool:
         pool.append(sg.identity_id)
-    rel = {}
-    for a in pool:
-        for b in pool:
-            rel[a, b] = l_leq(sg, a, b)
-    for a in pool:
-        for b in pool:
-            if not rel[a, b] and not rel[b, a]:
-                return None
-    import functools
-
-    def cmp(a, b):
-        if rel[a, b] and not rel[b, a]:
-            return -1
-        if rel[b, a] and not rel[a, b]:
-            return 1
-        return 0
-
-    return sorted(pool, key=functools.cmp_to_key(cmp))
+    _, left = sg._adjacency()
+    below = np.zeros((len(pool), sg.size), dtype=bool)
+    for row, b in zip(below, pool):
+        row[csgraph.breadth_first_order(left, b, return_predecessors=False)] = True
+    at = below[:, pool]  # at[j, i]: pool[i] <=_L pool[j]
+    if not (at | at.T).all():
+        return None
+    return [pool[i] for i in np.argsort(below.sum(axis=1), kind="stable")]
 
 
 def pad_embedding(a, target_n):

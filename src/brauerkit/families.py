@@ -29,13 +29,16 @@ Algebra 471, 2017).
 
 An instance holds its elements as an ElementSet, the closure's label array
 sorted by row bytes, so instances are compared, keyed by content and
-written to the cache as arrays, with no Diagram per element.
+written to the cache as arrays, with no Diagram per element.  A built
+instance also carries the closure it was built as, and its elements are
+that closure's own element set; construct's cache of instances is the only
+family cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .diagrams import (
@@ -68,7 +71,9 @@ class FamilyInstance:
     """A family at one degree: its elements and the generators that close to them.
 
     elements is an ElementSet; any other iterable of diagrams given for it
-    is turned into one.
+    is turned into one.  closure is the SemigroupClosure construct built,
+    whose element set elements is; an instance loaded from a cache file or
+    made by hand has none.  It takes no part in comparisons.
     """
 
     family: str
@@ -76,7 +81,7 @@ class FamilyInstance:
     strategy: str  # "generated"; older cache files say "enumerated" or "rotated-planar"
     elements: ElementSet
     generators: tuple = ()
-    note: str = ""
+    closure: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.elements, ElementSet):
@@ -209,17 +214,6 @@ def generators(family, n):
 # ---------------------------------------------------------------------------
 # construction
 
-# Closures by instance content (see as_closure), since instances of one
-# size can differ.
-_CLOSURE_CACHE = {}
-
-
-def _content_key(instance):
-    return (instance.family, instance.degree, instance.strategy,
-            tuple(g.key for g in instance.generators),
-            instance.elements.labels.tobytes())
-
-
 def _expected_size(family, n, budget):
     """The independent count the closure must match, or None (A and PA)."""
     if family == "EA":
@@ -231,7 +225,7 @@ def _expected_size(family, n, budget):
 
 @lru_cache(maxsize=None)
 def _construct(family, n, budget):
-    """The closure of the checked generating set, cached for as_closure."""
+    """The closure of the checked generating set, as an instance carrying it."""
     if family == "C" and n > 5:
         raise BudgetExceeded(
             f"partition family is capped at degree 5 (Bell growth); got {n}")
@@ -248,13 +242,8 @@ def _construct(family, n, budget):
         raise CrossCheckFailed(
             f"the {family}:{n} generators close to {sg.size} elements, "
             f"the independent count is {want}")
-    instance = FamilyInstance(
-        family=family, degree=n, strategy="generated",
-        elements=sg.element_set(), generators=gens,
-        note="closure of the generators and the identity",
-    )
-    _CLOSURE_CACHE[_content_key(instance)] = sg
-    return instance
+    return FamilyInstance(family=family, degree=n, strategy="generated",
+                          elements=sg.element_set(), generators=gens, closure=sg)
 
 
 def construct(family, n, budget=None):
@@ -302,22 +291,18 @@ def cardinality_table(family, n_max, budget=None):
 def as_closure(instance, budget=None):
     """A SemigroupClosure over the instance's elements.
 
-    It is the closure of the instance's generators with the identity, or of
-    generators(family, degree) for a cache file that stores none, checked
-    equal to the element set.  construct caches the closure it builds, so
-    only an instance loaded from a cache file rebuilds it (unless construct
-    built the same one in this process).  Closures are cached by the
-    instance's content, since instances of one size can differ.
+    A built instance's is the closure it carries.  An instance without one
+    (loaded from a cache file, or made by hand) is closed from its
+    generators with the identity, or from generators(family, degree) when
+    it stores none, and the closure is checked equal to its element set.
     """
-    key = _content_key(instance)
-    sg = _CLOSURE_CACHE.get(key)
-    if sg is None:
-        gens = instance.generators or generators(instance.family, instance.degree)
-        sg = closure(gens, include_identity=True,
-                     budget=DEFAULT_BUDGET if budget is None else budget)
-        if sg.element_set() != instance.elements:
-            raise CrossCheckFailed(
-                f"closure of the {instance.family}:{instance.degree} generators "
-                f"({sg.size} elements) differs from the instance ({instance.size})")
-        _CLOSURE_CACHE[key] = sg
+    if instance.closure is not None:
+        return instance.closure
+    gens = instance.generators or generators(instance.family, instance.degree)
+    sg = closure(gens, include_identity=True,
+                 budget=DEFAULT_BUDGET if budget is None else budget)
+    if sg.element_set() != instance.elements:
+        raise CrossCheckFailed(
+            f"closure of the {instance.family}:{instance.degree} generators "
+            f"({sg.size} elements) differs from the instance ({instance.size})")
     return sg

@@ -19,14 +19,15 @@ Rules:
                 generators form a left-order chain
   sub           lo(S) >= lo(T) and hi(T) <= hi(S) for a subsemigroup T of S
   iso           isomorphic instances share an interval
-  axiom         imported intervals, gated by an explicit allow-list
 
 Each side condition is one test returning (verdict, detail); the test is
 run once to record the check, and a check's rerun is that same test, so
 a replay runs the code that gave the stored verdict.  The side
 conditions are checked over closure ids, never by multiplying diagrams:
 the iso rule maps a's ids to b's through the mapping's images (phi) and
-compares phi(x y) with phi(x) phi(y) for every pair of ids.
+compares phi(x y) with phi(x) phi(y) for every pair of ids.  A registered
+instance is its closure alone: the ideal, local, kernel-chain and subset
+rules read element sets from the closures' labels.
 
 Each rule application is data: its checks and its bound moves (see
 _RuleApp).  derive_all iterates the moves to a fixpoint; the
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagrams import ElementSet, encode
+from .diagrams import encode
 from .engine import (
     _PAIR_BATCH,
     essential_depth,
@@ -79,7 +80,7 @@ class Check:
     name: str
     passed: bool
     detail: str
-    rerun: object = None  # the check's own test, giving the verdict; None for an axiom
+    rerun: object  # the check's own test, giving the verdict
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class Fact:
 class Registered:
     ref: InstanceRef
     sg: object  # SemigroupClosure
-    elements: ElementSet | frozenset | None  # frozenset only for a quotient
     description: str
 
 
@@ -169,25 +169,20 @@ def _iso_multiplicative(a_sg, b_sg, mapping):
 
 
 class Ledger:
-    def __init__(self, allowed_axioms=()):
+    def __init__(self):
         self.instances = {}
         self.facts = []
         self.checks = {}
-        self.allowed_axioms = frozenset(allowed_axioms)
         self._apps = []
         self._by_subject = {}
 
     # -- registration ------------------------------------------------------
 
-    def register(self, kind, key, sg, elements=None, description=""):
+    def register(self, kind, key, sg, description=""):
         ref = InstanceRef(kind, key)
         if ref in self.instances:
             raise ValueError(f"instance {key!r} already registered")
-        if elements is None and sg.labels is not None:
-            elements = sg.element_set()
-        elif elements is not None and sg.degree is not None:
-            elements = ElementSet.of(elements, sg.degree)
-        self.instances[ref] = Registered(ref, sg, elements, description)
+        self.instances[ref] = Registered(ref, sg, description)
         self._by_subject[ref] = []
         return ref
 
@@ -284,23 +279,13 @@ class Ledger:
                                             checks=(c_ker,)))
         return facts
 
-    def add_axiom(self, ref, lo, hi, note):
-        inst = self._inst(ref)
-        if inst.ref.key not in self.allowed_axioms:
-            raise SideConditionFailed(
-                "axiom-allow-list", f"{ref} is not on the axiom allow-list"
-            )
-        cid = self._check(f"axiom({ref})", lambda: (True, note), exc=None)
-        self.checks[cid].rerun = None  # an imported interval has nothing to rerun
-        return self._add_fact(ref, lo, hi, "axiom", checks=(cid,))
-
     # -- rule registration (eager side-condition verification) -------------
 
     def apply_ideal_rule(self, s_ref, ideal_ref, quotient_ref):
         s = self._inst(s_ref)
         ideal = self._inst(ideal_ref)
         quot = self._inst(quotient_ref)
-        ids = s.sg.ids_of(ideal.elements.labels)
+        ids = s.sg.ids_of(ideal.sg.labels)
         if (ids < 0).any():
             raise KeyError(f"{ideal_ref} has elements outside {s_ref}")
         ids = sorted(ids.tolist())
@@ -327,11 +312,11 @@ class Ledger:
             "ideal", checks, ((s_ref, (ideal_ref, quotient_ref), 0, False, True),)))
 
     def _check_local_is_ese(self, sg, e_id, local_ref):
-        local = self._inst(local_ref)
+        local = self._inst(local_ref).sg
 
         def local_is_ese():
             ese = local_monoid(sg, e_id).element_set()
-            return ese == local.elements, f"local monoid has {len(ese)} elements"
+            return ese == local.element_set(), f"local monoid has {len(ese)} elements"
 
         return self._check(f"local-is-eSe({local_ref})", local_is_ese)
 
@@ -341,7 +326,7 @@ class Ledger:
         squares = f"element {encode(sg.elements[e_id])} squares to itself"
         self._check(f"idempotent(e in {s_ref})",
                     lambda: (sg.mul(e_id, e_id) == e_id, squares), exc=NotIdempotent)
-        ideal_ids = np.sort(sg.ids_of(ideal.elements.labels))
+        ideal_ids = np.sort(sg.ids_of(ideal.sg.labels))
 
         def ideal_is_ses():
             ses = principal_ideal(sg, e_id)
@@ -397,7 +382,7 @@ class Ledger:
 
     def apply_kernel_chain_rule(self, s_ref, kernel_ref):
         sg = self._inst(s_ref).sg
-        ker = self._inst(kernel_ref)
+        ker = self._inst(kernel_ref).sg
 
         def chain():
             ids = t1_chain(sg)
@@ -409,8 +394,9 @@ class Ledger:
         def kernel_matches():
             res = kernel(sg)
             kset = sg.element_set(res.kernel_ids)
-            return kset == ker.elements, (f"kernel fixpoint has {len(kset)} elements "
-                                          f"after {res.iterations} rounds")
+            return kset == ker.element_set(), (
+                f"kernel fixpoint has {len(kset)} elements "
+                f"after {res.iterations} rounds")
 
         checks = (
             self._check(f"t1-chain({s_ref})", chain),
@@ -422,10 +408,10 @@ class Ledger:
             "kernel-chain", checks, ((s_ref, (kernel_ref,), 1, True, False),)))
 
     def apply_subsemigroup_rule(self, t_ref, s_ref):
-        t = self._inst(t_ref).elements
-        s = self._inst(s_ref).elements
-        if t is None or s is None:
+        t_sg, s_sg = self._inst(t_ref).sg, self._inst(s_ref).sg
+        if t_sg.labels is None or s_sg.labels is None:
             raise NotASubsemigroup("element sets unavailable for containment")
+        t, s = t_sg.element_set(), s_sg.element_set()
         c1 = self._check(f"subset({t_ref} in {s_ref})",
                          lambda: (t <= s, f"{len(t)} elements inside {len(s)}"),
                          exc=NotASubsemigroup)
@@ -524,8 +510,8 @@ class Ledger:
         with the stored verdict.
         """
         rng = random.Random(seed)
-        rerunnable = [c for c in self.checks.values() if c.rerun is not None]
-        sample = rng.sample(rerunnable, min(count, len(rerunnable)))
+        checks = list(self.checks.values())
+        sample = rng.sample(checks, min(count, len(checks)))
         for check in sample:
             if bool(check.rerun()) != check.passed:
                 raise CrossCheckFailed(

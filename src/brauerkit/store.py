@@ -159,11 +159,8 @@ def load_cache(path):
     elements = ElementSet(degree, _decode_labels(lines[pos:-1], degree, path))
     if len(elements) != n_elems:
         raise ParseError(f"{path}: duplicate elements in cache")
-    return FamilyInstance(
-        family=family, degree=degree, strategy=strategy,
-        elements=elements, generators=generators,
-        note=f"loaded from {path.name}",
-    )
+    return FamilyInstance(family=family, degree=degree, strategy=strategy,
+                          elements=elements, generators=generators)
 
 
 def load_or_build(family, degree, budget=None, cache_dir=None):

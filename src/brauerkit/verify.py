@@ -20,7 +20,6 @@ from .diagrams import (
     cascade,
     contraction,
     decode,
-    double_contraction,
     encode,
     identity,
     is_annular,
@@ -36,6 +35,7 @@ from .diagrams import (
     star,
     twist,
 )
+from .derivations import build_standard_ledger, standard_table, t1sub_ea6
 from .engine import (
     closure,
     essential_depth,
@@ -538,20 +538,12 @@ def _kernel_pa4(n):
     return ok, detail
 
 
-def _chain_submonoid():
-    zeta2 = rotation(6) * rotation(6)
-    g5 = adjacent_contraction(6, 5)
-    g65 = adjacent_contraction(6, 6) * g5
-    return closure([zeta2, g5, g65, double_contraction(6)],
-                   include_identity=True)
-
-
 @_target("t1-ea6",
          "the distinguished submonoid of the degree-6 even annular family "
          "has left-order comparable generators and is not aperiodic",
          n=6)
 def _t1_ea6(n):
-    sub = _chain_submonoid()
+    sub = t1sub_ea6()
     chain = t1_chain(sub)
     ok = chain is not None
     details = {"size": sub.size}
@@ -569,7 +561,7 @@ def _t1_ea6(n):
          "equals its group kernel",
          n=6)
 def _egen_ea6(n):
-    sub = _chain_submonoid()
+    sub = t1sub_ea6()
     egen = {sub.elements[i] for i in idempotent_generated(sub)}
     result = kernel(sub)
     kset = set(kernel_elements(sub, result))
@@ -606,7 +598,6 @@ def expected_table():
          "with the degree-4 annular partial family the only open interval",
          n=6)
 def _ledger_table(n):
-    from .derivations import build_standard_ledger, standard_table
     led = build_standard_ledger()
     entries = led.derive_all()
     rows = standard_table(entries)

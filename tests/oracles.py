@@ -26,6 +26,7 @@ engine.period_one replaced with the gathers of its squaring map.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,16 +35,13 @@ from scipy.sparse import csgraph
 
 from brauerkit import (
     Diagram,
-    adjacent_contraction,
     closure,
     diagram,
     diagrams,
-    double_contraction,
     green,
     identity,
-    rotation,
 )
-from brauerkit.engine import GreenData
+from brauerkit.engine import GreenData, l_leq
 from brauerkit.errors import BudgetExceeded
 
 
@@ -527,6 +525,20 @@ def oracle_iso(a_elems, b_elems, mapping):
     return bijective, multiplicative
 
 
+def oracle_t1_chain(sg):
+    """The generator pool (with the identity) sorted in the left order by
+    l_leq on every ordered pair and a comparison sort, or None when two
+    pool elements are incomparable."""
+    pool = list(dict.fromkeys(sg.generators))
+    if sg.identity_id is not None and sg.identity_id not in pool:
+        pool.append(sg.identity_id)
+    rel = {(a, b): l_leq(sg, a, b) for a in pool for b in pool}
+    if any(not rel[a, b] and not rel[b, a] for a in pool for b in pool):
+        return None
+    return sorted(pool, key=functools.cmp_to_key(
+        lambda a, b: int(rel[b, a]) - int(rel[a, b])))
+
+
 def oracle_is_inverse(sg):
     """Every element regular (each R-class holds an idempotent) and the
     idempotents commute, by one product per pair of idempotents."""
@@ -537,14 +549,6 @@ def oracle_is_inverse(sg):
     es = np.array(idem, dtype=np.int64)
     prods = sg.multiply(es[:, None], es)
     return bool((prods == prods.T).all())
-
-
-def t1sub_ea6():
-    """The chain-generated submonoid of EA:6 used by the standard ledger."""
-    zeta2 = rotation(6) * rotation(6)
-    g5 = adjacent_contraction(6, 5)
-    g65 = adjacent_contraction(6, 6) * g5
-    return closure([zeta2, g5, g65, double_contraction(6)], include_identity=True)
 
 
 # ---------------------------------------------------------------------------

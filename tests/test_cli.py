@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes, cache wiring."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -296,6 +297,29 @@ def test_complexity_unknown_explain_exits_2(cache_dir, capsys):
     code, _, err = _run(capsys, "complexity", "--explain", "nope")
     assert code == 2
     assert "no registered instance" in err
+
+
+# ---------------------------------------------------------------------------
+# pinned output
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    """stdout of gen (built, then from the cache), green, kernel and
+    complexity, byte for byte once the duration_ms lines are dropped."""
+    runs = [["gen", "--family", family, "--n", n, "--cache-dir", str(tmp_path)]
+            for family, n in (("B", "5"), ("PA", "4")) for _ in range(2)]
+    runs += [["green", "--family", "PA", "--n", "4"],
+             ["kernel", "--family", "A", "--n", "4"],
+             ["kernel", "--family", "PA", "--n", "4"],
+             ["complexity"]]
+    digest = hashlib.sha256()
+    for argv in runs:
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        digest.update("".join(line for line in out.splitlines(keepends=True)
+                              if '"duration_ms"' not in line).encode())
+    assert digest.hexdigest() == (
+        "bd91753989520affeaea2caf2c0673be0eef018a2ef21e9e62316501f898d0e6")
 
 
 # ---------------------------------------------------------------------------

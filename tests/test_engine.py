@@ -23,7 +23,6 @@ from brauerkit import (
     construct,
     contraction,
     diagram,
-    double_contraction,
     essential_depth,
     generated_subsemigroup,
     green,
@@ -44,6 +43,7 @@ from brauerkit import (
     units,
 )
 from brauerkit import engine
+from brauerkit.derivations import t1sub_ea6
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, period_one, t1_chain
 from brauerkit.errors import (
     BadDegree,
@@ -68,8 +68,8 @@ from oracles import (
     oracle_period_one,
     oracle_rees_table,
     oracle_span,
+    oracle_t1_chain,
     oracle_table,
-    t1sub_ea6,
 )
 
 
@@ -626,17 +626,18 @@ def test_t1_chain_negative_on_jones_3():
 
 
 def test_t1_chain_positive_case():
-    n = 6
-    z2 = rotation(n) * rotation(n)
-    g5 = adjacent_contraction(n, 5)
-    sg = closure(
-        [z2, g5, adjacent_contraction(n, 6) * g5, double_contraction(n)],
-        include_identity=True,
-    )
+    sg = t1sub_ea6()
     chain = t1_chain(sg)
     assert chain is not None
     for a, b in zip(chain, chain[1:]):
         assert l_leq(sg, a, b)
+
+
+@pytest.mark.parametrize("name", ["J:3", "B:3", "B:4", "A:4", "A:5", "PB:3",
+                                  "PA:3", "SYM:4", "t1sub(EA:6)", "pad(PA:2)"])
+def test_t1_chain_matches_the_pairwise_sort(name, request):
+    sg, _, _ = _instance(name, request)
+    assert t1_chain(sg) == oracle_t1_chain(sg)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from brauerkit import (
     rotation,
     save_cache,
 )
-from brauerkit import diagrams, families
+from brauerkit import diagrams, engine, families
 from brauerkit.diagrams import ElementSet, even_or_rank_zero, label_array
 from brauerkit.errors import BadDegree, BudgetExceeded, CrossCheckFailed, DegreeMismatch
 
@@ -51,10 +51,9 @@ from oracles import (
 
 @pytest.fixture
 def fresh_construct(monkeypatch):
-    """construct and as_closure with empty caches, so families are built anew."""
+    """construct with an empty cache, so families are built anew."""
     fresh = lru_cache(maxsize=None)(families._construct.__wrapped__)
     monkeypatch.setattr(families, "_construct", fresh)
-    monkeypatch.setattr(families, "_CLOSURE_CACHE", {})
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +232,18 @@ def test_as_closure_of_pa_is_the_rotation_and_the_pj_generators():
     assert frozenset(sg.elements) == inst.elements
     assert sg.multipliers == [rotation(3), *construct("PJ", 3).generators]
     assert len(sg.multipliers) == 7 < inst.size
+
+
+def test_as_closure_of_a_built_instance_is_the_closure_it_carries(monkeypatch):
+    inst = construct("B", 4)
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("as_closure closed the generators again")
+
+    monkeypatch.setattr(families, "closure", no_closure)
+    monkeypatch.setattr(engine, "closure", no_closure)
+    assert as_closure(construct("B", 4)) is construct("B", 4).closure
+    assert inst.elements is inst.closure.element_set()
 
 
 def test_as_closure_cache_tells_same_size_instances_apart():

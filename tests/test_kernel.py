@@ -20,13 +20,13 @@ from brauerkit import (
     verify_parity_morphism_a4,
     weak_inverse_pairs,
 )
+from brauerkit.derivations import t1sub_ea6
 from brauerkit.engine import period_one
 from brauerkit.errors import BudgetExceeded
 from oracles import (
     oracle_kernel,
     oracle_period_one,
     oracle_weak_inverse_pairs,
-    t1sub_ea6,
 )
 
 

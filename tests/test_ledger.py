@@ -10,6 +10,7 @@ from brauerkit import (
     Ledger,
     adjacent_contraction,
     as_closure,
+    closure,
     construct,
     contraction,
     encode,
@@ -25,7 +26,7 @@ from brauerkit import (
     units,
 )
 from brauerkit.cli import main
-from brauerkit.derivations import build_annular_ledger, build_standard_ledger
+from brauerkit.derivations import build_standard_ledger
 from brauerkit.errors import (
     CrossCheckFailed,
     NotAnIdeal,
@@ -96,22 +97,14 @@ def test_derive_all_requires_base_facts_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# axioms
+# conflicting facts
 
 
-def test_axiom_requires_allow_listing():
+def test_conflicting_facts_make_current_raise():
     led = Ledger()
-    ref, _ = _family(led, "B", 2)
-    with pytest.raises(SideConditionFailed) as info:
-        led.add_axiom(ref, 1, 1, "external bound")
-    assert info.value.condition == "axiom-allow-list"
-
-
-def test_allowed_axiom_lands_and_inconsistency_is_loud():
-    led = Ledger(allowed_axioms=("J:3",))
     ref, _ = _family(led, "J", 3)
     led.assert_base_facts(ref)
-    led.add_axiom(ref, 1, 1, "deliberately wrong external bound")
+    led._add_fact(ref, 1, 1, "deliberately wrong bound")
     with pytest.raises(RuntimeError):
         led.current(ref)
 
@@ -126,8 +119,7 @@ def test_ideal_rule_bounds_above():
     ids = principal_ideal(sg, sg.index[contraction(3, 1, 2)])
     ideal_sg = subsemigroup(sg, ids)
     i_ref = led.register("ideal", "sing(B:3)", ideal_sg)
-    q_ref = led.register("quotient", "quot(B:3/sing)", rees_quotient(sg, ids),
-                         elements=frozenset())
+    q_ref = led.register("quotient", "quot(B:3/sing)", rees_quotient(sg, ids))
     for r in (ref, i_ref, q_ref):
         led.assert_base_facts(r)
     led.apply_ideal_rule(ref, i_ref, q_ref)
@@ -199,7 +191,7 @@ def test_ideal_rule_rejects_non_ideal():
     unit_sg = subsemigroup(sg, units(sg))
     u_ref = led.register("sub", "units(B:3)", unit_sg)
     q = rees_quotient(sg, principal_ideal(sg, sg.index[contraction(3, 1, 2)]))
-    q_ref = led.register("quotient", "bogus", q, elements=frozenset())
+    q_ref = led.register("quotient", "bogus", q)
     with pytest.raises(NotAnIdeal):
         led.apply_ideal_rule(ref, u_ref, q_ref)
 
@@ -209,7 +201,7 @@ def test_ideal_rule_rejects_elements_outside_the_semigroup():
     ref, sg = _family(led, "B", 3)
     pb_ref, _ = _family(led, "PB", 3)
     q = rees_quotient(sg, principal_ideal(sg, sg.index[contraction(3, 1, 2)]))
-    q_ref = led.register("quotient", "bogus", q, elements=frozenset())
+    q_ref = led.register("quotient", "bogus", q)
     with pytest.raises(KeyError):
         led.apply_ideal_rule(ref, pb_ref, q_ref)
 
@@ -221,8 +213,7 @@ def test_a_quotient_of_another_size_fails_and_reruns_to_false():
     i_ref = led.register("ideal", "sing(B:3)", subsemigroup(sg, ideal))
     b4 = as_closure(construct("B", 4))
     q_ref = led.register("quotient", "quot(B:4/sing)",
-                         rees_quotient(b4, singular_part(b4)),
-                         elements=frozenset())
+                         rees_quotient(b4, singular_part(b4)))
     with pytest.raises(SideConditionFailed) as info:
         led.apply_ideal_rule(ref, i_ref, q_ref)
     assert info.value.condition == "quotient-matches(quot(B:4/sing))"
@@ -234,8 +225,8 @@ def test_a_quotient_of_another_size_fails_and_reruns_to_false():
 def test_local_rule_rejects_non_idempotent():
     led = Ledger()
     ref, sg = _family(led, "B", 3)
-    i_ref = led.register("ideal", "x", sg, elements=frozenset())
-    l_ref = led.register("local", "y", sg, elements=frozenset())
+    i_ref = led.register("ideal", "x", sg)
+    l_ref = led.register("local", "y", sg)
     with pytest.raises(NotIdempotent):
         led.apply_local_rule(ref, sg.index[rotation(3)], i_ref, l_ref)
 
@@ -250,7 +241,7 @@ def test_local_rule_rejects_an_ideal_other_than_ses(wrong):
     else:  # the principal ideal with one element of PB:4 in place of one of its own
         ses = subsemigroup(sg, principal_ideal(sg, e_id)).element_set()
         swapped = set(ses) - {adjacent_contraction(4, 3)} | {partial_identity(4, 1)}
-        i_ref = led.register("ideal", "x", sg, elements=swapped)
+        i_ref = led.register("ideal", "x", closure(swapped))
     l_ref = led.register("local", "y", local_monoid(sg, e_id))
     with pytest.raises(SideConditionFailed) as info:
         led.apply_local_rule(ref, e_id, i_ref, l_ref)
@@ -260,7 +251,7 @@ def test_local_rule_rejects_an_ideal_other_than_ses(wrong):
 def test_principal_rule_requires_nontrivial_units():
     led = Ledger()
     ref, sg = _family(led, "J", 3)
-    l_ref = led.register("local", "z", sg, elements=frozenset())
+    l_ref = led.register("local", "z", sg)
     with pytest.raises(SideConditionFailed) as info:
         led.apply_principal_rule(ref, sg.idempotent_ids()[0], l_ref)
     assert info.value.condition.startswith("units-nontrivial")
@@ -451,6 +442,13 @@ def test_replaying_every_check_takes_no_diagram_product(
     assert count[0] == 0
 
 
+def test_a_family_in_the_ledger_shares_its_instances_element_set(
+        derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    sg = led.instances[InstanceRef("family", "B:6")].sg
+    assert sg.element_set() is construct("B", 6).elements
+
+
 def test_check_details_name_elements_by_their_encoding(
         derived_standard_ledger, capsys):
     led, _ = derived_standard_ledger
@@ -473,7 +471,7 @@ def test_excluding_the_kernel_chain_rule_loses_the_lower_bound():
 
 def test_derivation_order_does_not_change_the_fixpoint():
     def run(seed):
-        led = build_annular_ledger()
+        led = build_standard_ledger()
         entries = led.derive_all(order_seed=seed)
         return {ref.key: (e.lo, e.hi) for ref, e in entries.items()}
 

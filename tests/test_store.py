@@ -19,15 +19,23 @@ from brauerkit import (
     identity,
     is_aperiodic,
     load_cache,
+    partial_identity,
     save_cache,
 )
 from brauerkit import families
 from brauerkit.cli import main
-from brauerkit.diagrams import from_labels
-from brauerkit.errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
+from brauerkit.diagrams import from_labels, label_array
+from brauerkit.errors import (
+    BadDegree,
+    ChecksumMismatch,
+    CrossCheckFailed,
+    ParseError,
+    VersionMismatch,
+)
 from brauerkit.store import (
     CACHE_DIR_ENV,
     CACHE_FORMAT_VERSION,
+    _label_strings,
     cache_path,
     default_cache_dir,
     load_or_build,
@@ -137,7 +145,6 @@ def test_build_cache_round_trip_and_analysis_make_no_element_objects(
         family, n, tmp_path, monkeypatch):
     monkeypatch.setattr(families, "_construct",
                         lru_cache(maxsize=None)(families._construct.__wrapped__))
-    monkeypatch.setattr(families, "_CLOSURE_CACHE", {})
     made = []
     from_key = Diagram._from_key
 
@@ -148,13 +155,24 @@ def test_build_cache_round_trip_and_analysis_make_no_element_objects(
     monkeypatch.setattr(Diagram, "_from_key", staticmethod(counting_from_key))
     inst = construct(family, n)
     loaded = load_cache(save_cache(inst, cache_path(tmp_path, family, n)))
-    families._CLOSURE_CACHE.clear()  # so as_closure closes the generators again
-    sg = as_closure(loaded)
+    sg = as_closure(loaded)  # closes the generators again
     green(sg)
     is_aperiodic(sg)
     essential_depth(sg)
     assert sg.size == inst.size and loaded.elements == inst.elements
     assert len(made) <= len(inst.generators)
+
+
+def test_a_loaded_element_outside_the_closure_fails_as_closure(b4_cache):
+    inst, path = b4_cache
+    lines = path.read_text().splitlines()
+    start = lines.index(f"elements {inst.size}") + 1
+    lines[start] = _label_strings(label_array([partial_identity(4, 1)], 4))[0]
+    _reseal(path, lines)
+    loaded = load_cache(path)
+    assert loaded.size == 105 and partial_identity(4, 1) in loaded.elements
+    with pytest.raises(CrossCheckFailed, match="differs from the instance"):
+        as_closure(loaded)
 
 
 @pytest.mark.parametrize("degree", ["19", "0", "four"])
