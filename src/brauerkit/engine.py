@@ -23,21 +23,31 @@ product of two elements is an integer operation on the closure
 been built, otherwise a walk along y's word from x over the right Cayley
 graph, x y = rc[x parent(y), letter(y)], one BFS depth level at a time
 (Froidure & Pin, Algorithms for computing finite semigroups, 1997).  The
-left Cayley graph and the full product table are the same walk done for
-whole rows by dynamic programming over the depth levels; the table is
-built lazily and only below a size limit.  The squaring map i -> i i is
-one batched product, kept (SemigroupClosure.squares); idempotents and
-the period test read it, so powers x^(2^k) are integer gathers.
+left Cayley graph, the full product table and the restrictions below are
+the same walk done for whole rows by dynamic programming over the depth
+levels (SemigroupClosure._products); the table is built lazily and only
+below a size limit.  The squaring map i -> i i is one batched product,
+kept (SemigroupClosure.squares); idempotents and the period test read
+it, so powers x^(2^k) are integer gathers.
 
 SemigroupClosure is the only semigroup class.  A semigroup derived from a
 closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
 whose table restricts the parent's integer products: subsemigroup() for
 ideals, local monoids e S e, padded copies and group kernels, and
-rees_quotient() for S/I, whose ids stand for no diagram.  Every family is
-built as the closure of a generating set (families.generators), so no
-element set needs its generators found; closure_from_elements, which grows
-the same search from generators picked greedily from a set, is kept for
-callers outside the family code.
+rees_quotient() for S/I, whose ids stand for no diagram.  The restriction
+takes whole rows of the parent's products (a gather from its table, or
+the depth-level walk over the restricted columns and their BFS ancestors
+otherwise), in blocks of at most _PAIR_BATCH cells.  A table-backed
+closure is analysed over a small generating set found from its table
+(_table_generators), as a closure search is: its Cayley graphs are the
+table's columns and rows at those generators, so Green's relations cost
+m x |generators| edges, not m^2.  The set is found the
+first time generators, right_cayley or left_cayley is read, so a
+table-backed closure that is only multiplied never searches.  Every
+family is built as the closure of a generating set (families.generators),
+so no element set needs its generators found; closure_from_elements,
+which grows the same search from generators picked greedily from a set,
+is kept for callers outside the family code.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ from .errors import (
 
 DEFAULT_BUDGET = 5_000_000
 TABLE_CELL_LIMIT = 16_000_000  # max int32 cells of a product table or Cayley graph
-_PAIR_BATCH = 1 << 18  # products per batch in searches and generated_subsemigroup
+_PAIR_BATCH = 1 << 18  # products per batch in searches, restrictions and spans
 
 
 class SemigroupClosure:
@@ -74,33 +84,36 @@ class SemigroupClosure:
     A closure of diagram generators (closure, or closure_from_elements for
     an element set) holds the right Cayley graph over its generators' ids
     and a BFS word per element; a table-backed one (from_table) holds its
-    full product table, every element being its own generator.  labels is
-    the read-only label array whose row i is the diagram of id i, or None
-    for a Rees quotient, whose ids stand for no diagram.  elements[i] is
-    that diagram, made from row i when it is read, and index maps a diagram
-    to its id through its key; both are None when labels is.  identity_id is
-    the id of the two-sided identity when one exists (the identity diagram
-    for ordinary closures, the designated idempotent e for local monoids
-    e S e).
+    full product table, and its generators are a small generating set
+    found from the table when first read; its parent and letter, the BFS
+    words of a search, are None, since its products are table gathers and
+    never walk a word.  labels is the read-only label array whose row i is
+    the diagram of id i, or None for a Rees quotient, whose ids stand for
+    no diagram.  elements[i] is that diagram, made from row i when it is
+    read, and index maps a diagram to its id through its key; both are
+    None when labels is.  identity_id is the id of the two-sided identity
+    when one exists (the identity diagram for ordinary closures, the
+    designated idempotent e for local monoids e S e).
     """
 
     def __init__(self, degree, labels, key_ids, gen_ids, right_cayley,
-                 parent, letter, identity_id):
+                 parent, letter, identity_id, table=None):
         """key_ids maps the bytes of each row of labels to its id; None
-        has it built from labels when first needed."""
+        has it built from labels when first needed.  With a product table,
+        gen_ids, right_cayley, parent and letter are None."""
         self.degree = degree
         self.labels = labels
         self.elements = None if labels is None else _Elements(degree, labels)
         self._key_ids = key_ids
         self._index = None
-        self.generators = gen_ids
-        self.right_cayley = right_cayley
+        self._generators = gen_ids
+        self._right_cayley = right_cayley
         self.parent = parent
         self.letter = letter
         self.identity_id = identity_id
-        self.size = len(parent)
+        self.size = len(parent) if table is None else len(table)
         self._left_cayley = None
-        self._table = None
+        self._table = table
         self._walk = None
         self._green = None
         self._squares = None
@@ -113,29 +126,32 @@ class SemigroupClosure:
 
         labels, when given, is the label array of the ids' diagrams.
         identity_id is worked out from the table as its unique two-sided
-        identity, or None when it has none.
+        identity, or None when it has none.  Raises BadIndex when the
+        table is not square or holds an entry outside 0..m-1.
         """
         table = np.asarray(table, dtype=np.int32)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise BadIndex(f"product table of shape {table.shape} is not square")
         m = len(table)
+        if table.size and (table.min() < 0 or table.max() >= m):
+            raise BadIndex(f"product table has an entry outside 0..{m - 1}")
         ids = np.arange(m)
         ident = np.flatnonzero((table == ids).all(axis=1)
                                & (table == ids[:, None]).all(axis=0))
         if labels is not None:
             labels = np.array(labels)
             labels.flags.writeable = False
-        sg = cls(
+        return cls(
             degree=None if labels is None else labels.shape[1] // 2,
             labels=labels,
             key_ids=None,
-            gen_ids=list(range(m)),
-            right_cayley=table,
-            parent=np.full(m, -1, dtype=np.int32),
-            letter=np.arange(m, dtype=np.int32),
+            gen_ids=None,
+            right_cayley=None,
+            parent=None,
+            letter=None,
             identity_id=int(ident[0]) if ident.size else None,
+            table=table,
         )
-        sg._table = table
-        sg._left_cayley = table.T.copy()
-        return sg
 
     def __len__(self):
         return self.size
@@ -184,15 +200,30 @@ class SemigroupClosure:
                         dtype=np.int64)
 
     @property
+    def generators(self):
+        """The generators' ids; for a table-backed closure, the generating
+        set _table_generators finds from its table when first read."""
+        if self._generators is None:
+            self._generators = _table_generators(self._table)
+        return self._generators
+
+    @property
+    def right_cayley(self):
+        """rc[x, i] = x g_i for each generator g_i, as integer ids."""
+        if self._right_cayley is None:
+            self._right_cayley = self._table[:, self.generators]
+        return self._right_cayley
+
+    @property
     def left_cayley(self):
         """lc[y, i] = g_i y for each generator g_i, as integer ids.
 
-        Built by the same depth-level walk as the product table, from the
-        generators' ids: no diagram product is taken.
+        The generators' rows of the product table, or built by the same
+        depth-level walk as the table: no diagram product is taken.
         """
         if self._left_cayley is None:
-            self._left_cayley = self._rows_times_all(
-                np.asarray(self.generators, dtype=np.int32)).T.copy()
+            self._left_cayley = self._products(
+                self.generators, np.arange(self.size)).T.copy()
         return self._left_cayley
 
     def product_table(self):
@@ -202,7 +233,8 @@ class SemigroupClosure:
             m = self.size
             if m * m > TABLE_CELL_LIMIT:
                 return None
-            self._table = self._rows_times_all(np.arange(m, dtype=np.int32))
+            ids = np.arange(m)
+            self._table = self._products(ids, ids)
         return self._table
 
     def _walk_data(self):
@@ -256,21 +288,46 @@ class SemigroupClosure:
                 out = rc[out, level[ys]]
         return out
 
-    def _rows_times_all(self, xs):
-        """P[r, y] = xs[r] y for every element y, by DP over depth levels.
+    def _products(self, xs, ys):
+        """P[r, c] = xs[r] ys[c], a len(xs) x len(ys) table of ids.
 
-        A seed y is a multiplier or the identity, so P[:, y] is one step of
-        the right Cayley graph from xs; any other y is parent(y) letter(y),
-        so P[:, y] = rc[P[:, parent(y)], letter(y)], whose parent column a
-        lower level already holds.  Row d of the words holds the letters of
-        the elements at depth d.
+        A gather from the product table when it has been built.  Otherwise
+        a dynamic program over depth levels, on the columns of ys and their
+        BFS ancestors only: a seed y is a multiplier or the identity, so
+        P[:, y] is one step of the right Cayley graph from xs; any other y
+        is parent(y) letter(y), so P[:, y] = rc[P[:, parent(y)], letter(y)],
+        whose parent column a lower level already holds.  Rows are taken
+        in blocks of at most _PAIR_BATCH cells, so r rows cost r x
+        |ancestors| gathers, at most r x min(m, |ys| x levels).
         """
+        xs = np.asarray(xs, dtype=np.intp)
+        ys = np.asarray(ys, dtype=np.intp)
+        if self._table is not None:
+            return self._table[xs[:, None], ys]
         rc, words, depth = self._walk_data()
-        out = np.empty((len(xs), self.size), dtype=np.int32)
-        for d, level in enumerate(words):
-            ys = np.flatnonzero(depth == d)
-            src = xs[:, None] if d == 0 else out[:, self.parent[ys]]
-            out[:, ys] = rc[src, level[ys]]
+        need = np.zeros(self.size, dtype=bool)
+        anc = ys
+        while anc.size:
+            need[anc] = True
+            anc = self.parent[anc]
+            anc = anc[anc >= 0]
+            anc = anc[~need[anc]]
+        cols = np.flatnonzero(need)
+        cols = cols[np.argsort(depth[cols], kind="stable")]
+        bounds = np.searchsorted(depth[cols], np.arange(len(words) + 1))
+        at = np.empty(self.size, dtype=np.intp)
+        at[cols] = np.arange(len(cols))
+        up = at[self.parent[cols]]  # unused for seeds, whose parent is -1
+        letters = words[depth[cols], cols]
+        out = np.empty((len(xs), len(ys)), dtype=np.int32)
+        step = max(1, _PAIR_BATCH // max(1, len(cols)))
+        for lo in range(0, len(xs), step):
+            block = np.empty((len(xs[lo:lo + step]), len(cols)), dtype=np.int32)
+            for d in range(len(words)):
+                a, b = bounds[d], bounds[d + 1]
+                src = xs[lo:lo + step, None] if d == 0 else block[:, up[a:b]]
+                block[:, a:b] = rc[src, letters[a:b]]
+            out[lo:lo + step] = block[:, at[ys]]
         return out
 
     def mul(self, i, j):
@@ -578,7 +635,8 @@ def subsemigroup(sg, ids):
     """The closed id set ids of sg as a table-backed SemigroupClosure.
 
     Its elements are sg's elements at ids, in the order given (none when sg
-    has none), and its table is the restriction of sg's products, so no
+    has none), and its table is the restriction of sg's products, taken a
+    block of whole rows at a time (SemigroupClosure._products), so no
     diagram is multiplied.
     Raises NotASubsemigroup when a product leaves ids, BadIndex when an id
     repeats, and BudgetExceeded when the table would be over
@@ -593,12 +651,52 @@ def subsemigroup(sg, ids):
     pos[ids] = np.arange(k, dtype=np.int32)
     if (pos[ids] != np.arange(k)).any():
         raise BadIndex("subsemigroup ids repeat")
-    table = pos[sg.multiply(ids[:, None], ids)]
+    table = pos[sg._products(ids, ids)]
     if (table < 0).any():
         raise NotASubsemigroup(
             f"the {k} ids are not closed under the product")
     return SemigroupClosure.from_table(
         table, None if sg.labels is None else sg.labels[ids])
+
+
+def _table_generators(table):
+    """Ids of a generating set of the semigroup whose product table is table.
+
+    Ids are scanned in order, and each one the earlier picks do not
+    generate is the next pick.  The subsemigroup the picks generate is
+    grown as a closure search grows its right Cayley graph: every element
+    reached is multiplied on the right by every pick exactly once, so the
+    whole search takes at most m x |picks| table gathers, in batches of at
+    most _PAIR_BATCH of them.
+    """
+    m = len(table)
+    reached = np.zeros(m, dtype=bool)
+    order = np.empty(m, dtype=np.int64)  # the ids reached, in order
+    filled = np.zeros(m, dtype=np.int64)  # picks order[p] has been multiplied by
+    count = 0
+    gens = []
+    for i in range(m):
+        if reached[i]:
+            continue
+        gens.append(i)
+        reached[i] = True
+        order[count] = i
+        count += 1
+        picks = np.array(gens)
+        step = max(1, _PAIR_BATCH // len(gens))
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + step)
+            for f in np.unique(filled[lo:hi]).tolist():
+                xs = order[lo:hi][filled[lo:hi] == f]
+                prods = np.unique(table[xs[:, None], picks[f:]])
+                fresh = prods[~reached[prods]]
+                reached[fresh] = True
+                order[count:count + len(fresh)] = fresh
+                count += len(fresh)
+            filled[lo:hi] = len(gens)
+            lo = hi
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +940,7 @@ def rees_quotient(sg, ideal_ids):
     pos = np.full(sg.size, k, dtype=np.int32)
     pos[keep] = np.arange(k, dtype=np.int32)
     table = np.full((k + 1, k + 1), k, dtype=np.int32)
-    table[:k, :k] = pos[sg.multiply(keep[:, None], keep)]
+    table[:k, :k] = pos[sg._products(keep, keep)]
     quotient = SemigroupClosure.from_table(table)
     _spot_check_associativity(quotient)
     return quotient
@@ -891,7 +989,8 @@ def t1_chain(sg):
 
     Returns generator ids sorted ascending in the left order, or None when
     some pair is incomparable.  Only the closure's own generator pool is
-    searched; this is a semi-decision, not a classifier.
+    searched (for a table-backed closure, the generating set found from
+    its table); this is a semi-decision, not a classifier.
 
     Each pool element's down-set S^1 b is one breadth-first search of the
     left Cayley graph.  In a total preorder a <_L b makes S^1 a a proper

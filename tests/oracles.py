@@ -22,6 +22,9 @@ and oracle_green keeps the per-element loops over Green's SCC labels that
 engine.green replaced with numpy.  oracle_period_one keeps the period test
 by repeated squaring, one batched product per squaring, that
 engine.period_one replaced with the gathers of its squaring map.
+oracle_green_all_generators keeps the analysis of a product table with
+every element as a generator, which table-backed closures replaced with
+a small generating set found from the table.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from brauerkit import (
     green,
     identity,
 )
-from brauerkit.engine import GreenData, l_leq
+from brauerkit.engine import GreenData, SemigroupClosure, l_leq
 from brauerkit.errors import BudgetExceeded
 
 
@@ -698,3 +701,25 @@ def oracle_green(sg):
         j_essential=tuple(essential),
         j_order=order_edges,
     )
+
+
+def oracle_green_all_generators(table):
+    """Green's relations of the semigroup whose product table is table, with
+    every element as a generator.
+
+    Returns (sg, green(sg)) for a closure whose every id is a seed of depth
+    0, so a product is one step of the right Cayley graph, which is the
+    table, and the left Cayley graph is the table's transpose: m^2 edges
+    each.  essential_depth, is_aperiodic, is_inverse and units run on sg
+    over those graphs.
+    """
+    table = np.asarray(table, dtype=np.int32)
+    m = len(table)
+    ids = np.arange(m)
+    identity_id = next((i for i in range(m) if (table[i] == ids).all()
+                        and (table[:, i] == ids).all()), None)
+    sg = SemigroupClosure(
+        degree=None, labels=None, key_ids=None, gen_ids=list(range(m)),
+        right_cayley=table, parent=np.full(m, -1, dtype=np.int32),
+        letter=np.arange(m, dtype=np.int32), identity_id=identity_id)
+    return sg, green(sg)

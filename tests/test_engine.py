@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,7 @@ from oracles import (
     oracle_closure,
     oracle_green,
     oracle_greedy_closure,
+    oracle_green_all_generators,
     oracle_idempotent_ids,
     oracle_is_inverse,
     oracle_kernel,
@@ -681,6 +683,177 @@ def test_semigroup_from_table():
     left_zero = SemigroupClosure.from_table([[0, 0], [1, 1]])
     assert left_zero.identity_id is None  # x y = x: no two-sided identity
     assert is_aperiodic(left_zero)
+
+
+@pytest.mark.parametrize("table", [[[0, 1]], [[0]] * 2, [0, 1], [[0, -1], [1, 0]],
+                                   [[0, 2], [1, 0]]],
+                         ids=["wide", "tall", "flat", "negative", "too-large"])
+def test_from_table_rejects_bad_tables(table):
+    with pytest.raises(BadIndex):
+        SemigroupClosure.from_table(table)
+
+
+# ---------------------------------------------------------------------------
+# table-backed closures: restriction by rows, a small generating set
+
+# Parent of each kind of table-backed instance in the standard ledger, from
+# its key: the family two degrees up for a pad, the family for an ideal or
+# a quotient, and the chain submonoid for its kernel and idempotent span.
+_PARENT_OF = [
+    (r"pad\(([A-Z]+):(\d+)\)", lambda f, n: ("family", f"{f}:{int(n) + 2}")),
+    (r"(?:sing|ideal|quot)\(([A-Z]+):(\d+)\W", lambda f, n: ("family", f"{f}:{n}")),
+    (r"(?:kernel|egen)\((t1sub\(EA:6\))\)", lambda key: ("sub", key)),
+]
+
+
+def _table_backed(led):
+    """(key, closure, parent closure) of every instance of led built by
+    from_table, that is every one whose closure walks no words."""
+    out = []
+    for ref, inst in led.instances.items():
+        if inst.sg.parent is not None:
+            continue
+        for pattern, parent in _PARENT_OF:
+            if (hit := re.match(pattern, ref.key)):
+                parent_ref = InstanceRef(*parent(*hit.groups()))
+                out.append((ref.key, inst.sg, led.instances[parent_ref].sg))
+                break
+        else:
+            raise AssertionError(f"no parent known for {ref.key}")
+    return out
+
+
+def _same_partition(a, b):
+    a, b = a.tolist(), b.tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+def test_table_backed_analyses_match_all_generators(derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    seen = _table_backed(led)
+    assert len(seen) == 26
+    for key, sg, _ in seen:
+        new = green(sg)
+        all_sg, old = oracle_green_all_generators(sg.product_table())
+        for rel in "rljh":
+            assert _same_partition(getattr(new, rel), getattr(old, rel)), (key, rel)
+        assert ((new.num_r, new.num_l, new.num_j, new.num_h)
+                == (old.num_r, old.num_l, old.num_j, old.num_h)), key
+        assert essential_depth(sg) == essential_depth(all_sg), key
+        assert is_aperiodic(sg) == is_aperiodic(all_sg), key
+        assert is_inverse(sg) == is_inverse(all_sg), key
+        if sg.identity_id is None:
+            assert all_sg.identity_id is None, key
+        else:
+            assert units(sg) == units(all_sg), key
+
+
+def test_restricted_tables_match_the_parents_products(derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    for key, sg, parent in _table_backed(led):
+        if sg.labels is not None:
+            ids = parent.ids_of(sg.labels)
+            assert np.array_equal(ids[sg.product_table()],
+                                  parent.multiply(ids[:, None], ids)), key
+            continue
+        fam, part = re.fullmatch(r"quot\((.+)/(.+)\)", key).groups()
+        ideal_key = f"sing({fam})" if part == "sing" else f"ideal({fam},{part})"
+        ideal = led.instances[InstanceRef("ideal", ideal_key)].sg
+        inside = np.zeros(parent.size, dtype=bool)
+        inside[parent.ids_of(ideal.labels)] = True
+        keep = np.flatnonzero(~inside)
+        k = len(keep)
+        pos = np.full(parent.size, k)
+        pos[keep] = np.arange(k)
+        assert np.array_equal(sg.product_table()[:k, :k],
+                              pos[parent.multiply(keep[:, None], keep)]), key
+
+
+def test_restriction_in_blocks_of_one_row_matches_the_word_walk(monkeypatch):
+    monkeypatch.setattr(engine, "_PAIR_BATCH", 7)
+    sg = _b(5)
+    ids = np.array(singular_part(sg))
+    assert np.array_equal(ids[subsemigroup(sg, ids).product_table()],
+                          sg.multiply(ids[:, None], ids))
+    keep = np.array(units(sg))
+    table = rees_quotient(sg, singular_part(sg)).product_table()
+    assert np.array_equal(keep[table[:-1, :-1]], sg.multiply(keep[:, None], keep))
+
+
+def _generated_by(sg, gens):
+    """The ids reached from gens by a breadth-first search over the right
+    Cayley graph."""
+    reached = np.zeros(sg.size, dtype=bool)
+    frontier = np.asarray(gens, dtype=np.int64)
+    reached[frontier] = True
+    while frontier.size:
+        nxt = np.unique(sg.right_cayley[frontier])
+        frontier = nxt[~reached[nxt]]
+        reached[frontier] = True
+    return reached
+
+
+def test_generating_set_generates_and_is_irredundant_in_id_order(
+        derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    for key, sg, _ in _table_backed(led):
+        gens = sg.generators
+        assert _generated_by(sg, gens).all(), key
+        assert gens[0] == 0 and gens == sorted(gens), key
+        # No pick is generated by the picks before it, and every id between
+        # two picks is generated by the picks up to the first of them.
+        for j, g in enumerate(gens):
+            stop = gens[j + 1] if j + 1 < len(gens) else sg.size
+            assert g not in generated_subsemigroup(sg, gens[:j]), (key, g)
+            assert set(range(g + 1, stop)) <= set(
+                generated_subsemigroup(sg, gens[:j + 1])), (key, g)
+
+
+def test_the_ledger_ideals_have_small_generating_sets(derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    # The ideals the standard ledger's ideal and local bounds rest on.
+    for key in ["sing(A:6)", "ideal(PB:4,rk2)", "ideal(PA:4,rk2)", "sing(EA:6)"]:
+        sg = led.instances[InstanceRef("ideal", key)].sg
+        assert len(sg.generators) <= 32 < sg.size, key
+
+
+def test_generating_set_of_a_cyclic_group():
+    z5 = (np.arange(5)[:, None] + np.arange(5)) % 5
+    assert SemigroupClosure.from_table(z5).generators == [0, 1]
+
+
+class _CountedTable(np.ndarray):
+    """A product table that counts the cells its reads return."""
+
+    cells = 0
+
+    def __getitem__(self, key):
+        out = np.ndarray.__getitem__(self, key)
+        _CountedTable.cells += np.size(out)
+        return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+
+
+def test_generating_set_of_a_left_zero_band_is_everything():
+    m = 1000
+    table = np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1)
+    _CountedTable.cells = 0
+    gens = engine._table_generators(table.view(_CountedTable))
+    assert gens == list(range(m))
+    assert _CountedTable.cells <= m * len(gens)
+
+
+def test_multiplying_a_local_monoid_finds_no_generating_set(monkeypatch):
+    calls = []
+    search = engine._table_generators
+    monkeypatch.setattr(engine, "_table_generators",
+                        lambda table: calls.append(1) or search(table))
+    sg = _b(4)
+    local = local_monoid(sg, sg.index[adjacent_contraction(4, 3)])
+    local.multiply(np.arange(local.size)[:, None], np.arange(local.size))
+    local.mul(1, 2)
+    local.squares()
+    assert calls == []
+    assert local.generators and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
