@@ -117,6 +117,7 @@ class SemigroupClosure:
         self._walk = None
         self._green = None
         self._squares = None
+        self._cayley_graphs = None
         self._idempotents = None
         self._element_set = None
 
@@ -348,20 +349,30 @@ class SemigroupClosure:
         return self._idempotents
 
     def _adjacency(self):
-        m = self.size
-        g = len(self.generators)
-        if g == 0:
-            empty = sparse.csr_matrix((m, m))
-            return empty, empty
-        rows = np.repeat(np.arange(m), g)
-        ones = np.ones(m * g, dtype=np.int8)
-        right = sparse.csr_matrix(
-            (ones, (rows, self.right_cayley.ravel())), shape=(m, m)
-        )
-        left = sparse.csr_matrix(
-            (ones, (rows, self.left_cayley.ravel())), shape=(m, m)
-        )
-        return right, left
+        """The right and left Cayley graphs as sparse m x m 0/1 matrices,
+        built once and kept; callers must not modify them."""
+        if self._cayley_graphs is None:
+            self._cayley_graphs = _cayley_graphs(self)
+        return self._cayley_graphs
+
+
+def _cayley_graphs(sg):
+    """sg's right and left Cayley graphs as sparse m x m 0/1 matrices, with
+    an edge from x to x g and to g x for every generator g."""
+    m = sg.size
+    g = len(sg.generators)
+    if g == 0:
+        empty = sparse.csr_matrix((m, m))
+        return empty, empty
+    rows = np.repeat(np.arange(m), g)
+    ones = np.ones(m * g, dtype=np.int8)
+    right = sparse.csr_matrix(
+        (ones, (rows, sg.right_cayley.ravel())), shape=(m, m)
+    )
+    left = sparse.csr_matrix(
+        (ones, (rows, sg.left_cayley.ravel())), shape=(m, m)
+    )
+    return right, left
 
 
 class _Elements(Sequence):

@@ -7,14 +7,28 @@ this coincides with the set of elements related to the group identity
 under every relational morphism into a group, so aperiodicity of the
 kernel decides membership in the aperiodic-by-group product variety.
 
-The fixpoint is computed with whole-table matrix operations on the m x m
-product table T.  The weak-inverse pairs are one 0/1 matrix P̄, with
-P̄[x̄, x] = 1 when T[T[x̄, x], x̄] = x̄.  A weak-conjugation sweep over a
-candidate kernel K is two matrix products: with W[x, y] = 1 when y is in
-xK, (P̄ W)[x̄, y] > 0 exactly when y x̄ is some x k x̄, and likewise with
-W marking Kx for the x̄ k x.  The matrices are float32, whose integers are
-exact up to 2^24, far above any count here (at most m).  A sweep holds a
-few m x m float32 arrays besides the table, 4 m^2 bytes each.
+The fixpoint is computed from the m x m product table T, where (x, x̄) is
+a weak-inverse pair when T[T[x̄, x], x̄] = x̄.  Each round closes the
+candidate kernel K under products and then sweeps it for weak conjugates.
+Two facts keep a sweep small, and both hold exactly.
+
+Semi-naive rounds: before a round, K already holds every conjugate of the
+last round's K, and conjugation acts on K element by element, so a round
+sweeps only the ids that joined K since the last sweep.  Each id of the
+kernel is swept once.
+
+Pruned pairs: K is closed under products, so a pair with x and x̄ both in
+K conjugates K into K.  Every other pair has x in
+R = (S∖K) ∪ {x : x̄xx̄ = x̄ for some x̄ ∉ K}, and a sweep takes the m x |R|
+block P̄[x̄, x] = [x̄xx̄ = x̄] of those columns only.  With W[x, y] = 1 when
+y is in xK' for the swept ids K', over the rows x in R, (P̄ W)[x̄, y] > 0
+exactly when y x̄ is some x k x̄; likewise with W marking K'x for the
+x̄ k x.  The matrices are float32, whose integers are exact up to 2^24,
+far above any count here (at most m).  At the fixpoint |R| = |S∖K|, as
+by Ash's theorem the kernel holds the weak inverses of its elements, so a
+kernel that is most of S sweeps few pairs.  A sweep holds P̄'s m x |R|
+block, the |R| x m W and the m x m product P̄ W besides the table and its
+transpose.
 """
 
 from __future__ import annotations
@@ -46,69 +60,83 @@ def _table(sg):
     return np.asarray(table)
 
 
-def _pair_matrix(table):
-    """P̄[x̄, x] = 1.0 when x̄xx̄ = x̄, else 0.0, as float32."""
-    rows = np.arange(len(table))[:, None]
-    return (table[table, rows] == rows).astype(np.float32)
-
-
 def weak_inverse_pairs(sg):
     """All ordered pairs (x, x̄) with x̄xx̄ = x̄, ordered by x̄ and then x."""
-    xbars, xs = np.nonzero(_pair_matrix(_table(sg)))
+    table = _table(sg)
+    rows = np.arange(len(table))[:, None]
+    xbars, xs = np.nonzero(table[table, rows] == rows)
     return list(zip(xs.tolist(), xbars.tolist()))
 
 
-def _conjugates(table, pairs, kids):
-    """Mask of every xkx̄ and x̄kx over the weak-inverse pairs and k in kids."""
+def _outside_conjugates(table, tableT, member, ks):
+    """Ids outside member among x k x̄ and x̄ k x, for k in ks and the
+    pairs with x̄xx̄ = x̄, ascending.
+
+    member is a mask closed under products, so only the pairs with x in
+    R = (S∖member) ∪ {x : x̄xx̄ = x̄ for some x̄ ∉ member} are swept;
+    tableT is table's transpose, as a C-contiguous array.
+    """
+    ks = np.asarray(ks, dtype=np.intp)
+    outside = np.flatnonzero(~member)
+    if not ks.size or not outside.size:
+        return outside[:0]
     m = len(table)
     rows = np.arange(m)[:, None]
+    xbar = outside[:, None]
+    in_r = ~member
+    in_r[(table[table[outside], xbar] == xbar).any(axis=0)] = True
+    xs = np.flatnonzero(in_r)
+    pairs = (table[table[:, xs], rows] == rows).astype(np.float32)
+    at = np.arange(len(xs))[:, None]
     out = np.zeros(m, dtype=bool)
-    reach = np.zeros((m, m), dtype=np.float32)
-    reach[rows, table[:, kids]] = 1  # reach[x, y]: y in xK
-    out[table.T[(pairs @ reach) > 0]] = True  # y x̄ = x k x̄
+    reach = np.zeros((len(xs), m), dtype=np.float32)
+    reach[at, table[xs[:, None], ks]] = 1  # reach[x, y]: y in x ks
+    out[tableT[(pairs @ reach) > 0]] = True  # y x̄ = x k x̄
     reach[:] = 0
-    reach[rows, table[kids, :].T] = 1  # reach[x, y]: y in Kx
+    reach[at, tableT[xs[:, None], ks]] = 1  # reach[x, y]: y in ks x
     out[table[(pairs @ reach) > 0]] = True  # x̄ y = x̄ k x
-    return out
+    return np.flatnonzero(out & ~member)
 
 
-def _check_fixpoint(sg, table, pairs, kids):
+def _check_fixpoint(sg, table, tableT, kids):
     """Raise KernelFixpointError unless kids is closed under both operations."""
     if generated_subsemigroup(sg, kids) != list(kids):
         raise KernelFixpointError("the kernel is not closed under products")
     member = np.zeros(len(table), dtype=bool)
     member[kids] = True
-    if (_conjugates(table, pairs, kids) & ~member).any():
+    if _outside_conjugates(table, tableT, member, kids).size:
         raise KernelFixpointError("the kernel is not closed under weak conjugation")
 
 
 def kernel(sg):
     """Group kernel of sg by fixpoint iteration from the idempotents.
 
-    Each round closes the candidate set under products and then adds one
-    weak-conjugation sweep of it, as two matrix products over the pair
-    matrix; iteration stops at the first round that adds nothing.  The
-    fixpoint is then checked again, raising KernelFixpointError if the
-    kernel is not closed under products or a full sweep adds anything.
-    Raises BudgetExceeded when sg's product table is over TABLE_CELL_LIMIT.
+    Each round closes the candidate set under products and then sweeps
+    the ids not swept before for weak conjugates, over the pairs that can
+    leave the set; iteration stops at the first round that adds nothing.
+    The fixpoint is then checked again, raising KernelFixpointError if the
+    kernel is not closed under products or a sweep of all of it adds
+    anything.  Raises BudgetExceeded when sg's product table is over
+    TABLE_CELL_LIMIT.
     """
     table = _table(sg)
-    pairs = _pair_matrix(table)
+    tableT = np.ascontiguousarray(table.T)
     member = np.zeros(sg.size, dtype=bool)
     member[list(sg.idempotent_ids())] = True
+    swept = np.zeros(sg.size, dtype=bool)
     iterations = 0
     while True:
         iterations += 1
         before = int(member.sum())
-        kids = generated_subsemigroup(sg, np.flatnonzero(member))
-        member[:] = False
-        member[kids] = True
-        member |= _conjugates(table, pairs, kids)
+        member[generated_subsemigroup(sg, np.flatnonzero(member))] = True
+        fresh = np.flatnonzero(member & ~swept)
+        swept = member.copy()
+        member[_outside_conjugates(table, tableT, swept, fresh)] = True
         if int(member.sum()) == before:
             break
 
     kids = [int(i) for i in np.flatnonzero(member)]
-    _check_fixpoint(sg, table, pairs, kids)
+    _check_fixpoint(sg, table, tableT, kids)
 
     periodic = np.flatnonzero(~period_one(sg, kids))
     return KernelResult(

@@ -24,7 +24,10 @@ by repeated squaring, one batched product per squaring, that
 engine.period_one replaced with the gathers of its squaring map.
 oracle_green_all_generators keeps the analysis of a product table with
 every element as a generator, which table-backed closures replaced with
-a small generating set found from the table.
+a small generating set found from the table.  oracle_dense_kernel keeps
+the kernel fixpoint whose every round sweeps all of the candidate set
+over every weak-inverse pair, which kernel.kernel replaced with sweeps of
+the ids new to the set over the pairs that can leave it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ from brauerkit import (
     green,
     identity,
 )
-from brauerkit.engine import GreenData, SemigroupClosure, l_leq
+from brauerkit.engine import (
+    GreenData,
+    SemigroupClosure,
+    generated_subsemigroup,
+    l_leq,
+    period_one,
+)
 from brauerkit.errors import BudgetExceeded
 
 
@@ -356,7 +365,7 @@ def oracle_label_array(ds, n):
 
 
 # ---------------------------------------------------------------------------
-# group kernel by a per-pair sweep
+# group kernel by a per-pair sweep and by whole-table sweeps
 
 
 def oracle_weak_inverse_pairs(sg, formulation="bar"):
@@ -426,6 +435,56 @@ def oracle_kernel(sg, sweep_order="forward", formulation="bar"):
             break
     kids = np.flatnonzero(member).tolist()
     witness = next((k for k in kids if _oracle_period(rows, k) != 1), None)
+    return tuple(kids), rounds, witness is None, witness
+
+
+def dense_pair_matrix(table):
+    """P̄[x̄, x] = 1.0 when x̄xx̄ = x̄, else 0.0, as float32."""
+    rows = np.arange(len(table))[:, None]
+    return (table[table, rows] == rows).astype(np.float32)
+
+
+def dense_conjugates(table, pairs, kids):
+    """Mask of every xkx̄ and x̄kx over the pair matrix and k in kids."""
+    m = len(table)
+    rows = np.arange(m)[:, None]
+    out = np.zeros(m, dtype=bool)
+    reach = np.zeros((m, m), dtype=np.float32)
+    reach[rows, table[:, kids]] = 1  # reach[x, y]: y in xK
+    out[table.T[(pairs @ reach) > 0]] = True  # y x̄ = x k x̄
+    reach[:] = 0
+    reach[rows, table[kids, :].T] = 1  # reach[x, y]: y in Kx
+    out[table[(pairs @ reach) > 0]] = True  # x̄ y = x̄ k x
+    return out
+
+
+def oracle_dense_kernel(sg):
+    """Group kernel as (ids, rounds, aperiodic, witness) by whole-table sweeps.
+
+    Each round closes the set under products and sweeps all of it over
+    every weak-inverse pair, two m x m matrix products; iteration stops at
+    the first round that adds nothing, and the fixpoint must be closed
+    under products and add nothing to one more full sweep.
+    """
+    table = np.asarray(sg.product_table())
+    pairs = dense_pair_matrix(table)
+    member = np.zeros(sg.size, dtype=bool)
+    member[list(sg.idempotent_ids())] = True
+    rounds = 0
+    while True:
+        rounds += 1
+        before = int(member.sum())
+        kids = generated_subsemigroup(sg, np.flatnonzero(member))
+        member[:] = False
+        member[kids] = True
+        member |= dense_conjugates(table, pairs, kids)
+        if int(member.sum()) == before:
+            break
+    kids = np.flatnonzero(member).tolist()
+    assert generated_subsemigroup(sg, kids) == kids
+    assert not (dense_conjugates(table, pairs, kids) & ~member).any()
+    periodic = np.flatnonzero(~period_one(sg, kids))
+    witness = kids[periodic[0]] if periodic.size else None
     return tuple(kids), rounds, witness is None, witness
 
 

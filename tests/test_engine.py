@@ -547,6 +547,24 @@ def test_principal_ideal_is_rank_filter():
     assert ideal == sorted(i for i in range(sg.size) if sg.elements[i].rank <= 2)
 
 
+def test_cayley_graphs_are_built_once_per_closure(monkeypatch):
+    builds = []
+    build = engine._cayley_graphs
+
+    def counted(sg):
+        builds.append(sg)
+        return build(sg)
+
+    monkeypatch.setattr(engine, "_cayley_graphs", counted)
+    sg = closure(construct("B", 4).generators, include_identity=True)
+    e_id = sg.index[contraction(4, 1, 2)]
+    green(sg)
+    assert len(principal_ideal(sg, e_id)) == 81
+    assert l_leq(sg, e_id, sg.identity_id)
+    assert not l_leq(sg, sg.identity_id, e_id)
+    assert builds == [sg]
+
+
 def test_local_monoid_at_end_cap_is_padded_smaller_monoid():
     sg = _b(4)
     e = adjacent_contraction(4, 3)

@@ -1,10 +1,13 @@
 """Group-kernel computation and the aperiodic-by-group test."""
 
+import importlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from brauerkit import (
@@ -21,17 +24,30 @@ from brauerkit import (
     weak_inverse_pairs,
 )
 from brauerkit.derivations import t1sub_ea6
-from brauerkit.engine import period_one
+from brauerkit.engine import generated_subsemigroup, period_one
 from brauerkit.errors import BudgetExceeded
 from oracles import (
+    dense_conjugates,
+    dense_pair_matrix,
+    oracle_dense_kernel,
     oracle_kernel,
     oracle_period_one,
     oracle_weak_inverse_pairs,
 )
 
 
+kernel_module = importlib.import_module("brauerkit.kernel")
+
+
 def _sg(family, n):
     return as_closure(construct(family, n))
+
+
+def _named(name):
+    if name == "t1sub(EA:6)":
+        return t1sub_ea6()
+    family, n = name.split(":")
+    return _sg(family, int(n))
 
 
 def _result(res):
@@ -117,24 +133,82 @@ def test_kernel_fixpoint_is_sweep_and_formulation_invariant():
                 assert oracle_kernel(sg, sweep_order, formulation) == base
 
 
-@pytest.mark.parametrize("name", ["B:3", "B:4", "A:3", "A:5", "EA:4", "PB:3",
-                                  "PA:3", "J:5", "SYM:4", "t1sub(EA:6)"])
+_PER_PAIR_NAMES = ["B:3", "B:4", "A:3", "A:5", "EA:4", "PB:3", "PA:3", "J:5",
+                   "SYM:4", "t1sub(EA:6)"]
+
+
+@pytest.mark.parametrize("name", _PER_PAIR_NAMES)
 def test_kernel_matches_the_per_pair_oracle(name):
-    if name == "t1sub(EA:6)":
-        sg = t1sub_ea6()
-    else:
-        family, n = name.split(":")
-        sg = _sg(family, int(n))
+    sg = _named(name)
     assert _result(kernel(sg)) == oracle_kernel(sg)
+
+
+@pytest.mark.parametrize("name", _PER_PAIR_NAMES + ["PB:4", "A:6", "EA:6", "J:6", "PA:4"])
+def test_kernel_matches_the_dense_oracle(name):
+    sg = _named(name)
+    assert _result(kernel(sg)) == oracle_dense_kernel(sg)
+
+
+def test_kernel_matches_the_dense_oracle_on_every_ledger_kernel(
+        derived_standard_ledger, monkeypatch):
+    led, _ = derived_standard_ledger
+    ledger_module = importlib.import_module("brauerkit.ledger")
+    seen = {}
+
+    def spy(sg):
+        seen[id(sg)] = sg
+        return kernel(sg)
+
+    monkeypatch.setattr(ledger_module, "kernel", spy)
+    reruns = [c for c in led.checks.values()
+              if c.name.startswith(("kernel-aperiodic(", "kernel-matches("))]
+    assert len(reruns) == 3
+    for check in reruns:
+        assert check.rerun() == check.passed
+    assert sorted(sg.size for sg in seen.values()) == [40, 194, 589]
+    for sg in seen.values():
+        assert _result(kernel(sg)) == oracle_dense_kernel(sg)
+
+
+@pytest.mark.parametrize("name", ["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
+                                  "EA:4", "C:3"])
+def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name):
+    sg = _named(name)
+    table = np.asarray(sg.product_table())
+    table_t = np.ascontiguousarray(table.T)
+    pairs = dense_pair_matrix(table)
+    rng = random.Random(name)
+    for _ in range(40):
+        seeds = rng.sample(range(sg.size), rng.randint(1, 4))
+        kids = generated_subsemigroup(sg, seeds)
+        member = np.zeros(sg.size, dtype=bool)
+        member[kids] = True
+        for ks in (kids, sorted(rng.sample(kids, rng.randint(1, len(kids))))):
+            got = kernel_module._outside_conjugates(table, table_t, member, ks)
+            want = np.flatnonzero(dense_conjugates(table, pairs, ks) & ~member)
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
+def test_each_kernel_id_is_swept_once(name, monkeypatch):
+    sg = _named(name)
+    swept = []
+    sweep = kernel_module._outside_conjugates
+
+    def counted(table, table_t, member, ks):
+        swept.append(len(ks))
+        return sweep(table, table_t, member, ks)
+
+    monkeypatch.setattr(kernel_module, "_outside_conjugates", counted)
+    res = kernel(sg)
+    # one sweep per round, then the fixpoint check's sweep of all of K
+    assert len(swept) == res.iterations + 1
+    assert sum(swept[:-1]) == len(res.kernel_ids) == swept[-1]
 
 
 @pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
 def test_period_one_on_kernel_ids_matches_repeated_squaring(name):
-    if name == "t1sub(EA:6)":
-        sg = t1sub_ea6()
-    else:
-        family, n = name.split(":")
-        sg = _sg(family, int(n))
+    sg = _named(name)
     kids = list(kernel(sg).kernel_ids)
     assert period_one(sg, kids).tolist() == oracle_period_one(sg, kids).tolist()
 
@@ -153,15 +227,16 @@ def test_kernel_without_a_product_table_exceeds_the_budget(monkeypatch):
 _FIXPOINT_CHECK = """
 from brauerkit import as_closure, construct
 from brauerkit.errors import KernelFixpointError
-from brauerkit.kernel import _check_fixpoint, _pair_matrix
+from brauerkit.kernel import _check_fixpoint
 
 sg = as_closure(construct("SYM", 3))
 table = sg.product_table()
+table_t = table.T.copy()
 one = sg.identity_id
 t = next(i for i in range(sg.size) if i != one and sg.mul(i, i) == one)
 for candidate in ([t], sorted([one, t])):
     try:
-        _check_fixpoint(sg, table, _pair_matrix(table), candidate)
+        _check_fixpoint(sg, table, table_t, candidate)
     except KernelFixpointError as exc:
         print(exc)
 """
