@@ -37,16 +37,18 @@ ideals, local monoids e S e, padded copies and group kernels, and
 rees_quotient() for S/I, whose ids stand for no diagram.  The restriction
 takes whole rows of the parent's products (a gather from its table, or
 the depth-level walk over the restricted columns and their BFS ancestors
-otherwise), in blocks of at most _PAIR_BATCH cells.  A table-backed
-closure is analysed over a small generating set found from its table
-(_table_generators), as a closure search is: its Cayley graphs are the
-table's columns and rows at those generators, so Green's relations cost
-m x |generators| edges, not m^2.  The set is found the
-first time generators, right_cayley or left_cayley is read, so a
-table-backed closure that is only multiplied never searches.  Every
+otherwise), in blocks of at most _PAIR_BATCH cells.  The subsemigroup
+some ids generate grows by one integer search, extend_subsemigroup, which
+adds seeds to a closed mask taking each (element, seed) product once;
+generated_subsemigroup, the kernel rounds and the small generating set a
+table-backed closure is analysed over (_table_generators, extending by
+each id in order not yet held) are built on it.  That closure's Cayley
+graphs are its table's columns and rows at those generators, so Green's
+relations cost m x |generators| edges, not m^2; the set is found the
+first time generators, right_cayley or left_cayley is read.  Every
 family is built as the closure of a generating set (families.generators),
 so no element set needs its generators found; closure_from_elements,
-which grows the same search from generators picked greedily from a set,
+which grows a closure search from generators picked greedily from a set,
 is kept for callers outside the family code.
 """
 
@@ -205,7 +207,7 @@ class SemigroupClosure:
         """The generators' ids; for a table-backed closure, the generating
         set _table_generators finds from its table when first read."""
         if self._generators is None:
-            self._generators = _table_generators(self._table)
+            self._generators = _table_generators(self)
         return self._generators
 
     @property
@@ -642,6 +644,14 @@ def closure_from_elements(elems):
     return search.closure()
 
 
+def _checked_ids(sg, ids):
+    """ids as an integer array; BadIndex when one is outside 0..size-1."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= sg.size):
+        raise BadIndex(f"id outside 0..{sg.size - 1}")
+    return ids
+
+
 def subsemigroup(sg, ids):
     """The closed id set ids of sg as a table-backed SemigroupClosure.
 
@@ -650,10 +660,10 @@ def subsemigroup(sg, ids):
     block of whole rows at a time (SemigroupClosure._products), so no
     diagram is multiplied.
     Raises NotASubsemigroup when a product leaves ids, BadIndex when an id
-    repeats, and BudgetExceeded when the table would be over
-    TABLE_CELL_LIMIT cells.
+    repeats or is outside 0..size-1, and BudgetExceeded when the table
+    would be over TABLE_CELL_LIMIT cells.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _checked_ids(sg, ids)
     k = len(ids)
     if k * k > TABLE_CELL_LIMIT:
         raise BudgetExceeded(
@@ -670,43 +680,46 @@ def subsemigroup(sg, ids):
         table, None if sg.labels is None else sg.labels[ids])
 
 
-def _table_generators(table):
-    """Ids of a generating set of the semigroup whose product table is table.
-
-    Ids are scanned in order, and each one the earlier picks do not
-    generate is the next pick.  The subsemigroup the picks generate is
-    grown as a closure search grows its right Cayley graph: every element
-    reached is multiplied on the right by every pick exactly once, so the
-    whole search takes at most m x |picks| table gathers, in batches of at
-    most _PAIR_BATCH of them.
+def extend_subsemigroup(sg, member, gens, new):
+    """Grow member, the mask of the subsemigroup gens generates, in place to
+    the one gens and new generate, and return its seeds: gens, then the ids
+    of new outside member, ascending.  Old members are multiplied on the
+    right by the new seeds and each element that joins by every seed, so
+    each (element, seed) product is taken once, at most |result| x |seeds|
+    in batches of at most _PAIR_BATCH.  Raises BadIndex for an id outside
+    0..size-1.
     """
-    m = len(table)
-    reached = np.zeros(m, dtype=bool)
-    order = np.empty(m, dtype=np.int64)  # the ids reached, in order
-    filled = np.zeros(m, dtype=np.int64)  # picks order[p] has been multiplied by
-    count = 0
+    new = np.unique(_checked_ids(sg, new))
+    new = new[~member[new]]
+    seeds = np.concatenate([np.asarray(gens, dtype=np.int64), new])
+
+    def joined(xs, ys):
+        """The products xs ys outside member, marked in it."""
+        step = max(1, _PAIR_BATCH // max(1, len(ys)))
+        out = [xs[:0]]
+        for lo in range(0, len(xs), step):
+            prods = sg.multiply(xs[lo:lo + step, None], ys).ravel()
+            out.append(np.unique(prods[~member[prods]]))
+            member[out[-1]] = True
+        return np.concatenate(out)
+
+    old = np.flatnonzero(member)
+    member[new] = True
+    frontier = np.concatenate([new, joined(old, new)])
+    while frontier.size:
+        frontier = joined(frontier, seeds)
+    return seeds.tolist()
+
+
+def _table_generators(sg):
+    """Ids of a generating set of the table-backed closure sg: scanning ids
+    in order, each one the earlier picks do not generate is the next pick,
+    and extends their subsemigroup, at most m x |picks| gathers in all."""
+    member = np.zeros(sg.size, dtype=bool)
     gens = []
-    for i in range(m):
-        if reached[i]:
-            continue
-        gens.append(i)
-        reached[i] = True
-        order[count] = i
-        count += 1
-        picks = np.array(gens)
-        step = max(1, _PAIR_BATCH // len(gens))
-        lo = 0
-        while lo < count:
-            hi = min(count, lo + step)
-            for f in np.unique(filled[lo:hi]).tolist():
-                xs = order[lo:hi][filled[lo:hi] == f]
-                prods = np.unique(table[xs[:, None], picks[f:]])
-                fresh = prods[~reached[prods]]
-                reached[fresh] = True
-                order[count:count + len(fresh)] = fresh
-                count += len(fresh)
-            filled[lo:hi] = len(gens)
-            lo = hi
+    for i in range(sg.size):
+        if not member[i]:
+            gens = extend_subsemigroup(sg, member, gens, [i])
     return gens
 
 
@@ -880,23 +893,10 @@ def singular_part(sg):
 
 
 def generated_subsemigroup(sg, seed_ids):
-    """Ids of the subsemigroup generated by seed_ids inside sg, ascending.
-
-    Grows a member mask by right multiplication of each new frontier by
-    the seeds, in batches of at most _PAIR_BATCH products.
-    """
+    """Ids of the subsemigroup seed_ids generate in sg, ascending, extended
+    from the empty set; BadIndex for an id outside 0..size-1."""
     member = np.zeros(sg.size, dtype=bool)
-    member[np.asarray(seed_ids, dtype=np.int64)] = True
-    seeds = np.flatnonzero(member)
-    frontier = seeds
-    step = max(1, _PAIR_BATCH // max(1, len(seeds)))
-    while frontier.size:
-        fresh = np.zeros(sg.size, dtype=bool)
-        for lo in range(0, len(frontier), step):
-            fresh[sg.multiply(frontier[lo:lo + step, None], seeds)] = True
-        fresh &= ~member
-        member |= fresh
-        frontier = np.flatnonzero(fresh)
+    extend_subsemigroup(sg, member, [], seed_ids)
     return np.flatnonzero(member).tolist()
 
 
@@ -935,15 +935,15 @@ def rees_quotient(sg, ideal_ids):
 
     Ids 0..k-1 are the non-ideal elements of S in id order, and the last
     id, k, is the adjoined zero.  Raises NotAnIdeal when I is empty or not
-    closed under two-sided multiplication by S's generators.
+    closed under two-sided multiplication by S's generators, and BadIndex
+    for an id outside 0..size-1.
     """
-    ideal = sorted(set(int(i) for i in ideal_ids))
-    if not ideal:
+    ids = np.unique(_checked_ids(sg, ideal_ids))
+    if not ids.size:
         raise NotAnIdeal("empty set is not an ideal")
     member = np.zeros(sg.size, dtype=bool)
-    member[ideal] = True
-    arr = np.array(ideal)
-    if not member[sg.right_cayley[arr]].all() or not member[sg.left_cayley[arr]].all():
+    member[ids] = True
+    if not member[sg.right_cayley[ids]].all() or not member[sg.left_cayley[ids]].all():
         raise NotAnIdeal("set is not closed under multiplication by generators")
 
     keep = np.flatnonzero(~member)

@@ -8,9 +8,9 @@ under every relational morphism into a group, so aperiodicity of the
 kernel decides membership in the aperiodic-by-group product variety.
 
 The fixpoint is computed from the m x m product table T, where (x, x̄) is
-a weak-inverse pair when T[T[x̄, x], x̄] = x̄.  Each round closes the
-candidate kernel K under products and then sweeps it for weak conjugates.
-Two facts keep a sweep small, and both hold exactly.
+a weak-inverse pair when T[T[x̄, x], x̄] = x̄.  Each round extends the
+product-closed candidate kernel K by the last sweep's conjugates, then
+sweeps it.  Two facts keep a sweep small, and both hold exactly.
 
 Semi-naive rounds: before a round, K already holds every conjugate of the
 last round's K, and conjugation acts on K element by element, so a round
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import Parity, parity
-from .engine import TABLE_CELL_LIMIT, generated_subsemigroup, period_one
+from .engine import (TABLE_CELL_LIMIT, extend_subsemigroup, generated_subsemigroup,
+                     period_one)
 from .errors import BudgetExceeded, KernelFixpointError
 
 
@@ -111,28 +112,26 @@ def _check_fixpoint(sg, table, tableT, kids):
 def kernel(sg):
     """Group kernel of sg by fixpoint iteration from the idempotents.
 
-    Each round closes the candidate set under products and then sweeps
-    the ids not swept before for weak conjugates, over the pairs that can
-    leave the set; iteration stops at the first round that adds nothing.
-    The fixpoint is then checked again, raising KernelFixpointError if the
-    kernel is not closed under products or a sweep of all of it adds
-    anything.  Raises BudgetExceeded when sg's product table is over
-    TABLE_CELL_LIMIT.
+    Each round extends the product-closed candidate set by the last
+    sweep's conjugates (first the idempotents), then sweeps the ids not
+    swept before over the pairs that can leave the set, and the first round
+    that adds nothing beyond those conjugates is the last.  The fixpoint is
+    checked again from scratch: KernelFixpointError unless it is closed
+    under products and a sweep of all of it adds nothing.  Raises
+    BudgetExceeded when sg's product table is over TABLE_CELL_LIMIT.
     """
     table = _table(sg)
     tableT = np.ascontiguousarray(table.T)
     member = np.zeros(sg.size, dtype=bool)
-    member[list(sg.idempotent_ids())] = True
-    swept = np.zeros(sg.size, dtype=bool)
+    gens, new = [], np.asarray(sg.idempotent_ids())
     iterations = 0
     while True:
         iterations += 1
-        before = int(member.sum())
-        member[generated_subsemigroup(sg, np.flatnonzero(member))] = True
-        fresh = np.flatnonzero(member & ~swept)
+        before = int(member.sum()) + len(new)
         swept = member.copy()
-        member[_outside_conjugates(table, tableT, swept, fresh)] = True
-        if int(member.sum()) == before:
+        gens = extend_subsemigroup(sg, member, gens, new)
+        new = _outside_conjugates(table, tableT, member, np.flatnonzero(member & ~swept))
+        if int(member.sum()) + len(new) == before:
             break
 
     kids = [int(i) for i in np.flatnonzero(member)]

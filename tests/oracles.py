@@ -27,7 +27,9 @@ every element as a generator, which table-backed closures replaced with
 a small generating set found from the table.  oracle_dense_kernel keeps
 the kernel fixpoint whose every round sweeps all of the candidate set
 over every weak-inverse pair, which kernel.kernel replaced with sweeps of
-the ids new to the set over the pairs that can leave it.
+the ids new to the set over the pairs that can leave it; it closes its
+sets with _oracle_closure and tests periods with oracle_period_one, not
+with the engine's subsemigroup search and squaring map.
 """
 
 from __future__ import annotations
@@ -47,13 +49,7 @@ from brauerkit import (
     green,
     identity,
 )
-from brauerkit.engine import (
-    GreenData,
-    SemigroupClosure,
-    generated_subsemigroup,
-    l_leq,
-    period_one,
-)
+from brauerkit.engine import GreenData, SemigroupClosure, l_leq
 from brauerkit.errors import BudgetExceeded
 
 
@@ -467,6 +463,7 @@ def oracle_dense_kernel(sg):
     under products and add nothing to one more full sweep.
     """
     table = np.asarray(sg.product_table())
+    rows = table.tolist()
     pairs = dense_pair_matrix(table)
     member = np.zeros(sg.size, dtype=bool)
     member[list(sg.idempotent_ids())] = True
@@ -474,16 +471,16 @@ def oracle_dense_kernel(sg):
     while True:
         rounds += 1
         before = int(member.sum())
-        kids = generated_subsemigroup(sg, np.flatnonzero(member))
+        kids = sorted(_oracle_closure(rows, np.flatnonzero(member).tolist()))
         member[:] = False
         member[kids] = True
         member |= dense_conjugates(table, pairs, kids)
         if int(member.sum()) == before:
             break
     kids = np.flatnonzero(member).tolist()
-    assert generated_subsemigroup(sg, kids) == kids
+    assert sorted(_oracle_closure(rows, kids)) == kids
     assert not (dense_conjugates(table, pairs, kids) & ~member).any()
-    periodic = np.flatnonzero(~period_one(sg, kids))
+    periodic = np.flatnonzero(~oracle_period_one(sg, kids))
     witness = kids[periodic[0]] if periodic.size else None
     return tuple(kids), rounds, witness is None, witness
 

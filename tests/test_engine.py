@@ -57,6 +57,7 @@ from brauerkit.errors import (
     NotIdempotent,
 )
 from oracles import (
+    _oracle_closure,
     count_products,
     oracle_closure,
     oracle_green,
@@ -853,9 +854,11 @@ class _CountedTable(np.ndarray):
 
 def test_generating_set_of_a_left_zero_band_is_everything():
     m = 1000
-    table = np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1)
+    sg = SemigroupClosure.from_table(
+        np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1))
+    sg._table = sg._table.view(_CountedTable)
     _CountedTable.cells = 0
-    gens = engine._table_generators(table.view(_CountedTable))
+    gens = engine._table_generators(sg)
     assert gens == list(range(m))
     assert _CountedTable.cells <= m * len(gens)
 
@@ -872,6 +875,70 @@ def test_multiplying_a_local_monoid_finds_no_generating_set(monkeypatch):
     local.squares()
     assert calls == []
     assert local.generators and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# extending a subsemigroup by new seeds
+
+_EXTEND_CASES = ["B:3", "A:4", "PA:3", "C:3", "sing(EA:6)", "quot(PB:4/rk2)"]
+
+
+@pytest.mark.parametrize("name", _EXTEND_CASES)
+def test_extending_a_subsemigroup_matches_the_closure_of_all_seeds(
+        name, request, monkeypatch):
+    if "(" in name:
+        led, _ = request.getfixturevalue("derived_standard_ledger")
+        sg = next(sg for key, sg, _ in _table_backed(led) if key == name)
+        rows = sg.product_table().tolist()
+    else:
+        sg = as_closure(construct(name.split(":")[0], int(name.split(":")[1])))
+        rows = oracle_table(list(sg.elements))[0].tolist()
+    products = []
+    multiply = SemigroupClosure.multiply
+
+    def counted(self, xs, ys):
+        out = multiply(self, xs, ys)
+        products.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(SemigroupClosure, "multiply", counted)
+    rng = random.Random(name)
+    for _ in range(25):
+        seeds = rng.sample(range(sg.size), rng.randint(1, 8))
+        cut = rng.randint(0, len(seeds))
+        a, b = seeds[:cut], seeds[cut:]
+        old = _oracle_closure(rows, a)
+        member = np.zeros(sg.size, dtype=bool)
+        member[list(old)] = True
+        products.clear()
+        gens = engine.extend_subsemigroup(sg, member, a, b)
+        want = sorted(_oracle_closure(rows, seeds))
+        assert np.flatnonzero(member).tolist() == want, (name, a, b)
+        assert gens == a + sorted(set(b) - old), (name, a, b)
+        # the old members times the new seeds, and each joined id times
+        # every seed, once: at most |result| x |gens| in all
+        once = len(old) * (len(gens) - cut) + (len(want) - len(old)) * len(gens)
+        assert sum(products) <= once <= len(want) * len(gens), (name, a, b)
+
+
+_BAD_IDS = {
+    "subsemigroup": subsemigroup,
+    "rees_quotient": rees_quotient,
+    "generated_subsemigroup": generated_subsemigroup,
+    "extend_subsemigroup": lambda sg, ids: engine.extend_subsemigroup(
+        sg, np.zeros(sg.size, dtype=bool), [], ids),
+}
+
+
+@pytest.mark.parametrize("shift", ["negative", "too-large"])
+@pytest.mark.parametrize("function", sorted(_BAD_IDS))
+def test_ids_outside_the_semigroup_are_rejected(function, shift):
+    sg = _b(3)
+    ids = singular_part(sg)  # an ideal, so valid for every function
+    _BAD_IDS[function](sg, ids)
+    off = -sg.size if shift == "negative" else sg.size
+    with pytest.raises(BadIndex):
+        _BAD_IDS[function](sg, [i + off for i in ids])
 
 
 # ---------------------------------------------------------------------------

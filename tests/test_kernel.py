@@ -206,6 +206,21 @@ def test_each_kernel_id_is_swept_once(name, monkeypatch):
     assert sum(swept[:-1]) == len(res.kernel_ids) == swept[-1]
 
 
+@pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
+def test_kernel_rounds_extend_one_closure(name, monkeypatch):
+    sg = _named(name)
+    calls = []
+
+    def counted(semigroup, seed_ids):
+        calls.append(len(seed_ids))
+        return generated_subsemigroup(semigroup, seed_ids)
+
+    monkeypatch.setattr(kernel_module, "generated_subsemigroup", counted)
+    res = kernel(sg)
+    # the rounds grow one closure; only the fixpoint check starts afresh
+    assert calls == [len(res.kernel_ids)]
+
+
 @pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
 def test_period_one_on_kernel_ids_matches_repeated_squaring(name):
     sg = _named(name)
