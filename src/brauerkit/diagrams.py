@@ -19,6 +19,10 @@ multiply_labels takes the products of a whole batch of them by a stack of
 diagrams with numpy.  An ElementSet is a set of diagrams held as one label
 array, its rows sorted by their bytes.
 
+The predicates that decide family membership (ranks, parities, brauer,
+partial_brauer, planar, annular) take a whole label array; Diagram.rank,
+parity and the is_* tests are their one-row calls.
+
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  Text round-trip uses
 the v1 format  "n:[{1,1'},{2,2'}]"  (top points primed).
@@ -130,12 +134,7 @@ class Diagram:
     @property
     def rank(self):
         """Number of blocks meeting both rows."""
-        n = self.n
-        count = 0
-        for b in self.blocks:
-            if b[0] < n and b[-1] >= n:
-                count += 1
-        return count
+        return int(_one(ranks, self))
 
     def dom(self):
         """Bottom indices lying in through blocks, ascending."""
@@ -637,73 +636,140 @@ def classify_strings(a):
     return out
 
 
+# A row's parity code (see parities) has bit 0 set when the row has an even
+# through block and bit 1 when it has an odd one.
+PARITY_OF_CODE = (Parity.RANK_ZERO, Parity.EVEN, Parity.ODD, Parity.MIXED)
+
+# Cells in one block of rows of the crossing test's (row, turn, point) arrays
+_CROSSING_CELLS = 1 << 19
+
+
+def _one(predicate, a):
+    """The value of a label-array predicate on the one-row array of a."""
+    return predicate(label_array([a], a.n))[0]
+
+
+def _meets(labs):
+    """meets[side, odd][r, b]: block b of row r holds a point of odd
+    (odd=1) or even (odd=0) index on the bottom (side=0) or top (side=1)
+    row."""
+    labs = np.asarray(labs)
+    k, m = labs.shape
+    n = m // 2
+    rows = np.arange(k)[:, None]
+    meets = np.zeros((2, 2, k, m), dtype=bool)
+    for side in (0, 1):
+        for odd in (0, 1):
+            # point p of a row has index p + 1 (bottom) or p - n + 1 (top)
+            cols = side * n + np.arange(odd ^ 1, n, 2)
+            meets[side, odd][rows, labs[:, cols]] = True
+    return meets
+
+
+def ranks(labs):
+    """The rank of each row of a label array: its blocks that meet both rows."""
+    bottom, top = _meets(labs)
+    return (bottom.any(axis=0) & top.any(axis=0)).sum(axis=1)
+
+
+def parities(labs):
+    """The parity code of each row of a label array; PARITY_OF_CODE names it.
+
+    A through block is even when it joins some i to some j' with i = j mod
+    2, and odd when it joins some i to some j' with i != j mod 2; one that
+    mixes index parities on a row is both.
+    """
+    (bot_even, bot_odd), (top_even, top_odd) = _meets(labs)
+    even = ((bot_even & top_even) | (bot_odd & top_odd)).any(axis=1)
+    odd = ((bot_even & top_odd) | (bot_odd & top_even)).any(axis=1)
+    return (even + 2 * odd).astype(np.int8)
+
+
 def parity(a):
     """EVEN/ODD/MIXED over through strings {i, j'} (even iff i = j mod 2).
 
     Rank-zero diagrams are RANK_ZERO.  A through block whose two sides mix
     index parities counts as mixed.
     """
-    n = a.n
-    kinds = set()
-    for b in a.blocks:
-        if b[0] < n and b[-1] >= n:
-            bot = {(p + 1) % 2 for p in b if p < n}
-            top = {(p - n + 1) % 2 for p in b if p >= n}
-            if len(bot) == 1 and len(top) == 1:
-                kinds.add(bot == top)
-            else:
-                kinds.add(True)
-                kinds.add(False)
-    if not kinds:
-        return Parity.RANK_ZERO
-    if kinds == {True}:
-        return Parity.EVEN
-    if kinds == {False}:
-        return Parity.ODD
-    return Parity.MIXED
+    return PARITY_OF_CODE[_one(parities, a)]
 
 
 def even_or_rank_zero(labs):
-    """Mask over the rows of a label array: parity(row) is EVEN or RANK_ZERO.
+    """Mask over the rows of a label array: the row has no odd through block."""
+    return parities(labs) < 2
 
-    The same verdicts as parity, without decoding blocks.  For every
-    (row, block) it flags which index parities the block meets on the
-    bottom and on the top row; a through block passes when it meets one
-    parity on each row and the two are equal, and a row passes when all
-    its through blocks do.
+
+def partial_brauer(labs):
+    """Mask over the rows of a label array: no block has more than two points."""
+    labs = np.asarray(labs)
+    k, m = labs.shape
+    cells = (labs + m * np.arange(k)[:, None]).ravel()
+    sizes = np.bincount(cells, minlength=k * m).reshape(k, m)
+    return sizes.max(axis=1) <= 2
+
+
+def brauer(labs):
+    """Mask over the rows of a label array: every block has two points."""
+    labs = np.asarray(labs)
+    # 2n points in n blocks of at most two are n pairs
+    return partial_brauer(labs) & (labs.max(axis=1) == labs.shape[1] // 2 - 1)
+
+
+def _planar_turned(labs, bottom, top):
+    """ok[r, j]: no two chords of row r cross once its bottom row is turned
+    by bottom[j] and its top row by top[j] (mod n).
+
+    In the boundary order (bottom 1..n, then top n..1) a point raises the
+    depth by one when it opens a chord and lowers it when it closes one,
+    and the chords cross exactly when one closes at a depth other than one
+    below where it opened.  Raises UnsupportedBlockSize for a block of more
+    than two points.
     """
     labs = np.asarray(labs)
+    if not partial_brauer(labs).all():
+        raise UnsupportedBlockSize(
+            "planarity and annularity need blocks of at most two points")
     k, m = labs.shape
     n = m // 2
-    rows = np.arange(k)[:, None]
-    # meets[side, odd][r, b]: block b of row r holds a point of odd (or
-    # even) index on the bottom (side 0) or top (side 1) row; point p of a
-    # row has index p + 1
-    meets = np.zeros((2, 2, k, m), dtype=bool)
-    for side in (0, 1):
-        for odd in (0, 1):
-            cols = side * n + np.arange(odd ^ 1, n, 2)
-            meets[side, odd][rows, labs[:, cols]] = True
-    bot, top = meets
-    through = bot.any(axis=0) & top.any(axis=0)
-    matched = (bot[0] != bot[1]) & (top[0] != top[1]) & (bot[0] == top[0])
-    return ~(through & ~matched).any(axis=1)
+    turns = len(bottom)
+    i = np.arange(n)
+    # place[j, p]: boundary position of point p under the j-th turn, and
+    # point[j, t] the point at position t
+    place = np.hstack([(i + np.asarray(bottom)[:, None]) % n,
+                       m - 1 - (i + np.asarray(top)[:, None]) % n])
+    point = np.argsort(place, axis=1)
+    turn = np.arange(turns)[:, None]
+    mate = _block_successors(labs)  # the other point of a pair, or p itself
+    out = np.empty((k, turns), dtype=bool)
+    step = max(1, _CROSSING_CELLS // (turns * m))
+    for lo in range(0, k, step):
+        # ends[b, j, t]: position of the other end of the chord at position t
+        ends = place[turn, mate[lo:lo + step][:, point]]
+        rise = np.sign(ends - np.arange(m))
+        depth = np.cumsum(rise, axis=2)
+        closed = np.take_along_axis(depth, ends, axis=2)
+        out[lo:lo + step] = (closed == depth - rise).all(axis=2)
+    return out
 
 
-def ranks(labs):
-    """The rank of each row of a label array, without decoding blocks.
+def planar(labs):
+    """Mask over the rows of a label array: the chord picture is
+    non-crossing in the disk.  Needs blocks of at most two points."""
+    return _planar_turned(labs, [0], [0])[:, 0]
 
-    A row's through blocks are the labels that occur in both its bottom
-    half and its top half.
+
+def annular(labs):
+    """Mask over the rows of a label array: some pair (p, q) of row
+    rotations makes the row planar.
+
+    Turning the rows by p and q realizes the rotation sandwich, so a
+    diagram embeds in the annulus iff some pair gives a planar picture;
+    all n^2 pairs are tried, also at rank zero.  Needs blocks of at most
+    two points.
     """
-    labs = np.asarray(labs)
-    k, m = labs.shape
-    rows = np.arange(k)[:, None]
-    bottom = np.zeros((k, m), dtype=bool)
-    bottom[rows, labs[:, :m // 2]] = True
-    top = np.zeros((k, m), dtype=bool)
-    top[rows, labs[:, m // 2:]] = True
-    return (bottom & top).sum(axis=1)
+    n = np.shape(labs)[1] // 2
+    bottom, top = np.divmod(np.arange(n * n), n)
+    return _planar_turned(labs, bottom, top).any(axis=1)
 
 
 def is_projection(a):
@@ -711,38 +777,17 @@ def is_projection(a):
 
 
 def is_brauer(a):
-    return all(len(b) == 2 for b in a.blocks)
+    return bool(_one(brauer, a))
 
 
 def is_partial_brauer(a):
-    return all(len(b) <= 2 for b in a.blocks)
-
-
-def _chords(a):
-    # boundary positions: bottom i -> i-1, top i -> 2n - i (clockwise circle)
-    n = a.n
-    chords = []
-    for b in a.blocks:
-        if len(b) > 2:
-            raise UnsupportedBlockSize(f"block of size {len(b)} in {encode(a)}")
-        if len(b) == 2:
-            p, q = (x if x < n else 2 * n - (x - n + 1) for x in b)
-            chords.append((p, q) if p < q else (q, p))
-    return chords
+    return bool(_one(partial_brauer, a))
 
 
 def is_planar(a):
-    """True when the chord picture is non-crossing in the disk.
-
-    Boundary order is bottom 1..n then top n..1; two chords cross iff their
-    endpoints interleave.  Only defined for blocks of size <= 2.
-    """
-    chords = _chords(a)
-    for idx, (p, q) in enumerate(chords):
-        for r, s in chords[idx + 1 :]:
-            if (p < r < q) != (p < s < q):
-                return False
-    return True
+    """True when the chord picture is non-crossing in the disk (see
+    planar).  Only defined for blocks of size <= 2."""
+    return bool(_one(planar, a))
 
 
 def is_jones(a):
@@ -772,21 +817,9 @@ def twist(a, k):
 
 
 def is_annular(a):
-    """True when some pair of row rotations makes the diagram planar.
-
-    This is the operational annularity test: rotating the bottom row by p
-    and the top row by q realizes the rotation sandwich, and the diagram
-    embeds in the annulus iff some (p, q) gives a planar picture.  Applied
-    uniformly, including at rank zero.  Needs blocks of size <= 2.
-    """
-    if not is_partial_brauer(a):
-        raise UnsupportedBlockSize("annularity is only defined for blocks of size <= 2")
-    n = a.n
-    for p in range(n):
-        for q in range(n):
-            if is_planar(_relabel(a, p, q)):
-                return True
-    return False
+    """True when some pair of row rotations makes the diagram planar (see
+    annular).  Needs blocks of size <= 2."""
+    return bool(_one(annular, a))
 
 
 # ---------------------------------------------------------------------------

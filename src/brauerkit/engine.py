@@ -645,7 +645,8 @@ def closure_from_elements(elems):
 
 
 def _checked_ids(sg, ids):
-    """ids as an integer array; BadIndex when one is outside 0..size-1."""
+    """ids (or one id) as an integer array; BadIndex when one is outside
+    0..size-1."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= sg.size):
         raise BadIndex(f"id outside 0..{sg.size - 1}")
@@ -803,12 +804,16 @@ def green(sg):
 
 
 def h_class_of(sg, i):
+    """Ids of the H-class of element i; BadIndex for an id outside 0..size-1."""
+    i = int(_checked_ids(sg, i))
     g = green(sg)
     return [int(x) for x in np.flatnonzero(g.h == g.h[i])]
 
 
 def index_period(sg, i):
-    """(index, period) of element i: first repetition structure of its powers."""
+    """(index, period) of element i: first repetition structure of its powers.
+    BadIndex for an id outside 0..size-1."""
+    i = int(_checked_ids(sg, i))
     seen = {}
     x = i
     k = 1
@@ -910,7 +915,9 @@ def idempotent_generated(sg):
 
 
 def principal_ideal(sg, e_id):
-    """Ids of the two-sided principal ideal S^1 e S^1 (via Cayley reachability)."""
+    """Ids of the two-sided principal ideal S^1 e S^1 (via Cayley
+    reachability); BadIndex for an id outside 0..size-1."""
+    e_id = int(_checked_ids(sg, e_id))
     right, left = sg._adjacency()
     both = right + left
     reach = csgraph.breadth_first_order(both, e_id, return_predecessors=False)
@@ -920,9 +927,11 @@ def principal_ideal(sg, e_id):
 def local_monoid(sg, e_id):
     """The monoid e S e: subsemigroup of sg's elements e x e in id order.
 
-    Its identity is e.  Raises NotIdempotent when e is not idempotent and
-    BudgetExceeded as subsemigroup does.
+    Its identity is e.  Raises NotIdempotent when e is not idempotent,
+    BadIndex for an id outside 0..size-1 and BudgetExceeded as subsemigroup
+    does.
     """
+    e_id = int(_checked_ids(sg, e_id))
     if sg.mul(e_id, e_id) != e_id:
         raise NotIdempotent(f"element {e_id} is not idempotent")
     member = np.zeros(sg.size, dtype=bool)

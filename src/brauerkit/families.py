@@ -41,23 +41,24 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .diagrams import (
     Diagram,
     ElementSet,
-    Parity,
     _canon,
     adjacent_contraction,
+    annular,
+    brauer,
     contraction,
     encode,
     even_or_rank_zero,
     from_permutation,
-    is_annular,
-    is_brauer,
-    is_jones,
-    is_partial_brauer,
-    is_planar,
-    parity,
+    label_array,
+    partial_brauer,
     partial_identity,
+    planar,
+    ranks,
     rotation,
 )
 from .engine import DEFAULT_BUDGET, closure
@@ -234,9 +235,10 @@ def _construct(family, n, budget):
         raise BudgetExceeded(
             f"{family} at degree {n} has {want} elements, budget {budget}")
     gens = generators(family, n)
-    for g in gens:
-        if not membership(family, g):
-            raise CrossCheckFailed(f"generator {encode(g)} is not in {family}:{n}")
+    inside = membership_mask(family, label_array(gens, n))
+    if not inside.all():
+        outside = gens[int(np.argmin(inside))]
+        raise CrossCheckFailed(f"generator {encode(outside)} is not in {family}:{n}")
     sg = closure(gens, include_identity=True, budget=budget)
     if want is not None and sg.size != want:
         raise CrossCheckFailed(
@@ -252,31 +254,32 @@ def construct(family, n, budget=None):
     return _construct(family, n, DEFAULT_BUDGET if budget is None else budget)
 
 
+def membership_mask(family, labs):
+    """Mask over the rows of a label array: the rows that lie in the family,
+    without constructing it."""
+    if family not in FAMILY_IDS:
+        raise KeyError(f"unknown family {family!r}; choose from {FAMILY_IDS}")
+    labs = np.asarray(labs)
+    n = labs.shape[1] // 2
+    if family == "C":
+        return np.ones(len(labs), dtype=bool)
+    if family == "SYM":
+        return ranks(labs) == n
+    inside = (brauer if family in ("B", "J", "A", "EA") else partial_brauer)(labs)
+    if family in ("B", "PB"):
+        return inside
+    # planarity and annularity are defined on the matchings only
+    pairs = labs[inside]
+    ok = (planar if family in ("J", "PJ") else annular)(pairs)
+    if family == "EA":
+        ok &= even_or_rank_zero(pairs)
+    inside[inside] = ok
+    return inside
+
+
 def membership(family, a):
     """Pointwise membership test, without constructing the family."""
-    if family == "C":
-        return True
-    if family == "B":
-        return is_brauer(a)
-    if family == "PB":
-        return is_partial_brauer(a)
-    if family == "J":
-        return is_jones(a)
-    if family == "PJ":
-        return is_partial_brauer(a) and is_planar(a)
-    if family == "A":
-        return is_brauer(a) and is_annular(a)
-    if family == "PA":
-        return is_partial_brauer(a) and is_annular(a)
-    if family == "EA":
-        return (
-            is_brauer(a)
-            and is_annular(a)
-            and parity(a) in (Parity.EVEN, Parity.RANK_ZERO)
-        )
-    if family == "SYM":
-        return a.rank == a.n
-    raise KeyError(f"unknown family {family!r}; choose from {FAMILY_IDS}")
+    return bool(membership_mask(family, label_array([a], a.n))[0])
 
 
 def cardinality_table(family, n_max, budget=None):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import Parity, parity
+from .diagrams import PARITY_OF_CODE, Parity, even_or_rank_zero, parities
 from .engine import (TABLE_CELL_LIMIT, extend_subsemigroup, generated_subsemigroup,
                      period_one)
 from .errors import BudgetExceeded, KernelFixpointError
@@ -185,17 +185,10 @@ def verify_parity_morphism_a4():
     tau1 = [(u, u) for u in unit_ids]
     tau1 += [(x, u) for x in singular for u in unit_ids]
 
-    def sign_of(i):
-        p = parity(sg.elements[i])
-        if p is Parity.EVEN:
-            return (1,)
-        if p is Parity.ODD:
-            return (-1,)
-        if p is Parity.RANK_ZERO:
-            return (-1, 1)
-        raise ValueError(f"A:4 element {i} has {p.value} parity")
-
-    tau2 = [(x, s) for x in range(sg.size) for s in sign_of(x)]
+    # a MIXED element, which A:4 cannot hold, fails the lookup
+    signs = {Parity.EVEN: (1,), Parity.ODD: (-1,), Parity.RANK_ZERO: (-1, 1)}
+    tau2 = [(x, s) for x, code in enumerate(parities(sg.labels).tolist())
+            for s in signs[PARITY_OF_CODE[code]]]
 
     ok1 = _is_relational_morphism(tau1, sg.mul, sg.mul)
     ok2 = _is_relational_morphism(tau2, sg.mul, lambda a, b: a * b)
@@ -211,10 +204,8 @@ def verify_parity_morphism_a4():
     t2 = {s for s, t in tau2 if t == 1}
     preimage = t1 & t2
 
-    even_singular = {
-        i for i in singular
-        if parity(sg.elements[i]) in (Parity.EVEN, Parity.RANK_ZERO)
-    }
+    even = even_or_rank_zero(sg.labels)
+    even_singular = {i for i in singular if even[i]}
     expected = even_singular | {sg.identity_id}
     if preimage != expected:
         return False

@@ -12,24 +12,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagrams import (
-    Diagram,
+    PARITY_OF_CODE,
+    ElementSet,
     Parity,
     adjacent_contraction,
+    annular,
     capped_rotation,
     cascade,
     contraction,
     decode,
     encode,
+    even_or_rank_zero,
     identity,
-    is_annular,
-    is_jones,
-    is_planar,
+    label_array,
+    label_dtype,
     local_rotation,
-    parity,
+    named_element_products,
+    parities,
     partial_identity,
+    planar,
     random_partial_brauer,
     random_partition_diagram,
+    ranks,
     rotation,
     shift,
     star,
@@ -92,60 +99,31 @@ def run_target(target_id, overrides=None):
 # enumerations, independent of the generating sets the families are built from
 
 
-def enumerate_partial_matchings(n):
-    """All partial matchings on the 2n points of a degree-n diagram."""
-    points = list(range(2 * n))
-    out = []
-    # stack entries: (blocks so far, remaining points)
-    stack = [((), tuple(points))]
+def enumerate_matchings(n, partial):
+    """Label arrays of all perfect (or all partial) matchings on the 2n
+    points of a degree-n diagram, one row each."""
+    rows, stack = [], [[-1] * (2 * n)]  # -1: the point has no block yet
     while stack:
-        blocks, rest = stack.pop()
-        if not rest:
-            out.append(Diagram(n, tuple(sorted(blocks))))
+        row = stack.pop()
+        if -1 not in row:
+            rows.append(row)
             continue
-        p, tail = rest[0], rest[1:]
-        stack.append((blocks + ((p,),), tail))
-        for qi, q in enumerate(tail):
-            pair = (p, q)
-            stack.append((blocks + (pair,), tail[:qi] + tail[qi + 1:]))
-    return out
-
-
-def enumerate_perfect_matchings(n):
-    """All perfect matchings on the 2n points of a degree-n diagram."""
-    out = []
-    stack = [((), tuple(range(2 * n)))]
-    while stack:
-        blocks, rest = stack.pop()
-        if not rest:
-            out.append(Diagram(n, tuple(sorted(blocks))))
-            continue
-        p, tail = rest[0], rest[1:]
-        for qi, q in enumerate(tail):
-            stack.append((blocks + ((p, q),), tail[:qi] + tail[qi + 1:]))
-    return out
+        p, k = row.index(-1), max(row) + 1  # the next block starts at p
+        for q in range(p if partial else p + 1, 2 * n):  # q = p: a singleton
+            if row[q] == -1:
+                pair = row.copy()
+                pair[p] = pair[q] = k
+                stack.append(pair)
+    return np.array(rows, dtype=label_dtype(n))
 
 
 def enumerate_partitions(n):
-    """All partitions of the 2n points (restricted-growth strings)."""
-    m = 2 * n
-    out = []
-    # a[i] = block index of point i with the growth constraint
-    a = [0] * m
-    while True:
-        out.append(Diagram._from_key(n, bytes(a)))  # a is the label array
-        # odometer step
-        i = m - 1
-        while i > 0:
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, m):
-                    a[j] = 0
-                break
-            a[i] = 0
-            i -= 1
-        else:
-            return out
+    """Label arrays of all partitions of the 2n points: the restricted
+    growth strings, each point in an earlier block or a new one."""
+    rows = [[0]]
+    for _ in range(2 * n - 1):
+        rows = [row + [k] for row in rows for k in range(max(row) + 2)]
+    return np.array(rows, dtype=label_dtype(n))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +140,7 @@ def _counts_brauer(n):
     for k in range(1, n + 1):
         built = construct("B", k).size
         formula = double_factorial_odd(k)
-        enumerated = len(enumerate_perfect_matchings(k))
+        enumerated = len(enumerate_matchings(k, partial=False))
         sizes[k] = built
         ok &= built == formula == enumerated
     return ok, {"sizes": sizes}
@@ -178,8 +156,7 @@ def _counts_jones(n):
         built = construct("J", k).size
         ok &= built == catalan(k)
         if k <= 6:
-            planar = sum(is_jones(d) for d in enumerate_perfect_matchings(k))
-            ok &= built == planar
+            ok &= built == planar(enumerate_matchings(k, partial=False)).sum()
         sizes[k] = built
     return ok, {"sizes": sizes, "enumeration_checked_to": min(n, 6)}
 
@@ -192,11 +169,11 @@ def _counts_partial(n):
     ok = True
     pb, pj = {}, {}
     for k in range(1, n + 1):
-        matchings = enumerate_partial_matchings(k)
+        matchings = enumerate_matchings(k, partial=True)
         pb[k] = construct("PB", k).size
         pj[k] = construct("PJ", k).size
         ok &= pb[k] == involution_count(2 * k) == len(matchings)
-        ok &= pj[k] == sum(is_planar(d) for d in matchings)
+        ok &= pj[k] == planar(matchings).sum()
     return ok, {"PB": pb, "PJ": pj}
 
 
@@ -207,18 +184,16 @@ def _family_filters(n):
     ok = True
     details = {}
     for k in range(1, n + 1):
-        annular = {d for d in enumerate_perfect_matchings(k) if is_annular(d)}
-        ok &= construct("A", k).elements == annular
-        details[f"A:{k}"] = len(annular)
+        matchings = enumerate_matchings(k, partial=False)
+        filtered = {"A": matchings[annular(matchings)]}
         if k % 2 == 0:
-            even = {d for d in annular
-                    if parity(d) in (Parity.EVEN, Parity.RANK_ZERO)}
-            ok &= construct("EA", k).elements == even
-            details[f"EA:{k}"] = len(even)
+            filtered["EA"] = filtered["A"][even_or_rank_zero(filtered["A"])]
         if k <= 4:
-            partial = {d for d in enumerate_partial_matchings(k) if is_annular(d)}
-            ok &= construct("PA", k).elements == partial
-            details[f"PA:{k}"] = len(partial)
+            partial = enumerate_matchings(k, partial=True)
+            filtered["PA"] = partial[annular(partial)]
+        for code, labs in filtered.items():
+            ok &= construct(code, k).elements == ElementSet(k, labs)
+            details[f"{code}:{k}"] = len(labs)
     return ok, details
 
 
@@ -323,14 +298,11 @@ def _green_rank(n):
             if k > n:
                 continue
             sg = as_closure(construct(code, k))
-            data = green(sg)
-            by_class = {}
-            for i in range(sg.size):
-                by_class.setdefault(data.j[i], set()).add(sg.elements[i].rank)
-            ranks_per_class = [len(r) for r in by_class.values()]
-            distinct_ranks = {sg.elements[i].rank for i in range(sg.size)}
-            ok &= max(ranks_per_class) == 1
-            ok &= len(by_class) == len(distinct_ranks)
+            j, rank = green(sg).j, ranks(sg.labels)
+            # one rank per J-class, and one J-class per rank
+            classes = len(np.unique(j))
+            ok &= len(set(zip(j.tolist(), rank.tolist()))) == classes
+            ok &= classes == len(np.unique(rank))
             checked.append(f"{code}:{k}")
     return ok, {"checked": checked}
 
@@ -347,15 +319,17 @@ def _subgroup_orders(n):
     for k in range(1, n + 1):
         sg = as_closure(construct("B", k))
         data = green(sg)
+        rank_of = ranks(sg.labels)
         for j in range(data.num_j):
-            rank = sg.elements[next(iter(data.j_members[j]))].rank
+            rank = int(rank_of[data.j_members[j][0]])
             ok &= data.j_subgroup_order[j] == math.factorial(rank)
         details[f"B:{k}"] = "t! at each rank t"
     for k in range(2, n + 1, 2):
         sg = as_closure(construct("EA", k))
         data = green(sg)
+        rank_of = ranks(sg.labels)
         for j in range(data.num_j):
-            rank = sg.elements[next(iter(data.j_members[j]))].rank
+            rank = int(rank_of[data.j_members[j][0]])
             want = rank // 2 if rank >= 2 else 1
             ok &= data.j_subgroup_order[j] == want
         us = units(sg)
@@ -393,23 +367,14 @@ def _depth(n):
 def _named_elements(n):
     ok = True
     checked = []
-    for k in range(3, n + 1):
-        lam = identity(k)
-        for i in range(k - 1, 0, -1):
-            lam = lam * adjacent_contraction(k, i)
-        ok &= lam == cascade(k)
-        checked.append(f"cascade:{k}")
-    for k in range(4, n + 1, 2):
-        xi = cascade(k) * adjacent_contraction(k, k) * adjacent_contraction(k, k - 1)
-        ok &= xi == local_rotation(k)
-        checked.append(f"local-rotation:{k}")
-    for k in range(5, n + 1, 2):
-        xi = local_rotation(k)
-        power = identity(k)
-        for _ in range((k - 1) // 2):
-            power = power * xi
-        ok &= power * adjacent_contraction(k, k) == capped_rotation(k)
-        checked.append(f"capped-rotation:{k}")
+    made = {k: named_element_products(k) for k in range(3, n + 1)}
+    for name, closed_form, degrees in (
+            ("cascade", cascade, range(3, n + 1)),
+            ("local_rotation", local_rotation, range(4, n + 1, 2)),
+            ("capped_rotation", capped_rotation, range(5, n + 1, 2))):
+        for k in degrees:
+            ok &= made[k][name] == closed_form(k)
+            checked.append(f"{name.replace('_', '-')}:{k}")
     return ok, {"checked": checked}
 
 
@@ -679,12 +644,14 @@ def _closure_annular(n, samples, seed):
     rng = random.Random(seed)
     a6 = sorted(construct("A", n).elements, key=encode)
     ea6 = sorted(construct("EA", n).elements, key=encode)
-    bad = 0
+    xy, uv = [], []
     for _ in range(samples):
         x, y = rng.choice(a6), rng.choice(a6)
-        bad += not is_annular(x * y)
+        xy.append(x * y)
         u, v = rng.choice(ea6), rng.choice(ea6)
-        bad += parity(u * v) not in (Parity.EVEN, Parity.RANK_ZERO)
+        uv.append(u * v)
+    bad = int((~annular(label_array(xy, n))).sum()
+              + (~even_or_rank_zero(label_array(uv, n))).sum())
     return bad == 0, {"samples": samples, "failures": bad}
 
 
@@ -695,15 +662,14 @@ def _closure_annular(n, samples, seed):
 def _parity_composition(n, samples, seed):
     rng = random.Random(seed)
     a6 = sorted(construct("A", n).elements, key=encode)
-    bad = 0
-    for _ in range(samples):
-        x, y = rng.choice(a6), rng.choice(a6)
-        p = parity(x * y)
-        if (x * y).rank == 0:
-            bad += p is not Parity.RANK_ZERO
-        else:
-            same = parity(x) == parity(y)
-            bad += p is not (Parity.EVEN if same else Parity.ODD)
+    pairs = [(rng.choice(a6), rng.choice(a6)) for _ in range(samples)]
+    xs, ys = (label_array(side, n) for side in zip(*pairs))
+    xy = label_array([x * y for x, y in pairs], n)
+    rank_zero, even, odd = map(PARITY_OF_CODE.index,
+                               (Parity.RANK_ZERO, Parity.EVEN, Parity.ODD))
+    want = np.where(ranks(xy) == 0, rank_zero,
+                    np.where(parities(xs) == parities(ys), even, odd))
+    bad = int((parities(xy) != want).sum())
     return bad == 0, {"samples": samples, "failures": bad}
 
 
@@ -731,14 +697,12 @@ def _partial_generators(n):
     ok = True
     details = {}
     for k in range(2, n + 1):
-        matchings = enumerate_partial_matchings(k)
-        full = {
-            "PB": set(matchings),
-            "PJ": {d for d in matchings if is_planar(d)},
-            "PA": {d for d in matchings if is_annular(d)},
-        }
+        matchings = enumerate_matchings(k, partial=True)
+        full = {"PB": matchings, "PJ": matchings[planar(matchings)],
+                "PA": matchings[annular(matchings)]}
         if k <= 4:
-            full["C"] = set(enumerate_partitions(k))
+            full["C"] = enumerate_partitions(k)
+        full = {code: ElementSet(k, labs) for code, labs in full.items()}
         for code, family in full.items():
             span = closure(generators(code, k), include_identity=True)
             ok &= span.element_set() == family

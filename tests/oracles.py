@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the package's algorithms: products go
 through repeated set merging instead of union-find, planarity through an
-explicit nesting stack instead of chord interleaving, annularity through
-direct row relabeling, and counts through recurrences distinct from the
-closed forms in the library.  Only the public Diagram constructor and the
-signed block view are shared, since tests must talk about the same
+explicit nesting stack instead of depth counts over label arrays,
+annularity through relabeling the boundary one pair of row rotations at a
+time, rank and parity through the signed blocks one block at a time, and
+counts through recurrences distinct from the closed forms in the
+library.  Only the public Diagram constructor, the signed block view and
+the Parity names are shared, since tests must talk about the same
 objects.
 
 The exceptions are the sections on closures and on closure analyses by
@@ -43,6 +45,7 @@ from scipy.sparse import csgraph
 
 from brauerkit import (
     Diagram,
+    Parity,
     closure,
     diagram,
     diagrams,
@@ -173,51 +176,67 @@ def oracle_noncrossing_perfect(n):
 # planarity and annularity
 
 
+def _nested(pos, blocks):
+    """Stack-nesting test: no two of these blocks of signed points, each of
+    size <= 2, cross in the boundary order pos (point -> position)."""
+    other_end = [None] * len(pos)
+    for block in blocks:
+        if len(block) > 2:
+            raise ValueError("oracle only handles pair diagrams")
+        if len(block) == 2:
+            i, j = (pos[p] for p in block)
+            other_end[i], other_end[j] = j, i
+    stack = []  # where the open arcs close, innermost last
+    for t, end in enumerate(other_end):
+        if end is None:
+            continue
+        if end > t:
+            stack.append(end)
+        elif stack.pop() != t:
+            return False
+    return True
+
+
+def _boundary(n):
+    return {p: i for i, p in enumerate(circle_order(n))}
+
+
 def oracle_planar_pairs(a):
     """Stack-nesting planarity test for diagrams with blocks of size <= 2."""
-    pos = {p: i for i, p in enumerate(circle_order(a.n))}
-    arcs = []
-    for block in a.signed_blocks:
-        if len(block) == 1:
-            continue
-        if len(block) != 2:
-            raise ValueError("oracle only handles pair diagrams")
-        i, j = sorted(pos[p] for p in block)
-        arcs.append((i, j))
-    stack = []
-    open_at = {i: j for i, j in arcs}
-    close_at = {j: i for i, j in arcs}
-    for t in range(2 * a.n):
-        if t in close_at:
-            if not stack or stack[-1] != t:
-                return False
-            stack.pop()
-        if t in open_at:
-            stack.append(open_at[t])
-    return not stack
+    return _nested(_boundary(a.n), a.signed_blocks)
 
 
-def oracle_rotate(a, bottom, top):
-    """Advance bottom labels by `bottom` and top labels by `top` (mod n)."""
-    n = a.n
-    out = []
-    for block in a.signed_blocks:
-        nb = []
-        for p in block:
-            if p > 0:
-                nb.append((p - 1 + bottom) % n + 1)
-            else:
-                nb.append(-((-p - 1 + top) % n + 1))
-        out.append(nb)
-    return diagram(n, out)
+@functools.lru_cache(maxsize=None)
+def _turned_boundaries(n):
+    """For each pair (p, q), the boundary position of every signed point
+    once bottom labels advance by p and top labels by q (mod n)."""
+    order = _boundary(n)
+    return [{x: order[(x - 1 + p) % n + 1 if x > 0 else -((-x - 1 + q) % n + 1)]
+             for x in order}
+            for p in range(n) for q in range(n)]
 
 
 def oracle_annular(a):
-    n = a.n
-    return any(
-        oracle_planar_pairs(oracle_rotate(a, p, q))
-        for p in range(n) for q in range(n)
-    )
+    blocks = a.signed_blocks
+    return any(_nested(pos, blocks) for pos in _turned_boundaries(a.n))
+
+
+def oracle_rank(a):
+    """The number of blocks with points on both rows."""
+    return sum(min(block) < 0 < max(block) for block in a.signed_blocks)
+
+
+def oracle_parity(a):
+    """Parity from the sums i + j over the bottom points i and top points
+    j' (signed -j) of each through block: a block is even when all are
+    even, odd when all are odd, and both when they mix."""
+    kinds = set()
+    for block in a.signed_blocks:
+        kinds |= {(i - t) % 2 for i in block if i > 0 for t in block if t < 0}
+    if not kinds:
+        return Parity.RANK_ZERO
+    return {frozenset({0}): Parity.EVEN,
+            frozenset({1}): Parity.ODD}.get(frozenset(kinds), Parity.MIXED)
 
 
 # ---------------------------------------------------------------------------

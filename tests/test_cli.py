@@ -322,6 +322,23 @@ def test_cli_output_is_pinned(tmp_path, capsys):
         "bd91753989520affeaea2caf2c0673be0eef018a2ef21e9e62316501f898d0e6")
 
 
+_PINNED_TARGETS = (
+    "counts-jones", "counts-partial", "family-filters", "green-rank",
+    "subgroup-orders", "named-elements", "parity-morphism-a4",
+    "closure-annular", "parity-composition", "partial-generators")
+
+
+def test_verify_output_is_pinned(capsys):
+    """verify's json report over the targets that run the diagram
+    predicates, byte for byte once the duration_ms lines are dropped."""
+    assert main(["verify", *_PINNED_TARGETS, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if '"duration_ms"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "a21c73e7552efa37a9ab99f68505ef05dc564a0a61299d14754ba565a967f661")
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 

@@ -45,13 +45,19 @@ from brauerkit import (
     twist,
 )
 from brauerkit.diagrams import (
+    PARITY_OF_CODE,
     ElementSet,
+    annular,
+    brauer,
     even_or_rank_zero,
     from_label_array,
     from_labels,
     label_array,
     labels,
     multiply_labels,
+    parities,
+    partial_brauer,
+    planar,
     ranks,
 )
 from brauerkit.errors import (
@@ -68,8 +74,13 @@ from oracles import (
     oracle_annular,
     oracle_label_array,
     oracle_multiply,
+    oracle_parity,
+    oracle_partial_matchings,
+    oracle_perfect_matchings,
     oracle_planar_pairs,
     oracle_random_pair_diagram,
+    oracle_rank,
+    oracle_set_partitions,
 )
 
 
@@ -287,7 +298,7 @@ def test_element_set_orders_wide_degrees_by_row_bytes():
 @pytest.mark.parametrize("family, n", [("PB", 4), ("C", 3)])
 def test_ranks_match_scalar_rank(family, n):
     elems = list(construct(family, n).elements)
-    assert ranks(label_array(elems, n)).tolist() == [d.rank for d in elems]
+    assert ranks(label_array(elems, n)).tolist() == list(map(oracle_rank, elems))
 
 
 def test_multiply_requires_equal_degree():
@@ -450,7 +461,7 @@ def test_parity_cases():
                         random_partition_diagram]))
 def test_even_mask_matches_scalar_parity(n, rng, sample):
     ds = [sample(n, rng) for _ in range(24)]
-    want = [parity(d) in (Parity.EVEN, Parity.RANK_ZERO) for d in ds]
+    want = [oracle_parity(d) in (Parity.EVEN, Parity.RANK_ZERO) for d in ds]
     assert even_or_rank_zero(label_array(ds, n)).tolist() == want
 
 
@@ -502,6 +513,56 @@ def test_annularity_matches_rotation_oracle():
 def test_annularity_rejects_big_blocks():
     with pytest.raises(UnsupportedBlockSize):
         is_annular(from_transformation(2, (1, 1)))
+
+
+def _assert_predicates_match_oracles(ds, n):
+    labs = label_array(ds, n)
+    assert ranks(labs).tolist() == [oracle_rank(d) for d in ds]
+    assert [PARITY_OF_CODE[c] for c in parities(labs)] == list(map(oracle_parity, ds))
+    sizes = [sorted(map(len, d.signed_blocks)) for d in ds]
+    pairs = [s[-1] <= 2 for s in sizes]
+    assert partial_brauer(labs).tolist() == pairs
+    assert brauer(labs).tolist() == [s == [2] * n for s in sizes]
+    matchings = [d for d, ok in zip(ds, pairs) if ok]
+    labs = label_array(matchings, n)
+    assert planar(labs).tolist() == list(map(oracle_planar_pairs, matchings))
+    assert annular(labs).tolist() == list(map(oracle_annular, matchings))
+    if not all(pairs):
+        for predicate in (planar, annular):
+            with pytest.raises(UnsupportedBlockSize):
+                predicate(label_array(ds, n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_predicates_match_oracles_on_partial_matchings(n):
+    _assert_predicates_match_oracles(list(oracle_partial_matchings(n)), n)
+
+
+def test_predicates_match_oracles_on_degree_6_perfect_matchings():
+    _assert_predicates_match_oracles(list(oracle_perfect_matchings(6)), 6)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_predicates_match_oracles_on_set_partitions(n):
+    _assert_predicates_match_oracles(list(oracle_set_partitions(n)), n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_predicates_match_oracles_on_random_diagrams(n):
+    rng = random.Random(n)
+    for sample in (random_brauer, random_partial_brauer, random_partition_diagram):
+        _assert_predicates_match_oracles([sample(n, rng) for _ in range(100)], n)
+
+
+def test_predicates_match_oracles_at_degree_64():
+    # int16 label arrays; the second row is annular and not planar
+    n = 64
+    rng = random.Random(64)
+    ds = [random_partial_brauer(n, rng), rotation(n) * cascade(n),
+          random_partition_diagram(n, rng)]
+    assert labels(ds[0]).dtype == np.int16
+    _assert_predicates_match_oracles(ds, n)
+    assert (is_annular(ds[1]), is_planar(ds[1])) == (True, False)
 
 
 def test_rotation_is_annular_but_not_planar():

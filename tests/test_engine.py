@@ -941,6 +941,16 @@ def test_ids_outside_the_semigroup_are_rejected(function, shift):
         _BAD_IDS[function](sg, [i + off for i in ids])
 
 
+@pytest.mark.parametrize("function", [local_monoid, index_period,
+                                      principal_ideal, h_class_of])
+def test_single_ids_outside_the_semigroup_are_rejected(function):
+    sg = _b(3)
+    function(sg, sg.identity_id)
+    for bad in (-1, sg.size):
+        with pytest.raises(BadIndex):
+            function(sg, bad)
+
+
 # ---------------------------------------------------------------------------
 # claim-guarding checks raise typed errors, also under python -O
 

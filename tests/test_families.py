@@ -1,5 +1,6 @@
 """Family constructions: sizes, membership, closure views."""
 
+import re
 from functools import lru_cache
 from itertools import permutations
 
@@ -18,6 +19,7 @@ from brauerkit import (
     closure,
     construct,
     double_factorial_odd,
+    encode,
     from_permutation,
     generators,
     identity,
@@ -25,14 +27,14 @@ from brauerkit import (
     load_cache,
     membership,
     motzkin,
-    parity,
     partial_identity,
     rotation,
     save_cache,
 )
 from brauerkit import diagrams, engine, families
-from brauerkit.diagrams import ElementSet, even_or_rank_zero, label_array
+from brauerkit.diagrams import ElementSet, even_or_rank_zero, label_array, labels
 from brauerkit.errors import BadDegree, BudgetExceeded, CrossCheckFailed, DegreeMismatch
+from brauerkit.families import membership_mask
 
 from oracles import (
     oracle_annular,
@@ -42,6 +44,7 @@ from oracles import (
     oracle_involutions,
     oracle_motzkin,
     oracle_noncrossing_perfect,
+    oracle_parity,
     oracle_partial_matchings,
     oracle_perfect_matchings,
     oracle_planar_pairs,
@@ -140,7 +143,7 @@ def test_even_annular_filter_matches_scalar_parity(n):
     elems = list(construct("A", n).elements)
     # fresh diagrams, so that the shared A:n elements stay undecoded
     fresh = [Diagram._from_key(n, d.key) for d in elems]
-    want = [parity(d) in (Parity.EVEN, Parity.RANK_ZERO) for d in fresh]
+    want = [oracle_parity(d) in (Parity.EVEN, Parity.RANK_ZERO) for d in fresh]
     assert even_or_rank_zero(label_array(elems, n)).tolist() == want
     if n % 2 == 0:
         assert construct("EA", n).elements == {d for d, w in zip(elems, want) if w}
@@ -196,6 +199,20 @@ def test_family_ids_all_construct():
 
 # ---------------------------------------------------------------------------
 # membership spot checks
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_membership_mask_cuts_each_family_out_of_all_partitions(n):
+    ds = list(oracle_set_partitions(n))
+    labs = label_array(ds, n)
+    for family in FAMILY_IDS:
+        if family == "EA" and n % 2:
+            continue
+        mask = membership_mask(family, labs)
+        assert mask.tolist() == [membership(family, d) for d in ds]
+        assert construct(family, n).elements == ElementSet(n, labs[mask])
+    with pytest.raises(KeyError):
+        membership_mask("XX", labels(identity(n))[None])
 
 
 def test_membership_spot_checks():
@@ -350,9 +367,11 @@ def test_dropping_a_generator_fails_the_count(fresh_construct, monkeypatch,
 def test_a_generator_outside_the_family_fails_membership(fresh_construct,
                                                          monkeypatch):
     full = generators
-    monkeypatch.setattr(families, "generators",
-                        lambda f, k: full(f, k) + (partial_identity(k, 1),))
-    with pytest.raises(CrossCheckFailed):
+    monkeypatch.setattr(families, "generators", lambda f, k: full(f, k) + (
+        partial_identity(k, 1), partial_identity(k, 2)))
+    # the first generator outside the family is named
+    with pytest.raises(CrossCheckFailed,
+                       match=re.escape(f"generator {encode(partial_identity(3, 1))} ")):
         construct("B", 3)
 
 
