@@ -54,6 +54,19 @@ def _emit_rows(rows, headers, fmt, out):
             out.write("| " + " | ".join(v.ljust(w) for v, w in zip(c, widths)) + " |\n")
 
 
+def _emit_record(record, fmt, out):
+    """One record: a json object, a csv header and value row, or one
+    "key: value" line per field."""
+    if fmt == "json":
+        json.dump(record, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        _emit_rows([record], list(record), fmt, out)
+    else:
+        for key, value in record.items():
+            out.write(f"{key}: {value}\n")
+
+
 def _rank_histogram(elements):
     """{rank: count} over an ElementSet, highest rank first."""
     counts = Counter(ranks(elements.labels).tolist())
@@ -84,12 +97,8 @@ def cmd_gen(args):
     except BrauerKitError as exc:
         out["green_summary"] = f"skipped ({exc})"
     out["duration_ms"] = round((time.time() - t0) * 1000, 1)
-    if args.format == "json":
-        json.dump(out, sys.stdout, indent=2)
-        print()
-    else:
-        for key, value in out.items():
-            print(f"{key}: {value}")
+    _emit_record(out, args.format, sys.stdout)
+    if args.format == "md":
         path = cache_path(default_cache_dir(args.cache_dir), args.family, args.n)
         print(f"cache: {path}")
     return 0
@@ -157,12 +166,7 @@ def cmd_kernel(args):
         out["witness"] = encode(sg.elements[result.witness])
         out["witness_index"] = idx
         out["witness_period"] = per
-    if args.format == "json":
-        json.dump(out, sys.stdout, indent=2)
-        print()
-    else:
-        for key, value in out.items():
-            print(f"{key}: {value}")
+    _emit_record(out, args.format, sys.stdout)
     return 0
 
 
@@ -174,6 +178,9 @@ def cmd_verify(args):
     if unknown:
         print(f"unknown verify target(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known targets: {', '.join(TARGETS)}", file=sys.stderr)
+        return 2
+    if args.n is not None and args.n < 1:
+        print("--n must be at least 1", file=sys.stderr)
         return 2
     reports = []
     all_pass = True

@@ -4,12 +4,13 @@ Semigroups are materialized as closures: elements get dense integer ids in
 BFS discovery order (seeds first, in the order given, then products), and
 the right Cayley graph over the generating set is recorded during the
 search, together with a BFS word (parent, letter) for every element.  The
-search runs one BFS level at a time over label arrays: each level is
-multiplied by the stack of generators in numpy batches
-(diagrams.multiply_labels), and new elements are numbered in row-major
-(element, generator) order, so ids, words and Cayley graphs are those of
-a search taking one product at a time (Froidure & Pin 1997; East,
-Egri-Nagy, Mitchell & Peresse, Computing finite semigroups, 2019).
+search (closure) seeds every generator and then runs once, one BFS level
+at a time over label arrays: each level is multiplied by the stack of
+generators in numpy batches (diagrams.multiply_labels), so each (element,
+generator) product is taken once, and new elements are numbered in
+row-major (element, generator) order, so ids, words and Cayley graphs are
+those of a search taking one product at a time (Froidure & Pin 1997;
+East, Egri-Nagy, Mitchell & Peresse, Computing finite semigroups, 2019).
 A closure keeps the search's label array (SemigroupClosure.labels, row i
 the diagram of id i) and its dict from label bytes to ids: elements[i]
 makes the Diagram of id i only when it is read, and index looks a diagram
@@ -47,9 +48,9 @@ graphs are its table's columns and rows at those generators, so Green's
 relations cost m x |generators| edges, not m^2; the set is found the
 first time generators, right_cayley or left_cayley is read.  Every
 family is built as the closure of a generating set (families.generators),
-so no element set needs its generators found; closure_from_elements,
-which grows a closure search from generators picked greedily from a set,
-is kept for callers outside the family code.
+so no element set needs its generators found; closure_from_elements, the
+closure of generators picked greedily from a set, is kept for callers
+outside the family code.
 """
 
 from __future__ import annotations
@@ -83,19 +84,20 @@ _PAIR_BATCH = 1 << 18  # products per batch in searches, restrictions and spans
 class SemigroupClosure:
     """A finite semigroup with dense ids 0..size-1 and Cayley data.
 
-    A closure of diagram generators (closure, or closure_from_elements for
-    an element set) holds the right Cayley graph over its generators' ids
-    and a BFS word per element; a table-backed one (from_table) holds its
-    full product table, and its generators are a small generating set
-    found from the table when first read; its parent and letter, the BFS
-    words of a search, are None, since its products are table gathers and
-    never walk a word.  labels is the read-only label array whose row i is
-    the diagram of id i, or None for a Rees quotient, whose ids stand for
-    no diagram.  elements[i] is that diagram, made from row i when it is
-    read, and index maps a diagram to its id through its key; both are
-    None when labels is.  identity_id is the id of the two-sided identity
-    when one exists (the identity diagram for ordinary closures, the
-    designated idempotent e for local monoids e S e).
+    A closure of diagram generators (closure; closure_from_elements picks
+    the generators of an element set first) holds the right Cayley graph
+    over its generators' ids and a BFS word per element; a table-backed
+    one (from_table) holds its full product table, and its generators are
+    a small generating set found from the table when first read; its
+    parent and letter, the BFS words of a search, are None, since its
+    products are table gathers and never walk a word.  labels is the
+    read-only label array whose row i is the diagram of id i, or None for
+    a Rees quotient, whose ids stand for no diagram.  elements[i] is that
+    diagram, made from row i when it is read, and index maps a diagram to
+    its id through its key; both are None when labels is.  identity_id is
+    the id of the two-sided identity when one exists (the identity diagram
+    for ordinary closures, the designated idempotent e for local monoids
+    e S e).
     """
 
     def __init__(self, degree, labels, key_ids, gen_ids, right_cayley,
@@ -438,161 +440,19 @@ class _Index(Mapping):
         return len(self._ids)
 
 
-class _RightCayleySearch:
-    """Froidure-Pin search of a right Cayley graph, one BFS level at a
-    time, that takes generators one at a time.
-
-    Elements are held as label arrays (diagrams.label_array) and told
-    apart by their bytes, the diagrams' keys, and get ids in discovery
-    order; a seed has parent -1 and its generator's letter (-1 for the
-    identity).  run() extends every row by the generators added since
-    that row was last extended, so each (element, generator) product is
-    taken exactly once, however the generators are interleaved with
-    runs.  A level is the rows that exist when it starts; their products
-    are taken in batches of at most _PAIR_BATCH products, the rows of a
-    batch that miss the same generators in one diagrams.multiply_labels
-    call by the stack of those generators, and new elements get ids in
-    row-major (id, generator) order, the order of a loop over the rows
-    one product at a time.  A new product outside `within` (a dict of
-    allowed label bytes to their positions) raises ValueError; an id
-    reaching `budget`, BudgetExceeded.
-    """
-
-    def __init__(self, degree, budget, within=None):
-        self.degree = degree
-        self.budget = budget
-        self.within = within
-        self.size = 0
-        self.index = {}
-        self.labels = np.empty((16, 2 * degree), dtype=diagrams.label_dtype(degree))
-        self.parent = np.empty(16, dtype=np.int32)
-        self.letter = np.empty(16, dtype=np.int32)
-        self.filled = np.empty(16, dtype=np.int32)
-        self.rows = np.empty((16, 4), dtype=np.int32)
-        self.multipliers = []
-        self.multiplier_labels = self.labels[:0].copy()
-
-    def _reserve(self, m, g):
-        """Grow the row arrays to hold m rows and the rows to hold g columns."""
-        cap, gcap = self.rows.shape
-        if m > cap or g > gcap:
-            cap, gcap = max(cap, 2 * m), max(gcap, 2 * g)
-            for name in ("labels", "parent", "letter", "filled"):
-                old = getattr(self, name)
-                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                grown[:self.size] = old[:self.size]
-                setattr(self, name, grown)
-            rows = np.empty((cap, gcap), dtype=np.int32)
-            rows[:self.size, :self.rows.shape[1]] = self.rows[:self.size]
-            self.rows = rows
-
-    def seed(self, d, let=-1):
-        if d.key not in self.index:
-            q = self.size
-            self._reserve(q + 1, len(self.multipliers))
-            self.index[d.key] = q
-            self.labels[q] = diagrams.labels(d)
-            self.parent[q], self.letter[q], self.filled[q] = -1, let, 0
-            self.size = q + 1
-
-    def add_generator(self, g):
-        self.multipliers.append(g)
-        self.multiplier_labels = np.vstack(
-            [self.multiplier_labels, diagrams.labels(g)])
-        self._reserve(self.size, len(self.multipliers))
-        self.seed(g, len(self.multipliers) - 1)
-
-    def run(self):
-        g = len(self.multipliers)
-        step = max(1, _PAIR_BATCH // max(1, g))
-        lo = 0
-        while lo < self.size:
-            hi = self.size
-            for start in range(lo, hi, step):
-                self._extend(start, min(hi, start + step))
-            lo = hi
-
-    def _extend(self, lo, hi):
-        """Take the missing products of rows lo..hi-1 and number the new ones.
-
-        Rows are grouped by the generators they have been extended by, and
-        each group takes its products in one diagrams.multiply_labels call.
-        """
-        gen_labels = self.multiplier_labels
-        g = len(gen_labels)
-        filled = self.filled[lo:hi]
-        need = filled[:, None] <= np.arange(g)
-        xs = self.labels[lo:hi]
-        prods = np.empty((hi - lo, g, xs.shape[1]), dtype=xs.dtype)
-        for f in np.unique(filled[filled < g]).tolist():
-            rows = np.flatnonzero(filled == f)
-            prods[rows, f:] = diagrams.multiply_labels(xs[rows], gen_labels[f:])
-        cells = prods[need]
-        keys = diagrams.label_keys(cells)
-        ids = list(map(self.index.get, keys))
-        if None in ids:
-            qs, letters = np.nonzero(need)
-            qs += lo
-            fresh = self._number(keys, ids, qs, letters)
-            m = self.size + len(fresh)
-            self._reserve(m, g)
-            self.labels[self.size:m] = cells[fresh]
-            self.parent[self.size:m] = qs[fresh]
-            self.letter[self.size:m] = letters[fresh]
-            self.filled[self.size:m] = 0
-            self.size = m
-        self.rows[lo:hi, :g][need] = ids
-        self.filled[lo:hi] = g
-
-    def _number(self, keys, ids, qs, letters):
-        """Number the cells whose keys are new, in cell order, into ids.
-
-        Cell c is the product of row qs[c] by generator letters[c].
-        Returns the cells that hold the new elements, in id order.
-        """
-        index, within = self.index, self.within
-        fresh = []
-        for c in [c for c, pid in enumerate(ids) if pid is None]:
-            pid = index.get(keys[c])
-            if pid is None:
-                if within is not None and keys[c] not in within:
-                    q, gi = qs[c], letters[c]
-                    raise ValueError(
-                        "element set is not closed under the product "
-                        f"({within[self.labels[q].tobytes()]} * "
-                        f"{within[self.multipliers[gi].key]})")
-                pid = self.size + len(fresh)
-                if pid >= self.budget:
-                    raise BudgetExceeded(
-                        f"closure exceeded budget of {self.budget} elements"
-                    )
-                index[keys[c]] = pid
-                fresh.append(c)
-            ids[c] = pid
-        return fresh
-
-    def closure(self):
-        m = self.size
-        labels = self.labels[:m].copy()
-        labels.flags.writeable = False
-        return SemigroupClosure(
-            degree=self.degree,
-            labels=labels,
-            key_ids=self.index,
-            gen_ids=[self.index[g.key] for g in self.multipliers],
-            right_cayley=self.rows[:m, :len(self.multipliers)].copy(),
-            parent=self.parent[:m].copy(),
-            letter=self.letter[:m].copy(),
-            identity_id=self.index.get(identity(self.degree).key),
-        )
-
-
 def closure(gens, *, include_identity=False, budget=None):
     """BFS closure of a generator list under the diagram product.
 
     Ids are assigned deterministically: the identity first when requested,
     then the deduplicated generators in the order given, then discovery
-    order.  Raises BudgetExceeded when the closure grows past `budget`.
+    order; a seed has parent -1 and its generator's letter (-1 for the
+    identity).  Elements are held as label arrays and told apart by their
+    bytes, the diagrams' keys.  The search takes one BFS level at a time:
+    the level's rows are multiplied by the stack of generators in blocks
+    of at most _PAIR_BATCH products, one diagrams.multiply_labels call
+    each, and new elements get ids in row-major (id, generator) order, the
+    order of a loop over the rows one product at a time.  Raises
+    BudgetExceeded when a new element's id would reach `budget`.
     """
     gens = list(gens)
     if not gens and not include_identity:
@@ -601,13 +461,58 @@ def closure(gens, *, include_identity=False, budget=None):
     for g in gens:
         if g.n != degree:
             raise DegreeMismatch(f"generator degrees {degree} vs {g.n}")
-    search = _RightCayleySearch(degree, DEFAULT_BUDGET if budget is None else budget)
-    if include_identity:
-        search.seed(identity(degree))
-    for g in dict.fromkeys(gens):
-        search.add_generator(g)
-    search.run()
-    return search.closure()
+    budget = DEFAULT_BUDGET if budget is None else budget
+    gens = list(dict.fromkeys(gens))
+    seeds = {identity(degree): -1} if include_identity else {}
+    for i, d in enumerate(gens):
+        seeds.setdefault(d, i)
+    index = {d.key: q for q, d in enumerate(seeds)}
+    gen_labels = diagrams.label_array(gens, degree)
+    g = len(gens)
+    step = max(1, _PAIR_BATCH // max(1, g))
+    level = diagrams.label_array(list(seeds), degree)
+    labels, rows = [level], []
+    parent = [np.full(len(level), -1, dtype=np.int32)]
+    letter = [np.fromiter(seeds.values(), dtype=np.int32)]
+    lo = 0  # the id of the level's first row
+    while len(level):
+        first = len(labels)
+        for start in range(0, len(level), step):
+            xs = level[start:start + step]
+            cells = diagrams.multiply_labels(xs, gen_labels).reshape(-1, 2 * degree)
+            keys = diagrams.label_keys(cells)
+            ids = list(map(index.get, keys))
+            if None in ids:
+                fresh = []
+                for c in [c for c, pid in enumerate(ids) if pid is None]:
+                    pid = index.get(keys[c])
+                    if pid is None:
+                        pid = len(index)
+                        if pid >= budget:
+                            raise BudgetExceeded(
+                                f"closure exceeded budget of {budget} elements")
+                        index[keys[c]] = pid
+                        fresh.append(c)
+                    ids[c] = pid
+                labels.append(cells[fresh])
+                qs, letters = np.divmod(np.array(fresh, dtype=np.int32), g)
+                parent.append(qs + (lo + start))
+                letter.append(letters)
+            rows.append(np.array(ids, dtype=np.int32).reshape(len(xs), g))
+        lo += len(level)
+        level = np.concatenate([level[:0], *labels[first:]])
+    labels = np.concatenate(labels)
+    labels.flags.writeable = False
+    return SemigroupClosure(
+        degree=degree,
+        labels=labels,
+        key_ids=index,
+        gen_ids=[index[d.key] for d in gens],
+        right_cayley=np.concatenate(rows),
+        parent=np.concatenate(parent),
+        letter=np.concatenate(letter),
+        identity_id=index.get(identity(degree).key),
+    )
 
 
 def closure_from_elements(elems):
@@ -616,13 +521,12 @@ def closure_from_elements(elems):
     No family needs it, since each is built from a generating set; it stays
     a public function that the benchmark harness times by name.
 
-    Scanning the distinct elements in the order given, each one not yet in
-    the closure becomes the next generator and the search is extended by
-    it, so the search takes |S| x g diagram products for the g generators
-    picked (at most |S|^2, when every element is needed).  Ids are the
-    search's, as in closure.  Raises ValueError at the first product
-    outside the set, and BudgetExceeded before |S| x g, the cells of the
-    right Cayley graph, would pass TABLE_CELL_LIMIT.
+    Scanning the distinct elements in the order given, each one outside
+    the closure of the earlier picks becomes the next pick, and the picks'
+    closure is searched again, so g picks take at most |S| g(g+1)/2
+    diagram products.  Returns closure(picks).  Raises ValueError when the
+    closure of the picks leaves the set, and BudgetExceeded before |S| x g,
+    the cells of the right Cayley graph, would pass TABLE_CELL_LIMIT.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
@@ -631,17 +535,24 @@ def closure_from_elements(elems):
     for d in elems:
         if d.n != degree:
             raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
-    search = _RightCayleySearch(degree, len(elems),
-                                within={d.key: i for i, d in enumerate(elems)})
+    keys = {d.key for d in elems}
+    picks, sg = [], None
     for d in elems:
-        if d.key not in search.index:
-            if len(elems) * (len(search.multipliers) + 1) > TABLE_CELL_LIMIT:
+        if sg is None or d.key not in sg._key_id_map():
+            if len(elems) * (len(picks) + 1) > TABLE_CELL_LIMIT:
                 raise BudgetExceeded(
-                    f"{len(elems)} elements need over {len(search.multipliers)} greedy "
+                    f"{len(elems)} elements need over {len(picks)} greedy "
                     "generators, over TABLE_CELL_LIMIT Cayley graph cells")
-            search.add_generator(d)
-            search.run()
-    return search.closure()
+            picks.append(d)
+            try:  # a closure over |S| elements leaves the set
+                sg = closure(picks, budget=len(elems))
+            except BudgetExceeded:
+                sg = None
+            if sg is None or not keys.issuperset(sg._key_id_map()):
+                raise ValueError(
+                    "element set is not closed under the product: the closure "
+                    f"of its first {len(picks)} greedy generators leaves it")
+    return sg
 
 
 def _checked_ids(sg, ids):

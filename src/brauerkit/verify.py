@@ -641,6 +641,8 @@ def _star_laws(n, samples, seed):
          "annular diagrams stay even",
          n=6, samples=4000, seed=31)
 def _closure_annular(n, samples, seed):
+    """At the largest even degree <= n, where the even family exists."""
+    n -= n % 2
     rng = random.Random(seed)
     a6 = sorted(construct("A", n).elements, key=encode)
     ea6 = sorted(construct("EA", n).elements, key=encode)
@@ -660,6 +662,9 @@ def _closure_annular(n, samples, seed):
          "parities unless the rank collapses to zero",
          n=6, samples=20000, seed=37)
 def _parity_composition(n, samples, seed):
+    """At the largest even degree <= n: at odd degree parities do not
+    compose."""
+    n -= n % 2
     rng = random.Random(seed)
     a6 = sorted(construct("A", n).elements, key=encode)
     pairs = [(rng.choice(a6), rng.choice(a6)) for _ in range(samples)]

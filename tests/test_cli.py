@@ -89,6 +89,23 @@ def test_gen_budget_error_exits_1(cache_dir, capsys):
     assert "error:" in err
 
 
+def test_gen_and_kernel_csv_is_one_header_and_one_value_row(cache_dir, capsys):
+    code, out, _ = _run(capsys, "gen", "--family", "B", "--n", "3",
+                        "--format", "csv")
+    assert code == 0
+    [row] = csv.DictReader(io.StringIO(out))
+    assert (row["family"], row["n"], row["count"], row["units"]) == (
+        "B", "3", "15", "6")
+    assert row["rank_histogram"] == "{3: 6, 1: 9}"
+    _, want, _ = _run(capsys, "kernel", "--family", "PA", "--n", "4",
+                      "--format", "json")
+    code, out, _ = _run(capsys, "kernel", "--family", "PA", "--n", "4",
+                        "--format", "csv")
+    assert code == 0
+    [row] = csv.DictReader(io.StringIO(out))
+    assert row == {k: str(v) for k, v in json.loads(want).items()}
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -177,6 +194,22 @@ def test_verify_unknown_target_exits_2(cache_dir, capsys):
     code, _, err = _run(capsys, "verify", "no-such-target")
     assert code == 2
     assert "unknown verify target" in err
+
+
+def test_verify_degree_below_1_is_a_usage_error(cache_dir, capsys):
+    for n in ("0", "-3"):
+        code, out, err = _run(capsys, "verify", "all", "--n", n)
+        assert code == 2 and out == ""
+        assert "--n must be at least 1" in err
+
+
+def test_even_degree_targets_run_at_the_largest_even_degree(cache_dir, capsys):
+    code, out, _ = _run(capsys, "verify", "closure-annular",
+                        "parity-composition", "--n", "5", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["verdict"] for r in reports] == ["PASS", "PASS"]
+    assert all(r["details"]["failures"] == 0 for r in reports)
 
 
 def test_verify_reports_are_deterministic_modulo_duration(cache_dir, capsys):
