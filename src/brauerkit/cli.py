@@ -26,7 +26,7 @@ from . import __version__
 from .diagrams import encode, identity, ranks
 from .engine import essential_depth, green, index_period, is_aperiodic, units
 from .errors import BrauerKitError
-from .families import CLOSED_FORMS, FAMILY_IDS, as_closure, construct
+from .families import CLOSED_FORMS, FAMILY_IDS, as_closure, cardinality_table, construct
 from .kernel import kernel
 from .store import cache_path, default_cache_dir, load_or_build, make_report
 from .verify import TARGETS, run_target
@@ -105,13 +105,13 @@ def cmd_gen(args):
 
 
 def cmd_count(args):
-    rows = []
-    for k in range(1, args.n + 1):
-        row = {"family": args.family, "n": k}
-        formula = CLOSED_FORMS.get(args.family)
-        row["formula"] = formula(k) if formula else ""
-        row["count"] = construct(args.family, k, budget=args.budget).size
-        rows.append(row)
+    if args.n < 1:
+        print("--n must be at least 1", file=sys.stderr)
+        return 2
+    formula = CLOSED_FORMS.get(args.family)
+    counts = cardinality_table(args.family, args.n, budget=args.budget)
+    rows = [{"family": args.family, "n": k, "formula": formula(k) if formula else "",
+             "count": count} for k, count in counts.items()]
     _emit_rows(rows, ["family", "n", "count", "formula"], args.format, sys.stdout)
     return 0
 

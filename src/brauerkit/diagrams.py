@@ -14,18 +14,20 @@ and equality and hashing use only that; the blocks (sorted tuples listed by
 least point, singletons kept explicitly) are decoded from it on first use.
 Values are immutable, so diagrams are safe to share and to use as dict
 keys.  Closures and the cache hold label arrays, which label_array and
-from_label_array turn into diagrams and back without decoding blocks, and
-multiply_labels takes the products of a whole batch of them by a stack of
-diagrams with numpy.  An ElementSet is a set of diagrams held as one label
-array, its rows sorted by their bytes.
+from_label_array turn into diagrams and back without decoding blocks.  An
+ElementSet is a set of diagrams held as one label array, its rows sorted
+by their bytes.
 
 The predicates that decide family membership (ranks, parities, brauer,
 partial_brauer, planar, annular) take a whole label array; Diagram.rank,
 parity and the is_* tests are their one-row calls.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
-reads off the induced partition on the outer rows.  Text round-trip uses
-the v1 format  "n:[{1,1'},{2,2'}]"  (top points primed).
+reads off the induced partition on the outer rows.  One numpy kernel takes
+every product: multiply_labels every row of a label array by every row of
+another (the closures' products), multiply_pairs row r by row r, and a*b
+is a one-row call.  Text round-trip uses the v1 format  "n:[{1,1'},{2,2'}]"
+(top points primed).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
     BadDegree,
     BadIndex,
     DegreeMismatch,
+    LengthMismatch,
     NotABijection,
     ParseError,
     UnsupportedBlockSize,
@@ -218,39 +221,9 @@ def diagram(n, blocks):
 
 
 def multiply(a, b):
-    """Diagram product: stack a under b and join a's top row to b's bottom row.
-
-    Connected components are computed by union-find over the 3n points of
-    the stacked picture: a's points are 0..2n-1 and b's point q is q + n.
-    Components not meeting an outer row vanish, and numbering the rest by
-    their least outer point gives the product's label array.
-    """
-    if a.n != b.n:
-        raise DegreeMismatch(f"degree {a.n} vs {b.n}")
-    n = a.n
-    parent = list(range(3 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    head = {}
-    for p, k in enumerate(_row(a)):
-        parent[p] = head.setdefault(k, p)
-    head = {}
-    for q, k in enumerate(_row(b), n):
-        r = head.setdefault(k, q)
-        if r != q:
-            r, rq = find(r), find(q)
-            if rq != r:
-                parent[rq] = r
-
-    number = {}
-    row = [number.setdefault(find(p), len(number))
-           for p in (*range(n), *range(2 * n, 3 * n))]
-    return Diagram._from_key(n, _key(n, row))
+    """The diagram a*b, by the one-row call of multiply_pairs."""
+    row = multiply_pairs(label_array([a], a.n), label_array([b], b.n))[0]
+    return Diagram._from_key(a.n, row.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -415,54 +388,73 @@ def _block_successors(labs):
     return succ
 
 
+def _links(xs, ys):
+    """The links of the stacked pictures of x*y, for the rows x of xs and y
+    of ys.  The 3n nodes of a picture are x's bottom row 0..n-1, y's top
+    row n..2n-1 and the joined middle row 2n..3n-1; via_x[r, q] is the next
+    node after q of its block in xs[r], cyclically, or q itself when xs
+    has no point there, and via_y the same for ys."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.shape[1] != ys.shape[1]:
+        raise DegreeMismatch(f"degree {xs.shape[1] // 2} vs {ys.shape[1] // 2}")
+    n = xs.shape[1] // 2
+    p = np.arange(2 * n)
+    x_node, y_node = np.where(p < n, p, p + n), np.where(p < n, p + 2 * n, p)
+    via_x, via_y = (np.repeat(np.arange(3 * n)[None], len(labs), axis=0)
+                    for labs in (xs, ys))
+    via_x[:, x_node] = x_node[_block_successors(xs)]
+    via_y[:, y_node] = y_node[_block_successors(ys)]
+    return via_x, via_y
+
+
+def _components(via_x, via_y):
+    """Label arrays of the products whose pictures have the links via_x
+    (k x 3n) and via_y (k x 3n, or 3n for all k).  The links make every
+    component strongly connected.  A label is a flat node number, r * 3n + q
+    for node q of row r; each starts as its own and takes the least label
+    over its two links and over the node it names (pointer jumping) until
+    nothing changes, leaving on each component its least node, an outer one
+    unless the component vanishes.  Ranking the outer labels gives the
+    canonical form."""
+    k, size = via_x.shape
+    m = size // 3 * 2
+    offsets = np.arange(k)[:, None] * size
+    via_x, via_y = via_x + offsets, via_y + offsets
+    lab = np.arange(k * size).reshape(k, size)
+    while True:
+        new = np.minimum(lab, np.take(lab, via_x))
+        np.minimum(new, np.take(new, via_y), out=new)
+        np.minimum(new, np.take(new, new), out=new)
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    outer = lab[:, :m] - offsets
+    rank = np.cumsum(outer == np.arange(m), axis=1) - 1
+    return np.take_along_axis(rank, outer, axis=1).astype(label_dtype(m // 2))
+
+
 def multiply_labels(xs, bs):
     """Label arrays of x*b for every row x of xs and every row b of bs.
 
     xs is a k x 2n and bs a g x 2n stack of label arrays; the result has
-    shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  The 3n
-    points of the stacked picture are numbered with the outer rows first,
-    in canonical order: x's bottom row 0..n-1, b's top row n..2n-1, then
-    the joined middle row 2n..3n-1.  Every point points to the next point
-    of its block in x and in b, cyclically, so each component is strongly
-    connected; the block successors of every x and every b are worked out
-    once, for all the products.  Then, one b at a time, a point's label
-    starts as its own number and takes the least label over its two
-    pointers and over the point its label names (pointer jumping) until
-    nothing changes; each component then carries its least point, an
-    outer one unless the component vanishes.  Ranking the outer labels
-    gives the canonical form.
-    """
-    xs, bs = np.asarray(xs), np.asarray(bs)
-    k, m = xs.shape
-    g, mb = bs.shape
-    if mb != m:
-        raise DegreeMismatch(f"degree {m // 2} vs {mb // 2}")
-    n = m // 2
-    size = 3 * n
-    out = np.empty((k, g, m), dtype=label_dtype(n))
-    x_node = np.r_[0:n, 2 * n:3 * n]
-    b_node = np.r_[2 * n:3 * n, n:2 * n]
-    via_bs = np.tile(np.arange(size), (g, 1))
-    via_bs[:, b_node] = b_node[_block_successors(bs)]
-    rows = np.arange(k)[:, None]
-    offsets = rows * size
-    via_x = np.tile(np.arange(size), (k, 1))  # b's top row points to itself
-    via_x[:, x_node] = x_node[_block_successors(xs)]
-    via_x += offsets
-    start = np.tile(np.arange(size), (k, 1))
+    shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  The
+    links of every x and b are worked out once, and the components one b
+    at a time."""
+    via_x, via_bs = _links(xs, bs)
+    n = via_x.shape[1] // 3
+    out = np.empty((len(via_x), len(via_bs), 2 * n), dtype=label_dtype(n))
     for j, via_b in enumerate(via_bs):
-        lab = start
-        while True:
-            new = np.minimum(lab, lab.ravel()[via_x])
-            np.minimum(new, new[:, via_b], out=new)
-            np.minimum(new, new.ravel()[new + offsets], out=new)
-            if np.array_equal(new, lab):
-                break
-            lab = new
-        outer = lab[:, :m]
-        rank = np.cumsum(outer == np.arange(m), axis=1) - 1
-        out[:, j] = rank[rows, outer]
+        out[:, j] = _components(via_x, via_b)
     return out
+
+
+def multiply_pairs(xs, ys):
+    """Label arrays of xs[r] * ys[r] for every row r of two k x 2n stacks.
+    Raises LengthMismatch or DegreeMismatch when the stacks differ in length
+    or in degree."""
+    if len(xs) != len(ys):
+        raise LengthMismatch(f"{len(xs)} left factors vs {len(ys)} right factors")
+    return _components(*_links(xs, ys))
 
 
 def star(a):

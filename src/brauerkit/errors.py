@@ -21,6 +21,10 @@ class DegreeMismatch(BrauerKitError):
     """Two diagrams of different degree were combined."""
 
 
+class LengthMismatch(BrauerKitError):
+    """Two stacks of diagrams of different lengths were multiplied row by row."""
+
+
 class NotABijection(BrauerKitError):
     """Sequence passed as a permutation does not describe a bijection."""
 

@@ -283,8 +283,10 @@ def membership(family, a):
 
 
 def cardinality_table(family, n_max, budget=None):
-    """Counts {n: |family at degree n|} for n = 1..n_max."""
-    return {n: construct(family, n, budget=budget).size for n in range(1, n_max + 1)}
+    """Counts {n: |family at degree n|} for n = 1..n_max, the even n for EA."""
+    step = 2 if family == "EA" else 1
+    return {n: construct(family, n, budget=budget).size
+            for n in range(step, n_max + 1, step)}
 
 
 # ---------------------------------------------------------------------------

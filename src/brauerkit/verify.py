@@ -26,10 +26,12 @@ from .diagrams import (
     decode,
     encode,
     even_or_rank_zero,
+    from_label_array,
     identity,
     label_array,
     label_dtype,
     local_rotation,
+    multiply_pairs,
     named_element_products,
     parities,
     partial_identity,
@@ -394,6 +396,11 @@ def _local_rotation_power(n):
     return ok, {"exponent_by_degree": checked}
 
 
+def _unequal(xs, ys):
+    """The number of rows in which two label arrays differ."""
+    return int((xs != ys).any(axis=1).sum())
+
+
 @_target("twist-laws",
          "row rotation acts as conjugation (shift) and one-sided "
          "multiplication (twist) by the rotation element",
@@ -401,19 +408,18 @@ def _local_rotation_power(n):
 def _twist_laws(n, samples, seed):
     rng = random.Random(seed)
     zeta = rotation(n)
-    zpow = {0: identity(n)}
-    for k in range(1, 2 * n):
-        zpow[k] = zpow[k - 1] * zeta
-    def zp(k):
-        return zpow[k % (2 * n)]
-    bad = 0
-    for _ in range(samples):
-        a = random_partial_brauer(n, rng)
-        k = rng.randrange(-2 * n, 2 * n + 1)
-        if shift(a, k) != zp(-k) * a * zp(k):
-            bad += 1
-        if twist(a, k) != a * zp(k):
-            bad += 1
+    zpow = [identity(n)]
+    for _ in range(1, 2 * n):
+        zpow.append(zpow[-1] * zeta)
+    drawn, ks = zip(*[(random_partial_brauer(n, rng), rng.randrange(-2 * n, 2 * n + 1))
+                      for _ in range(samples)])
+    a = label_array(drawn, n)
+    back, ahead = (label_array([zpow[sign * k % (2 * n)] for k in ks], n)
+                   for sign in (-1, 1))
+    bad = _unequal(multiply_pairs(multiply_pairs(back, a), ahead),
+                   label_array([shift(x, k) for x, k in zip(drawn, ks)], n))
+    bad += _unequal(multiply_pairs(a, ahead),
+                    label_array([twist(x, k) for x, k in zip(drawn, ks)], n))
     return bad == 0, {"samples": samples, "failures": bad}
 
 
@@ -439,17 +445,12 @@ def _twist_singular(n):
     cases += [(k, capped_rotation(k), 1) for k in range(5, n + 1, 2)]
     for k, mover, t in cases:
         sg = as_closure(construct("A", k))
-        missing = 0
-        bad = 0
-        for i in singular_part(sg):
-            a = sg.elements[i]
-            spots = outer_positions(a)
-            if not spots:
-                missing += 1
-                continue
-            for pos in spots:
-                if a * shift(mover, -(k - pos)) != twist(a, t):
-                    bad += 1
+        singular = [sg.elements[i] for i in singular_part(sg)]
+        missing = sum(not outer_positions(a) for a in singular)
+        spots = [(a, pos) for a in singular for pos in outer_positions(a)]
+        movers = label_array([shift(mover, pos - k) for _, pos in spots], k)
+        moved = multiply_pairs(label_array([a for a, _ in spots], k), movers)
+        bad = _unequal(moved, label_array([twist(a, t) for a, _ in spots], k))
         ok &= missing == 0 and bad == 0
         details[f"A:{k}"] = {"twist": t, "no_outer_string": missing,
                              "failed_identities": bad}
@@ -602,21 +603,23 @@ def _tree_checks_pass(tree):
 # property sweeps
 
 
+def _nonassociative(n, triples):
+    """The number of triples (a, b, c) of degree n with (ab)c != a(bc)."""
+    a, b, c = (label_array(side, n) for side in zip(*triples))
+    return _unequal(multiply_pairs(multiply_pairs(a, b), c),
+                    multiply_pairs(a, multiply_pairs(b, c)))
+
+
 @_target("assoc",
          "diagram multiplication is associative on random triples",
          n=6, samples=10000, seed=23)
 def _assoc(n, samples, seed):
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(samples):
-        a = random_partial_brauer(n, rng)
-        b = random_partial_brauer(n, rng)
-        c = random_partial_brauer(n, rng)
-        bad += (a * b) * c != a * (b * c)
+    bad = _nonassociative(n, [[random_partial_brauer(n, rng) for _ in range(3)]
+                              for _ in range(samples)])
     c3 = sorted(construct("C", 3).elements, key=encode)
-    for _ in range(samples):
-        a, b, c = rng.choice(c3), rng.choice(c3), rng.choice(c3)
-        bad += (a * b) * c != a * (b * c)
+    bad += _nonassociative(3, [[rng.choice(c3) for _ in range(3)]
+                               for _ in range(samples)])
     return bad == 0, {"samples": 2 * samples, "failures": bad}
 
 
@@ -626,13 +629,14 @@ def _assoc(n, samples, seed):
          n=5, samples=2000, seed=29)
 def _star_laws(n, samples, seed):
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(samples):
-        a = random_partial_brauer(n, rng)
-        b = random_partial_brauer(n, rng)
-        bad += star(a * b) != star(b) * star(a)
-        bad += star(star(a)) != a
-        bad += a * star(a) * a != a
+    drawn = list(zip(*[(random_partial_brauer(n, rng), random_partial_brauer(n, rng))
+                       for _ in range(samples)]))
+    a, b = (label_array(side, n) for side in drawn)
+    sa, sb = (label_array(map(star, side), n) for side in drawn)
+    ab = from_label_array(multiply_pairs(a, b))
+    bad = _unequal(label_array(map(star, ab), n), multiply_pairs(sb, sa))
+    bad += sum(star(star(x)) != x for x in drawn[0])
+    bad += _unequal(multiply_pairs(multiply_pairs(a, sa), a), a)
     return bad == 0, {"samples": samples, "failures": bad}
 
 
@@ -641,19 +645,16 @@ def _star_laws(n, samples, seed):
          "annular diagrams stay even",
          n=6, samples=4000, seed=31)
 def _closure_annular(n, samples, seed):
-    """At the largest even degree <= n, where the even family exists."""
-    n -= n % 2
+    """At the largest even degree <= n, at least 2: the even family's."""
+    n = max(2, n - n % 2)
     rng = random.Random(seed)
     a6 = sorted(construct("A", n).elements, key=encode)
     ea6 = sorted(construct("EA", n).elements, key=encode)
-    xy, uv = [], []
-    for _ in range(samples):
-        x, y = rng.choice(a6), rng.choice(a6)
-        xy.append(x * y)
-        u, v = rng.choice(ea6), rng.choice(ea6)
-        uv.append(u * v)
-    bad = int((~annular(label_array(xy, n))).sum()
-              + (~even_or_rank_zero(label_array(uv, n))).sum())
+    x, y, u, v = (label_array(side, n) for side in zip(*[
+        (rng.choice(a6), rng.choice(a6), rng.choice(ea6), rng.choice(ea6))
+        for _ in range(samples)]))
+    bad = int((~annular(multiply_pairs(x, y))).sum()
+              + (~even_or_rank_zero(multiply_pairs(u, v))).sum())
     return bad == 0, {"samples": samples, "failures": bad}
 
 
@@ -662,14 +663,14 @@ def _closure_annular(n, samples, seed):
          "parities unless the rank collapses to zero",
          n=6, samples=20000, seed=37)
 def _parity_composition(n, samples, seed):
-    """At the largest even degree <= n: at odd degree parities do not
-    compose."""
-    n -= n % 2
+    """At the largest even degree <= n (2 when n < 2): at odd degree
+    parities do not compose."""
+    n = max(2, n - n % 2)
     rng = random.Random(seed)
     a6 = sorted(construct("A", n).elements, key=encode)
     pairs = [(rng.choice(a6), rng.choice(a6)) for _ in range(samples)]
     xs, ys = (label_array(side, n) for side in zip(*pairs))
-    xy = label_array([x * y for x, y in pairs], n)
+    xy = multiply_pairs(xs, ys)
     rank_zero, even, odd = map(PARITY_OF_CODE.index,
                                (Parity.RANK_ZERO, Parity.EVEN, Parity.ODD))
     want = np.where(ranks(xy) == 0, rank_zero,

@@ -129,6 +129,22 @@ def test_count_gives_the_motzkin_formula_for_planar_partial_matchings(
     assert all(r["count"] == r["formula"] for r in rows)
 
 
+def test_count_even_annular_runs_at_the_even_degrees(cache_dir, capsys):
+    code, out, _ = _run(capsys, "count", "--family", "EA", "--n", "6",
+                        "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["n"], r["count"]) for r in rows] == [("2", "2"), ("4", "22"),
+                                                     ("6", "325")]
+
+
+def test_count_degree_below_1_is_a_usage_error(cache_dir, capsys):
+    for n in ("0", "-3"):
+        code, out, err = _run(capsys, "count", "--family", "B", "--n", n)
+        assert code == 2 and out == ""
+        assert "--n must be at least 1" in err
+
+
 def test_count_md_table(cache_dir, capsys):
     code, out, _ = _run(capsys, "count", "--family", "A", "--n", "4")
     assert code == 0
@@ -204,12 +220,13 @@ def test_verify_degree_below_1_is_a_usage_error(cache_dir, capsys):
 
 
 def test_even_degree_targets_run_at_the_largest_even_degree(cache_dir, capsys):
-    code, out, _ = _run(capsys, "verify", "closure-annular",
-                        "parity-composition", "--n", "5", "--format", "json")
-    assert code == 0
-    reports = json.loads(out)
-    assert [r["verdict"] for r in reports] == ["PASS", "PASS"]
-    assert all(r["details"]["failures"] == 0 for r in reports)
+    for n in ("5", "1"):
+        code, out, _ = _run(capsys, "verify", "closure-annular",
+                            "parity-composition", "--n", n, "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["verdict"] for r in reports] == ["PASS", "PASS"]
+        assert all(r["details"]["failures"] == 0 for r in reports)
 
 
 def test_verify_reports_are_deterministic_modulo_duration(cache_dir, capsys):

@@ -53,8 +53,10 @@ from brauerkit.diagrams import (
     from_label_array,
     from_labels,
     label_array,
+    label_dtype,
     labels,
     multiply_labels,
+    multiply_pairs,
     parities,
     partial_brauer,
     planar,
@@ -63,7 +65,9 @@ from brauerkit.diagrams import (
 from brauerkit.errors import (
     BadDegree,
     BadIndex,
+    BrauerKitError,
     DegreeMismatch,
+    LengthMismatch,
     NotABijection,
     ParseError,
     UnsupportedBlockSize,
@@ -78,6 +82,7 @@ from oracles import (
     oracle_partial_matchings,
     oracle_perfect_matchings,
     oracle_planar_pairs,
+    oracle_product,
     oracle_random_pair_diagram,
     oracle_rank,
     oracle_set_partitions,
@@ -171,6 +176,23 @@ def test_batched_product_matches_scalar_and_glue_products(family, data):
     assert all(from_labels(labels(d)) == d for d in xs + bs)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_DEGREES)), st.data())
+def test_zipped_product_matches_the_oracle_products(family, data):
+    n = data.draw(st.sampled_from(_BATCH_DEGREES[family]))
+    pick = st.sampled_from(construct(family, n).sorted_elements())
+    pairs = data.draw(st.lists(st.tuples(pick, pick), max_size=12))
+    xs = label_array([x for x, _ in pairs], n)
+    ys = label_array([y for _, y in pairs], n)
+    got = multiply_pairs(xs, ys)
+    assert got.shape == (len(pairs), 2 * n) and got.dtype == label_dtype(n)
+    assert (from_label_array(got) == [oracle_multiply(x, y) for x, y in pairs]
+            == [oracle_product(x, y) for x, y in pairs])
+    outer = multiply_labels(xs, ys)
+    for j in range(len(pairs)):
+        assert np.array_equal(outer[:, j], multiply_pairs(xs, ys[[j] * len(pairs)]))
+
+
 @pytest.mark.parametrize("family, n", [("C", 1), ("C", 2), ("PB", 2), ("PJ", 1)])
 def test_batched_product_on_every_pair(family, n):
     elems = construct(family, n).sorted_elements()
@@ -179,6 +201,9 @@ def test_batched_product_on_every_pair(family, n):
     got = multiply_labels(labs, labs)
     for j, b in enumerate(elems):
         assert from_label_array(got[:, j]) == [oracle_multiply(x, b) for x in elems]
+    k = len(elems)
+    every_pair = multiply_pairs(labs.repeat(k, axis=0), np.tile(labs, (k, 1)))
+    assert np.array_equal(every_pair, got.reshape(k * k, 2 * n))
 
 
 def test_label_arrays_are_canonical():
@@ -223,6 +248,9 @@ def test_wide_degrees_use_two_byte_labels():
     for got, want in ((z * e, oz * oe), (e * z * e, oe * oz * oe)):
         assert Diagram._from_key(n, got.key).blocks == want.blocks
         assert got.key == oracle_label_array([want], n).tobytes()
+    got = multiply_pairs(label_array([z, e, e, z], n), label_array([e, z, e, z], n))
+    assert got.dtype == np.int16
+    assert np.array_equal(got, oracle_label_array([oz * oe, oe * oz, oe * oe, oz * oz], n))
 
 
 def test_diagrams_are_immutable_values():
@@ -253,6 +281,14 @@ def test_batched_product_edge_cases():
     assert multiply_labels(none, three).shape == (0, 1, 6)
     assert multiply_labels(three, none).shape == (1, 0, 6)
     assert multiply_labels(none, none).shape == (0, 0, 6)
+    assert multiply_pairs(none, none).shape == (0, 6)
+    with pytest.raises(DegreeMismatch):
+        multiply_pairs(two, three)
+    with pytest.raises(LengthMismatch):
+        multiply_pairs(none, three)
+    with pytest.raises(LengthMismatch):
+        multiply_pairs(three, np.repeat(three, 2, axis=0))
+    assert issubclass(LengthMismatch, BrauerKitError)
 
 
 @pytest.mark.parametrize("family, n", [("PB", 3), ("C", 3)])

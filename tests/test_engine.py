@@ -65,6 +65,7 @@ from oracles import (
     oracle_green_all_generators,
     oracle_idempotent_ids,
     oracle_is_inverse,
+    oracle_iso,
     oracle_kernel,
     oracle_left_cayley,
     oracle_local_elements,
@@ -178,6 +179,23 @@ def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
     sg = closure(gens, include_identity=True)
     assert (sg.size, len(gens)) == (10395, 3)
     assert count[0] == 10395 * 3
+
+
+def test_the_oracles_take_no_product_of_the_package(monkeypatch):
+    sg = as_closure(construct("PB", 3))
+    elems = list(sg.elements)
+    e_id = sg.index[adjacent_contraction(3, 2)]
+    ideal = principal_ideal(sg, e_id)
+    count = count_products(monkeypatch)
+    oracle_table(elems)
+    oracle_left_cayley(sg)
+    oracle_idempotent_ids(sg)
+    oracle_local_elements(sg, e_id)
+    oracle_rees_table(sg, ideal)
+    assert oracle_iso(elems, elems, lambda d: d) == (True, True)
+    assert count[0] == 0
+    elems[5] * elems[7]  # a scalar product counts once
+    assert count[0] == 1
 
 
 def test_as_closure_takes_the_closure_construct_built(monkeypatch):

@@ -189,6 +189,7 @@ def test_degree_and_family_validation():
 
 def test_cardinality_table():
     assert cardinality_table("J", 6) == {n: catalan(n) for n in range(1, 7)}
+    assert cardinality_table("EA", 7) == {2: 2, 4: 22, 6: 325}
 
 
 def test_family_ids_all_construct():
