@@ -31,6 +31,7 @@ from .diagrams import (
     contraction,
     double_contraction,
     from_permutation,
+    label_array,
     rotation,
 )
 from .engine import (
@@ -82,8 +83,8 @@ def _register_pad(ledger, code, n, small_sg, fam_ref, big_sg):
     is big_sg restricted to the images, in small_sg's order.
     """
     target = n + 2
-    padded = subsemigroup(
-        big_sg, [big_sg.index[pad_embedding(d, target)] for d in small_sg.elements])
+    images = [pad_embedding(d, target) for d in small_sg.elements]
+    padded = subsemigroup(big_sg, big_sg.ids_of(label_array(images, target)))
     ref = ledger.register(
         "pad", f"pad({code}:{n})", padded,
         description=f"degree-{target} copies of {code}:{n} with a fixed end-cap",

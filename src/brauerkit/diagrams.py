@@ -14,9 +14,9 @@ and equality and hashing use only that; the blocks (sorted tuples listed by
 least point, singletons kept explicitly) are decoded from it on first use.
 Values are immutable, so diagrams are safe to share and to use as dict
 keys.  Closures and the cache hold label arrays, which label_array and
-from_label_array turn into diagrams and back without decoding blocks.  An
-ElementSet is a set of diagrams held as one label array, its rows sorted
-by their bytes.
+from_label_array turn into diagrams and back without decoding blocks;
+sort_keys packs label rows into integers ordered as the rows.  An
+ElementSet is a set of diagrams held as one label array, its rows sorted.
 
 The predicates that decide family membership (ranks, parities, brauer,
 partial_brauer, planar, annular) take a whole label array; Diagram.rank,
@@ -32,6 +32,7 @@ is a one-row call.  Text round-trip uses the v1 format  "n:[{1,1'},{2,2'}]"
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Set
 from enum import Enum
 
@@ -246,14 +247,51 @@ def labels(a):
     return label_array([a], a.n)[0]
 
 
-def _row_view(labs):
-    """The rows of a contiguous label array as one void value each."""
-    return labs.view(np.dtype((np.void, labs.dtype.itemsize * labs.shape[1]))).ravel()
-
-
 def label_keys(labs):
     """The rows of a label array as bytes, which tell diagrams apart."""
-    return _row_view(np.ascontiguousarray(labs)).tolist()
+    labs = np.ascontiguousarray(labs)
+    row = np.dtype((np.void, labs.itemsize * labs.shape[1]))
+    return labs.view(row).ravel().tolist()
+
+
+@functools.cache
+def _key_weights(n):
+    """The 2n x w uint64 matrix whose product with a degree-n label row is
+    the row's sort key, of w words.
+
+    Label p of a restricted growth string is at most p, so the row is a
+    number in the factorial radix, sum of lab[p] (2n)!/(p+1)!, unique to
+    it and ordered as the row's labels.  The points are cut into runs whose
+    radix product fits a uint64, a word each, the most significant first;
+    2n <= 20 points take one word.
+    """
+    words, weight = [], 1 << 64  # the weight of p: the radices after it
+    for p in reversed(range(2 * n)):
+        if weight * (p + 1) > 1 << 64:
+            words.insert(0, [0] * (2 * n))
+            weight = 1
+        words[0][p] = weight
+        weight *= p + 1
+    return np.array(words, dtype=np.uint64).T
+
+
+def sort_keys(labs):
+    """The sort keys of the rows of a label array (_key_weights): uint64
+    values for one word, else big-endian words as one void value each, so
+    keys compare as the rows' labels do."""
+    labs = np.asarray(labs)
+    words = labs.astype(np.uint64) @ _key_weights(labs.shape[1] // 2)
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words, dtype=">u8").view(
+        np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
+
+def find_keys(keys, wanted):
+    """The position of each of the keys wanted in the ascending array keys,
+    -1 for one that keys does not hold."""
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)  # -1 if none
+    return np.where(keys[at] == wanted, at, -1) if len(keys) else at
 
 
 def from_label_array(labs):
@@ -272,52 +310,29 @@ def from_labels(lab):
     return from_label_array(np.asarray(lab)[None])[0]
 
 
-def _sorted_rows(labs):
-    """The rows of a contiguous label array sorted by their bytes, each once.
-
-    An array already in strictly increasing order (as a cache file or an
-    earlier set holds it) is returned as it is, after one vectorised pass
-    over neighbouring rows.
-    """
-    b = labs.view(np.uint8)
-    first = (b[1:] != b[:-1]).argmax(axis=1)
-    pairs = np.arange(len(first))
-    if (b[1:][pairs, first] > b[:-1][pairs, first]).all():
-        return labs
-    labs = labs[np.lexsort(b.T[::-1])]
-    b = labs.view(np.uint8)
-    keep = np.ones(len(labs), dtype=bool)
-    keep[1:] = (b[1:] != b[:-1]).any(axis=1)
-    return labs[keep]
-
-
 class ElementSet(Set):
     """A set of degree-n diagrams held as their label arrays.
 
     labels is a read-only m x 2n label array, one row per member, sorted
-    by row bytes (the order of the diagrams' keys and of their label
-    strings) and free of repeats, so two sets of one degree are equal
-    exactly when their arrays are.  Membership is a binary search over
-    the rows, and iteration makes each Diagram when it is reached.
-    Comparisons with other sets, such as a frozenset of diagrams, go
-    through the Set mixins, and the hash is that of the frozenset of the
-    same diagrams.
+    by its labels (below degree 128 the order of the row bytes, the
+    diagrams' keys and their label strings) and free of repeats, so two
+    sets of one degree are equal exactly when their arrays are.
+    Membership is a binary search over the rows' sort keys, and iteration
+    makes each Diagram when it is reached.  Comparisons with other sets,
+    such as a frozenset of diagrams, go through the Set mixins, and the
+    hash is that of the frozenset of the same diagrams.
     """
 
-    __slots__ = ("degree", "labels", "_rows", "_hash")
+    __slots__ = ("degree", "labels", "_keys", "_hash")
 
     def __init__(self, degree, labs):
-        """The set of the rows of labs, label arrays of degree-n diagrams.
-
-        Repeated rows are kept once; the rows are not checked to be
-        restricted growth strings.
-        """
+        """The set of the rows of labs, label arrays of degree-n diagrams
+        (not checked), each kept once."""
         labs = np.array(labs, dtype=label_dtype(degree)).reshape(-1, 2 * degree)
-        labs = _sorted_rows(labs)
-        labs.flags.writeable = False
+        self._keys, first = np.unique(sort_keys(labs), return_index=True)
+        self.labels = labs[first]
+        self.labels.flags.writeable = False
         self.degree = degree
-        self.labels = labs
-        self._rows = _row_view(labs)
         self._hash = None
 
     @classmethod
@@ -345,16 +360,14 @@ class ElementSet(Set):
     def __contains__(self, d):
         if not isinstance(d, Diagram) or d.n != self.degree:
             return False
-        i = int(np.searchsorted(self._rows, np.void(d.key)))
-        return i < len(self._rows) and self._rows[i].tobytes() == d.key
+        return bool(find_keys(self._keys, sort_keys(labels(d)[None]))[0] >= 0)
 
     def __le__(self, other):
         if not isinstance(other, ElementSet):
             return Set.__le__(self, other)
         if self.degree != other.degree or len(self) > len(other):
             return False
-        at = np.minimum(np.searchsorted(other._rows, self._rows), len(other) - 1)
-        return bool((other._rows[at] == self._rows).all())
+        return bool((find_keys(other._keys, self._keys) >= 0).all())
 
     def __eq__(self, other):
         if isinstance(other, ElementSet):
@@ -433,19 +446,23 @@ def _components(via_x, via_y):
     return np.take_along_axis(rank, outer, axis=1).astype(label_dtype(m // 2))
 
 
-def multiply_labels(xs, bs):
+def multiply_labels(xs, bs, where=None):
     """Label arrays of x*b for every row x of xs and every row b of bs.
 
     xs is a k x 2n and bs a g x 2n stack of label arrays; the result has
-    shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  The
-    links of every x and b are worked out once, and the components one b
-    at a time."""
-    via_x, via_bs = _links(xs, bs)
-    n = via_x.shape[1] // 3
-    out = np.empty((len(via_x), len(via_bs), 2 * n), dtype=label_dtype(n))
-    for j, via_b in enumerate(via_bs):
-        out[:, j] = _components(via_x, via_b)
-    return out
+    shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  With
+    where, a k x g mask, only the products it marks are taken, and the
+    result is multiply_labels(xs, bs)[where], their stack in row-major
+    order.  The links of every x with a marked product and of every b are
+    worked out once, and the components of all the products together."""
+    full = where is None
+    if full:
+        where = np.ones((len(xs), len(bs)), dtype=bool)
+    used = where.any(axis=1)
+    via_x, via_bs = _links(np.asarray(xs)[used], bs)
+    rows, cols = np.nonzero(where[used])
+    out = _components(via_x[rows], via_bs[cols])
+    return out.reshape(len(where), len(bs), out.shape[1]) if full else out
 
 
 def multiply_pairs(xs, ys):
@@ -910,15 +927,17 @@ def random_partial_brauer(n, rng, pair_prob=0.7):
     """Random degree-n diagram with blocks of size <= 2."""
     pts = list(range(2 * n))
     rng.shuffle(pts)
-    blocks = []
+    mate = list(range(2 * n))
     while pts:
         p = pts.pop()
         if pts and rng.random() < pair_prob:
             q = pts.pop(rng.randrange(len(pts)))
-            blocks.append((p, q))
-        else:
-            blocks.append((p,))
-    return Diagram(n, _canon(blocks))
+            mate[p], mate[q] = q, p
+    row, blocks = [], 0
+    for p, q in enumerate(mate):  # a block is numbered at its least point
+        row.append(row[q] if q < p else blocks)
+        blocks += q >= p
+    return Diagram._from_key(n, _key(n, row))
 
 
 def random_brauer(n, rng):

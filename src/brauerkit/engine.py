@@ -1,56 +1,42 @@
 """Finite semigroup machinery over diagram elements.
 
 Semigroups are materialized as closures: elements get dense integer ids in
-BFS discovery order (seeds first, in the order given, then products), and
-the right Cayley graph over the generating set is recorded during the
-search, together with a BFS word (parent, letter) for every element.  The
-search (closure) seeds every generator and then runs once, one BFS level
-at a time over label arrays: each level is multiplied by the stack of
-generators in numpy batches (diagrams.multiply_labels), so each (element,
-generator) product is taken once, and new elements are numbered in
-row-major (element, generator) order, so ids, words and Cayley graphs are
-those of a search taking one product at a time (Froidure & Pin 1997;
-East, Egri-Nagy, Mitchell & Peresse, Computing finite semigroups, 2019).
-A closure keeps the search's label array (SemigroupClosure.labels, row i
-the diagram of id i) and its dict from label bytes to ids: elements[i]
-makes the Diagram of id i only when it is read, and index looks a diagram
-up by its key, so a closure that is only analysed makes no per-element
-object.  Green's relations come from strongly connected components of the
-Cayley graphs; the J-order is the condensation reachability order.
+BFS discovery order (seeds first, in the order given, then products), with
+a BFS word (parent, letter) per element and the right and left Cayley
+graphs over the generating set.  The search (closure) runs one BFS level
+at a time and, by the rule of Froidure & Pin (1997; East, Egri-Nagy,
+Mitchell & Peresse, Computing finite semigroups, 2019), reads most products
+off the left Cayley graph, taking the rest as batched diagram products;
+ids, words and Cayley graphs are those of a search taking one product at a
+time.  A closure keeps its label array (labels, row i the diagram of id i)
+and the sorted integer keys of its rows: elements[i] makes a Diagram only
+when it is read, and index and ids_of look rows up by binary search, so a
+closure that is only analysed makes no per-element object.  Green's
+relations come from strongly connected components of the Cayley graphs;
+the J-order is the condensation reachability order.
 
-Once a closure is built, no analysis multiplies diagrams again.  Every
-product of two elements is an integer operation on the closure
-(SemigroupClosure.multiply): a gather from the product table when one has
-been built, otherwise a walk along y's word from x over the right Cayley
-graph, x y = rc[x parent(y), letter(y)], one BFS depth level at a time
-(Froidure & Pin, Algorithms for computing finite semigroups, 1997).  The
-left Cayley graph, the full product table and the restrictions below are
-the same walk done for whole rows by dynamic programming over the depth
-levels (SemigroupClosure._products); the table is built lazily and only
-below a size limit.  The squaring map i -> i i is one batched product,
-kept (SemigroupClosure.squares); idempotents and the period test read
-it, so powers x^(2^k) are integer gathers.
+Once a closure is built, no analysis multiplies diagrams again.  A product
+x y is an integer operation (SemigroupClosure.multiply): a gather from the
+product table when one has been built, otherwise a walk along y's word
+from x over the right Cayley graph, x y = rc[x parent(y), letter(y)], one
+BFS depth level at a time.  The full product table and the restrictions
+below are the same walk done for whole rows by dynamic programming over
+the depth levels (SemigroupClosure._products); the table is built lazily
+and only below a size limit.  The squaring map i -> i i is one batched
+product, kept, so powers x^(2^k) are integer gathers.
 
 SemigroupClosure is the only semigroup class.  A semigroup derived from a
-closure is a table-backed SemigroupClosure (SemigroupClosure.from_table)
-whose table restricts the parent's integer products: subsemigroup() for
-ideals, local monoids e S e, padded copies and group kernels, and
-rees_quotient() for S/I, whose ids stand for no diagram.  The restriction
-takes whole rows of the parent's products (a gather from its table, or
-the depth-level walk over the restricted columns and their BFS ancestors
-otherwise), in blocks of at most _PAIR_BATCH cells.  The subsemigroup
-some ids generate grows by one integer search, extend_subsemigroup, which
-adds seeds to a closed mask taking each (element, seed) product once;
-generated_subsemigroup, the kernel rounds and the small generating set a
-table-backed closure is analysed over (_table_generators, extending by
-each id in order not yet held) are built on it.  That closure's Cayley
-graphs are its table's columns and rows at those generators, so Green's
-relations cost m x |generators| edges, not m^2; the set is found the
-first time generators, right_cayley or left_cayley is read.  Every
-family is built as the closure of a generating set (families.generators),
-so no element set needs its generators found; closure_from_elements, the
-closure of generators picked greedily from a set, is kept for callers
-outside the family code.
+closure is a table-backed SemigroupClosure (from_table) whose table
+restricts the parent's products, in blocks of at most _PAIR_BATCH cells:
+subsemigroup() for ideals, local monoids e S e, padded copies and group
+kernels, and rees_quotient() for S/I, whose ids stand for no diagram.
+extend_subsemigroup grows the subsemigroup some ids generate by one
+integer search; generated_subsemigroup, the kernel rounds and the small
+generating set a table-backed closure is analysed over (_table_generators)
+are built on it, so that closure's Green's relations cost m x |generators|
+edges, not m^2.  Every family is the closure of a generating set
+(families.generators); closure_from_elements, the closure of generators
+picked greedily from a set, is kept for callers outside the family code.
 """
 
 from __future__ import annotations
@@ -63,7 +49,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import diagrams
-from .diagrams import Diagram, ElementSet, identity, _canon
+from .diagrams import Diagram, ElementSet, identity, sort_keys, _canon
 from .errors import (
     BadDegree,
     BadIndex,
@@ -100,23 +86,25 @@ class SemigroupClosure:
     e S e).
     """
 
-    def __init__(self, degree, labels, key_ids, gen_ids, right_cayley,
-                 parent, letter, identity_id, table=None):
-        """key_ids maps the bytes of each row of labels to its id; None
-        has it built from labels when first needed.  With a product table,
-        gen_ids, right_cayley, parent and letter are None."""
+    def __init__(self, degree, labels, identity_id, *, table=None, gen_ids=None,
+                 right_cayley=None, parent=None, letter=None, depth=None,
+                 left_cayley=None, keys=None):
+        """A search gives gen_ids, right_cayley, left_cayley, parent,
+        letter, depth (each element's BFS depth) and keys (the sorted keys
+        of the rows of labels, and the id of each); a missing left_cayley
+        or keys is worked out when first needed."""
         self.degree = degree
         self.labels = labels
         self.elements = None if labels is None else _Elements(degree, labels)
-        self._key_ids = key_ids
-        self._index = None
+        self._keys = keys
         self._generators = gen_ids
         self._right_cayley = right_cayley
         self.parent = parent
         self.letter = letter
+        self._depth = depth
         self.identity_id = identity_id
         self.size = len(parent) if table is None else len(table)
-        self._left_cayley = None
+        self._left_cayley = left_cayley
         self._table = table
         self._walk = None
         self._green = None
@@ -146,35 +134,23 @@ class SemigroupClosure:
         if labels is not None:
             labels = np.array(labels)
             labels.flags.writeable = False
-        return cls(
-            degree=None if labels is None else labels.shape[1] // 2,
-            labels=labels,
-            key_ids=None,
-            gen_ids=None,
-            right_cayley=None,
-            parent=None,
-            letter=None,
-            identity_id=int(ident[0]) if ident.size else None,
-            table=table,
-        )
+        return cls(None if labels is None else labels.shape[1] // 2, labels,
+                   int(ident[0]) if ident.size else None, table=table)
 
     def __len__(self):
         return self.size
 
-    def _key_id_map(self):
-        """The dict from the bytes of each row of labels to its id."""
-        if self._key_ids is None:
-            self._key_ids = dict(zip(diagrams.label_keys(self.labels),
-                                     range(self.size)))
-        return self._key_ids
+    def _sorted_keys(self):
+        """The rows' keys (sort_keys) in ascending order, and the id of each."""
+        if self._keys is None:  # the rows are distinct
+            self._keys = np.unique(sort_keys(self.labels), return_index=True)
+        return self._keys
 
     @property
     def index(self):
         """The id of each element, as a mapping from diagrams (None for a
         Rees quotient)."""
-        if self._index is None and self.labels is not None:
-            self._index = _Index(self.degree, self._key_id_map())
-        return self._index
+        return None if self.labels is None else _Index(self)
 
     @property
     def multipliers(self):
@@ -189,20 +165,25 @@ class SemigroupClosure:
     def element_set(self, ids=None):
         """The ElementSet of the elements at ids, or of all elements.
 
-        The set of all elements is sorted once and kept.
+        The set of all elements takes the rows in key order, the order an
+        ElementSet keeps, and is kept.
         """
         if ids is not None:
             return ElementSet(self.degree, self.labels[np.asarray(ids, dtype=np.intp)])
         if self._element_set is None:
-            self._element_set = ElementSet(self.degree, self.labels)
+            self._element_set = ElementSet(
+                self.degree, self.labels[self._sorted_keys()[1]])
         return self._element_set
 
     def ids_of(self, labs):
         """The id of the element of each row of a label array, -1 for a row
-        that is no element."""
-        key_ids = self._key_id_map()
-        return np.array([key_ids.get(k, -1) for k in diagrams.label_keys(labs)],
-                        dtype=np.int64)
+        that is no element or has another degree."""
+        labs = np.asarray(labs)
+        if labs.shape[1] != 2 * self.degree:
+            return np.full(len(labs), -1, dtype=np.int64)
+        keys, ids = self._sorted_keys()
+        at = diagrams.find_keys(keys, sort_keys(labs))
+        return np.where(at >= 0, ids[at], -1).astype(np.int64)
 
     @property
     def generators(self):
@@ -223,8 +204,9 @@ class SemigroupClosure:
     def left_cayley(self):
         """lc[y, i] = g_i y for each generator g_i, as integer ids.
 
-        The generators' rows of the product table, or built by the same
-        depth-level walk as the table: no diagram product is taken.
+        A closure's search fills it; otherwise the generators' rows of the
+        product table, or built by the same depth-level walk as the table:
+        no diagram product is taken.
         """
         if self._left_cayley is None:
             self._left_cayley = self._products(
@@ -249,29 +231,19 @@ class SemigroupClosure:
         words holds, for every element y, the letter of y's ancestor at BFS
         depth d (its seed's generator letter at d = 0), and g past y's depth
         or for the identity seed; letters are stored in the smallest
-        unsigned type that holds g.  Returns (rc, words, depth).
+        unsigned type that holds g.  Returns (rc, words, depth), depth the
+        search's.
         """
         if self._walk is None:
-            m = self.size
-            g = len(self.generators)
-            rc = np.empty((m, g + 1), dtype=np.int32)
-            rc[:, :g] = self.right_cayley
-            rc[:, g] = np.arange(m, dtype=np.int32)
-            parent = self.parent
-            letter = np.where(self.letter < 0, g, self.letter).astype(np.int32)
-            depth = np.zeros(m, dtype=np.int32)
-            anc = parent.copy()
-            while (alive := anc >= 0).any():
-                depth[alive] += 1
-                anc[alive] = parent[anc[alive]]
+            m, g, depth = self.size, len(self.generators), self._depth
+            rc = np.hstack([self.right_cayley, np.arange(m, dtype=np.int32)[:, None]])
             words = np.full((int(depth.max(initial=0)) + 1, m), g,
                             dtype=np.min_scalar_type(g))
-            rows = np.arange(m)
-            anc = rows
-            while rows.size:
-                words[depth[anc], rows] = letter[anc]
-                up = parent[anc] >= 0
-                rows, anc = rows[up], parent[anc[up]]
+            words[depth, np.arange(m)] = np.where(self.letter < 0, g, self.letter)
+            bounds = np.searchsorted(depth, np.arange(len(words) + 1))
+            for d in range(1, len(words)):  # ids in BFS order: depth d is a range
+                at = slice(bounds[d], bounds[d + 1])
+                words[:d, at] = words[:d, self.parent[at]]
             self._walk = rc, words, depth
         return self._walk
 
@@ -317,8 +289,7 @@ class SemigroupClosure:
             anc = self.parent[anc]
             anc = anc[anc >= 0]
             anc = anc[~need[anc]]
-        cols = np.flatnonzero(need)
-        cols = cols[np.argsort(depth[cols], kind="stable")]
+        cols = np.flatnonzero(need)  # by depth, as ids are in BFS order
         bounds = np.searchsorted(depth[cols], np.arange(len(words) + 1))
         at = np.empty(self.size, dtype=np.intp)
         at[cols] = np.arange(len(cols))
@@ -365,9 +336,6 @@ def _cayley_graphs(sg):
     an edge from x to x g and to g x for every generator g."""
     m = sg.size
     g = len(sg.generators)
-    if g == 0:
-        empty = sparse.csr_matrix((m, m))
-        return empty, empty
     rows = np.repeat(np.arange(m), g)
     ones = np.ones(m * g, dtype=np.int8)
     right = sparse.csr_matrix(
@@ -415,29 +383,23 @@ class _Elements(Sequence):
 
 
 class _Index(Mapping):
-    """Diagram -> id over a closure's dict from label bytes to ids."""
+    """Diagram -> id over a closure's sorted keys (SemigroupClosure.ids_of)."""
 
-    def __init__(self, degree, ids):
-        self._degree = degree
-        self._ids = ids
+    def __init__(self, sg):
+        self._sg = sg
 
     def __getitem__(self, d):
-        i = self.get(d)
-        if i is None:
+        i = int(self._sg.ids_of(diagrams.labels(d)[None])[0]) if isinstance(
+            d, Diagram) else -1
+        if i < 0:
             raise KeyError(d)
         return i
 
-    def get(self, d, default=None):
-        if not isinstance(d, Diagram) or d.n != self._degree:
-            return default
-        return self._ids.get(d.key, default)
-
     def __iter__(self):
-        from_key = Diagram._from_key
-        return (from_key(self._degree, k) for k in self._ids)
+        return iter(diagrams.from_label_array(self._sg.labels))
 
     def __len__(self):
-        return len(self._ids)
+        return self._sg.size
 
 
 def closure(gens, *, include_identity=False, budget=None):
@@ -446,13 +408,17 @@ def closure(gens, *, include_identity=False, budget=None):
     Ids are assigned deterministically: the identity first when requested,
     then the deduplicated generators in the order given, then discovery
     order; a seed has parent -1 and its generator's letter (-1 for the
-    identity).  Elements are held as label arrays and told apart by their
-    bytes, the diagrams' keys.  The search takes one BFS level at a time:
-    the level's rows are multiplied by the stack of generators in blocks
-    of at most _PAIR_BATCH products, one diagrams.multiply_labels call
-    each, and new elements get ids in row-major (id, generator) order, the
-    order of a loop over the rows one product at a time.  Raises
-    BudgetExceeded when a new element's id would reach `budget`.
+    identity).  Each BFS level's right Cayley rows are filled by the rule
+    of Froidure & Pin: s at depth d >= 1 is g_a u, with a its seed's letter
+    and suffix(p g_b) = rc[suffix(p), b], so when r = u g_b lies below
+    depth d, s g_b = g_a r = lc[r, a] is a lookup.  The other cells are
+    diagram products, one diagrams.multiply_labels call per block of rows.
+    A lookup never finds a new element, so new ids follow row-major (id,
+    generator) order over the product cells, as in a loop taking one
+    product at a time.  The level's left rows are then lc[y, a] =
+    rc[lc[parent(y), a], letter(y)] (rc[g_a, letter(y)] for a seed, g_a
+    for the identity), and its new keys (sort_keys) are merged into one
+    sorted array.  Raises BudgetExceeded when a new id would reach budget.
     """
     gens = list(gens)
     if not gens and not include_identity:
@@ -466,65 +432,76 @@ def closure(gens, *, include_identity=False, budget=None):
     seeds = {identity(degree): -1} if include_identity else {}
     for i, d in enumerate(gens):
         seeds.setdefault(d, i)
-    index = {d.key: q for q, d in enumerate(seeds)}
+    gen_ids = np.array([list(seeds).index(d) for d in gens], dtype=np.int32)
     gen_labels = diagrams.label_array(gens, degree)
     g = len(gens)
-    step = max(1, _PAIR_BATCH // max(1, g))
+    step = max(1, _PAIR_BATCH // max(1, g * g))  # <= _PAIR_BATCH / g cells a block
     level = diagrams.label_array(list(seeds), degree)
-    labels, rows = [level], []
-    parent = [np.full(len(level), -1, dtype=np.int32)]
-    letter = [np.fromiter(seeds.values(), dtype=np.int32)]
+    keys, ids = np.unique(sort_keys(level), return_index=True)
+    up = np.full(len(level), -1, dtype=np.int32)  # the level's parents
+    let = np.fromiter(seeds.values(), dtype=np.int32, count=len(seeds))
+    labels, parent, letter = [level], [up], [let]
+    first, suffix = let, None  # the level's first letters and suffixes
+    rc = lc = np.empty((0, g), dtype=np.int32)
     lo = 0  # the id of the level's first row
     while len(level):
-        first = len(labels)
-        for start in range(0, len(level), step):
-            xs = level[start:start + step]
-            cells = diagrams.multiply_labels(xs, gen_labels).reshape(-1, 2 * degree)
-            keys = diagrams.label_keys(cells)
-            ids = list(map(index.get, keys))
-            if None in ids:
-                fresh = []
-                for c in [c for c, pid in enumerate(ids) if pid is None]:
-                    pid = index.get(keys[c])
-                    if pid is None:
-                        pid = len(index)
-                        if pid >= budget:
-                            raise BudgetExceeded(
-                                f"closure exceeded budget of {budget} elements")
-                        index[keys[c]] = pid
-                        fresh.append(c)
-                    ids[c] = pid
-                labels.append(cells[fresh])
-                qs, letters = np.divmod(np.array(fresh, dtype=np.int32), g)
-                parent.append(qs + (lo + start))
-                letter.append(letters)
-            rows.append(np.array(ids, dtype=np.int32).reshape(len(xs), g))
-        lo += len(level)
-        level = np.concatenate([level[:0], *labels[first:]])
+        hi = lo + len(level)
+        if suffix is None:  # the seeds: every cell is a product
+            need = np.ones((len(level), g), dtype=bool)
+            rows = np.empty(need.shape, dtype=np.int32)
+        else:  # a lookup where r = suffix g_b lies below the level
+            r = rc[suffix]
+            need = r >= lo
+            rows = lc[np.minimum(r, lo - 1), first[:, None]]
+        cells = np.concatenate([
+            diagrams.multiply_labels(level[i:i + step], gen_labels,
+                                     where=need[i:i + step])
+            for i in range(0, len(level), step)])
+        cell_keys = sort_keys(cells)
+        at = diagrams.find_keys(keys, cell_keys)
+        cell_ids, miss = ids[at], np.flatnonzero(at < 0)
+        new_keys, born, inverse = np.unique(
+            cell_keys[miss], return_index=True, return_inverse=True)
+        if len(new_keys) and hi + len(new_keys) > budget:
+            raise BudgetExceeded(f"closure exceeded budget of {budget} elements")
+        new_ids = np.empty(len(new_keys), dtype=np.int64)
+        new_ids[np.argsort(born)] = np.arange(hi, hi + len(new_keys))
+        cell_ids[miss] = new_ids[inverse]
+        rows[need] = cell_ids
+        rc = np.concatenate([rc, rows])
+        base = lc[up] if suffix is not None else np.broadcast_to(gen_ids, rows.shape)
+        lc = np.concatenate(  # base: g_a parent(y), or g_a for a seed
+            [lc, np.where(let[:, None] < 0, base, rc[base, let[:, None]])])
+        at = np.searchsorted(keys, new_keys)
+        keys, ids = np.insert(keys, at, new_keys), np.insert(ids, at, new_ids)
+        born = miss[np.sort(born)]  # the product cells of the new elements
+        q, b = (axis[born] for axis in np.nonzero(need))
+        level = cells[born]
+        up, let = (lo + q).astype(np.int32), b.astype(np.int32)
+        first, suffix = first[q], gen_ids[b] if suffix is None else r[q, b]
+        labels.append(level)
+        parent.append(up)
+        letter.append(let)
+        lo = hi
+    sizes = [len(level) for level in labels]
     labels = np.concatenate(labels)
     labels.flags.writeable = False
+    one = diagrams.find_keys(keys, sort_keys(diagrams.labels(identity(degree))[None]))
     return SemigroupClosure(
-        degree=degree,
-        labels=labels,
-        key_ids=index,
-        gen_ids=[index[d.key] for d in gens],
-        right_cayley=np.concatenate(rows),
-        parent=np.concatenate(parent),
-        letter=np.concatenate(letter),
-        identity_id=index.get(identity(degree).key),
-    )
+        degree, labels, int(ids[one[0]]) if one[0] >= 0 else None,
+        gen_ids=gen_ids.tolist(), right_cayley=rc, left_cayley=lc, keys=(keys, ids),
+        parent=np.concatenate(parent), letter=np.concatenate(letter),
+        depth=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
 
 
 def closure_from_elements(elems):
-    """The closure of an already-closed element set, from greedy generators.
-
-    No family needs it, since each is built from a generating set; it stays
-    a public function that the benchmark harness times by name.
+    """The closure of an already-closed element set, from greedy generators,
+    kept for callers outside the family code (the benchmark harness times
+    it by name).
 
     Scanning the distinct elements in the order given, each one outside
-    the closure of the earlier picks becomes the next pick, and the picks'
-    closure is searched again, so g picks take at most |S| g(g+1)/2
-    diagram products.  Returns closure(picks).  Raises ValueError when the
+    the closure of the earlier picks becomes the next pick, whose closure
+    is searched again.  Returns closure(picks).  Raises ValueError when the
     closure of the picks leaves the set, and BudgetExceeded before |S| x g,
     the cells of the right Cayley graph, would pass TABLE_CELL_LIMIT.
     """
@@ -535,23 +512,24 @@ def closure_from_elements(elems):
     for d in elems:
         if d.n != degree:
             raise DegreeMismatch(f"element degrees {degree} vs {d.n}")
-    keys = {d.key for d in elems}
-    picks, sg = [], None
-    for d in elems:
-        if sg is None or d.key not in sg._key_id_map():
-            if len(elems) * (len(picks) + 1) > TABLE_CELL_LIMIT:
-                raise BudgetExceeded(
-                    f"{len(elems)} elements need over {len(picks)} greedy "
-                    "generators, over TABLE_CELL_LIMIT Cayley graph cells")
-            picks.append(d)
-            try:  # a closure over |S| elements leaves the set
-                sg = closure(picks, budget=len(elems))
-            except BudgetExceeded:
-                sg = None
-            if sg is None or not keys.issuperset(sg._key_id_map()):
-                raise ValueError(
-                    "element set is not closed under the product: the closure "
-                    f"of its first {len(picks)} greedy generators leaves it")
+    labs = diagrams.label_array(elems, degree)
+    picks, outside = [], [0]  # outside: the elements the picks miss
+    while len(outside):
+        if len(elems) * (len(picks) + 1) > TABLE_CELL_LIMIT:
+            raise BudgetExceeded(
+                f"{len(elems)} elements need over {len(picks)} greedy "
+                "generators, over TABLE_CELL_LIMIT Cayley graph cells")
+        picks.append(elems[outside[0]])
+        try:
+            sg = closure(picks, budget=len(elems))
+            inside = sg.ids_of(labs) >= 0
+        except BudgetExceeded:  # a closure over |S| elements leaves the set
+            sg = None
+        if sg is None or inside.sum() < sg.size:
+            raise ValueError(
+                "element set is not closed under the product: the closure "
+                f"of its first {len(picks)} greedy generators leaves it")
+        outside = np.flatnonzero(~inside)
     return sg
 
 

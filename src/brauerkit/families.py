@@ -28,7 +28,7 @@ Algebra 339, 2011), and the e_i, l_i, r_i of the Motzkin monoid for PJ
 Algebra 471, 2017).
 
 An instance holds its elements as an ElementSet, the closure's label array
-sorted by row bytes, so instances are compared, keyed by content and
+in sorted order, so instances are compared, keyed by content and
 written to the cache as arrays, with no Diagram per element.  A built
 instance also carries the closure it was built as, and its elements are
 that closure's own element set; construct's cache of instances is the only

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagrams import encode
+from .diagrams import encode, label_array
 from .engine import (
     _PAIR_BATCH,
     essential_depth,
@@ -134,10 +134,12 @@ def _tied(a, b, shift=0):
 
 
 def _iso_ids(a_sg, b_sg, mapping):
-    """phi[i] = the id in b_sg of mapping(a_sg.elements[i]), -1 outside b_sg."""
-    index = b_sg.index
-    return np.array([index.get(mapping(x), -1) for x in a_sg.elements],
-                    dtype=np.int64)
+    """phi[i] = the id in b_sg of mapping(a_sg.elements[i]), -1 outside b_sg
+    (everywhere, when an image has another degree)."""
+    images = [mapping(x) for x in a_sg.elements]
+    if any(d.n != b_sg.degree for d in images):
+        return np.full(len(images), -1, dtype=np.int64)
+    return b_sg.ids_of(label_array(images, b_sg.degree))
 
 
 def _iso_bijective(a_sg, b_sg, mapping):

@@ -17,7 +17,10 @@ data, and the references here multiply the diagrams themselves, one
 product at a time: the closure searches with the merging product above,
 and the analyses with oracle_product, BlocksDiagram's union-find product
 below, which is faster.  Neither goes through the package's own diagram
-product.  oracle_is_inverse
+product, and oracle_closure takes one product per (element, generator)
+pair, where the engine looks most of them up in the left Cayley graph.
+oracle_random_partial_brauer keeps the sampler that sorted its blocks,
+which random_partial_brauer replaced by writing the label row.  oracle_is_inverse
 keeps the commuting-idempotents test that the engine replaced by counting
 idempotents per Green class, and count_products counts the package's own
 diagram products, for tests that require none.  BlocksDiagram keeps the
@@ -310,6 +313,23 @@ def oracle_random_pair_diagram(n, rng):
     return diagram(n, blocks)
 
 
+def oracle_random_partial_brauer(n, rng, pair_prob=0.7):
+    """diagrams.random_partial_brauer as it was before it wrote label rows:
+    the same random calls, with the blocks sorted and the Diagram built
+    from them."""
+    pts = list(range(2 * n))
+    rng.shuffle(pts)
+    blocks = []
+    while pts:
+        p = pts.pop()
+        if pts and rng.random() < pair_prob:
+            q = pts.pop(rng.randrange(len(pts)))
+            blocks.append((p, q))
+        else:
+            blocks.append((p,))
+    return Diagram(n, tuple(sorted(tuple(sorted(b)) for b in blocks)))
+
+
 # ---------------------------------------------------------------------------
 # diagrams as tuples of sorted blocks
 
@@ -538,15 +558,16 @@ def oracle_period_one(sg, ids):
 
 def count_products(monkeypatch):
     """Count the package's diagram products: the (row, diagram) pairs of
-    batched ones and the rows of zipped ones, which a scalar product is
-    one of."""
+    batched ones (the cells where marks, when given) and the rows of
+    zipped ones, which a scalar product is one of."""
     count = [0]
     multiply_labels = diagrams.multiply_labels
     multiply_pairs = diagrams.multiply_pairs
 
-    def counted_rows(xs, bs):
-        count[0] += len(xs) * len(bs)
-        return multiply_labels(xs, bs)
+    def counted_rows(xs, bs, where=None):
+        count[0] += (len(xs) * len(bs) if where is None
+                     else int(np.count_nonzero(where)))
+        return multiply_labels(xs, bs, where=where)
 
     def counted_pairs(xs, ys):
         count[0] += len(xs)
@@ -557,9 +578,14 @@ def count_products(monkeypatch):
     return count
 
 
+def _ids(sg):
+    """The id of each element of sg, as a dict of diagrams."""
+    return {d: i for i, d in enumerate(sg.elements)}
+
+
 def oracle_left_cayley(sg):
     """lc[y, i] = g_i y, one diagram product per entry."""
-    idx = sg.index
+    idx = _ids(sg)
     lc = np.empty((sg.size, len(sg.multipliers)), dtype=np.int32)
     for gi, g in enumerate(sg.multipliers):
         lc[:, gi] = [idx[oracle_product(g, x)] for x in sg.elements]
@@ -573,14 +599,15 @@ def oracle_idempotent_ids(sg):
 def oracle_span(sg, seed_ids):
     """Ids in sg of the standalone diagram closure of the seed elements."""
     span = closure([sg.elements[i] for i in seed_ids])
-    return sorted(sg.index[d] for d in span.elements)
+    idx = _ids(sg)
+    return sorted(idx[d] for d in span.elements)
 
 
 def oracle_local_elements(sg, e_id):
     """The elements e x e of sg in id order, from diagram products."""
-    e = sg.elements[e_id]
+    e, idx = sg.elements[e_id], _ids(sg)
     return [sg.elements[i] for i in sorted(
-        {sg.index[oracle_product(oracle_product(e, x), e)] for x in sg.elements})]
+        {idx[oracle_product(oracle_product(e, x), e)] for x in sg.elements})]
 
 
 def oracle_table(elems):
@@ -599,11 +626,11 @@ def oracle_rees_table(sg, ideal_ids):
     ideal = set(ideal_ids)
     keep = [i for i in range(sg.size) if i not in ideal]
     pos = {x: k for k, x in enumerate(keep)}
-    k = len(keep)
+    k, idx = len(keep), _ids(sg)
     table = np.full((k + 1, k + 1), k, dtype=np.int32)
     for a, x in enumerate(keep):
         for b, y in enumerate(keep):
-            p = sg.index[oracle_product(sg.elements[x], sg.elements[y])]
+            p = idx[oracle_product(sg.elements[x], sg.elements[y])]
             table[a, b] = pos.get(p, k)
     return table
 
@@ -722,10 +749,11 @@ class _ScalarSearch:
 
 
 def oracle_closure(gens, include_identity=False, budget=10 ** 6):
-    """The closure of gens (the identity first when asked) as plain data."""
+    """The closure of gens (the identity first when asked) as plain data;
+    with no generators, the identity is of degree 1."""
     search = _ScalarSearch(budget)
     if include_identity:
-        search.seed(identity(gens[0].n))
+        search.seed(identity(gens[0].n if gens else 1))
     for g in dict.fromkeys(gens):
         search.add_generator(g)
     search.run()
@@ -815,7 +843,8 @@ def oracle_green_all_generators(table):
     identity_id = next((i for i in range(m) if (table[i] == ids).all()
                         and (table[:, i] == ids).all()), None)
     sg = SemigroupClosure(
-        degree=None, labels=None, key_ids=None, gen_ids=list(range(m)),
+        degree=None, labels=None, gen_ids=list(range(m)),
         right_cayley=table, parent=np.full(m, -1, dtype=np.int32),
-        letter=np.arange(m, dtype=np.int32), identity_id=identity_id)
+        letter=np.arange(m, dtype=np.int32), depth=np.zeros(m, dtype=np.int32),
+        identity_id=identity_id)
     return sg, green(sg)

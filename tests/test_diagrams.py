@@ -84,6 +84,7 @@ from oracles import (
     oracle_planar_pairs,
     oracle_product,
     oracle_random_pair_diagram,
+    oracle_random_partial_brauer,
     oracle_rank,
     oracle_set_partitions,
 )
@@ -151,6 +152,17 @@ def test_multiply_partition_diagrams_against_oracle():
         assert multiply(a, b) == oracle_multiply(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_partial_brauer_draws_the_samples_of_the_block_sort(seed):
+    """2,000 draws per degree 1..8 match the block-sorting sampler, and
+    leave the generator in the same state."""
+    for n in range(1, 9):
+        rng, old = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            assert random_partial_brauer(n, rng) == oracle_random_partial_brauer(n, old)
+        assert rng.getstate() == old.getstate()
+
+
 # Family instances the batched product is checked on, by degree; each
 # holds degree 1, and C, PB and PJ hold rank-0 diagrams.
 _BATCH_DEGREES = {"C": (1, 2, 3), "B": (1, 2, 3, 4), "PB": (1, 2, 3),
@@ -191,6 +203,21 @@ def test_zipped_product_matches_the_oracle_products(family, data):
     outer = multiply_labels(xs, ys)
     for j in range(len(pairs)):
         assert np.array_equal(outer[:, j], multiply_pairs(xs, ys[[j] * len(pairs)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_DEGREES)), st.data())
+def test_masked_product_takes_the_marked_cells_in_row_major_order(family, data):
+    n = data.draw(st.sampled_from(_BATCH_DEGREES[family]))
+    pick = st.sampled_from(construct(family, n).sorted_elements())
+    xs = label_array(data.draw(st.lists(pick, max_size=12)), n)
+    bs = label_array(data.draw(st.lists(pick, max_size=4)), n)
+    where = np.array(data.draw(st.lists(st.booleans(), min_size=len(xs) * len(bs),
+                                        max_size=len(xs) * len(bs))),
+                     dtype=bool).reshape(len(xs), len(bs))
+    got = multiply_labels(xs, bs, where=where)
+    assert got.shape == (int(where.sum()), 2 * n) and got.dtype == label_dtype(n)
+    assert np.array_equal(got, multiply_labels(xs, bs)[where])
 
 
 @pytest.mark.parametrize("family, n", [("C", 1), ("C", 2), ("PB", 2), ("PJ", 1)])

@@ -43,7 +43,16 @@ from brauerkit import (
     subsemigroup,
     units,
 )
-from brauerkit import engine
+from brauerkit import build_standard_ledger, derivations, diagrams, engine, families
+from brauerkit.diagrams import (
+    ElementSet,
+    is_partial_brauer,
+    label_array,
+    labels,
+    random_partial_brauer,
+    random_partition_diagram,
+    sort_keys,
+)
 from brauerkit.derivations import t1sub_ea6
 from brauerkit.engine import SemigroupClosure, h_class_of, l_leq, period_one, t1_chain
 from brauerkit.errors import (
@@ -56,6 +65,7 @@ from brauerkit.errors import (
     NotASubsemigroup,
     NotIdempotent,
 )
+from test_diagrams import _BATCH_DEGREES
 from oracles import (
     _oracle_closure,
     count_products,
@@ -173,12 +183,34 @@ def test_closure_from_elements_matches_diagram_table(name):
     _assert_diagram_table(sg, sg.elements)
 
 
-def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
-    gens = construct("B", 6).generators
+def _rule_products(want):
+    """The cells of a search that the Froidure-Pin rule sends to a diagram
+    product, worked out from the scalar search's words: every cell of a
+    seed's row, and cell (s, b) of an element s = g_a u at depth d >= 1
+    when u g_b is not below depth d."""
+    parent, letter, rc = want["parent"], want["letter"], want["right_cayley"]
+    gen_ids = want["generators"]
+    depth, suffix = [0] * len(parent), [None] * len(parent)
+    for s, p in enumerate(parent):  # ids in BFS order: parents come first
+        if p >= 0:
+            depth[s] = depth[p] + 1
+            suffix[s] = (gen_ids[letter[s]] if parent[p] < 0
+                         else rc[suffix[p]][letter[s]])
+    return sum(len(gen_ids) if p < 0 else
+               sum(depth[r] >= depth[s] for r in rc[suffix[s]])
+               for s, p in enumerate(parent))
+
+
+def test_closure_takes_products_only_where_the_rule_cannot_look_up(monkeypatch):
+    """B:6 takes 14,101 of its 31,185 (element, generator) products."""
     count = count_products(monkeypatch)
-    sg = closure(gens, include_identity=True)
-    assert (sg.size, len(gens)) == (10395, 3)
-    assert count[0] == 10395 * 3
+    for name, want_products in (("B:6", 14101), ("C:3", 345), ("A:6", 717)):
+        family, n = name.split(":")
+        gens = construct(family, int(n)).generators
+        count[0] = 0
+        closure(gens, include_identity=True)
+        want = oracle_closure(gens, include_identity=True)
+        assert count[0] == _rule_products(want) == want_products, name
 
 
 def test_the_oracles_take_no_product_of_the_package(monkeypatch):
@@ -262,6 +294,7 @@ def _assert_same_search(sg, want):
     assert sg.generators == want["generators"]
     assert sg.identity_id == want["identity_id"]
     assert sg.index == {d: i for i, d in enumerate(want["elements"])}
+    assert np.array_equal(sg.left_cayley, oracle_left_cayley(sg))
 
 
 # as_closure searches every instance from the generators it was built from.
@@ -281,6 +314,48 @@ def test_closure_matches_the_scalar_search(name):
     sg = as_closure(construct(family, int(n)))
     assert sg.multipliers == gens
     _assert_same_search(sg, oracle_closure(gens, include_identity=True))
+
+
+def _batch_searches():
+    """Generator lists of every _BATCH_DEGREES instance, and three edge
+    cases, each searched with and without the identity."""
+    gens = {f"{family}:{n}": list(construct(family, n).generators)
+            for family, ns in _BATCH_DEGREES.items() for n in ns}
+    b3 = gens["B:3"]
+    gens["B:3 repeated"] = b3 + b3[::-1]
+    gens["B:3 and the identity"] = [b3[0], identity(3), *b3[1:]]
+    gens["none"] = []
+    return {f"{name} {how}": (g, how == "with identity")
+            for name, g in gens.items() for how in ("with identity", "without")
+            if g or how == "with identity"}
+
+
+@pytest.mark.parametrize("name", sorted(_batch_searches()))
+def test_closure_matches_the_scalar_search_on_every_batch_case(name):
+    gens, include_identity = _batch_searches()[name]
+    _assert_same_search(closure(gens, include_identity=include_identity),
+                        oracle_closure(gens, include_identity=include_identity))
+
+
+def test_closure_matches_the_scalar_search_on_the_ledger_closures(monkeypatch):
+    """Every distinct closure a standard ledger build searches, with
+    construct's cache bypassed, searched again by the scalar loop."""
+    calls = {}
+    search = engine.closure
+
+    def recorded(gens, *, include_identity=False, budget=None):
+        gens = list(gens)
+        calls[include_identity, *gens] = None
+        return search(gens, include_identity=include_identity, budget=budget)
+
+    monkeypatch.setattr(families, "_construct", families._construct.__wrapped__)
+    monkeypatch.setattr(families, "closure", recorded)
+    monkeypatch.setattr(derivations, "closure", recorded)
+    build_standard_ledger()
+    assert len(calls) == 30
+    for include_identity, *gens in calls:
+        _assert_same_search(closure(gens, include_identity=include_identity),
+                            oracle_closure(gens, include_identity=include_identity))
 
 
 @pytest.mark.parametrize("name", ["B:3", "PJ:4", "PA:4"])
@@ -462,6 +537,61 @@ def test_closure_never_decodes_blocks():
     sg = closure(construct("J", 6).generators, include_identity=True)
     assert sg.size == 132
     assert not any(hasattr(d, "_blocks") for d in sg.elements)
+
+
+# ---------------------------------------------------------------------------
+# lookups in the sorted key array
+
+
+def test_index_and_ids_of_on_every_element_of_pb4():
+    sg = as_closure(construct("PB", 4))
+    elems = list(sg.elements)
+    assert [sg.index.get(d) for d in elems] == list(range(sg.size))
+    assert sg.ids_of(sg.labels).tolist() == list(range(sg.size))
+    outside = [d for d in construct("C", 4).sorted_elements()
+               if not is_partial_brauer(d)]
+    assert len(outside) == 4140 - 764
+    assert all(sg.index.get(d) is None and d not in sg.index for d in outside)
+    mixed = label_array(elems[:-51:-1] + outside, 4)
+    assert sg.ids_of(mixed).tolist() == (list(range(sg.size - 1, sg.size - 51, -1))
+                                         + [-1] * len(outside))
+    other = identity(3)
+    assert sg.index.get(other) is None and other not in sg.index
+    with pytest.raises(KeyError):
+        sg.index[other]
+    assert sg.ids_of(labels(other)[None]).tolist() == [-1]
+    assert len(sg.index) == sg.size and list(sg.index) == elems
+
+
+@pytest.mark.parametrize("n", [10, 11, 64])
+def test_keys_of_one_and_of_several_words(n):
+    """2n = 20 points fit one uint64 key; 22 and 128 points take more."""
+    assert diagrams._key_weights(n).shape[1] == (1 if n == 10 else
+                                                2 if n == 11 else 12)
+    sg = closure([rotation(n)])
+    _assert_same_search(sg, oracle_closure([rotation(n)]))
+    assert sg.ids_of(sg.labels).tolist() == list(range(n))
+    assert sg.element_set() == ElementSet(n, sg.labels)
+    assert sg.index[identity(n)] == sg.identity_id == n - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 5, 10, 11, 17, 64]), st.randoms(use_true_random=False))
+def test_sort_keys_are_unique_and_ordered_as_the_rows(n, rng):
+    ds = [random_partition_diagram(n, rng) for _ in range(20)]
+    ds += [random_partial_brauer(n, rng) for _ in range(20)] + ds[:5]
+    keys = sort_keys(label_array(ds, n))
+    by_bytes = sorted(range(len(ds)), key=lambda i: ds[i].key)
+    assert np.argsort(keys, kind="stable").tolist() == by_bytes
+    for i, j in itertools.combinations(range(len(ds)), 2):
+        assert (keys[i] == keys[j]) == (ds[i] == ds[j])
+
+
+@pytest.mark.parametrize("family, n", [("B", 6), ("A", 8), ("J", 9), ("EA", 8),
+                                       ("PB", 5), ("SYM", 7)])
+def test_element_set_is_the_set_of_the_label_rows_on_census_closures(family, n):
+    sg = as_closure(construct(family, n))
+    assert sg.element_set() == ElementSet(n, sg.labels)
 
 
 def test_green_counts_are_consistent():
