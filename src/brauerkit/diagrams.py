@@ -24,10 +24,10 @@ parity and the is_* tests are their one-row calls.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  One numpy kernel takes
-every product: multiply_labels every row of a label array by every row of
-another (the closures' products), multiply_pairs row r by row r, and a*b
-is a one-row call.  Text round-trip uses the v1 format  "n:[{1,1'},{2,2'}]"
-(top points primed).
+every product by relabelling a through b, with no loop to convergence:
+multiply_labels every row of a label array by every row of another,
+multiply_pairs row r by row r, and a*b is a one-row call.  Text round-trip
+uses the v1 format  "n:[{1,1'},{2,2'}]" (top points primed).
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def diagram(n, blocks):
 
 
 def multiply(a, b):
-    """The diagram a*b, by the one-row call of multiply_pairs."""
-    row = multiply_pairs(label_array([a], a.n), label_array([b], b.n))[0]
+    """The diagram a*b, by a one-row call of the product kernel."""
+    row = _product(label_array([a], a.n), label_array([b], b.n))[0]
     return Diagram._from_key(a.n, row.tobytes())
 
 
@@ -401,49 +401,48 @@ def _block_successors(labs):
     return succ
 
 
-def _links(xs, ys):
-    """The links of the stacked pictures of x*y, for the rows x of xs and y
-    of ys.  The 3n nodes of a picture are x's bottom row 0..n-1, y's top
-    row n..2n-1 and the joined middle row 2n..3n-1; via_x[r, q] is the next
-    node after q of its block in xs[r], cyclically, or q itself when xs
-    has no point there, and via_y the same for ys."""
-    xs, ys = np.asarray(xs), np.asarray(ys)
+def _product(xs, ys):
+    """Label arrays of xs[r] * ys[r] for every row r of two k x 2n stacks.
+
+    x is relabelled through y: for each bottom point p of y whose y-block
+    holds an earlier bottom point q, x's blocks at top points n+p and n+q
+    merge.  The product's bottom row is x's merged bottom row; its top
+    point q takes the merged label at the bottom points of its y-block, or
+    the fresh label 2n + y[n+q] when there are none; then each row is
+    renumbered by first occurrence.  Each step takes a column at a time of
+    the transposed stacks, as numpy does not say which write wins when one
+    fancy assignment repeats an index.
+    """
     if xs.shape[1] != ys.shape[1]:
         raise DegreeMismatch(f"degree {xs.shape[1] // 2} vs {ys.shape[1] // 2}")
-    n = xs.shape[1] // 2
-    p = np.arange(2 * n)
-    x_node, y_node = np.where(p < n, p, p + n), np.where(p < n, p + 2 * n, p)
-    via_x, via_y = (np.repeat(np.arange(3 * n)[None], len(labs), axis=0)
-                    for labs in (xs, ys))
-    via_x[:, x_node] = x_node[_block_successors(xs)]
-    via_y[:, y_node] = y_node[_block_successors(ys)]
-    return via_x, via_y
-
-
-def _components(via_x, via_y):
-    """Label arrays of the products whose pictures have the links via_x
-    (k x 3n) and via_y (k x 3n, or 3n for all k).  The links make every
-    component strongly connected.  A label is a flat node number, r * 3n + q
-    for node q of row r; each starts as its own and takes the least label
-    over its two links and over the node it names (pointer jumping) until
-    nothing changes, leaving on each component its least node, an outer one
-    unless the component vanishes.  Ranking the outer labels gives the
-    canonical form."""
-    k, size = via_x.shape
-    m = size // 3 * 2
-    offsets = np.arange(k)[:, None] * size
-    via_x, via_y = via_x + offsets, via_y + offsets
-    lab = np.arange(k * size).reshape(k, size)
-    while True:
-        new = np.minimum(lab, np.take(lab, via_x))
-        np.minimum(new, np.take(new, via_y), out=new)
-        np.minimum(new, np.take(new, new), out=new)
-        if np.array_equal(new, lab):
-            break
-        lab = new
-    outer = lab[:, :m] - offsets
-    rank = np.cumsum(outer == np.arange(m), axis=1) - 1
-    return np.take_along_axis(rank, outer, axis=1).astype(label_dtype(m // 2))
+    k, m = ys.shape
+    n = m // 2
+    small = np.min_scalar_type(-2 * m)  # holds every label below 2m, and -1
+    x = np.array(xs.T, dtype=small, order="C")
+    y = np.ascontiguousarray(ys.T, dtype=np.intp)
+    y += np.arange(k) * m  # block b of row r is the cell r m + b
+    first = np.full(k * m, -1, dtype=small)  # a y-block's first bottom point
+    for p in range(n - 1, -1, -1):
+        first[y[p]] = p
+    for p in range(1, n):
+        q = first[y[p]]
+        rows = np.flatnonzero(q < p)
+        if rows.size:
+            sub = x[:, rows]
+            x[:, rows] = np.where(sub == sub[n + p], x[n + q[rows], rows], sub)
+    merged = np.tile(np.arange(m, 2 * m, dtype=small), k)
+    for p in range(n):
+        merged[y[p]] = x[n + p]
+    x[n:] = merged[y[n:]]
+    seen = np.full(2 * k * m, -1, dtype=small)  # a label's new number
+    count = np.zeros(k, dtype=small)
+    for j, cells in enumerate(x + np.arange(k) * 2 * m):
+        new = seen[cells]
+        fresh = new < 0
+        new[fresh] = count[fresh]
+        seen[cells] = x[j] = new
+        count += fresh
+    return np.ascontiguousarray(x.T, dtype=label_dtype(n))
 
 
 def multiply_labels(xs, bs, where=None):
@@ -453,16 +452,11 @@ def multiply_labels(xs, bs, where=None):
     shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  With
     where, a k x g mask, only the products it marks are taken, and the
     result is multiply_labels(xs, bs)[where], their stack in row-major
-    order.  The links of every x with a marked product and of every b are
-    worked out once, and the components of all the products together."""
-    full = where is None
-    if full:
-        where = np.ones((len(xs), len(bs)), dtype=bool)
-    used = where.any(axis=1)
-    via_x, via_bs = _links(np.asarray(xs)[used], bs)
-    rows, cols = np.nonzero(where[used])
-    out = _components(via_x[rows], via_bs[cols])
-    return out.reshape(len(where), len(bs), out.shape[1]) if full else out
+    order."""
+    xs, bs = np.asarray(xs), np.asarray(bs)
+    rows, cols = np.nonzero(np.ones((len(xs), len(bs)), bool) if where is None else where)
+    out = _product(xs[rows], bs[cols])
+    return out if where is not None else out.reshape(len(xs), len(bs), xs.shape[1])
 
 
 def multiply_pairs(xs, ys):
@@ -471,7 +465,7 @@ def multiply_pairs(xs, ys):
     or in degree."""
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} left factors vs {len(ys)} right factors")
-    return _components(*_links(xs, ys))
+    return _product(np.asarray(xs), np.asarray(ys))
 
 
 def star(a):

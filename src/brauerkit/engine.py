@@ -41,6 +41,7 @@ picked greedily from a set, is kept for callers outside the family code.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -258,11 +259,12 @@ class SemigroupClosure:
         if self._table is not None:
             return self._table[xs, ys]
         rc, words, depth = self._walk_data()
-        xs, ys = np.broadcast_arrays(xs, ys)
-        out = np.array(xs, dtype=np.int32)
+        ys = np.asarray(ys)  # each level's letters are read before broadcasting
+        out = np.asarray(xs, dtype=np.int32) + np.zeros(ys.shape, dtype=np.int32)
         if out.size:
+            flat, width = rc.ravel(), np.intp(rc.shape[1])
             for level in words[:int(depth[ys].max()) + 1]:
-                out = rc[out, level[ys]]
+                out = flat.take(out * width + level[ys])
         return out
 
     def _products(self, xs, ys):
@@ -332,8 +334,10 @@ class SemigroupClosure:
 
 
 def _cayley_graphs(sg):
-    """sg's right and left Cayley graphs as sparse m x m 0/1 matrices, with
-    an edge from x to x g and to g x for every generator g."""
+    """sg's right and left Cayley graphs as sparse m x m matrices, with an
+    edge from x to x g and to g x for every generator g.  The COO form sums
+    repeated edges (x g = x h) and must stay: scipy's strong components
+    were seen never to return on CSR with repeated column indices."""
     m = sg.size
     g = len(sg.generators)
     rows = np.repeat(np.arange(m), g)
@@ -804,13 +808,15 @@ def idempotent_generated(sg):
 
 
 def principal_ideal(sg, e_id):
-    """Ids of the two-sided principal ideal S^1 e S^1 (via Cayley
-    reachability); BadIndex for an id outside 0..size-1."""
+    """Ids of S^1 e S^1, ascending: the J-classes at or below J(e) in the
+    cached J-order (green); BadIndex for an id outside 0..size-1."""
     e_id = int(_checked_ids(sg, e_id))
-    right, left = sg._adjacency()
-    both = right + left
-    reach = csgraph.breadth_first_order(both, e_id, return_predecessors=False)
-    return sorted(int(x) for x in reach)
+    g = green(sg)
+    upper, lower = np.array(list(g.j_order), dtype=np.int64).reshape(-1, 2).T
+    below = np.arange(g.num_j) == g.j[e_id]
+    while not below[lower[below[upper]]].all():
+        below[lower[below[upper]]] = True
+    return np.flatnonzero(below[g.j]).tolist()
 
 
 def local_monoid(sg, e_id):
@@ -859,16 +865,16 @@ _ASSOCIATIVITY_SAMPLES = 60
 
 
 def _spot_check_associativity(sg):
-    """Raise CrossCheckFailed if (xy)z != x(yz) on one of
-    _ASSOCIATIVITY_SAMPLES triples drawn with seed 0."""
-    import random
-
-    rng = random.Random(0)
-    m = sg.size
-    for _ in range(_ASSOCIATIVITY_SAMPLES):
-        x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-        if sg.mul(sg.mul(x, y), z) != sg.mul(x, sg.mul(y, z)):
-            raise CrossCheckFailed(f"product table not associative at {(x, y, z)}")
+    """Raise CrossCheckFailed naming the first of _ASSOCIATIVITY_SAMPLES
+    triples drawn with seed 0 on which (xy)z != x(yz), if any."""
+    rng, m = random.Random(0), sg.size
+    xyz = np.reshape([rng.randrange(m) for _ in range(3 * _ASSOCIATIVITY_SAMPLES)],
+                     (-1, 3))
+    x, y, z = xyz.T
+    bad = sg.multiply(sg.multiply(x, y), z) != sg.multiply(x, sg.multiply(y, z))
+    if bad.any():
+        raise CrossCheckFailed(
+            f"product table not associative at {tuple(xyz[bad.argmax()].tolist())}")
 
 
 def is_inverse(sg):

@@ -38,12 +38,17 @@ over every weak-inverse pair, which kernel.kernel replaced with sweeps of
 the ids new to the set over the pairs that can leave it; it closes its
 sets with _oracle_closure and tests periods with oracle_period_one, not
 with the engine's subsemigroup search and squaring map.
+oracle_principal_ideal keeps the breadth-first search over the summed
+Cayley graphs that principal_ideal replaced by reading the J-order, and
+oracle_associativity_failure the loop of scalar products that
+_spot_check_associativity replaced by four batched ones.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -557,24 +562,17 @@ def oracle_period_one(sg, ids):
 
 
 def count_products(monkeypatch):
-    """Count the package's diagram products: the (row, diagram) pairs of
-    batched ones (the cells where marks, when given) and the rows of
-    zipped ones, which a scalar product is one of."""
+    """Count the package's diagram products: the rows of its one product
+    kernel, through which batched, masked, zipped and scalar products all
+    go, so each product counts once."""
     count = [0]
-    multiply_labels = diagrams.multiply_labels
-    multiply_pairs = diagrams.multiply_pairs
+    product = diagrams._product
 
-    def counted_rows(xs, bs, where=None):
-        count[0] += (len(xs) * len(bs) if where is None
-                     else int(np.count_nonzero(where)))
-        return multiply_labels(xs, bs, where=where)
-
-    def counted_pairs(xs, ys):
+    def counted(xs, ys):
         count[0] += len(xs)
-        return multiply_pairs(xs, ys)
+        return product(xs, ys)
 
-    monkeypatch.setattr(diagrams, "multiply_labels", counted_rows)
-    monkeypatch.setattr(diagrams, "multiply_pairs", counted_pairs)
+    monkeypatch.setattr(diagrams, "_product", counted)
     return count
 
 
@@ -633,6 +631,26 @@ def oracle_rees_table(sg, ideal_ids):
             p = idx[oracle_product(sg.elements[x], sg.elements[y])]
             table[a, b] = pos.get(p, k)
     return table
+
+
+def oracle_principal_ideal(sg, e_id):
+    """Ids of S^1 e S^1, ascending, by a breadth-first search from e over
+    the sum of the right and left Cayley graphs."""
+    right, left = sg._adjacency()
+    reach = csgraph.breadth_first_order(right + left, e_id, return_predecessors=False)
+    return sorted(reach.tolist())
+
+
+def oracle_associativity_failure(sg, samples):
+    """The first of samples triples drawn from random.Random(0) on which
+    (xy)z != x(yz), by one scalar product at a time, or None."""
+    rng = random.Random(0)
+    m = sg.size
+    for _ in range(samples):
+        x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+        if sg.mul(sg.mul(x, y), z) != sg.mul(x, sg.mul(y, z)):
+            return x, y, z
+    return None
 
 
 def oracle_iso(a_elems, b_elems, mapping):

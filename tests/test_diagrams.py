@@ -233,6 +233,38 @@ def test_batched_product_on_every_pair(family, n):
     assert np.array_equal(every_pair, got.reshape(k * k, 2 * n))
 
 
+@pytest.mark.parametrize("family, n", [("C", 3), ("PB", 3), ("PA", 3), ("B", 4)])
+def test_every_product_matches_the_union_find_oracle(family, n):
+    elems = construct(family, n).sorted_elements()
+    k = len(elems)
+    blocks = [BlocksDiagram(n, d.blocks) for d in elems]
+    want = oracle_label_array([a * b for a in blocks for b in blocks], n)
+    labs = label_array(elems, n)
+    assert np.array_equal(multiply_labels(labs, labs), want.reshape(k, k, 2 * n))
+    where = np.random.default_rng(k).random((k, k)) < 0.3
+    assert np.array_equal(multiply_labels(labs, labs, where=where),
+                          want.reshape(k, k, 2 * n)[where])
+    assert np.array_equal(multiply_pairs(labs.repeat(k, axis=0), np.tile(labs, (k, 1))),
+                          want)
+
+
+@pytest.mark.parametrize("family, n", [("C", 1), ("PB", 1), ("C", 3), ("PB", 4)])
+def test_products_with_degree_one_and_rank_zero_rows(family, n):
+    elems = construct(family, n).sorted_elements()
+    zero = [d for d in elems if d.rank == 0]
+    pairs = [(z, d) for z in zero for d in elems] + [(d, z) for z in zero for d in elems]
+    assert zero
+    xs, ys = (label_array(side, n) for side in zip(*pairs))
+    want = oracle_label_array(
+        [BlocksDiagram(n, x.blocks) * BlocksDiagram(n, y.blocks) for x, y in pairs], n)
+    got = multiply_pairs(xs, ys)
+    assert np.array_equal(got, want) and not ranks(got).any()
+    assert [x * y for x, y in pairs[:40]] == from_label_array(want[:40])
+    z = label_array(zero, n)
+    assert np.array_equal(multiply_labels(z, z).reshape(-1, 2 * n),
+                          multiply_pairs(z.repeat(len(z), axis=0), np.tile(z, (len(z), 1))))
+
+
 def test_label_arrays_are_canonical():
     d = diagram(3, [[-3, 1], [2], [3, -1, -2]])
     assert labels(d).tolist() == [0, 1, 2, 2, 2, 0]

@@ -69,6 +69,7 @@ from test_diagrams import _BATCH_DEGREES
 from oracles import (
     _oracle_closure,
     count_products,
+    oracle_associativity_failure,
     oracle_closure,
     oracle_green,
     oracle_greedy_closure,
@@ -80,6 +81,7 @@ from oracles import (
     oracle_left_cayley,
     oracle_local_elements,
     oracle_period_one,
+    oracle_principal_ideal,
     oracle_rees_table,
     oracle_span,
     oracle_t1_chain,
@@ -496,6 +498,26 @@ def test_word_walk_products_without_a_table(name, data):
     assert [sg.mul(x, y) for x, y in zip(xs, ys)] == want
 
 
+@pytest.mark.parametrize("name", sorted(_WALKED))
+def test_word_walk_matches_the_products_walk(name):
+    """multiply reads each level's letters for ys as given and steps a
+    flat right Cayley graph; it gives _products on zipped, scalar and
+    broadcast ids."""
+    sg = _WALKED[name]
+    rng = np.random.default_rng(sg.size)
+    xs, ys = rng.integers(0, sg.size, 200), rng.integers(0, sg.size, 50)
+    table = sg._products(xs, ys)
+    assert sg._table is None
+    assert np.array_equal(sg.multiply(xs[:, None], ys), table)
+    assert np.array_equal(sg.multiply(ys[:, None], xs[None]), sg._products(ys, xs))
+    assert np.array_equal(sg.multiply(xs[:50], ys), table[np.arange(50), np.arange(50)])
+    assert np.array_equal(sg.multiply(xs[3], ys), table[3])
+    assert np.array_equal(sg.multiply(xs[:, None], ys[[7]]), table[:, [7]])
+    assert np.array_equal(sg.multiply(xs, ys[7]), table[:, 7])
+    assert sg.multiply(int(xs[5]), int(ys[9])) == sg.mul(xs[5], ys[9]) == table[5, 9]
+    assert sg.multiply(xs[:0, None], ys).shape == (0, 50)
+
+
 # ---------------------------------------------------------------------------
 # Green's relations
 
@@ -755,6 +777,52 @@ def test_rees_quotient_of_brauer_4():
     g = green(q)
     assert g.num_j == 2
     assert not is_aperiodic(q)
+
+
+def test_principal_ideal_reads_the_j_order_as_the_search_did(derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    for ref, inst in led.instances.items():
+        sg = inst.sg
+        for e_id in sg.idempotent_ids():
+            assert principal_ideal(sg, e_id) == oracle_principal_ideal(sg, e_id), (ref, e_id)
+
+
+def test_cayley_graphs_sum_repeated_edges_into_canonical_matrices():
+    # scipy's strong connected_components needs CSR without repeated indices
+    sg = closure(construct("B", 3).generators, include_identity=True)
+    right, left = sg._adjacency()
+    for graph, cayley in ((right, sg.right_cayley), (left, sg.left_cayley)):
+        assert any(len(set(row)) < len(row) for row in cayley.tolist())
+        assert graph.has_canonical_format
+        assert graph.nnz < cayley.size and graph.sum() == cayley.size
+
+
+def _b3_table(moved=None):
+    """The product table of a fresh B:3 closure, with entry moved = (i, j)
+    changed to the next id."""
+    table = closure(construct("B", 3).generators, include_identity=True).product_table()
+    if moved:
+        table[moved] = (table[moved] + 1) % len(table)
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    _b3_table((4, 7)),  # first fails at the 5th triple
+    _b3_table((5, 9)),
+    np.random.default_rng(3).integers(0, 5, (5, 5)),
+])
+def test_spot_check_names_the_first_nonassociative_triple(table):
+    sg = SemigroupClosure.from_table(table)
+    want = oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES)
+    assert want is not None
+    with pytest.raises(CrossCheckFailed, match=re.escape(f"not associative at {want}")):
+        engine._spot_check_associativity(sg)
+
+
+def test_spot_check_passes_an_associative_table():
+    sg = SemigroupClosure.from_table(_b3_table())
+    assert oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES) is None
+    engine._spot_check_associativity(sg)
 
 
 def test_rees_quotient_rejects_non_ideals():
