@@ -11,9 +11,10 @@ ids, words and Cayley graphs are those of a search taking one product at a
 time.  A closure keeps its label array (labels, row i the diagram of id i)
 and the sorted integer keys of its rows: elements[i] makes a Diagram only
 when it is read, and index and ids_of look rows up by binary search, so a
-closure that is only analysed makes no per-element object.  Green's
-relations come from strongly connected components of the Cayley graphs;
-the J-order is the condensation reachability order.
+closure that is only analysed makes no per-element object.  R and L are
+the strong components of the right and left Cayley graphs; J = D = R v L,
+two least-id passes over them, and the J-order is read from the Cayley
+arrays.
 
 Once a closure is built, no analysis multiplies diagrams again.  A product
 x y is an integer operation (SemigroupClosure.multiply): a gather from the
@@ -110,7 +111,6 @@ class SemigroupClosure:
         self._walk = None
         self._green = None
         self._squares = None
-        self._cayley_graphs = None
         self._idempotents = None
         self._element_set = None
 
@@ -324,31 +324,6 @@ class SemigroupClosure:
             self._idempotents = tuple(np.flatnonzero(
                 self.squares() == np.arange(self.size)).tolist())
         return self._idempotents
-
-    def _adjacency(self):
-        """The right and left Cayley graphs as sparse m x m 0/1 matrices,
-        built once and kept; callers must not modify them."""
-        if self._cayley_graphs is None:
-            self._cayley_graphs = _cayley_graphs(self)
-        return self._cayley_graphs
-
-
-def _cayley_graphs(sg):
-    """sg's right and left Cayley graphs as sparse m x m matrices, with an
-    edge from x to x g and to g x for every generator g.  The COO form sums
-    repeated edges (x g = x h) and must stay: scipy's strong components
-    were seen never to return on CSR with repeated column indices."""
-    m = sg.size
-    g = len(sg.generators)
-    rows = np.repeat(np.arange(m), g)
-    ones = np.ones(m * g, dtype=np.int8)
-    right = sparse.csr_matrix(
-        (ones, (rows, sg.right_cayley.ravel())), shape=(m, m)
-    )
-    left = sparse.csr_matrix(
-        (ones, (rows, sg.left_cayley.ravel())), shape=(m, m)
-    )
-    return right, left
 
 
 class _Elements(Sequence):
@@ -623,6 +598,12 @@ def _table_generators(sg):
 
 @dataclass(frozen=True)
 class GreenData:
+    """Green's relations: R and L numbered as scipy's strong components of
+    the Cayley graphs number them, H-classes by first appearance of their
+    (R, L) pair, and J-classes sinks first, by height (the longest J-order
+    path down to a minimal class), then by least member: so lower < upper
+    for every (upper, lower) pair of j_order."""
+
     r: np.ndarray
     l: np.ndarray
     j: np.ndarray
@@ -638,62 +619,91 @@ class GreenData:
     j_order: frozenset  # (upper class, lower class) pairs, transitive closure not taken
 
 
+def _graph(nbr):
+    """The m x m CSR matrix with an edge from x to each id of row x of the
+    m x g array nbr, each row's ids sorted and taken once: scipy's strong
+    components were seen never to return on CSR with repeated column
+    indices (x g = x h)."""
+    cols = np.sort(nbr, axis=1)
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix((np.ones(indptr[-1]), cols[keep], indptr), shape=(len(nbr),) * 2)
+
+
 def green(sg):
+    """The GreenData of sg, computed once and kept.
+
+    R and L are the strong components of the right and left Cayley graphs,
+    and J = D = R o L (Howie, Fundamentals of Semigroup Theory, Prop.
+    2.1.4): a J-class's least id is the least, over an L-class, of its
+    members' least R-class ids.  The J-order's edges (J(x), J(x g)) and
+    (J(x), J(g x)) are read from the Cayley arrays at one x of each
+    L-class and of each R-class respectively, since L is a right and R a
+    left congruence (Prop. 2.1.2).  CrossCheckFailed when they make a
+    cycle, which no associative table gives.
+    """
     if sg._green is not None:
         return sg._green
-    m = sg.size
-    right, left = sg._adjacency()
-    num_r, r_lab = csgraph.connected_components(right, directed=True, connection="strong")
-    num_l, l_lab = csgraph.connected_components(left, directed=True, connection="strong")
-    both = right + left
-    num_j, j_lab = csgraph.connected_components(both, directed=True, connection="strong")
+    m, ids = sg.size, np.arange(sg.size)
+    rc, lc = sg.right_cayley, sg.left_cayley
+    (num_r, r_lab), (num_l, l_lab) = (
+        csgraph.connected_components(_graph(nbr), directed=True, connection="strong")
+        for nbr in (rc, lc))
 
     # H-classes numbered by first appearance of their (R, L) pair
-    pair = r_lab.astype(np.int64) * num_l + l_lab
-    _, first, pair_h = np.unique(pair, return_index=True, return_inverse=True)
-    num_h = len(first)
-    renumber = np.empty(num_h, dtype=np.int64)
-    renumber[np.argsort(first)] = np.arange(num_h)
-    h_lab = renumber[pair_h.ravel()]
+    pairs, pair_h = np.unique(r_lab.astype(np.int64) * num_l + l_lab, return_inverse=True)
+    num_h = len(pairs)
+    first = np.full(num_h, m)
+    np.minimum.at(first, pair_h, ids)
+    h_lab = np.argsort(np.argsort(first))[pair_h]  # each pair's rank by first id
 
-    coo = both.tocoo()
-    src_c = j_lab[coo.row].astype(np.int64)
-    dst_c = j_lab[coo.col].astype(np.int64)
-    mask = src_c != dst_c
-    edges = np.unique(src_c[mask] * num_j + dst_c[mask])
-    order_edges = frozenset(zip((edges // num_j).tolist(), (edges % num_j).tolist()))
+    least_r = np.full(num_r, m)
+    np.minimum.at(least_r, r_lab, ids)
+    least_d = np.full(num_l, m)
+    np.minimum.at(least_d, l_lab, least_r[r_lab])
+    lead = least_d[l_lab]  # the least id of each id's J-class
+    top = lead == ids
+    tops = np.flatnonzero(top)
+    num_j, cls = len(tops), (np.cumsum(top) - 1)[lead]
+    one_l = np.empty(num_l, dtype=np.int64)  # some member of each L-class
+    one_l[l_lab] = ids
+    edges = []
+    for xs, nbr in ((one_l, rc), (least_r, lc)):
+        src, dst = cls[xs, None], cls[nbr[xs]]
+        edges.append((src * num_j + dst)[src != dst])
+    codes = np.unique(np.concatenate(edges))
+    upper, lower = codes // num_j, codes % num_j
+    height = np.zeros(num_j, dtype=np.int64)
+    for _ in range(num_j):  # a path down has at most num_j - 1 edges
+        taller = height.copy()
+        np.maximum.at(taller, upper, height[lower] + 1)
+        if (taller == height).all():
+            break
+        height = taller
+    else:
+        raise CrossCheckFailed("J-order has a cycle")
+    number = np.argsort(np.lexsort((tops, height)))  # each class's rank
+    j_lab = number[cls].astype(np.int32)
 
-    by_j = np.argsort(j_lab, kind="stable")
-    members = np.split(by_j, np.cumsum(np.bincount(j_lab, minlength=num_j))[:-1])
-
-    idem = np.zeros(m, dtype=bool)
-    idem[list(sg.idempotent_ids())] = True
-    regular = []
-    subgroup = []
-    essential = []
-    for ms in members:
-        es = ms[idem[ms]]
-        if not es.size:
-            regular.append(False)
-            subgroup.append(0)
-            essential.append(False)
-            continue
-        order = int(np.count_nonzero(h_lab[ms] == h_lab[es[0]]))
-        regular.append(True)
-        subgroup.append(order)
-        essential.append(order > 1)
-
-    data = GreenData(
+    by_j = np.argsort(j_lab, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(j_lab, minlength=num_j)).tolist()
+    idem = np.asarray(sg.idempotent_ids(), dtype=np.int64)
+    first_e = np.full(num_j, m)  # each class's first idempotent, m for none
+    np.minimum.at(first_e, j_lab[idem], idem)
+    regular = first_e < m
+    subgroup = np.where(regular, np.bincount(h_lab, minlength=num_h)[
+        h_lab[np.minimum(first_e, m - 1)]], 0)
+    sg._green = GreenData(
         r=r_lab, l=l_lab, j=j_lab, h=h_lab,
         num_r=num_r, num_l=num_l, num_j=num_j, num_h=num_h,
-        j_members=tuple(tuple(ms.tolist()) for ms in members),
-        j_regular=tuple(regular),
-        j_subgroup_order=tuple(subgroup),
-        j_essential=tuple(essential),
-        j_order=order_edges,
+        j_members=tuple(tuple(by_j[a:b]) for a, b in zip([0] + ends, ends)),
+        j_regular=tuple(regular.tolist()),
+        j_subgroup_order=tuple(subgroup.tolist()),
+        j_essential=tuple((subgroup > 1).tolist()),
+        j_order=frozenset(zip(number[upper].tolist(), number[lower].tolist())),
     )
-    sg._green = data
-    return data
+    return sg._green
 
 
 def h_class_of(sg, i):
@@ -749,33 +759,19 @@ def period_one(sg, ids):
 
 
 def essential_depth(sg):
-    """Longest chain of essential J-classes in the J-order."""
+    """Longest chain of essential J-classes in the J-order, taking the
+    classes sinks first as green numbers them; CrossCheckFailed when an
+    edge of j_order does not point to a lower number."""
     g = green(sg)
-    preds = {c: [] for c in range(g.num_j)}
-    succs = {c: [] for c in range(g.num_j)}
-    indeg = {c: 0 for c in range(g.num_j)}
-    for a, b in g.j_order:
-        succs[a].append(b)
-        preds[b].append(a)
-        indeg[b] += 1
-    topo = [c for c in range(g.num_j) if indeg[c] == 0]
-    out = []
-    while topo:
-        c = topo.pop()
-        out.append(c)
-        for d in succs[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                topo.append(d)
-    if len(out) != g.num_j:
-        raise CrossCheckFailed("J-order condensation is not acyclic")
-    depth = {}
-    best = 0
-    for c in out:
-        d = max((depth[p] for p in preds[c]), default=0)
-        depth[c] = d + (1 if g.j_essential[c] else 0)
-        best = max(best, depth[c])
-    return best
+    below = [[] for _ in range(g.num_j)]
+    for upper, lower in g.j_order:
+        if lower >= upper:
+            raise CrossCheckFailed("J-order is not numbered sinks first")
+        below[upper].append(lower)
+    depth = []
+    for c in range(g.num_j):
+        depth.append(max((depth[d] for d in below[c]), default=0) + g.j_essential[c])
+    return max(depth, default=0)
 
 
 def units(sg):
@@ -891,12 +887,14 @@ def is_inverse(sg):
 
 
 def l_leq(sg, a, b):
-    """Left-order: a <=_L b iff a lies in S^1 b (reachability in the left graph)."""
+    """Left-order: a <=_L b iff a lies in S^1 b (reachability in the left
+    graph); BadIndex for an id outside 0..size-1."""
+    a, b = _checked_ids(sg, [a, b]).tolist()
     if a == b:
         return True
-    _, left = sg._adjacency()
-    reach = csgraph.breadth_first_order(left, b, return_predecessors=False)
-    return a in set(int(x) for x in reach)
+    reach = csgraph.breadth_first_order(_graph(sg.left_cayley), b,
+                                        return_predecessors=False)
+    return bool((reach == a).any())
 
 
 def t1_chain(sg):
@@ -914,7 +912,7 @@ def t1_chain(sg):
     pool = list(dict.fromkeys(sg.generators))
     if sg.identity_id is not None and sg.identity_id not in pool:
         pool.append(sg.identity_id)
-    _, left = sg._adjacency()
+    left = _graph(sg.left_cayley)
     below = np.zeros((len(pool), sg.size), dtype=bool)
     for row, b in zip(below, pool):
         row[csgraph.breadth_first_order(left, b, return_predecessors=False)] = True

@@ -27,7 +27,9 @@ diagram products, for tests that require none.  BlocksDiagram keeps the
 diagram as its tuple of sorted blocks, with the block-by-block label
 array loop and union-find product that Diagram's label bytes replaced,
 and oracle_green keeps the per-element loops over Green's SCC labels that
-engine.green replaced with numpy.  oracle_period_one keeps the period test
+engine.green replaced with numpy, and the strong components of the summed
+Cayley graphs, built through COO, that it replaced with J = R v L read
+from the R- and L-classes.  oracle_period_one keeps the period test
 by repeated squaring, one batched product per squaring, that
 engine.period_one replaced with the gathers of its squaring map.
 oracle_green_all_generators keeps the analysis of a product table with
@@ -52,6 +54,7 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from brauerkit import (
@@ -636,7 +639,7 @@ def oracle_rees_table(sg, ideal_ids):
 def oracle_principal_ideal(sg, e_id):
     """Ids of S^1 e S^1, ascending, by a breadth-first search from e over
     the sum of the right and left Cayley graphs."""
-    right, left = sg._adjacency()
+    right, left = _cayley_matrices(sg)
     reach = csgraph.breadth_first_order(right + left, e_id, return_predecessors=False)
     return sorted(reach.tolist())
 
@@ -794,10 +797,23 @@ def oracle_greedy_closure(elems):
 # Green structure one element at a time
 
 
-def oracle_green(sg):
-    """GreenData of sg from its SCC labels, by loops over the elements."""
+def _cayley_matrices(sg):
+    """sg's right and left Cayley graphs as sparse m x m matrices, with an
+    edge from x to x g and to g x for every generator g, built through COO,
+    which sums repeated edges (x g = x h) into canonical CSR."""
     m = sg.size
-    right, left = sg._adjacency()
+    g = len(sg.generators)
+    rows = np.repeat(np.arange(m), g)
+    ones = np.ones(m * g, dtype=np.int8)
+    return tuple(sparse.csr_matrix((ones, (rows, cayley.ravel())), shape=(m, m))
+                 for cayley in (sg.right_cayley, sg.left_cayley))
+
+
+def oracle_green(sg):
+    """GreenData of sg from the strong components of its right, left and
+    summed Cayley graphs, by loops over the elements."""
+    m = sg.size
+    right, left = _cayley_matrices(sg)
     num_r, r_lab = csgraph.connected_components(right, directed=True, connection="strong")
     num_l, l_lab = csgraph.connected_components(left, directed=True, connection="strong")
     both = right + left

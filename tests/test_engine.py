@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from brauerkit import (
@@ -555,6 +556,99 @@ def test_green_matches_elementwise_oracle_on_census_closures(family, n):
     _assert_same_green(green(sg), oracle_green(sg))
 
 
+def _transformation_table(seed):
+    """Product table of the semigroup that 2-3 random maps of 4-5 points
+    generate, maps composed left to right (x y is x, then y), drawn with
+    numpy's generator at seed."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(4, 6))
+    gens = np.unique(rng.integers(0, k, (int(rng.integers(2, 4)), k)), axis=0)
+    maps, seen = list(gens), {tuple(g) for g in gens.tolist()}
+    for x in maps:
+        for g in gens:
+            if tuple(y := g[x]) not in seen:
+                seen.add(tuple(y))
+                maps.append(y)
+    maps = np.array(maps)
+    weights = k ** np.arange(k)
+    codes = maps @ weights
+    order = np.argsort(codes)
+    table = np.empty((len(maps), len(maps)), dtype=np.int32)
+    for b, y in enumerate(maps):
+        table[:, b] = order[np.searchsorted(codes, y[maps] @ weights, sorter=order)]
+    return table
+
+
+def _heights(order, num_j):
+    """The longest path down from each class of the J-order order; the
+    order is a chain when they are 0..num_j-1."""
+    below = {c: [b for a, b in order if a == c] for c in range(num_j)}
+    height = {}
+
+    def walk(c):
+        if c not in height:
+            height[c] = max((walk(b) + 1 for b in below[c]), default=0)
+        return height[c]
+
+    return [walk(c) for c in range(num_j)]
+
+
+def test_j_is_r_join_l_on_random_transformation_semigroups():
+    # random maps give J-orders that are not chains and semigroups with no
+    # identity; the two-sided strong components number incomparable
+    # classes their own way, so classes are matched by their members
+    chains, monoids = [], []
+    for seed in range(60):
+        sg = SemigroupClosure.from_table(_transformation_table(seed))
+        new, old = green(sg), oracle_green(sg)
+        match = dict(zip(new.j.tolist(), old.j.tolist()))
+        assert new.num_j == old.num_j == len(match) == len(set(match.values())), seed
+        assert {(match[a], match[b]) for a, b in new.j_order} == old.j_order, seed
+        assert all(lower < upper for upper, lower in new.j_order), seed
+        heights = _heights(new.j_order, new.num_j)
+        assert sorted(range(new.num_j), key=lambda c: (heights[c], new.j_members[c][0])) \
+            == list(range(new.num_j)), seed
+        chains.append(sorted(heights) == list(range(new.num_j)))
+        monoids.append(sg.identity_id is not None)
+    assert chains.count(False) >= 20 and monoids.count(False) >= 20
+
+
+def test_j_order_points_to_lower_numbers_on_ledger_instances(derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    for ref, inst in led.instances.items():
+        g = green(inst.sg)
+        assert all(lower < upper for upper, lower in g.j_order), ref
+        assert sorted(_heights(g.j_order, g.num_j)) == list(range(g.num_j)), ref
+
+
+def test_green_rejects_a_j_order_with_a_cycle():
+    # only a table that is not associative gives R v L classes a cycle
+    table = [[2, 0, 0], [2, 0, 0], [1, 2, 1]]
+    sg = SemigroupClosure.from_table(table)
+    assert oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES) is not None
+    with pytest.raises(CrossCheckFailed, match="J-order has a cycle"):
+        green(sg)
+
+
+def test_green_takes_two_strong_component_passes_and_keeps_no_matrix(monkeypatch):
+    calls = []
+    strong = engine.csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["connection"])
+        return strong(*args, **kwargs)
+
+    monkeypatch.setattr(engine.csgraph, "connected_components", counted)
+    sg = closure(construct("B", 4).generators, include_identity=True)
+    green(sg)
+    assert calls == ["strong", "strong"]
+    green(sg)
+    assert len(calls) == 2
+    assert t1_chain(sg) == oracle_t1_chain(sg)
+    assert l_leq(sg, sg.index[contraction(4, 1, 2)], sg.identity_id)
+    assert not any(sparse.issparse(v) for v in vars(sg).values())
+
+
 def test_closure_never_decodes_blocks():
     sg = closure(construct("J", 6).generators, include_identity=True)
     assert sg.size == 132
@@ -731,24 +825,6 @@ def test_principal_ideal_is_rank_filter():
     assert ideal == sorted(i for i in range(sg.size) if sg.elements[i].rank <= 2)
 
 
-def test_cayley_graphs_are_built_once_per_closure(monkeypatch):
-    builds = []
-    build = engine._cayley_graphs
-
-    def counted(sg):
-        builds.append(sg)
-        return build(sg)
-
-    monkeypatch.setattr(engine, "_cayley_graphs", counted)
-    sg = closure(construct("B", 4).generators, include_identity=True)
-    e_id = sg.index[contraction(4, 1, 2)]
-    green(sg)
-    assert len(principal_ideal(sg, e_id)) == 81
-    assert l_leq(sg, e_id, sg.identity_id)
-    assert not l_leq(sg, sg.identity_id, e_id)
-    assert builds == [sg]
-
-
 def test_local_monoid_at_end_cap_is_padded_smaller_monoid():
     sg = _b(4)
     e = adjacent_contraction(4, 3)
@@ -787,14 +863,16 @@ def test_principal_ideal_reads_the_j_order_as_the_search_did(derived_standard_le
             assert principal_ideal(sg, e_id) == oracle_principal_ideal(sg, e_id), (ref, e_id)
 
 
-def test_cayley_graphs_sum_repeated_edges_into_canonical_matrices():
+def test_graph_rows_are_sorted_and_take_each_id_once():
     # scipy's strong connected_components needs CSR without repeated indices
     sg = closure(construct("B", 3).generators, include_identity=True)
-    right, left = sg._adjacency()
-    for graph, cayley in ((right, sg.right_cayley), (left, sg.left_cayley)):
-        assert any(len(set(row)) < len(row) for row in cayley.tolist())
-        assert graph.has_canonical_format
-        assert graph.nnz < cayley.size and graph.sum() == cayley.size
+    for cayley in (sg.right_cayley, sg.left_cayley):
+        rows = cayley.tolist()
+        assert any(len(set(row)) < len(row) for row in rows)
+        graph = engine._graph(cayley)
+        assert graph.format == "csr" and graph.has_canonical_format
+        assert [graph.indices[graph.indptr[x]:graph.indptr[x + 1]].tolist()
+                for x in range(sg.size)] == [sorted(set(row)) for row in rows]
 
 
 def _b3_table(moved=None):
@@ -869,6 +947,14 @@ def test_left_order_basics():
     assert l_leq(sg, g1, g1)
     assert l_leq(sg, g1, sg.identity_id)
     assert not l_leq(sg, sg.identity_id, g1)
+
+
+@pytest.mark.parametrize("a, b", [(999, 999), (-1, 0), (0, 15), (0, -1)])
+def test_l_leq_rejects_ids_outside_the_closure(a, b):
+    sg = closure(construct("B", 3).generators, include_identity=True)
+    assert sg.size == 15
+    with pytest.raises(BadIndex):
+        l_leq(sg, a, b)
 
 
 def test_t1_chain_negative_on_jones_3():
