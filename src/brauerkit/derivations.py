@@ -32,12 +32,12 @@ from .diagrams import (
     double_contraction,
     from_permutation,
     label_array,
+    pads,
     rotation,
 )
 from .engine import (
     closure,
     idempotent_generated,
-    pad_embedding,
     principal_ideal,
     rees_quotient,
     subsemigroup,
@@ -83,16 +83,13 @@ def _register_pad(ledger, code, n, small_sg, fam_ref, big_sg):
     is big_sg restricted to the images, in small_sg's order.
     """
     target = n + 2
-    images = [pad_embedding(d, target) for d in small_sg.elements]
-    padded = subsemigroup(big_sg, big_sg.ids_of(label_array(images, target)))
+    padded = subsemigroup(big_sg, big_sg.ids_of(pads(small_sg.labels, target)))
     ref = ledger.register(
         "pad", f"pad({code}:{n})", padded,
         description=f"degree-{target} copies of {code}:{n} with a fixed end-cap",
     )
     ledger.assert_base_facts(ref)
-    ledger.apply_isomorphism_rule(
-        fam_ref, ref, lambda d, t=target: pad_embedding(d, t)
-    )
+    ledger.apply_isomorphism_rule(fam_ref, ref, lambda labs: pads(labs, target))
     return ref
 
 
@@ -114,7 +111,7 @@ def _register_quotient(ledger, key, sg, ids, description):
 def _ideal_local_chain(ledger, code, n, fam_ref, sg, pad_ref, ideal_key, quot_key):
     """Shared upper-bound route: principal ideal at the end-cap, Rees
     quotient, and the local rule tying the ideal to the padded copy."""
-    e_id = sg.index[adjacent_contraction(n, n - 1)]
+    [e_id] = _ids(sg, [adjacent_contraction(n, n - 1)])
     ids = principal_ideal(sg, e_id)
     ideal_ref = _register_ideal(
         ledger, ideal_key, sg, ids,
@@ -129,25 +126,33 @@ def _ideal_local_chain(ledger, code, n, fam_ref, sg, pad_ref, ideal_key, quot_ke
     return ideal_ref, quot_ref
 
 
-def _brauer_unit_gen_ids(sg, n):
-    swap = from_permutation(n, (2, 1) + tuple(range(3, n + 1)))
-    cycle = from_permutation(n, tuple(range(2, n + 1)) + (1,))
-    return sorted({sg.index[swap], sg.index[cycle]})
+def _ids(sg, ds):
+    """The ids in sg of the diagrams ds, by one lookup; KeyError names the
+    first of them outside sg."""
+    ids = sg.ids_of(label_array(ds, sg.degree))
+    if (ids < 0).any():
+        raise KeyError(ds[int((ids < 0).argmax())])
+    return ids.tolist()
 
 
-def _apply_principal(ledger, n, fam_ref, sg, pad_ref, unit_gen_ids, pool_ids=None):
-    e_id = sg.index[adjacent_contraction(n, n - 1)]
+def _brauer_unit_gens(n):
+    return [from_permutation(n, (2, 1) + tuple(range(3, n + 1))),
+            from_permutation(n, tuple(range(2, n + 1)) + (1,))]
+
+
+def _apply_principal(ledger, n, fam_ref, sg, pad_ref, unit_gens, pool=None):
+    """The principal rule at the end-cap idempotent, over the units the
+    diagrams unit_gens generate and the idempotents pool (all of sg's when
+    None), their ids looked up at once."""
+    e_id, *ids = _ids(sg, [adjacent_contraction(n, n - 1), *unit_gens, *(pool or ())])
     ledger.apply_principal_rule(
-        fam_ref, e_id, pad_ref,
-        unit_gen_ids=unit_gen_ids, idempotent_pool_ids=pool_ids,
+        fam_ref, e_id, pad_ref, unit_gen_ids=sorted(set(ids[:len(unit_gens)])),
+        idempotent_pool_ids=None if pool is None else ids[len(unit_gens):],
     )
 
 
-def _contraction_pool_ids(sg, n):
-    return sorted(
-        sg.index[contraction(n, i, j)]
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    )
+def _contractions(n):
+    return [contraction(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def t1sub_ea6():
@@ -174,35 +179,29 @@ def build_standard_ledger():
                 led, code, n, compute_kernel=compute_kernel
             )
 
-    pads = {}
+    padded = {}
     for code, n in [("B", 1), ("B", 2), ("B", 3), ("B", 4),
                     ("A", 1), ("A", 3), ("A", 4), ("EA", 4),
                     ("PB", 1), ("PB", 2), ("PA", 1), ("PA", 2)]:
-        pads[code, n] = _register_pad(led, code, n, sgs[code, n], fam[code, n],
-                                      sgs[code, n + 2])
+        padded[code, n] = _register_pad(led, code, n, sgs[code, n], fam[code, n],
+                                        sgs[code, n + 2])
 
     # Brauer tower: principal rule at the end-cap, one step per two degrees.
     for n in (3, 4, 5, 6):
-        _apply_principal(
-            led, n, fam["B", n], sgs["B", n], pads["B", n - 2],
-            unit_gen_ids=_brauer_unit_gen_ids(sgs["B", n], n),
-            pool_ids=_contraction_pool_ids(sgs["B", n], n),
-        )
+        _apply_principal(led, n, fam["B", n], sgs["B", n], padded["B", n - 2],
+                         _brauer_unit_gens(n), pool=_contractions(n))
 
     # Annular tower, odd degrees: principal rule over the rotation units.
     for n in (3, 5):
-        sg = sgs["A", n]
-        _apply_principal(
-            led, n, fam["A", n], sg, pads["A", n - 2],
-            unit_gen_ids=[sg.index[rotation(n)]],
-        )
+        _apply_principal(led, n, fam["A", n], sgs["A", n], padded["A", n - 2],
+                         [rotation(n)])
 
     # Even annular and annular degree 6: singular ideal, inverse quotient,
     # local monoid two degrees down.
     _ideal_local_chain(led, "EA", 6, fam["EA", 6], sgs["EA", 6],
-                       pads["EA", 4], "sing(EA:6)", "quot(EA:6/sing)")
+                       padded["EA", 4], "sing(EA:6)", "quot(EA:6/sing)")
     _ideal_local_chain(led, "A", 6, fam["A", 6], sgs["A", 6],
-                       pads["A", 4], "sing(A:6)", "quot(A:6/sing)")
+                       padded["A", 4], "sing(A:6)", "quot(A:6/sing)")
     led.apply_subsemigroup_rule(fam["EA", 6], fam["A", 6])
 
     # Lower bound for EA_6: the chain subsemigroup generated by the double
@@ -228,7 +227,7 @@ def build_standard_ledger():
     )
     led.assert_base_facts(egen_ref)
 
-    led.apply_subsemigroup_rule(pads["EA", 4], egen_ref)
+    led.apply_subsemigroup_rule(padded["EA", 4], egen_ref)
     led.apply_subsemigroup_rule(egen_ref, ker_ref)
     led.apply_kernel_chain_rule(t1_ref, ker_ref)
     led.apply_subsemigroup_rule(t1_ref, fam["EA", 6])
@@ -238,7 +237,7 @@ def build_standard_ledger():
     for code in ("PB", "PA"):
         for n in (3, 4):
             _ideal_local_chain(
-                led, code, n, fam[code, n], sgs[code, n], pads[code, n - 2],
+                led, code, n, fam[code, n], sgs[code, n], padded[code, n - 2],
                 f"ideal({code}:{n},rk{n - 2})", f"quot({code}:{n}/rk{n - 2})",
             )
     led.apply_subsemigroup_rule(fam["B", 4], fam["PB", 4])

@@ -20,7 +20,13 @@ ElementSet is a set of diagrams held as one label array, its rows sorted.
 
 The predicates that decide family membership (ranks, parities, brauer,
 partial_brauer, planar, annular) take a whole label array; Diagram.rank,
-parity and the is_* tests are their one-row calls.
+parity and the is_* tests are their one-row calls.  So do the transforms:
+stars swaps the rows, turned turns each row's bottom and top indices, and
+pads appends end caps two degrees up, each a column gather followed by
+the first-occurrence renumbering that ends the product; Diagram.star,
+star, shift and twist are their one-row calls.  Blocks are decoded only
+for text and classification: encode, classify_strings, dom, ran and
+signed_blocks.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  One numpy kernel takes
@@ -160,10 +166,7 @@ class Diagram:
 
     def star(self):
         """The involution swapping bottom i with top i."""
-        n = self.n
-        return Diagram(
-            n, _canon(tuple(p + n if p < n else p - n for p in b) for b in self.blocks)
-        )
+        return from_labels(_one(stars, self))
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -285,6 +288,15 @@ def sort_keys(labs):
         return words[:, 0]
     return np.ascontiguousarray(words, dtype=">u8").view(
         np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
+
+def restricted_growth(labs):
+    """Mask over the rows of a label array: the row numbers its blocks by
+    first occurrence, from 0, as a diagram's label array does."""
+    labs = np.asarray(labs)
+    before = np.maximum.accumulate(labs, axis=1)[:, :-1]
+    return ((labs[:, 0] == 0) & (labs.min(axis=1) >= 0)
+            & (labs[:, 1:] <= before + 1).all(axis=1))
 
 
 def find_keys(keys, wanted):
@@ -434,15 +446,66 @@ def _product(xs, ys):
     for p in range(n):
         merged[y[p]] = x[n + p]
     x[n:] = merged[y[n:]]
-    seen = np.full(2 * k * m, -1, dtype=small)  # a label's new number
-    count = np.zeros(k, dtype=small)
-    for j, cells in enumerate(x + np.arange(k) * 2 * m):
+    return _renumbered(x, 2 * m)
+
+
+def _renumbered(x, bound):
+    """The label array whose row r numbers the blocks of column r of x by
+    first occurrence.
+
+    x is a 2n x k transposed stack of labels in 0..bound-1, in a signed
+    type that holds them and -1; it is overwritten a point at a time.
+    """
+    k = x.shape[1]
+    seen = np.full(k * bound, -1, dtype=x.dtype)  # a label's new number
+    count = np.zeros(k, dtype=x.dtype)
+    for j, cells in enumerate(x + np.arange(k) * bound):
         new = seen[cells]
         fresh = new < 0
         new[fresh] = count[fresh]
         seen[cells] = x[j] = new
         count += fresh
-    return np.ascontiguousarray(x.T, dtype=label_dtype(n))
+    return np.ascontiguousarray(x.T, dtype=label_dtype(len(x) // 2))
+
+
+def _gathered(labs, cols, bound):
+    """The label array of the diagrams whose point p joins the block of
+    point cols[r, p] of row r of labs, labels below bound (cols broadcasts
+    against labs' rows)."""
+    x = np.take_along_axis(np.asarray(labs), cols, axis=1)
+    return _renumbered(np.array(x.T, dtype=np.min_scalar_type(-2 * bound)), bound)
+
+
+def stars(labs):
+    """The label arrays of the stars of the rows of labs: bottom i and top
+    i swap places."""
+    m = np.shape(labs)[1]
+    return _gathered(labs, np.roll(np.arange(m), m // 2)[None], m)
+
+
+def turned(labs, bottom, top):
+    """The label arrays of the rows of labs with bottom index i moved to i +
+    bottom[r] and top index i to i + top[r] (mod n) in row r.  The rows
+    and the turns broadcast: a scalar turn applies to every row, and one
+    row takes every turn."""
+    m = np.shape(labs)[1]
+    n = m // 2
+    back = [(np.arange(n) - np.reshape(t, (-1, 1))) % n for t in (bottom, top)]
+    return _gathered(labs, np.hstack(np.broadcast_arrays(back[0], n + back[1])), m)
+
+
+def pads(labs, target_n):
+    """The label arrays of the rows of labs, of degree target_n - 2, with
+    the caps {n-1, n} and {(n-1)', n'} appended at degree n = target_n.
+    Raises BadDegree for any other target degree."""
+    labs = np.asarray(labs)
+    n = labs.shape[1] // 2
+    if target_n != n + 2:
+        raise BadDegree(f"target degree must be {n + 2}, got {target_n}")
+    # columns 2n and 2n + 1 hold the caps' fresh labels 2n and 2n + 1
+    capped = np.hstack([labs, np.full((len(labs), 2), [2 * n, 2 * n + 1], labs.dtype)])
+    cols = np.r_[0:n, 2 * n, 2 * n, n:2 * n, 2 * n + 1, 2 * n + 1]
+    return _gathered(capped, cols[None], 2 * n + 2)
 
 
 def multiply_labels(xs, bs, where=None):
@@ -647,9 +710,10 @@ PARITY_OF_CODE = (Parity.RANK_ZERO, Parity.EVEN, Parity.ODD, Parity.MIXED)
 _CROSSING_CELLS = 1 << 19
 
 
-def _one(predicate, a):
-    """The value of a label-array predicate on the one-row array of a."""
-    return predicate(label_array([a], a.n))[0]
+def _one(fn, a, *args):
+    """The row of a label-array predicate or transform on the one-row array
+    of a."""
+    return fn(label_array([a], a.n), *args)[0]
 
 
 def _meets(labs):
@@ -797,26 +861,14 @@ def is_jones(a):
     return is_brauer(a) and is_planar(a)
 
 
-def _relabel(a, dbot, dtop):
-    """Rotate bottom indices by dbot and top indices by dtop (mod n)."""
-    n = a.n
-    blocks = [
-        tuple(
-            (p + dbot) % n if p < n else n + (p - n + dtop) % n for p in b
-        )
-        for b in a.blocks
-    ]
-    return Diagram(n, _canon(blocks))
-
-
 def shift(a, k):
     """Conjugate by the k-th rotation power: every index advances by k (mod n)."""
-    return _relabel(a, k, k)
+    return from_labels(_one(turned, a, k, k))
 
 
 def twist(a, k):
     """Right-multiply by the k-th rotation power: top indices advance by k (mod n)."""
-    return _relabel(a, 0, k)
+    return from_labels(_one(turned, a, 0, k))
 
 
 def is_annular(a):

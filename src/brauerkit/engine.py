@@ -51,7 +51,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import diagrams
-from .diagrams import Diagram, ElementSet, identity, sort_keys, _canon
+from .diagrams import Diagram, ElementSet, identity, sort_keys
 from .errors import (
     BadDegree,
     BadIndex,
@@ -178,12 +178,14 @@ class SemigroupClosure:
 
     def ids_of(self, labs):
         """The id of the element of each row of a label array, -1 for a row
-        that is no element or has another degree."""
+        that is no element, has another degree or is not a restricted growth
+        string (whose sort key may be an element's)."""
         labs = np.asarray(labs)
         if labs.shape[1] != 2 * self.degree:
             return np.full(len(labs), -1, dtype=np.int64)
         keys, ids = self._sorted_keys()
         at = diagrams.find_keys(keys, sort_keys(labs))
+        at[~diagrams.restricted_growth(labs)] = -1
         return np.where(at >= 0, ids[at], -1).astype(np.int64)
 
     @property
@@ -830,24 +832,34 @@ def local_monoid(sg, e_id):
     return subsemigroup(sg, np.flatnonzero(member))
 
 
+def is_ideal(sg, ids):
+    """True when the ids form a non-empty two-sided ideal of sg: a set closed
+    under multiplication by sg's generators on either side is closed under
+    every product by induction on the words.  Raises BadIndex for an id
+    outside 0..size-1."""
+    member = np.zeros(sg.size, dtype=bool)
+    member[_checked_ids(sg, ids)] = True
+    ids = np.flatnonzero(member)
+    return bool(ids.size and member[sg.right_cayley[ids]].all()
+                and member[sg.left_cayley[ids]].all())
+
+
 def rees_quotient(sg, ideal_ids):
     """Rees quotient S/I: a table-backed SemigroupClosure with no elements.
 
     Ids 0..k-1 are the non-ideal elements of S in id order, and the last
     id, k, is the adjoined zero.  Raises NotAnIdeal when I is empty or not
-    closed under two-sided multiplication by S's generators, and BadIndex
-    for an id outside 0..size-1.
+    an ideal (is_ideal), BadIndex for an id outside 0..size-1, and
+    BudgetExceeded, before any table is made, when its (k+1)^2 cells would
+    be over TABLE_CELL_LIMIT.
     """
-    ids = np.unique(_checked_ids(sg, ideal_ids))
-    if not ids.size:
-        raise NotAnIdeal("empty set is not an ideal")
-    member = np.zeros(sg.size, dtype=bool)
-    member[ids] = True
-    if not member[sg.right_cayley[ids]].all() or not member[sg.left_cayley[ids]].all():
-        raise NotAnIdeal("set is not closed under multiplication by generators")
-
-    keep = np.flatnonzero(~member)
+    if not is_ideal(sg, ideal_ids):
+        raise NotAnIdeal("set is empty or not closed under multiplication by generators")
+    keep = np.setdiff1d(np.arange(sg.size), ideal_ids)
     k = len(keep)
+    if (k + 1) ** 2 > TABLE_CELL_LIMIT:
+        raise BudgetExceeded(
+            f"Rees quotient of {k + 1} elements is over TABLE_CELL_LIMIT")
     pos = np.full(sg.size, k, dtype=np.int32)
     pos[keep] = np.arange(k, dtype=np.int32)
     table = np.full((k + 1, k + 1), k, dtype=np.int32)
@@ -923,13 +935,10 @@ def t1_chain(sg):
 
 
 def pad_embedding(a, target_n):
-    """Embed degree n-2 into degree n by appending caps {n-1,n} on both rows.
+    """Embed degree n-2 into degree n by appending caps {n-1,n} on both rows
+    (a one-row call of diagrams.pads).
 
     The image lands in the local monoid of the adjacent contraction at
     n-1; the map is one-to-one and multiplicative.
     """
-    if target_n != a.n + 2:
-        raise BadDegree(f"target degree must be {a.n + 2}, got {target_n}")
-    blocks = [tuple(p if p < a.n else p + 2 for p in b) for b in a.blocks]
-    blocks += [(target_n - 2, target_n - 1), (2 * target_n - 2, 2 * target_n - 1)]
-    return Diagram(target_n, _canon(blocks))
+    return diagrams.from_labels(diagrams.pads(diagrams.labels(a)[None], target_n)[0])

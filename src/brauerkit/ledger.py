@@ -23,11 +23,14 @@ Rules:
 Each side condition is one test returning (verdict, detail); the test is
 run once to record the check, and a check's rerun is that same test, so
 a replay runs the code that gave the stored verdict.  The side
-conditions are checked over closure ids, never by multiplying diagrams:
-the iso rule maps a's ids to b's through the mapping's images (phi) and
-compares phi(x y) with phi(x) phi(y) for every pair of ids.  A registered
-instance is its closure alone: the ideal, local, kernel-chain and subset
-rules read element sets from the closures' labels.
+conditions are functions of closure ids and label arrays: none multiplies
+diagrams or makes one per element.  The iso rule's mapping takes a label
+array to a label array (such as diagrams.pads); phi, a's ids to b's, is
+one ids_of call on the image of a's labels, and phi(x y) is compared with
+phi(x) phi(y) for every pair of ids.  A registered instance is its
+closure alone: the ideal rule asks is_ideal of the ids, and the local,
+kernel-chain and subset rules compare element sets read from the
+closures' labels.
 
 Each rule application is data: its checks and its bound moves (see
 _RuleApp).  derive_all iterates the moves to a fixpoint; the
@@ -42,14 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagrams import encode, label_array
+from .diagrams import encode
 from .engine import (
     _PAIR_BATCH,
     essential_depth,
     generated_subsemigroup,
     is_aperiodic,
+    is_ideal,
     is_inverse,
-    local_monoid,
     principal_ideal,
     rees_quotient,
     t1_chain,
@@ -134,12 +137,13 @@ def _tied(a, b, shift=0):
 
 
 def _iso_ids(a_sg, b_sg, mapping):
-    """phi[i] = the id in b_sg of mapping(a_sg.elements[i]), -1 outside b_sg
-    (everywhere, when an image has another degree)."""
-    images = [mapping(x) for x in a_sg.elements]
-    if any(d.n != b_sg.degree for d in images):
-        return np.full(len(images), -1, dtype=np.int64)
-    return b_sg.ids_of(label_array(images, b_sg.degree))
+    """phi[i] = the id in b_sg of row i of mapping(a_sg.labels), -1 for a
+    row that is not an element's label array (everywhere, when the images
+    are not one row of b_sg's degree per element of a_sg)."""
+    images = np.asarray(mapping(a_sg.labels))
+    if images.ndim != 2 or len(images) != a_sg.size:
+        return np.full(a_sg.size, -1, dtype=np.int64)
+    return b_sg.ids_of(images)
 
 
 def _iso_bijective(a_sg, b_sg, mapping):
@@ -293,12 +297,8 @@ class Ledger:
         ids = sorted(ids.tolist())
 
         def two_sided():
-            try:
-                rees_quotient(s.sg, ids)
-                ok = True
-            except NotAnIdeal:
-                ok = False
-            return ok, f"{len(ids)} elements closed under outer multiplication"
+            return (is_ideal(s.sg, ids),
+                    f"{len(ids)} elements closed under outer multiplication")
 
         def quotient_matches():
             rebuilt = rees_quotient(s.sg, ids)
@@ -317,7 +317,8 @@ class Ledger:
         local = self._inst(local_ref).sg
 
         def local_is_ese():
-            ese = local_monoid(sg, e_id).element_set()
+            ese_ids = np.unique(sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id)))
+            ese = sg.element_set(ese_ids)
             return ese == local.element_set(), f"local monoid has {len(ese)} elements"
 
         return self._check(f"local-is-eSe({local_ref})", local_is_ese)

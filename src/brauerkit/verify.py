@@ -26,13 +26,13 @@ from .diagrams import (
     decode,
     encode,
     even_or_rank_zero,
-    from_label_array,
     identity,
     label_array,
     label_dtype,
     local_rotation,
     multiply_pairs,
     named_element_products,
+    pads,
     parities,
     partial_identity,
     planar,
@@ -40,9 +40,8 @@ from .diagrams import (
     random_partition_diagram,
     ranks,
     rotation,
-    shift,
-    star,
-    twist,
+    stars,
+    turned,
 )
 from .derivations import build_standard_ledger, standard_table, t1sub_ea6
 from .engine import (
@@ -51,7 +50,6 @@ from .engine import (
     green,
     idempotent_generated,
     index_period,
-    pad_embedding,
     singular_part,
     t1_chain,
     units,
@@ -416,10 +414,8 @@ def _twist_laws(n, samples, seed):
     a = label_array(drawn, n)
     back, ahead = (label_array([zpow[sign * k % (2 * n)] for k in ks], n)
                    for sign in (-1, 1))
-    bad = _unequal(multiply_pairs(multiply_pairs(back, a), ahead),
-                   label_array([shift(x, k) for x, k in zip(drawn, ks)], n))
-    bad += _unequal(multiply_pairs(a, ahead),
-                    label_array([twist(x, k) for x, k in zip(drawn, ks)], n))
+    bad = _unequal(multiply_pairs(multiply_pairs(back, a), ahead), turned(a, ks, ks))
+    bad += _unequal(multiply_pairs(a, ahead), turned(a, 0, ks))
     return bad == 0, {"samples": samples, "failures": bad}
 
 
@@ -430,27 +426,20 @@ def _twist_laws(n, samples, seed):
 def _twist_singular(n):
     ok = True
     details = {}
-
-    def outer_positions(a):
-        # top strings {(i-1)', i'}; i = 1 wraps to {n', 1'}
-        out = []
-        for i in range(1, a.n + 1):
-            lo = a.n + (i - 2) % a.n
-            hi = a.n + i - 1
-            if tuple(sorted((lo, hi))) in a.blocks:
-                out.append(i)
-        return out
-
     cases = [(k, cascade(k), 2) for k in range(4, n + 1, 2)]
     cases += [(k, capped_rotation(k), 1) for k in range(5, n + 1, 2)]
     for k, mover, t in cases:
         sg = as_closure(construct("A", k))
-        singular = [sg.elements[i] for i in singular_part(sg)]
-        missing = sum(not outer_positions(a) for a in singular)
-        spots = [(a, pos) for a in singular for pos in outer_positions(a)]
-        movers = label_array([shift(mover, pos - k) for _, pos in spots], k)
-        moved = multiply_pairs(label_array([a for a, _ in spots], k), movers)
-        bad = _unequal(moved, label_array([twist(a, t) for a, _ in spots], k))
+        singular = sg.labels[singular_part(sg)]
+        # outer[r, i - 1]: row r has the top string {(i-1)', i'}, i = 1 wrapping
+        # to {n', 1'}; a block of a matching holds two points
+        top = singular[:, k:]
+        outer = top == np.roll(top, 1, axis=1)
+        missing = int((~outer.any(axis=1)).sum())
+        rows, cols = np.nonzero(outer)  # position i = cols + 1, shifted by i - k
+        movers = turned(label_array([mover], k), cols + 1 - k, cols + 1 - k)
+        bad = _unequal(multiply_pairs(singular[rows], movers),
+                       turned(singular[rows], 0, t))
         ok &= missing == 0 and bad == 0
         details[f"A:{k}"] = {"twist": t, "no_outer_string": missing,
                              "failed_identities": bad}
@@ -528,10 +517,9 @@ def _t1_ea6(n):
          n=6)
 def _egen_ea6(n):
     sub = t1sub_ea6()
-    egen = {sub.elements[i] for i in idempotent_generated(sub)}
-    result = kernel(sub)
-    kset = set(kernel_elements(sub, result))
-    padded = {pad_embedding(d, 6) for d in construct("EA", 4).elements}
+    egen = sub.element_set(idempotent_generated(sub))
+    kset = sub.element_set(kernel(sub).kernel_ids)
+    padded = ElementSet(6, pads(construct("EA", 4).elements.labels, 6))
     ok = padded <= egen and egen == kset
     return ok, {"padded": len(padded), "egen": len(egen), "kernel": len(kset)}
 
@@ -632,10 +620,9 @@ def _star_laws(n, samples, seed):
     drawn = list(zip(*[(random_partial_brauer(n, rng), random_partial_brauer(n, rng))
                        for _ in range(samples)]))
     a, b = (label_array(side, n) for side in drawn)
-    sa, sb = (label_array(map(star, side), n) for side in drawn)
-    ab = from_label_array(multiply_pairs(a, b))
-    bad = _unequal(label_array(map(star, ab), n), multiply_pairs(sb, sa))
-    bad += sum(star(star(x)) != x for x in drawn[0])
+    sa, sb = stars(a), stars(b)
+    bad = _unequal(stars(multiply_pairs(a, b)), multiply_pairs(sb, sa))
+    bad += _unequal(stars(sa), a)
     bad += _unequal(multiply_pairs(multiply_pairs(a, sa), a), a)
     return bad == 0, {"samples": samples, "failures": bad}
 

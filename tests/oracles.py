@@ -26,6 +26,9 @@ idempotents per Green class, and count_products counts the package's own
 diagram products, for tests that require none.  BlocksDiagram keeps the
 diagram as its tuple of sorted blocks, with the block-by-block label
 array loop and union-find product that Diagram's label bytes replaced,
+and the block-by-block star, row turns and end-cap padding that the
+label-array transforms stars, turned and pads replaced (oracle_star,
+oracle_turned, oracle_pad),
 and oracle_green keeps the per-element loops over Green's SCC labels that
 engine.green replaced with numpy, and the strong components of the summed
 Cayley graphs, built through COO, that it replaced with J = R v L read
@@ -67,7 +70,7 @@ from brauerkit import (
     identity,
 )
 from brauerkit.engine import GreenData, SemigroupClosure, l_leq
-from brauerkit.errors import BudgetExceeded
+from brauerkit.errors import BadDegree, BudgetExceeded
 
 
 def signed_blocks(a):
@@ -373,6 +376,20 @@ class BlocksDiagram:
         return BlocksDiagram.of(n, [[p + n if p < n else p - n for p in b]
                                     for b in self.blocks])
 
+    def turned(self, dbot, dtop):
+        """Bottom indices rotated by dbot and top indices by dtop (mod n)."""
+        n = self.n
+        return BlocksDiagram.of(n, [[(p + dbot) % n if p < n else n + (p - n + dtop) % n
+                                     for p in b] for b in self.blocks])
+
+    def padded(self, target_n):
+        """Degree target_n = n + 2, with caps {n+1, n+2} appended on both rows."""
+        if target_n != self.n + 2:
+            raise BadDegree(f"target degree must be {self.n + 2}, got {target_n}")
+        blocks = [[p if p < self.n else p + 2 for p in b] for b in self.blocks]
+        blocks += [(target_n - 2, target_n - 1), (2 * target_n - 2, 2 * target_n - 1)]
+        return BlocksDiagram.of(target_n, blocks)
+
     def __mul__(self, other):
         """Union-find over the 3n points of the stacked picture: self's
         points 0..2n-1 and other's point q as q + n.  Each block of self is
@@ -411,6 +428,26 @@ def oracle_product(a, b):
     assert a.n == b.n
     product = BlocksDiagram(a.n, a.blocks) * BlocksDiagram(b.n, b.blocks)
     return Diagram(a.n, product.blocks)
+
+
+def _by_blocks(a, transform, *args):
+    """The Diagram of transform applied to a's BlocksDiagram."""
+    out = transform(BlocksDiagram(a.n, a.blocks), *args)
+    return Diagram(out.n, out.blocks)
+
+
+def oracle_star(a):
+    return _by_blocks(a, BlocksDiagram.star)
+
+
+def oracle_turned(a, dbot, dtop):
+    """a with its bottom row turned by dbot and its top row by dtop: shift
+    by k is dbot = dtop = k, and twist by k is dbot = 0, dtop = k."""
+    return _by_blocks(a, BlocksDiagram.turned, dbot, dtop)
+
+
+def oracle_pad(a, target_n):
+    return _by_blocks(a, BlocksDiagram.padded, target_n)
 
 
 def oracle_label_array(ds, n):

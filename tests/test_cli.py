@@ -240,6 +240,31 @@ def test_verify_reports_are_deterministic_modulo_duration(cache_dir, capsys):
     assert one() == one()
 
 
+def test_verify_runs_the_count_kernel_and_table_targets(cache_dir, capsys):
+    code, out, _ = _run(capsys, "verify", "counts-brauer", "kernel-a4",
+                        "kernel-pa4-nonaperiodic", "ledger-table", "--format", "json")
+    assert code == 0
+    reports = {rep["target"]: rep for rep in json.loads(out)}
+    assert [rep["verdict"] for rep in reports.values()] == ["PASS"] * 4
+    assert reports["counts-brauer"]["details"] == {
+        "sizes": {"1": 1, "2": 3, "3": 15, "4": 105, "5": 945, "6": 10395}}
+    assert reports["kernel-a4"]["details"] == {
+        "kernel_size": 21, "iterations": 2, "aperiodic": True}
+    pa4 = reports["kernel-pa4-nonaperiodic"]["details"]
+    assert (pa4["kernel_size"], pa4["iterations"], pa4["witness_period"]) == (542, 3, 2)
+    table = reports["ledger-table"]["details"]
+    assert table["open"] == ["PA:4"] and table["mismatches"] == []
+    assert len(table["rows"]) == 29
+
+
+def test_verify_csv_is_one_header_and_one_row_per_target(cache_dir, capsys):
+    code, out, _ = _run(capsys, "verify", "codec", "counts-partial", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["target", "verdict", "duration_ms", "anchor"]
+    assert [row[:2] for row in rows] == [["codec", "PASS"], ["counts-partial", "PASS"]]
+
+
 def test_verify_failing_target_exits_1(cache_dir, capsys, monkeypatch):
     import brauerkit.cli as cli
 

@@ -57,11 +57,15 @@ from brauerkit.diagrams import (
     labels,
     multiply_labels,
     multiply_pairs,
+    pads,
     parities,
     partial_brauer,
     planar,
     ranks,
+    stars,
+    turned,
 )
+from brauerkit.engine import pad_embedding
 from brauerkit.errors import (
     BadDegree,
     BadIndex,
@@ -78,6 +82,7 @@ from oracles import (
     oracle_annular,
     oracle_label_array,
     oracle_multiply,
+    oracle_pad,
     oracle_parity,
     oracle_partial_matchings,
     oracle_perfect_matchings,
@@ -87,6 +92,8 @@ from oracles import (
     oracle_random_partial_brauer,
     oracle_rank,
     oracle_set_partitions,
+    oracle_star,
+    oracle_turned,
 )
 
 
@@ -690,6 +697,48 @@ def test_shift_preserves_annularity():
         assert is_annular(shift(a, 1)) == is_annular(a)
 
 
+# 63 pads int8 rows to int16 ones; 64 and 65 are int16 rows
+_TRANSFORM_DEGREES = (*range(1, 9), 63, 64, 65)
+
+
+@pytest.mark.parametrize("n", _TRANSFORM_DEGREES)
+def test_label_array_transforms_match_the_block_oracles(n):
+    """stars, turned with per-row turns and pads on whole stacks, and
+    star, shift, twist and pad_embedding, their one-row calls, against the
+    block-by-block oracles on random partition and partial-matching
+    diagrams."""
+    rng = random.Random(100 + n)
+    ds = [sample(n, rng) for sample in (random_partition_diagram, random_partial_brauer)
+          for _ in range(120)]
+    bottom, top = ([rng.randrange(-2 * n, 2 * n + 1) for _ in ds] for _ in range(2))
+    labs = label_array(ds, n)
+    got = {"star": stars(labs), "turned": turned(labs, bottom, top),
+           "pad": pads(labs, n + 2)}
+    want = {"star": [oracle_star(d) for d in ds],
+            "turned": [oracle_turned(d, b, t) for d, b, t in zip(ds, bottom, top)],
+            "pad": [oracle_pad(d, n + 2) for d in ds]}
+    for name, rows in got.items():
+        assert rows.dtype == label_dtype(want[name][0].n), name
+        assert from_label_array(rows) == want[name], name
+    assert [d.star() for d in ds] == want["star"]
+    assert [pad_embedding(d, n + 2) for d in ds] == want["pad"]
+    assert [shift(d, k) for d, k in zip(ds, top)] == [
+        oracle_turned(d, k, k) for d, k in zip(ds, top)]
+    assert [twist(d, k) for d, k in zip(ds, top)] == [
+        oracle_turned(d, 0, k) for d, k in zip(ds, top)]
+
+
+def test_turns_broadcast_and_pads_check_the_target_degree():
+    rng = random.Random(3)
+    labs = label_array([random_partition_diagram(5, rng) for _ in range(30)], 5)
+    assert np.array_equal(turned(labs, 2, -1), turned(labs, [2] * 30, [-1] * 30))
+    assert np.array_equal(turned(labs[:1], 0, range(5)),
+                          label_array([twist(from_labels(labs[0]), k) for k in range(5)], 5))
+    assert np.array_equal(stars(stars(labs)), labs)
+    with pytest.raises(BadDegree, match="target degree must be 7, got 6"):
+        pads(labs, 6)
+
+
 # ---------------------------------------------------------------------------
 # codec
 
@@ -714,6 +763,25 @@ def test_codec_round_trip(n, seed):
     a = random_partition_diagram(n, random.Random(seed))
     assert decode(encode(a)) == a
     assert decode(encode(a), n=n) == a
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("0:[{1,1'}]", "degree must be >= 1", 0),
+    ("2[{1,1'},{2,2'}]", "expected ':'", 1),
+    ("2:{1,1'},{2,2'}]", "expected '['", 2),
+    ("2:[1,1'},{2,2'}]", "expected '{'", 3),
+    ("2:[{1,1'],{2,2'}]", "expected '}'", 8),
+    ("2:[]", "empty block list", 3),
+    ("2:[{,1'},{2,2'}]", "expected point index", 4),
+    ("2:[{1,1},{2,2'}]", "point 1 repeated", 6),
+    ("1:[{1,1'}]x", "trailing input", 10),
+    ("2:[{1,1'}]", "blocks do not cover all 2n points", 9),
+])
+def test_decode_errors_name_the_problem_and_its_offset(text, message, offset):
+    with pytest.raises(ParseError) as info:
+        decode(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.position == offset
 
 
 def test_decode_degree_mismatch():

@@ -457,7 +457,9 @@ def _instance(name, request):
     return as_closure(construct(family, int(n))), int(n), None
 
 
-@pytest.mark.parametrize("name", _ORACLE_CASES)
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in ("B:6", "A:8") else name
+    for name in _ORACLE_CASES])
 def test_integer_analyses_match_diagram_products(name, request):
     sg, n, elems = _instance(name, request)
     if elems is not None:
@@ -679,6 +681,19 @@ def test_index_and_ids_of_on_every_element_of_pb4():
     assert len(sg.index) == sg.size and list(sg.index) == elems
 
 
+def test_ids_of_finds_no_row_that_is_not_a_restricted_growth_string():
+    """[0, 0, 3, 1] shares its factorial-radix sort key with the identity's
+    row [0, 1, 0, 1], so only the growth check keeps it out."""
+    sg = as_closure(construct("B", 2))
+    rows = np.array([[0, 0, 3, 1], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, 0, 1]], np.int8)
+    assert sort_keys(rows[:1]) == sort_keys(rows[1:2])
+    assert sg.ids_of(rows).tolist() == [-1, sg.index[identity(2)], -1, -1]
+    rng = random.Random(4)
+    labs = label_array([random_partition_diagram(6, rng) for _ in range(200)], 6)
+    assert diagrams.restricted_growth(labs).all()
+    assert not diagrams.restricted_growth(labs + 1).any()
+
+
 @pytest.mark.parametrize("n", [10, 11, 64])
 def test_keys_of_one_and_of_several_words(n):
     """2n = 20 points fit one uint64 key; 22 and 128 points take more."""
@@ -855,6 +870,7 @@ def test_rees_quotient_of_brauer_4():
     assert not is_aperiodic(q)
 
 
+@pytest.mark.slow
 def test_principal_ideal_reads_the_j_order_as_the_search_did(derived_standard_ledger):
     led, _ = derived_standard_ledger
     for ref, inst in led.instances.items():
@@ -909,6 +925,26 @@ def test_rees_quotient_rejects_non_ideals():
         rees_quotient(sg, units(sg))
     with pytest.raises(NotAnIdeal):
         rees_quotient(sg, [])
+
+
+@pytest.mark.parametrize("build, size, what", [
+    (subsemigroup, 81, "subsemigroup of 81 elements"),
+    (rees_quotient, 25, "Rees quotient of 25 elements"),  # 24 kept and a zero
+])
+def test_tables_over_the_cell_limit_are_refused_before_any_product(
+        monkeypatch, build, size, what):
+    sg = _b(4)
+    sing = singular_part(sg)
+    monkeypatch.setattr(engine, "TABLE_CELL_LIMIT", size * size)
+    assert build(sg, sing).size == size
+
+    def no_products(self, xs, ys):
+        raise AssertionError("a product table was started")
+
+    monkeypatch.setattr(engine, "TABLE_CELL_LIMIT", size * size - 1)
+    monkeypatch.setattr(SemigroupClosure, "_products", no_products)
+    with pytest.raises(BudgetExceeded, match=what):
+        build(sg, sing)
 
 
 def test_rees_quotient_of_whole_semigroup_is_trivial():

@@ -124,6 +124,7 @@ def test_kernel_of_partial_annular_4():
     assert not in_A_star_G(sg)
 
 
+@pytest.mark.slow
 def test_kernel_fixpoint_is_sweep_and_formulation_invariant():
     for family in ("A", "PA"):
         sg = _sg(family, 4)

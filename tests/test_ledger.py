@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -25,8 +26,10 @@ from brauerkit import (
     subsemigroup,
     units,
 )
+from brauerkit import engine
 from brauerkit.cli import main
 from brauerkit.derivations import build_standard_ledger
+from brauerkit.diagrams import labels, pads
 from brauerkit.errors import (
     CrossCheckFailed,
     NotAnIdeal,
@@ -34,7 +37,7 @@ from brauerkit.errors import (
     NotIdempotent,
     SideConditionFailed,
 )
-from oracles import count_products, oracle_iso
+from oracles import count_products, oracle_iso, oracle_pad
 
 
 def _family(led, code, n):
@@ -279,7 +282,7 @@ def test_isomorphism_rule_rejects_non_bijections():
     b2_ref, sg2 = _family(led, "B", 2)
     b4_ref, _ = _family(led, "B", 4)
     with pytest.raises(SideConditionFailed) as info:
-        led.apply_isomorphism_rule(b2_ref, b4_ref, lambda d: pad_embedding(d, 4))
+        led.apply_isomorphism_rule(b2_ref, b4_ref, lambda labs: pads(labs, 4))
     assert info.value.condition.startswith("iso-bijection")
 
 
@@ -289,10 +292,9 @@ def _pad_pair(code, n):
     led = Ledger()
     ref, sg = _family(led, code, n)
     big = as_closure(construct(code, n + 2))
-    pad_sg = subsemigroup(big, [big.index[pad_embedding(d, n + 2)]
-                                for d in sg.elements])
+    pad_sg = subsemigroup(big, big.ids_of(pads(sg.labels, n + 2)))
     pad_ref = led.register("pad", f"pad({code}:{n})", pad_sg)
-    return led, ref, pad_ref, lambda d: pad_embedding(d, n + 2)
+    return led, ref, pad_ref, lambda labs: pads(labs, n + 2)
 
 
 def _check(led, prefix):
@@ -301,11 +303,13 @@ def _check(led, prefix):
 
 def test_isomorphism_rule_rejects_a_non_multiplicative_bijection():
     led, ref, pad_ref, pad = _pad_pair("B", 3)
-    swap = {from_permutation(3, (2, 1, 3)): contraction(3, 1, 2),
-            contraction(3, 1, 2): from_permutation(3, (2, 1, 3))}
+    x, y = from_permutation(3, (2, 1, 3)), contraction(3, 1, 2)
 
-    def mapping(d):
-        return pad(swap.get(d, d))
+    def mapping(labs):  # pad, with x and y trading images
+        at_x, at_y = ((labs == labels(d)).all(axis=1) for d in (x, y))
+        swapped = labs.copy()
+        swapped[at_x], swapped[at_y] = labels(y), labels(x)
+        return pad(swapped)
 
     with pytest.raises(SideConditionFailed) as info:
         led.apply_isomorphism_rule(ref, pad_ref, mapping)
@@ -314,14 +318,16 @@ def test_isomorphism_rule_rejects_a_non_multiplicative_bijection():
                 _check(led, "iso-multiplicative").passed)
     assert verdicts == (True, False)
     a, b = led.instances[ref].sg, led.instances[pad_ref].sg
-    assert oracle_iso(a.elements, b.elements, mapping) == verdicts
+    swap = {x: y, y: x}
+    assert oracle_iso(a.elements, b.elements,
+                      lambda d: oracle_pad(swap.get(d, d), 5)) == verdicts
 
 
 def test_isomorphism_rule_fails_images_outside_the_target_as_a_side_condition():
     led, ref, pad_ref, pad = _pad_pair("B", 3)
 
-    def mapping(d):  # degree-7 images, none of them in the degree-5 pad
-        return pad_embedding(pad(d), 7)
+    def mapping(labs):  # degree-7 images, none of them in the degree-5 pad
+        return pads(pad(labs), 7)
 
     with pytest.raises(SideConditionFailed) as info:
         led.apply_isomorphism_rule(ref, pad_ref, mapping)
@@ -350,16 +356,16 @@ def test_isomorphism_rule_maps_each_element_once_per_check(
                            std.instances[InstanceRef("pad", "pad(B:4)")].sg)
     calls = [0]
 
-    def mapping(d):
+    def mapping(labs):
         calls[0] += 1
-        return pad_embedding(d, 6)
+        return pads(labs, 6)
 
     led.apply_isomorphism_rule(ref, pad_ref, mapping)
-    assert calls[0] == 2 * 105
+    assert calls[0] == 2
     for check in led.checks.values():
         calls[0] = 0
         assert check.rerun() is True
-        assert calls[0] == 105
+        assert calls[0] == 1
 
 
 _PADS = [("B", 1), ("B", 2), ("B", 3), ("B", 4), ("A", 1), ("A", 3),
@@ -375,7 +381,7 @@ def test_isomorphism_checks_match_the_diagram_product_oracle(
     arrow = f"({code}:{n} -> pad({code}:{n}))"
     checks = [_check(led, f"iso-bijection{arrow}"),
               _check(led, f"iso-multiplicative{arrow}")]
-    want = oracle_iso(a.elements, b.elements, lambda d: pad_embedding(d, n + 2))
+    want = oracle_iso(a.elements, b.elements, lambda d: oracle_pad(d, n + 2))
     assert tuple(c.passed for c in checks) == want == (True, True)
     assert tuple(bool(c.rerun()) for c in checks) == want
 
@@ -440,6 +446,45 @@ def test_replaying_every_check_takes_no_diagram_product(
         if check.rerun is not None:
             assert bool(check.rerun()) == check.passed, check.name
     assert count[0] == 0
+
+
+def test_replaying_every_check_makes_no_diagram_per_element(
+        derived_standard_ledger, monkeypatch):
+    """No replayed check iterates a closure's elements or pads diagrams one
+    at a time: the checks are functions of ids and label arrays."""
+    led, _ = derived_standard_ledger
+    calls = {"iterate": 0, "pad_embedding": 0}
+    iterate = engine._Elements.__iter__
+
+    def counted_iter(self):
+        calls["iterate"] += 1
+        return iterate(self)
+
+    def counted_pad(a, target_n):
+        calls["pad_embedding"] += 1
+        return pad_embedding(a, target_n)
+
+    monkeypatch.setattr(engine._Elements, "__iter__", counted_iter)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "brauerkit" and hasattr(module, "pad_embedding"):
+            monkeypatch.setattr(module, "pad_embedding", counted_pad)
+    assert len(led.checks) == 211
+    for check in led.checks.values():
+        assert bool(check.rerun()) == check.passed, check.name
+    assert calls == {"iterate": 0, "pad_embedding": 0}
+
+
+@pytest.mark.parametrize("shape", ["one row short", "flat", "wrong degree"])
+def test_isomorphism_rule_fails_images_of_the_wrong_shape(shape):
+    led, ref, pad_ref, pad = _pad_pair("B", 2)
+    wrong = {"one row short": lambda labs: pad(labs)[1:],
+             "flat": lambda labs: pad(labs).ravel(),
+             "wrong degree": lambda labs: labs}[shape]
+    with pytest.raises(SideConditionFailed) as info:
+        led.apply_isomorphism_rule(ref, pad_ref, wrong)
+    assert info.value.condition.startswith("iso-bijection")
+    check = _check(led, "iso-bijection")
+    assert not check.passed and check.rerun() is False
 
 
 def test_a_family_in_the_ledger_shares_its_instances_element_set(
