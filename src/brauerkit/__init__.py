@@ -47,7 +47,6 @@ from .engine import (
     generated_subsemigroup,
     green,
     idempotent_generated,
-    idempotents,
     index_period,
     is_aperiodic,
     is_inverse,
@@ -77,15 +76,12 @@ from .families import (
 )
 from .kernel import (
     KernelResult,
-    in_A_star_G,
     kernel,
-    kernel_elements,
-    verify_parity_morphism_a4,
     weak_inverse_pairs,
 )
 from .ledger import Check, Entry, Fact, InstanceRef, Ledger
 from .derivations import build_standard_ledger, standard_table
 from .store import load_cache, load_or_build, make_report, save_cache
-from .verify import TARGETS, expected_table, run_target
+from .verify import TARGETS, expected_table, run_target, verify_parity_morphism_a4
 
 __all__ = [name for name in dir() if not name.startswith("_")]

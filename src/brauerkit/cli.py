@@ -23,7 +23,7 @@ import time
 from collections import Counter
 
 from . import __version__
-from .diagrams import encode, identity, ranks
+from .diagrams import encode, from_labels, identity, ranks
 from .engine import essential_depth, green, index_period, is_aperiodic, units
 from .errors import BrauerKitError
 from .families import CLOSED_FORMS, FAMILY_IDS, as_closure, cardinality_table, construct
@@ -105,9 +105,6 @@ def cmd_gen(args):
 
 
 def cmd_count(args):
-    if args.n < 1:
-        print("--n must be at least 1", file=sys.stderr)
-        return 2
     formula = CLOSED_FORMS.get(args.family)
     counts = cardinality_table(args.family, args.n, budget=args.budget)
     rows = [{"family": args.family, "n": k, "formula": formula(k) if formula else "",
@@ -163,7 +160,7 @@ def cmd_kernel(args):
     }
     if result.witness is not None:
         idx, per = index_period(sg, result.witness)
-        out["witness"] = encode(sg.elements[result.witness])
+        out["witness"] = encode(from_labels(sg.labels[result.witness]))
         out["witness_index"] = idx
         out["witness_period"] = per
     _emit_record(out, args.format, sys.stdout)
@@ -179,9 +176,6 @@ def cmd_verify(args):
         print(f"unknown verify target(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known targets: {', '.join(TARGETS)}", file=sys.stderr)
         return 2
-    if args.n is not None and args.n < 1:
-        print("--n must be at least 1", file=sys.stderr)
-        return 2
     reports = []
     all_pass = True
     for name in names:
@@ -196,15 +190,9 @@ def cmd_verify(args):
             "PASS" if passed else "FAIL", details, duration,
         ))
         all_pass &= passed
-    if args.format == "json":
-        json.dump(reports, sys.stdout, indent=2)
-        print()
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["target", "verdict", "duration_ms", "anchor"])
-        for rep in reports:
-            writer.writerow([rep["target"], rep["verdict"],
-                             rep["duration_ms"], rep["anchor"]])
+    if args.format in ("json", "csv"):
+        _emit_rows(reports, ["target", "verdict", "duration_ms", "anchor"],
+                   args.format, sys.stdout)
     else:
         for rep in reports:
             print(f"{rep['verdict']}  {rep['target']:<24} "
@@ -222,9 +210,6 @@ def cmd_complexity(args):
     if missing:
         print(f"unknown table row(s): {', '.join(sorted(missing))}",
               file=sys.stderr)
-        return 2
-    if args.verify_checks < 0:
-        print("--verify-checks must be at least 0", file=sys.stderr)
         return 2
     led = build_standard_ledger()
     entries = led.derive_all(exclude_rules=args.exclude_rule,
@@ -256,6 +241,16 @@ def cmd_complexity(args):
     return 0
 
 
+def _at_least(low):
+    """The argparse type of an integer of at least low: a smaller one is a
+    usage error, exit code 2."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="brauerkit",
@@ -271,7 +266,7 @@ def build_parser():
     for sub, func in ((gen, cmd_gen), (count, cmd_count), (grn, cmd_green),
                       (ker, cmd_kernel)):
         sub.add_argument("--family", required=True, choices=FAMILY_IDS)
-        sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--n", type=_at_least(1), required=True)
         sub.add_argument("--budget", type=int, default=None)
         sub.add_argument("--format", choices=FORMATS, default="md")
         sub.set_defaults(func=func)
@@ -280,7 +275,7 @@ def build_parser():
     ver = subs.add_parser("verify", help="run verification targets")
     ver.add_argument("targets", nargs="+",
                      help="target ids, or 'all' for the full suite")
-    ver.add_argument("--n", type=int, default=None,
+    ver.add_argument("--n", type=_at_least(1), default=None,
                      help="override the default maximum degree")
     ver.add_argument("--format", choices=FORMATS, default="md")
     ver.set_defaults(func=cmd_verify)
@@ -296,7 +291,7 @@ def build_parser():
                      help="drop a rule kind before deriving (repeatable)")
     cpx.add_argument("--order-seed", type=int, default=None, metavar="N",
                      help="shuffle the rule application order")
-    cpx.add_argument("--verify-checks", type=int, default=0, metavar="N",
+    cpx.add_argument("--verify-checks", type=_at_least(0), default=0, metavar="N",
                      help="re-run N stored side-condition checks")
     cpx.add_argument("--format", choices=FORMATS, default="md")
     cpx.set_defaults(func=cmd_complexity)

@@ -55,22 +55,10 @@ FAMILY_ROWS = (
     ("PA", (1, 2, 3, 4)),
 )
 
-_FAMILY_TEXT = {
-    "B": "perfect-matching diagrams of degree {n}",
-    "J": "planar perfect-matching diagrams of degree {n}",
-    "A": "annular perfect-matching diagrams of degree {n}",
-    "EA": "even annular perfect-matching diagrams of degree {n}",
-    "PB": "partial-matching diagrams of degree {n}",
-    "PA": "annular partial-matching diagrams of degree {n}",
-}
-
 
 def _register_family(ledger, code, n, compute_kernel=False):
     sg = as_closure(construct(code, n))
-    ref = ledger.register(
-        "family", f"{code}:{n}", sg,
-        description=_FAMILY_TEXT[code].format(n=n),
-    )
+    ref = ledger.register("family", f"{code}:{n}", sg)
     ledger.assert_base_facts(ref, compute_kernel=compute_kernel)
     return ref, sg
 
@@ -84,43 +72,32 @@ def _register_pad(ledger, code, n, small_sg, fam_ref, big_sg):
     """
     target = n + 2
     padded = subsemigroup(big_sg, big_sg.ids_of(pads(small_sg.labels, target)))
-    ref = ledger.register(
-        "pad", f"pad({code}:{n})", padded,
-        description=f"degree-{target} copies of {code}:{n} with a fixed end-cap",
-    )
+    ref = ledger.register("pad", f"pad({code}:{n})", padded)
     ledger.assert_base_facts(ref)
     ledger.apply_isomorphism_rule(fam_ref, ref, lambda labs: pads(labs, target))
     return ref
 
 
-def _register_ideal(ledger, key, sg, ids, description):
+def _register_ideal(ledger, key, sg, ids):
     """Ideal of a closure as sg restricted to its ids, in id order."""
-    ref = ledger.register("ideal", key, subsemigroup(sg, sorted(ids)),
-                          description=description)
+    ref = ledger.register("ideal", key, subsemigroup(sg, sorted(ids)))
     ledger.assert_base_facts(ref)
     return ref
 
 
-def _register_quotient(ledger, key, sg, ids, description):
-    quot = rees_quotient(sg, sorted(ids))
-    ref = ledger.register("quotient", key, quot, description=description)
+def _register_quotient(ledger, key, sg, ids):
+    ref = ledger.register("quotient", key, rees_quotient(sg, sorted(ids)))
     ledger.assert_base_facts(ref)
     return ref
 
 
-def _ideal_local_chain(ledger, code, n, fam_ref, sg, pad_ref, ideal_key, quot_key):
+def _ideal_local_chain(ledger, n, fam_ref, sg, pad_ref, ideal_key, quot_key):
     """Shared upper-bound route: principal ideal at the end-cap, Rees
     quotient, and the local rule tying the ideal to the padded copy."""
     [e_id] = _ids(sg, [adjacent_contraction(n, n - 1)])
     ids = principal_ideal(sg, e_id)
-    ideal_ref = _register_ideal(
-        ledger, ideal_key, sg, ids,
-        f"ideal of {code}:{n} generated by the end-cap idempotent",
-    )
-    quot_ref = _register_quotient(
-        ledger, quot_key, sg, ids,
-        f"Rees quotient of {code}:{n} by {ideal_key}",
-    )
+    ideal_ref = _register_ideal(ledger, ideal_key, sg, ids)
+    quot_ref = _register_quotient(ledger, quot_key, sg, ids)
     ledger.apply_ideal_rule(fam_ref, ideal_ref, quot_ref)
     ledger.apply_local_rule(fam_ref, e_id, ideal_ref, pad_ref)
     return ideal_ref, quot_ref
@@ -198,33 +175,24 @@ def build_standard_ledger():
 
     # Even annular and annular degree 6: singular ideal, inverse quotient,
     # local monoid two degrees down.
-    _ideal_local_chain(led, "EA", 6, fam["EA", 6], sgs["EA", 6],
+    _ideal_local_chain(led, 6, fam["EA", 6], sgs["EA", 6],
                        padded["EA", 4], "sing(EA:6)", "quot(EA:6/sing)")
-    _ideal_local_chain(led, "A", 6, fam["A", 6], sgs["A", 6],
+    _ideal_local_chain(led, 6, fam["A", 6], sgs["A", 6],
                        padded["A", 4], "sing(A:6)", "quot(A:6/sing)")
     led.apply_subsemigroup_rule(fam["EA", 6], fam["A", 6])
 
     # Lower bound for EA_6: the chain subsemigroup generated by the double
     # contraction, whose group kernel contains a padded EA_4.
     t1 = t1sub_ea6()
-    t1_ref = led.register(
-        "sub", "t1sub(EA:6)", t1,
-        description="chain-generated submonoid of EA:6 with the double contraction",
-    )
+    t1_ref = led.register("sub", "t1sub(EA:6)", t1)
     led.assert_base_facts(t1_ref)
 
     ker_sg = subsemigroup(t1, kernel(t1).kernel_ids)
-    ker_ref = led.register(
-        "kernel", "kernel(t1sub(EA:6))", ker_sg,
-        description="group kernel of t1sub(EA:6)",
-    )
+    ker_ref = led.register("kernel", "kernel(t1sub(EA:6))", ker_sg)
     led.assert_base_facts(ker_ref)
 
     egen_sg = subsemigroup(t1, idempotent_generated(t1))
-    egen_ref = led.register(
-        "egen", "egen(t1sub(EA:6))", egen_sg,
-        description="idempotent-generated subsemigroup of t1sub(EA:6)",
-    )
+    egen_ref = led.register("egen", "egen(t1sub(EA:6))", egen_sg)
     led.assert_base_facts(egen_ref)
 
     led.apply_subsemigroup_rule(padded["EA", 4], egen_ref)
@@ -237,7 +205,7 @@ def build_standard_ledger():
     for code in ("PB", "PA"):
         for n in (3, 4):
             _ideal_local_chain(
-                led, code, n, fam[code, n], sgs[code, n], padded[code, n - 2],
+                led, n, fam[code, n], sgs[code, n], padded[code, n - 2],
                 f"ideal({code}:{n},rk{n - 2})", f"quot({code}:{n}/rk{n - 2})",
             )
     led.apply_subsemigroup_rule(fam["B", 4], fam["PB", 4])

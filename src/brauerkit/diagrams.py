@@ -299,6 +299,17 @@ def restricted_growth(labs):
             & (labs[:, 1:] <= before + 1).all(axis=1))
 
 
+def checked_growth(labs):
+    """labs, a label array; BadIndex unless every row is a restricted growth
+    string, by one test over the whole array (restricted_growth tests each
+    row)."""
+    highest = np.maximum.accumulate(labs, axis=1)
+    if labs.size and (labs.min() < 0 or (labs[:, 0] != 0).any()
+                      or (labs[:, 1:] > highest[:, :-1] + 1).any()):
+        raise BadIndex("label row is not a restricted growth string")
+    return labs
+
+
 def find_keys(keys, wanted):
     """The position of each of the keys wanted in the ascending array keys,
     -1 for one that keys does not hold."""
@@ -338,14 +349,29 @@ class ElementSet(Set):
     __slots__ = ("degree", "labels", "_keys", "_hash")
 
     def __init__(self, degree, labs):
-        """The set of the rows of labs, label arrays of degree-n diagrams
-        (not checked), each kept once."""
-        labs = np.array(labs, dtype=label_dtype(degree)).reshape(-1, 2 * degree)
-        self._keys, first = np.unique(sort_keys(labs), return_index=True)
-        self.labels = labs[first]
+        """The set of the rows of labs, label arrays of degree-n diagrams,
+        each kept once.  Raises BadIndex unless every row is a restricted
+        growth string, by one test over the whole array."""
+        labs = checked_growth(
+            np.array(labs, dtype=label_dtype(degree)).reshape(-1, 2 * degree))
+        keys, first = np.unique(sort_keys(labs), return_index=True)
+        self._init(degree, labs[first], keys)
+
+    def _init(self, degree, labs, keys):
+        self.labels = labs
         self.labels.flags.writeable = False
+        self._keys = keys
         self.degree = degree
         self._hash = None
+
+    @classmethod
+    def _of_sorted(cls, degree, labs, keys):
+        """The set whose rows are labs, distinct label arrays of degree-n
+        diagrams in ascending order of their sort keys, keys; nothing is
+        checked or sorted."""
+        out = cls.__new__(cls)
+        out._init(degree, labs, keys)
+        return out
 
     @classmethod
     def of(cls, ds, degree):
@@ -969,14 +995,17 @@ def decode(text, n=None):
 # random elements (for property suites; any easy-to-sample distribution)
 
 
-def random_partial_brauer(n, rng, pair_prob=0.7):
+_PAIR_PROB = 0.7  # chance that random_partial_brauer pairs a point
+
+
+def random_partial_brauer(n, rng):
     """Random degree-n diagram with blocks of size <= 2."""
     pts = list(range(2 * n))
     rng.shuffle(pts)
     mate = list(range(2 * n))
     while pts:
         p = pts.pop()
-        if pts and rng.random() < pair_prob:
+        if pts and rng.random() < _PAIR_PROB:
             q = pts.pop(rng.randrange(len(pts)))
             mate[p], mate[q] = q, p
     row, blocks = [], 0

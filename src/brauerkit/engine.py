@@ -9,12 +9,12 @@ Mitchell & Peresse, Computing finite semigroups, 2019), reads most products
 off the left Cayley graph, taking the rest as batched diagram products;
 ids, words and Cayley graphs are those of a search taking one product at a
 time.  A closure keeps its label array (labels, row i the diagram of id i)
-and the sorted integer keys of its rows: elements[i] makes a Diagram only
-when it is read, and index and ids_of look rows up by binary search, so a
-closure that is only analysed makes no per-element object.  R and L are
-the strong components of the right and left Cayley graphs; J = D = R v L,
-two least-id passes over them, and the J-order is read from the Cayley
-arrays.
+and the sorted integer keys of its rows, and is read through ids: ids_of
+finds the ids of label rows by binary search, element_set() is the set of
+its rows, and diagrams.from_labels(labels[i]) is the diagram of id i, so a
+closure makes no per-element object.  R and L are the strong components
+of the right and left Cayley graphs; J = D = R v L, two least-id passes
+over them, and the J-order is read from the Cayley arrays.
 
 Once a closure is built, no analysis multiplies diagrams again.  A product
 x y is an integer operation (SemigroupClosure.multiply): a gather from the
@@ -43,7 +43,6 @@ picked greedily from a set, is kept for callers outside the family code.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import diagrams
-from .diagrams import Diagram, ElementSet, identity, sort_keys
+from .diagrams import ElementSet, identity, sort_keys
 from .errors import (
     BadDegree,
     BadIndex,
@@ -80,12 +79,12 @@ class SemigroupClosure:
     parent and letter, the BFS words of a search, are None, since its
     products are table gathers and never walk a word.  labels is the
     read-only label array whose row i is the diagram of id i, or None for
-    a Rees quotient, whose ids stand for no diagram.  elements[i] is that
-    diagram, made from row i when it is read, and index maps a diagram to
-    its id through its key; both are None when labels is.  identity_id is
-    the id of the two-sided identity when one exists (the identity diagram
-    for ordinary closures, the designated idempotent e for local monoids
-    e S e).
+    a Rees quotient, whose ids stand for no diagram.  Each question about
+    the elements has one accessor: ids_of maps label rows to ids,
+    element_set() is the set of the rows, and diagrams.from_labels makes
+    the diagram of one row.  identity_id is the id of the two-sided
+    identity when one exists (the identity diagram for ordinary closures,
+    the designated idempotent e for local monoids e S e).
     """
 
     def __init__(self, degree, labels, identity_id, *, table=None, gen_ids=None,
@@ -97,7 +96,6 @@ class SemigroupClosure:
         or keys is worked out when first needed."""
         self.degree = degree
         self.labels = labels
-        self.elements = None if labels is None else _Elements(degree, labels)
         self._keys = keys
         self._generators = gen_ids
         self._right_cayley = right_cayley
@@ -147,33 +145,19 @@ class SemigroupClosure:
             self._keys = np.unique(sort_keys(self.labels), return_index=True)
         return self._keys
 
-    @property
-    def index(self):
-        """The id of each element, as a mapping from diagrams (None for a
-        Rees quotient)."""
-        return None if self.labels is None else _Index(self)
-
-    @property
-    def multipliers(self):
-        """The generators' diagrams, elements[generators], read-only (None
-        for a Rees quotient)."""
-        if self.labels is None:
-            return None
-        labs = self.labels[np.asarray(self.generators, dtype=np.intp)]
-        labs.flags.writeable = False
-        return _Elements(self.degree, labs)
-
     def element_set(self, ids=None):
         """The ElementSet of the elements at ids, or of all elements.
 
-        The set of all elements takes the rows in key order, the order an
-        ElementSet keeps, and is kept.
+        The set of all elements is kept.  It takes the rows in the order of
+        the closure's sorted keys, the order an ElementSet keeps, and those
+        keys, so nothing is sorted or checked again.
         """
         if ids is not None:
             return ElementSet(self.degree, self.labels[np.asarray(ids, dtype=np.intp)])
         if self._element_set is None:
-            self._element_set = ElementSet(
-                self.degree, self.labels[self._sorted_keys()[1]])
+            keys, order = self._sorted_keys()
+            self._element_set = ElementSet._of_sorted(
+                self.degree, self.labels[order], keys)
         return self._element_set
 
     def ids_of(self, labs):
@@ -310,9 +294,6 @@ class SemigroupClosure:
             out[lo:lo + step] = block[:, at[ys]]
         return out
 
-    def mul(self, i, j):
-        return int(self.multiply(i, j))
-
     def squares(self):
         """sq[i] = i i for every id i, one batched product, kept."""
         if self._squares is None:
@@ -326,61 +307,6 @@ class SemigroupClosure:
             self._idempotents = tuple(np.flatnonzero(
                 self.squares() == np.arange(self.size)).tolist())
         return self._idempotents
-
-
-class _Elements(Sequence):
-    """The diagrams of a closure's ids, made from its label rows when read.
-
-    An item read on its own is made fresh; iterating makes them all once
-    and keeps them, so later reads share their decoded blocks.
-    """
-
-    def __init__(self, degree, labels):
-        self._degree = degree
-        self._labels = labels
-        self._made = None
-
-    def __len__(self):
-        return len(self._labels)
-
-    def __getitem__(self, i):
-        if self._made is not None:
-            return self._made[i]
-        if isinstance(i, slice):
-            return diagrams.from_label_array(self._labels[i])
-        return Diagram._from_key(self._degree, self._labels[i].tobytes())
-
-    def __iter__(self):
-        if self._made is None:
-            self._made = diagrams.from_label_array(self._labels)
-        return iter(self._made)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-
-class _Index(Mapping):
-    """Diagram -> id over a closure's sorted keys (SemigroupClosure.ids_of)."""
-
-    def __init__(self, sg):
-        self._sg = sg
-
-    def __getitem__(self, d):
-        i = int(self._sg.ids_of(diagrams.labels(d)[None])[0]) if isinstance(
-            d, Diagram) else -1
-        if i < 0:
-            raise KeyError(d)
-        return i
-
-    def __iter__(self):
-        return iter(diagrams.from_label_array(self._sg.labels))
-
-    def __len__(self):
-        return self._sg.size
 
 
 def closure(gens, *, include_identity=False, budget=None):
@@ -708,13 +634,6 @@ def green(sg):
     return sg._green
 
 
-def h_class_of(sg, i):
-    """Ids of the H-class of element i; BadIndex for an id outside 0..size-1."""
-    i = int(_checked_ids(sg, i))
-    g = green(sg)
-    return [int(x) for x in np.flatnonzero(g.h == g.h[i])]
-
-
 def index_period(sg, i):
     """(index, period) of element i: first repetition structure of its powers.
     BadIndex for an id outside 0..size-1."""
@@ -724,7 +643,7 @@ def index_period(sg, i):
     k = 1
     while x not in seen:
         seen[x] = k
-        x = sg.mul(x, i)
+        x = int(sg.multiply(x, i))
         k += 1
     return seen[x], k - seen[x]
 
@@ -777,10 +696,11 @@ def essential_depth(sg):
 
 
 def units(sg):
-    """Ids of the group of units (H-class of the identity element)."""
+    """Ids of the group of units (H-class of the identity element), ascending."""
     if sg.identity_id is None:
         raise NotAMonoid("semigroup has no identity element")
-    return sorted(h_class_of(sg, sg.identity_id))
+    g = green(sg)
+    return np.flatnonzero(g.h == g.h[sg.identity_id]).tolist()
 
 
 def singular_part(sg):
@@ -794,10 +714,6 @@ def generated_subsemigroup(sg, seed_ids):
     member = np.zeros(sg.size, dtype=bool)
     extend_subsemigroup(sg, member, [], seed_ids)
     return np.flatnonzero(member).tolist()
-
-
-def idempotents(sg):
-    return list(sg.idempotent_ids())
 
 
 def idempotent_generated(sg):
@@ -825,7 +741,7 @@ def local_monoid(sg, e_id):
     does.
     """
     e_id = int(_checked_ids(sg, e_id))
-    if sg.mul(e_id, e_id) != e_id:
+    if int(sg.multiply(e_id, e_id)) != e_id:
         raise NotIdempotent(f"element {e_id} is not idempotent")
     member = np.zeros(sg.size, dtype=bool)
     member[sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id))] = True

@@ -14,7 +14,8 @@ class BadDegree(BrauerKitError):
 
 
 class BadIndex(BrauerKitError):
-    """A point index outside 1..n, or an invalid generator index."""
+    """A point index outside 1..n, an invalid generator index, or a label
+    row that is not a restricted growth string."""
 
 
 class DegreeMismatch(BrauerKitError):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import PARITY_OF_CODE, Parity, even_or_rank_zero, parities
 from .engine import (TABLE_CELL_LIMIT, extend_subsemigroup, generated_subsemigroup,
                      period_one)
 from .errors import BudgetExceeded, KernelFixpointError
@@ -144,69 +143,3 @@ def kernel(sg):
         is_aperiodic=not periodic.size,
         witness=kids[periodic[0]] if periodic.size else None,
     )
-
-
-def kernel_elements(sg, result):
-    return [sg.elements[i] for i in result.kernel_ids]
-
-
-def in_A_star_G(sg):
-    """Aperiodic-by-group membership: the kernel must be aperiodic."""
-    return kernel(sg).is_aperiodic
-
-
-def _is_relational_morphism(pairs, left_mul, right_mul):
-    """Check graph closure: (s,t),(s',t') in R implies (ss', tt') in R."""
-    pair_set = set(pairs)
-    for s, t in pairs:
-        for s2, t2 in pairs:
-            if (left_mul(s, s2), right_mul(t, t2)) not in pair_set:
-                return False
-    return True
-
-
-def verify_parity_morphism_a4():
-    """Re-check the two explicit relations witnessing the degree-4 kernel.
-
-    The first relates every non-unit to all units and each unit to itself;
-    the second sends rank >= 2 elements to their parity sign and rank-0
-    elements to both signs.  Both must be relational morphisms, and the
-    joint preimage of (identity, +1) must equal the kernel, which is the
-    singular even part plus the identity.
-    """
-    from .families import as_closure, construct
-    from .engine import singular_part, units
-
-    inst = construct("A", 4)
-    sg = as_closure(inst)
-    unit_ids = set(units(sg))
-    singular = set(singular_part(sg))
-
-    tau1 = [(u, u) for u in unit_ids]
-    tau1 += [(x, u) for x in singular for u in unit_ids]
-
-    # a MIXED element, which A:4 cannot hold, fails the lookup
-    signs = {Parity.EVEN: (1,), Parity.ODD: (-1,), Parity.RANK_ZERO: (-1, 1)}
-    tau2 = [(x, s) for x, code in enumerate(parities(sg.labels).tolist())
-            for s in signs[PARITY_OF_CODE[code]]]
-
-    ok1 = _is_relational_morphism(tau1, sg.mul, sg.mul)
-    ok2 = _is_relational_morphism(tau2, sg.mul, lambda a, b: a * b)
-    if not (ok1 and ok2):
-        return False
-    # total domain
-    if {s for s, _ in tau1} != set(range(sg.size)):
-        return False
-    if {s for s, _ in tau2} != set(range(sg.size)):
-        return False
-
-    t1 = {s for s, t in tau1 if t == sg.identity_id}
-    t2 = {s for s, t in tau2 if t == 1}
-    preimage = t1 & t2
-
-    even = even_or_rank_zero(sg.labels)
-    even_singular = {i for i in singular if even[i]}
-    expected = even_singular | {sg.identity_id}
-    if preimage != expected:
-        return False
-    return preimage == set(kernel(sg).kernel_ids)

@@ -28,9 +28,9 @@ diagrams or makes one per element.  The iso rule's mapping takes a label
 array to a label array (such as diagrams.pads); phi, a's ids to b's, is
 one ids_of call on the image of a's labels, and phi(x y) is compared with
 phi(x) phi(y) for every pair of ids.  A registered instance is its
-closure alone: the ideal rule asks is_ideal of the ids, and the local,
-kernel-chain and subset rules compare element sets read from the
-closures' labels.
+closure alone (Ledger.instances maps each ref to its closure): the ideal
+rule asks is_ideal of the ids, and the local, kernel-chain and subset
+rules compare element sets read from the closures' labels.
 
 Each rule application is data: its checks and its bound moves (see
 _RuleApp).  derive_all iterates the moves to a fixpoint; the
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagrams import encode
+from .diagrams import encode, from_labels
 from .engine import (
     _PAIR_BATCH,
     essential_depth,
@@ -95,13 +95,6 @@ class Fact:
     rule: str
     premises: tuple = ()  # fact ids
     checks: tuple = ()  # check ids
-
-
-@dataclass
-class Registered:
-    ref: InstanceRef
-    sg: object  # SemigroupClosure
-    description: str
 
 
 @dataclass(frozen=True)
@@ -184,11 +177,11 @@ class Ledger:
 
     # -- registration ------------------------------------------------------
 
-    def register(self, kind, key, sg, description=""):
+    def register(self, kind, key, sg):
         ref = InstanceRef(kind, key)
         if ref in self.instances:
             raise ValueError(f"instance {key!r} already registered")
-        self.instances[ref] = Registered(ref, sg, description)
+        self.instances[ref] = sg
         self._by_subject[ref] = []
         return ref
 
@@ -249,7 +242,7 @@ class Ledger:
     # -- base facts --------------------------------------------------------
 
     def assert_base_facts(self, ref, compute_kernel=False):
-        sg = self._inst(ref).sg
+        sg = self._inst(ref)
         if is_aperiodic(sg):
             c_aper = self._check(
                 f"aperiodic({ref})",
@@ -276,7 +269,7 @@ class Ledger:
                 return res.is_aperiodic, (
                     f"kernel has {len(res.kernel_ids)} elements, "
                     + ("aperiodic" if res.is_aperiodic
-                       else f"witness {encode(sg.elements[res.witness])}"))
+                       else f"witness {encode(from_labels(sg.labels[res.witness]))}"))
 
             c_ker = self._check(f"kernel-aperiodic({ref})", kernel_aperiodic,
                                 exc=None)
@@ -291,18 +284,18 @@ class Ledger:
         s = self._inst(s_ref)
         ideal = self._inst(ideal_ref)
         quot = self._inst(quotient_ref)
-        ids = s.sg.ids_of(ideal.sg.labels)
+        ids = s.ids_of(ideal.labels)
         if (ids < 0).any():
             raise KeyError(f"{ideal_ref} has elements outside {s_ref}")
         ids = sorted(ids.tolist())
 
         def two_sided():
-            return (is_ideal(s.sg, ids),
+            return (is_ideal(s, ids),
                     f"{len(ids)} elements closed under outer multiplication")
 
         def quotient_matches():
-            rebuilt = rees_quotient(s.sg, ids)
-            return (np.array_equal(rebuilt.product_table(), quot.sg.product_table()),
+            rebuilt = rees_quotient(s, ids)
+            return (np.array_equal(rebuilt.product_table(), quot.product_table()),
                     f"Rees quotient of size {rebuilt.size} with adjoined zero")
 
         checks = (
@@ -314,7 +307,7 @@ class Ledger:
             "ideal", checks, ((s_ref, (ideal_ref, quotient_ref), 0, False, True),)))
 
     def _check_local_is_ese(self, sg, e_id, local_ref):
-        local = self._inst(local_ref).sg
+        local = self._inst(local_ref)
 
         def local_is_ese():
             ese_ids = np.unique(sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id)))
@@ -324,12 +317,12 @@ class Ledger:
         return self._check(f"local-is-eSe({local_ref})", local_is_ese)
 
     def apply_local_rule(self, s_ref, e_id, ideal_ref, local_ref):
-        sg = self._inst(s_ref).sg
+        sg = self._inst(s_ref)
         ideal = self._inst(ideal_ref)
-        squares = f"element {encode(sg.elements[e_id])} squares to itself"
+        squares = f"element {encode(from_labels(sg.labels[e_id]))} squares to itself"
         self._check(f"idempotent(e in {s_ref})",
-                    lambda: (sg.mul(e_id, e_id) == e_id, squares), exc=NotIdempotent)
-        ideal_ids = np.sort(sg.ids_of(ideal.sg.labels))
+                    lambda: (int(sg.multiply(e_id, e_id)) == e_id, squares), exc=NotIdempotent)
+        ideal_ids = np.sort(sg.ids_of(ideal.labels))
 
         def ideal_is_ses():
             ses = principal_ideal(sg, e_id)
@@ -342,13 +335,13 @@ class Ledger:
 
     def apply_principal_rule(self, s_ref, e_id, local_ref,
                              unit_gen_ids=None, idempotent_pool_ids=None):
-        sg = self._inst(s_ref).sg
+        sg = self._inst(s_ref)
         unit_ids = units(sg)
         gens = sorted(unit_ids if unit_gen_ids is None else unit_gen_ids)
         pool = (list(sg.idempotent_ids()) if idempotent_pool_ids is None
                 else sorted(idempotent_pool_ids))
         ses_ids = principal_ideal(sg, e_id)
-        outside = (f"element {encode(sg.elements[e_id])} is an idempotent "
+        outside = (f"element {encode(from_labels(sg.labels[e_id]))} is an idempotent "
                    "outside the units")
 
         def units_nontrivial():
@@ -364,7 +357,7 @@ class Ledger:
             self._check(f"units-nontrivial({s_ref})", units_nontrivial),
             self._check(
                 f"idempotent-nonunit(e in {s_ref})",
-                lambda: (sg.mul(e_id, e_id) == e_id and e_id not in units(sg),
+                lambda: (int(sg.multiply(e_id, e_id)) == e_id and e_id not in units(sg),
                          outside)),
             self._check(
                 f"unit-generators({s_ref})",
@@ -384,15 +377,15 @@ class Ledger:
         self._apps.append(_RuleApp("principal", checks, _tied(s_ref, local_ref, 1)))
 
     def apply_kernel_chain_rule(self, s_ref, kernel_ref):
-        sg = self._inst(s_ref).sg
-        ker = self._inst(kernel_ref).sg
+        sg = self._inst(s_ref)
+        ker = self._inst(kernel_ref)
 
         def chain():
             ids = t1_chain(sg)
             return ids is not None, (
                 "no left-order chain over the generator pool" if ids is None
                 else "generators chain as "
-                + " <= ".join(encode(sg.elements[i]) for i in ids))
+                + " <= ".join(encode(from_labels(sg.labels[i])) for i in ids))
 
         def kernel_matches():
             res = kernel(sg)
@@ -411,7 +404,7 @@ class Ledger:
             "kernel-chain", checks, ((s_ref, (kernel_ref,), 1, True, False),)))
 
     def apply_subsemigroup_rule(self, t_ref, s_ref):
-        t_sg, s_sg = self._inst(t_ref).sg, self._inst(s_ref).sg
+        t_sg, s_sg = self._inst(t_ref), self._inst(s_ref)
         if t_sg.labels is None or s_sg.labels is None:
             raise NotASubsemigroup("element sets unavailable for containment")
         t, s = t_sg.element_set(), s_sg.element_set()
@@ -422,8 +415,8 @@ class Ledger:
             (s_ref, (t_ref,), 0, True, False), (t_ref, (s_ref,), 0, False, True))))
 
     def apply_isomorphism_rule(self, a_ref, b_ref, mapping):
-        a = self._inst(a_ref).sg
-        b = self._inst(b_ref).sg
+        a = self._inst(a_ref)
+        b = self._inst(b_ref)
         checks = (
             self._check(f"iso-bijection({a_ref} -> {b_ref})",
                         lambda: (_iso_bijective(a, b, mapping),

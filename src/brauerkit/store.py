@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagrams import ElementSet, from_label_array, label_array
-from .errors import BadDegree, ChecksumMismatch, ParseError, VersionMismatch
+from .diagrams import ElementSet, checked_growth, from_label_array, label_array
+from .errors import BadDegree, BadIndex, ChecksumMismatch, ParseError, VersionMismatch
 from .families import FamilyInstance, construct
 
 CACHE_FORMAT_VERSION = 2
@@ -63,7 +63,7 @@ def _label_strings(labs):
 
 
 def _decode_labels(lines, n, what):
-    """The label array of label-string lines, checked to be canonical."""
+    """The label array of label-string lines, of 2n base-36 digits each."""
     width = 2 * n
     if set(map(len, lines)) - {width}:
         raise ParseError(f"{what}: label line is not {width} characters long")
@@ -71,9 +71,6 @@ def _decode_labels(lines, n, what):
     labs = _DIGIT_VALUE[codes].reshape(len(lines), width)
     if (labs < 0).any():
         raise ParseError(f"{what}: label line holds a non-digit character")
-    highest = np.maximum.accumulate(labs, axis=1)
-    if (labs[:, :1] != 0).any() or (labs[:, 1:] > highest[:, :-1] + 1).any():
-        raise ParseError(f"{what}: label line is not a restricted growth string")
     return labs
 
 
@@ -150,13 +147,17 @@ def load_cache(path):
     pos = 5 + n_gens
     if pos >= len(lines) - 1:
         raise ParseError(f"{path}: generator count disagrees with line count")
-    generators = tuple(from_label_array(
-        _decode_labels(lines[5:pos], degree, path)))
-    n_elems = _expect_count(lines[pos], "elements")
-    pos += 1
-    if pos + n_elems != len(lines) - 1:
-        raise ParseError(f"{path}: element count disagrees with line count")
-    elements = ElementSet(degree, _decode_labels(lines[pos:-1], degree, path))
+    try:  # each label row is tested once, by checked_growth or ElementSet
+        generators = tuple(from_label_array(checked_growth(
+            _decode_labels(lines[5:pos], degree, path))))
+        n_elems = _expect_count(lines[pos], "elements")
+        pos += 1
+        if pos + n_elems != len(lines) - 1:
+            raise ParseError(f"{path}: element count disagrees with line count")
+        elements = ElementSet(degree, _decode_labels(lines[pos:-1], degree, path))
+    except BadIndex:
+        raise ParseError(
+            f"{path}: label line is not a restricted growth string") from None
     if len(elements) != n_elems:
         raise ParseError(f"{path}: duplicate elements in cache")
     return FamilyInstance(family=family, degree=degree, strategy=strategy,

@@ -26,6 +26,7 @@ from .diagrams import (
     decode,
     encode,
     even_or_rank_zero,
+    from_labels,
     identity,
     label_array,
     label_dtype,
@@ -62,7 +63,7 @@ from .families import (
     generators,
     involution_count,
 )
-from .kernel import kernel, kernel_elements, verify_parity_morphism_a4
+from .kernel import kernel
 from .ledger import InstanceRef
 
 
@@ -457,13 +458,68 @@ def _twist_singular(n):
 def _kernel_a4(n):
     sg = as_closure(construct("A", 4))
     result = kernel(sg)
-    kset = frozenset(kernel_elements(sg, result))
-    ea4 = construct("EA", 4).elements
-    zeta2 = rotation(4) * rotation(4)
-    expected = frozenset(ea4 - {zeta2})
+    kset = sg.element_set(result.kernel_ids)
+    expected = construct("EA", 4).elements - {rotation(4) * rotation(4)}
     ok = kset == expected and result.is_aperiodic
     return ok, {"kernel_size": len(kset), "iterations": result.iterations,
                 "aperiodic": result.is_aperiodic}
+
+
+def _is_relational_morphism(pairs, left_mul, right_mul):
+    """Check graph closure: (s,t),(s',t') in R implies (ss', tt') in R."""
+    pair_set = set(pairs)
+    for s, t in pairs:
+        for s2, t2 in pairs:
+            if (left_mul(s, s2), right_mul(t, t2)) not in pair_set:
+                return False
+    return True
+
+
+def verify_parity_morphism_a4():
+    """Re-check the two explicit relations witnessing the degree-4 kernel.
+
+    The first relates every non-unit to all units and each unit to itself;
+    the second sends rank >= 2 elements to their parity sign and rank-0
+    elements to both signs.  Both must be relational morphisms, and the
+    joint preimage of (identity, +1) must equal the kernel, which is the
+    singular even part plus the identity.
+    """
+    inst = construct("A", 4)
+    sg = as_closure(inst)
+    unit_ids = set(units(sg))
+    singular = set(singular_part(sg))
+
+    tau1 = [(u, u) for u in unit_ids]
+    tau1 += [(x, u) for x in singular for u in unit_ids]
+
+    # a MIXED element, which A:4 cannot hold, fails the lookup
+    signs = {Parity.EVEN: (1,), Parity.ODD: (-1,), Parity.RANK_ZERO: (-1, 1)}
+    tau2 = [(x, s) for x, code in enumerate(parities(sg.labels).tolist())
+            for s in signs[PARITY_OF_CODE[code]]]
+
+    def mul(a, b):
+        return int(sg.multiply(a, b))
+
+    ok1 = _is_relational_morphism(tau1, mul, mul)
+    ok2 = _is_relational_morphism(tau2, mul, lambda a, b: a * b)
+    if not (ok1 and ok2):
+        return False
+    # total domain
+    if {s for s, _ in tau1} != set(range(sg.size)):
+        return False
+    if {s for s, _ in tau2} != set(range(sg.size)):
+        return False
+
+    t1 = {s for s, t in tau1 if t == sg.identity_id}
+    t2 = {s for s, t in tau2 if t == 1}
+    preimage = t1 & t2
+
+    even = even_or_rank_zero(sg.labels)
+    even_singular = {i for i in singular if even[i]}
+    expected = even_singular | {sg.identity_id}
+    if preimage != expected:
+        return False
+    return preimage == set(kernel(sg).kernel_ids)
 
 
 @_target("parity-morphism-a4",
@@ -487,7 +543,7 @@ def _kernel_pa4(n):
               "iterations": result.iterations}
     if result.witness is not None:
         idx, per = index_period(sg, result.witness)
-        detail["witness"] = encode(sg.elements[result.witness])
+        detail["witness"] = encode(from_labels(sg.labels[result.witness]))
         detail["witness_period"] = per
         ok &= per == 2
     return ok, detail
@@ -503,7 +559,7 @@ def _t1_ea6(n):
     ok = chain is not None
     details = {"size": sub.size}
     if ok:
-        details["chain"] = [encode(sub.elements[i]) for i in chain]
+        details["chain"] = [encode(from_labels(sub.labels[i])) for i in chain]
     from .engine import is_aperiodic
     details["aperiodic"] = is_aperiodic(sub)
     ok &= not details["aperiodic"]

@@ -324,7 +324,10 @@ def oracle_random_pair_diagram(n, rng):
     return diagram(n, blocks)
 
 
-def oracle_random_partial_brauer(n, rng, pair_prob=0.7):
+_PAIR_PROB = 0.7  # chance that oracle_random_partial_brauer pairs a point
+
+
+def oracle_random_partial_brauer(n, rng):
     """diagrams.random_partial_brauer as it was before it wrote label rows:
     the same random calls, with the blocks sorted and the Diagram built
     from them."""
@@ -333,7 +336,7 @@ def oracle_random_partial_brauer(n, rng, pair_prob=0.7):
     blocks = []
     while pts:
         p = pts.pop()
-        if pts and rng.random() < pair_prob:
+        if pts and rng.random() < _PAIR_PROB:
             q = pts.pop(rng.randrange(len(pts)))
             blocks.append((p, q))
         else:
@@ -467,18 +470,18 @@ def oracle_label_array(ds, n):
 
 
 def oracle_weak_inverse_pairs(sg, formulation="bar"):
-    """Ordered pairs (x, x̄), one sg.mul at a time.
+    """Ordered pairs (x, x̄), one scalar sg.multiply at a time.
 
     "bar" requires x̄xx̄ = x̄, listed by x̄ and then x; "self" requires
     xx̄x = x, listed by x and then x̄.
     """
-    m = sg.size
+    m, mul = sg.size, _scalar_product(sg)
     if formulation == "bar":
         return [(x, xbar) for xbar in range(m) for x in range(m)
-                if sg.mul(sg.mul(xbar, x), xbar) == xbar]
+                if mul(mul(xbar, x), xbar) == xbar]
     if formulation == "self":
         return [(x, xbar) for x in range(m) for xbar in range(m)
-                if sg.mul(sg.mul(x, xbar), x) == x]
+                if mul(mul(x, xbar), x) == x]
     raise ValueError(f"unknown formulation {formulation!r}")
 
 
@@ -616,36 +619,56 @@ def count_products(monkeypatch):
     return count
 
 
+def id_of(sg, d):
+    """The id of the diagram d in the closure sg; KeyError when d is no element."""
+    i = int(sg.ids_of(diagrams.labels(d)[None])[0])
+    if i < 0:
+        raise KeyError(d)
+    return i
+
+
+def elements_of(sg, ids=None):
+    """The diagrams of sg's ids, or of all of them in id order."""
+    return diagrams.from_label_array(
+        sg.labels if ids is None else sg.labels[np.asarray(ids, dtype=np.intp)])
+
+
+def _scalar_product(sg):
+    """x, y -> the id of x y in sg, one scalar sg.multiply call."""
+    return lambda x, y: int(sg.multiply(x, y))
+
+
 def _ids(sg):
     """The id of each element of sg, as a dict of diagrams."""
-    return {d: i for i, d in enumerate(sg.elements)}
+    return {d: i for i, d in enumerate(elements_of(sg))}
 
 
 def oracle_left_cayley(sg):
     """lc[y, i] = g_i y, one diagram product per entry."""
-    idx = _ids(sg)
-    lc = np.empty((sg.size, len(sg.multipliers)), dtype=np.int32)
-    for gi, g in enumerate(sg.multipliers):
-        lc[:, gi] = [idx[oracle_product(g, x)] for x in sg.elements]
+    idx, elems = _ids(sg), elements_of(sg)
+    lc = np.empty((sg.size, len(sg.generators)), dtype=np.int32)
+    for gi, g in enumerate(elements_of(sg, sg.generators)):
+        lc[:, gi] = [idx[oracle_product(g, x)] for x in elems]
     return lc
 
 
 def oracle_idempotent_ids(sg):
-    return tuple(i for i, x in enumerate(sg.elements) if oracle_product(x, x) == x)
+    return tuple(i for i, x in enumerate(elements_of(sg)) if oracle_product(x, x) == x)
 
 
 def oracle_span(sg, seed_ids):
     """Ids in sg of the standalone diagram closure of the seed elements."""
-    span = closure([sg.elements[i] for i in seed_ids])
+    span = closure(elements_of(sg, list(seed_ids)))
     idx = _ids(sg)
-    return sorted(idx[d] for d in span.elements)
+    return sorted(idx[d] for d in elements_of(span))
 
 
 def oracle_local_elements(sg, e_id):
     """The elements e x e of sg in id order, from diagram products."""
-    e, idx = sg.elements[e_id], _ids(sg)
-    return [sg.elements[i] for i in sorted(
-        {idx[oracle_product(oracle_product(e, x), e)] for x in sg.elements})]
+    elems, idx = elements_of(sg), _ids(sg)
+    e = elems[e_id]
+    return [elems[i] for i in sorted(
+        {idx[oracle_product(oracle_product(e, x), e)] for x in elems})]
 
 
 def oracle_table(elems):
@@ -664,11 +687,11 @@ def oracle_rees_table(sg, ideal_ids):
     ideal = set(ideal_ids)
     keep = [i for i in range(sg.size) if i not in ideal]
     pos = {x: k for k, x in enumerate(keep)}
-    k, idx = len(keep), _ids(sg)
+    k, idx, elems = len(keep), _ids(sg), elements_of(sg)
     table = np.full((k + 1, k + 1), k, dtype=np.int32)
     for a, x in enumerate(keep):
         for b, y in enumerate(keep):
-            p = idx[oracle_product(sg.elements[x], sg.elements[y])]
+            p = idx[oracle_product(elems[x], elems[y])]
             table[a, b] = pos.get(p, k)
     return table
 
@@ -685,10 +708,10 @@ def oracle_associativity_failure(sg, samples):
     """The first of samples triples drawn from random.Random(0) on which
     (xy)z != x(yz), by one scalar product at a time, or None."""
     rng = random.Random(0)
-    m = sg.size
+    m, mul = sg.size, _scalar_product(sg)
     for _ in range(samples):
         x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-        if sg.mul(sg.mul(x, y), z) != sg.mul(x, sg.mul(y, z)):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
             return x, y, z
     return None
 

@@ -138,11 +138,29 @@ def test_count_even_annular_runs_at_the_even_degrees(cache_dir, capsys):
                                                      ("6", "325")]
 
 
+def _usage_error(capsys, *argv):
+    """The stderr of a run that argparse ends with exit code 2, printing
+    nothing on stdout."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    return captured.err
+
+
 def test_count_degree_below_1_is_a_usage_error(cache_dir, capsys):
     for n in ("0", "-3"):
-        code, out, err = _run(capsys, "count", "--family", "B", "--n", n)
-        assert code == 2 and out == ""
-        assert "--n must be at least 1" in err
+        err = _usage_error(capsys, "count", "--family", "B", "--n", n)
+        assert f"argument --n: must be at least 1, got {n}" in err
+
+
+def test_every_degree_below_1_is_a_usage_error(cache_dir, capsys):
+    for command in ("gen", "green", "kernel"):
+        err = _usage_error(capsys, command, "--family", "B", "--n", "0")
+        assert "argument --n: must be at least 1, got 0" in err
+    assert "invalid integer value: 'x'" in _usage_error(
+        capsys, "gen", "--family", "B", "--n", "x")
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_count_md_table(cache_dir, capsys):
@@ -214,9 +232,8 @@ def test_verify_unknown_target_exits_2(cache_dir, capsys):
 
 def test_verify_degree_below_1_is_a_usage_error(cache_dir, capsys):
     for n in ("0", "-3"):
-        code, out, err = _run(capsys, "verify", "all", "--n", n)
-        assert code == 2 and out == ""
-        assert "--n must be at least 1" in err
+        err = _usage_error(capsys, "verify", "all", "--n", n)
+        assert f"argument --n: must be at least 1, got {n}" in err
 
 
 def test_even_degree_targets_run_at_the_largest_even_degree(cache_dir, capsys):
@@ -350,9 +367,8 @@ def test_complexity_unknown_row_exits_2(cache_dir, capsys, monkeypatch):
     code, _, err = _run(capsys, "complexity", "B:9")
     assert code == 2
     assert "unknown table row" in err
-    code, _, err = _run(capsys, "complexity", "--verify-checks", "-1")
-    assert code == 2
-    assert "--verify-checks must be at least 0" in err
+    err = _usage_error(capsys, "complexity", "--verify-checks", "-1")
+    assert "argument --verify-checks: must be at least 0, got -1" in err
 
 
 def test_complexity_table_under_python_O(tmp_path):

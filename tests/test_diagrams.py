@@ -62,6 +62,7 @@ from brauerkit.diagrams import (
     partial_brauer,
     planar,
     ranks,
+    restricted_growth,
     stars,
     turned,
 )
@@ -386,6 +387,28 @@ def test_element_sets_of_different_degrees_are_unequal():
     assert one.labels.tobytes() == two.labels.tobytes()
     assert one != two and not one <= two and not two >= one
     assert ElementSet(2, np.empty((0, 4))) != ElementSet(3, np.empty((0, 6)))
+
+
+def test_element_sets_refuse_rows_that_are_not_restricted_growth_strings():
+    """[0, 0, 3, 1] shares its sort key with the identity's row [0, 1, 0, 1],
+    so a set that took it would hold identity(2).  One whole-array test
+    refuses exactly the arrays with a row restricted_growth rejects."""
+    for bad in ([[0, 0, 3, 1]], [[0, 1, 0, 1], [1, 0, 0, 1]], [[0, -1, 0, 1]]):
+        with pytest.raises(BadIndex, match="not a restricted growth string"):
+            ElementSet(2, bad)
+    assert identity(2) in ElementSet(2, [[0, 1, 0, 1]])
+    rng = np.random.default_rng(6)
+    refused = []
+    for _ in range(400):
+        labs = rng.integers(-1, 3, size=(int(rng.integers(1, 4)), 4))
+        labs[:, 0] = rng.integers(-1, 2)
+        try:
+            ElementSet(2, labs)
+            refused.append(False)
+        except BadIndex:
+            refused.append(True)
+        assert refused[-1] != restricted_growth(labs).all(), labs
+    assert 0 < sum(refused) < len(refused)
 
 
 def test_element_set_orders_wide_degrees_by_row_bytes():

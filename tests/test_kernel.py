@@ -13,22 +13,22 @@ import pytest
 from brauerkit import (
     as_closure,
     construct,
-    in_A_star_G,
     index_period,
     kernel,
-    kernel_elements,
     rotation,
     star,
     units,
-    verify_parity_morphism_a4,
     weak_inverse_pairs,
 )
 from brauerkit.derivations import t1sub_ea6
 from brauerkit.engine import generated_subsemigroup, period_one
 from brauerkit.errors import BudgetExceeded
+from brauerkit.verify import verify_parity_morphism_a4
 from oracles import (
     dense_conjugates,
     dense_pair_matrix,
+    elements_of,
+    id_of,
     oracle_dense_kernel,
     oracle_kernel,
     oracle_period_one,
@@ -61,9 +61,8 @@ def _result(res):
 def test_star_gives_weak_inverses_in_brauer_4():
     sg = _sg("B", 4)
     pairs = set(weak_inverse_pairs(sg))
-    for i in range(sg.size):
-        j = sg.index[star(sg.elements[i])]
-        assert (i, j) in pairs
+    for i, d in enumerate(elements_of(sg)):
+        assert (i, id_of(sg, star(d))) in pairs
 
 
 def test_weak_inverse_formulations_are_transposes():
@@ -108,9 +107,8 @@ def test_kernel_of_annular_4():
     assert len(res.kernel_ids) == 21
     assert res.iterations == 2
     assert res.is_aperiodic
-    assert in_A_star_G(sg)
     expected = set(construct("EA", 4).elements) - {rotation(4) * rotation(4)}
-    assert set(kernel_elements(sg, res)) == expected
+    assert set(elements_of(sg, res.kernel_ids)) == expected
 
 
 def test_kernel_of_partial_annular_4():
@@ -121,7 +119,6 @@ def test_kernel_of_partial_annular_4():
     assert not res.is_aperiodic
     assert res.witness is not None
     assert index_period(sg, res.witness)[1] == 2
-    assert not in_A_star_G(sg)
 
 
 @pytest.mark.slow
@@ -249,7 +246,7 @@ sg = as_closure(construct("SYM", 3))
 table = sg.product_table()
 table_t = table.T.copy()
 one = sg.identity_id
-t = next(i for i in range(sg.size) if i != one and sg.mul(i, i) == one)
+t = next(i for i in range(sg.size) if i != one and sg.multiply(i, i) == one)
 for candidate in ([t], sorted([one, t])):
     try:
         _check_fixpoint(sg, table, table_t, candidate)
@@ -273,8 +270,8 @@ def test_fixpoint_check_raises_under_python_O():
 def test_kernel_monotone_under_the_annular_inclusion():
     a4 = _sg("A", 4)
     pa4 = _sg("PA", 4)
-    small = set(kernel_elements(a4, kernel(a4)))
-    big = set(kernel_elements(pa4, kernel(pa4)))
+    small = set(elements_of(a4, kernel(a4).kernel_ids))
+    big = set(elements_of(pa4, kernel(pa4).kernel_ids))
     assert small <= big
 
 

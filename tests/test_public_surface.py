@@ -1,0 +1,77 @@
+"""The package's public names, and the ones the benchmark harness reads."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import brauerkit
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# A public name leaves or arrives only with this list changing in the same diff.
+PUBLIC = [
+    "CLOSED_FORMS", "Check", "Diagram", "ElementSet", "Entry", "FAMILY_IDS",
+    "Fact", "FamilyInstance", "GreenData", "InstanceRef", "KernelResult",
+    "Ledger", "Parity", "SemigroupClosure", "StringKind", "TARGETS",
+    "adjacent_contraction", "as_closure", "bell_number", "build_standard_ledger",
+    "capped_rotation", "cardinality_table", "cascade", "catalan",
+    "classify_strings", "closure", "closure_from_elements", "construct",
+    "contraction", "decode", "derivations", "diagram", "diagrams",
+    "double_contraction", "double_factorial_odd", "encode", "engine", "errors",
+    "essential_depth", "expected_table", "families", "from_permutation",
+    "from_transformation", "generated_subsemigroup", "generators", "green",
+    "idempotent_generated", "identity", "index_period", "involution_count",
+    "is_annular", "is_aperiodic", "is_brauer", "is_inverse", "is_jones",
+    "is_partial_brauer", "is_planar", "is_projection", "kernel", "ledger",
+    "load_cache", "load_or_build", "local_monoid", "local_rotation",
+    "make_report", "membership", "motzkin", "multiply", "named_element_products",
+    "pad_embedding", "parity", "partial_identity", "principal_ideal",
+    "random_brauer", "random_partial_brauer", "random_partition_diagram",
+    "rees_quotient", "rotation", "run_target", "save_cache", "shift",
+    "singular_part", "standard_table", "star", "store", "subsemigroup",
+    "t1_chain", "twist", "units", "verify", "verify_parity_morphism_a4",
+    "weak_inverse_pairs",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert sorted(brauerkit.__all__) == PUBLIC
+
+
+def _package_reads(path):
+    """(module, name, line) of every name path reads from brauerkit: the
+    names of `from brauerkit[.sub] import ...`, and the attributes read off
+    a name bound to brauerkit or to one of its modules."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, reads = {}, []  # bound: a name in path -> the module it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: "brauerkit" for a in node.names
+                          if a.name == "brauerkit"})
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "brauerkit"):
+            for a in node.names:
+                reads.append((node.module, a.name, node.lineno))
+                value = getattr(importlib.import_module(node.module), a.name, None)
+                if inspect.ismodule(value):
+                    bound[a.asname or a.name] = value.__name__
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            reads.append((bound[node.value.id], node.attr, node.lineno))
+    return reads
+
+
+def test_every_name_the_benchmark_reads_from_the_package_resolves():
+    """A deletion in the package cannot break the benchmark's workloads
+    or workers unnoticed; the files are read, not imported."""
+    missing, count = [], 0
+    for name in ("workloads.py", "worker.py"):
+        for module, attr, line in _package_reads(PERFBENCH / name):
+            count += 1
+            if not (attr.startswith("__")
+                    or hasattr(importlib.import_module(module), attr)):
+                missing.append(f"{name}:{line}: {module}.{attr}")
+    assert missing == []
+    assert count >= 20

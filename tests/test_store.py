@@ -24,7 +24,7 @@ from brauerkit import (
 )
 from brauerkit import families
 from brauerkit.cli import main
-from brauerkit.diagrams import from_labels, label_array
+from brauerkit.diagrams import from_label_array, from_labels, label_array
 from brauerkit.errors import (
     BadDegree,
     ChecksumMismatch,
@@ -71,7 +71,7 @@ def test_round_trip_never_decodes_blocks(tmp_path):
     gens = construct("B", 6).generators
     sg = closure(gens, include_identity=True)
     inst = FamilyInstance(family="B", degree=6, strategy="generated",
-                          elements=frozenset(sg.elements), generators=gens)
+                          elements=frozenset(from_label_array(sg.labels)), generators=gens)
     loaded = load_cache(save_cache(inst, cache_path(tmp_path, "B", 6)))
     assert loaded.elements == inst.elements and loaded.generators == gens
     assert not any(hasattr(d, "_blocks")
@@ -117,6 +117,21 @@ def test_malformed_label_line_is_a_parse_error(b4_cache, bad):
     _reseal(path, lines)
     with pytest.raises(ParseError):
         load_cache(path)
+
+
+@pytest.mark.parametrize("line", ["generator", "element"])
+def test_a_label_line_that_is_no_growth_string_is_named(b4_cache, line):
+    """Generator rows are tested by diagrams.checked_growth and element rows
+    by ElementSet, which calls it; either way the cache reader names the
+    problem."""
+    inst, path = b4_cache
+    lines = path.read_text().splitlines()
+    at = 5 if line == "generator" else lines.index(f"elements {inst.size}") + 1
+    lines[at] = "00301234"  # 3 follows a highest label of 0
+    _reseal(path, lines)
+    with pytest.raises(ParseError) as info:
+        load_cache(path)
+    assert str(info.value) == f"{path}: label line is not a restricted growth string"
 
 
 def test_duplicate_elements_are_a_parse_error(b4_cache):
