@@ -12,9 +12,11 @@ time.  A closure keeps its label array (labels, row i the diagram of id i)
 and the sorted integer keys of its rows, and is read through ids: ids_of
 finds the ids of label rows by binary search, element_set() is the set of
 its rows, and diagrams.from_labels(labels[i]) is the diagram of id i, so a
-closure makes no per-element object.  R and L are the strong components
-of the right and left Cayley graphs; J = D = R v L, two least-id passes
-over them, and the J-order is read from the Cayley arrays.
+closure makes no per-element object.  Green's relations take numpy alone:
+R is the strong components of the right Cayley graph, J = D the strong
+components of the left action on the R-classes, L by stability the ids
+reached along left edges inside a J-class, and the J-order is read from
+the Cayley arrays.
 
 Once a closure is built, no analysis multiplies diagrams again.  A product
 x y is an integer operation (SemigroupClosure.multiply): a gather from the
@@ -46,8 +48,7 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
+import numpy.ma  # noqa: F401  np.unique imports it on first call; keep that in import time
 
 from . import diagrams
 from .diagrams import ElementSet, identity, sort_keys
@@ -526,9 +527,8 @@ def _table_generators(sg):
 
 @dataclass(frozen=True)
 class GreenData:
-    """Green's relations: R and L numbered as scipy's strong components of
-    the Cayley graphs number them, H-classes by first appearance of their
-    (R, L) pair, and J-classes sinks first, by height (the longest J-order
+    """Green's relations: R-, L- and H-classes numbered by least member (r
+    and l int32), and J-classes sinks first, by height (the longest J-order
     path down to a minimal class), then by least member: so lower < upper
     for every (upper, lower) pair of j_order."""
 
@@ -547,58 +547,133 @@ class GreenData:
     j_order: frozenset  # (upper class, lower class) pairs, transitive closure not taken
 
 
-def _graph(nbr):
-    """The m x m CSR matrix with an edge from x to each id of row x of the
-    m x g array nbr, each row's ids sorted and taken once: scipy's strong
-    components were seen never to return on CSR with repeated column
-    indices (x g = x h)."""
-    cols = np.sort(nbr, axis=1)
-    keep = np.ones(cols.shape, dtype=bool)
-    keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sparse.csr_matrix((np.ones(indptr[-1]), cols[keep], indptr), shape=(len(nbr),) * 2)
+def _least_reached(nbT):
+    """The least id each id reaches in the graph with an edge from x to
+    nbT[i, x] for each row i of the g x m intp array nbT: the fixpoint of
+    f = min(f, f[x g]), one generator g at a time, then f = f[f]."""
+    f, last = np.arange(nbT.shape[1]), None
+    while not np.array_equal(f, last):
+        last = f.copy()
+        for row in nbT:  # each row reads the rows before it, so fewer rounds
+            np.minimum(f, f.take(row), out=f)
+        f = f.take(f)
+    return f
+
+
+def _reach(nbT, seen):
+    """Mark in the mask seen every id reached from its marked ids along the
+    edges x -> nbT[i, x], by one frontier search from all of them."""
+    at = np.empty(len(seen), dtype=np.intp)
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        step = nbT.take(frontier, axis=1).ravel()
+        step = step[~seen.take(step)]
+        seen[step] = True
+        order = np.arange(len(step))
+        at[step] = order
+        frontier = step[at[step] == order]  # each id once: repeats would multiply
+
+
+def _strong_components(nbT):
+    """The least member of each id's strong component in the graph with an
+    edge from x to nbT[i, x] for each row i of the g x m intp array nbT.
+
+    Each round takes the ids not yet settled.  A root, an id r that is the
+    least id it reaches (_least_reached, f), is the least member of its
+    component, which is the set r reaches along edges inside its f-class
+    (Fleischer, Hendrickson & Pinar, 2000); one frontier search from every
+    root at once settles those components.  Edges into settled ids are
+    turned back on their source, which leaves the other components as they
+    were, and the next round takes the rest.
+    """
+    least = np.empty(nbT.shape[1], dtype=np.intp)
+    live = np.arange(nbT.shape[1])  # the unsettled ids; a round works on positions in live
+    while live.size:
+        f, ids = _least_reached(nbT), np.arange(live.size)
+        settled = f == ids
+        _reach(np.where(f.take(nbT) == f, nbT, ids), settled)
+        least[live[settled]] = live[f[settled]]
+        keep = np.flatnonzero(~settled)
+        nbT = nbT.take(keep, axis=1)
+        nbT = np.where(settled.take(nbT), np.arange(len(keep)),
+                       (np.cumsum(~settled) - 1).take(nbT))
+        live = live[keep]
+    return least
+
+
+def _numbered(least):
+    """Class numbers 0, 1, ... in the order of each class's least member,
+    from the least member of each id's class, and those least members."""
+    top = least == np.arange(len(least))
+    return (np.cumsum(top) - 1)[least], np.flatnonzero(top)
+
+
+def _box_ranks(of_class, num_j):
+    """For classes numbered by least member, of_class[c] the J-class of
+    class c: each class's rank among its J-class's, and their count in
+    each J-class."""
+    count = np.bincount(of_class, minlength=num_j)
+    rank = np.empty(len(of_class), dtype=np.intp)
+    rank[np.argsort(of_class, kind="stable")] = (
+        np.arange(len(of_class)) - np.repeat(np.cumsum(count) - count, count))
+    return rank, count
 
 
 def green(sg):
     """The GreenData of sg, computed once and kept.
 
-    R and L are the strong components of the right and left Cayley graphs,
-    and J = D = R o L (Howie, Fundamentals of Semigroup Theory, Prop.
-    2.1.4): a J-class's least id is the least, over an L-class, of its
-    members' least R-class ids.  The J-order's edges (J(x), J(x g)) and
-    (J(x), J(g x)) are read from the Cayley arrays at one x of each
-    L-class and of each R-class respectively, since L is a right and R a
-    left congruence (Prop. 2.1.2).  CrossCheckFailed when they make a
-    cycle, which no associative table gives.
+    R is the strong components of the right Cayley graph
+    (_strong_components).  R is a left congruence (Howie, Fundamentals of
+    Semigroup Theory, Prop. 2.1.2), so g R(x) lies in R(g x), and J = D =
+    R o L (Prop. 2.1.4) is the strong components of that action on one
+    member of each R-class.  By stability (Rhodes & Steinberg, The
+    q-theory of Finite Semigroups, 2009), g x J x implies g x L x, so an
+    L-class is what its members reach along the left edges that stay inside
+    their J-class, and its least member is the least id reached there.
+    Each J-class is an egg-box: its R- and L-classes meet in H-classes of
+    one size (Green's lemma), so each H-class is a cell of its J-class's
+    box.  The J-order's edges (J(x), J(x g)) and (J(x), J(g x)) are read
+    from the Cayley arrays at one x of each L-class and of each R-class
+    respectively, as L is a right and R a left congruence.
+    CrossCheckFailed when R is not a left or L not a right congruence, a
+    J-class is no egg-box or the J-order has a cycle, which no associative
+    table gives.
     """
     if sg._green is not None:
         return sg._green
     m, ids = sg.size, np.arange(sg.size)
-    rc, lc = sg.right_cayley, sg.left_cayley
-    (num_r, r_lab), (num_l, l_lab) = (
-        csgraph.connected_components(_graph(nbr), directed=True, connection="strong")
-        for nbr in (rc, lc))
+    # the Cayley graphs as g x m intp arrays: intp gathers run at twice int32's speed
+    rcT, lcT = (np.ascontiguousarray(nbr.T, dtype=np.intp)
+                for nbr in (sg.right_cayley, sg.left_cayley))
+    r_lab, one_r = _numbered(_strong_components(rcT))
+    on_r = r_lab.take(lcT.take(one_r, axis=1))  # R(g x) for one x of each R-class
+    if not np.array_equal(r_lab.take(lcT), on_r.take(r_lab, axis=1)):
+        raise CrossCheckFailed("R is not a left congruence")
+    lead = one_r.take(_strong_components(on_r)).take(r_lab)  # least id of each id's J-class
+    l_lab, one_l = _numbered(_least_reached(np.where(lead.take(lcT) == lead, lcT, ids)))
+    on_l = l_lab.take(rcT.take(one_l, axis=1))  # L(x g) for one x of each L-class
+    if not np.array_equal(l_lab.take(rcT), on_l.take(l_lab, axis=1)):
+        raise CrossCheckFailed("L is not a right congruence")
 
-    # H-classes numbered by first appearance of their (R, L) pair
-    pairs, pair_h = np.unique(r_lab.astype(np.int64) * num_l + l_lab, return_inverse=True)
-    num_h = len(pairs)
-    first = np.full(num_h, m)
-    np.minimum.at(first, pair_h, ids)
-    h_lab = np.argsort(np.argsort(first))[pair_h]  # each pair's rank by first id
-
-    least_r = np.full(num_r, m)
-    np.minimum.at(least_r, r_lab, ids)
-    least_d = np.full(num_l, m)
-    np.minimum.at(least_d, l_lab, least_r[r_lab])
-    lead = least_d[l_lab]  # the least id of each id's J-class
     top = lead == ids
     tops = np.flatnonzero(top)
     num_j, cls = len(tops), (np.cumsum(top) - 1)[lead]
-    one_l = np.empty(num_l, dtype=np.int64)  # some member of each L-class
-    one_l[l_lab] = ids
+    # H-classes: cell (R, L) of their J-class's box, numbered by least member
+    (r_at, num_rs), (l_at, num_ls) = (_box_ranks(cls[one], num_j) for one in (one_r, one_l))
+    box = num_rs * num_ls
+    num_h = int(box.sum())
+    cell = (np.cumsum(box) - box)[cls] + r_at[r_lab] * num_ls[cls] + l_at[l_lab]
+    size = np.bincount(cell, minlength=min(num_h, m + 1))  # a box of over m cells has an empty one
+    if num_h > m or (size != np.repeat(size[cell[tops]], box)).any():
+        raise CrossCheckFailed("a J-class's R- and L-classes meet in H-classes "
+                               "of unequal size or none")
+    least_h = np.full(num_h, m)
+    np.minimum.at(least_h, cell, ids)
+    h_lab = _numbered(least_h[cell])[0]
+
     edges = []
-    for xs, nbr in ((one_l, rc), (least_r, lc)):
-        src, dst = cls[xs, None], cls[nbr[xs]]
+    for xs, nbT in ((one_l, rcT), (one_r, lcT)):
+        src, dst = cls[xs], cls.take(nbT.take(xs, axis=1))
         edges.append((src * num_j + dst)[src != dst])
     codes = np.unique(np.concatenate(edges))
     upper, lower = codes // num_j, codes % num_j
@@ -620,11 +695,10 @@ def green(sg):
     first_e = np.full(num_j, m)  # each class's first idempotent, m for none
     np.minimum.at(first_e, j_lab[idem], idem)
     regular = first_e < m
-    subgroup = np.where(regular, np.bincount(h_lab, minlength=num_h)[
-        h_lab[np.minimum(first_e, m - 1)]], 0)
+    subgroup = np.where(regular, size[cell[np.minimum(first_e, m - 1)]], 0)
     sg._green = GreenData(
-        r=r_lab, l=l_lab, j=j_lab, h=h_lab,
-        num_r=num_r, num_l=num_l, num_j=num_j, num_h=num_h,
+        r=r_lab.astype(np.int32), l=l_lab.astype(np.int32), j=j_lab, h=h_lab,
+        num_r=len(one_r), num_l=len(one_l), num_j=num_j, num_h=num_h,
         j_members=tuple(tuple(by_j[a:b]) for a, b in zip([0] + ends, ends)),
         j_regular=tuple(regular.tolist()),
         j_subgroup_order=tuple(subgroup.tolist()),
@@ -814,15 +888,22 @@ def is_inverse(sg):
                 and (np.bincount(g.l[idem], minlength=g.num_l) == 1).all())
 
 
+def _down_sets(sg, bs):
+    """Row i: the mask of S^1 bs[i], one frontier search of the left Cayley
+    graph from bs[i]."""
+    lcT = np.ascontiguousarray(sg.left_cayley.T, dtype=np.intp)
+    below = np.zeros((len(bs), sg.size), dtype=bool)
+    for row, b in zip(below, bs):
+        row[b] = True
+        _reach(lcT, row)
+    return below
+
+
 def l_leq(sg, a, b):
     """Left-order: a <=_L b iff a lies in S^1 b (reachability in the left
     graph); BadIndex for an id outside 0..size-1."""
     a, b = _checked_ids(sg, [a, b]).tolist()
-    if a == b:
-        return True
-    reach = csgraph.breadth_first_order(_graph(sg.left_cayley), b,
-                                        return_predecessors=False)
-    return bool((reach == a).any())
+    return bool(_down_sets(sg, [b])[0, a])
 
 
 def t1_chain(sg):
@@ -840,10 +921,7 @@ def t1_chain(sg):
     pool = list(dict.fromkeys(sg.generators))
     if sg.identity_id is not None and sg.identity_id not in pool:
         pool.append(sg.identity_id)
-    left = _graph(sg.left_cayley)
-    below = np.zeros((len(pool), sg.size), dtype=bool)
-    for row, b in zip(below, pool):
-        row[csgraph.breadth_first_order(left, b, return_predecessors=False)] = True
+    below = _down_sets(sg, pool)
     at = below[:, pool]  # at[j, i]: pool[i] <=_L pool[j]
     if not (at | at.T).all():
         return None

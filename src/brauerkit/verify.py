@@ -466,13 +466,32 @@ def _kernel_a4(n):
 
 
 def _is_relational_morphism(pairs, left_mul, right_mul):
-    """Check graph closure: (s,t),(s',t') in R implies (ss', tt') in R."""
-    pair_set = set(pairs)
-    for s, t in pairs:
-        for s2, t2 in pairs:
-            if (left_mul(s, s2), right_mul(t, t2)) not in pair_set:
-                return False
-    return True
+    """Check graph closure: (s,t),(s',t') in R implies (ss', tt') in R.
+
+    pairs is a k x 2 integer array; left_mul and right_mul multiply arrays
+    that broadcast, so all k^2 products of each side are one batched call,
+    and each product pair is looked up among the relation's by its code
+    s * width + (t - low)."""
+    s, t = np.asarray(pairs, dtype=np.int64).T
+    ss, tt = left_mul(s[:, None], s), right_mul(t[:, None], t)
+    low = min(t.min(), tt.min())
+    width = max(t.max(), tt.max()) - low + 1
+    return bool(np.isin(ss * width + (tt - low), s * width + (t - low)).all())
+
+
+def _parity_relations(sg):
+    """The two relations of verify_parity_morphism_a4 on the closure sg of
+    A:4, as k x 2 arrays: tau1 relates each unit to itself and each
+    non-unit to every unit; tau2 relates each element of rank >= 2 to its
+    parity sign and each rank-0 element to both signs."""
+    unit_ids = units(sg)
+    tau1 = [(u, u) for u in unit_ids]
+    tau1 += [(x, u) for x in singular_part(sg) for u in unit_ids]
+    # a MIXED element, which A:4 cannot hold, fails the lookup
+    signs = {Parity.EVEN: (1,), Parity.ODD: (-1,), Parity.RANK_ZERO: (-1, 1)}
+    tau2 = [(x, s) for x, code in enumerate(parities(sg.labels).tolist())
+            for s in signs[PARITY_OF_CODE[code]]]
+    return np.array(tau1), np.array(tau2)
 
 
 def verify_parity_morphism_a4():
@@ -480,42 +499,25 @@ def verify_parity_morphism_a4():
 
     The first relates every non-unit to all units and each unit to itself;
     the second sends rank >= 2 elements to their parity sign and rank-0
-    elements to both signs.  Both must be relational morphisms, and the
-    joint preimage of (identity, +1) must equal the kernel, which is the
-    singular even part plus the identity.
+    elements to both signs (_parity_relations).  Both must be relational
+    morphisms, and the joint preimage of (identity, +1) must equal the
+    kernel, which is the singular even part plus the identity.
     """
-    inst = construct("A", 4)
-    sg = as_closure(inst)
-    unit_ids = set(units(sg))
-    singular = set(singular_part(sg))
-
-    tau1 = [(u, u) for u in unit_ids]
-    tau1 += [(x, u) for x in singular for u in unit_ids]
-
-    # a MIXED element, which A:4 cannot hold, fails the lookup
-    signs = {Parity.EVEN: (1,), Parity.ODD: (-1,), Parity.RANK_ZERO: (-1, 1)}
-    tau2 = [(x, s) for x, code in enumerate(parities(sg.labels).tolist())
-            for s in signs[PARITY_OF_CODE[code]]]
-
-    def mul(a, b):
-        return int(sg.multiply(a, b))
-
-    ok1 = _is_relational_morphism(tau1, mul, mul)
-    ok2 = _is_relational_morphism(tau2, mul, lambda a, b: a * b)
-    if not (ok1 and ok2):
+    sg = as_closure(construct("A", 4))
+    tau1, tau2 = _parity_relations(sg)
+    if not (_is_relational_morphism(tau1, sg.multiply, sg.multiply)
+            and _is_relational_morphism(tau2, sg.multiply, np.multiply)):
         return False
     # total domain
-    if {s for s, _ in tau1} != set(range(sg.size)):
-        return False
-    if {s for s, _ in tau2} != set(range(sg.size)):
+    if not all(set(tau[:, 0].tolist()) == set(range(sg.size)) for tau in (tau1, tau2)):
         return False
 
-    t1 = {s for s, t in tau1 if t == sg.identity_id}
-    t2 = {s for s, t in tau2 if t == 1}
+    t1 = set(tau1[tau1[:, 1] == sg.identity_id, 0].tolist())
+    t2 = set(tau2[tau2[:, 1] == 1, 0].tolist())
     preimage = t1 & t2
 
     even = even_or_rank_zero(sg.labels)
-    even_singular = {i for i in singular if even[i]}
+    even_singular = {i for i in singular_part(sg) if even[i]}
     expected = even_singular | {sg.identity_id}
     if preimage != expected:
         return False

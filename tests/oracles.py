@@ -30,11 +30,16 @@ and the block-by-block star, row turns and end-cap padding that the
 label-array transforms stars, turned and pads replaced (oracle_star,
 oracle_turned, oracle_pad),
 and oracle_green keeps the per-element loops over Green's SCC labels that
-engine.green replaced with numpy, and the strong components of the summed
-Cayley graphs, built through COO, that it replaced with J = R v L read
-from the R- and L-classes.  oracle_period_one keeps the period test
-by repeated squaring, one batched product per squaring, that
-engine.period_one replaced with the gathers of its squaring map.
+engine.green replaced with numpy, and scipy's strong components of the
+right, left and summed Cayley graphs, built through COO, that it replaced
+with one numpy strong-component pass over the right Cayley graph, the
+R-class quotient for J and stability for L.  oracle_strong_components and
+oracle_l_leq keep scipy's strong components and breadth-first search,
+which engine._strong_components and the frontier searches of l_leq and
+t1_chain replaced; scipy is a test dependency only.  oracle_period_one
+keeps the period test by repeated squaring, one batched product per
+squaring, that engine.period_one replaced with the gathers of its
+squaring map.
 oracle_green_all_generators keeps the analysis of a product table with
 every element as a generator, which table-backed closures replaced with
 a small generating set found from the table.  oracle_dense_kernel keeps
@@ -69,7 +74,7 @@ from brauerkit import (
     green,
     identity,
 )
-from brauerkit.engine import GreenData, SemigroupClosure, l_leq
+from brauerkit.engine import GreenData, SemigroupClosure
 from brauerkit.errors import BadDegree, BudgetExceeded
 
 
@@ -734,12 +739,12 @@ def oracle_iso(a_elems, b_elems, mapping):
 
 def oracle_t1_chain(sg):
     """The generator pool (with the identity) sorted in the left order by
-    l_leq on every ordered pair and a comparison sort, or None when two
-    pool elements are incomparable."""
+    oracle_l_leq on every ordered pair and a comparison sort, or None when
+    two pool elements are incomparable."""
     pool = list(dict.fromkeys(sg.generators))
     if sg.identity_id is not None and sg.identity_id not in pool:
         pool.append(sg.identity_id)
-    rel = {(a, b): l_leq(sg, a, b) for a in pool for b in pool}
+    rel = {(a, b): oracle_l_leq(sg, a, b) for a in pool for b in pool}
     if any(not rel[a, b] and not rel[b, a] for a in pool for b in pool):
         return None
     return sorted(pool, key=functools.cmp_to_key(
@@ -869,13 +874,44 @@ def _cayley_matrices(sg):
                  for cayley in (sg.right_cayley, sg.left_cayley))
 
 
+def _by_least_member(lab):
+    """Class labels renumbered 0, 1, ... in the order of each class's least
+    member, as int32, by one loop over the ids."""
+    number = {}
+    return np.array([number.setdefault(c, len(number)) for c in lab.tolist()],
+                    dtype=np.int32)
+
+
+def oracle_strong_components(nbr):
+    """The least member of each id's strong component in the graph with an
+    edge from x to each id of row x of the m x g array nbr, from scipy's
+    strong components of its COO-summed matrix."""
+    m, g = np.shape(nbr)
+    graph = sparse.csr_matrix((np.ones(m * g, dtype=np.int8),
+                               (np.repeat(np.arange(m), g), np.ravel(nbr))), shape=(m, m))
+    _, lab = csgraph.connected_components(graph, directed=True, connection="strong")
+    least = {}
+    for x, c in enumerate(lab.tolist()):
+        least.setdefault(c, x)
+    return np.array([least[c] for c in lab.tolist()])
+
+
+def oracle_l_leq(sg, a, b):
+    """a <=_L b: a is in scipy's breadth-first order of the left Cayley
+    graph from b."""
+    _, left = _cayley_matrices(sg)
+    return a in csgraph.breadth_first_order(left, b, return_predecessors=False).tolist()
+
+
 def oracle_green(sg):
     """GreenData of sg from the strong components of its right, left and
-    summed Cayley graphs, by loops over the elements."""
+    summed Cayley graphs, by loops over the elements; R- and L-classes
+    numbered by least member, as green numbers them."""
     m = sg.size
     right, left = _cayley_matrices(sg)
     num_r, r_lab = csgraph.connected_components(right, directed=True, connection="strong")
     num_l, l_lab = csgraph.connected_components(left, directed=True, connection="strong")
+    r_lab, l_lab = _by_least_member(r_lab), _by_least_member(l_lab)
     both = right + left
     num_j, j_lab = csgraph.connected_components(both, directed=True, connection="strong")
 

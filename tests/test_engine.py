@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauerkit import (
     InstanceRef,
@@ -80,12 +80,14 @@ from oracles import (
     oracle_is_inverse,
     oracle_iso,
     oracle_kernel,
+    oracle_l_leq,
     oracle_left_cayley,
     oracle_local_elements,
     oracle_period_one,
     oracle_principal_ideal,
     oracle_rees_table,
     oracle_span,
+    oracle_strong_components,
     oracle_t1_chain,
     oracle_table,
 )
@@ -632,31 +634,79 @@ def test_j_order_points_to_lower_numbers_on_ledger_instances(derived_standard_le
 
 
 def test_green_rejects_a_j_order_with_a_cycle():
-    # only a table that is not associative gives R v L classes a cycle
+    # a table that is not associative: the strong components of R and L
+    # joined as R v L gave J-classes {0, 2} and {1} on a cycle; read through
+    # the R-class quotient it is one J-class whose H-classes {0} and {1, 2}
+    # differ in size, which Green's lemma forbids
     table = [[2, 0, 0], [2, 0, 0], [1, 2, 1]]
     sg = SemigroupClosure.from_table(table)
     assert oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES) is not None
-    with pytest.raises(CrossCheckFailed, match="J-order has a cycle"):
+    with pytest.raises(CrossCheckFailed, match="H-classes of unequal size"):
         green(sg)
 
 
+def _associative(table):
+    table = np.asarray(table)
+    return bool((table[table] == table[:, table]).all())
+
+
+@pytest.mark.parametrize("table, what", [
+    ([[1, 2, 0], [2, 2, 0], [1, 2, 1]], "R is not a left congruence"),
+    ([[3, 2, 3, 2], [2, 1, 3, 0], [2, 2, 3, 2], [1, 1, 1, 1]], "L is not a right congruence"),
+    ([[2, 2, 1, 1], [0, 0, 0, 0], [3, 2, 3, 2], [2, 3, 2, 2]], "H-classes of unequal size"),
+    ([[2, 1, 1], [2, 1, 1], [2, 2, 0]], "J-order has a cycle"),
+])
+def test_green_rejects_each_failure_of_a_non_associative_table(table, what):
+    assert not _associative(table)
+    with pytest.raises(CrossCheckFailed, match=what):
+        green(SemigroupClosure.from_table(table))
+
+
 def test_green_takes_two_strong_component_passes_and_keeps_no_matrix(monkeypatch):
+    # one over the right Cayley graph, one over the R-class quotient
     calls = []
-    strong = engine.csgraph.connected_components
+    strong = engine._strong_components
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["connection"])
-        return strong(*args, **kwargs)
+    def counted(nbT):
+        calls.append(nbT.shape)
+        return strong(nbT)
 
-    monkeypatch.setattr(engine.csgraph, "connected_components", counted)
+    monkeypatch.setattr(engine, "_strong_components", counted)
     sg = closure(construct("B", 4).generators, include_identity=True)
-    green(sg)
-    assert calls == ["strong", "strong"]
+    g = green(sg)
+    assert calls == [(len(sg.generators), sg.size), (len(sg.generators), g.num_r)]
     green(sg)
     assert len(calls) == 2
     assert t1_chain(sg) == oracle_t1_chain(sg)
     assert l_leq(sg, id_of(sg, contraction(4, 1, 2)), sg.identity_id)
     assert not any(sparse.issparse(v) for v in vars(sg).values())
+
+
+@st.composite
+def _functional_graphs(draw):
+    """An m x g array of ids, row x the ends of x's edges: g maps of m
+    points, each random, the identity (self-loops) or a repeat of an
+    earlier one (x g = x h)."""
+    m, maps = draw(st.integers(1, 40)), []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "identity", "repeat"]))
+        if kind == "identity":
+            maps.append(list(range(m)))
+        elif kind == "repeat" and maps:
+            maps.append(draw(st.sampled_from(maps)))
+        else:
+            maps.append(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+    return np.array(maps, dtype=np.intp).reshape(-1, m).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_functional_graphs())
+@example(np.zeros((1, 0), dtype=np.intp))  # m = 1, g = 0
+@example(np.zeros((5, 0), dtype=np.intp))
+@example(np.zeros((1, 2), dtype=np.intp))  # one id, two self-loops
+def test_strong_components_match_scipys_partition(nbr):
+    least = engine._strong_components(np.ascontiguousarray(nbr.T, dtype=np.intp))
+    assert least.tolist() == oracle_strong_components(nbr).tolist()
 
 
 def test_closure_never_decodes_blocks():
@@ -889,18 +939,6 @@ def test_principal_ideal_reads_the_j_order_as_the_search_did(derived_standard_le
             assert principal_ideal(sg, e_id) == oracle_principal_ideal(sg, e_id), (ref, e_id)
 
 
-def test_graph_rows_are_sorted_and_take_each_id_once():
-    # scipy's strong connected_components needs CSR without repeated indices
-    sg = closure(construct("B", 3).generators, include_identity=True)
-    for cayley in (sg.right_cayley, sg.left_cayley):
-        rows = cayley.tolist()
-        assert any(len(set(row)) < len(row) for row in rows)
-        graph = engine._graph(cayley)
-        assert graph.format == "csr" and graph.has_canonical_format
-        assert [graph.indices[graph.indptr[x]:graph.indptr[x + 1]].tolist()
-                for x in range(sg.size)] == [sorted(set(row)) for row in rows]
-
-
 def _b3_table(moved=None):
     """The product table of a fresh B:3 closure, with entry moved = (i, j)
     changed to the next id."""
@@ -1001,6 +1039,20 @@ def test_l_leq_rejects_ids_outside_the_closure(a, b):
     assert sg.size == 15
     with pytest.raises(BadIndex):
         l_leq(sg, a, b)
+
+
+def test_l_leq_matches_the_scipy_search():
+    sg = closure(construct("B", 3).generators, include_identity=True)
+    pairs = [(sg, a, b) for a in range(sg.size) for b in range(sg.size)]
+    rng = random.Random(0)
+    for seed in range(20):
+        sg = SemigroupClosure.from_table(_transformation_table(seed))
+        for _ in range(10):  # a pair, and a left multiple of its second id
+            a, b = rng.randrange(sg.size), rng.randrange(sg.size)
+            pairs += [(sg, a, b), (sg, int(sg.multiply(a, b)), b)]
+    got = [l_leq(*pair) for pair in pairs]
+    assert got == [oracle_l_leq(*pair) for pair in pairs]
+    assert 0 < got.count(True) < len(got)
 
 
 def test_t1_chain_negative_on_jones_3():

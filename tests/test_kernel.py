@@ -37,6 +37,7 @@ from oracles import (
 
 
 kernel_module = importlib.import_module("brauerkit.kernel")
+verify_module = importlib.import_module("brauerkit.verify")
 
 
 def _sg(family, n):
@@ -289,3 +290,32 @@ def test_kernel_contains_idempotents_and_units_meet():
 
 def test_parity_morphism_witnesses_the_kernel():
     assert verify_parity_morphism_a4()
+
+
+def _pairwise_closed(pairs, left_mul, right_mul):
+    """The closure test one pair of pairs at a time."""
+    rel = {tuple(p) for p in np.asarray(pairs).tolist()}
+    return all((int(left_mul(s, s2)), int(right_mul(t, t2))) in rel
+               for s, t in rel for s2, t2 in rel)
+
+
+def _flipped(tau, i):
+    tau = tau.copy()
+    tau[i, 1] *= -1
+    return tau
+
+
+def test_parity_relations_are_morphisms_and_one_change_breaks_each():
+    sg = as_closure(construct("A", 4))
+    tau1, tau2 = verify_module._parity_relations(sg)
+    assert (len(tau1), len(tau2)) == (4 + 36 * 4, 40 + 4)  # 4 units, 4 of rank 0
+    one_sign = np.flatnonzero(np.bincount(tau2[:, 0])[tau2[:, 0]] == 1)
+    for tau, changed, left, right in (
+            (tau1, [np.delete(tau1, i, axis=0) for i in (0, 3, 4, 77, len(tau1) - 1)],
+             sg.multiply, sg.multiply),
+            (tau2, [_flipped(tau2, i) for i in one_sign[::7]], sg.multiply, np.multiply)):
+        assert verify_module._is_relational_morphism(tau, left, right)
+        assert _pairwise_closed(tau, left, right)
+        for bad in changed:
+            assert not verify_module._is_relational_morphism(bad, left, right)
+            assert not _pairwise_closed(bad, left, right)

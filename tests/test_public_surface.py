@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import brauerkit
@@ -37,6 +40,17 @@ PUBLIC = [
 
 def test_the_public_names_are_pinned():
     assert sorted(brauerkit.__all__) == PUBLIC
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests' oracles
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, brauerkit, brauerkit.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _package_reads(path):
