@@ -22,6 +22,8 @@ import sys
 import time
 from collections import Counter
 
+import numpy as np
+
 from . import __version__
 from .diagrams import encode, from_labels, identity, ranks
 from .engine import essential_depth, green, index_period, is_aperiodic, units
@@ -116,22 +118,22 @@ def cmd_count(args):
 def cmd_green(args):
     sg = as_closure(construct(args.family, args.n, budget=args.budget))
     data = green(sg)
-    rank_of = ranks(sg.labels)
+    j_ranks = np.unique(np.column_stack([data.j, ranks(sg.labels)]), axis=0)[::-1].tolist()
+    size = np.bincount(data.j, minlength=data.num_j).tolist()
+    r_count, l_count = (  # the J-class of each R- or L-class's least member, counted
+        np.bincount(data.j[np.unique(labels, return_index=True)[1]],
+                    minlength=data.num_j).tolist() for labels in (data.r, data.l))
     rows = []
-    for j in range(data.num_j):
-        members = data.j_members[j]
-        class_ranks = {int(rank_of[i]) for i in members}
-        r_count = len({int(data.r[i]) for i in members})
-        l_count = len({int(data.l[i]) for i in members})
+    for j, order in enumerate(data.j_subgroup_order.tolist()):
         rows.append({
             "j_class": j,
-            "rank": "/".join(str(r) for r in sorted(class_ranks, reverse=True)),
-            "size": len(members),
-            "r_classes": r_count,
-            "l_classes": l_count,
-            "subgroup": data.j_subgroup_order[j],
-            "regular": data.j_regular[j],
-            "essential": data.j_essential[j],
+            "rank": "/".join(str(r) for c, r in j_ranks if c == j),  # descending
+            "size": size[j],
+            "r_classes": r_count[j],
+            "l_classes": l_count[j],
+            "subgroup": order,
+            "regular": order > 0,
+            "essential": order > 1,
         })
     rows.sort(key=lambda r: (-int(r["rank"].split("/")[0]), r["j_class"]))
     _emit_rows(
@@ -267,7 +269,7 @@ def build_parser():
                       (ker, cmd_kernel)):
         sub.add_argument("--family", required=True, choices=FAMILY_IDS)
         sub.add_argument("--n", type=_at_least(1), required=True)
-        sub.add_argument("--budget", type=int, default=None)
+        sub.add_argument("--budget", type=_at_least(1), default=None)
         sub.add_argument("--format", choices=FORMATS, default="md")
         sub.set_defaults(func=func)
     gen.add_argument("--cache-dir", default=None)

@@ -79,14 +79,14 @@ def _register_pad(ledger, code, n, small_sg, fam_ref, big_sg):
 
 
 def _register_ideal(ledger, key, sg, ids):
-    """Ideal of a closure as sg restricted to its ids, in id order."""
-    ref = ledger.register("ideal", key, subsemigroup(sg, sorted(ids)))
+    """Ideal of a closure as sg restricted to its ids, ascending."""
+    ref = ledger.register("ideal", key, subsemigroup(sg, ids))
     ledger.assert_base_facts(ref)
     return ref
 
 
 def _register_quotient(ledger, key, sg, ids):
-    ref = ledger.register("quotient", key, rees_quotient(sg, sorted(ids)))
+    ref = ledger.register("quotient", key, rees_quotient(sg, ids))
     ledger.assert_base_facts(ref)
     return ref
 
@@ -109,7 +109,7 @@ def _ids(sg, ds):
     ids = sg.ids_of(label_array(ds, sg.degree))
     if (ids < 0).any():
         raise KeyError(ds[int((ids < 0).argmax())])
-    return ids.tolist()
+    return ids
 
 
 def _brauer_unit_gens(n):
@@ -123,7 +123,7 @@ def _apply_principal(ledger, n, fam_ref, sg, pad_ref, unit_gens, pool=None):
     None), their ids looked up at once."""
     e_id, *ids = _ids(sg, [adjacent_contraction(n, n - 1), *unit_gens, *(pool or ())])
     ledger.apply_principal_rule(
-        fam_ref, e_id, pad_ref, unit_gen_ids=sorted(set(ids[:len(unit_gens)])),
+        fam_ref, e_id, pad_ref, unit_gen_ids=ids[:len(unit_gens)],
         idempotent_pool_ids=None if pool is None else ids[len(unit_gens):],
     )
 

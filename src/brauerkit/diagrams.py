@@ -292,20 +292,21 @@ def sort_keys(labs):
 
 def restricted_growth(labs):
     """Mask over the rows of a label array: the row numbers its blocks by
-    first occurrence, from 0, as a diagram's label array does."""
+    first occurrence, from 0, as a diagram's label array does.  Each label
+    is tested on its own and the rows of the failing ones are cleared,
+    which is cheaper than a reduction along each short row."""
     labs = np.asarray(labs)
-    before = np.maximum.accumulate(labs, axis=1)[:, :-1]
-    return ((labs[:, 0] == 0) & (labs.min(axis=1) >= 0)
-            & (labs[:, 1:] <= before + 1).all(axis=1))
+    tail = labs[:, 1:]
+    bad = (tail > np.maximum.accumulate(labs, axis=1)[:, :-1] + 1) | (tail < 0)
+    rows = labs[:, 0] == 0
+    rows[np.flatnonzero(bad) // tail.shape[1]] = False
+    return rows
 
 
 def checked_growth(labs):
     """labs, a label array; BadIndex unless every row is a restricted growth
-    string, by one test over the whole array (restricted_growth tests each
-    row)."""
-    highest = np.maximum.accumulate(labs, axis=1)
-    if labs.size and (labs.min() < 0 or (labs[:, 0] != 0).any()
-                      or (labs[:, 1:] > highest[:, :-1] + 1).any()):
+    string (restricted_growth)."""
+    if not restricted_growth(labs).all():
         raise BadIndex("label row is not a restricted growth string")
     return labs
 

@@ -16,7 +16,12 @@ closure makes no per-element object.  Green's relations take numpy alone:
 R is the strong components of the right Cayley graph, J = D the strong
 components of the left action on the R-classes, L by stability the ids
 reached along left edges inside a J-class, and the J-order is read from
-the Cayley arrays.
+the Cayley arrays.  Every set of ids the engine hands out (generators,
+idempotent_ids, units, singular_part, generated_subsemigroup,
+idempotent_generated, principal_ideal, t1_chain, and extend_subsemigroup's
+seeds) is an integer ndarray without repeats, ascending but for a closure's
+generators, which are in letter order; an array the closure keeps is
+read-only, and any other is fresh.
 
 Once a closure is built, no analysis multiplies diagrams again.  A product
 x y is an integer operation (SemigroupClosure.multiply): a gather from the
@@ -110,7 +115,6 @@ class SemigroupClosure:
         self._walk = None
         self._green = None
         self._squares = None
-        self._idempotents = None
         self._element_set = None
 
     @classmethod
@@ -175,10 +179,11 @@ class SemigroupClosure:
 
     @property
     def generators(self):
-        """The generators' ids; for a table-backed closure, the generating
-        set _table_generators finds from its table when first read."""
+        """The generators' ids, read-only, in the order of the Cayley
+        columns; for a table-backed closure, the generating set
+        _table_generators finds from its table when first read."""
         if self._generators is None:
-            self._generators = _table_generators(self)
+            self._generators = _frozen(_table_generators(self))
         return self._generators
 
     @property
@@ -299,15 +304,18 @@ class SemigroupClosure:
         """sq[i] = i i for every id i, one batched product, kept."""
         if self._squares is None:
             ids = np.arange(self.size, dtype=np.int32)
-            self._squares = self.multiply(ids, ids)
-            self._squares.flags.writeable = False
+            self._squares = _frozen(self.multiply(ids, ids))
         return self._squares
 
     def idempotent_ids(self):
-        if self._idempotents is None:
-            self._idempotents = tuple(np.flatnonzero(
-                self.squares() == np.arange(self.size)).tolist())
-        return self._idempotents
+        """The ids i with i i = i, read off the squaring map."""
+        return np.flatnonzero(self.squares() == np.arange(self.size))
+
+
+def _frozen(array):
+    """array, made read-only: the arrays a closure keeps and hands out."""
+    array.flags.writeable = False
+    return array
 
 
 def closure(gens, *, include_identity=False, budget=None):
@@ -397,7 +405,8 @@ def closure(gens, *, include_identity=False, budget=None):
     one = diagrams.find_keys(keys, sort_keys(diagrams.labels(identity(degree))[None]))
     return SemigroupClosure(
         degree, labels, int(ids[one[0]]) if one[0] >= 0 else None,
-        gen_ids=gen_ids.tolist(), right_cayley=rc, left_cayley=lc, keys=(keys, ids),
+        gen_ids=_frozen(gen_ids.astype(np.int64)), right_cayley=rc, left_cayley=lc,
+        keys=(keys, ids),
         parent=np.concatenate(parent), letter=np.concatenate(letter),
         depth=np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
 
@@ -480,16 +489,16 @@ def subsemigroup(sg, ids):
 
 def extend_subsemigroup(sg, member, gens, new):
     """Grow member, the mask of the subsemigroup gens generates, in place to
-    the one gens and new generate, and return its seeds: gens, then the ids
-    of new outside member, ascending.  Old members are multiplied on the
-    right by the new seeds and each element that joins by every seed, so
-    each (element, seed) product is taken once, at most |result| x |seeds|
-    in batches of at most _PAIR_BATCH.  Raises BadIndex for an id outside
+    the one gens and new generate, and return its seeds: gens and the ids
+    of new outside member, as one ascending array.  Old members are
+    multiplied on the right by the new seeds and each element that joins
+    by every seed, so each (element, seed) product is taken once, at most
+    |result| x |seeds| in batches of at most _PAIR_BATCH.  Raises BadIndex for an id outside
     0..size-1.
     """
     new = np.unique(_checked_ids(sg, new))
     new = new[~member[new]]
-    seeds = np.concatenate([np.asarray(gens, dtype=np.int64), new])
+    seeds = np.union1d(np.asarray(gens, dtype=np.int64), new)
 
     def joined(xs, ys):
         """The products xs ys outside member, marked in it."""
@@ -506,7 +515,7 @@ def extend_subsemigroup(sg, member, gens, new):
     frontier = np.concatenate([new, joined(old, new)])
     while frontier.size:
         frontier = joined(frontier, seeds)
-    return seeds.tolist()
+    return seeds
 
 
 def _table_generators(sg):
@@ -514,7 +523,7 @@ def _table_generators(sg):
     in order, each one the earlier picks do not generate is the next pick,
     and extends their subsemigroup, at most m x |picks| gathers in all."""
     member = np.zeros(sg.size, dtype=bool)
-    gens = []
+    gens = np.empty(0, dtype=np.int64)
     for i in range(sg.size):
         if not member[i]:
             gens = extend_subsemigroup(sg, member, gens, [i])
@@ -527,10 +536,15 @@ def _table_generators(sg):
 
 @dataclass(frozen=True)
 class GreenData:
-    """Green's relations: R-, L- and H-classes numbered by least member (r
-    and l int32), and J-classes sinks first, by height (the longest J-order
-    path down to a minimal class), then by least member: so lower < upper
-    for every (upper, lower) pair of j_order."""
+    """Green's relations as read-only arrays: each id's R-, L-, J- and
+    H-class.  R-, L- and H-classes are numbered by least member (r and l
+    int32), and J-classes sinks first, by height (the longest J-order path
+    down to a minimal class), then by least member.  j_subgroup_order[c] is
+    the order of the maximal subgroups in J-class c, 0 when c holds no
+    idempotent: c is regular when it is positive and essential when it is
+    over 1.  j_order is a k x 2 array of the ascending rows (upper, lower),
+    one per J-order edge read from the Cayley arrays (its transitive
+    closure not taken), so lower < upper in every row."""
 
     r: np.ndarray
     l: np.ndarray
@@ -540,11 +554,8 @@ class GreenData:
     num_l: int
     num_j: int
     num_h: int
-    j_members: tuple
-    j_regular: tuple
-    j_subgroup_order: tuple
-    j_essential: tuple
-    j_order: frozenset  # (upper class, lower class) pairs, transitive closure not taken
+    j_subgroup_order: np.ndarray
+    j_order: np.ndarray
 
 
 def _least_reached(nbT):
@@ -677,35 +688,40 @@ def green(sg):
         edges.append((src * num_j + dst)[src != dst])
     codes = np.unique(np.concatenate(edges))
     upper, lower = codes // num_j, codes % num_j
-    height = np.zeros(num_j, dtype=np.int64)
-    for _ in range(num_j):  # a path down has at most num_j - 1 edges
-        taller = height.copy()
-        np.maximum.at(taller, upper, height[lower] + 1)
-        if (taller == height).all():
-            break
-        height = taller
-    else:
-        raise CrossCheckFailed("J-order has a cycle")
+    height = _longest_paths(upper, lower, np.ones(num_j, dtype=np.int64))
     number = np.argsort(np.lexsort((tops, height)))  # each class's rank
     j_lab = number[cls].astype(np.int32)
+    codes = np.unique(number[upper] * num_j + number[lower])  # j_order's rows, ascending
 
-    by_j = np.argsort(j_lab, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(j_lab, minlength=num_j)).tolist()
-    idem = np.asarray(sg.idempotent_ids(), dtype=np.int64)
+    idem = sg.idempotent_ids()
     first_e = np.full(num_j, m)  # each class's first idempotent, m for none
     np.minimum.at(first_e, j_lab[idem], idem)
-    regular = first_e < m
-    subgroup = np.where(regular, size[cell[np.minimum(first_e, m - 1)]], 0)
+    subgroup = np.where(first_e < m, size[cell[np.minimum(first_e, m - 1)]], 0)
     sg._green = GreenData(
-        r=r_lab.astype(np.int32), l=l_lab.astype(np.int32), j=j_lab, h=h_lab,
+        r=_frozen(r_lab.astype(np.int32)), l=_frozen(l_lab.astype(np.int32)),
+        j=_frozen(j_lab), h=_frozen(h_lab),
         num_r=len(one_r), num_l=len(one_l), num_j=num_j, num_h=num_h,
-        j_members=tuple(tuple(by_j[a:b]) for a, b in zip([0] + ends, ends)),
-        j_regular=tuple(regular.tolist()),
-        j_subgroup_order=tuple(subgroup.tolist()),
-        j_essential=tuple((subgroup > 1).tolist()),
-        j_order=frozenset(zip(number[upper].tolist(), number[lower].tolist())),
+        j_subgroup_order=_frozen(subgroup),
+        j_order=_frozen(np.stack([codes // num_j, codes % num_j], axis=1)),
     )
     return sg._green
+
+
+def _longest_paths(upper, lower, weight):
+    """The most weight on a path down from each class along the J-order
+    edges (upper, lower), its own weight included: weight[c] plus the most
+    of the classes just below c, by relaxing every edge at once until
+    nothing grows.  CrossCheckFailed when it still grows after as many
+    rounds as there are classes, which only a cycle of positive weight
+    allows."""
+    most = weight
+    for _ in range(len(weight) + 1):  # a path has at most len(weight) - 1 edges
+        grown = weight.copy()
+        np.maximum.at(grown, upper, most[lower] + weight[upper])
+        if np.array_equal(grown, most):
+            return most
+        most = grown
+    raise CrossCheckFailed("J-order has a cycle")
 
 
 def index_period(sg, i):
@@ -754,40 +770,36 @@ def period_one(sg, ids):
 
 
 def essential_depth(sg):
-    """Longest chain of essential J-classes in the J-order, taking the
-    classes sinks first as green numbers them; CrossCheckFailed when an
-    edge of j_order does not point to a lower number."""
+    """Most essential J-classes on a chain of the J-order (_longest_paths,
+    weighing each essential class 1); CrossCheckFailed when an edge of
+    j_order does not point to a lower number, as green numbers classes
+    sinks first."""
     g = green(sg)
-    below = [[] for _ in range(g.num_j)]
-    for upper, lower in g.j_order:
-        if lower >= upper:
-            raise CrossCheckFailed("J-order is not numbered sinks first")
-        below[upper].append(lower)
-    depth = []
-    for c in range(g.num_j):
-        depth.append(max((depth[d] for d in below[c]), default=0) + g.j_essential[c])
-    return max(depth, default=0)
+    if (g.j_order[:, 1] >= g.j_order[:, 0]).any():
+        raise CrossCheckFailed("J-order is not numbered sinks first")
+    essential = (g.j_subgroup_order > 1).astype(np.int64)
+    return int(_longest_paths(*g.j_order.T, essential).max(initial=0))
 
 
 def units(sg):
-    """Ids of the group of units (H-class of the identity element), ascending."""
+    """Ids of the group of units (H-class of the identity element)."""
     if sg.identity_id is None:
         raise NotAMonoid("semigroup has no identity element")
     g = green(sg)
-    return np.flatnonzero(g.h == g.h[sg.identity_id]).tolist()
+    return np.flatnonzero(g.h == g.h[sg.identity_id])
 
 
 def singular_part(sg):
-    us = set(units(sg))
-    return [i for i in range(sg.size) if i not in us]
+    """Ids of the elements outside the group of units."""
+    return np.setdiff1d(np.arange(sg.size), units(sg))
 
 
 def generated_subsemigroup(sg, seed_ids):
-    """Ids of the subsemigroup seed_ids generate in sg, ascending, extended
-    from the empty set; BadIndex for an id outside 0..size-1."""
+    """Ids of the subsemigroup seed_ids generate in sg, extended from the
+    empty set; BadIndex for an id outside 0..size-1."""
     member = np.zeros(sg.size, dtype=bool)
     extend_subsemigroup(sg, member, [], seed_ids)
-    return np.flatnonzero(member).tolist()
+    return np.flatnonzero(member)
 
 
 def idempotent_generated(sg):
@@ -796,15 +808,15 @@ def idempotent_generated(sg):
 
 
 def principal_ideal(sg, e_id):
-    """Ids of S^1 e S^1, ascending: the J-classes at or below J(e) in the
-    cached J-order (green); BadIndex for an id outside 0..size-1."""
+    """Ids of S^1 e S^1: the J-classes at or below J(e) in the cached
+    J-order (green); BadIndex for an id outside 0..size-1."""
     e_id = int(_checked_ids(sg, e_id))
     g = green(sg)
-    upper, lower = np.array(list(g.j_order), dtype=np.int64).reshape(-1, 2).T
+    upper, lower = g.j_order.T
     below = np.arange(g.num_j) == g.j[e_id]
     while not below[lower[below[upper]]].all():
         below[lower[below[upper]]] = True
-    return np.flatnonzero(below[g.j]).tolist()
+    return np.flatnonzero(below[g.j])
 
 
 def local_monoid(sg, e_id):
@@ -883,7 +895,7 @@ def is_inverse(sg):
     the Green data.
     """
     g = green(sg)
-    idem = np.asarray(sg.idempotent_ids(), dtype=np.int64)
+    idem = sg.idempotent_ids()
     return bool((np.bincount(g.r[idem], minlength=g.num_r) == 1).all()
                 and (np.bincount(g.l[idem], minlength=g.num_l) == 1).all())
 
@@ -909,23 +921,23 @@ def l_leq(sg, a, b):
 def t1_chain(sg):
     """Witness that the generating set is totally preordered by <=_L.
 
-    Returns generator ids sorted ascending in the left order, or None when
-    some pair is incomparable.  Only the closure's own generator pool is
-    searched (for a table-backed closure, the generating set found from
-    its table); this is a semi-decision, not a classifier.
+    Returns an array of generator ids sorted ascending in the left order,
+    or None when some pair is incomparable.  Only the closure's own
+    generator pool is searched (for a table-backed closure, the generating
+    set found from its table); this is a semi-decision, not a classifier.
 
     Each pool element's down-set S^1 b is one breadth-first search of the
     left Cayley graph.  In a total preorder a <_L b makes S^1 a a proper
     subset of S^1 b, so a stable sort by down-set size is the left order.
     """
-    pool = list(dict.fromkeys(sg.generators))
+    pool = sg.generators
     if sg.identity_id is not None and sg.identity_id not in pool:
-        pool.append(sg.identity_id)
+        pool = np.append(pool, sg.identity_id)
     below = _down_sets(sg, pool)
     at = below[:, pool]  # at[j, i]: pool[i] <=_L pool[j]
     if not (at | at.T).all():
         return None
-    return [pool[i] for i in np.argsort(below.sum(axis=1), kind="stable")]
+    return pool[np.argsort(below.sum(axis=1), kind="stable")]
 
 
 def pad_embedding(a, target_n):

@@ -44,7 +44,7 @@ from .errors import BudgetExceeded, KernelFixpointError
 
 @dataclass(frozen=True)
 class KernelResult:
-    kernel_ids: tuple
+    kernel_ids: np.ndarray  # ascending and read-only
     iterations: int
     is_aperiodic: bool
     witness: int | None  # id of a period >= 2 kernel element, when present
@@ -100,7 +100,7 @@ def _outside_conjugates(table, tableT, member, ks):
 
 def _check_fixpoint(sg, table, tableT, kids):
     """Raise KernelFixpointError unless kids is closed under both operations."""
-    if generated_subsemigroup(sg, kids) != list(kids):
+    if not np.array_equal(generated_subsemigroup(sg, kids), kids):
         raise KernelFixpointError("the kernel is not closed under products")
     member = np.zeros(len(table), dtype=bool)
     member[kids] = True
@@ -116,13 +116,15 @@ def kernel(sg):
     swept before over the pairs that can leave the set, and the first round
     that adds nothing beyond those conjugates is the last.  The fixpoint is
     checked again from scratch: KernelFixpointError unless it is closed
-    under products and a sweep of all of it adds nothing.  Raises
-    BudgetExceeded when sg's product table is over TABLE_CELL_LIMIT.
+    under products and a sweep of all of it adds nothing.  kernel_ids is
+    the kernel's ids as an ascending read-only array, and witness the
+    first of them whose period is over 1, or None.  Raises BudgetExceeded
+    when sg's product table is over TABLE_CELL_LIMIT.
     """
     table = _table(sg)
     tableT = np.ascontiguousarray(table.T)
     member = np.zeros(sg.size, dtype=bool)
-    gens, new = [], np.asarray(sg.idempotent_ids())
+    gens, new = [], sg.idempotent_ids()
     iterations = 0
     while True:
         iterations += 1
@@ -133,13 +135,14 @@ def kernel(sg):
         if int(member.sum()) + len(new) == before:
             break
 
-    kids = [int(i) for i in np.flatnonzero(member)]
+    kids = np.flatnonzero(member)
     _check_fixpoint(sg, table, tableT, kids)
+    kids.flags.writeable = False
 
     periodic = np.flatnonzero(~period_one(sg, kids))
     return KernelResult(
-        kernel_ids=tuple(kids),
+        kernel_ids=kids,
         iterations=iterations,
         is_aperiodic=not periodic.size,
-        witness=kids[periodic[0]] if periodic.size else None,
+        witness=int(kids[periodic[0]]) if periodic.size else None,
     )

@@ -287,7 +287,7 @@ class Ledger:
         ids = s.ids_of(ideal.labels)
         if (ids < 0).any():
             raise KeyError(f"{ideal_ref} has elements outside {s_ref}")
-        ids = sorted(ids.tolist())
+        ids = np.sort(ids)
 
         def two_sided():
             return (is_ideal(s, ids),
@@ -337,9 +337,9 @@ class Ledger:
                              unit_gen_ids=None, idempotent_pool_ids=None):
         sg = self._inst(s_ref)
         unit_ids = units(sg)
-        gens = sorted(unit_ids if unit_gen_ids is None else unit_gen_ids)
-        pool = (list(sg.idempotent_ids()) if idempotent_pool_ids is None
-                else sorted(idempotent_pool_ids))
+        gens = unit_ids if unit_gen_ids is None else np.unique(unit_gen_ids)
+        pool = (sg.idempotent_ids() if idempotent_pool_ids is None
+                else np.unique(idempotent_pool_ids))
         ses_ids = principal_ideal(sg, e_id)
         outside = (f"element {encode(from_labels(sg.labels[e_id]))} is an idempotent "
                    "outside the units")
@@ -349,8 +349,7 @@ class Ledger:
             return order > 1, f"group of units has order {order}"
 
         def pool_idempotent():
-            ids = np.asarray(pool, dtype=np.int64)
-            return (bool((sg.multiply(ids, ids) == ids).all()),
+            return (bool((sg.multiply(pool, pool) == pool).all()),
                     f"all {len(pool)} pool elements are idempotent")
 
         checks = (
@@ -361,16 +360,16 @@ class Ledger:
                          outside)),
             self._check(
                 f"unit-generators({s_ref})",
-                lambda: (generated_subsemigroup(sg, gens) == units(sg),
+                lambda: (np.array_equal(generated_subsemigroup(sg, gens), units(sg)),
                          f"{len(gens)} generators span the {len(unit_ids)} units")),
             self._check(
                 f"units-and-e-generate({s_ref})",
-                lambda: (len(generated_subsemigroup(sg, gens + [e_id])) == sg.size,
+                lambda: (len(generated_subsemigroup(sg, np.append(gens, e_id))) == sg.size,
                          "units together with e generate the whole monoid")),
             self._check(f"pool-idempotent({s_ref})", pool_idempotent),
             self._check(
                 f"SeS-in-idempotent-span({s_ref})",
-                lambda: (set(ses_ids) <= set(generated_subsemigroup(sg, pool)),
+                lambda: (np.isin(ses_ids, generated_subsemigroup(sg, pool)).all(),
                          f"ideal of {len(ses_ids)} elements inside the idempotent span")),
             self._check_local_is_ese(sg, e_id, local_ref),
         )

@@ -262,10 +262,9 @@ def _sing_annular_even(n):
     details = {}
     for k in range(4, n + 1, 2):
         sg = as_closure(construct("A", k))
-        egen = set(idempotent_generated(sg))
-        sing = set(singular_part(sg))
-        inter = egen & sing
-        ok &= inter < sing
+        sing = singular_part(sg)
+        inter = np.intersect1d(idempotent_generated(sg), sing)
+        ok &= len(inter) < len(sing)
         details[k] = {"egen_singular": len(inter), "singular": len(sing)}
     return ok, details
 
@@ -308,6 +307,13 @@ def _green_rank(n):
     return ok, {"checked": checked}
 
 
+def _ranks_and_subgroup_orders(sg):
+    """Each element's rank, and the order of the maximal subgroups of its
+    J-class."""
+    data = green(sg)
+    return ranks(sg.labels), data.j_subgroup_order[data.j]
+
+
 @_target("subgroup-orders",
          "maximal subgroups have order t! at rank t in the matching monoid "
          "and r/2 at rank r >= 2 in the even annular family, whose units "
@@ -318,21 +324,13 @@ def _subgroup_orders(n):
     ok = True
     details = {}
     for k in range(1, n + 1):
-        sg = as_closure(construct("B", k))
-        data = green(sg)
-        rank_of = ranks(sg.labels)
-        for j in range(data.num_j):
-            rank = int(rank_of[data.j_members[j][0]])
-            ok &= data.j_subgroup_order[j] == math.factorial(rank)
+        rank, order = _ranks_and_subgroup_orders(as_closure(construct("B", k)))
+        ok &= bool((order == np.array([math.factorial(t) for t in range(k + 1)])[rank]).all())
         details[f"B:{k}"] = "t! at each rank t"
     for k in range(2, n + 1, 2):
         sg = as_closure(construct("EA", k))
-        data = green(sg)
-        rank_of = ranks(sg.labels)
-        for j in range(data.num_j):
-            rank = int(rank_of[data.j_members[j][0]])
-            want = rank // 2 if rank >= 2 else 1
-            ok &= data.j_subgroup_order[j] == want
+        rank, order = _ranks_and_subgroup_orders(sg)
+        ok &= bool((order == np.maximum(rank // 2, 1)).all())
         us = units(sg)
         ok &= len(us) == k // 2
         ok &= max(index_period(sg, u)[1] for u in us) == k // 2
@@ -484,14 +482,14 @@ def _parity_relations(sg):
     A:4, as k x 2 arrays: tau1 relates each unit to itself and each
     non-unit to every unit; tau2 relates each element of rank >= 2 to its
     parity sign and each rank-0 element to both signs."""
-    unit_ids = units(sg)
-    tau1 = [(u, u) for u in unit_ids]
-    tau1 += [(x, u) for x in singular_part(sg) for u in unit_ids]
+    unit_ids, sing = units(sg), singular_part(sg)
+    tau1 = np.concatenate([np.column_stack([unit_ids, unit_ids]), np.column_stack(
+        [np.repeat(sing, len(unit_ids)), np.tile(unit_ids, len(sing))])])
     # a MIXED element, which A:4 cannot hold, fails the lookup
     signs = {Parity.EVEN: (1,), Parity.ODD: (-1,), Parity.RANK_ZERO: (-1, 1)}
     tau2 = [(x, s) for x, code in enumerate(parities(sg.labels).tolist())
             for s in signs[PARITY_OF_CODE[code]]]
-    return np.array(tau1), np.array(tau2)
+    return tau1, np.array(tau2)
 
 
 def verify_parity_morphism_a4():
@@ -509,19 +507,14 @@ def verify_parity_morphism_a4():
             and _is_relational_morphism(tau2, sg.multiply, np.multiply)):
         return False
     # total domain
-    if not all(set(tau[:, 0].tolist()) == set(range(sg.size)) for tau in (tau1, tau2)):
+    if not all(np.array_equal(np.unique(tau[:, 0]), np.arange(sg.size)) for tau in (tau1, tau2)):
         return False
 
-    t1 = set(tau1[tau1[:, 1] == sg.identity_id, 0].tolist())
-    t2 = set(tau2[tau2[:, 1] == 1, 0].tolist())
-    preimage = t1 & t2
-
-    even = even_or_rank_zero(sg.labels)
-    even_singular = {i for i in singular_part(sg) if even[i]}
-    expected = even_singular | {sg.identity_id}
-    if preimage != expected:
-        return False
-    return preimage == set(kernel(sg).kernel_ids)
+    preimage = np.intersect1d(tau1[tau1[:, 1] == sg.identity_id, 0], tau2[tau2[:, 1] == 1, 0])
+    sing = singular_part(sg)
+    expected = np.union1d(sing[even_or_rank_zero(sg.labels)[sing]], sg.identity_id)
+    return (np.array_equal(preimage, expected)
+            and np.array_equal(preimage, kernel(sg).kernel_ids))
 
 
 @_target("parity-morphism-a4",

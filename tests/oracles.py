@@ -458,6 +458,19 @@ def oracle_pad(a, target_n):
     return _by_blocks(a, BlocksDiagram.padded, target_n)
 
 
+def oracle_restricted_growth(labs):
+    """Per row of labs: the first label is 0 and each later one is at least
+    0 and at most one above every label before it, by a loop over labels."""
+    out = []
+    for row in np.asarray(labs).tolist():
+        top, ok = -1, True
+        for lab in row:
+            ok &= 0 <= lab <= top + 1
+            top = max(top, lab)
+        out.append(ok)
+    return out
+
+
 def oracle_label_array(ds, n):
     """The label arrays of the degree-n diagrams ds, block by block."""
     rows = []
@@ -741,7 +754,7 @@ def oracle_t1_chain(sg):
     """The generator pool (with the identity) sorted in the left order by
     oracle_l_leq on every ordered pair and a comparison sort, or None when
     two pool elements are incomparable."""
-    pool = list(dict.fromkeys(sg.generators))
+    pool = sg.generators.tolist()
     if sg.identity_id is not None and sg.identity_id not in pool:
         pool.append(sg.identity_id)
     rel = {(a, b): oracle_l_leq(sg, a, b) for a in pool for b in pool}
@@ -932,28 +945,18 @@ def oracle_green(sg):
     for i in range(m):
         members[j_lab[i]].append(i)
 
-    idem = set(sg.idempotent_ids())
-    regular, subgroup, essential = [], [], []
+    idem = set(sg.idempotent_ids().tolist())
+    subgroup = []
     for c in range(num_j):
         es = [i for i in members[c] if i in idem]
-        if not es:
-            regular.append(False)
-            subgroup.append(0)
-            essential.append(False)
-            continue
-        order = int(np.count_nonzero(h_lab[np.array(members[c])] == h_lab[min(es)]))
-        regular.append(True)
-        subgroup.append(order)
-        essential.append(order > 1)
+        subgroup.append(int(np.count_nonzero(h_lab[np.array(members[c])] == h_lab[min(es)]))
+                        if es else 0)
 
     return GreenData(
         r=r_lab, l=l_lab, j=j_lab, h=h_lab,
         num_r=num_r, num_l=num_l, num_j=num_j, num_h=len(h_key),
-        j_members=tuple(tuple(ms) for ms in members),
-        j_regular=tuple(regular),
-        j_subgroup_order=tuple(subgroup),
-        j_essential=tuple(essential),
-        j_order=order_edges,
+        j_subgroup_order=np.array(subgroup, dtype=np.int64),
+        j_order=np.array(sorted(order_edges), dtype=np.int64).reshape(-1, 2),
     )
 
 
@@ -973,7 +976,7 @@ def oracle_green_all_generators(table):
     identity_id = next((i for i in range(m) if (table[i] == ids).all()
                         and (table[:, i] == ids).all()), None)
     sg = SemigroupClosure(
-        degree=None, labels=None, gen_ids=list(range(m)),
+        degree=None, labels=None, gen_ids=np.arange(m),
         right_cayley=table, parent=np.full(m, -1, dtype=np.int32),
         letter=np.arange(m, dtype=np.int32), depth=np.zeros(m, dtype=np.int32),
         identity_id=identity_id)

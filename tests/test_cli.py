@@ -14,7 +14,7 @@ import pytest
 from brauerkit import derivations
 from brauerkit.cli import main
 from brauerkit.store import CACHE_DIR_ENV
-from brauerkit.verify import expected_table
+from brauerkit.verify import TARGETS, expected_table
 
 
 @pytest.fixture
@@ -158,6 +158,11 @@ def test_every_degree_below_1_is_a_usage_error(cache_dir, capsys):
     for command in ("gen", "green", "kernel"):
         err = _usage_error(capsys, command, "--family", "B", "--n", "0")
         assert "argument --n: must be at least 1, got 0" in err
+    for command in ("gen", "count", "green", "kernel"):
+        for budget in ("0", "-5"):
+            err = _usage_error(capsys, command, "--family", "B", "--n", "3",
+                               "--budget", budget)
+            assert f"argument --budget: must be at least 1, got {budget}" in err
     assert "invalid integer value: 'x'" in _usage_error(
         capsys, "gen", "--family", "B", "--n", "x")
     assert list(cache_dir.iterdir()) == []
@@ -403,31 +408,39 @@ def test_cli_output_is_pinned(tmp_path, capsys):
              ["kernel", "--family", "A", "--n", "4"],
              ["kernel", "--family", "PA", "--n", "4"],
              ["complexity"]]
+    runs = [argv + ["--format", "json"] for argv in runs]
+    runs += [["green", "--family", family, "--n", "4", "--format", fmt]
+             for family in ("B", "A", "EA") for fmt in ("md", "csv")]
     digest = hashlib.sha256()
     for argv in runs:
-        assert main(argv + ["--format", "json"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
         digest.update("".join(line for line in out.splitlines(keepends=True)
                               if '"duration_ms"' not in line).encode())
     assert digest.hexdigest() == (
-        "bd91753989520affeaea2caf2c0673be0eef018a2ef21e9e62316501f898d0e6")
+        "6d5db2aed0485b7b22735fef1e1f10a17a707ebbba20c647830a19c57f61fdc9")
 
 
 _PINNED_TARGETS = (
-    "counts-jones", "counts-partial", "family-filters", "green-rank",
-    "subgroup-orders", "named-elements", "parity-morphism-a4",
-    "closure-annular", "parity-composition", "partial-generators")
+    "counts-brauer", "counts-jones", "counts-partial", "family-filters",
+    "sing-brauer", "sing-jones", "sing-ea", "sing-annular-odd",
+    "sing-annular-even", "green-rank", "subgroup-orders", "depth",
+    "named-elements", "local-rotation-power", "twist-laws", "twist-singular",
+    "kernel-a4", "parity-morphism-a4", "kernel-pa4-nonaperiodic", "t1-ea6",
+    "egen-ea6", "ledger-table", "assoc", "star-laws", "closure-annular",
+    "parity-composition", "codec", "partial-generators")
 
 
 def test_verify_output_is_pinned(capsys):
-    """verify's json report over the targets that run the diagram
-    predicates, byte for byte once the duration_ms lines are dropped."""
+    """verify's json report over every target, byte for byte once the
+    duration_ms lines are dropped."""
+    assert sorted(_PINNED_TARGETS) == sorted(TARGETS)
     assert main(["verify", *_PINNED_TARGETS, "--format", "json"]) == 0
     out = capsys.readouterr().out
     kept = "".join(line for line in out.splitlines(keepends=True)
                    if '"duration_ms"' not in line)
     assert hashlib.sha256(kept.encode()).hexdigest() == (
-        "a21c73e7552efa37a9ab99f68505ef05dc564a0a61299d14754ba565a967f661")
+        "91795d2a38b18651d426cc61c52ff7d009d02214035abe932c66b12d8f36e6d9")
 
 
 # ---------------------------------------------------------------------------

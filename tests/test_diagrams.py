@@ -92,6 +92,7 @@ from oracles import (
     oracle_random_pair_diagram,
     oracle_random_partial_brauer,
     oracle_rank,
+    oracle_restricted_growth,
     oracle_set_partitions,
     oracle_star,
     oracle_turned,
@@ -408,7 +409,14 @@ def test_element_sets_refuse_rows_that_are_not_restricted_growth_strings():
         except BadIndex:
             refused.append(True)
         assert refused[-1] != restricted_growth(labs).all(), labs
+        assert restricted_growth(labs).tolist() == oracle_restricted_growth(labs), labs
     assert 0 < sum(refused) < len(refused)
+    for n in range(1, 9):  # rows of every degree, near growth strings
+        labs = np.maximum.accumulate(rng.integers(0, 2, size=(200, 2 * n)), axis=1)
+        labs += rng.integers(-1, 2, size=labs.shape) * (rng.random(labs.shape) < 0.05)
+        want = oracle_restricted_growth(labs)
+        assert restricted_growth(labs).tolist() == want
+        assert 0 < sum(want) < len(want)
 
 
 def test_element_set_orders_wide_degrees_by_row_bytes():

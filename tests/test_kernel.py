@@ -52,7 +52,7 @@ def _named(name):
 
 
 def _result(res):
-    return res.kernel_ids, res.iterations, res.is_aperiodic, res.witness
+    return tuple(res.kernel_ids.tolist()), res.iterations, res.is_aperiodic, res.witness
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name):
         kids = generated_subsemigroup(sg, seeds)
         member = np.zeros(sg.size, dtype=bool)
         member[kids] = True
-        for ks in (kids, sorted(rng.sample(kids, rng.randint(1, len(kids))))):
+        for ks in (kids, sorted(rng.sample(kids.tolist(), rng.randint(1, len(kids))))):
             got = kernel_module._outside_conjugates(table, table_t, member, ks)
             want = np.flatnonzero(dense_conjugates(table, pairs, ks) & ~member)
             assert got.tolist() == want.tolist()
