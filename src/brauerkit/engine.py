@@ -288,7 +288,8 @@ class SemigroupClosure:
         at = np.empty(self.size, dtype=np.intp)
         at[cols] = np.arange(len(cols))
         up = at[self.parent[cols]]  # unused for seeds, whose parent is -1
-        letters = words[depth[cols], cols]
+        letters = words[depth[cols], cols].astype(np.intp)
+        flat, width = rc.ravel(), np.intp(rc.shape[1])
         out = np.empty((len(xs), len(ys)), dtype=np.int32)
         step = max(1, _PAIR_BATCH // max(1, len(cols)))
         for lo in range(0, len(xs), step):
@@ -296,7 +297,7 @@ class SemigroupClosure:
             for d in range(len(words)):
                 a, b = bounds[d], bounds[d + 1]
                 src = xs[lo:lo + step, None] if d == 0 else block[:, up[a:b]]
-                block[:, a:b] = rc[src, letters[a:b]]
+                block[:, a:b] = flat.take(src * width + letters[a:b])
             out[lo:lo + step] = block[:, at[ys]]
         return out
 

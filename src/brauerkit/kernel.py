@@ -10,12 +10,23 @@ kernel decides membership in the aperiodic-by-group product variety.
 The fixpoint is computed from the m x m product table T, where (x, x̄) is
 a weak-inverse pair when T[T[x̄, x], x̄] = x̄.  Each round extends the
 product-closed candidate kernel K by the last sweep's conjugates, then
-sweeps it.  Two facts keep a sweep small, and both hold exactly.
+tests it over the generators and sweeps it only when the test finds
+something.  Three facts keep that small, and all hold exactly.
+
+Generator pairs: let A be S's generators plus its identity, when it has
+one, so that A generates S.  A product-closed K is closed under weak
+conjugation by every pair iff it is closed under the pairs (a, ā) with a
+in A.  Write x = a w with a in A; then ā = w x̄ is a weak inverse of a and
+w̄ = x̄ a one of w, and x k x̄ = a (w k w̄) ā and x̄ k x = w̄ (ā k a) w, so
+the claim follows by induction on the length of x as a word in A.  The
+test reads a k ā and ā k a only where y = a k (or k a) or ā is outside K,
+since K holds the product of two of its elements.
 
 Semi-naive rounds: before a round, K already holds every conjugate of the
 last round's K, and conjugation acts on K element by element, so a round
-sweeps only the ids that joined K since the last sweep.  Each id of the
-kernel is swept once.
+sweeps only the ids that joined K since the last sweep, and that sweep is
+empty iff the generator test finds nothing.  So the test decides whether a
+round sweeps at all, and the rounds are those of sweeping every round.
 
 Pruned pairs: K is closed under products, so a pair with x and x̄ both in
 K conjugates K into K.  Every other pair has x in
@@ -24,11 +35,9 @@ block P̄[x̄, x] = [x̄xx̄ = x̄] of those columns only.  With W[x, y] = 1 whe
 y is in xK' for the swept ids K', over the rows x in R, (P̄ W)[x̄, y] > 0
 exactly when y x̄ is some x k x̄; likewise with W marking K'x for the
 x̄ k x.  The matrices are float32, whose integers are exact up to 2^24,
-far above any count here (at most m).  At the fixpoint |R| = |S∖K|, as
-by Ash's theorem the kernel holds the weak inverses of its elements, so a
-kernel that is most of S sweeps few pairs.  A sweep holds P̄'s m x |R|
-block, the |R| x m W and the m x m product P̄ W besides the table and its
-transpose.
+far above any count here (at most m).  A sweep holds P̄'s m x |R| block,
+the |R| x m W and the m x m product P̄ W besides the table and its
+transpose, which is built only when a sweep runs.
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (TABLE_CELL_LIMIT, extend_subsemigroup, generated_subsemigroup,
-                     period_one)
+from .engine import (_PAIR_BATCH, TABLE_CELL_LIMIT, extend_subsemigroup,
+                     generated_subsemigroup, period_one)
 from .errors import BudgetExceeded, KernelFixpointError
 
 
@@ -66,6 +75,50 @@ def weak_inverse_pairs(sg):
     rows = np.arange(len(table))[:, None]
     xbars, xs = np.nonzero(table[table, rows] == rows)
     return list(zip(xs.tolist(), xbars.tolist()))
+
+
+def _generating_set(sg):
+    """sg's generators plus its identity, when it has one."""
+    gens = sg.generators
+    return gens if sg.identity_id is None else np.union1d(gens, [sg.identity_id])
+
+
+def _lands_in(member, table, rows, cols):
+    """True when table[r, c] is in member for every r in rows and c in cols,
+    read in blocks of at most _PAIR_BATCH cells up to the first miss."""
+    step = max(1, _PAIR_BATCH // max(1, len(cols)))
+    return all(member[table[rows[lo:lo + step]][:, cols]].all()
+               for lo in range(0, len(rows), step))
+
+
+def _conjugates_inside(member, table, ys, bars, left):
+    """True when y ā (left) or ā y is in member for every y in ys and ā in
+    bars.  member is closed under products, so only the cells with y or ā
+    outside it are read, as row gathers from the table."""
+    hit = np.zeros(len(table), dtype=bool)
+    hit[ys] = True
+    for rows, cols in ((np.flatnonzero(hit & ~member), bars),
+                       (np.flatnonzero(hit & member), bars[~member[bars]])):
+        if not _lands_in(member, table, *((rows, cols) if left else (cols, rows))):
+            return False
+    return True
+
+
+def _closed_under_generator_conjugation(table, member, gens):
+    """True when a k ā and ā k a are in member for every k in member, every
+    a in gens and every ā with ā a ā = ā; member is a mask closed under
+    products.  The test stops at the first generator with a conjugate
+    outside member.
+    """
+    kids = np.flatnonzero(member)
+    ids = np.arange(len(table))[:, None]
+    weak = table[table[:, gens], ids] == ids  # weak[ā, i]: ā gens[i] ā = ā
+    for a, col in zip(gens, weak.T):
+        bars = np.flatnonzero(col)
+        if not (_conjugates_inside(member, table, table[a, kids], bars, left=True)
+                and _conjugates_inside(member, table, table[kids, a], bars, left=False)):
+            return False
+    return True
 
 
 def _outside_conjugates(table, tableT, member, ks):
@@ -98,13 +151,28 @@ def _outside_conjugates(table, tableT, member, ks):
     return np.flatnonzero(out & ~member)
 
 
-def _check_fixpoint(sg, table, tableT, kids):
-    """Raise KernelFixpointError unless kids is closed under both operations."""
-    if not np.array_equal(generated_subsemigroup(sg, kids), kids):
-        raise KernelFixpointError("the kernel is not closed under products")
+def _check_fixpoint(sg, table, kids):
+    """Raise KernelFixpointError unless kids holds every idempotent and is
+    closed under products and under weak conjugation.
+
+    Those three facts make kids a superset of the kernel, the least such
+    set by Ash's theorem.  Conjugation is tested over the pairs (a, ā) with
+    a in A, sg's generators plus its identity, which is the whole test once
+    kids is closed under products: write x = a w with a in A; then ā = w x̄
+    is a weak inverse of a, w̄ = x̄ a one of w, x k x̄ = a (w k w̄) ā and
+    x̄ k x = w̄ (ā k a) w, and induct on the length of x as a word in A.  So
+    the check also checks that A generates sg.
+    """
     member = np.zeros(len(table), dtype=bool)
     member[kids] = True
-    if _outside_conjugates(table, tableT, member, kids).size:
+    if not _lands_in(member, table, kids, kids):
+        raise KernelFixpointError("the kernel is not closed under products")
+    if not member[sg.idempotent_ids()].all():
+        raise KernelFixpointError("the kernel misses an idempotent")
+    gens = _generating_set(sg)
+    if len(generated_subsemigroup(sg, gens)) != sg.size:
+        raise KernelFixpointError("the generators do not generate the semigroup")
+    if not _closed_under_generator_conjugation(table, member, gens):
         raise KernelFixpointError("the kernel is not closed under weak conjugation")
 
 
@@ -112,17 +180,20 @@ def kernel(sg):
     """Group kernel of sg by fixpoint iteration from the idempotents.
 
     Each round extends the product-closed candidate set by the last
-    sweep's conjugates (first the idempotents), then sweeps the ids not
-    swept before over the pairs that can leave the set, and the first round
-    that adds nothing beyond those conjugates is the last.  The fixpoint is
-    checked again from scratch: KernelFixpointError unless it is closed
-    under products and a sweep of all of it adds nothing.  kernel_ids is
-    the kernel's ids as an ascending read-only array, and witness the
-    first of them whose period is over 1, or None.  Raises BudgetExceeded
-    when sg's product table is over TABLE_CELL_LIMIT.
+    sweep's conjugates (first the idempotents), then, when the generator
+    test finds a conjugate outside it, sweeps the ids not swept before over
+    the pairs that can leave the set; the first round that adds nothing
+    beyond those conjugates is the last.  The fixpoint is checked again
+    from scratch (_check_fixpoint): KernelFixpointError unless it holds
+    every idempotent and is closed under products and under weak
+    conjugation by the generators.  kernel_ids is the kernel's ids as an
+    ascending read-only array, and witness the first of them whose period
+    is over 1, or None.  Raises BudgetExceeded when sg's product table is
+    over TABLE_CELL_LIMIT.
     """
     table = _table(sg)
-    tableT = np.ascontiguousarray(table.T)
+    tableT = None
+    gen_set = _generating_set(sg)
     member = np.zeros(sg.size, dtype=bool)
     gens, new = [], sg.idempotent_ids()
     iterations = 0
@@ -131,12 +202,17 @@ def kernel(sg):
         before = int(member.sum()) + len(new)
         swept = member.copy()
         gens = extend_subsemigroup(sg, member, gens, new)
-        new = _outside_conjugates(table, tableT, member, np.flatnonzero(member & ~swept))
+        fresh = np.flatnonzero(member & ~swept)
+        new = fresh[:0]
+        if fresh.size and not _closed_under_generator_conjugation(table, member, gen_set):
+            if tableT is None:
+                tableT = np.ascontiguousarray(table.T)
+            new = _outside_conjugates(table, tableT, member, fresh)
         if int(member.sum()) + len(new) == before:
             break
 
     kids = np.flatnonzero(member)
-    _check_fixpoint(sg, table, tableT, kids)
+    _check_fixpoint(sg, table, kids)
     kids.flags.writeable = False
 
     periodic = np.flatnonzero(~period_one(sg, kids))

@@ -981,3 +981,26 @@ def oracle_green_all_generators(table):
         letter=np.arange(m, dtype=np.int32), depth=np.zeros(m, dtype=np.int32),
         identity_id=identity_id)
     return sg, green(sg)
+
+
+def transformation_table(seed):
+    """Product table of the semigroup that 2-3 random maps of 4-5 points
+    generate, maps composed left to right (x y is x, then y), drawn with
+    numpy's generator at seed."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(4, 6))
+    gens = np.unique(rng.integers(0, k, (int(rng.integers(2, 4)), k)), axis=0)
+    maps, seen = list(gens), {tuple(g) for g in gens.tolist()}
+    for x in maps:
+        for g in gens:
+            if tuple(y := g[x]) not in seen:
+                seen.add(tuple(y))
+                maps.append(y)
+    maps = np.array(maps)
+    weights = k ** np.arange(k)
+    codes = maps @ weights
+    order = np.argsort(codes)
+    table = np.empty((len(maps), len(maps)), dtype=np.int32)
+    for b, y in enumerate(maps):
+        table[:, b] = order[np.searchsorted(codes, y[maps] @ weights, sorter=order)]
+    return table

@@ -400,14 +400,16 @@ def test_complexity_unknown_explain_exits_2(cache_dir, capsys):
 
 
 def test_cli_output_is_pinned(tmp_path, capsys):
-    """stdout of gen (built, then from the cache), green, kernel and
-    complexity, byte for byte once the duration_ms lines are dropped."""
+    """stdout of gen (built, then from the cache), green, kernel (on the
+    benchmark's closures too) and complexity, byte for byte once the
+    duration_ms lines are dropped."""
     runs = [["gen", "--family", family, "--n", n, "--cache-dir", str(tmp_path)]
             for family, n in (("B", "5"), ("PA", "4")) for _ in range(2)]
-    runs += [["green", "--family", "PA", "--n", "4"],
-             ["kernel", "--family", "A", "--n", "4"],
-             ["kernel", "--family", "PA", "--n", "4"],
-             ["complexity"]]
+    runs += [["green", "--family", "PA", "--n", "4"]]
+    runs += [["kernel", "--family", family, "--n", n]
+             for family, n in (("A", "4"), ("PA", "4"), ("PB", "4"), ("A", "6"),
+                               ("EA", "6"), ("J", "6"))]
+    runs += [["complexity"]]
     runs = [argv + ["--format", "json"] for argv in runs]
     runs += [["green", "--family", family, "--n", "4", "--format", fmt]
              for family in ("B", "A", "EA") for fmt in ("md", "csv")]
@@ -418,7 +420,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
         digest.update("".join(line for line in out.splitlines(keepends=True)
                               if '"duration_ms"' not in line).encode())
     assert digest.hexdigest() == (
-        "6d5db2aed0485b7b22735fef1e1f10a17a707ebbba20c647830a19c57f61fdc9")
+        "73bfe93b1c0210c450a4ffe2b1a1f23ba5ad042f2647a470fe4acba149595f8b")
 
 
 _PINNED_TARGETS = (

@@ -91,6 +91,7 @@ from oracles import (
     oracle_strong_components,
     oracle_t1_chain,
     oracle_table,
+    transformation_table,
 )
 
 
@@ -568,29 +569,6 @@ def test_green_matches_elementwise_oracle_on_census_closures(family, n):
     _assert_same_green(green(sg), oracle_green(sg))
 
 
-def _transformation_table(seed):
-    """Product table of the semigroup that 2-3 random maps of 4-5 points
-    generate, maps composed left to right (x y is x, then y), drawn with
-    numpy's generator at seed."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(4, 6))
-    gens = np.unique(rng.integers(0, k, (int(rng.integers(2, 4)), k)), axis=0)
-    maps, seen = list(gens), {tuple(g) for g in gens.tolist()}
-    for x in maps:
-        for g in gens:
-            if tuple(y := g[x]) not in seen:
-                seen.add(tuple(y))
-                maps.append(y)
-    maps = np.array(maps)
-    weights = k ** np.arange(k)
-    codes = maps @ weights
-    order = np.argsort(codes)
-    table = np.empty((len(maps), len(maps)), dtype=np.int32)
-    for b, y in enumerate(maps):
-        table[:, b] = order[np.searchsorted(codes, y[maps] @ weights, sorter=order)]
-    return table
-
-
 def _heights(order, num_j):
     """The longest path down from each class of the J-order order; the
     order is a chain when they are 0..num_j-1."""
@@ -611,7 +589,7 @@ def test_j_is_r_join_l_on_random_transformation_semigroups():
     # classes their own way, so classes are matched by their members
     chains, monoids = [], []
     for seed in range(60):
-        sg = SemigroupClosure.from_table(_transformation_table(seed))
+        sg = SemigroupClosure.from_table(transformation_table(seed))
         new, old = green(sg), oracle_green(sg)
         match = dict(zip(new.j.tolist(), old.j.tolist()))
         assert new.num_j == old.num_j == len(match) == len(set(match.values())), seed
@@ -1050,7 +1028,7 @@ def test_l_leq_matches_the_scipy_search():
     pairs = [(sg, a, b) for a in range(sg.size) for b in range(sg.size)]
     rng = random.Random(0)
     for seed in range(20):
-        sg = SemigroupClosure.from_table(_transformation_table(seed))
+        sg = SemigroupClosure.from_table(transformation_table(seed))
         for _ in range(10):  # a pair, and a left multiple of its second id
             a, b = rng.randrange(sg.size), rng.randrange(sg.size)
             pairs += [(sg, a, b), (sg, int(sg.multiply(a, b)), b)]

@@ -21,8 +21,8 @@ from brauerkit import (
     weak_inverse_pairs,
 )
 from brauerkit.derivations import t1sub_ea6
-from brauerkit.engine import generated_subsemigroup, period_one
-from brauerkit.errors import BudgetExceeded
+from brauerkit.engine import SemigroupClosure, generated_subsemigroup, period_one
+from brauerkit.errors import BudgetExceeded, KernelFixpointError
 from brauerkit.verify import verify_parity_morphism_a4
 from oracles import (
     dense_conjugates,
@@ -33,6 +33,7 @@ from oracles import (
     oracle_kernel,
     oracle_period_one,
     oracle_weak_inverse_pairs,
+    transformation_table,
 )
 
 
@@ -45,9 +46,13 @@ def _sg(family, n):
 
 
 def _named(name):
+    """A family closure "B:4", t1sub(EA:6), or "T:seed", the random
+    transformation semigroup oracles.transformation_table draws at seed."""
     if name == "t1sub(EA:6)":
         return t1sub_ea6()
     family, n = name.split(":")
+    if family == "T":
+        return SemigroupClosure.from_table(transformation_table(int(n)))
     return _sg(family, int(n))
 
 
@@ -142,7 +147,9 @@ def test_kernel_matches_the_per_pair_oracle(name):
     assert _result(kernel(sg)) == oracle_kernel(sg)
 
 
-@pytest.mark.parametrize("name", _PER_PAIR_NAMES + ["PB:4", "A:6", "EA:6", "J:6", "PA:4"])
+# T:34 and T:0 have no identity, and T:23's is not id 0
+@pytest.mark.parametrize("name", _PER_PAIR_NAMES + ["PB:4", "A:6", "EA:6", "J:6", "PA:4",
+                                                    "T:34", "T:0", "T:23"])
 def test_kernel_matches_the_dense_oracle(name):
     sg = _named(name)
     assert _result(kernel(sg)) == oracle_dense_kernel(sg)
@@ -188,21 +195,95 @@ def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name):
             assert got.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
-def test_each_kernel_id_is_swept_once(name, monkeypatch):
+def _conjugation_closed(sg, table, pairs, seeds):
+    """The least set holding seeds and closed under products and weak
+    conjugation, by whole-table sweeps."""
+    member = np.zeros(sg.size, dtype=bool)
+    member[seeds] = True
+    while True:
+        kids = generated_subsemigroup(sg, np.flatnonzero(member))
+        member[kids] = True
+        grown = member | dense_conjugates(table, pairs, kids)
+        if grown.sum() == member.sum():
+            return kids
+        member = grown
+
+
+@pytest.mark.parametrize("name", ["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
+                                  "EA:4", "C:3", "T:34", "T:0", "T:23"])
+def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name):
+    """The lemma: a product-closed set is closed under weak conjugation by
+    every pair iff it is by the pairs of the generators and the identity.
+    Half the sets are closed under conjugation too; outside the group SYM:4
+    most miss an idempotent.  On T:34 the test is wrong without the cells
+    y ā with y inside and ā outside the set, or without the ā y."""
     sg = _named(name)
-    swept = []
+    table = np.asarray(sg.product_table())
+    pairs = dense_pair_matrix(table)
+    gens = kernel_module._generating_set(sg)
+    rng = random.Random(name)
+    found = []
+    for i in range(40):
+        seeds = rng.sample(range(sg.size), rng.randint(1, 4))
+        kids = (_conjugation_closed(sg, table, pairs, seeds) if i % 2
+                else generated_subsemigroup(sg, seeds))
+        member = np.zeros(sg.size, dtype=bool)
+        member[kids] = True
+        closed = not (dense_conjugates(table, pairs, kids) & ~member).any()
+        assert kernel_module._closed_under_generator_conjugation(table, member, gens) == closed
+        found.append(closed)
+    assert 0 < sum(found) < len(found)
+
+
+@pytest.mark.parametrize("name", ["SYM:3", "A:4", "PB:4"])
+def test_fixpoint_check_needs_generators_that_generate(name, monkeypatch):
+    sg = _named(name)
+    kids = kernel(sg).kernel_ids
+    dropped = sg.generators[1:]
+    monkeypatch.setattr(SemigroupClosure, "generators", property(lambda self: dropped))
+    with pytest.raises(KernelFixpointError, match="do not generate"):
+        kernel_module._check_fixpoint(sg, np.asarray(sg.product_table()), kids)
+    with pytest.raises(KernelFixpointError):
+        kernel(sg)
+
+
+@pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "A:6", "t1sub(EA:6)"])
+def test_generator_test_is_empty_iff_the_rounds_sweep_is(name, monkeypatch):
+    """Each round's all-pairs sweep, run by a spy even where the generator
+    test skips it, finds something iff the test does."""
+    sg = _named(name)
+    table = np.asarray(sg.product_table())
+    table_t = np.ascontiguousarray(table.T)
+    extend = kernel_module.extend_subsemigroup
+    test = kernel_module._closed_under_generator_conjugation
     sweep = kernel_module._outside_conjugates
+    rounds, tests, sweeps = [], [], []
 
-    def counted(table, table_t, member, ks):
-        swept.append(len(ks))
-        return sweep(table, table_t, member, ks)
+    def extend_spy(semigroup, member, gens, new):
+        swept = member.copy()
+        seeds = extend(semigroup, member, gens, new)
+        fresh = np.flatnonzero(member & ~swept)
+        rounds.append((fresh.size, sweep(table, table_t, member, fresh).size > 0))
+        return seeds
 
-    monkeypatch.setattr(kernel_module, "_outside_conjugates", counted)
+    def test_spy(table_, member, gens):
+        tests.append(not test(table_, member, gens))
+        return not tests[-1]
+
+    def sweep_spy(table_, table_t_, member, ks):
+        sweeps.append(len(ks))
+        return sweep(table_, table_t_, member, ks)
+
+    monkeypatch.setattr(kernel_module, "extend_subsemigroup", extend_spy)
+    monkeypatch.setattr(kernel_module, "_closed_under_generator_conjugation", test_spy)
+    monkeypatch.setattr(kernel_module, "_outside_conjugates", sweep_spy)
     res = kernel(sg)
-    # one sweep per round, then the fixpoint check's sweep of all of K
-    assert len(swept) == res.iterations + 1
-    assert sum(swept[:-1]) == len(res.kernel_ids) == swept[-1]
+    assert len(rounds) == res.iterations
+    # each id is fresh in one round; a round with fresh ids tests K, and the
+    # fixpoint check tests it once more
+    assert sum(fresh for fresh, _ in rounds) == len(res.kernel_ids)
+    assert tests == [found for fresh, found in rounds if fresh] + [False]
+    assert len(sweeps) == sum(found for _, found in rounds) == (name == "PA:4")
 
 
 @pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
@@ -215,9 +296,9 @@ def test_kernel_rounds_extend_one_closure(name, monkeypatch):
         return generated_subsemigroup(semigroup, seed_ids)
 
     monkeypatch.setattr(kernel_module, "generated_subsemigroup", counted)
-    res = kernel(sg)
-    # the rounds grow one closure; only the fixpoint check starts afresh
-    assert calls == [len(res.kernel_ids)]
+    kernel(sg)
+    # the rounds grow one closure; the fixpoint check closes the generators
+    assert calls == [len(kernel_module._generating_set(sg))]
 
 
 @pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
@@ -238,21 +319,32 @@ def test_kernel_without_a_product_table_exceeds_the_budget(monkeypatch):
 
 # In SYM:3 a transposition t alone is not closed under products, and {1, t}
 # is a subgroup that is not normal, so not closed under weak conjugation.
+# In B:2 the zero alone misses the identity, an idempotent.  Last, SYM:3's
+# kernel {1} is checked with one of its two generators dropped.
 _FIXPOINT_CHECK = """
+import numpy as np
 from brauerkit import as_closure, construct
+from brauerkit.engine import SemigroupClosure
 from brauerkit.errors import KernelFixpointError
 from brauerkit.kernel import _check_fixpoint
 
-sg = as_closure(construct("SYM", 3))
-table = sg.product_table()
-table_t = table.T.copy()
-one = sg.identity_id
-t = next(i for i in range(sg.size) if i != one and sg.multiply(i, i) == one)
-for candidate in ([t], sorted([one, t])):
+def check(sg, candidate):
     try:
-        _check_fixpoint(sg, table, table_t, candidate)
+        _check_fixpoint(sg, sg.product_table(), np.array(candidate))
     except KernelFixpointError as exc:
         print(exc)
+
+sym3 = as_closure(construct("SYM", 3))
+one = sym3.identity_id
+t = next(i for i in range(sym3.size) if i != one and sym3.multiply(i, i) == one)
+check(sym3, [t])
+check(sym3, sorted([one, t]))
+b2 = as_closure(construct("B", 2))
+table = b2.product_table()
+check(b2, [z for z in range(b2.size) if (table[z] == z).all() and (table[:, z] == z).all()])
+dropped = sym3.generators[1:]
+SemigroupClosure.generators = property(lambda self: dropped)
+check(sym3, [one])
 """
 
 
@@ -265,6 +357,8 @@ def test_fixpoint_check_raises_under_python_O():
     assert proc.stdout.splitlines() == [
         "the kernel is not closed under products",
         "the kernel is not closed under weak conjugation",
+        "the kernel misses an idempotent",
+        "the generators do not generate the semigroup",
     ]
 
 
