@@ -452,9 +452,13 @@ def closure_from_elements(elems):
 
 
 def _checked_ids(sg, ids):
-    """ids (or one id) as an integer array; BadIndex when one is outside
-    0..size-1."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """ids (or one id) as an integer array; BadIndex when one is not
+    integral or is outside 0..size-1."""
+    given = np.asarray(ids)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        ids = given.astype(np.int64, copy=False)
+    if given.dtype.kind not in "iu" and (ids != given).any():
+        raise BadIndex("id is not an integer")
     if ids.size and (ids.min() < 0 or ids.max() >= sg.size):
         raise BadIndex(f"id outside 0..{sg.size - 1}")
     return ids
@@ -856,6 +860,7 @@ def rees_quotient(sg, ideal_ids):
     BudgetExceeded, before any table is made, when its (k+1)^2 cells would
     be over TABLE_CELL_LIMIT.
     """
+    ideal_ids = _checked_ids(sg, ideal_ids)
     if not is_ideal(sg, ideal_ids):
         raise NotAnIdeal("set is empty or not closed under multiplication by generators")
     keep = np.setdiff1d(np.arange(sg.size), ideal_ids)

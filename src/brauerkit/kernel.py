@@ -8,36 +8,24 @@ under every relational morphism into a group, so aperiodicity of the
 kernel decides membership in the aperiodic-by-group product variety.
 
 The fixpoint is computed from the m x m product table T, where (x, x̄) is
-a weak-inverse pair when T[T[x̄, x], x̄] = x̄.  Each round extends the
-product-closed candidate kernel K by the last sweep's conjugates, then
-tests it over the generators and sweeps it only when the test finds
-something.  Three facts keep that small, and all hold exactly.
+a weak-inverse pair when T[T[x̄, x], x̄] = x̄.
 
 Generator pairs: let A be S's generators plus its identity, when it has
 one, so that A generates S.  A product-closed K is closed under weak
 conjugation by every pair iff it is closed under the pairs (a, ā) with a
 in A.  Write x = a w with a in A; then ā = w x̄ is a weak inverse of a and
 w̄ = x̄ a one of w, and x k x̄ = a (w k w̄) ā and x̄ k x = w̄ (ā k a) w, so
-the claim follows by induction on the length of x as a word in A.  The
-test reads a k ā and ā k a only where y = a k (or k a) or ā is outside K,
-since K holds the product of two of its elements.
+the claim follows by induction on the length of x as a word in A.  So the
+sets that hold every idempotent and are closed under products and under
+the generator pairs are the sets closed under every pair, and the least
+of them is the kernel: it is grown from the generator pairs alone.
 
-Semi-naive rounds: before a round, K already holds every conjugate of the
-last round's K, and conjugation acts on K element by element, so a round
-sweeps only the ids that joined K since the last sweep, and that sweep is
-empty iff the generator test finds nothing.  So the test decides whether a
-round sweeps at all, and the rounds are those of sweeping every round.
-
-Pruned pairs: K is closed under products, so a pair with x and x̄ both in
-K conjugates K into K.  Every other pair has x in
-R = (S∖K) ∪ {x : x̄xx̄ = x̄ for some x̄ ∉ K}, and a sweep takes the m x |R|
-block P̄[x̄, x] = [x̄xx̄ = x̄] of those columns only.  With W[x, y] = 1 when
-y is in xK' for the swept ids K', over the rows x in R, (P̄ W)[x̄, y] > 0
-exactly when y x̄ is some x k x̄; likewise with W marking K'x for the
-x̄ k x.  The matrices are float32, whose integers are exact up to 2^24,
-far above any count here (at most m).  A sweep holds P̄'s m x |R| block,
-the |R| x m W and the m x m product P̄ W besides the table and its
-transpose, which is built only when a sweep runs.
+Rounds: each round closes K under products, then adds the a k ā and
+ā k a outside K.  Conjugation acts on K element by element, and before a
+round K already holds every conjugate of the last round's K, so a round
+conjugates only the ids that joined K in it.  K holds the product of two
+of its elements, so a conjugate y ā (y = a k) or ā y (y = k a) is read
+only where y or ā is outside K, a block of whole table rows at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +42,7 @@ from .errors import BudgetExceeded, KernelFixpointError
 @dataclass(frozen=True)
 class KernelResult:
     kernel_ids: np.ndarray  # ascending and read-only
-    iterations: int
+    iterations: int  # generator-pair rounds, the last adding nothing
     is_aperiodic: bool
     witness: int | None  # id of a period >= 2 kernel element, when present
 
@@ -83,71 +71,46 @@ def _generating_set(sg):
     return gens if sg.identity_id is None else np.union1d(gens, [sg.identity_id])
 
 
-def _lands_in(member, table, rows, cols):
-    """True when table[r, c] is in member for every r in rows and c in cols,
-    read in blocks of at most _PAIR_BATCH cells up to the first miss."""
-    step = max(1, _PAIR_BATCH // max(1, len(cols)))
-    return all(member[table[rows[lo:lo + step]][:, cols]].all()
-               for lo in range(0, len(rows), step))
-
-
-def _conjugates_inside(member, table, ys, bars, left):
-    """True when y ā (left) or ā y is in member for every y in ys and ā in
-    bars.  member is closed under products, so only the cells with y or ā
-    outside it are read, as row gathers from the table."""
-    hit = np.zeros(len(table), dtype=bool)
-    hit[ys] = True
-    for rows, cols in ((np.flatnonzero(hit & ~member), bars),
-                       (np.flatnonzero(hit & member), bars[~member[bars]])):
-        if not _lands_in(member, table, *((rows, cols) if left else (cols, rows))):
-            return False
-    return True
-
-
-def _closed_under_generator_conjugation(table, member, gens):
-    """True when a k ā and ā k a are in member for every k in member, every
-    a in gens and every ā with ā a ā = ā; member is a mask closed under
-    products.  The test stops at the first generator with a conjugate
-    outside member.
-    """
-    kids = np.flatnonzero(member)
+def _weak_inverses(table, gens):
+    """For each a in gens, the ascending ids ā with ā a ā = ā, read from
+    one m x |gens| gather of the table."""
     ids = np.arange(len(table))[:, None]
     weak = table[table[:, gens], ids] == ids  # weak[ā, i]: ā gens[i] ā = ā
-    for a, col in zip(gens, weak.T):
-        bars = np.flatnonzero(col)
-        if not (_conjugates_inside(member, table, table[a, kids], bars, left=True)
-                and _conjugates_inside(member, table, table[kids, a], bars, left=False)):
-            return False
-    return True
+    return [np.flatnonzero(col) for col in weak.T]
 
 
-def _outside_conjugates(table, tableT, member, ks):
-    """Ids outside member among x k x̄ and x̄ k x, for k in ks and the
-    pairs with x̄xx̄ = x̄, ascending.
+def _row_blocks(table, rows, cols):
+    """table[rows][:, cols], a block of whole rows at a time: at most
+    _PAIR_BATCH // m rows of m cells, or one row when m is larger."""
+    if len(cols):
+        step = max(1, _PAIR_BATCH // len(table))
+        for lo in range(0, len(rows), step):
+            yield table[rows[lo:lo + step]][:, cols]
 
-    member is a mask closed under products, so only the pairs with x in
-    R = (S∖member) ∪ {x : x̄xx̄ = x̄ for some x̄ ∉ member} are swept;
-    tableT is table's transpose, as a C-contiguous array.
+
+def _lands_in(member, table, rows, cols):
+    """True when table[r, c] is in member for every r in rows and c in cols,
+    read in row blocks (_row_blocks) up to the first miss."""
+    return all(member[block].all() for block in _row_blocks(table, rows, cols))
+
+
+def _generator_conjugates(table, member, ks, gens, bars):
+    """Ids outside member among a k ā and ā k a, for k in ks, a in gens and
+    ā in the matching entry of bars (_weak_inverses), ascending.
+
+    member is a mask closed under products, so of the y ā and ā y, with
+    y = a k or k a, only those with y or ā outside member are read.
     """
-    ks = np.asarray(ks, dtype=np.intp)
-    outside = np.flatnonzero(~member)
-    if not ks.size or not outside.size:
-        return outside[:0]
-    m = len(table)
-    rows = np.arange(m)[:, None]
-    xbar = outside[:, None]
-    in_r = ~member
-    in_r[(table[table[outside], xbar] == xbar).any(axis=0)] = True
-    xs = np.flatnonzero(in_r)
-    pairs = (table[table[:, xs], rows] == rows).astype(np.float32)
-    at = np.arange(len(xs))[:, None]
-    out = np.zeros(m, dtype=bool)
-    reach = np.zeros((len(xs), m), dtype=np.float32)
-    reach[at, table[xs[:, None], ks]] = 1  # reach[x, y]: y in x ks
-    out[tableT[(pairs @ reach) > 0]] = True  # y x̄ = x k x̄
-    reach[:] = 0
-    reach[at, tableT[xs[:, None], ks]] = 1  # reach[x, y]: y in ks x
-    out[table[(pairs @ reach) > 0]] = True  # x̄ y = x̄ k x
+    out = np.zeros(len(table), dtype=bool)
+    for a, bar in zip(gens, bars):
+        bar_out = bar[~member[bar]]
+        for ys, left in ((table[a, ks], True), (table[ks, a], False)):
+            hit = np.zeros(len(table), dtype=bool)
+            hit[ys] = True
+            for y, b in ((np.flatnonzero(hit & ~member), bar),
+                         (np.flatnonzero(hit & member), bar_out)):
+                for block in _row_blocks(table, *((y, b) if left else (b, y))):
+                    out[block] = True
     return np.flatnonzero(out & ~member)
 
 
@@ -158,9 +121,7 @@ def _check_fixpoint(sg, table, kids):
     Those three facts make kids a superset of the kernel, the least such
     set by Ash's theorem.  Conjugation is tested over the pairs (a, ā) with
     a in A, sg's generators plus its identity, which is the whole test once
-    kids is closed under products: write x = a w with a in A; then ā = w x̄
-    is a weak inverse of a, w̄ = x̄ a one of w, x k x̄ = a (w k w̄) ā and
-    x̄ k x = w̄ (ā k a) w, and induct on the length of x as a word in A.  So
+    kids is closed under products (the lemma in the module docstring), so
     the check also checks that A generates sg.
     """
     member = np.zeros(len(table), dtype=bool)
@@ -172,7 +133,7 @@ def _check_fixpoint(sg, table, kids):
     gens = _generating_set(sg)
     if len(generated_subsemigroup(sg, gens)) != sg.size:
         raise KernelFixpointError("the generators do not generate the semigroup")
-    if not _closed_under_generator_conjugation(table, member, gens):
+    if _generator_conjugates(table, member, kids, gens, _weak_inverses(table, gens)).size:
         raise KernelFixpointError("the kernel is not closed under weak conjugation")
 
 
@@ -180,34 +141,30 @@ def kernel(sg):
     """Group kernel of sg by fixpoint iteration from the idempotents.
 
     Each round extends the product-closed candidate set by the last
-    sweep's conjugates (first the idempotents), then, when the generator
-    test finds a conjugate outside it, sweeps the ids not swept before over
-    the pairs that can leave the set; the first round that adds nothing
-    beyond those conjugates is the last.  The fixpoint is checked again
-    from scratch (_check_fixpoint): KernelFixpointError unless it holds
-    every idempotent and is closed under products and under weak
-    conjugation by the generators.  kernel_ids is the kernel's ids as an
-    ascending read-only array, and witness the first of them whose period
-    is over 1, or None.  Raises BudgetExceeded when sg's product table is
-    over TABLE_CELL_LIMIT.
+    round's conjugates (first the idempotents), then takes the conjugates
+    a k ā and ā k a outside it of the ids that joined it in the round, over
+    the generator pairs; the first round that adds nothing beyond those
+    conjugates is the last.  The fixpoint is checked again from scratch
+    (_check_fixpoint): KernelFixpointError unless it holds every
+    idempotent and is closed under products and under weak conjugation by
+    the generators.  kernel_ids is the kernel's ids as an ascending
+    read-only array, and witness the first of them whose period is over 1,
+    or None.  Raises BudgetExceeded when sg's product table is over
+    TABLE_CELL_LIMIT.
     """
     table = _table(sg)
-    tableT = None
     gen_set = _generating_set(sg)
+    bars = _weak_inverses(table, gen_set)
     member = np.zeros(sg.size, dtype=bool)
     gens, new = [], sg.idempotent_ids()
     iterations = 0
     while True:
         iterations += 1
         before = int(member.sum()) + len(new)
-        swept = member.copy()
+        old = member.copy()
         gens = extend_subsemigroup(sg, member, gens, new)
-        fresh = np.flatnonzero(member & ~swept)
-        new = fresh[:0]
-        if fresh.size and not _closed_under_generator_conjugation(table, member, gen_set):
-            if tableT is None:
-                tableT = np.ascontiguousarray(table.T)
-            new = _outside_conjugates(table, tableT, member, fresh)
+        new = _generator_conjugates(table, member, np.flatnonzero(member & ~old),
+                                    gen_set, bars)
         if int(member.sum()) + len(new) == before:
             break
 

@@ -44,10 +44,13 @@ oracle_green_all_generators keeps the analysis of a product table with
 every element as a generator, which table-backed closures replaced with
 a small generating set found from the table.  oracle_dense_kernel keeps
 the kernel fixpoint whose every round sweeps all of the candidate set
-over every weak-inverse pair, which kernel.kernel replaced with sweeps of
-the ids new to the set over the pairs that can leave it; it closes its
-sets with _oracle_closure and tests periods with oracle_period_one, not
-with the engine's subsemigroup search and squaring map.
+over every weak-inverse pair, which kernel.kernel replaced with rounds
+over the generator pairs alone; it closes its sets with _oracle_closure
+and tests periods with oracle_period_one, not with the engine's
+subsemigroup search and squaring map.  oracle_generator_kernel runs
+kernel.kernel's rounds one (a, ā, k) at a time in plain Python, each
+round over all of the set, where kernel.kernel takes only the ids new to
+it and reads only the table cells that can leave it.
 oracle_principal_ideal keeps the breadth-first search over the summed
 Cayley graphs that principal_ideal replaced by reading the J-order, and
 oracle_associativity_failure the loop of scalar products that
@@ -605,6 +608,45 @@ def oracle_dense_kernel(sg):
     assert not (dense_conjugates(table, pairs, kids) & ~member).any()
     periodic = np.flatnonzero(~oracle_period_one(sg, kids))
     witness = kids[periodic[0]] if periodic.size else None
+    return tuple(kids), rounds, witness is None, witness
+
+
+def oracle_generator_conjugates(sg, rows, ks):
+    """Set of every a k ā and ā k a for k in ks, a one of sg's generators or
+    its identity and ā a ā = ā, one (a, ā, k) at a time over the table
+    rows."""
+    gens = set(sg.generators.tolist()) | ({sg.identity_id} - {None})
+    found = set()
+    for a in sorted(gens):
+        for abar in range(len(rows)):
+            if rows[rows[abar][a]][abar] == abar:
+                for k in ks:
+                    found.add(rows[rows[a][k]][abar])
+                    found.add(rows[abar][rows[k][a]])
+    return found
+
+
+def oracle_generator_kernel(sg):
+    """Group kernel as (ids, rounds, aperiodic, witness) over generator pairs.
+
+    Each round closes the set under products and adds the conjugates of
+    all of it by the generator pairs (oracle_generator_conjugates), which
+    by the lemma in kernel.py give the kernel; iteration stops at the first
+    round that adds nothing.  The witness is the smallest kernel id of
+    period >= 2.
+    """
+    rows = np.asarray(sg.product_table()).tolist()
+    closed = {i for i in range(len(rows)) if rows[i][i] == i}
+    rounds = 0
+    while True:
+        rounds += 1
+        before = len(closed)
+        closed = _oracle_closure(rows, sorted(closed))
+        closed |= oracle_generator_conjugates(sg, rows, closed)
+        if len(closed) == before:
+            break
+    kids = sorted(closed)
+    witness = next((k for k in kids if _oracle_period(rows, k) != 1), None)
     return tuple(kids), rounds, witness is None, witness
 
 

@@ -1344,13 +1344,14 @@ _BAD_IDS = {
 }
 
 
-@pytest.mark.parametrize("shift", ["negative", "too-large"])
+@pytest.mark.parametrize("shift", ["negative", "too-large", "non-integral"])
 @pytest.mark.parametrize("function", sorted(_BAD_IDS))
 def test_ids_outside_the_semigroup_are_rejected(function, shift):
     sg = _b(3)
     ids = singular_part(sg)  # an ideal, so valid for every function
     _BAD_IDS[function](sg, ids)
-    off = -sg.size if shift == "negative" else sg.size
+    _BAD_IDS[function](sg, ids.astype(np.float64))  # integral floats pass
+    off = {"negative": -sg.size, "too-large": sg.size, "non-integral": 0.5}[shift]
     with pytest.raises(BadIndex):
         _BAD_IDS[function](sg, [i + off for i in ids])
 
@@ -1359,9 +1360,19 @@ def test_ids_outside_the_semigroup_are_rejected(function, shift):
 def test_single_ids_outside_the_semigroup_are_rejected(function):
     sg = _b(3)
     function(sg, sg.identity_id)
-    for bad in (-1, sg.size):
+    function(sg, np.float32(sg.identity_id))
+    for bad in (-1, sg.size, sg.identity_id + 0.5):
         with pytest.raises(BadIndex):
             function(sg, bad)
+
+
+def test_integral_and_empty_float_ids_read_as_integers():
+    sg = _b(3)
+    assert generated_subsemigroup(sg, np.union1d([], [])).size == 0  # a float array
+    assert (generated_subsemigroup(sg, [1.0, 2.0]).tolist()
+            == generated_subsemigroup(sg, [1, 2]).tolist())
+    with pytest.raises(BadIndex):
+        generated_subsemigroup(sg, [np.nan])
 
 
 # ---------------------------------------------------------------------------

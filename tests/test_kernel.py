@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from oracles import (
     elements_of,
     id_of,
     oracle_dense_kernel,
+    oracle_generator_conjugates,
+    oracle_generator_kernel,
     oracle_kernel,
     oracle_period_one,
     oracle_weak_inverse_pairs,
@@ -37,6 +40,7 @@ from oracles import (
 )
 
 
+engine_module = importlib.import_module("brauerkit.engine")
 kernel_module = importlib.import_module("brauerkit.kernel")
 verify_module = importlib.import_module("brauerkit.verify")
 
@@ -174,15 +178,33 @@ def test_kernel_matches_the_dense_oracle_on_every_ledger_kernel(
     assert sorted(sg.size for sg in seen.values()) == [40, 194, 589]
     for sg in seen.values():
         assert _result(kernel(sg)) == oracle_dense_kernel(sg)
+        assert _result(kernel(sg)) == oracle_generator_kernel(sg)
+
+
+# PJ:4 and T:38 take one round more over the generator pairs than over
+# every pair
+@pytest.mark.parametrize("name", _PER_PAIR_NAMES + ["A:4", "PB:4", "A:6", "EA:6", "J:6",
+                                                    "PA:4", "T:34", "T:0", "T:23",
+                                                    "PJ:4", "T:38"])
+def test_kernel_matches_the_generator_pair_oracle(name):
+    sg = _named(name)
+    assert _result(kernel(sg)) == oracle_generator_kernel(sg)
 
 
 @pytest.mark.parametrize("name", ["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
                                   "EA:4", "C:3"])
 def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name):
+    """_generator_conjugates, which reads only the cells with y or ā
+    outside the set, finds the conjugates outside it that the plain
+    oracle finds over every (a, ā, k)."""
     sg = _named(name)
     table = np.asarray(sg.product_table())
-    table_t = np.ascontiguousarray(table.T)
-    pairs = dense_pair_matrix(table)
+    rows = table.tolist()
+    gens = kernel_module._generating_set(sg)
+    bars = kernel_module._weak_inverses(table, gens)
+    pairs = oracle_weak_inverse_pairs(sg)
+    assert [b.tolist() for b in bars] == [sorted(xbar for x, xbar in pairs if x == a)
+                                          for a in gens]
     rng = random.Random(name)
     for _ in range(40):
         seeds = rng.sample(range(sg.size), rng.randint(1, 4))
@@ -190,9 +212,9 @@ def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name):
         member = np.zeros(sg.size, dtype=bool)
         member[kids] = True
         for ks in (kids, sorted(rng.sample(kids.tolist(), rng.randint(1, len(kids))))):
-            got = kernel_module._outside_conjugates(table, table_t, member, ks)
-            want = np.flatnonzero(dense_conjugates(table, pairs, ks) & ~member)
-            assert got.tolist() == want.tolist()
+            got = kernel_module._generator_conjugates(table, member, ks, gens, bars)
+            want = oracle_generator_conjugates(sg, rows, ks) - set(kids.tolist())
+            assert got.tolist() == sorted(want)
 
 
 def _conjugation_closed(sg, table, pairs, seeds):
@@ -213,14 +235,17 @@ def _conjugation_closed(sg, table, pairs, seeds):
                                   "EA:4", "C:3", "T:34", "T:0", "T:23"])
 def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name):
     """The lemma: a product-closed set is closed under weak conjugation by
-    every pair iff it is by the pairs of the generators and the identity.
-    Half the sets are closed under conjugation too; outside the group SYM:4
-    most miss an idempotent.  On T:34 the test is wrong without the cells
-    y ā with y inside and ā outside the set, or without the ā y."""
+    every pair iff it is by the pairs of the generators and the identity,
+    so the generator conjugates outside it are empty iff the dense ones
+    are, and they are always among the dense ones.  Half the sets are
+    closed under conjugation too; outside the group SYM:4 most miss an
+    idempotent.  On T:34 the conjugates are wrong without the cells y ā
+    with y inside and ā outside the set, or without the ā y."""
     sg = _named(name)
     table = np.asarray(sg.product_table())
     pairs = dense_pair_matrix(table)
     gens = kernel_module._generating_set(sg)
+    bars = kernel_module._weak_inverses(table, gens)
     rng = random.Random(name)
     found = []
     for i in range(40):
@@ -229,9 +254,11 @@ def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name):
                 else generated_subsemigroup(sg, seeds))
         member = np.zeros(sg.size, dtype=bool)
         member[kids] = True
-        closed = not (dense_conjugates(table, pairs, kids) & ~member).any()
-        assert kernel_module._closed_under_generator_conjugation(table, member, gens) == closed
-        found.append(closed)
+        dense = set(np.flatnonzero(dense_conjugates(table, pairs, kids) & ~member).tolist())
+        got = kernel_module._generator_conjugates(table, member, kids, gens, bars)
+        assert bool(got.size) == bool(dense)
+        assert set(got.tolist()) <= dense
+        found.append(not dense)
     assert 0 < sum(found) < len(found)
 
 
@@ -249,41 +276,37 @@ def test_fixpoint_check_needs_generators_that_generate(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "A:6", "t1sub(EA:6)"])
 def test_generator_test_is_empty_iff_the_rounds_sweep_is(name, monkeypatch):
-    """Each round's all-pairs sweep, run by a spy even where the generator
-    test skips it, finds something iff the test does."""
+    """Each round conjugates the ids that joined K in it over the generator
+    pairs, and finds something iff the all-pairs sweep of those ids, run
+    by a spy, does; the fixpoint check conjugates all of K once more."""
     sg = _named(name)
     table = np.asarray(sg.product_table())
-    table_t = np.ascontiguousarray(table.T)
+    pairs = dense_pair_matrix(table)
     extend = kernel_module.extend_subsemigroup
-    test = kernel_module._closed_under_generator_conjugation
-    sweep = kernel_module._outside_conjugates
-    rounds, tests, sweeps = [], [], []
+    conjugates = kernel_module._generator_conjugates
+    fresh, calls = [], []
 
     def extend_spy(semigroup, member, gens, new):
-        swept = member.copy()
+        old = member.copy()
         seeds = extend(semigroup, member, gens, new)
-        fresh = np.flatnonzero(member & ~swept)
-        rounds.append((fresh.size, sweep(table, table_t, member, fresh).size > 0))
+        fresh.append(np.flatnonzero(member & ~old).tolist())
         return seeds
 
-    def test_spy(table_, member, gens):
-        tests.append(not test(table_, member, gens))
-        return not tests[-1]
-
-    def sweep_spy(table_, table_t_, member, ks):
-        sweeps.append(len(ks))
-        return sweep(table_, table_t_, member, ks)
+    def conjugates_spy(table_, member, ks, gens, bars):
+        got = conjugates(table_, member, ks, gens, bars)
+        swept = (dense_conjugates(table, pairs, ks) & ~member).any()
+        calls.append((np.asarray(ks).tolist(), bool(got.size), bool(swept)))
+        return got
 
     monkeypatch.setattr(kernel_module, "extend_subsemigroup", extend_spy)
-    monkeypatch.setattr(kernel_module, "_closed_under_generator_conjugation", test_spy)
-    monkeypatch.setattr(kernel_module, "_outside_conjugates", sweep_spy)
+    monkeypatch.setattr(kernel_module, "_generator_conjugates", conjugates_spy)
     res = kernel(sg)
-    assert len(rounds) == res.iterations
-    # each id is fresh in one round; a round with fresh ids tests K, and the
-    # fixpoint check tests it once more
-    assert sum(fresh for fresh, _ in rounds) == len(res.kernel_ids)
-    assert tests == [found for fresh, found in rounds if fresh] + [False]
-    assert len(sweeps) == sum(found for _, found in rounds) == (name == "PA:4")
+    assert len(fresh) == res.iterations
+    # each id is fresh in one round
+    assert sum(map(len, fresh)) == len(res.kernel_ids)
+    assert [ks for ks, _, _ in calls] == fresh + [res.kernel_ids.tolist()]
+    assert [found for _, found, _ in calls] == [swept for _, _, swept in calls]
+    assert not calls[-1][1]
 
 
 @pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
@@ -299,6 +322,30 @@ def test_kernel_rounds_extend_one_closure(name, monkeypatch):
     kernel(sg)
     # the rounds grow one closure; the fixpoint check closes the generators
     assert calls == [len(kernel_module._generating_set(sg))]
+
+
+# (kernel size, rounds, aperiodic, witness)
+_PAST_THE_TABLE_LIMIT = {"PA:5": (4947, 3, False, 15), "C:4": (4117, 2, False, 21)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", _PAST_THE_TABLE_LIMIT)
+def test_kernel_past_the_table_limit_in_bounded_memory(name, monkeypatch):
+    """With the table limit raised, PA:5's and C:4's kernels hold under a
+    quarter of their table's bytes besides it, as traced by tracemalloc."""
+    monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", 6000 ** 2)
+    sg = _named(name)
+    monkeypatch.setattr(sg, "_table", None)  # drops the table after the test
+    table = np.asarray(sg.product_table())
+    tracemalloc.start()
+    try:
+        res = kernel(sg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ((len(res.kernel_ids), res.iterations, res.is_aperiodic, res.witness)
+            == _PAST_THE_TABLE_LIMIT[name])
+    assert peak < 0.25 * table.nbytes
 
 
 @pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
