@@ -27,10 +27,12 @@ Once a closure is built, no analysis multiplies diagrams again.  A product
 x y is an integer operation (SemigroupClosure.multiply): a gather from the
 product table when one has been built, otherwise a walk along y's word
 from x over the right Cayley graph, x y = rc[x parent(y), letter(y)], one
-BFS depth level at a time.  The full product table and the restrictions
-below are the same walk done for whole rows by dynamic programming over
-the depth levels (SemigroupClosure._products); the table is built lazily
-and only below a size limit.  The squaring map i -> i i is one batched
+BFS depth level at a time.  The restrictions below are the same walk done
+for whole rows by dynamic programming over the depth levels
+(SemigroupClosure._products).  The full product table is built lazily, only
+below a size limit, one depth level of rows at a time from the left Cayley
+graph: x y = parent(x) (g y) for x = parent(x) g, so row x is its parent's
+row read at a column of lc.  The squaring map i -> i i is one batched
 product, kept, so powers x^(2^k) are integer gathers.
 
 SemigroupClosure is the only semigroup class.  A semigroup derived from a
@@ -198,8 +200,8 @@ class SemigroupClosure:
         """lc[y, i] = g_i y for each generator g_i, as integer ids.
 
         A closure's search fills it; otherwise the generators' rows of the
-        product table, or built by the same depth-level walk as the table:
-        no diagram product is taken.
+        product table, or the depth-level walk of _products from the
+        generators over every id: no diagram product is taken.
         """
         if self._left_cayley is None:
             self._left_cayley = self._products(
@@ -207,14 +209,42 @@ class SemigroupClosure:
         return self._left_cayley
 
     def product_table(self):
-        """Full m x m product table, or None when it would exceed
-        TABLE_CELL_LIMIT."""
+        """Full m x m int32 product table, built once and kept, or None
+        when it would exceed TABLE_CELL_LIMIT.
+
+        A searched closure's table is built one BFS depth level of rows at
+        a time from the left Cayley graph: a seed g_a's row is g_a y =
+        lc[y, a] and the identity's row is every id; any other x is
+        parent(x) g_b, so x y = parent(x) (g_b y) and row x is the row of
+        parent(x), which a lower level holds, read at lc[:, b].  A level is
+        taken in blocks of at most _PAIR_BATCH / 8 cells, whole rows (one
+        row when m is larger), each one gather of lc's columns and one flat
+        take; the block's ids are intp, so it holds _PAIR_BATCH bytes.
+        """
         if self._table is None:
             m = self.size
             if m * m > TABLE_CELL_LIMIT:
                 return None
-            ids = np.arange(m)
-            self._table = self._products(ids, ids)
+            # row g of lcT is the identity map, the letter of the identity seed
+            lcT = np.vstack([self.left_cayley.T, np.arange(m)], dtype=np.intp)
+            letter = np.where(self.letter < 0, len(lcT) - 1, self.letter)
+            offset = self.parent.astype(np.intp) * m  # where the parent's row starts
+            table = np.empty((m, m), dtype=np.int32)
+            bounds = np.searchsorted(self._depth, np.arange(int(self._depth[-1]) + 2))
+            table[:bounds[1]] = lcT[letter[:bounds[1]]]
+            step = max(1, (_PAIR_BATCH >> 3) // m)
+            buf = np.empty((min(step, m), m), dtype=np.intp)  # one block's cells
+            for d in range(1, len(bounds) - 1):
+                for lo in range(bounds[d], bounds[d + 1], step):
+                    hi = min(lo + step, bounds[d + 1])
+                    cells = buf[:hi - lo]
+                    # indices are in range, so mode="wrap" skips the bounds
+                    # check and the copy of out it takes; reading table[:lo]
+                    # alone keeps out apart from the source, another copy
+                    lcT.take(letter[lo:hi], axis=0, out=cells, mode="wrap")
+                    cells += offset[lo:hi, None]
+                    table[:lo].ravel().take(cells, out=table[lo:hi], mode="wrap")
+            self._table = table
         return self._table
 
     def _walk_data(self):
@@ -453,8 +483,11 @@ def closure_from_elements(elems):
 
 def _checked_ids(sg, ids):
     """ids (or one id) as an integer array; BadIndex when one is not
-    integral or is outside 0..size-1."""
+    integral or is outside 0..size-1, or when ids are booleans, such as a
+    mask, which would read as ids 0 and 1."""
     given = np.asarray(ids)
+    if given.dtype == bool:
+        raise BadIndex("ids are booleans, not integers; a mask m is np.flatnonzero(m)")
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
         ids = given.astype(np.int64, copy=False)
     if given.dtype.kind not in "iu" and (ids != given).any():
@@ -498,20 +531,23 @@ def extend_subsemigroup(sg, member, gens, new):
     of new outside member, as one ascending array.  Old members are
     multiplied on the right by the new seeds and each element that joins
     by every seed, so each (element, seed) product is taken once, at most
-    |result| x |seeds| in batches of at most _PAIR_BATCH.  Raises BadIndex for an id outside
-    0..size-1.
+    |result| x |seeds| in batches of at most _PAIR_BATCH; a batch's products
+    outside member are read off a mask over the ids, not sorted.  Raises
+    BadIndex for an id outside 0..size-1.
     """
     new = np.unique(_checked_ids(sg, new))
     new = new[~member[new]]
     seeds = np.union1d(np.asarray(gens, dtype=np.int64), new)
 
     def joined(xs, ys):
-        """The products xs ys outside member, marked in it."""
+        """The products xs ys outside member, marked in it; each block's
+        are read off a mask over the ids, so ascending without a sort."""
         step = max(1, _PAIR_BATCH // max(1, len(ys)))
         out = [xs[:0]]
         for lo in range(0, len(xs), step):
-            prods = sg.multiply(xs[lo:lo + step, None], ys).ravel()
-            out.append(np.unique(prods[~member[prods]]))
+            hit = np.zeros(sg.size, dtype=bool)
+            hit[sg.multiply(xs[lo:lo + step, None], ys)] = True
+            out.append(np.flatnonzero(hit & ~member))
             member[out[-1]] = True
         return np.concatenate(out)
 

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (_PAIR_BATCH, TABLE_CELL_LIMIT, extend_subsemigroup,
-                     generated_subsemigroup, period_one)
+# _PAIR_BATCH and TABLE_CELL_LIMIT are read through engine, so a patch reaches them
+from . import engine
+from .engine import extend_subsemigroup, generated_subsemigroup, period_one
 from .errors import BudgetExceeded, KernelFixpointError
 
 
@@ -53,7 +54,7 @@ def _table(sg):
     if table is None:
         raise BudgetExceeded(
             f"the group kernel needs the {sg.size} x {sg.size} product table, "
-            f"which is over TABLE_CELL_LIMIT = {TABLE_CELL_LIMIT} cells")
+            f"which is over TABLE_CELL_LIMIT = {engine.TABLE_CELL_LIMIT} cells")
     return np.asarray(table)
 
 
@@ -83,15 +84,20 @@ def _row_blocks(table, rows, cols):
     """table[rows][:, cols], a block of whole rows at a time: at most
     _PAIR_BATCH // m rows of m cells, or one row when m is larger."""
     if len(cols):
-        step = max(1, _PAIR_BATCH // len(table))
+        step = max(1, engine._PAIR_BATCH // len(table))
         for lo in range(0, len(rows), step):
             yield table[rows[lo:lo + step]][:, cols]
 
 
 def _lands_in(member, table, rows, cols):
     """True when table[r, c] is in member for every r in rows and c in cols,
-    read in row blocks (_row_blocks) up to the first miss."""
-    return all(member[block].all() for block in _row_blocks(table, rows, cols))
+    read up to the first miss.  A block of whole rows is mapped to member
+    before its columns are picked, as picking bools is cheaper than
+    picking ids; take copies the ids to intp, so a block is about
+    _PAIR_BATCH / 8 cells, one row when m is larger."""
+    step = max(1, (engine._PAIR_BATCH >> 3) // len(table))
+    return all(member.take(table[rows[lo:lo + step]])[:, cols].all()
+               for lo in range(0, len(rows), step))
 
 
 def _generator_conjugates(table, member, ks, gens, bars):

@@ -45,9 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# _PAIR_BATCH is read through engine, so a patch of it reaches the ledger
+from . import engine
 from .diagrams import encode, from_labels
 from .engine import (
-    _PAIR_BATCH,
     essential_depth,
     generated_subsemigroup,
     is_aperiodic,
@@ -159,7 +160,7 @@ def _iso_multiplicative(a_sg, b_sg, mapping):
         return False
     m = a_sg.size
     ids = np.arange(m)
-    step = max(1, _PAIR_BATCH // max(1, m))
+    step = max(1, engine._PAIR_BATCH // max(1, m))
     for lo in range(0, m, step):
         xs = ids[lo:lo + step, None]
         if (phi[a_sg.multiply(xs, ids)] != b_sg.multiply(phi[xs], phi)).any():

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -160,6 +161,61 @@ def test_product_table_and_left_cayley_agree_with_diagrams():
         i, j = rng.randrange(sg.size), rng.randrange(sg.size)
         assert table[i, j] == id_of(sg, elems[i] * elems[j])
     assert np.array_equal(sg.left_cayley, oracle_left_cayley(sg))
+
+
+def _fresh(family, n):
+    """A closure of the family's generating set that has built no table."""
+    return closure(families.generators(family, n), include_identity=True)
+
+
+_ROW_TABLE_CASES = {
+    **{f"{family}:{n}": (lambda family=family, n=n: _fresh(family, n))
+       for family, n in [("B", 3), ("B", 4), ("PB", 3), ("J", 5), ("PJ", 3),
+                         ("A", 4), ("PA", 2), ("EA", 4), ("C", 2), ("SYM", 4)]},
+    "t1sub(EA:6)": t1sub_ea6,
+    "no identity": lambda: closure([adjacent_contraction(4, i) for i in (1, 2, 3)]),
+    "identity as a generator": lambda: closure(
+        [rotation(4), identity(4), contraction(4, 1, 2)]),
+    "identity seeded and a generator": lambda: closure(
+        [rotation(3), identity(3)], include_identity=True),
+    "one element, the identity": lambda: closure([], include_identity=True),
+    "one element, an idempotent": lambda: closure([contraction(2, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_TABLE_CASES))
+def test_the_row_built_table_matches_the_walk_and_the_diagram_products(
+        name, pair_batch):
+    sg = _ROW_TABLE_CASES[name]()
+    if name == "no identity":
+        assert sg.identity_id is None
+    ids = np.arange(sg.size)
+    walk = sg._products(ids, ids)  # no table yet: the depth-level walk
+    table = sg.product_table()
+    assert table.dtype == np.int32 and table.flags.c_contiguous
+    assert np.array_equal(table, walk)
+    assert np.array_equal(table, oracle_table(elements_of(sg))[0])
+    for rows in (1, 3):  # levels split into blocks of a few rows
+        pair_batch(rows * sg.size)
+        again = _ROW_TABLE_CASES[name]()
+        assert again._table is None
+        assert np.array_equal(again.product_table(), table), rows
+
+
+def test_the_row_built_table_holds_little_besides_itself(pair_batch):
+    """Besides the table, building it holds one block of intp ids,
+    _PAIR_BATCH bytes, and a few arrays over the ids: about 2 x _PAIR_BATCH
+    bytes here, where the walk it replaced held about 10 x."""
+    sg = _fresh("PB", 4)
+    batch = 128 * sg.size
+    pair_batch(batch)
+    tracemalloc.start()
+    try:
+        table = sg.product_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 3 * batch
 
 
 def test_closure_from_elements_round_trip():
@@ -1184,8 +1240,8 @@ def test_restricted_tables_match_the_parents_products(derived_standard_ledger):
                               pos[parent.multiply(keep[:, None], keep)]), key
 
 
-def test_restriction_in_blocks_of_one_row_matches_the_word_walk(monkeypatch):
-    monkeypatch.setattr(engine, "_PAIR_BATCH", 7)
+def test_restriction_in_blocks_of_one_row_matches_the_word_walk(pair_batch):
+    pair_batch(7)
     sg = _b(5)
     ids = np.array(singular_part(sg))
     assert np.array_equal(ids[subsemigroup(sg, ids).product_table()],
@@ -1294,19 +1350,35 @@ def test_multiplying_a_local_monoid_finds_no_generating_set(monkeypatch):
 # ---------------------------------------------------------------------------
 # extending a subsemigroup by new seeds
 
-_EXTEND_CASES = ["B:3", "A:4", "PA:3", "C:3", "sing(EA:6)", "quot(PB:4/rk2)"]
+_EXTEND_CASES = ["B:3", "A:4", "PA:3", "C:3", "B:5", "sing(EA:6)", "quot(PB:4/rk2)"]
 
 
-@pytest.mark.parametrize("name", _EXTEND_CASES)
-def test_extending_a_subsemigroup_matches_the_closure_of_all_seeds(
-        name, request, monkeypatch):
+def _extend_case(name, path, request):
+    """A closure on one product path, and the oracle closure of a list of
+    its ids: a fresh family closure walks words ("walk") or builds its
+    table first ("table"); a table-backed one has only its table."""
     if "(" in name:
         led, _ = request.getfixturevalue("derived_standard_ledger")
         sg = next(sg for key, sg, _ in _table_backed(led) if key == name)
         rows = sg.product_table().tolist()
-    else:
-        sg = as_closure(construct(name.split(":")[0], int(name.split(":")[1])))
-        rows = oracle_table(elements_of(sg))[0].tolist()
+        return sg, lambda seeds: _oracle_closure(rows, seeds)
+    family, n = name.split(":")
+    sg = _fresh(family, int(n))
+    if path == "table":
+        sg.product_table()
+    if sg.size > 300:  # too many cells to take one diagram product each
+        return sg, lambda seeds: set(oracle_span(sg, seeds)) if seeds else set()
+    rows = oracle_table(elements_of(sg))[0].tolist()
+    return sg, lambda seeds: _oracle_closure(rows, seeds)
+
+
+@pytest.mark.parametrize("name, path", [
+    pytest.param(name, path, id=name if path == "table" else f"{name} walk")
+    for name in _EXTEND_CASES
+    for path in (["table"] if "(" in name else ["walk", "table"])])
+def test_extending_a_subsemigroup_matches_the_closure_of_all_seeds(
+        name, path, request, monkeypatch):
+    sg, span = _extend_case(name, path, request)
     products = []
     multiply = SemigroupClosure.multiply
 
@@ -1321,18 +1393,19 @@ def test_extending_a_subsemigroup_matches_the_closure_of_all_seeds(
         seeds = rng.sample(range(sg.size), rng.randint(1, 8))
         cut = rng.randint(0, len(seeds))
         a, b = seeds[:cut], seeds[cut:]
-        old = _oracle_closure(rows, a)
+        old = span(a)
         member = np.zeros(sg.size, dtype=bool)
         member[list(old)] = True
         products.clear()
         gens = engine.extend_subsemigroup(sg, member, a, b)
-        want = sorted(_oracle_closure(rows, seeds))
+        want = sorted(span(seeds))
         assert np.flatnonzero(member).tolist() == want, (name, a, b)
         assert gens.tolist() == sorted(set(a) | (set(b) - old)), (name, a, b)
         # the old members times the new seeds, and each joined id times
         # every seed, once: at most |result| x |gens| in all
         once = len(old) * (len(gens) - cut) + (len(want) - len(old)) * len(gens)
         assert sum(products) <= once <= len(want) * len(gens), (name, a, b)
+    assert (sg._table is None) == (path == "walk")
 
 
 _BAD_IDS = {
@@ -1364,6 +1437,22 @@ def test_single_ids_outside_the_semigroup_are_rejected(function):
     for bad in (-1, sg.size, sg.identity_id + 0.5):
         with pytest.raises(BadIndex):
             function(sg, bad)
+
+
+def test_boolean_ids_are_rejected_not_read_as_ids_0_and_1():
+    # a mask passed where ids are meant once read as ids 0 and 1:
+    # generated_subsemigroup gave the span of [0, 1], principal_ideal
+    # the ideal of id 1
+    sg = _b(3)
+    mask = np.zeros(sg.size, dtype=bool)
+    mask[[5, 7]] = True
+    for function in (generated_subsemigroup, subsemigroup):
+        with pytest.raises(BadIndex, match="booleans"):
+            function(sg, mask)
+    for one in (np.True_, True):
+        with pytest.raises(BadIndex, match="booleans"):
+            principal_ideal(sg, one)
+    assert generated_subsemigroup(sg, np.flatnonzero(mask)).tolist() == oracle_span(sg, [5, 7])
 
 
 def test_integral_and_empty_float_ids_read_as_integers():

@@ -14,6 +14,7 @@ import pytest
 from brauerkit import (
     as_closure,
     construct,
+    generators,
     index_period,
     kernel,
     rotation,
@@ -346,6 +347,35 @@ def test_kernel_past_the_table_limit_in_bounded_memory(name, monkeypatch):
     assert ((len(res.kernel_ids), res.iterations, res.is_aperiodic, res.witness)
             == _PAST_THE_TABLE_LIMIT[name])
     assert peak < 0.25 * table.nbytes
+
+
+def test_the_closure_check_reads_the_table_in_small_blocks(pair_batch):
+    """K K in K is read in blocks of about _PAIR_BATCH / 8 cells, as take
+    copies their int32 ids to intp: with the table built first, the check
+    holds under 3 x _PAIR_BATCH bytes."""
+    sg = _named("PB:4")
+    table = np.asarray(sg.product_table())
+    kids = kernel(sg).kernel_ids
+    member = np.zeros(sg.size, dtype=bool)
+    member[kids] = True
+    batch = 64 * sg.size
+    pair_batch(batch)
+    tracemalloc.start()
+    try:
+        closed = kernel_module._lands_in(member, table, kids, kids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert closed
+    assert peak < 3 * batch
+
+
+def test_kernel_refuses_at_the_table_limit_engine_holds(monkeypatch):
+    sg = engine_module.closure(generators("A", 3), include_identity=True)  # no table yet
+    limit = sg.size ** 2 - 1
+    monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", limit)
+    with pytest.raises(BudgetExceeded, match=f"over TABLE_CELL_LIMIT = {limit} cells"):
+        kernel(sg)
 
 
 @pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
