@@ -29,11 +29,15 @@ for text and classification: encode, classify_strings, dom, ran and
 signed_blocks.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
-reads off the induced partition on the outer rows.  One numpy kernel takes
-every product by relabelling a through b, with no loop to convergence:
-multiply_labels every row of a label array by every row of another,
-multiply_pairs row r by row r, and a*b is a one-row call.  Text round-trip
-uses the v1 format  "n:[{1,1'},{2,2'}]" (top points primed).
+reads off the induced partition on the outer rows.  Two numpy kernels take
+the products by relabelling a through b, with no loop to convergence, and
+share the first-occurrence renumbering (_renumbered): the pair kernel
+(_product) multiplies row r by row r, for multiply_pairs and a*b, its
+one-row call; the by-factor kernel (_factor_products) groups the cells of
+multiply_labels, every row of a label array by every row of another, by
+right factor, whose merges and top-row sources it works out once
+(_factor_plan).  Text round-trip uses the v1 format  "n:[{1,1'},{2,2'}]"
+(top points primed).
 """
 
 from __future__ import annotations
@@ -489,7 +493,7 @@ def _renumbered(x, bound):
     for j, cells in enumerate(x + np.arange(k) * bound):
         new = seen[cells]
         fresh = new < 0
-        new[fresh] = count[fresh]
+        new = np.where(fresh, count, new)
         seen[cells] = x[j] = new
         count += fresh
     return np.ascontiguousarray(x.T, dtype=label_dtype(len(x) // 2))
@@ -535,6 +539,56 @@ def pads(labs, target_n):
     return _gathered(capped, cols[None], 2 * n + 2)
 
 
+def _factor_plan(b):
+    """What right factor b, a label row, does to every left factor x: the
+    pairs (p, q), ascending in p, of bottom points of one b-block with q
+    the block's first, whose top points n+p and n+q of x merge; and the
+    column of each top point of x*b in [x | fresh labels], where column
+    2n + c holds the fresh label 2n + c of b-block c."""
+    m = len(b)
+    n = m // 2
+    first, merges = {}, []
+    for p, c in enumerate(b[:n].tolist()):
+        if c in first:
+            merges.append((p, first[c]))
+        else:
+            first[c] = p
+    src = [n + first[c] if c in first else m + c for c in b[n:].tolist()]
+    return merges, np.array(src, dtype=np.intp)
+
+
+def _factor_products(xs, bs, where):
+    """Label arrays of xs[r] * bs[j] for the cells (r, j) of the k x g mask
+    where, stacked in row-major order.
+
+    _product's relabelling, a group of cells with one right factor at a
+    time: the cells are gathered by column of where into one transposed
+    stack, with a fresh label row under it for each of b's blocks, so a
+    group takes one np.where per merge of its _factor_plan and one take for
+    its top row.  Every cell is then renumbered at once (_renumbered) and
+    the row-major order restored.
+    """
+    m = xs.shape[1]
+    n = m // 2
+    small = np.min_scalar_type(-2 * m)  # holds every label below 2m, and -1
+    cells = np.count_nonzero(where)
+    order = np.zeros(where.shape, dtype=np.intp)
+    order.T[where.T] = np.arange(cells)  # each cell's place, numbered by column
+    x = np.empty((2 * m, cells), dtype=small)
+    x[:m] = xs[np.nonzero(where.T)[1]].T
+    x[m:] = np.arange(m, 2 * m, dtype=small)[:, None]
+    lo = 0
+    for b, count in zip(bs, np.count_nonzero(where, axis=0).tolist()):
+        if count:
+            merges, src = _factor_plan(b)
+            group = x[:m, lo:lo + count]
+            for p, q in merges:
+                group[:] = np.where(group == group[n + p], group[n + q], group)
+            group[n:] = x[src, lo:lo + count]
+            lo += count
+    return _renumbered(x[:m], 2 * m)[order[where]]
+
+
 def multiply_labels(xs, bs, where=None):
     """Label arrays of x*b for every row x of xs and every row b of bs.
 
@@ -542,11 +596,15 @@ def multiply_labels(xs, bs, where=None):
     shape (k, g, 2n), its [r, j] the label array of xs[r] * bs[j].  With
     where, a k x g mask, only the products it marks are taken, and the
     result is multiply_labels(xs, bs)[where], their stack in row-major
-    order."""
+    order.  The products are taken a right factor at a time
+    (_factor_products)."""
     xs, bs = np.asarray(xs), np.asarray(bs)
-    rows, cols = np.nonzero(np.ones((len(xs), len(bs)), bool) if where is None else where)
-    out = _product(xs[rows], bs[cols])
-    return out if where is not None else out.reshape(len(xs), len(bs), xs.shape[1])
+    if xs.shape[1] != bs.shape[1]:
+        raise DegreeMismatch(f"degree {xs.shape[1] // 2} vs {bs.shape[1] // 2}")
+    full = where is None
+    where = np.ones((len(xs), len(bs)), bool) if full else np.asarray(where, dtype=bool)
+    out = _factor_products(xs, bs, where)
+    return out.reshape(len(xs), len(bs), xs.shape[1]) if full else out
 
 
 def multiply_pairs(xs, ys):

@@ -255,7 +255,8 @@ class SemigroupClosure:
         depth d (its seed's generator letter at d = 0), and g past y's depth
         or for the identity seed; letters are stored in the smallest
         unsigned type that holds g.  Returns (rc, words, depth), depth the
-        search's.
+        search's in the smallest unsigned type that holds it, which numpy
+        sorts by radix.
         """
         if self._walk is None:
             m, g, depth = self.size, len(self.generators), self._depth
@@ -267,7 +268,7 @@ class SemigroupClosure:
             for d in range(1, len(words)):  # ids in BFS order: depth d is a range
                 at = slice(bounds[d], bounds[d + 1])
                 words[:d, at] = words[:d, self.parent[at]]
-            self._walk = rc, words, depth
+            self._walk = rc, words, depth.astype(np.min_scalar_type(len(words) - 1))
         return self._walk
 
     def multiply(self, xs, ys):
@@ -276,18 +277,43 @@ class SemigroupClosure:
         A gather from the product table when it has been built; otherwise
         each y's word is followed from x over the right Cayley graph, one
         depth level at a time, so a batch of pairs costs one gather per
-        level and no diagram product.
+        level and no diagram product.  Each entry of a 1-D or scalar ys is
+        a column, along the last axis, and any other ys makes each pair a
+        column.  With the columns in non-decreasing depth of y, as ascending
+        ids are, level d steps only the suffix of columns whose word is
+        still running; otherwise they are sorted by depth (a radix sort) and
+        put back at the end.
         """
         if self._table is not None:
             return self._table[xs, ys]
         rc, words, depth = self._walk_data()
         ys = np.asarray(ys)  # each level's letters are read before broadcasting
         out = np.asarray(xs, dtype=np.int32) + np.zeros(ys.shape, dtype=np.int32)
-        if out.size:
-            flat, width = rc.ravel(), np.intp(rc.shape[1])
-            for level in words[:int(depth[ys].max()) + 1]:
-                out = flat.take(out * width + level[ys])
-        return out
+        if not out.size:
+            return out
+        shape = out.shape
+        ys = (np.broadcast_to(ys, shape) if ys.ndim > 1 else ys).ravel()
+        out = out.reshape(-1, len(ys))  # column c multiplies by ys[c]
+        if len(out) == 1:  # one row is cheaper to step as a 1-D array
+            out = out[0]
+        dy = depth[ys]
+        order = None
+        if (dy[1:] < dy[:-1]).any():
+            order = np.argsort(dy, kind="stable")
+            ys, dy, out = ys[order], dy[order], out[..., order]
+        flat, width = rc.ravel(), np.intp(rc.shape[1])
+        starts = np.searchsorted(dy, np.arange(int(dy[-1]) + 1)).tolist()
+        done, lo = [], 0  # columns lo: still run at this level
+        for level, s in zip(words, starts):
+            if s > lo:  # the words of columns lo:s ended at the level before
+                done.append(out[..., :s - lo])
+                out, ys, lo = out[..., s - lo:], ys[s - lo:], s
+            out = flat.take(out * width + level[ys])
+        out = np.concatenate(done + [out], axis=-1)
+        if order is not None:
+            back, out = out, np.empty_like(out)
+            out[..., order] = back
+        return out.reshape(shape)
 
     def _products(self, xs, ys):
         """P[r, c] = xs[r] ys[c], a len(xs) x len(ys) table of ids.
@@ -359,7 +385,8 @@ def closure(gens, *, include_identity=False, budget=None):
     of Froidure & Pin: s at depth d >= 1 is g_a u, with a its seed's letter
     and suffix(p g_b) = rc[suffix(p), b], so when r = u g_b lies below
     depth d, s g_b = g_a r = lc[r, a] is a lookup.  The other cells are
-    diagram products, one diagrams.multiply_labels call per block of rows.
+    diagram products, one diagrams.multiply_labels call per block of rows;
+    it takes them a generator at a time, whose merges it works out once.
     A lookup never finds a new element, so new ids follow row-major (id,
     generator) order over the product cells, as in a loop taking one
     product at a time.  The level's left rows are then lc[y, a] =

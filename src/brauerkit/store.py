@@ -6,8 +6,9 @@ generators, the sorted elements, and a trailing sha256 line over
 everything above it.  Format v2 writes each diagram as its label string:
 its label array (diagrams.label_array) with one base-36 digit per point,
 so degrees up to 18 fit.  The element lines are the rows of the
-instance's ElementSet in order, which is sorted string order, and a
-reader decodes all of them at once into an ElementSet, with no Diagram
+instance's ElementSet in order, which is sorted string order, written as
+one block of bytes (the digits and a newline column), and a reader
+decodes all of them at once into an ElementSet, with no Diagram
 per element; repeated lines are found as equal neighbours once the rows
 are sorted.
 Writes go through a temp file and os.replace, so a reader never sees a
@@ -35,8 +36,9 @@ CACHE_DIR_ENV = "BRAUERKIT_CACHE_DIR"
 
 _DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_CACHE_DEGREE = len(_DIGITS) // 2
+_DIGIT_CODES = np.frombuffer(_DIGITS, dtype=np.uint8)
 _DIGIT_VALUE = np.full(256, -1, dtype=np.int16)
-_DIGIT_VALUE[np.frombuffer(_DIGITS, dtype=np.uint8)] = np.arange(len(_DIGITS))
+_DIGIT_VALUE[_DIGIT_CODES] = np.arange(len(_DIGITS))
 
 
 def default_cache_dir(override=None):
@@ -52,14 +54,16 @@ def cache_path(cache_dir, family, degree):
     return Path(cache_dir) / f"{family}-{degree}.cache"
 
 
-def _checksum(body):
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+def _checksum(data):
+    return hashlib.sha256(data).hexdigest()
 
 
-def _label_strings(labs):
-    """The label strings of the rows of a label array."""
-    codes = np.frombuffer(_DIGITS, dtype=np.uint8)[labs]
-    return codes.view(f"S{labs.shape[1]}").ravel().astype(str).tolist()
+def _label_lines(labs):
+    """The label strings of the rows of a label array as one ASCII block,
+    each row a line ended by a newline."""
+    block = np.full((len(labs), labs.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    block[:, :-1] = _DIGIT_CODES[labs]
+    return block.tobytes()
 
 
 def _decode_labels(lines, n, what):
@@ -81,23 +85,20 @@ def save_cache(instance, path):
         raise BadDegree(
             f"cache format {CACHE_FORMAT_VERSION} holds degrees up to "
             f"{MAX_CACHE_DEGREE}, got {n}")
-    lines = [
-        f"{CACHE_MAGIC} {CACHE_FORMAT_VERSION}",
-        f"family {instance.family}",
-        f"degree {n}",
-        f"strategy {instance.strategy}",
-        f"generators {len(instance.generators)}",
-    ]
-    lines.extend(_label_strings(label_array(instance.generators, n)))
-    lines.append(f"elements {instance.size}")
-    # rows in byte order are label strings in sorted order
-    lines.extend(_label_strings(instance.elements.labels))
-    body = "\n".join(lines) + "\n"
-    body += f"sha256 {_checksum(body)}\n"
+    head = (f"{CACHE_MAGIC} {CACHE_FORMAT_VERSION}\n"
+            f"family {instance.family}\n"
+            f"degree {n}\n"
+            f"strategy {instance.strategy}\n"
+            f"generators {len(instance.generators)}\n")
+    body = b"".join([head.encode(), _label_lines(label_array(instance.generators, n)),
+                     f"elements {instance.size}\n".encode(),
+                     # rows in byte order are label strings in sorted order
+                     _label_lines(instance.elements.labels)])
+    body += f"sha256 {_checksum(body)}\n".encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(body)
         os.replace(tmp, path)
     except BaseException:
@@ -129,7 +130,7 @@ def load_cache(path):
         raise ParseError(f"{path}: missing checksum line")
     declared = lines[-1].split(" ", 1)[1]
     body = "\n".join(lines[:-1]) + "\n"
-    if _checksum(body) != declared:
+    if _checksum(body.encode("utf-8")) != declared:
         raise ChecksumMismatch(f"{path}: cache content does not match its checksum")
     head = _expect(lines[0], CACHE_MAGIC)
     if head != str(CACHE_FORMAT_VERSION):

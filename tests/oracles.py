@@ -665,17 +665,21 @@ def oracle_period_one(sg, ids):
 
 
 def count_products(monkeypatch):
-    """Count the package's diagram products: the rows of its one product
-    kernel, through which batched, masked, zipped and scalar products all
-    go, so each product counts once."""
+    """Count the package's diagram products: the rows its two product
+    kernels return, the pair kernel (zipped and scalar products) and the
+    by-right-factor kernel (batched and masked ones), so each product
+    counts once."""
     count = [0]
-    product = diagrams._product
 
-    def counted(xs, ys):
-        count[0] += len(xs)
-        return product(xs, ys)
+    def counting(kernel):
+        def counted(*args):
+            out = kernel(*args)
+            count[0] += len(out)
+            return out
+        return counted
 
-    monkeypatch.setattr(diagrams, "_product", counted)
+    for name in ("_product", "_factor_products"):
+        monkeypatch.setattr(diagrams, name, counting(getattr(diagrams, name)))
     return count
 
 

@@ -66,7 +66,9 @@ from brauerkit.diagrams import (
     stars,
     turned,
 )
+from brauerkit import diagrams
 from brauerkit.engine import pad_embedding
+from brauerkit.families import generators
 from brauerkit.errors import (
     BadDegree,
     BadIndex,
@@ -227,6 +229,55 @@ def test_masked_product_takes_the_marked_cells_in_row_major_order(family, data):
     got = multiply_labels(xs, bs, where=where)
     assert got.shape == (int(where.sum()), 2 * n) and got.dtype == label_dtype(n)
     assert np.array_equal(got, multiply_labels(xs, bs)[where])
+
+
+def _joined_merges(xs, bs, where):
+    """How many marked cells (r, j) have bs[j] merge two top points of xs[r]
+    that already share a block of xs[r]."""
+    n = xs.shape[1] // 2
+    found = 0
+    for j, b in enumerate(bs):
+        for p, q in diagrams._factor_plan(b)[0]:
+            found += int((where[:, j] & (xs[:, n + p] == xs[:, n + q])).sum())
+    return found
+
+
+@pytest.mark.parametrize("family, n", [
+    ("B", 4), ("B", 5), ("J", 5), ("A", 5), ("EA", 4), ("PB", 3), ("PJ", 3),
+    ("PA", 3), ("PA", 4), ("SYM", 4), ("C", 3), ("C", 4)])
+def test_products_by_right_factor_match_the_pair_kernel(family, n):
+    """multiply_labels takes a group of cells per right factor; each cell
+    must be what the pair kernel gives for its broadcast rows, under every
+    mask, for each family's generating set as the closure passes it."""
+    bs = label_array(generators(family, n), n)
+    xs = construct(family, n).elements.labels
+    rng = np.random.default_rng(len(xs))
+    xs = xs[rng.permutation(len(xs))[:400]]
+    k, g = len(xs), len(bs)
+    masks = [rng.random((k, g)) < 0.4, np.zeros((k, g), bool), np.ones((k, g), bool)]
+    for where in masks:
+        rows, cols = np.nonzero(where)
+        want = multiply_pairs(xs[rows], bs[cols])
+        got = multiply_labels(xs, bs, where=where)
+        assert got.dtype == label_dtype(n) and np.array_equal(got, want)
+    assert np.array_equal(multiply_labels(xs, bs), want.reshape(k, g, 2 * n))
+    if family == "C":  # a merge of top points one block of x already joins
+        assert _joined_merges(xs, bs, masks[2])
+
+
+def test_products_by_right_factor_at_two_byte_labels():
+    n = 64
+    rng = random.Random(64)
+    xs = label_array([random_partition_diagram(n, rng) for _ in range(7)]
+                     + [random_partial_brauer(n, rng) for _ in range(7)]
+                     + [adjacent_contraction(n, 5)], n)
+    bs = label_array([rotation(n), adjacent_contraction(n, n), partial_identity(n, 3),
+                      random_partition_diagram(n, rng), contraction(n, 2, 9)], n)
+    where = np.random.default_rng(n).random((len(xs), len(bs))) < 0.6
+    rows, cols = np.nonzero(where)
+    got = multiply_labels(xs, bs, where=where)
+    assert got.dtype == np.int16 and _joined_merges(xs, bs, where)
+    assert np.array_equal(got, multiply_pairs(xs[rows], bs[cols]))
 
 
 @pytest.mark.parametrize("family, n", [("C", 1), ("C", 2), ("PB", 2), ("PJ", 1)])

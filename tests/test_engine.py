@@ -589,6 +589,30 @@ def test_word_walk_matches_the_products_walk(name):
     assert sg.multiply(xs[:0, None], ys).shape == (0, 50)
 
 
+@pytest.mark.parametrize("family, n", [("B", 5), ("PA", 4)])
+def test_word_walk_by_depth_matches_the_product_table(family, n):
+    """multiply steps only the columns whose word still runs, sorting the
+    columns by depth when ys is not; it must give the table's gather on
+    ascending, unsorted, repeated, scalar and broadcast ids."""
+    gens = construct(family, n).generators
+    sg = closure(gens, include_identity=True)
+    table = closure(gens, include_identity=True).product_table()
+    m = sg.size
+    rng = np.random.default_rng(m)
+    xs, ids = rng.integers(0, m, m), np.arange(m)
+    seeds = np.sort(rng.choice(m, 60, replace=False))
+    cases = [(xs, ids), (ids, ids), (xs, rng.permutation(m)), (xs, rng.integers(0, m, m)),
+             (xs[:180], np.repeat(seeds, 3)), (xs, int(xs[1])), (int(xs[2]), ids),
+             (int(xs[3]), int(xs[4])), (xs[:70, None], seeds), (xs[:70, None], seeds[::-1]),
+             (xs[:1], ids), (xs, ids[-1:]), (xs[:60].reshape(6, 10), seeds[:10]),
+             (xs[:30, None], rng.integers(0, m, (30, 4)))]
+    for x, y in cases:
+        got = sg.multiply(x, y)
+        assert np.shape(got) == np.shape(table[x, y])
+        assert np.array_equal(got, table[x, y])
+    assert sg._table is None
+
+
 # ---------------------------------------------------------------------------
 # Green's relations
 

@@ -35,7 +35,8 @@ from brauerkit.errors import (
 from brauerkit.store import (
     CACHE_DIR_ENV,
     CACHE_FORMAT_VERSION,
-    _label_strings,
+    MAX_CACHE_DEGREE,
+    _label_lines,
     cache_path,
     default_cache_dir,
     load_or_build,
@@ -61,10 +62,27 @@ def test_round_trip(b4_cache):
     assert loaded.generators == inst.generators
 
 
-def test_cache_bytes_are_stable(b4_cache):
-    _, path = b4_cache
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "d9d08b0391951d5d3d6916ff197b24ad2110f95ddb095096d0064c0e6490f9fd")
+def test_cache_bytes_are_stable(tmp_path):
+    """The bytes save_cache wrote when it joined text lines, so writing
+    the element lines as one byte block changes no file."""
+    for family, n, digest in (
+            ("B", 4, "d9d08b0391951d5d3d6916ff197b24ad2110f95ddb095096d0064c0e6490f9fd"),
+            ("A", 6, "e90cf8ae9c08f8ed17c36d319b5d8f61f403f3ad2a83639aba2051f349c1a785")):
+        path = save_cache(construct(family, n), cache_path(tmp_path, family, n))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (family, n)
+
+
+def test_a_hand_made_instance_at_the_largest_degree_round_trips(tmp_path):
+    """Degree 18's 36 points take every base-36 digit, z included."""
+    n = MAX_CACHE_DEGREE
+    singletons = from_labels(range(2 * n))
+    elems = {identity(n), singletons, partial_identity(n, 18), identity(n) * singletons}
+    inst = FamilyInstance(family="C", degree=n, strategy="generated",
+                          elements=frozenset(elems), generators=(singletons, identity(n)))
+    path = save_cache(inst, cache_path(tmp_path, "C", n))
+    assert path.read_text().splitlines()[5] == "0123456789abcdefghijklmnopqrstuvwxyz"
+    loaded = load_cache(path)
+    assert loaded == inst and loaded.generators == inst.generators
 
 
 def test_round_trip_never_decodes_blocks(tmp_path):
@@ -182,7 +200,7 @@ def test_a_loaded_element_outside_the_closure_fails_as_closure(b4_cache):
     inst, path = b4_cache
     lines = path.read_text().splitlines()
     start = lines.index(f"elements {inst.size}") + 1
-    lines[start] = _label_strings(label_array([partial_identity(4, 1)], 4))[0]
+    lines[start] = _label_lines(label_array([partial_identity(4, 1)], 4)).decode().rstrip()
     _reseal(path, lines)
     loaded = load_cache(path)
     assert loaded.size == 105 and partial_identity(4, 1) in loaded.elements
