@@ -41,12 +41,17 @@ restricts the parent's products, in blocks of at most _PAIR_BATCH cells:
 subsemigroup() for ideals, local monoids e S e, padded copies and group
 kernels, and rees_quotient() for S/I, whose ids stand for no diagram.
 extend_subsemigroup grows the subsemigroup some ids generate by one
-integer search; generated_subsemigroup, the kernel rounds and the small
-generating set a table-backed closure is analysed over (_table_generators)
-are built on it, so that closure's Green's relations cost m x |generators|
-edges, not m^2.  Every family is the closure of a generating set
-(families.generators); closure_from_elements, the closure of generators
-picked greedily from a set, is kept for callers outside the family code.
+integer search.  generated_subsemigroup is built on it, and so is
+_table_generators, which adds ids one at a time and skips those already
+generated: over every id it finds the small generating set a table-backed
+closure is analysed over, so that closure's Green's relations cost
+m x |generators| edges, not m^2, and the group kernel's rounds pick their
+few seeds with it.  The group kernel reads every product through multiply
+and _products, so on a searched closure it gathers from the table under
+TABLE_CELL_LIMIT and walks words over it.  Every family is the closure of
+a generating set (families.generators); closure_from_elements, the closure
+of generators picked greedily from a set, is kept for callers outside the
+family code.
 """
 
 from __future__ import annotations
@@ -185,7 +190,8 @@ class SemigroupClosure:
         columns; for a table-backed closure, the generating set
         _table_generators finds from its table when first read."""
         if self._generators is None:
-            self._generators = _frozen(_table_generators(self))
+            self._generators = _frozen(_table_generators(
+                self, np.zeros(self.size, dtype=bool), [], range(self.size)))
         return self._generators
 
     @property
@@ -586,13 +592,15 @@ def extend_subsemigroup(sg, member, gens, new):
     return seeds
 
 
-def _table_generators(sg):
-    """Ids of a generating set of the table-backed closure sg: scanning ids
-    in order, each one the earlier picks do not generate is the next pick,
-    and extends their subsemigroup, at most m x |picks| gathers in all."""
-    member = np.zeros(sg.size, dtype=bool)
-    gens = np.empty(0, dtype=np.int64)
-    for i in range(sg.size):
+def _table_generators(sg, member, gens, ids):
+    """Grow member, the mask of the subsemigroup gens generates, by ids one
+    at a time in the order given: each id that member does not hold is the
+    next pick and extends it (extend_subsemigroup).  Returns gens and the
+    picks as one ascending array.  Over all ids of a table-backed closure,
+    from no member, the picks are a generating set, found in at most
+    m x |picks| gathers; the kernel rounds pick their seeds this way."""
+    gens = np.asarray(gens, dtype=np.int64)
+    for i in ids:
         if not member[i]:
             gens = extend_subsemigroup(sg, member, gens, [i])
     return gens

@@ -7,8 +7,10 @@ this coincides with the set of elements related to the group identity
 under every relational morphism into a group, so aperiodicity of the
 kernel decides membership in the aperiodic-by-group product variety.
 
-The fixpoint is computed from the m x m product table T, where (x, x̄) is
-a weak-inverse pair when T[T[x̄, x], x̄] = x̄.
+Every product is read through sg.multiply and sg._products, so the engine
+picks the path from sg's size: gathers from the product table when it is
+under TABLE_CELL_LIMIT, word walks otherwise.  (x, x̄) is a weak-inverse
+pair when (x̄ x) x̄ = x̄.
 
 Generator pairs: let A be S's generators plus its identity, when it has
 one, so that A generates S.  A product-closed K is closed under weak
@@ -25,7 +27,9 @@ Rounds: each round closes K under products, then adds the a k ā and
 round K already holds every conjugate of the last round's K, so a round
 conjugates only the ids that joined K in it.  K holds the product of two
 of its elements, so a conjugate y ā (y = a k) or ā y (y = k a) is read
-only where y or ā is outside K, a block of whole table rows at a time.
+only where y or ā is outside K, a block of products at a time.  A round
+takes its seeds one id at a time, in ascending order, and skips the ids
+K already holds, so K's seeds G stay few.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _PAIR_BATCH and TABLE_CELL_LIMIT are read through engine, so a patch reaches them
+# _PAIR_BATCH is read through engine, so a patch reaches it
 from . import engine
-from .engine import extend_subsemigroup, generated_subsemigroup, period_one
-from .errors import BudgetExceeded, KernelFixpointError
+from .engine import _table_generators, generated_subsemigroup, period_one
+from .errors import KernelFixpointError
 
 
 @dataclass(frozen=True)
@@ -48,22 +52,11 @@ class KernelResult:
     witness: int | None  # id of a period >= 2 kernel element, when present
 
 
-def _table(sg):
-    """sg's product table as an array; BudgetExceeded when it is too big."""
-    table = sg.product_table()
-    if table is None:
-        raise BudgetExceeded(
-            f"the group kernel needs the {sg.size} x {sg.size} product table, "
-            f"which is over TABLE_CELL_LIMIT = {engine.TABLE_CELL_LIMIT} cells")
-    return np.asarray(table)
-
-
 def weak_inverse_pairs(sg):
     """All ordered pairs (x, x̄) with x̄xx̄ = x̄, ordered by x̄ and then x."""
-    table = _table(sg)
-    rows = np.arange(len(table))[:, None]
-    xbars, xs = np.nonzero(table[table, rows] == rows)
-    return list(zip(xs.tolist(), xbars.tolist()))
+    bars = _weak_inverses(sg, np.arange(sg.size))
+    pairs = ((x, xbar) for x, bar in enumerate(bars) for xbar in bar.tolist())
+    return sorted(pairs, key=lambda pair: pair[::-1])
 
 
 def _generating_set(sg):
@@ -72,74 +65,69 @@ def _generating_set(sg):
     return gens if sg.identity_id is None else np.union1d(gens, [sg.identity_id])
 
 
-def _weak_inverses(table, gens):
-    """For each a in gens, the ascending ids ā with ā a ā = ā, read from
-    one m x |gens| gather of the table."""
-    ids = np.arange(len(table))[:, None]
-    weak = table[table[:, gens], ids] == ids  # weak[ā, i]: ā gens[i] ā = ā
+def _blocks(sg, rows, cols):
+    """sg._products(rows, cols), a block of rows at a time: at most
+    _PAIR_BATCH cells, or one row when cols is longer."""
+    if len(cols):
+        step = max(1, engine._PAIR_BATCH // len(cols))
+        for lo in range(0, len(rows), step):
+            yield sg._products(rows[lo:lo + step], cols)
+
+
+def _weak_inverses(sg, gens):
+    """For each a in gens, the ascending ids ā with (ā a) ā = ā: the
+    products ā a of every id, then each times its ā."""
+    ids = np.arange(sg.size)[:, None]
+    weak = sg.multiply(sg._products(ids[:, 0], gens), ids) == ids
     return [np.flatnonzero(col) for col in weak.T]
 
 
-def _row_blocks(table, rows, cols):
-    """table[rows][:, cols], a block of whole rows at a time: at most
-    _PAIR_BATCH // m rows of m cells, or one row when m is larger."""
-    if len(cols):
-        step = max(1, engine._PAIR_BATCH // len(table))
-        for lo in range(0, len(rows), step):
-            yield table[rows[lo:lo + step]][:, cols]
-
-
-def _lands_in(member, table, rows, cols):
-    """True when table[r, c] is in member for every r in rows and c in cols,
-    read up to the first miss.  A block of whole rows is mapped to member
-    before its columns are picked, as picking bools is cheaper than
-    picking ids; take copies the ids to intp, so a block is about
-    _PAIR_BATCH / 8 cells, one row when m is larger."""
-    step = max(1, (engine._PAIR_BATCH >> 3) // len(table))
-    return all(member.take(table[rows[lo:lo + step]])[:, cols].all()
-               for lo in range(0, len(rows), step))
-
-
-def _generator_conjugates(table, member, ks, gens, bars):
+def _generator_conjugates(sg, member, ks, gens, bars):
     """Ids outside member among a k ā and ā k a, for k in ks, a in gens and
     ā in the matching entry of bars (_weak_inverses), ascending.
 
     member is a mask closed under products, so of the y ā and ā y, with
     y = a k or k a, only those with y or ā outside member are read.
     """
-    out = np.zeros(len(table), dtype=bool)
+    out = np.zeros(sg.size, dtype=bool)
     for a, bar in zip(gens, bars):
         bar_out = bar[~member[bar]]
-        for ys, left in ((table[a, ks], True), (table[ks, a], False)):
-            hit = np.zeros(len(table), dtype=bool)
+        for ys, left in ((sg.multiply(a, ks), True), (sg.multiply(ks, a), False)):
+            hit = np.zeros(sg.size, dtype=bool)
             hit[ys] = True
             for y, b in ((np.flatnonzero(hit & ~member), bar),
                          (np.flatnonzero(hit & member), bar_out)):
-                for block in _row_blocks(table, *((y, b) if left else (b, y))):
+                for block in _blocks(sg, *((y, b) if left else (b, y))):
                     out[block] = True
     return np.flatnonzero(out & ~member)
 
 
-def _check_fixpoint(sg, table, kids):
+def _check_fixpoint(sg, kids, seeds):
     """Raise KernelFixpointError unless kids holds every idempotent and is
     closed under products and under weak conjugation.
 
     Those three facts make kids a superset of the kernel, the least such
-    set by Ash's theorem.  Conjugation is tested over the pairs (a, ā) with
-    a in A, sg's generators plus its identity, which is the whole test once
-    kids is closed under products (the lemma in the module docstring), so
-    the check also checks that A generates sg.
+    set by Ash's theorem.  Products are tested as K G ⊆ K and ⟨G⟩ = K, G
+    the seeds, |K| x |G| products in place of |K|^2: write k' in K as
+    g_1 ⋯ g_r with each g_i in G; then k g_1 ⋯ g_i is in K for i = 1..r by
+    induction on i, as K G ⊆ K, so k k' is in K.  Conjugation is tested
+    over the pairs (a, ā) with a in A, sg's generators plus its identity,
+    which is the whole test once kids is closed under products (the lemma
+    in the module docstring), so the check also checks that A generates
+    sg.
     """
-    member = np.zeros(len(table), dtype=bool)
+    member = np.zeros(sg.size, dtype=bool)
     member[kids] = True
-    if not _lands_in(member, table, kids, kids):
+    if not all(member[block].all() for block in _blocks(sg, kids, seeds)):
         raise KernelFixpointError("the kernel is not closed under products")
+    if not np.array_equal(generated_subsemigroup(sg, seeds), np.flatnonzero(member)):
+        raise KernelFixpointError("the seeds do not generate the kernel")
     if not member[sg.idempotent_ids()].all():
         raise KernelFixpointError("the kernel misses an idempotent")
     gens = _generating_set(sg)
     if len(generated_subsemigroup(sg, gens)) != sg.size:
         raise KernelFixpointError("the generators do not generate the semigroup")
-    if _generator_conjugates(table, member, kids, gens, _weak_inverses(table, gens)).size:
+    if _generator_conjugates(sg, member, kids, gens, _weak_inverses(sg, gens)).size:
         raise KernelFixpointError("the kernel is not closed under weak conjugation")
 
 
@@ -147,35 +135,34 @@ def kernel(sg):
     """Group kernel of sg by fixpoint iteration from the idempotents.
 
     Each round extends the product-closed candidate set by the last
-    round's conjugates (first the idempotents), then takes the conjugates
-    a k ā and ā k a outside it of the ids that joined it in the round, over
-    the generator pairs; the first round that adds nothing beyond those
-    conjugates is the last.  The fixpoint is checked again from scratch
-    (_check_fixpoint): KernelFixpointError unless it holds every
-    idempotent and is closed under products and under weak conjugation by
-    the generators.  kernel_ids is the kernel's ids as an ascending
-    read-only array, and witness the first of them whose period is over 1,
-    or None.  Raises BudgetExceeded when sg's product table is over
-    TABLE_CELL_LIMIT.
+    round's conjugates (first the idempotents), one seed at a time, then
+    takes the conjugates a k ā and ā k a outside it of the ids that joined
+    it in the round, over the generator pairs; the first round that adds
+    nothing beyond those conjugates is the last.  The fixpoint is checked
+    again from scratch (_check_fixpoint): KernelFixpointError unless it
+    holds every idempotent and is closed under products and under weak
+    conjugation by the generators.  kernel_ids is the kernel's ids as an
+    ascending read-only array, and witness the first of them whose period
+    is over 1, or None.
     """
-    table = _table(sg)
+    sg.product_table()  # kept under TABLE_CELL_LIMIT, so the products below are gathers
     gen_set = _generating_set(sg)
-    bars = _weak_inverses(table, gen_set)
+    bars = _weak_inverses(sg, gen_set)
     member = np.zeros(sg.size, dtype=bool)
-    gens, new = [], sg.idempotent_ids()
+    seeds, new = [], sg.idempotent_ids()
     iterations = 0
     while True:
         iterations += 1
         before = int(member.sum()) + len(new)
         old = member.copy()
-        gens = extend_subsemigroup(sg, member, gens, new)
-        new = _generator_conjugates(table, member, np.flatnonzero(member & ~old),
+        seeds = _table_generators(sg, member, seeds, new)
+        new = _generator_conjugates(sg, member, np.flatnonzero(member & ~old),
                                     gen_set, bars)
         if int(member.sum()) + len(new) == before:
             break
 
     kids = np.flatnonzero(member)
-    _check_fixpoint(sg, table, kids)
+    _check_fixpoint(sg, kids, seeds)
     kids.flags.writeable = False
 
     periodic = np.flatnonzero(~period_one(sg, kids))

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,45 @@ def test_kernel_reports_witness_for_partial_annular(cache_dir, capsys):
     assert data["kernel_size"] == 542
     assert data["aperiodic_by_groups"] is False
     assert data["witness_period"] == 2
+
+
+# kernel size, rounds, aperiodic, witness, its index and period; for PA:5
+# and C:4 the table kernel gave the same with TABLE_CELL_LIMIT raised
+_KERNELS_PAST_THE_TABLE_LIMIT = {
+    ("PA", 5): (4947, 3, False, "5:[{1,5},{2,3'},{3,4'},{4,5'},{1',2'}]", 1, 3),
+    ("C", 4): (4117, 2, False, "4:[{1,3'},{2},{3,4'},{4,1'},{2'}]", 1, 3),
+    ("B", 7): (130096, 2, False,
+               "7:[{1,7},{2,3'},{3,4'},{4,5'},{5,6'},{6,7'},{1',2'}]", 1, 5),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n", _KERNELS_PAST_THE_TABLE_LIMIT)
+def test_kernel_runs_past_the_table_limit(family, n, tmp_path):
+    """`brauerkit kernel` on closures whose product table is over
+    TABLE_CELL_LIMIT exits 0 in under 5 s and 200 MB peak RSS, read for
+    the one child by wait4; a 60 s CPU limit stops a runaway child."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "out", "w+") as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "brauerkit", "kernel", "--family", family,
+             "--n", str(n), "--format", "json"],
+            env=env, stdout=out, stderr=subprocess.STDOUT,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (60, 60)))
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        text = out.read()
+    assert proc.returncode == 0, text
+    data = json.loads(text)
+    assert (data["kernel_size"], data["iterations"], data["kernel_aperiodic"],
+            data["witness"], data["witness_index"], data["witness_period"]
+            ) == _KERNELS_PAST_THE_TABLE_LIMIT[family, n]
+    assert seconds < 5
+    assert usage.ru_maxrss * 1024 < 200e6  # ru_maxrss is in KiB on Linux
 
 
 # ---------------------------------------------------------------------------

@@ -1352,7 +1352,7 @@ def test_generating_set_of_a_left_zero_band_is_everything():
         np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1))
     sg._table = sg._table.view(_CountedTable)
     _CountedTable.cells = 0
-    gens = engine._table_generators(sg)
+    gens = engine._table_generators(sg, np.zeros(m, dtype=bool), [], range(m))
     assert gens.tolist() == list(range(m))
     assert _CountedTable.cells <= m * len(gens)
 
@@ -1361,7 +1361,7 @@ def test_multiplying_a_local_monoid_finds_no_generating_set(monkeypatch):
     calls = []
     search = engine._table_generators
     monkeypatch.setattr(engine, "_table_generators",
-                        lambda table: calls.append(1) or search(table))
+                        lambda *args: calls.append(1) or search(*args))
     sg = _b(4)
     local = local_monoid(sg, id_of(sg, adjacent_contraction(4, 3)))
     local.multiply(np.arange(local.size)[:, None], np.arange(local.size))

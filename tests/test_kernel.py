@@ -1,5 +1,6 @@
 """Group-kernel computation and the aperiodic-by-group test."""
 
+import functools
 import importlib
 import os
 import random
@@ -24,9 +25,10 @@ from brauerkit import (
 )
 from brauerkit.derivations import t1sub_ea6
 from brauerkit.engine import SemigroupClosure, generated_subsemigroup, period_one
-from brauerkit.errors import BudgetExceeded, KernelFixpointError
+from brauerkit.errors import KernelFixpointError
 from brauerkit.verify import verify_parity_morphism_a4
 from oracles import (
+    _oracle_closure,
     dense_conjugates,
     dense_pair_matrix,
     elements_of,
@@ -146,18 +148,52 @@ _PER_PAIR_NAMES = ["B:3", "B:4", "A:3", "A:5", "EA:4", "PB:3", "PA:3", "J:5",
                    "SYM:4", "t1sub(EA:6)"]
 
 
-@pytest.mark.parametrize("name", _PER_PAIR_NAMES)
-def test_kernel_matches_the_per_pair_oracle(name):
-    sg = _named(name)
-    assert _result(kernel(sg)) == oracle_kernel(sg)
+def _paths(names):
+    """(name, path) parameters for both product paths (_on_path), the walk
+    case named "<name> walk".  A T:seed closure is table-backed: it has no
+    words to walk, so it is on the table path alone."""
+    return [pytest.param(name, path, id=name if path == "table" else f"{name} walk")
+            for name in names for path in ("table", "walk")
+            if path == "table" or not name.startswith("T:")]
+
+
+def _on_path(name, path, monkeypatch):
+    """The named closure on one product path.  "table" is _named's, whose
+    table kernel() builds; "walk" is a fresh closure of the same generators,
+    with the same ids, under a TABLE_CELL_LIMIT of 0, so it builds no table
+    and every product walks words.  Read what needs the table first."""
+    if path == "table":
+        return _named(name)
+    monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", 0)
+    if name == "t1sub(EA:6)":
+        return t1sub_ea6()
+    family, n = name.split(":")
+    return engine_module.closure(generators(family, int(n)), include_identity=True)
+
+
+@functools.cache
+def _oracle(oracle, name):
+    """oracle's kernel of the named closure, computed once for both paths."""
+    return oracle(_named(name))
+
+
+def _assert_kernel_matches(oracle, name, path, monkeypatch):
+    want = _oracle(oracle, name)
+    sg = _on_path(name, path, monkeypatch)
+    assert _result(kernel(sg)) == want
+    assert (sg._table is None) == (path == "walk")
+
+
+@pytest.mark.parametrize("name, path", _paths(_PER_PAIR_NAMES))
+def test_kernel_matches_the_per_pair_oracle(name, path, monkeypatch):
+    _assert_kernel_matches(oracle_kernel, name, path, monkeypatch)
 
 
 # T:34 and T:0 have no identity, and T:23's is not id 0
-@pytest.mark.parametrize("name", _PER_PAIR_NAMES + ["PB:4", "A:6", "EA:6", "J:6", "PA:4",
-                                                    "T:34", "T:0", "T:23"])
-def test_kernel_matches_the_dense_oracle(name):
-    sg = _named(name)
-    assert _result(kernel(sg)) == oracle_dense_kernel(sg)
+@pytest.mark.parametrize("name, path", _paths(
+    _PER_PAIR_NAMES + ["PB:4", "A:6", "EA:6", "J:6", "PA:4", "T:34", "T:0", "T:23"]))
+def test_kernel_matches_the_dense_oracle(name, path, monkeypatch):
+    _assert_kernel_matches(oracle_dense_kernel, name, path, monkeypatch)
 
 
 def test_kernel_matches_the_dense_oracle_on_every_ledger_kernel(
@@ -184,38 +220,56 @@ def test_kernel_matches_the_dense_oracle_on_every_ledger_kernel(
 
 # PJ:4 and T:38 take one round more over the generator pairs than over
 # every pair
-@pytest.mark.parametrize("name", _PER_PAIR_NAMES + ["A:4", "PB:4", "A:6", "EA:6", "J:6",
-                                                    "PA:4", "T:34", "T:0", "T:23",
-                                                    "PJ:4", "T:38"])
-def test_kernel_matches_the_generator_pair_oracle(name):
-    sg = _named(name)
-    assert _result(kernel(sg)) == oracle_generator_kernel(sg)
+@pytest.mark.parametrize("name, path", _paths(
+    _PER_PAIR_NAMES + ["A:4", "PB:4", "A:6", "EA:6", "J:6", "PA:4", "T:34", "T:0", "T:23",
+                       "PJ:4", "T:38"]))
+def test_kernel_matches_the_generator_pair_oracle(name, path, monkeypatch):
+    _assert_kernel_matches(oracle_generator_kernel, name, path, monkeypatch)
 
 
-@pytest.mark.parametrize("name", ["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
-                                  "EA:4", "C:3"])
-def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name):
+def test_kernel_at_the_table_limit_engine_holds_walks_to_the_table_result(monkeypatch):
+    table_sg = _sg("A", 3)
+    want = _result(kernel(table_sg))
+    sg = engine_module.closure(generators("A", 3), include_identity=True)  # no table yet
+    monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", sg.size ** 2 - 1)
+    assert _result(kernel(sg)) == want
+    assert sg._table is None
+
+
+def test_kernel_without_a_product_table_walks_to_the_table_result(monkeypatch):
+    table_sg = _sg("B", 4)
+    want = _result(kernel(table_sg)), weak_inverse_pairs(table_sg)
+    sg = engine_module.closure(generators("B", 4), include_identity=True)
+    monkeypatch.setattr(sg, "product_table", lambda: None)
+    assert (_result(kernel(sg)), weak_inverse_pairs(sg)) == want
+    assert sg._table is None
+
+
+@pytest.mark.parametrize("name, path", _paths(["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
+                                               "EA:4", "C:3"]))
+def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name, path, monkeypatch):
     """_generator_conjugates, which reads only the cells with y or ā
     outside the set, finds the conjugates outside it that the plain
     oracle finds over every (a, ā, k)."""
-    sg = _named(name)
-    table = np.asarray(sg.product_table())
-    rows = table.tolist()
+    ref = _named(name)
+    rows = np.asarray(ref.product_table()).tolist()
+    pairs = oracle_weak_inverse_pairs(ref)
+    sg = _on_path(name, path, monkeypatch)
     gens = kernel_module._generating_set(sg)
-    bars = kernel_module._weak_inverses(table, gens)
-    pairs = oracle_weak_inverse_pairs(sg)
+    bars = kernel_module._weak_inverses(sg, gens)
     assert [b.tolist() for b in bars] == [sorted(xbar for x, xbar in pairs if x == a)
                                           for a in gens]
     rng = random.Random(name)
     for _ in range(40):
         seeds = rng.sample(range(sg.size), rng.randint(1, 4))
-        kids = generated_subsemigroup(sg, seeds)
+        kids = generated_subsemigroup(ref, seeds)
         member = np.zeros(sg.size, dtype=bool)
         member[kids] = True
         for ks in (kids, sorted(rng.sample(kids.tolist(), rng.randint(1, len(kids))))):
-            got = kernel_module._generator_conjugates(table, member, ks, gens, bars)
-            want = oracle_generator_conjugates(sg, rows, ks) - set(kids.tolist())
+            got = kernel_module._generator_conjugates(sg, member, ks, gens, bars)
+            want = oracle_generator_conjugates(ref, rows, ks) - set(kids.tolist())
             assert got.tolist() == sorted(want)
+    assert (sg._table is None) == (path == "walk")
 
 
 def _conjugation_closed(sg, table, pairs, seeds):
@@ -232,9 +286,9 @@ def _conjugation_closed(sg, table, pairs, seeds):
         member = grown
 
 
-@pytest.mark.parametrize("name", ["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
-                                  "EA:4", "C:3", "T:34", "T:0", "T:23"])
-def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name):
+@pytest.mark.parametrize("name, path", _paths(["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
+                                               "EA:4", "C:3", "T:34", "T:0", "T:23"]))
+def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name, path, monkeypatch):
     """The lemma: a product-closed set is closed under weak conjugation by
     every pair iff it is by the pairs of the generators and the identity,
     so the generator conjugates outside it are empty iff the dense ones
@@ -242,37 +296,81 @@ def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name):
     closed under conjugation too; outside the group SYM:4 most miss an
     idempotent.  On T:34 the conjugates are wrong without the cells y ā
     with y inside and ā outside the set, or without the ā y."""
-    sg = _named(name)
-    table = np.asarray(sg.product_table())
+    ref = _named(name)
+    table = np.asarray(ref.product_table())
     pairs = dense_pair_matrix(table)
+    sg = _on_path(name, path, monkeypatch)
     gens = kernel_module._generating_set(sg)
-    bars = kernel_module._weak_inverses(table, gens)
+    bars = kernel_module._weak_inverses(sg, gens)
     rng = random.Random(name)
     found = []
     for i in range(40):
         seeds = rng.sample(range(sg.size), rng.randint(1, 4))
-        kids = (_conjugation_closed(sg, table, pairs, seeds) if i % 2
-                else generated_subsemigroup(sg, seeds))
+        kids = (_conjugation_closed(ref, table, pairs, seeds) if i % 2
+                else generated_subsemigroup(ref, seeds))
         member = np.zeros(sg.size, dtype=bool)
         member[kids] = True
         dense = set(np.flatnonzero(dense_conjugates(table, pairs, kids) & ~member).tolist())
-        got = kernel_module._generator_conjugates(table, member, kids, gens, bars)
+        got = kernel_module._generator_conjugates(sg, member, kids, gens, bars)
         assert bool(got.size) == bool(dense)
         assert set(got.tolist()) <= dense
         found.append(not dense)
     assert 0 < sum(found) < len(found)
 
 
+def _seeds(sg, kids):
+    """A generating set of the subsemigroup kids, picked as the rounds pick."""
+    return engine_module._table_generators(sg, np.zeros(sg.size, dtype=bool), [], kids)
+
+
 @pytest.mark.parametrize("name", ["SYM:3", "A:4", "PB:4"])
 def test_fixpoint_check_needs_generators_that_generate(name, monkeypatch):
     sg = _named(name)
     kids = kernel(sg).kernel_ids
+    seeds = _seeds(sg, kids)
     dropped = sg.generators[1:]
     monkeypatch.setattr(SemigroupClosure, "generators", property(lambda self: dropped))
-    with pytest.raises(KernelFixpointError, match="do not generate"):
-        kernel_module._check_fixpoint(sg, np.asarray(sg.product_table()), kids)
+    with pytest.raises(KernelFixpointError, match="do not generate the semigroup"):
+        kernel_module._check_fixpoint(sg, kids, seeds)
     with pytest.raises(KernelFixpointError):
         kernel(sg)
+
+
+_PRODUCT_FAILURES = {"the kernel is not closed under products",
+                     "the seeds do not generate the kernel"}
+
+
+@pytest.mark.parametrize("name", ["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "C:3", "T:34",
+                                  "T:23"])
+def test_the_product_check_matches_the_all_pairs_check(name):
+    """_check_fixpoint's K G ⊆ K with ⟨G⟩ = K fails iff K K ⊆ K fails over
+    all |K|^2 cells or G does not generate K, on seeded sets: K closed or
+    with one id dropped, G a generating set of K or one with a pick
+    dropped.  A K that is not closed is generated by no G, as ⟨G⟩ is."""
+    sg = _named(name)
+    table = np.asarray(sg.product_table())
+    rows = table.tolist()
+    rng = random.Random(name)
+    seen = set()
+    for i in range(60):
+        kids = generated_subsemigroup(sg, rng.sample(range(sg.size), rng.randint(1, 4)))
+        if i % 2 and len(kids) > 1:
+            kids = np.delete(kids, rng.randrange(len(kids)))
+        seeds = _seeds(sg, kids)
+        if i % 4 > 1 and len(seeds) > 1:
+            seeds = np.delete(seeds, rng.randrange(len(seeds)))
+        member = np.zeros(sg.size, dtype=bool)
+        member[kids] = True
+        closed = bool(member[table[np.ix_(kids, kids)]].all())
+        generates = sorted(_oracle_closure(rows, seeds.tolist())) == kids.tolist()
+        try:
+            kernel_module._check_fixpoint(sg, kids, seeds)
+            failed = False
+        except KernelFixpointError as exc:
+            failed = str(exc) in _PRODUCT_FAILURES
+        assert failed == (not (closed and generates)), (kids, seeds)
+        seen.add((closed, generates))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "A:6", "t1sub(EA:6)"])
@@ -283,23 +381,23 @@ def test_generator_test_is_empty_iff_the_rounds_sweep_is(name, monkeypatch):
     sg = _named(name)
     table = np.asarray(sg.product_table())
     pairs = dense_pair_matrix(table)
-    extend = kernel_module.extend_subsemigroup
+    pick = kernel_module._table_generators
     conjugates = kernel_module._generator_conjugates
     fresh, calls = [], []
 
-    def extend_spy(semigroup, member, gens, new):
+    def pick_spy(semigroup, member, gens, ids):
         old = member.copy()
-        seeds = extend(semigroup, member, gens, new)
+        seeds = pick(semigroup, member, gens, ids)
         fresh.append(np.flatnonzero(member & ~old).tolist())
         return seeds
 
-    def conjugates_spy(table_, member, ks, gens, bars):
-        got = conjugates(table_, member, ks, gens, bars)
+    def conjugates_spy(semigroup, member, ks, gens, bars):
+        got = conjugates(semigroup, member, ks, gens, bars)
         swept = (dense_conjugates(table, pairs, ks) & ~member).any()
         calls.append((np.asarray(ks).tolist(), bool(got.size), bool(swept)))
         return got
 
-    monkeypatch.setattr(kernel_module, "extend_subsemigroup", extend_spy)
+    monkeypatch.setattr(kernel_module, "_table_generators", pick_spy)
     monkeypatch.setattr(kernel_module, "_generator_conjugates", conjugates_spy)
     res = kernel(sg)
     assert len(fresh) == res.iterations
@@ -312,17 +410,31 @@ def test_generator_test_is_empty_iff_the_rounds_sweep_is(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
 def test_kernel_rounds_extend_one_closure(name, monkeypatch):
+    """The rounds pick their seeds into one mask, one id at a time, each
+    id K does not hold yet; only the fixpoint check closes a set anew,
+    first the seeds, then the generators."""
     sg = _named(name)
-    calls = []
+    pick = kernel_module._table_generators
+    masks, picked, closed = [], [], []
+
+    def pick_spy(semigroup, member, gens, ids):
+        masks.append(member)
+        seeds = pick(semigroup, member, gens, ids)
+        picked.append(seeds)
+        return seeds
 
     def counted(semigroup, seed_ids):
-        calls.append(len(seed_ids))
+        closed.append(np.asarray(seed_ids).tolist())
         return generated_subsemigroup(semigroup, seed_ids)
 
+    monkeypatch.setattr(kernel_module, "_table_generators", pick_spy)
     monkeypatch.setattr(kernel_module, "generated_subsemigroup", counted)
-    kernel(sg)
-    # the rounds grow one closure; the fixpoint check closes the generators
-    assert calls == [len(kernel_module._generating_set(sg))]
+    res = kernel(sg)
+    assert all(mask is masks[0] for mask in masks)
+    seeds = picked[-1].tolist()
+    assert closed == [seeds, kernel_module._generating_set(sg).tolist()]
+    assert seeds == sorted(set(seeds)) and len(seeds) < len(sg.idempotent_ids())
+    assert set(seeds) <= set(res.kernel_ids.tolist())
 
 
 # (kernel size, rounds, aperiodic, witness)
@@ -331,13 +443,12 @@ _PAST_THE_TABLE_LIMIT = {"PA:5": (4947, 3, False, 15), "C:4": (4117, 2, False, 2
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", _PAST_THE_TABLE_LIMIT)
-def test_kernel_past_the_table_limit_in_bounded_memory(name, monkeypatch):
-    """With the table limit raised, PA:5's and C:4's kernels hold under a
-    quarter of their table's bytes besides it, as traced by tracemalloc."""
-    monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", 6000 ** 2)
+def test_kernel_past_the_table_limit_in_bounded_memory(name):
+    """PA:5's and C:4's tables are over TABLE_CELL_LIMIT, so their kernels
+    walk words, holding under a quarter of the table's bytes, as traced by
+    tracemalloc.  The results are those the table kernel gave with the
+    limit raised."""
     sg = _named(name)
-    monkeypatch.setattr(sg, "_table", None)  # drops the table after the test
-    table = np.asarray(sg.product_table())
     tracemalloc.start()
     try:
         res = kernel(sg)
@@ -346,36 +457,33 @@ def test_kernel_past_the_table_limit_in_bounded_memory(name, monkeypatch):
         tracemalloc.stop()
     assert ((len(res.kernel_ids), res.iterations, res.is_aperiodic, res.witness)
             == _PAST_THE_TABLE_LIMIT[name])
-    assert peak < 0.25 * table.nbytes
+    assert sg._table is None
+    assert peak < 0.25 * sg.size ** 2 * np.dtype(np.int32).itemsize
 
 
 def test_the_closure_check_reads_the_table_in_small_blocks(pair_batch):
-    """K K in K is read in blocks of about _PAIR_BATCH / 8 cells, as take
-    copies their int32 ids to intp: with the table built first, the check
-    holds under 3 x _PAIR_BATCH bytes."""
+    """The check's products come from _blocks, at most _PAIR_BATCH cells a
+    block: with the table built first, reading all of K K (34 x _PAIR_BATCH
+    bytes of int32 ids here) holds under 12 x _PAIR_BATCH bytes, two blocks of int32
+    ids, the one read and the next, with their gathers' temporaries."""
     sg = _named("PB:4")
-    table = np.asarray(sg.product_table())
+    sg.product_table()
     kids = kernel(sg).kernel_ids
     member = np.zeros(sg.size, dtype=bool)
     member[kids] = True
     batch = 64 * sg.size
     pair_batch(batch)
+    sizes = []
     tracemalloc.start()
     try:
-        closed = kernel_module._lands_in(member, table, kids, kids)
+        for block in kernel_module._blocks(sg, kids, kids):
+            sizes.append(block.size)
+            assert member[block].all()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert closed
-    assert peak < 3 * batch
-
-
-def test_kernel_refuses_at_the_table_limit_engine_holds(monkeypatch):
-    sg = engine_module.closure(generators("A", 3), include_identity=True)  # no table yet
-    limit = sg.size ** 2 - 1
-    monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", limit)
-    with pytest.raises(BudgetExceeded, match=f"over TABLE_CELL_LIMIT = {limit} cells"):
-        kernel(sg)
+    assert sum(sizes) == len(kids) ** 2 and max(sizes) <= batch
+    assert peak < 12 * batch
 
 
 @pytest.mark.parametrize("name", ["PB:4", "A:6", "EA:6", "J:6", "t1sub(EA:6)"])
@@ -385,19 +493,11 @@ def test_period_one_on_kernel_ids_matches_repeated_squaring(name):
     assert period_one(sg, kids).tolist() == oracle_period_one(sg, kids).tolist()
 
 
-def test_kernel_without_a_product_table_exceeds_the_budget(monkeypatch):
-    sg = _sg("A", 3)
-    monkeypatch.setattr(sg, "product_table", lambda: None)
-    with pytest.raises(BudgetExceeded, match="12 x 12 product table.*TABLE_CELL_LIMIT"):
-        kernel(sg)
-    with pytest.raises(BudgetExceeded):
-        weak_inverse_pairs(sg)
-
-
 # In SYM:3 a transposition t alone is not closed under products, and {1, t}
-# is a subgroup that is not normal, so not closed under weak conjugation.
-# In B:2 the zero alone misses the identity, an idempotent.  Last, SYM:3's
-# kernel {1} is checked with one of its two generators dropped.
+# is a subgroup that is not normal, so not closed under weak conjugation;
+# with seeds {1} alone it is not generated.  In B:2 the zero alone misses
+# the identity, an idempotent.  Last, SYM:3's kernel {1} is checked with one
+# of its two generators dropped.
 _FIXPOINT_CHECK = """
 import numpy as np
 from brauerkit import as_closure, construct
@@ -405,23 +505,25 @@ from brauerkit.engine import SemigroupClosure
 from brauerkit.errors import KernelFixpointError
 from brauerkit.kernel import _check_fixpoint
 
-def check(sg, candidate):
+def check(sg, candidate, seeds):
     try:
-        _check_fixpoint(sg, sg.product_table(), np.array(candidate))
+        _check_fixpoint(sg, np.array(candidate), np.array(seeds))
     except KernelFixpointError as exc:
         print(exc)
 
 sym3 = as_closure(construct("SYM", 3))
 one = sym3.identity_id
 t = next(i for i in range(sym3.size) if i != one and sym3.multiply(i, i) == one)
-check(sym3, [t])
-check(sym3, sorted([one, t]))
+check(sym3, [t], [t])
+check(sym3, sorted([one, t]), [t])
+check(sym3, sorted([one, t]), [one])
 b2 = as_closure(construct("B", 2))
 table = b2.product_table()
-check(b2, [z for z in range(b2.size) if (table[z] == z).all() and (table[:, z] == z).all()])
+zero = [z for z in range(b2.size) if (table[z] == z).all() and (table[:, z] == z).all()]
+check(b2, zero, zero)
 dropped = sym3.generators[1:]
 SemigroupClosure.generators = property(lambda self: dropped)
-check(sym3, [one])
+check(sym3, [one], [one])
 """
 
 
@@ -434,6 +536,7 @@ def test_fixpoint_check_raises_under_python_O():
     assert proc.stdout.splitlines() == [
         "the kernel is not closed under products",
         "the kernel is not closed under weak conjugation",
+        "the seeds do not generate the kernel",
         "the kernel misses an idempotent",
         "the generators do not generate the semigroup",
     ]
