@@ -35,8 +35,9 @@ share the first-occurrence renumbering (_renumbered): the pair kernel
 (_product) multiplies row r by row r, for multiply_pairs and a*b, its
 one-row call; the by-factor kernel (_factor_products) groups the cells of
 multiply_labels, every row of a label array by every row of another, by
-right factor, whose merges and top-row sources it works out once
-(_factor_plan).  Text round-trip uses the v1 format  "n:[{1,1'},{2,2'}]"
+right factor, whose merges and top-row sources its caller works out once
+(_factor_plan): once a call for multiply_labels, once a search for
+engine.closure.  Text round-trip uses the v1 format  "n:[{1,1'},{2,2'}]"
 (top points primed).
 """
 
@@ -557,9 +558,9 @@ def _factor_plan(b):
     return merges, np.array(src, dtype=np.intp)
 
 
-def _factor_products(xs, bs, where):
+def _factor_products(xs, plans, where):
     """Label arrays of xs[r] * bs[j] for the cells (r, j) of the k x g mask
-    where, stacked in row-major order.
+    where, stacked in row-major order, plans[j] being _factor_plan(bs[j]).
 
     _product's relabelling, a group of cells with one right factor at a
     time: the cells are gathered by column of where into one transposed
@@ -578,9 +579,8 @@ def _factor_products(xs, bs, where):
     x[:m] = xs[np.nonzero(where.T)[1]].T
     x[m:] = np.arange(m, 2 * m, dtype=small)[:, None]
     lo = 0
-    for b, count in zip(bs, np.count_nonzero(where, axis=0).tolist()):
+    for (merges, src), count in zip(plans, np.count_nonzero(where, axis=0).tolist()):
         if count:
-            merges, src = _factor_plan(b)
             group = x[:m, lo:lo + count]
             for p, q in merges:
                 group[:] = np.where(group == group[n + p], group[n + q], group)
@@ -603,7 +603,7 @@ def multiply_labels(xs, bs, where=None):
         raise DegreeMismatch(f"degree {xs.shape[1] // 2} vs {bs.shape[1] // 2}")
     full = where is None
     where = np.ones((len(xs), len(bs)), bool) if full else np.asarray(where, dtype=bool)
-    out = _factor_products(xs, bs, where)
+    out = _factor_products(xs, [_factor_plan(b) for b in bs], where)
     return out.reshape(len(xs), len(bs), xs.shape[1]) if full else out
 
 

@@ -391,14 +391,20 @@ def closure(gens, *, include_identity=False, budget=None):
     of Froidure & Pin: s at depth d >= 1 is g_a u, with a its seed's letter
     and suffix(p g_b) = rc[suffix(p), b], so when r = u g_b lies below
     depth d, s g_b = g_a r = lc[r, a] is a lookup.  The other cells are
-    diagram products, one diagrams.multiply_labels call per block of rows;
-    it takes them a generator at a time, whose merges it works out once.
-    A lookup never finds a new element, so new ids follow row-major (id,
-    generator) order over the product cells, as in a loop taking one
-    product at a time.  The level's left rows are then lc[y, a] =
-    rc[lc[parent(y), a], letter(y)] (rc[g_a, letter(y)] for a seed, g_a
-    for the identity), and its new keys (sort_keys) are merged into one
-    sorted array.  Raises BudgetExceeded when a new id would reach budget.
+    diagram products, one diagrams._factor_products call per block of rows,
+    a generator at a time, from each generator's merges (_factor_plan),
+    worked out once per search.  A lookup never finds a new element, so new
+    ids follow row-major (id, generator) order over the product cells, as
+    in a loop taking one product at a time.  The cells whose keys
+    (sort_keys) the sorted keys miss are sorted once, stably, so each new
+    key's first cell comes first among its equals: a neighbour comparison
+    marks the new keys and their first cells, which take the new ids in
+    cell order, and a cumulative sum hands every missed cell the id of its
+    key.  The new keys and ids are merged into the sorted keys and their
+    ids through one searchsorted and one mask shared by both.  The level's
+    left rows are then lc[y, a] = rc[lc[parent(y), a], letter(y)]
+    (rc[g_a, letter(y)] for a seed, g_a for the identity).  Raises
+    BudgetExceeded when a new id would reach budget.
     """
     gens = list(gens)
     if not gens and not include_identity:
@@ -413,7 +419,7 @@ def closure(gens, *, include_identity=False, budget=None):
     for i, d in enumerate(gens):
         seeds.setdefault(d, i)
     gen_ids = np.array([list(seeds).index(d) for d in gens], dtype=np.int32)
-    gen_labels = diagrams.label_array(gens, degree)
+    plans = [diagrams._factor_plan(b) for b in diagrams.label_array(gens, degree)]
     g = len(gens)
     step = max(1, _PAIR_BATCH // max(1, g * g))  # <= _PAIR_BATCH / g cells a block
     level = diagrams.label_array(list(seeds), degree)
@@ -434,27 +440,39 @@ def closure(gens, *, include_identity=False, budget=None):
             need = r >= lo
             rows = lc[np.minimum(r, lo - 1), first[:, None]]
         cells = np.concatenate([
-            diagrams.multiply_labels(level[i:i + step], gen_labels,
-                                     where=need[i:i + step])
+            diagrams._factor_products(level[i:i + step], plans, need[i:i + step])
             for i in range(0, len(level), step)])
         cell_keys = sort_keys(cells)
         at = diagrams.find_keys(keys, cell_keys)
         cell_ids, miss = ids[at], np.flatnonzero(at < 0)
-        new_keys, born, inverse = np.unique(
-            cell_keys[miss], return_index=True, return_inverse=True)
+        missed = cell_keys[miss]
+        order = np.argsort(missed, kind="stable")  # a key's first cell first
+        ordered = missed[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        new_keys, lead = ordered[fresh], order[fresh]
         if len(new_keys) and hi + len(new_keys) > budget:
             raise BudgetExceeded(f"closure exceeded budget of {budget} elements")
-        new_ids = np.empty(len(new_keys), dtype=np.int64)
-        new_ids[np.argsort(born)] = np.arange(hi, hi + len(new_keys))
-        cell_ids[miss] = new_ids[inverse]
+        born = np.zeros(len(order), dtype=bool)  # each new key's first cell
+        born[lead] = True
+        new_ids = hi - 1 + np.cumsum(born)[lead]  # numbered in cell order
+        cell_ids[miss[order]] = new_ids[np.cumsum(fresh) - 1]
         rows[need] = cell_ids
         rc = np.concatenate([rc, rows])
-        base = lc[up] if suffix is not None else np.broadcast_to(gen_ids, rows.shape)
-        lc = np.concatenate(  # base: g_a parent(y), or g_a for a seed
-            [lc, np.where(let[:, None] < 0, base, rc[base, let[:, None]])])
-        at = np.searchsorted(keys, new_keys)
-        keys, ids = np.insert(keys, at, new_keys), np.insert(ids, at, new_ids)
-        born = miss[np.sort(born)]  # the product cells of the new elements
+        if suffix is None:  # g_a y = rc[g_a, letter(y)], or g_a for the identity
+            base = np.broadcast_to(gen_ids, rows.shape)
+            left = np.where(let[:, None] < 0, base, rc[base, let[:, None]])
+        else:  # past the seeds no letter is negative
+            left = rc[lc[up], let[:, None]]
+        lc = np.concatenate([lc, left])
+        at = np.searchsorted(keys, new_keys) + np.arange(len(new_keys))
+        old = np.ones(len(keys) + len(new_keys), dtype=bool)  # the old entries' places
+        old[at] = False
+        merged = [np.empty(len(old), dtype=kept.dtype) for kept in (keys, ids)]
+        for out, kept, added in zip(merged, (keys, ids), (new_keys, new_ids)):
+            out[old], out[at] = kept, added
+        keys, ids = merged
+        born = miss[born]  # the product cells of the new elements
         q, b = (axis[born] for axis in np.nonzero(need))
         level = cells[born]
         up, let = (lo + q).astype(np.int32), b.astype(np.int32)

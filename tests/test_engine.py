@@ -27,6 +27,7 @@ from brauerkit import (
     contraction,
     diagram,
     essential_depth,
+    from_permutation,
     generated_subsemigroup,
     green,
     idempotent_generated,
@@ -362,14 +363,22 @@ def _assert_same_search(sg, want):
     assert (sg.ids_of(label_array(want["elements"], sg.degree)).tolist()
             == list(range(len(want["elements"]))))
     assert np.array_equal(sg.left_cayley, oracle_left_cayley(sg))
+    keys, ids = sg._keys
+    ordered = keys.tolist()  # ints, or big-endian bytes past one key word
+    assert all(a < b for a, b in zip(ordered, ordered[1:]))
+    assert np.array_equal(np.sort(ids), np.arange(sg.size))
+    assert np.array_equal(sort_keys(sg.labels)[ids], keys)
 
 
 # as_closure searches every instance from the generators it was built from.
 _SEARCHES = ("B:5", "J:6", "A:6", "EA:6", "PB:4", "SYM:5", "PJ:4", "PA:3", "PA:4",
              "C:3")
+_CENSUS = ("B:6", "A:8", "J:9", "EA:8", "PB:5", "SYM:7")  # A:8 runs 43 levels
 
 
-@pytest.mark.parametrize("name", [*_SEARCHES, "t1sub(EA:6)"])
+@pytest.mark.parametrize("name", [
+    *_SEARCHES, "t1sub(EA:6)",
+    *(pytest.param(name, marks=pytest.mark.slow) for name in _CENSUS)])
 def test_closure_matches_the_scalar_search(name):
     if name == "t1sub(EA:6)":
         t1 = t1sub_ea6()
@@ -382,6 +391,40 @@ def test_closure_matches_the_scalar_search(name):
     sg = as_closure(construct(family, int(n)))
     assert elements_of(sg, sg.generators) == gens
     _assert_same_search(sg, oracle_closure(gens, include_identity=True))
+
+
+def test_closure_numbers_a_repeated_miss_of_several_key_words_once():
+    """22 points take two key words, and two products of depth-1 elements
+    (cells of one level) are one new element, which takes one id."""
+    n = 11
+    gens = [from_permutation(n, (2, 1, *range(3, n + 1))),
+            from_permutation(n, (1, 3, 2, *range(4, n + 1))), contraction(n, 1, 2)]
+    assert diagrams._key_weights(n).shape[1] == 2
+    sg = closure(gens, include_identity=True)
+    assert sg.size == 15
+    rows = sg.right_cayley[sg._depth == 1].ravel()
+    found = rows[sg._depth[rows] == 2]
+    assert len(np.unique(found)) < len(found)
+    _assert_same_search(sg, oracle_closure(gens, include_identity=True))
+
+
+def test_closure_plans_each_generator_once(monkeypatch):
+    """A search works out each generator's product plan once, not once a
+    level."""
+    calls = []
+    plan = diagrams._factor_plan
+
+    def counted(b):
+        calls.append(b)
+        return plan(b)
+
+    monkeypatch.setattr(diagrams, "_factor_plan", counted)
+    for name in _CENSUS:
+        family, n = name.split(":")
+        gens = list(families.generators(family, int(n)))
+        calls.clear()
+        closure(gens, include_identity=True)
+        assert len(calls) == len(gens), name
 
 
 def _batch_searches():
