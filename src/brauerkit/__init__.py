@@ -6,37 +6,23 @@ from .diagrams import (
     Diagram,
     ElementSet,
     Parity,
-    StringKind,
     adjacent_contraction,
     capped_rotation,
     cascade,
-    classify_strings,
     contraction,
     decode,
     diagram,
     double_contraction,
     encode,
     from_permutation,
-    from_transformation,
     identity,
-    is_annular,
-    is_brauer,
-    is_jones,
-    is_partial_brauer,
-    is_planar,
-    is_projection,
     local_rotation,
     multiply,
     named_element_products,
-    parity,
     partial_identity,
-    random_brauer,
     random_partial_brauer,
     random_partition_diagram,
     rotation,
-    shift,
-    star,
-    twist,
 )
 from .engine import (
     GreenData,
@@ -51,7 +37,6 @@ from .engine import (
     is_aperiodic,
     is_inverse,
     local_monoid,
-    pad_embedding,
     principal_ideal,
     rees_quotient,
     singular_part,
@@ -71,7 +56,6 @@ from .families import (
     double_factorial_odd,
     generators,
     involution_count,
-    membership,
     motzkin,
 )
 from .kernel import (

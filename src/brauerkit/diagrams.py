@@ -19,14 +19,11 @@ sort_keys packs label rows into integers ordered as the rows.  An
 ElementSet is a set of diagrams held as one label array, its rows sorted.
 
 The predicates that decide family membership (ranks, parities, brauer,
-partial_brauer, planar, annular) take a whole label array; Diagram.rank,
-parity and the is_* tests are their one-row calls.  So do the transforms:
-stars swaps the rows, turned turns each row's bottom and top indices, and
-pads appends end caps two degrees up, each a column gather followed by
-the first-occurrence renumbering that ends the product; Diagram.star,
-star, shift and twist are their one-row calls.  Blocks are decoded only
-for text and classification: encode, classify_strings, dom, ran and
-signed_blocks.
+partial_brauer, planar, annular) take a whole label array, and so do the
+transforms: stars swaps the rows, turned turns each row's bottom and top
+indices, and pads appends end caps two degrees up, each a column gather
+followed by the first-occurrence renumbering that ends the product.
+Blocks are decoded only for text: encode and signed_blocks.
 
 The product a*b stacks a under b, joins a's top row to b's bottom row, and
 reads off the induced partition on the outer rows.  Two numpy kernels take
@@ -58,15 +55,6 @@ from .errors import (
     ParseError,
     UnsupportedBlockSize,
 )
-
-
-class StringKind(Enum):
-    THROUGH = "through"
-    INNER = "inner"
-    OUTER = "outer"
-    BOTTOM_SINGLETON = "bottom-singleton"
-    TOP_SINGLETON = "top-singleton"
-    OTHER = "other"
 
 
 class Parity(Enum):
@@ -145,33 +133,6 @@ class Diagram:
         return tuple(
             tuple(p + 1 if p < n else -(p - n + 1) for p in b) for b in self.blocks
         )
-
-    @property
-    def rank(self):
-        """Number of blocks meeting both rows."""
-        return int(_one(ranks, self))
-
-    def dom(self):
-        """Bottom indices lying in through blocks, ascending."""
-        n = self.n
-        out = []
-        for b in self.blocks:
-            if b[0] < n and b[-1] >= n:
-                out.extend(p + 1 for p in b if p < n)
-        return tuple(sorted(out))
-
-    def ran(self):
-        """Top indices lying in through blocks, ascending."""
-        n = self.n
-        out = []
-        for b in self.blocks:
-            if b[0] < n and b[-1] >= n:
-                out.extend(p - n + 1 for p in b if p >= n)
-        return tuple(sorted(out))
-
-    def star(self):
-        """The involution swapping bottom i with top i."""
-        return from_labels(_one(stars, self))
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -616,10 +577,6 @@ def multiply_pairs(xs, ys):
     return _product(np.asarray(xs), np.asarray(ys))
 
 
-def star(a):
-    return a.star()
-
-
 def identity(n):
     if n < 1:
         raise BadDegree(f"degree must be >= 1, got {n}")
@@ -744,47 +701,8 @@ def from_permutation(n, images):
     return Diagram(n, _canon((k, n + images[k] - 1) for k in range(n)))
 
 
-def from_transformation(n, images):
-    """Embed a full transformation: block {k'} u preimage(k) for each k.
-
-    Multiplicative for maps acting on the right (apply left factor first).
-    """
-    images = tuple(images)
-    if len(images) != n:
-        raise BadIndex(f"expected {n} images, got {len(images)}")
-    for v in images:
-        if not (1 <= v <= n):
-            raise BadIndex(f"image {v!r} out of range 1..{n}")
-    blocks = []
-    for k in range(1, n + 1):
-        blocks.append(tuple([n + k - 1] + [j for j in range(n) if images[j] == k]))
-    return Diagram(n, _canon(blocks))
-
-
 # ---------------------------------------------------------------------------
-# classification, parity, families of block shapes
-
-
-def classify_strings(a):
-    """Map each block to its StringKind.
-
-    A block meeting both rows is THROUGH regardless of size; one-sided
-    blocks split into INNER/OUTER (size >= 2) and the two singleton kinds.
-    OTHER is reserved.
-    """
-    n = a.n
-    out = {}
-    for b in a.blocks:
-        has_bot = b[0] < n
-        has_top = b[-1] >= n
-        if has_bot and has_top:
-            kind = StringKind.THROUGH
-        elif len(b) == 1:
-            kind = StringKind.BOTTOM_SINGLETON if has_bot else StringKind.TOP_SINGLETON
-        else:
-            kind = StringKind.INNER if has_bot else StringKind.OUTER
-        out[b] = kind
-    return out
+# parity and families of block shapes
 
 
 # A row's parity code (see parities) has bit 0 set when the row has an even
@@ -793,12 +711,6 @@ PARITY_OF_CODE = (Parity.RANK_ZERO, Parity.EVEN, Parity.ODD, Parity.MIXED)
 
 # Cells in one block of rows of the crossing test's (row, turn, point) arrays
 _CROSSING_CELLS = 1 << 19
-
-
-def _one(fn, a, *args):
-    """The row of a label-array predicate or transform on the one-row array
-    of a."""
-    return fn(label_array([a], a.n), *args)[0]
 
 
 def _meets(labs):
@@ -835,15 +747,6 @@ def parities(labs):
     even = ((bot_even & top_even) | (bot_odd & top_odd)).any(axis=1)
     odd = ((bot_even & top_odd) | (bot_odd & top_even)).any(axis=1)
     return (even + 2 * odd).astype(np.int8)
-
-
-def parity(a):
-    """EVEN/ODD/MIXED over through strings {i, j'} (even iff i = j mod 2).
-
-    Rank-zero diagrams are RANK_ZERO.  A through block whose two sides mix
-    index parities counts as mixed.
-    """
-    return PARITY_OF_CODE[_one(parities, a)]
 
 
 def even_or_rank_zero(labs):
@@ -922,44 +825,6 @@ def annular(labs):
     n = np.shape(labs)[1] // 2
     bottom, top = np.divmod(np.arange(n * n), n)
     return _planar_turned(labs, bottom, top).any(axis=1)
-
-
-def is_projection(a):
-    return a.star() == a and a * a == a
-
-
-def is_brauer(a):
-    return bool(_one(brauer, a))
-
-
-def is_partial_brauer(a):
-    return bool(_one(partial_brauer, a))
-
-
-def is_planar(a):
-    """True when the chord picture is non-crossing in the disk (see
-    planar).  Only defined for blocks of size <= 2."""
-    return bool(_one(planar, a))
-
-
-def is_jones(a):
-    return is_brauer(a) and is_planar(a)
-
-
-def shift(a, k):
-    """Conjugate by the k-th rotation power: every index advances by k (mod n)."""
-    return from_labels(_one(turned, a, k, k))
-
-
-def twist(a, k):
-    """Right-multiply by the k-th rotation power: top indices advance by k (mod n)."""
-    return from_labels(_one(turned, a, 0, k))
-
-
-def is_annular(a):
-    """True when some pair of row rotations makes the diagram planar (see
-    annular).  Needs blocks of size <= 2."""
-    return bool(_one(annular, a))
 
 
 # ---------------------------------------------------------------------------
@@ -1072,14 +937,6 @@ def random_partial_brauer(n, rng):
         row.append(row[q] if q < p else blocks)
         blocks += q >= p
     return Diagram._from_key(n, _key(n, row))
-
-
-def random_brauer(n, rng):
-    """Random degree-n diagram with all blocks of size 2 (uniform matching)."""
-    pts = list(range(2 * n))
-    rng.shuffle(pts)
-    blocks = [(pts[i], pts[i + 1]) for i in range(0, 2 * n, 2)]
-    return Diagram(n, _canon(blocks))
 
 
 def random_partition_diagram(n, rng):

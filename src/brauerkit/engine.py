@@ -162,10 +162,11 @@ class SemigroupClosure:
 
         The set of all elements is kept.  It takes the rows in the order of
         the closure's sorted keys, the order an ElementSet keeps, and those
-        keys, so nothing is sorted or checked again.
+        keys, so nothing is sorted or checked again.  Raises BadIndex for
+        ids that are not integers in 0..size-1, such as a boolean mask.
         """
         if ids is not None:
-            return ElementSet(self.degree, self.labels[np.asarray(ids, dtype=np.intp)])
+            return ElementSet(self.degree, self.labels[_checked_ids(self, ids)])
         if self._element_set is None:
             keys, order = self._sorted_keys()
             self._element_set = ElementSet._of_sorted(
@@ -500,9 +501,10 @@ def closure_from_elements(elems):
 
     Scanning the distinct elements in the order given, each one outside
     the closure of the earlier picks becomes the next pick, whose closure
-    is searched again.  Returns closure(picks).  Raises ValueError when the
-    closure of the picks leaves the set, and BudgetExceeded before |S| x g,
-    the cells of the right Cayley graph, would pass TABLE_CELL_LIMIT.
+    is searched again.  Returns closure(picks).  Raises NotASubsemigroup
+    when the closure of the picks leaves the set, and BudgetExceeded before
+    |S| x g, the cells of the right Cayley graph, would pass
+    TABLE_CELL_LIMIT.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
@@ -525,7 +527,7 @@ def closure_from_elements(elems):
         except BudgetExceeded:  # a closure over |S| elements leaves the set
             sg = None
         if sg is None or inside.sum() < sg.size:
-            raise ValueError(
+            raise NotASubsemigroup(
                 "element set is not closed under the product: the closure "
                 f"of its first {len(picks)} greedy generators leaves it")
         outside = np.flatnonzero(~inside)
@@ -1006,13 +1008,6 @@ def _down_sets(sg, bs):
     return below
 
 
-def l_leq(sg, a, b):
-    """Left-order: a <=_L b iff a lies in S^1 b (reachability in the left
-    graph); BadIndex for an id outside 0..size-1."""
-    a, b = _checked_ids(sg, [a, b]).tolist()
-    return bool(_down_sets(sg, [b])[0, a])
-
-
 def t1_chain(sg):
     """Witness that the generating set is totally preordered by <=_L.
 
@@ -1034,12 +1029,3 @@ def t1_chain(sg):
         return None
     return pool[np.argsort(below.sum(axis=1), kind="stable")]
 
-
-def pad_embedding(a, target_n):
-    """Embed degree n-2 into degree n by appending caps {n-1,n} on both rows
-    (a one-row call of diagrams.pads).
-
-    The image lands in the local monoid of the adjacent contraction at
-    n-1; the map is one-to-one and multiplicative.
-    """
-    return diagrams.from_labels(diagrams.pads(diagrams.labels(a)[None], target_n)[0])

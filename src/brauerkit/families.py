@@ -14,12 +14,12 @@ Family codes:
 
 Every family is the closure, with the identity, of a generating set
 (generators), and construct checks what it builds.  Each generator must
-pass membership(family, g), so the closure lies inside the family, and
+lie in the family by membership_mask, so the closure lies inside it, and
 the closure's size must equal an independent count, so it is the whole
 family: the closed forms in CLOSED_FORMS, and for EA the number of even or
 rank-zero elements of A:n.  A is defined as its generators' closure.  PA
 holds the rotation and the checked PJ:n, so every rotation zeta^a beta
-zeta^b of a planar partial matching beta, and membership bounds it from
+zeta^b of a planar partial matching beta, and membership_mask bounds it from
 above.  The generating sets are the symmetric group's with one
 contraction for B (and a partial identity for PB), East's four for C (J.
 East, Generators and relations for partition monoids and algebras, J.
@@ -275,11 +275,6 @@ def membership_mask(family, labs):
         ok &= even_or_rank_zero(pairs)
     inside[inside] = ok
     return inside
-
-
-def membership(family, a):
-    """Pointwise membership test, without constructing the family."""
-    return bool(membership_mask(family, label_array([a], a.n))[0])
 
 
 def cardinality_table(family, n_max, budget=None):

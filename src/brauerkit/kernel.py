@@ -102,7 +102,7 @@ def _generator_conjugates(sg, member, ks, gens, bars):
     return np.flatnonzero(out & ~member)
 
 
-def _check_fixpoint(sg, kids, seeds):
+def _check_fixpoint(sg, kids, seeds, gens, bars):
     """Raise KernelFixpointError unless kids holds every idempotent and is
     closed under products and under weak conjugation.
 
@@ -111,10 +111,11 @@ def _check_fixpoint(sg, kids, seeds):
     the seeds, |K| x |G| products in place of |K|^2: write k' in K as
     g_1 ⋯ g_r with each g_i in G; then k g_1 ⋯ g_i is in K for i = 1..r by
     induction on i, as K G ⊆ K, so k k' is in K.  Conjugation is tested
-    over the pairs (a, ā) with a in A, sg's generators plus its identity,
-    which is the whole test once kids is closed under products (the lemma
-    in the module docstring), so the check also checks that A generates
-    sg.
+    over the pairs (a, ā) with a in gens, A = _generating_set(sg), and ā
+    in the matching entry of bars (_weak_inverses(sg, gens)), as kernel()
+    computed them; that is the whole test once kids is closed under
+    products (the lemma in the module docstring), so the check also checks
+    that A generates sg.
     """
     member = np.zeros(sg.size, dtype=bool)
     member[kids] = True
@@ -124,10 +125,9 @@ def _check_fixpoint(sg, kids, seeds):
         raise KernelFixpointError("the seeds do not generate the kernel")
     if not member[sg.idempotent_ids()].all():
         raise KernelFixpointError("the kernel misses an idempotent")
-    gens = _generating_set(sg)
     if len(generated_subsemigroup(sg, gens)) != sg.size:
         raise KernelFixpointError("the generators do not generate the semigroup")
-    if _generator_conjugates(sg, member, kids, gens, _weak_inverses(sg, gens)).size:
+    if _generator_conjugates(sg, member, kids, gens, bars).size:
         raise KernelFixpointError("the kernel is not closed under weak conjugation")
 
 
@@ -139,11 +139,11 @@ def kernel(sg):
     takes the conjugates a k ā and ā k a outside it of the ids that joined
     it in the round, over the generator pairs; the first round that adds
     nothing beyond those conjugates is the last.  The fixpoint is checked
-    again from scratch (_check_fixpoint): KernelFixpointError unless it
-    holds every idempotent and is closed under products and under weak
-    conjugation by the generators.  kernel_ids is the kernel's ids as an
-    ascending read-only array, and witness the first of them whose period
-    is over 1, or None.
+    again (_check_fixpoint), over the same generator pairs:
+    KernelFixpointError unless it holds every idempotent and is closed
+    under products and under weak conjugation by the generators.
+    kernel_ids is the kernel's ids as an ascending read-only array, and
+    witness the first of them whose period is over 1, or None.
     """
     sg.product_table()  # kept under TABLE_CELL_LIMIT, so the products below are gathers
     gen_set = _generating_set(sg)
@@ -162,7 +162,7 @@ def kernel(sg):
             break
 
     kids = np.flatnonzero(member)
-    _check_fixpoint(sg, kids, seeds)
+    _check_fixpoint(sg, kids, seeds, gen_set, bars)
     kids.flags.writeable = False
 
     periodic = np.flatnonzero(~period_one(sg, kids))

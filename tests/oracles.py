@@ -35,11 +35,11 @@ right, left and summed Cayley graphs, built through COO, that it replaced
 with one numpy strong-component pass over the right Cayley graph, the
 R-class quotient for J and stability for L.  oracle_strong_components and
 oracle_l_leq keep scipy's strong components and breadth-first search,
-which engine._strong_components and the frontier searches of l_leq and
-t1_chain replaced; scipy is a test dependency only.  oracle_period_one
-keeps the period test by repeated squaring, one batched product per
-squaring, that engine.period_one replaced with the gathers of its
-squaring map.
+which engine._strong_components and the frontier searches of
+engine._down_sets replaced; scipy is a test dependency only.
+oracle_period_one keeps the period test by repeated squaring, one batched
+product per squaring, that engine.period_one replaced with the gathers of
+its squaring map.
 oracle_green_all_generators keeps the analysis of a product table with
 every element as a generator, which table-backed closures replaced with
 a small generating set found from the table.  oracle_dense_kernel keeps
@@ -332,6 +332,15 @@ def oracle_random_pair_diagram(n, rng):
     return diagram(n, blocks)
 
 
+def oracle_random_brauer(n, rng):
+    """Random degree-n perfect matching: the shuffled points paired off in
+    order."""
+    pts = list(range(2 * n))
+    rng.shuffle(pts)
+    blocks = [(pts[i], pts[i + 1]) for i in range(0, 2 * n, 2)]
+    return Diagram(n, tuple(sorted(tuple(sorted(b)) for b in blocks)))
+
+
 _PAIR_PROB = 0.7  # chance that oracle_random_partial_brauer pairs a point
 
 
@@ -374,13 +383,6 @@ class BlocksDiagram:
     @property
     def rank(self):
         return len(self._through())
-
-    def dom(self):
-        return tuple(sorted(p + 1 for b in self._through() for p in b if p < self.n))
-
-    def ran(self):
-        return tuple(sorted(p - self.n + 1 for b in self._through() for p in b
-                            if p >= self.n))
 
     def star(self):
         n = self.n

@@ -11,38 +11,24 @@ from hypothesis import given, settings, strategies as st
 from brauerkit import (
     Diagram,
     Parity,
-    StringKind,
     adjacent_contraction,
     construct,
     capped_rotation,
     cascade,
-    classify_strings,
     contraction,
     decode,
     diagram,
     double_contraction,
     encode,
     from_permutation,
-    from_transformation,
     identity,
-    is_annular,
-    is_brauer,
-    is_jones,
-    is_partial_brauer,
-    is_planar,
-    is_projection,
     local_rotation,
     multiply,
     named_element_products,
-    parity,
     partial_identity,
-    random_brauer,
     random_partial_brauer,
     random_partition_diagram,
     rotation,
-    shift,
-    star,
-    twist,
 )
 from brauerkit.diagrams import (
     PARITY_OF_CODE,
@@ -67,7 +53,6 @@ from brauerkit.diagrams import (
     turned,
 )
 from brauerkit import diagrams
-from brauerkit.engine import pad_embedding
 from brauerkit.families import generators
 from brauerkit.errors import (
     BadDegree,
@@ -91,6 +76,7 @@ from oracles import (
     oracle_perfect_matchings,
     oracle_planar_pairs,
     oracle_product,
+    oracle_random_brauer,
     oracle_random_pair_diagram,
     oracle_random_partial_brauer,
     oracle_rank,
@@ -128,11 +114,9 @@ def test_signed_block_view_round_trips():
     assert diagram(4, a.signed_blocks) == a
 
 
-def test_rank_dom_ran():
+def test_ranks_count_the_blocks_meeting_both_rows():
     a = diagram(4, [[1, -2], [2, 3], [4, -4, -1], [-3]])
-    assert a.rank == 2
-    assert a.dom() == (1, 4)
-    assert a.ran() == (1, 2, 4)
+    assert ranks(labels(a)[None]).tolist() == [oracle_rank(a)] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +267,8 @@ def test_products_by_right_factor_at_two_byte_labels():
 @pytest.mark.parametrize("family, n", [("C", 1), ("C", 2), ("PB", 2), ("PJ", 1)])
 def test_batched_product_on_every_pair(family, n):
     elems = construct(family, n).sorted_elements()
-    assert any(d.rank == 0 for d in elems)
     labs = label_array(elems, n)
+    assert (ranks(labs) == 0).any()
     got = multiply_labels(labs, labs)
     for j, b in enumerate(elems):
         assert from_label_array(got[:, j]) == [oracle_multiply(x, b) for x in elems]
@@ -311,7 +295,7 @@ def test_every_product_matches_the_union_find_oracle(family, n):
 @pytest.mark.parametrize("family, n", [("C", 1), ("PB", 1), ("C", 3), ("PB", 4)])
 def test_products_with_degree_one_and_rank_zero_rows(family, n):
     elems = construct(family, n).sorted_elements()
-    zero = [d for d in elems if d.rank == 0]
+    zero = [d for d, r in zip(elems, ranks(label_array(elems, n))) if r == 0]
     pairs = [(z, d) for z in zero for d in elems] + [(d, z) for z in zero for d in elems]
     assert zero
     xs, ys = (label_array(side, n) for side in zip(*pairs))
@@ -351,8 +335,9 @@ def test_label_bytes_diagram_matches_blocks_diagram(family, data):
     assert from_label_array(oracle_label_array([ox, oy], n)) == [x, y]
     assert Diagram(n, ox.blocks) == x and Diagram(n, ox.blocks).key == x.key
     assert encode(x) == encode(ox)
-    assert (x.rank, x.dom(), x.ran()) == (ox.rank, ox.dom(), ox.ran())
-    for got, want in ((x.star(), ox.star()), (x * y, ox * oy), (y * x, oy * ox)):
+    assert ranks(label_array([x, y], n)).tolist() == [ox.rank, oy.rank]
+    x_star = from_labels(stars(labels(x)[None])[0])
+    for got, want in ((x_star, ox.star()), (x * y, ox * oy), (y * x, oy * ox)):
         assert got.blocks == want.blocks
         assert np.array_equal(labels(got), oracle_label_array([want], n)[0])
     assert (x == y) == (ox == oy) and (x != y) == (ox != oy)
@@ -504,18 +489,23 @@ def test_identity_is_neutral():
 
 def test_star_laws_sampled():
     rng = random.Random(7)
-    for _ in range(300):
-        a = random_partial_brauer(5, rng)
-        b = random_partial_brauer(5, rng)
-        assert star(star(a)) == a
-        assert star(a * b) == star(b) * star(a)
-        assert a * star(a) * a == a
+    ds = [random_partial_brauer(5, rng) for _ in range(600)]
+    a, b = label_array(ds[0::2], 5), label_array(ds[1::2], 5)
+    assert np.array_equal(stars(stars(a)), a)
+    assert np.array_equal(stars(multiply_pairs(a, b)), multiply_pairs(stars(b), stars(a)))
+    assert np.array_equal(multiply_pairs(multiply_pairs(a, stars(a)), a), a)
+
+
+def _projections(labs):
+    """Mask over the rows of a label array: the row is its own star and its
+    own square."""
+    return ((stars(labs) == labs).all(axis=1)
+            & (multiply_pairs(labs, labs) == labs).all(axis=1))
 
 
 def test_projection_detection():
-    e = contraction(4, 1, 2)
-    assert is_projection(e)
-    assert not is_projection(rotation(4))
+    labs = label_array([contraction(4, 1, 2), rotation(4)], 4)
+    assert _projections(labs).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +525,9 @@ def test_rotation_has_order_n():
 
 def test_contractions_are_idempotent_projections():
     for n in (3, 5):
-        for i in range(1, n + 1):
-            g = adjacent_contraction(n, i)
-            assert g * g == g
-            assert is_projection(g)
-            assert g.rank == n - 2
+        labs = label_array([adjacent_contraction(n, i) for i in range(1, n + 1)], n)
+        assert _projections(labs).all()
+        assert (ranks(labs) == n - 2).all()
 
 
 def test_adjacent_contraction_wraps_at_n():
@@ -592,7 +580,7 @@ def test_local_rotation_power_collapses_even_degree():
 
 
 # ---------------------------------------------------------------------------
-# permutations and transformations
+# permutations
 
 
 def test_from_permutation():
@@ -602,22 +590,8 @@ def test_from_permutation():
         from_permutation(3, (1, 1, 2))
 
 
-def test_from_transformation_non_injective():
-    t = from_transformation(2, (1, 1))
-    assert t == diagram(2, [[1, 2, -1], [-2]])
-
-
 # ---------------------------------------------------------------------------
-# string classification and parity
-
-
-def test_classify_strings_kinds():
-    a = diagram(4, [[1, 2], [3, -3], [4], [-1, -2], [-4]])
-    kinds = set(classify_strings(a).values())
-    assert kinds == {
-        StringKind.INNER, StringKind.THROUGH, StringKind.BOTTOM_SINGLETON,
-        StringKind.OUTER, StringKind.TOP_SINGLETON,
-    }
+# parity
 
 
 def test_parity_cases():
@@ -633,7 +607,7 @@ def test_parity_cases():
         Parity.RANK_ZERO: [adjacent_contraction(2, 1), diagram(1, [[1], [-1]])],
     }
     for kind, ds in cases.items():
-        assert {parity(d) for d in ds} == {kind}
+        assert {PARITY_OF_CODE[parities(labels(d)[None])[0]] for d in ds} == {kind}
         want = kind in (Parity.EVEN, Parity.RANK_ZERO)
         for d in ds:
             assert even_or_rank_zero(labels(d)[None]).tolist() == [want]
@@ -641,7 +615,7 @@ def test_parity_cases():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.randoms(use_true_random=False),
-       st.sampled_from([random_brauer, random_partial_brauer,
+       st.sampled_from([oracle_random_brauer, random_partial_brauer,
                         random_partition_diagram]))
 def test_even_mask_matches_scalar_parity(n, rng, sample):
     ds = [sample(n, rng) for _ in range(24)]
@@ -653,15 +627,16 @@ def test_parity_multiplicative_on_even_annular():
     # The sign rule needs even degree and annularity; general matchings mix.
     rng = random.Random(9)
     sign = {Parity.EVEN: 1, Parity.ODD: -1}
-    seen = 0
-    while seen < 200:
-        a = random_brauer(4, rng)
-        b = random_brauer(4, rng)
-        if not (is_annular(a) and is_annular(b)):
-            continue
-        seen += 1
-        pa, pb, pab = parity(a), parity(b), parity(a * b)
-        if (a * b).rank == 0:
+    pairs = []
+    while len(pairs) < 200:
+        pair = label_array([oracle_random_brauer(4, rng) for _ in range(2)], 4)
+        if annular(pair).all():
+            pairs.append(pair)
+    a, b = np.transpose(pairs, (1, 0, 2))
+    ab = multiply_pairs(a, b)
+    codes = [[PARITY_OF_CODE[c] for c in parities(x)] for x in (a, b, ab)]
+    for pa, pb, pab, rank in zip(*codes, ranks(ab)):
+        if rank == 0:
             assert pab is Parity.RANK_ZERO
         else:
             assert sign[pab] == sign[pa] * sign[pb]
@@ -671,32 +646,35 @@ def test_parity_multiplicative_on_even_annular():
 # family membership predicates
 
 
+# the full transformation 1 -> 1, 2 -> 1: a block of three points
+_MERGING = diagram(2, [[1, 2, -1], [-2]])
+
+
 def test_membership_predicates():
-    assert is_brauer(rotation(4))
-    assert not is_brauer(partial_identity(4, 1))
-    assert is_partial_brauer(partial_identity(4, 1))
-    assert not is_partial_brauer(from_transformation(2, (1, 1)))
-    assert is_jones(cascade(5))
-    assert not is_jones(rotation(3))
+    labs = label_array([rotation(4), partial_identity(4, 1)], 4)
+    assert brauer(labs).tolist() == [True, False]
+    assert partial_brauer(labs).tolist() == [True, True]
+    assert partial_brauer(labels(_MERGING)[None]).tolist() == [False]
+    for d, jones in ((cascade(5), True), (rotation(3), False)):
+        lab = labels(d)[None]
+        assert (brauer(lab) & planar(lab)).tolist() == [jones]
 
 
 def test_planarity_matches_stack_oracle():
     rng = random.Random(13)
-    for _ in range(500):
-        a = oracle_random_pair_diagram(4, rng)
-        assert is_planar(a) == oracle_planar_pairs(a)
+    ds = [oracle_random_pair_diagram(4, rng) for _ in range(500)]
+    assert planar(label_array(ds, 4)).tolist() == list(map(oracle_planar_pairs, ds))
 
 
 def test_annularity_matches_rotation_oracle():
     rng = random.Random(15)
-    for _ in range(200):
-        a = oracle_random_pair_diagram(3, rng)
-        assert is_annular(a) == oracle_annular(a)
+    ds = [oracle_random_pair_diagram(3, rng) for _ in range(200)]
+    assert annular(label_array(ds, 3)).tolist() == list(map(oracle_annular, ds))
 
 
 def test_annularity_rejects_big_blocks():
     with pytest.raises(UnsupportedBlockSize):
-        is_annular(from_transformation(2, (1, 1)))
+        annular(labels(_MERGING)[None])
 
 
 def _assert_predicates_match_oracles(ds, n):
@@ -734,7 +712,7 @@ def test_predicates_match_oracles_on_set_partitions(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_predicates_match_oracles_on_random_diagrams(n):
     rng = random.Random(n)
-    for sample in (random_brauer, random_partial_brauer, random_partition_diagram):
+    for sample in (oracle_random_brauer, random_partial_brauer, random_partition_diagram):
         _assert_predicates_match_oracles([sample(n, rng) for _ in range(100)], n)
 
 
@@ -746,16 +724,18 @@ def test_predicates_match_oracles_at_degree_64():
           random_partition_diagram(n, rng)]
     assert labels(ds[0]).dtype == np.int16
     _assert_predicates_match_oracles(ds, n)
-    assert (is_annular(ds[1]), is_planar(ds[1])) == (True, False)
+    lab = labels(ds[1])[None]
+    assert (annular(lab).tolist(), planar(lab).tolist()) == ([True], [False])
 
 
 def test_rotation_is_annular_but_not_planar():
-    assert is_annular(rotation(4))
-    assert not is_planar(rotation(4))
+    lab = labels(rotation(4))[None]
+    assert annular(lab).tolist() == [True]
+    assert planar(lab).tolist() == [False]
 
 
 # ---------------------------------------------------------------------------
-# shift and twist
+# shift (both rows turned by k) and twist (the top row turned by k)
 
 
 def test_shift_is_rotation_conjugation():
@@ -765,18 +745,20 @@ def test_shift_is_rotation_conjugation():
     for k in range(1, n):
         zk[k] = zk[k - 1] * z
     rng = random.Random(19)
+    ds, ks = [], []
     for _ in range(100):
-        a = random_partial_brauer(n, rng)
-        k = rng.randrange(1, n)
-        assert shift(a, k) == zk[n - k] * a * zk[k]
-        assert twist(a, k) == a * zk[k]
+        ds.append(random_partial_brauer(n, rng))
+        ks.append(rng.randrange(1, n))
+    labs = label_array(ds, n)
+    assert from_label_array(turned(labs, ks, ks)) == [
+        zk[n - k] * a * zk[k] for a, k in zip(ds, ks)]
+    assert from_label_array(turned(labs, 0, ks)) == [a * zk[k] for a, k in zip(ds, ks)]
 
 
 def test_shift_preserves_annularity():
     rng = random.Random(21)
-    for _ in range(100):
-        a = oracle_random_pair_diagram(4, rng)
-        assert is_annular(shift(a, 1)) == is_annular(a)
+    labs = label_array([oracle_random_pair_diagram(4, rng) for _ in range(100)], 4)
+    assert np.array_equal(annular(turned(labs, 1, 1)), annular(labs))
 
 
 # 63 pads int8 rows to int16 ones; 64 and 65 are int16 rows
@@ -785,29 +767,26 @@ _TRANSFORM_DEGREES = (*range(1, 9), 63, 64, 65)
 
 @pytest.mark.parametrize("n", _TRANSFORM_DEGREES)
 def test_label_array_transforms_match_the_block_oracles(n):
-    """stars, turned with per-row turns and pads on whole stacks, and
-    star, shift, twist and pad_embedding, their one-row calls, against the
-    block-by-block oracles on random partition and partial-matching
-    diagrams."""
+    """stars, turned with per-row turns (the rows turned apart, both by one
+    turn as a shift, the top row alone as a twist) and pads on whole
+    stacks, against the block-by-block oracles on random partition and
+    partial-matching diagrams."""
     rng = random.Random(100 + n)
     ds = [sample(n, rng) for sample in (random_partition_diagram, random_partial_brauer)
           for _ in range(120)]
     bottom, top = ([rng.randrange(-2 * n, 2 * n + 1) for _ in ds] for _ in range(2))
     labs = label_array(ds, n)
     got = {"star": stars(labs), "turned": turned(labs, bottom, top),
+           "shift": turned(labs, top, top), "twist": turned(labs, 0, top),
            "pad": pads(labs, n + 2)}
     want = {"star": [oracle_star(d) for d in ds],
             "turned": [oracle_turned(d, b, t) for d, b, t in zip(ds, bottom, top)],
+            "shift": [oracle_turned(d, k, k) for d, k in zip(ds, top)],
+            "twist": [oracle_turned(d, 0, k) for d, k in zip(ds, top)],
             "pad": [oracle_pad(d, n + 2) for d in ds]}
     for name, rows in got.items():
         assert rows.dtype == label_dtype(want[name][0].n), name
         assert from_label_array(rows) == want[name], name
-    assert [d.star() for d in ds] == want["star"]
-    assert [pad_embedding(d, n + 2) for d in ds] == want["pad"]
-    assert [shift(d, k) for d, k in zip(ds, top)] == [
-        oracle_turned(d, k, k) for d, k in zip(ds, top)]
-    assert [twist(d, k) for d, k in zip(ds, top)] == [
-        oracle_turned(d, 0, k) for d, k in zip(ds, top)]
 
 
 def test_turns_broadcast_and_pads_check_the_target_degree():
@@ -815,7 +794,7 @@ def test_turns_broadcast_and_pads_check_the_target_degree():
     labs = label_array([random_partition_diagram(5, rng) for _ in range(30)], 5)
     assert np.array_equal(turned(labs, 2, -1), turned(labs, [2] * 30, [-1] * 30))
     assert np.array_equal(turned(labs[:1], 0, range(5)),
-                          label_array([twist(from_labels(labs[0]), k) for k in range(5)], 5))
+                          np.vstack([turned(labs[:1], 0, k) for k in range(5)]))
     assert np.array_equal(stars(stars(labs)), labs)
     with pytest.raises(BadDegree, match="target degree must be 7, got 6"):
         pads(labs, 6)

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -17,7 +16,6 @@ from brauerkit import (
     encode,
     from_permutation,
     local_monoid,
-    pad_embedding,
     partial_identity,
     principal_ideal,
     rees_quotient,
@@ -28,7 +26,7 @@ from brauerkit import (
 )
 from brauerkit.cli import main
 from brauerkit.derivations import build_standard_ledger
-from brauerkit.diagrams import labels, pads
+from brauerkit.diagrams import Diagram, label_array, labels, pads
 from brauerkit.errors import (
     CrossCheckFailed,
     NotAnIdeal,
@@ -138,8 +136,8 @@ def test_local_rule_ties_ideal_to_local_monoid():
     e_id = id_of(sg, adjacent_contraction(4, 3))
     ids = principal_ideal(sg, e_id)
     i_ref = led.register("ideal", "sing(B:4)", subsemigroup(sg, ids))
-    local_sg = subsemigroup(sg, [id_of(sg, pad_embedding(d, 4))
-                                 for d in construct("B", 2).sorted_elements()])
+    b2 = label_array(construct("B", 2).sorted_elements(), 2)
+    local_sg = subsemigroup(sg, sg.ids_of(pads(b2, 4)))
     assert elements_of(local_sg, [local_sg.identity_id]) == [adjacent_contraction(4, 3)]
     l_ref = led.register("local", "pad(B:2)", local_sg)
     for r in (ref, i_ref, l_ref):
@@ -449,22 +447,24 @@ def test_replaying_every_check_takes_no_diagram_product(
 
 def test_replaying_every_check_makes_no_diagram_per_element(
         derived_standard_ledger, monkeypatch):
-    """No replayed check pads diagrams one at a time: the checks are
-    functions of ids and label arrays (a closure has no per-element view)."""
+    """No replayed check makes a Diagram per element: the checks are
+    functions of ids and label arrays (a closure has no per-element view).
+    Every Diagram made from a label row goes through Diagram._from_key;
+    the replay makes only the six that its messages name, the five
+    generators of the t1-chain checks and one kernel witness."""
     led, _ = derived_standard_ledger
-    calls = {"pad_embedding": 0}
+    calls = [0]
+    from_key = Diagram._from_key
 
-    def counted_pad(a, target_n):
-        calls["pad_embedding"] += 1
-        return pad_embedding(a, target_n)
+    def counted(n, key):
+        calls[0] += 1
+        return from_key(n, key)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "brauerkit" and hasattr(module, "pad_embedding"):
-            monkeypatch.setattr(module, "pad_embedding", counted_pad)
+    monkeypatch.setattr(Diagram, "_from_key", staticmethod(counted))
     assert len(led.checks) == 211
     for check in led.checks.values():
         assert bool(check.rerun()) == check.passed, check.name
-    assert calls == {"pad_embedding": 0}
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("shape", ["one row short", "flat", "wrong degree"])

@@ -16,24 +16,21 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PUBLIC = [
     "CLOSED_FORMS", "Check", "Diagram", "ElementSet", "Entry", "FAMILY_IDS",
     "Fact", "FamilyInstance", "GreenData", "InstanceRef", "KernelResult",
-    "Ledger", "Parity", "SemigroupClosure", "StringKind", "TARGETS",
-    "adjacent_contraction", "as_closure", "bell_number", "build_standard_ledger",
-    "capped_rotation", "cardinality_table", "cascade", "catalan",
-    "classify_strings", "closure", "closure_from_elements", "construct",
-    "contraction", "decode", "derivations", "diagram", "diagrams",
-    "double_contraction", "double_factorial_odd", "encode", "engine", "errors",
-    "essential_depth", "expected_table", "families", "from_permutation",
-    "from_transformation", "generated_subsemigroup", "generators", "green",
-    "idempotent_generated", "identity", "index_period", "involution_count",
-    "is_annular", "is_aperiodic", "is_brauer", "is_inverse", "is_jones",
-    "is_partial_brauer", "is_planar", "is_projection", "kernel", "ledger",
+    "Ledger", "Parity", "SemigroupClosure", "TARGETS", "adjacent_contraction",
+    "as_closure", "bell_number", "build_standard_ledger", "capped_rotation",
+    "cardinality_table", "cascade", "catalan", "closure",
+    "closure_from_elements", "construct", "contraction", "decode",
+    "derivations", "diagram", "diagrams", "double_contraction",
+    "double_factorial_odd", "encode", "engine", "errors", "essential_depth",
+    "expected_table", "families", "from_permutation", "generated_subsemigroup",
+    "generators", "green", "idempotent_generated", "identity", "index_period",
+    "involution_count", "is_aperiodic", "is_inverse", "kernel", "ledger",
     "load_cache", "load_or_build", "local_monoid", "local_rotation",
-    "make_report", "membership", "motzkin", "multiply", "named_element_products",
-    "pad_embedding", "parity", "partial_identity", "principal_ideal",
-    "random_brauer", "random_partial_brauer", "random_partition_diagram",
-    "rees_quotient", "rotation", "run_target", "save_cache", "shift",
-    "singular_part", "standard_table", "star", "store", "subsemigroup",
-    "t1_chain", "twist", "units", "verify", "verify_parity_morphism_a4",
+    "make_report", "motzkin", "multiply", "named_element_products",
+    "partial_identity", "principal_ideal", "random_partial_brauer",
+    "random_partition_diagram", "rees_quotient", "rotation", "run_target",
+    "save_cache", "singular_part", "standard_table", "store", "subsemigroup",
+    "t1_chain", "units", "verify", "verify_parity_morphism_a4",
     "weak_inverse_pairs",
 ]
 
