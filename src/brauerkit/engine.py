@@ -27,35 +27,38 @@ Once a closure is built, no analysis multiplies diagrams again.  A product
 x y is an integer operation (SemigroupClosure.multiply): a gather from the
 product table when one has been built, otherwise a walk along y's word
 from x over the right Cayley graph, x y = rc[x parent(y), letter(y)], one
-BFS depth level at a time.  The restrictions below are the same walk done
-for whole rows by dynamic programming over the depth levels
-(SemigroupClosure._products).  The full product table is built lazily, only
-below a size limit, one depth level of rows at a time from the left Cayley
-graph: x y = parent(x) (g y) for x = parent(x) g, so row x is its parent's
-row read at a column of lc.  The squaring map i -> i i is one batched
-product, kept, so powers x^(2^k) are integer gathers.
+BFS depth level at a time.  Whole rows of products are the same walk done
+by dynamic programming over the depth levels (SemigroupClosure._products).
+The full product table is built lazily, only below a size limit, one
+depth level of rows at a time from the left Cayley graph: x y = parent(x)
+(g y) for x = parent(x) g, so row x is its parent's row read at a column
+of lc.  The squaring map i -> i i is one batched product, kept, so powers
+x^(2^k) are integer gathers.
 
-SemigroupClosure is the only semigroup class.  A semigroup derived from a
-closure is a table-backed SemigroupClosure (from_table) whose table
-restricts the parent's products, in blocks of at most _PAIR_BATCH cells:
-subsemigroup() for ideals, local monoids e S e, padded copies and group
-kernels, and rees_quotient() for S/I, whose ids stand for no diagram.
-extend_subsemigroup grows the subsemigroup some ids generate by one
-integer search.  generated_subsemigroup is built on it, and so is
-_table_generators, which adds ids one at a time and skips those already
-generated: over every id it finds the small generating set a table-backed
-closure is analysed over, so that closure's Green's relations cost
-m x |generators| edges, not m^2, and the group kernel's rounds pick their
-few seeds with it.  The group kernel reads every product through multiply
-and _products, so on a searched closure it gathers from the table under
-TABLE_CELL_LIMIT and walks words over it.  Every family is the closure of
-a generating set (families.generators); closure_from_elements, the closure
-of generators picked greedily from a set, is kept for callers outside the
-family code.
+SemigroupClosure is the only semigroup class, and every one is searched:
+ids in BFS order, a BFS word per element and the Cayley arrays over a
+small generating set, with no product table made to build it.  A
+semigroup derived from a closure takes its products from the parent's
+ids: subsemigroup() (ideals, local monoids e S e, padded copies and group
+kernels) picks a generating set G inside the parent, takes the k x |G|
+products of its Cayley arrays from the parent and numbers its ids by one
+integer BFS from G; rees_quotient() (S/I, whose ids stand for no
+diagram) needs no search, as the parent's words restricted to the
+non-ideal ids are a BFS tree of the quotient.  extend_subsemigroup grows
+the subsemigroup some ids generate by one integer search.
+generated_subsemigroup is built on it, and so is _table_generators, which
+adds ids one at a time and skips those already generated: it finds a
+restriction's generating set, and the group kernel's rounds pick their few
+seeds with it.  The group kernel reads every product through multiply and
+_products, so it gathers from the table under TABLE_CELL_LIMIT and walks
+words over it.  Every family is the closure of a generating set
+(families.generators); closure_from_elements, the closure of generators
+picked greedily from a set, is kept for callers outside the family code.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -67,6 +70,7 @@ from .diagrams import ElementSet, identity, sort_keys
 from .errors import (
     BadDegree,
     BadIndex,
+    BrauerKitError,
     BudgetExceeded,
     CrossCheckFailed,
     DegreeMismatch,
@@ -84,77 +88,58 @@ _PAIR_BATCH = 1 << 18  # products per batch in searches, restrictions and spans
 class SemigroupClosure:
     """A finite semigroup with dense ids 0..size-1 and Cayley data.
 
-    A closure of diagram generators (closure; closure_from_elements picks
-    the generators of an element set first) holds the right Cayley graph
-    over its generators' ids and a BFS word per element; a table-backed
-    one (from_table) holds its full product table, and its generators are
-    a small generating set found from the table when first read; its
-    parent and letter, the BFS words of a search, are None, since its
-    products are table gathers and never walk a word.  labels is the
-    read-only label array whose row i is the diagram of id i, or None for
-    a Rees quotient, whose ids stand for no diagram.  Each question about
-    the elements has one accessor: ids_of maps label rows to ids,
-    element_set() is the set of the rows, and diagrams.from_labels makes
-    the diagram of one row.  identity_id is the id of the two-sided
-    identity when one exists (the identity diagram for ordinary closures,
-    the designated idempotent e for local monoids e S e).
+    Every semigroup is searched: a closure of diagram generators
+    (closure; closure_from_elements picks the generators of an element set
+    first), a restriction of a closure to a closed id set (subsemigroup) or
+    a Rees quotient (rees_quotient).  Each holds its generators' ids, the
+    right and left Cayley graphs over them and a BFS word (parent, letter)
+    per element, its ids in BFS order.  labels is the read-only label array
+    whose row i is the diagram of id i, or None for a Rees quotient, whose
+    ids stand for no diagram.  Each question about the elements has one
+    accessor: ids_of maps label rows to ids, element_set() is the set of
+    the rows, and diagrams.from_labels makes the diagram of one row.
+    identity_id is the id of the two-sided identity when one exists (the
+    identity diagram for ordinary closures, the designated idempotent e for
+    local monoids e S e).
     """
 
-    def __init__(self, degree, labels, identity_id, *, table=None, gen_ids=None,
-                 right_cayley=None, parent=None, letter=None, depth=None,
-                 left_cayley=None, keys=None):
-        """A search gives gen_ids, right_cayley, left_cayley, parent,
-        letter, depth (each element's BFS depth) and keys (the sorted keys
-        of the rows of labels, and the id of each); a missing left_cayley
-        or keys is worked out when first needed."""
+    def __init__(self, degree, labels, identity_id, *, gen_ids, right_cayley,
+                 left_cayley, parent, letter, depth, keys=None):
+        """gen_ids, the right and left Cayley graphs (rc[x, i] = x g_i and
+        lc[y, i] = g_i y for each generator g_i, as integer ids), parent,
+        letter and depth (each element's BFS depth) come from a search, and
+        keys (the sorted keys of the rows of labels, and the id of each)
+        from a closure's; missing keys are worked out when first needed."""
         self.degree = degree
         self.labels = labels
         self._keys = keys
-        self._generators = gen_ids
-        self._right_cayley = right_cayley
+        self.generators = gen_ids
+        self.right_cayley = right_cayley
+        self.left_cayley = left_cayley
         self.parent = parent
         self.letter = letter
         self._depth = depth
         self.identity_id = identity_id
-        self.size = len(parent) if table is None else len(table)
-        self._left_cayley = left_cayley
-        self._table = table
+        self.size = len(parent)
+        self._table = None
         self._walk = None
         self._green = None
         self._squares = None
         self._element_set = None
 
-    @classmethod
-    def from_table(cls, table, labels=None):
-        """The semigroup over ids 0..m-1 whose m x m product table is table.
-
-        labels, when given, is the label array of the ids' diagrams.
-        identity_id is worked out from the table as its unique two-sided
-        identity, or None when it has none.  Raises BadIndex when the
-        table is not square or holds an entry outside 0..m-1.
-        """
-        table = np.asarray(table, dtype=np.int32)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise BadIndex(f"product table of shape {table.shape} is not square")
-        m = len(table)
-        if table.size and (table.min() < 0 or table.max() >= m):
-            raise BadIndex(f"product table has an entry outside 0..{m - 1}")
-        ids = np.arange(m)
-        ident = np.flatnonzero((table == ids).all(axis=1)
-                               & (table == ids[:, None]).all(axis=0))
-        if labels is not None:
-            labels = np.array(labels)
-            labels.flags.writeable = False
-        return cls(None if labels is None else labels.shape[1] // 2, labels,
-                   int(ident[0]) if ident.size else None, table=table)
-
     def __len__(self):
         return self.size
+
+    def _rows(self):
+        """labels; BrauerKitError for a Rees quotient, which has none."""
+        if self.labels is None:
+            raise BrauerKitError("a Rees quotient's ids stand for no diagram")
+        return self.labels
 
     def _sorted_keys(self):
         """The rows' keys (sort_keys) in ascending order, and the id of each."""
         if self._keys is None:  # the rows are distinct
-            self._keys = np.unique(sort_keys(self.labels), return_index=True)
+            self._keys = np.unique(sort_keys(self._rows()), return_index=True)
         return self._keys
 
     def element_set(self, ids=None):
@@ -163,10 +148,11 @@ class SemigroupClosure:
         The set of all elements is kept.  It takes the rows in the order of
         the closure's sorted keys, the order an ElementSet keeps, and those
         keys, so nothing is sorted or checked again.  Raises BadIndex for
-        ids that are not integers in 0..size-1, such as a boolean mask.
+        ids that are not integers in 0..size-1, such as a boolean mask, and
+        BrauerKitError on a Rees quotient.
         """
         if ids is not None:
-            return ElementSet(self.degree, self.labels[_checked_ids(self, ids)])
+            return ElementSet(self.degree, self._rows()[_checked_ids(self, ids)])
         if self._element_set is None:
             keys, order = self._sorted_keys()
             self._element_set = ElementSet._of_sorted(
@@ -176,57 +162,28 @@ class SemigroupClosure:
     def ids_of(self, labs):
         """The id of the element of each row of a label array, -1 for a row
         that is no element, has another degree or is not a restricted growth
-        string (whose sort key may be an element's)."""
+        string (whose sort key may be an element's); BrauerKitError on a
+        Rees quotient."""
+        keys, ids = self._sorted_keys()
         labs = np.asarray(labs)
         if labs.shape[1] != 2 * self.degree:
             return np.full(len(labs), -1, dtype=np.int64)
-        keys, ids = self._sorted_keys()
         at = diagrams.find_keys(keys, sort_keys(labs))
         at[~diagrams.restricted_growth(labs)] = -1
         return np.where(at >= 0, ids[at], -1).astype(np.int64)
-
-    @property
-    def generators(self):
-        """The generators' ids, read-only, in the order of the Cayley
-        columns; for a table-backed closure, the generating set
-        _table_generators finds from its table when first read."""
-        if self._generators is None:
-            self._generators = _frozen(_table_generators(
-                self, np.zeros(self.size, dtype=bool), [], range(self.size)))
-        return self._generators
-
-    @property
-    def right_cayley(self):
-        """rc[x, i] = x g_i for each generator g_i, as integer ids."""
-        if self._right_cayley is None:
-            self._right_cayley = self._table[:, self.generators]
-        return self._right_cayley
-
-    @property
-    def left_cayley(self):
-        """lc[y, i] = g_i y for each generator g_i, as integer ids.
-
-        A closure's search fills it; otherwise the generators' rows of the
-        product table, or the depth-level walk of _products from the
-        generators over every id: no diagram product is taken.
-        """
-        if self._left_cayley is None:
-            self._left_cayley = self._products(
-                self.generators, np.arange(self.size)).T.copy()
-        return self._left_cayley
 
     def product_table(self):
         """Full m x m int32 product table, built once and kept, or None
         when it would exceed TABLE_CELL_LIMIT.
 
-        A searched closure's table is built one BFS depth level of rows at
-        a time from the left Cayley graph: a seed g_a's row is g_a y =
-        lc[y, a] and the identity's row is every id; any other x is
-        parent(x) g_b, so x y = parent(x) (g_b y) and row x is the row of
-        parent(x), which a lower level holds, read at lc[:, b].  A level is
-        taken in blocks of at most _PAIR_BATCH / 8 cells, whole rows (one
-        row when m is larger), each one gather of lc's columns and one flat
-        take; the block's ids are intp, so it holds _PAIR_BATCH bytes.
+        The table is built one BFS depth level of rows at a time from the
+        left Cayley graph: a seed g_a's row is g_a y = lc[y, a] and the
+        identity's row is every id; any other x is parent(x) g_b, so x y =
+        parent(x) (g_b y) and row x is the row of parent(x), which a lower
+        level holds, read at lc[:, b].  A level is taken in blocks of at
+        most _PAIR_BATCH / 8 cells, whole rows (one row when m is larger),
+        each one gather of lc's columns and one flat take; the block's ids
+        are intp, so it holds _PAIR_BATCH bytes.
         """
         if self._table is None:
             m = self.size
@@ -255,19 +212,24 @@ class SemigroupClosure:
         return self._table
 
     def _walk_data(self):
-        """The right Cayley graph with a "stay" column, and the BFS words.
+        """The right Cayley graph with a "stay" column, scaled, and the BFS
+        words.
 
-        rc[:, g] (g = number of generators) is the identity map.  Row d of
-        words holds, for every element y, the letter of y's ancestor at BFS
-        depth d (its seed's generator letter at d = 0), and g past y's depth
-        or for the identity seed; letters are stored in the smallest
-        unsigned type that holds g.  Returns (rc, words, depth), depth the
-        search's in the smallest unsigned type that holds it, which numpy
-        sorts by radix.
+        With w = g + 1 (g the number of generators), flat[x w + i] is
+        (x g_i) w, and flat[x w + g] is x w, the identity map: a walk keeps
+        its ids scaled by w, so a step along letters is one add and one
+        take.  Row d of words holds, for every element y, the letter of y's
+        ancestor at BFS depth d (its seed's generator letter at d = 0), and
+        g past y's depth or for the identity seed; letters are stored in
+        the smallest unsigned type that holds g.  Returns (flat, w, words,
+        depth), depth the search's in the smallest unsigned type that holds
+        it, which numpy sorts by radix.
         """
         if self._walk is None:
             m, g, depth = self.size, len(self.generators), self._depth
-            rc = np.hstack([self.right_cayley, np.arange(m, dtype=np.int32)[:, None]])
+            flat = np.hstack([self.right_cayley, np.arange(m)[:, None]],
+                             dtype=np.int32 if m * (g + 1) < 2 ** 31 else np.int64)
+            flat = flat.ravel() * (g + 1)
             words = np.full((int(depth.max(initial=0)) + 1, m), g,
                             dtype=np.min_scalar_type(g))
             words[depth, np.arange(m)] = np.where(self.letter < 0, g, self.letter)
@@ -275,7 +237,7 @@ class SemigroupClosure:
             for d in range(1, len(words)):  # ids in BFS order: depth d is a range
                 at = slice(bounds[d], bounds[d + 1])
                 words[:d, at] = words[:d, self.parent[at]]
-            self._walk = rc, words, depth.astype(np.min_scalar_type(len(words) - 1))
+            self._walk = flat, g + 1, words, depth.astype(np.min_scalar_type(len(words) - 1))
         return self._walk
 
     def multiply(self, xs, ys):
@@ -286,41 +248,39 @@ class SemigroupClosure:
         depth level at a time, so a batch of pairs costs one gather per
         level and no diagram product.  Each entry of a 1-D or scalar ys is
         a column, along the last axis, and any other ys makes each pair a
-        column.  With the columns in non-decreasing depth of y, as ascending
-        ids are, level d steps only the suffix of columns whose word is
-        still running; otherwise they are sorted by depth (a radix sort) and
-        put back at the end.
+        column.  The columns are stepped in non-decreasing depth of y, so
+        level d steps only the suffix of columns whose word is still
+        running; ys in another order are sorted by depth (a radix sort) and
+        put back at the end.  Each column is one row of the work array, so
+        a level's suffix is one contiguous block, stepped in place, its ids
+        scaled as _walk_data's are: one add and one take a level.
         """
         if self._table is not None:
             return self._table[xs, ys]
-        rc, words, depth = self._walk_data()
+        flat, width, words, depth = self._walk_data()
         ys = np.asarray(ys)  # each level's letters are read before broadcasting
-        out = np.asarray(xs, dtype=np.int32) + np.zeros(ys.shape, dtype=np.int32)
+        out = np.asarray(xs, dtype=flat.dtype) * width + np.zeros(ys.shape, dtype=flat.dtype)
         if not out.size:
-            return out
+            return out.astype(np.int32)
         shape = out.shape
         ys = (np.broadcast_to(ys, shape) if ys.ndim > 1 else ys).ravel()
-        out = out.reshape(-1, len(ys))  # column c multiplies by ys[c]
-        if len(out) == 1:  # one row is cheaper to step as a 1-D array
-            out = out[0]
         dy = depth[ys]
-        order = None
-        if (dy[1:] < dy[:-1]).any():
-            order = np.argsort(dy, kind="stable")
-            ys, dy, out = ys[order], dy[order], out[..., order]
-        flat, width = rc.ravel(), np.intp(rc.shape[1])
-        starts = np.searchsorted(dy, np.arange(int(dy[-1]) + 1)).tolist()
-        done, lo = [], 0  # columns lo: still run at this level
-        for level, s in zip(words, starts):
-            if s > lo:  # the words of columns lo:s ended at the level before
-                done.append(out[..., :s - lo])
-                out, ys, lo = out[..., s - lo:], ys[s - lo:], s
-            out = flat.take(out * width + level[ys])
-        out = np.concatenate(done + [out], axis=-1)
+        order = np.argsort(dy, kind="stable") if (dy[1:] < dy[:-1]).any() else None
+        # row c of run: the products by ys[c], one per row of xs
+        run = np.ascontiguousarray(out.reshape(-1, len(ys)).T)
         if order is not None:
-            back, out = out, np.empty_like(out)
-            out[..., order] = back
-        return out.reshape(shape)
+            ys, dy, run = ys[order], dy[order], run[order]
+        step = np.empty(run.shape, dtype=np.intp)
+        starts = np.searchsorted(dy, np.arange(int(dy[-1]) + 1)).tolist()
+        for level, s in zip(words, starts):  # columns s: still run at this level
+            np.add(run[s:], level[ys[s:, None]], out=step[s:])
+            # indices are in range, so mode="wrap" skips the bounds check
+            # and the buffered copy of out that it takes
+            flat.take(step[s:], out=run[s:], mode="wrap")
+        if order is not None:
+            back, run = run, np.empty_like(run)
+            run[order] = back
+        return (run.T // width).astype(np.int32, copy=False).reshape(shape)
 
     def _products(self, xs, ys):
         """P[r, c] = xs[r] ys[c], a len(xs) x len(ys) table of ids.
@@ -338,7 +298,7 @@ class SemigroupClosure:
         ys = np.asarray(ys, dtype=np.intp)
         if self._table is not None:
             return self._table[xs[:, None], ys]
-        rc, words, depth = self._walk_data()
+        flat, width, words, depth = self._walk_data()
         need = np.zeros(self.size, dtype=bool)
         anc = ys
         while anc.size:
@@ -352,16 +312,15 @@ class SemigroupClosure:
         at[cols] = np.arange(len(cols))
         up = at[self.parent[cols]]  # unused for seeds, whose parent is -1
         letters = words[depth[cols], cols].astype(np.intp)
-        flat, width = rc.ravel(), np.intp(rc.shape[1])
         out = np.empty((len(xs), len(ys)), dtype=np.int32)
         step = max(1, _PAIR_BATCH // max(1, len(cols)))
         for lo in range(0, len(xs), step):
-            block = np.empty((len(xs[lo:lo + step]), len(cols)), dtype=np.int32)
-            for d in range(len(words)):
+            block = np.empty((len(xs[lo:lo + step]), len(cols)), dtype=flat.dtype)
+            for d in range(len(words)):  # block holds ids scaled by width
                 a, b = bounds[d], bounds[d + 1]
-                src = xs[lo:lo + step, None] if d == 0 else block[:, up[a:b]]
-                block[:, a:b] = flat.take(src * width + letters[a:b])
-            out[lo:lo + step] = block[:, at[ys]]
+                src = xs[lo:lo + step, None] * width if d == 0 else block[:, up[a:b]]
+                block[:, a:b] = flat.take(src + letters[a:b])
+            out[lo:lo + step] = block[:, at[ys]] // width
         return out
 
     def squares(self):
@@ -551,31 +510,61 @@ def _checked_ids(sg, ids):
 
 
 def subsemigroup(sg, ids):
-    """The closed id set ids of sg as a table-backed SemigroupClosure.
+    """The closed id set ids of sg as a SemigroupClosure, searched over
+    sg's ids with no product table.
 
-    Its elements are sg's elements at ids, in the order given (none when sg
-    has none), and its table is the restriction of sg's products, taken a
-    block of whole rows at a time (SemigroupClosure._products), so no
-    diagram is multiplied.
-    Raises NotASubsemigroup when a product leaves ids, BadIndex when an id
-    repeats or is outside 0..size-1, and BudgetExceeded when the table
-    would be over TABLE_CELL_LIMIT cells.
+    Its generating set G is picked greedily from ids in the order given
+    (_table_generators), which also proves closure: ids are closed iff the
+    subsemigroup G generates holds no other id.  Its right and left Cayley
+    arrays are sg's products ids G and G ids, k x |G| of them
+    (SemigroupClosure._products), so no diagram is multiplied.  Its ids are
+    numbered by one integer BFS from G over them, as closure numbers ids:
+    G first, in the order given, then each level's products by the
+    generators not seen before, in row-major order of first appearance.
+    Its elements are sg's at ids, in that order (none when sg has none),
+    and its identity is the id e with e g = g e = g for each g in G, which
+    the Cayley arrays decide.  Raises NotASubsemigroup when a product
+    leaves ids, and BadIndex when an id repeats or is outside 0..size-1.
     """
     ids = _checked_ids(sg, ids)
     k = len(ids)
-    if k * k > TABLE_CELL_LIMIT:
-        raise BudgetExceeded(
-            f"subsemigroup of {k} elements is over TABLE_CELL_LIMIT")
     pos = np.full(sg.size, -1, dtype=np.int32)
     pos[ids] = np.arange(k, dtype=np.int32)
     if (pos[ids] != np.arange(k)).any():
         raise BadIndex("subsemigroup ids repeat")
-    table = pos[sg._products(ids, ids)]
-    if (table < 0).any():
-        raise NotASubsemigroup(
-            f"the {k} ids are not closed under the product")
-    return SemigroupClosure.from_table(
-        table, None if sg.labels is None else sg.labels[ids])
+    member = np.zeros(sg.size, dtype=bool)
+    seeds = np.sort(pos[_table_generators(sg, member, [], ids)])  # in the order given
+    if member.sum() > k:
+        raise NotASubsemigroup(f"the {k} ids are not closed under the product")
+    right, left = pos[sg._products(ids, ids[seeds])], pos[sg._products(ids[seeds], ids)].T
+    g = len(seeds)
+    seen = np.isin(np.arange(k), seeds)
+    # each id's first cell, parent g + letter, and the new id of the level's first row
+    order, cells, lo = [seeds], [np.arange(g) - g], 0
+    while len(order[-1]):
+        found = right[order[-1]].ravel()
+        fresh = np.flatnonzero(~seen[found])
+        at = fresh[np.sort(np.unique(found[fresh], return_index=True)[1])]
+        cells.append(lo * g + at)
+        lo += len(order[-1])
+        order.append(found[at])
+        seen[order[-1]] = True
+    depth = np.repeat(np.arange(len(order), dtype=np.int32), [len(level) for level in order])
+    parent, letter = np.divmod(np.concatenate(cells, dtype=np.int32), g)
+    order = np.concatenate(order)
+    new = np.argsort(order).astype(np.int32)  # the new id of each position in ids
+    rc, lc = new[right[order]], new[left[order]]
+    return SemigroupClosure(
+        sg.degree, None if sg.labels is None else _frozen(sg.labels[ids[order]]),
+        _identity(rc, lc, np.arange(g)), gen_ids=_frozen(np.arange(g, dtype=np.int64)),
+        right_cayley=rc, left_cayley=lc, parent=parent, letter=letter, depth=depth)
+
+
+def _identity(rc, lc, gens):
+    """The id e with e g = g e = g for every generator g, which makes e the
+    identity of the semigroup the generators generate, or None."""
+    one = np.flatnonzero((rc == gens).all(axis=1) & (lc == gens).all(axis=1))
+    return int(one[0]) if one.size else None
 
 
 def extend_subsemigroup(sg, member, gens, new):
@@ -616,9 +605,9 @@ def _table_generators(sg, member, gens, ids):
     """Grow member, the mask of the subsemigroup gens generates, by ids one
     at a time in the order given: each id that member does not hold is the
     next pick and extends it (extend_subsemigroup).  Returns gens and the
-    picks as one ascending array.  Over all ids of a table-backed closure,
-    from no member, the picks are a generating set, found in at most
-    m x |picks| gathers; the kernel rounds pick their seeds this way."""
+    picks as one ascending array.  Over a closed id set, from no member,
+    the picks generate it in at most k x |picks| products; subsemigroup
+    finds its generators this way, and the kernel rounds their seeds."""
     gens = np.asarray(gens, dtype=np.int64)
     for i in ids:
         if not member[i]:
@@ -916,11 +905,11 @@ def principal_ideal(sg, e_id):
 
 
 def local_monoid(sg, e_id):
-    """The monoid e S e: subsemigroup of sg's elements e x e in id order.
+    """The monoid e S e: subsemigroup of sg's elements e x e, picked in
+    id order.
 
-    Its identity is e.  Raises NotIdempotent when e is not idempotent,
-    BadIndex for an id outside 0..size-1 and BudgetExceeded as subsemigroup
-    does.
+    Its identity is e.  Raises NotIdempotent when e is not idempotent and
+    BadIndex for an id outside 0..size-1.
     """
     e_id = int(_checked_ids(sg, e_id))
     if int(sg.multiply(e_id, e_id)) != e_id:
@@ -943,27 +932,44 @@ def is_ideal(sg, ids):
 
 
 def rees_quotient(sg, ideal_ids):
-    """Rees quotient S/I: a table-backed SemigroupClosure with no elements.
+    """Rees quotient S/I: a SemigroupClosure with no elements, over sg's
+    generators, with no search and no product table.
 
-    Ids 0..k-1 are the non-ideal elements of S in id order, and the last
-    id, k, is the adjoined zero.  Raises NotAnIdeal when I is empty or not
-    an ideal (is_ideal), BadIndex for an id outside 0..size-1, and
-    BudgetExceeded, before any table is made, when its (k+1)^2 cells would
-    be over TABLE_CELL_LIMIT.
+    A prefix of the BFS word of an element outside I lies outside I, so
+    sg's words restricted to the kept ids are a BFS tree of S/I over the
+    same generators; the kept ids keep their order.  The zero's word goes
+    through the first product of the search (the generators first, then
+    the rows in id order) that lands in I, and the zero takes the id the
+    search would give it there, so it need not be the last id.  The Cayley
+    arrays are sg's at the kept ids, with I mapped to the zero and a zero
+    row; a generator column repeating the zero is dropped.  Raises
+    NotAnIdeal when I is empty or not an ideal (is_ideal), and BadIndex for
+    an id outside 0..size-1.
     """
     ideal_ids = _checked_ids(sg, ideal_ids)
     if not is_ideal(sg, ideal_ids):
         raise NotAnIdeal("set is empty or not closed under multiplication by generators")
-    keep = np.setdiff1d(np.arange(sg.size), ideal_ids)
-    k = len(keep)
-    if (k + 1) ** 2 > TABLE_CELL_LIMIT:
-        raise BudgetExceeded(
-            f"Rees quotient of {k + 1} elements is over TABLE_CELL_LIMIT")
-    pos = np.full(sg.size, k, dtype=np.int32)
-    pos[keep] = np.arange(k, dtype=np.int32)
-    table = np.full((k + 1, k + 1), k, dtype=np.int32)
-    table[:k, :k] = pos[sg._products(keep, keep)]
-    quotient = SemigroupClosure.from_table(table)
+    inside = np.isin(np.arange(sg.size), ideal_ids)
+    keep = np.flatnonzero(~inside)
+    g = len(sg.generators)
+    cells = np.flatnonzero(inside[np.vstack([sg.generators, sg.right_cayley[keep]])])
+    row, let = divmod(int(cells[0]), g) if cells.size else (0, -1)  # no generators: I = S = {1}
+    up = int(np.append(-1, keep)[row])  # the zero's parent, -1 for a seed
+    codes = sg.parent[keep].astype(np.int64) * g + sg.letter[keep]  # ascending, as ids are
+    z = int(np.searchsorted(codes, up * g + let))
+    pos = np.full(sg.size + 1, z, dtype=np.int32)  # pos[-1] = -1 is a seed's parent
+    pos[keep], pos[-1] = np.arange(len(keep)) + (np.arange(len(keep)) >= z), -1
+    gens = pos[sg.generators]
+    cols = np.sort(np.unique(gens, return_index=True)[1])  # the zero's column once
+    # letters renumbered over cols, and an identity seed's -1 kept
+    letter = np.searchsorted(np.append(-1, cols), np.insert(sg.letter[keep], z, let)) - 1
+    rc, lc = (np.insert(pos[cayley[keep][:, cols]], z, z, axis=0)
+              for cayley in (sg.right_cayley, sg.left_cayley))
+    quotient = SemigroupClosure(
+        None, None, _identity(rc, lc, gens[cols]),
+        gen_ids=_frozen(gens[cols].astype(np.int64)), right_cayley=rc, left_cayley=lc,
+        parent=pos[np.insert(sg.parent[keep], z, up)], letter=letter.astype(np.int32),
+        depth=np.insert(sg._depth[keep], z, np.append(sg._depth, -1)[up] + 1))
     _spot_check_associativity(quotient)
     return quotient
 
@@ -971,14 +977,21 @@ def rees_quotient(sg, ideal_ids):
 _ASSOCIATIVITY_SAMPLES = 60
 
 
+@functools.lru_cache(maxsize=64)
+def _associativity_triples(m, samples):
+    """samples triples of ids below m drawn with seed 0, as a read-only
+    samples x 3 array, drawn once for each m."""
+    rng = random.Random(0)
+    return _frozen(np.reshape([rng.randrange(m) for _ in range(3 * samples)], (-1, 3)))
+
+
 def _spot_check_associativity(sg):
     """Raise CrossCheckFailed naming the first of _ASSOCIATIVITY_SAMPLES
-    triples drawn with seed 0 on which (xy)z != x(yz), if any."""
-    rng, m = random.Random(0), sg.size
-    xyz = np.reshape([rng.randrange(m) for _ in range(3 * _ASSOCIATIVITY_SAMPLES)],
-                     (-1, 3))
-    x, y, z = xyz.T
-    bad = sg.multiply(sg.multiply(x, y), z) != sg.multiply(x, sg.multiply(y, z))
+    triples drawn with seed 0 on which (xy)z != x(yz), if any.  Two batched
+    products: x y and y z, then (xy) z and x (yz)."""
+    xyz = _associativity_triples(sg.size, _ASSOCIATIVITY_SAMPLES)
+    xy, yz = sg.multiply(xyz.T[:2], xyz.T[1:])
+    bad = np.not_equal(*sg.multiply(np.stack([xy, xyz[:, 0]]), np.stack([xyz[:, 2], yz])))
     if bad.any():
         raise CrossCheckFailed(
             f"product table not associative at {tuple(xyz[bad.argmax()].tolist())}")
@@ -1013,8 +1026,8 @@ def t1_chain(sg):
 
     Returns an array of generator ids sorted ascending in the left order,
     or None when some pair is incomparable.  Only the closure's own
-    generator pool is searched (for a table-backed closure, the generating
-    set found from its table); this is a semi-decision, not a classifier.
+    generator pool is searched; this is a semi-decision, not a
+    classifier.
 
     Each pool element's down-set S^1 b is one breadth-first search of the
     left Cayley graph.  In a total preorder a <_L b makes S^1 a a proper

@@ -55,12 +55,18 @@ oracle_principal_ideal keeps the breadth-first search over the summed
 Cayley graphs that principal_ideal replaced by reading the J-order, and
 oracle_associativity_failure the loop of scalar products that
 _spot_check_associativity replaced by four batched ones.
+oracle_restricted_table keeps the k x k restriction of a closure's
+products that subsemigroup and rees_quotient replaced by searches over
+the parent's ids with k x |generators| products.  table_closure builds
+the semigroup of a product table, such as the random transformation
+semigroups T:k, as the subsemigroup of all of a TableProduct's ids, so
+by the same integer search; TableProduct reads a table as a semigroup
+whose products are gathers.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -77,8 +83,9 @@ from brauerkit import (
     green,
     identity,
 )
+from brauerkit import engine
 from brauerkit.engine import GreenData, SemigroupClosure
-from brauerkit.errors import BadDegree, BudgetExceeded
+from brauerkit.errors import BadDegree, BadIndex, BudgetExceeded
 
 
 def signed_blocks(a):
@@ -762,6 +769,17 @@ def oracle_rees_table(sg, ideal_ids):
     return table
 
 
+def oracle_restricted_table(sg, ids):
+    """The products of ids by ids in sg, as a k x k table over positions
+    in ids, in the order given, -1 where a product leaves ids: whole rows
+    of sg's products (sg._products), as subsemigroup and rees_quotient
+    restricted them before they searched over sg's ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    pos = np.full(sg.size, -1, dtype=np.int32)
+    pos[ids] = np.arange(len(ids), dtype=np.int32)
+    return pos[sg._products(ids, ids)]
+
+
 def oracle_principal_ideal(sg, e_id):
     """Ids of S^1 e S^1, ascending, by a breadth-first search from e over
     the sum of the right and left Cayley graphs."""
@@ -1025,10 +1043,45 @@ def oracle_green_all_generators(table):
                         and (table[:, i] == ids).all()), None)
     sg = SemigroupClosure(
         degree=None, labels=None, gen_ids=np.arange(m),
-        right_cayley=table, parent=np.full(m, -1, dtype=np.int32),
+        right_cayley=table, left_cayley=table.T.copy(), parent=np.full(m, -1, dtype=np.int32),
         letter=np.arange(m, dtype=np.int32), depth=np.zeros(m, dtype=np.int32),
         identity_id=identity_id)
     return sg, green(sg)
+
+
+class TableProduct:
+    """A product table read as a semigroup of no diagrams, by the names
+    engine.subsemigroup reads (size, degree, labels, multiply and
+    _products), each product a gather; engine._spot_check_associativity
+    reads only size and multiply."""
+
+    degree = labels = None
+
+    def __init__(self, table):
+        self.table = np.asarray(table)
+        self.size = len(self.table)
+
+    def multiply(self, xs, ys):
+        return self.table[xs, ys]
+
+    def _products(self, xs, ys):
+        return self.table[np.ix_(xs, ys)]
+
+
+def table_closure(table):
+    """The semigroup whose m x m product table is table: every id of the
+    table as an engine.subsemigroup, so searched by the integer search of
+    a restriction, a generating set picked greedily in id order, then one
+    BFS from it over the table's columns and rows at the picks, which
+    renumbers the ids.  Raises BadIndex when the table is not square or
+    holds an entry outside 0..m-1."""
+    table = np.asarray(table, dtype=np.int32)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise BadIndex(f"product table of shape {table.shape} is not square")
+    m = len(table)
+    if table.size and (table.min() < 0 or table.max() >= m):
+        raise BadIndex(f"product table has an entry outside 0..{m - 1}")
+    return engine.subsemigroup(TableProduct(table), np.arange(m))
 
 
 def transformation_table(seed):

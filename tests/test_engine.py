@@ -62,6 +62,7 @@ from brauerkit.engine import SemigroupClosure, _down_sets, period_one, t1_chain
 from brauerkit.errors import (
     BadDegree,
     BadIndex,
+    BrauerKitError,
     BudgetExceeded,
     CrossCheckFailed,
     NotAMonoid,
@@ -93,7 +94,10 @@ from oracles import (
     oracle_span,
     oracle_strong_components,
     oracle_t1_chain,
+    oracle_restricted_table,
     oracle_table,
+    table_closure,
+    TableProduct,
     transformation_table,
 )
 
@@ -546,12 +550,53 @@ def _restricted_elements(led, name):
     return elements_of(t1, oracle_span(t1, oracle_idempotent_ids(t1)))
 
 
+def _assert_bfs_words(sg):
+    """sg's ids are in the order a BFS from its generators finds them: a
+    seed is its letter's generator (or the identity, letter -1), any other
+    id is its parent's product by its letter's generator and is first found
+    at that (parent, letter) cell of the right Cayley graph, and the cells
+    ascend in row-major order, the seeds first."""
+    g, ids = len(sg.generators), np.arange(sg.size)
+    parent, letter = sg.parent.astype(np.int64), sg.letter.astype(np.int64)
+    seed = parent < 0
+    assert np.array_equal(np.where(letter[seed] < 0, sg.identity_id,
+                                   sg.generators[letter[seed]]), ids[seed])
+    assert np.array_equal(sg.right_cayley[parent[~seed], letter[~seed]], ids[~seed])
+    codes = parent * g + letter
+    assert (np.diff(codes) > 0).all()
+    first = np.full(sg.size, sg.size * g)
+    np.minimum.at(first, sg.right_cayley.ravel(), np.arange(sg.size * g))
+    assert np.array_equal(first[~seed], codes[~seed])
+
+
 def _assert_diagram_table(sg, elems):
-    """sg holds elems in this order, with their diagram-product table."""
-    table, identity_id = oracle_table(elems)
-    assert elements_of(sg) == elems
+    """sg holds the elements elems, its ids in BFS order, with their
+    diagram-product table."""
+    got = elements_of(sg)
+    assert len(got) == len(elems) and set(got) == set(elems)
+    _assert_bfs_words(sg)
+    table, identity_id = oracle_table(got)
     assert sg.identity_id == identity_id
     assert np.array_equal(sg.product_table(), table)
+
+
+def _rees_order(q):
+    """Each id of the Rees quotient q's place in a table that lists the
+    ids other than the zero in q's order and the zero last, as
+    oracle_rees_table does: the zero is the one id whose row and column
+    of the product table hold only itself."""
+    table, ids = q.product_table(), np.arange(q.size)
+    zero = np.flatnonzero((table == ids[:, None]).all(axis=1) & (table == ids).all(axis=0))
+    assert len(zero) == 1
+    order = ids - (ids > zero)
+    order[zero] = q.size - 1
+    return order
+
+
+def _assert_rees_table(q, want):
+    """q's product table is want, read through _rees_order."""
+    order = _rees_order(q)
+    assert np.array_equal(order[q.product_table()], want[np.ix_(order, order)])
 
 
 def _instance(name, request):
@@ -591,8 +636,9 @@ def test_integer_analyses_match_diagram_products(name, request):
     _assert_diagram_table(local_monoid(sg, e_id), oracle_local_elements(sg, e_id))
 
     ideal = principal_ideal(sg, e_id)
-    assert np.array_equal(rees_quotient(sg, ideal).product_table(),
-                          oracle_rees_table(sg, ideal))
+    q = rees_quotient(sg, ideal)
+    _assert_bfs_words(q)
+    _assert_rees_table(q, oracle_rees_table(sg, ideal))
 
 
 _WALKED = {"B:6": as_closure(construct("B", 6)),
@@ -713,7 +759,7 @@ def test_j_is_r_join_l_on_random_transformation_semigroups():
     # classes their own way, so classes are matched by their members
     chains, monoids = [], []
     for seed in range(60):
-        sg = SemigroupClosure.from_table(transformation_table(seed))
+        sg = table_closure(transformation_table(seed))
         new, old = green(sg), oracle_green(sg)
         match = dict(zip(new.j.tolist(), old.j.tolist()))
         assert new.num_j == old.num_j == len(match) == len(set(match.values())), seed
@@ -744,10 +790,10 @@ def test_green_rejects_a_j_order_with_a_cycle():
     # the R-class quotient it is one J-class whose H-classes {0} and {1, 2}
     # differ in size, which Green's lemma forbids
     table = [[2, 0, 0], [2, 0, 0], [1, 2, 1]]
-    sg = SemigroupClosure.from_table(table)
-    assert oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES) is not None
+    assert oracle_associativity_failure(
+        TableProduct(table), engine._ASSOCIATIVITY_SAMPLES) is not None
     with pytest.raises(CrossCheckFailed, match="H-classes of unequal size"):
-        green(sg)
+        green(table_closure(table))
 
 
 def _associative(table):
@@ -764,7 +810,7 @@ def _associative(table):
 def test_green_rejects_each_failure_of_a_non_associative_table(table, what):
     assert not _associative(table)
     with pytest.raises(CrossCheckFailed, match=what):
-        green(SemigroupClosure.from_table(table))
+        green(table_closure(table))
 
 
 def test_green_takes_two_strong_component_passes_and_keeps_no_matrix(monkeypatch):
@@ -1044,13 +1090,59 @@ def test_rees_quotient_of_brauer_4():
     q = rees_quotient(sg, ideal)
     assert q.size == 24 + 1
     assert q.labels is None
-    zero = q.size - 1
+    [zero] = np.flatnonzero(_rees_order(q) == q.size - 1)  # not the last id
+    assert zero < q.size - 1
     for x in range(q.size):
         assert q.multiply(x, zero) == zero
         assert q.multiply(zero, x) == zero
     g = green(q)
     assert g.num_j == 2
     assert not is_aperiodic(q)
+
+
+def test_a_quotients_ids_stand_for_no_diagram():
+    sg = _b(3)
+    q = rees_quotient(sg, principal_ideal(sg, sg.idempotent_ids()[0]))
+    for read in (q.element_set, lambda: q.element_set([0]), lambda: q.ids_of(sg.labels)):
+        with pytest.raises(BrauerKitError, match="quotient's ids stand for no diagram"):
+            read()
+
+
+def _traced_peak(build):
+    """build()'s result, and the most memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_restriction_and_quotient_take_k_by_g_products_and_no_k_by_k_array(monkeypatch):
+    """sing(A:6) (619 elements) and its quotient: the restriction takes
+    k x |G| of its parent's products for each Cayley array, and its greedy
+    pass at most k x |G| more; it never holds a quarter of a k x k array of
+    int32 ids.  The quotient takes no row of products."""
+    sg = as_closure(construct("A", 6))
+    ids = principal_ideal(sg, id_of(sg, adjacent_contraction(6, 5)))
+    sg.multiply(ids, ids)  # the walk data sg keeps, built first
+    cells = {"multiply": 0, "_products": 0}
+    for name in cells:
+        def counted(self, xs, ys, name=name, method=getattr(SemigroupClosure, name)):
+            out = method(self, xs, ys)
+            cells[name] += np.size(out) if self is sg else 0
+            return out
+
+        monkeypatch.setattr(SemigroupClosure, name, counted)
+    ideal, peak = _traced_peak(lambda: subsemigroup(sg, ids))
+    k, g = ideal.size, len(ideal.generators)
+    assert k == len(ids) == 619 and g < 20
+    assert cells["_products"] == 2 * k * g and cells["multiply"] <= k * g
+    assert peak < k * k
+    cells["_products"] = 0
+    q = rees_quotient(sg, ids)
+    assert cells["_products"] == 0
+    assert q._table is None and ideal._table is None
 
 
 @pytest.mark.slow
@@ -1077,7 +1169,7 @@ def _b3_table(moved=None):
     np.random.default_rng(3).integers(0, 5, (5, 5)),
 ])
 def test_spot_check_names_the_first_nonassociative_triple(table):
-    sg = SemigroupClosure.from_table(table)
+    sg = TableProduct(table)
     want = oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES)
     assert want is not None
     with pytest.raises(CrossCheckFailed, match=re.escape(f"not associative at {want}")):
@@ -1085,7 +1177,7 @@ def test_spot_check_names_the_first_nonassociative_triple(table):
 
 
 def test_spot_check_passes_an_associative_table():
-    sg = SemigroupClosure.from_table(_b3_table())
+    sg = TableProduct(_b3_table())
     assert oracle_associativity_failure(sg, engine._ASSOCIATIVITY_SAMPLES) is None
     engine._spot_check_associativity(sg)
 
@@ -1098,24 +1190,52 @@ def test_rees_quotient_rejects_non_ideals():
         rees_quotient(sg, [])
 
 
-@pytest.mark.parametrize("build, size, what", [
-    (subsemigroup, 81, "subsemigroup of 81 elements"),
-    (rees_quotient, 25, "Rees quotient of 25 elements"),  # 24 kept and a zero
-])
-def test_tables_over_the_cell_limit_are_refused_before_any_product(
-        monkeypatch, build, size, what):
-    sg = _b(4)
+def _star_partitions(sg, ids):
+    """The R and L partitions of the ids of sg, a regular *-semigroup closed
+    under stars, as the classes of x x* and of x* x (Nordahl & Scheiblich,
+    Regular *-semigroups, 1978): one stars, one ids_of and two multiply
+    calls, no strong components."""
+    star = sg.ids_of(diagrams.stars(sg.labels[ids]))
+    assert (star >= 0).all()
+    return sg.multiply(ids, star), sg.multiply(star, ids)
+
+
+def test_a_restriction_past_the_old_table_limit_is_searched():
+    """A:8's singular ideal, 9,988 elements (a 99.8M-cell table, past
+    TABLE_CELL_LIMIT), is searched over A:8's ids; its R and L are the
+    star partitions of A:8's products."""
+    sg = as_closure(construct("A", 8))
     sing = singular_part(sg)
-    monkeypatch.setattr(engine, "TABLE_CELL_LIMIT", size * size)
-    assert build(sg, sing).size == size
+    ideal = subsemigroup(sg, sing)
+    assert ideal.size == len(sing) == 9988 and ideal.size ** 2 > engine.TABLE_CELL_LIMIT
+    assert ideal._table is None and len(ideal.generators) < 40
+    assert ideal.element_set() == sg.element_set(sing)
+    _assert_bfs_words(ideal)
+    g = green(ideal)
+    r, l = _star_partitions(sg, sg.ids_of(ideal.labels))
+    assert _same_partition(g.r, r) and _same_partition(g.l, l)
 
-    def no_products(self, xs, ys):
-        raise AssertionError("a product table was started")
 
-    monkeypatch.setattr(engine, "TABLE_CELL_LIMIT", size * size - 1)
-    monkeypatch.setattr(SemigroupClosure, "_products", no_products)
-    with pytest.raises(BudgetExceeded, match=what):
-        build(sg, sing)
+def test_a_quotient_past_the_old_table_limit_keeps_the_parents_classes():
+    """B:6 over its minimal ideal (the 225 elements of rank 0) keeps 10,170
+    elements and a zero, past the old table limit; outside the ideal its
+    R and L are the parent's, which are the star partitions."""
+    sg = as_closure(construct("B", 6))
+    ideal = np.flatnonzero(diagrams.ranks(sg.labels) == 0)
+    sg.multiply(ideal, ideal)  # the walk data sg keeps, built first
+    q, peak = _traced_peak(lambda: rees_quotient(sg, ideal))
+    assert q.size == sg.size - 225 + 1 and q.size ** 2 > engine.TABLE_CELL_LIMIT
+    assert peak < q.size * 400  # a k x k table holds 4 k^2 bytes
+    assert q.product_table() is None
+    _assert_bfs_words(q)
+    keep = np.setdiff1d(np.arange(sg.size), ideal)
+    ids = np.arange(q.size)[:, None]
+    [zero] = np.flatnonzero(((q.right_cayley == ids) & (q.left_cayley == ids)).all(axis=1))
+    kept = np.flatnonzero(np.arange(q.size) != zero)  # keep, in order
+    g = green(q)
+    r, l = _star_partitions(sg, keep)
+    assert _same_partition(g.r[kept], r) and _same_partition(g.l[kept], l)
+    assert (g.r == g.r[zero]).sum() == (g.l == g.l[zero]).sum() == 1
 
 
 def test_rees_quotient_of_whole_semigroup_is_trivial():
@@ -1166,7 +1286,7 @@ def test_l_leq_matches_the_scipy_search():
     pairs = [(sg, a, b) for a in range(sg.size) for b in range(sg.size)]
     rng = random.Random(0)
     for seed in range(20):
-        sg = SemigroupClosure.from_table(transformation_table(seed))
+        sg = table_closure(transformation_table(seed))
         for _ in range(10):  # a pair, and a left multiple of its second id
             a, b = rng.randrange(sg.size), rng.randrange(sg.size)
             pairs += [(sg, a, b), (sg, int(sg.multiply(a, b)), b)]
@@ -1228,13 +1348,13 @@ def test_essential_depth_values():
 
 
 def test_semigroup_from_table():
-    group = SemigroupClosure.from_table([[0, 1], [1, 0]])
+    group = table_closure([[0, 1], [1, 0]])
     assert group.size == 2 and group.labels is None
     assert group.identity_id == 0
     assert group.idempotent_ids().tolist() == [0]
     assert index_period(group, 1) == (1, 2)
     assert not is_aperiodic(group)
-    left_zero = SemigroupClosure.from_table([[0, 0], [1, 1]])
+    left_zero = table_closure([[0, 0], [1, 1]])
     assert left_zero.identity_id is None  # x y = x: no two-sided identity
     assert is_aperiodic(left_zero)
 
@@ -1244,13 +1364,14 @@ def test_semigroup_from_table():
                          ids=["wide", "tall", "flat", "negative", "too-large"])
 def test_from_table_rejects_bad_tables(table):
     with pytest.raises(BadIndex):
-        SemigroupClosure.from_table(table)
+        table_closure(table)
 
 
 # ---------------------------------------------------------------------------
-# table-backed closures: restriction by rows, a small generating set
+# restrictions and quotients: searched over the parent's ids, a small
+# generating set
 
-# Parent of each kind of table-backed instance in the standard ledger, from
+# Parent of each kind of derived instance in the standard ledger, from
 # its key: the family two degrees up for a pad, the family for an ideal or
 # a quotient, and the chain submonoid for its kernel and idempotent span.
 _PARENT_OF = [
@@ -1260,12 +1381,12 @@ _PARENT_OF = [
 ]
 
 
-def _table_backed(led):
-    """(key, closure, parent closure) of every instance of led built by
-    from_table, that is every one whose closure walks no words."""
+def _derived(led):
+    """(key, closure, parent closure) of every instance of led that
+    restricts another (subsemigroup) or is a Rees quotient of one."""
     out = []
     for ref, sg in led.instances.items():
-        if sg.parent is not None:
+        if ref.kind in ("family", "sub"):
             continue
         for pattern, parent in _PARENT_OF:
             if (hit := re.match(pattern, ref.key)):
@@ -1284,7 +1405,7 @@ def _same_partition(a, b):
 
 def test_table_backed_analyses_match_all_generators(derived_standard_ledger):
     led, _ = derived_standard_ledger
-    seen = _table_backed(led)
+    seen = _derived(led)
     assert len(seen) == 26
     for key, sg, _ in seen:
         new = green(sg)
@@ -1302,35 +1423,63 @@ def test_table_backed_analyses_match_all_generators(derived_standard_ledger):
             assert np.array_equal(units(sg), units(all_sg)), key
 
 
+def _parent_ids(led, key, sg, parent):
+    """The parent's ids of sg's elements, through sg's labels; for a
+    quotient, the parent's ids outside its ideal, which the quotient keeps
+    in their order, with the zero read through _rees_order."""
+    if sg.labels is not None:
+        return parent.ids_of(sg.labels)
+    fam, part = re.fullmatch(r"quot\((.+)/(.+)\)", key).groups()
+    ideal_key = f"sing({fam})" if part == "sing" else f"ideal({fam},{part})"
+    ideal = led.instances[InstanceRef("ideal", ideal_key)]
+    return np.setdiff1d(np.arange(parent.size), parent.ids_of(ideal.labels))
+
+
 def test_restricted_tables_match_the_parents_products(derived_standard_ledger):
+    """Every restriction and quotient of the standard ledger against the
+    k x k restriction of its parent's products (oracle_restricted_table)."""
     led, _ = derived_standard_ledger
-    for key, sg, parent in _table_backed(led):
+    derived = _derived(led)
+    assert len(derived) == 26
+    for key, sg, parent in derived:
+        ids = _parent_ids(led, key, sg, parent)
+        old = oracle_restricted_table(parent, ids)
         if sg.labels is not None:
-            ids = parent.ids_of(sg.labels)
-            assert np.array_equal(ids[sg.product_table()],
-                                  parent.multiply(ids[:, None], ids)), key
+            assert np.array_equal(sg.product_table(), old), key
             continue
-        fam, part = re.fullmatch(r"quot\((.+)/(.+)\)", key).groups()
-        ideal_key = f"sing({fam})" if part == "sing" else f"ideal({fam},{part})"
-        ideal = led.instances[InstanceRef("ideal", ideal_key)]
-        inside = np.zeros(parent.size, dtype=bool)
-        inside[parent.ids_of(ideal.labels)] = True
-        keep = np.flatnonzero(~inside)
-        k = len(keep)
-        pos = np.full(parent.size, k)
-        pos[keep] = np.arange(k)
-        assert np.array_equal(sg.product_table()[:k, :k],
-                              pos[parent.multiply(keep[:, None], keep)]), key
+        want = np.full((len(ids) + 1,) * 2, len(ids))
+        want[:-1, :-1] = np.where(old < 0, len(ids), old)
+        _assert_rees_table(sg, want)
+
+
+@pytest.mark.slow
+def test_ledger_restrictions_and_quotients_match_diagram_products(derived_standard_ledger):
+    """Every restriction and quotient of the standard ledger, cell by cell,
+    against one diagram product per cell: a restriction's elements through
+    its labels, a quotient's kept ids through its parent's."""
+    led, _ = derived_standard_ledger
+    for key, sg, parent in _derived(led):
+        if sg.labels is not None:
+            table, identity_id = oracle_table(elements_of(sg))
+            assert np.array_equal(sg.product_table(), table), key
+            assert sg.identity_id == identity_id, key
+            continue
+        keep = _parent_ids(led, key, sg, parent)
+        _assert_rees_table(sg, oracle_rees_table(
+            parent, np.setdiff1d(np.arange(parent.size), keep)))
 
 
 def test_restriction_in_blocks_of_one_row_matches_the_word_walk(pair_batch):
     pair_batch(7)
     sg = _b(5)
-    ids = np.array(singular_part(sg))
-    assert np.array_equal(ids[subsemigroup(sg, ids).product_table()],
-                          sg.multiply(ids[:, None], ids))
+    ideal = subsemigroup(sg, singular_part(sg))
+    ids = sg.ids_of(ideal.labels)
+    assert np.array_equal(ids[ideal.product_table()], sg.multiply(ids[:, None], ids))
     keep = np.array(units(sg))
-    table = rees_quotient(sg, singular_part(sg)).product_table()
+    q = rees_quotient(sg, singular_part(sg))
+    order = _rees_order(q)
+    table = np.empty((q.size, q.size), dtype=np.int64)
+    table[np.ix_(order, order)] = order[q.product_table()]
     assert np.array_equal(keep[table[:-1, :-1]], sg.multiply(keep[:, None], keep))
 
 
@@ -1349,18 +1498,33 @@ def _generated_by(sg, gens):
 
 def test_generating_set_generates_and_is_irredundant_in_id_order(
         derived_standard_ledger):
+    """A restriction's generators are its BFS seeds, ids 0..g-1 in the
+    order they were picked: none is generated by the ones before it.  In
+    the parent, over the restriction's ids in ascending order, the picks
+    come in that order, the first id first, and every id between two picks
+    is generated by the picks up to the first of them.  A quotient's
+    generators are its parent's, outside the ideal or the zero once."""
     led, _ = derived_standard_ledger
-    for key, sg, _ in _table_backed(led):
+    for key, sg, parent in _derived(led):
         gens = sg.generators.tolist()
         assert _generated_by(sg, gens).all(), key
-        assert gens[0] == 0 and gens == sorted(gens), key
-        # No pick is generated by the picks before it, and every id between
-        # two picks is generated by the picks up to the first of them.
+        assert len(set(gens)) == len(gens), key
+        if sg.labels is None:
+            assert len(gens) <= len(parent.generators), key
+            continue
+        assert gens == list(range(len(gens))), key
         for j, g in enumerate(gens):
-            stop = gens[j + 1] if j + 1 < len(gens) else sg.size
             assert g not in generated_subsemigroup(sg, gens[:j]).tolist(), (key, g)
-            assert set(range(g + 1, stop)) <= set(
-                generated_subsemigroup(sg, gens[:j + 1]).tolist()), (key, g)
+        ids = np.sort(parent.ids_of(sg.labels))
+        rebuilt = subsemigroup(parent, ids)
+        picks = parent.ids_of(rebuilt.labels[:len(rebuilt.generators)])
+        at = np.searchsorted(ids, picks)
+        assert at[0] == 0 and (np.diff(at) > 0).all(), key
+        for j, g in enumerate(picks.tolist()):
+            stop = at[j + 1] if j + 1 < len(at) else len(ids)
+            assert g not in generated_subsemigroup(parent, picks[:j]).tolist(), (key, g)
+            assert set(ids[at[j] + 1:stop].tolist()) <= set(
+                generated_subsemigroup(parent, picks[:j + 1]).tolist()), (key, g)
 
 
 def test_the_ledger_ideals_have_small_generating_sets(derived_standard_ledger):
@@ -1373,16 +1537,16 @@ def test_the_ledger_ideals_have_small_generating_sets(derived_standard_ledger):
 
 def test_generating_set_of_a_cyclic_group():
     z5 = (np.arange(5)[:, None] + np.arange(5)) % 5
-    assert SemigroupClosure.from_table(z5).generators.tolist() == [0, 1]
+    assert table_closure(z5).generators.tolist() == [0, 1]
 
 
 def test_the_arrays_a_closure_keeps_are_read_only():
     # a write would corrupt what is built from them later, such as the
-    # Cayley columns a table-backed closure gathers at its generators
+    # words a product walks along the generators' Cayley columns
     sg = _b(3)
     ideal = subsemigroup(sg, singular_part(sg))
     g = green(sg)
-    kept = {"closure generators": sg.generators, "table generators": ideal.generators,
+    kept = {"closure generators": sg.generators, "restriction generators": ideal.generators,
             "squares": sg.squares(), "kernel_ids": kernel(sg).kernel_ids,
             **{f"GreenData.{field.name}": getattr(g, field.name)
                for field in dataclasses.fields(g)
@@ -1407,26 +1571,28 @@ class _CountedTable(np.ndarray):
 
 def test_generating_set_of_a_left_zero_band_is_everything():
     m = 1000
-    sg = SemigroupClosure.from_table(
-        np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1))
-    sg._table = sg._table.view(_CountedTable)
+    table = np.repeat(np.arange(m, dtype=np.int32)[:, None], m, axis=1)
+    sg = TableProduct(table.view(_CountedTable))
     _CountedTable.cells = 0
     gens = engine._table_generators(sg, np.zeros(m, dtype=bool), [], range(m))
     assert gens.tolist() == list(range(m))
     assert _CountedTable.cells <= m * len(gens)
+    assert table_closure(table).generators.tolist() == list(range(m))
 
 
 def test_multiplying_a_local_monoid_finds_no_generating_set(monkeypatch):
+    """A local monoid's generating set is picked once, when it is searched,
+    and multiplying it picks none again."""
     calls = []
     search = engine._table_generators
     monkeypatch.setattr(engine, "_table_generators",
                         lambda *args: calls.append(1) or search(*args))
     sg = _b(4)
     local = local_monoid(sg, id_of(sg, adjacent_contraction(4, 3)))
+    assert len(calls) == 1
     local.multiply(np.arange(local.size)[:, None], np.arange(local.size))
     local.multiply(1, 2)
     local.squares()
-    assert calls == []
     assert local.generators.size and len(calls) == 1
 
 
@@ -1439,10 +1605,11 @@ _EXTEND_CASES = ["B:3", "A:4", "PA:3", "C:3", "B:5", "sing(EA:6)", "quot(PB:4/rk
 def _extend_case(name, path, request):
     """A closure on one product path, and the oracle closure of a list of
     its ids: a fresh family closure walks words ("walk") or builds its
-    table first ("table"); a table-backed one has only its table."""
+    table first ("table"); a ledger restriction or quotient builds its
+    table, which the oracle reads."""
     if "(" in name:
         led, _ = request.getfixturevalue("derived_standard_ledger")
-        sg = next(sg for key, sg, _ in _table_backed(led) if key == name)
+        sg = next(sg for key, sg, _ in _derived(led) if key == name)
         rows = sg.product_table().tolist()
         return sg, lambda seeds: _oracle_closure(rows, seeds)
     family, n = name.split(":")
@@ -1565,9 +1732,11 @@ sg._green = dataclasses.replace(green(sg), j_order=np.array([[0, 1], [1, 0]]))
 essential_depth(sg)
 """,
     "associativity": """
-from brauerkit import SemigroupClosure
+from types import SimpleNamespace
+import numpy as np
 from brauerkit.engine import _spot_check_associativity
-_spot_check_associativity(SemigroupClosure.from_table([[1, 1], [0, 0]]))
+table = np.array([[1, 1], [0, 0]])
+_spot_check_associativity(SimpleNamespace(size=2, multiply=lambda xs, ys: table[xs, ys]))
 """,
     "count": """
 from brauerkit import cli, families

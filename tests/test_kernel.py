@@ -24,7 +24,7 @@ from brauerkit import (
 )
 from brauerkit.derivations import t1sub_ea6
 from brauerkit.diagrams import stars
-from brauerkit.engine import SemigroupClosure, generated_subsemigroup, period_one
+from brauerkit.engine import generated_subsemigroup, period_one
 from brauerkit.errors import KernelFixpointError
 from brauerkit.verify import verify_parity_morphism_a4
 from oracles import (
@@ -38,6 +38,7 @@ from oracles import (
     oracle_kernel,
     oracle_period_one,
     oracle_weak_inverse_pairs,
+    table_closure,
     transformation_table,
 )
 
@@ -53,12 +54,13 @@ def _sg(family, n):
 
 def _named(name):
     """A family closure "B:4", t1sub(EA:6), or "T:seed", the random
-    transformation semigroup oracles.transformation_table draws at seed."""
+    transformation semigroup oracles.transformation_table draws at seed,
+    searched over the table's ids (oracles.table_closure)."""
     if name == "t1sub(EA:6)":
         return t1sub_ea6()
     family, n = name.split(":")
     if family == "T":
-        return SemigroupClosure.from_table(transformation_table(int(n)))
+        return table_closure(transformation_table(int(n)))
     return _sg(family, int(n))
 
 
@@ -150,23 +152,22 @@ _PER_PAIR_NAMES = ["B:3", "B:4", "A:3", "A:5", "EA:4", "PB:3", "PA:3", "J:5",
 
 def _paths(names):
     """(name, path) parameters for both product paths (_on_path), the walk
-    case named "<name> walk".  A T:seed closure is table-backed: it has no
-    words to walk, so it is on the table path alone."""
+    case named "<name> walk"."""
     return [pytest.param(name, path, id=name if path == "table" else f"{name} walk")
-            for name in names for path in ("table", "walk")
-            if path == "table" or not name.startswith("T:")]
+            for name in names for path in ("table", "walk")]
 
 
 def _on_path(name, path, monkeypatch):
     """The named closure on one product path.  "table" is _named's, whose
-    table kernel() builds; "walk" is a fresh closure of the same generators,
-    with the same ids, under a TABLE_CELL_LIMIT of 0, so it builds no table
-    and every product walks words.  Read what needs the table first."""
+    table kernel() builds; "walk" is a fresh closure of the same generators
+    (for T:seed, of the same table), with the same ids, under a
+    TABLE_CELL_LIMIT of 0, so it builds no table and every product walks
+    words.  Read what needs the table first."""
     if path == "table":
         return _named(name)
     monkeypatch.setattr(engine_module, "TABLE_CELL_LIMIT", 0)
-    if name == "t1sub(EA:6)":
-        return t1sub_ea6()
+    if name == "t1sub(EA:6)" or name.startswith("T:"):  # _named builds these afresh
+        return _named(name)
     family, n = name.split(":")
     return engine_module.closure(generators(family, int(n)), include_identity=True)
 
@@ -336,7 +337,7 @@ def test_fixpoint_check_needs_generators_that_generate(name, monkeypatch):
     kids = kernel(sg).kernel_ids
     seeds = _seeds(sg, kids)
     dropped = sg.generators[1:]
-    monkeypatch.setattr(SemigroupClosure, "generators", property(lambda self: dropped))
+    monkeypatch.setattr(sg, "generators", dropped)
     with pytest.raises(KernelFixpointError, match="do not generate the semigroup"):
         _check_fixpoint(sg, kids, seeds)
     with pytest.raises(KernelFixpointError):
@@ -508,7 +509,6 @@ def test_period_one_on_kernel_ids_matches_repeated_squaring(name):
 _FIXPOINT_CHECK = """
 import numpy as np
 from brauerkit import as_closure, construct
-from brauerkit.engine import SemigroupClosure
 from brauerkit.errors import KernelFixpointError
 from brauerkit.kernel import _check_fixpoint, _generating_set, _weak_inverses
 
@@ -530,8 +530,7 @@ b2 = as_closure(construct("B", 2))
 table = b2.product_table()
 zero = [z for z in range(b2.size) if (table[z] == z).all() and (table[:, z] == z).all()]
 check(b2, zero, zero)
-dropped = sym3.generators[1:]
-SemigroupClosure.generators = property(lambda self: dropped)
+sym3.generators = sym3.generators[1:]
 check(sym3, [one], [one])
 """
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,48 @@ def test_a_quotient_of_another_size_fails_and_reruns_to_false():
     check = _check(led, "quotient-matches")
     assert not check.passed and check.rerun() is False
     assert led.verify_sample() == 2
+
+
+@pytest.mark.parametrize("part", ["generators", "right_cayley", "left_cayley"])
+def test_a_quotient_with_other_cayley_data_fails_quotient_matches(part):
+    """quotient-matches compares the generators and both Cayley arrays, so
+    one changed cell of any of them fails it on a quotient of the right
+    size."""
+    led = Ledger()
+    ref, sg = _family(led, "B", 3)
+    ideal = singular_part(sg)
+    i_ref = led.register("ideal", "sing(B:3)", subsemigroup(sg, ideal))
+    q = rees_quotient(sg, ideal)
+    changed = getattr(q, part).copy()
+    changed.flat[-1] = (changed.flat[-1] + 1) % q.size
+    setattr(q, part, changed)
+    q_ref = led.register("quotient", "quot(B:3/sing)", q)
+    with pytest.raises(SideConditionFailed):
+        led.apply_ideal_rule(ref, i_ref, q_ref)
+    check = _check(led, "quotient-matches")
+    assert check.detail == f"Rees quotient of size {q.size} with adjoined zero"
+    assert not check.passed and check.rerun() is False
+
+
+_TABLES_AFTER_A_BUILD = """
+from brauerkit.derivations import build_standard_ledger
+led = build_standard_ledger()
+print(len(led.instances), sorted(str(ref) for ref, sg in led.instances.items()
+                                 if sg._table is not None))
+"""
+
+
+def test_the_standard_ledger_keeps_no_product_table_but_the_kernels():
+    """Restrictions and quotients are searched with no k x k table: after
+    a build only the three closures kernel() runs on hold a product table.
+    The build runs in a fresh interpreter, as the family closures construct
+    keeps are shared with every other test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _TABLES_AFTER_A_BUILD],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "56 ['A:4', 'PA:4', 't1sub(EA:6)']"
 
 
 def test_local_rule_rejects_non_idempotent():
