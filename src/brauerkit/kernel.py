@@ -17,19 +17,28 @@ one, so that A generates S.  A product-closed K is closed under weak
 conjugation by every pair iff it is closed under the pairs (a, ā) with a
 in A.  Write x = a w with a in A; then ā = w x̄ is a weak inverse of a and
 w̄ = x̄ a one of w, and x k x̄ = a (w k w̄) ā and x̄ k x = w̄ (ā k a) w, so
-the claim follows by induction on the length of x as a word in A.  So the
-sets that hold every idempotent and are closed under products and under
-the generator pairs are the sets closed under every pair, and the least
-of them is the kernel: it is grown from the generator pairs alone.
+the claim follows by induction on the length of x as a word in A.
+
+Inverse pairs: let a be regular in S, with an inverse a′: a a′ a = a and
+a′ a a′ = a′.  A product-closed K that holds every idempotent and is
+closed under k ↦ a k a′ and k ↦ a′ k a is closed under k ↦ a k ā and
+k ↦ ā k a for every weak inverse ā of a.  For e = ā a and f = a ā are
+idempotents, and ā = e a′ f, as ā a a′ a ā = ā a ā = ā; so a k ā =
+(a (k e) a′) f and ā k a = e (a′ (f k) a), in K as k e, f k, e and f
+are.  So the sets that hold every idempotent and are closed under
+products and under one pair (a, a′) per a in A are the sets closed under
+every pair, and the least of them is the kernel: it is grown from those
+pairs alone.  a′ is the first weak inverse of a, in id order, that is an
+inverse; an a with no inverse in S keeps all its weak inverses, by the
+generator lemma.
 
 Rounds: each round closes K under products, then adds the a k ā and
-ā k a outside K.  Conjugation acts on K element by element, and before a
-round K already holds every conjugate of the last round's K, so a round
-conjugates only the ids that joined K in it.  K holds the product of two
-of its elements, so a conjugate y ā (y = a k) or ā y (y = k a) is read
-only where y or ā is outside K, a block of products at a time.  A round
-takes its seeds one id at a time, in ascending order, and skips the ids
-K already holds, so K's seeds G stay few.
+ā k a outside K over the chosen pairs.  Conjugation acts on K element by
+element, and before a round K already holds every conjugate of the last
+round's K, so a round conjugates only the ids that joined K in it, a
+block of products at a time.  A round takes its seeds one id at a time,
+in ascending order, and skips the ids K already holds, so K's seeds G
+stay few.
 """
 
 from __future__ import annotations
@@ -61,17 +70,15 @@ def weak_inverse_pairs(sg):
 
 def _generating_set(sg):
     """sg's generators plus its identity, when it has one."""
-    gens = sg.generators
-    return gens if sg.identity_id is None else np.union1d(gens, [sg.identity_id])
+    return sg.generators if sg.identity_id is None else np.union1d(sg.generators, [sg.identity_id])
 
 
 def _blocks(sg, rows, cols):
     """sg._products(rows, cols), a block of rows at a time: at most
     _PAIR_BATCH cells, or one row when cols is longer."""
-    if len(cols):
-        step = max(1, engine._PAIR_BATCH // len(cols))
-        for lo in range(0, len(rows), step):
-            yield sg._products(rows[lo:lo + step], cols)
+    step = max(1, engine._PAIR_BATCH // max(1, len(cols)))
+    for lo in range(0, len(rows), step):
+        yield sg._products(rows[lo:lo + step], cols)
 
 
 def _weak_inverses(sg, gens):
@@ -82,23 +89,24 @@ def _weak_inverses(sg, gens):
     return [np.flatnonzero(col) for col in weak.T]
 
 
+def _inverses(sg, gens):
+    """For each a in gens, [a′]: the first of its weak inverses ā
+    (_weak_inverses) with a ā a = a, an inverse of a, or all of them
+    when a has no inverse in sg (the lemmas in the module docstring)."""
+    bars = _weak_inverses(sg, gens)
+    ones = [bar[sg.multiply(a, sg.multiply(bar, a)) == a][:1] for a, bar in zip(gens, bars)]
+    return [one if one.size else bar for one, bar in zip(ones, bars)]
+
+
 def _generator_conjugates(sg, member, ks, gens, bars):
     """Ids outside member among a k ā and ā k a, for k in ks, a in gens and
-    ā in the matching entry of bars (_weak_inverses), ascending.
-
-    member is a mask closed under products, so of the y ā and ā y, with
-    y = a k or k a, only those with y or ā outside member are read.
-    """
+    ā in the matching entry of bars (_inverses), ascending: the products
+    y ā with y = a k and ā y with y = k a, _blocks at a time."""
     out = np.zeros(sg.size, dtype=bool)
     for a, bar in zip(gens, bars):
-        bar_out = bar[~member[bar]]
-        for ys, left in ((sg.multiply(a, ks), True), (sg.multiply(ks, a), False)):
-            hit = np.zeros(sg.size, dtype=bool)
-            hit[ys] = True
-            for y, b in ((np.flatnonzero(hit & ~member), bar),
-                         (np.flatnonzero(hit & member), bar_out)):
-                for block in _blocks(sg, *((y, b) if left else (b, y))):
-                    out[block] = True
+        for xs, ys in ((sg.multiply(a, ks), bar), (bar, sg.multiply(ks, a))):
+            for block in _blocks(sg, xs, ys):
+                out[block] = True
     return np.flatnonzero(out & ~member)
 
 
@@ -110,23 +118,44 @@ def _check_fixpoint(sg, kids, seeds, gens, bars):
     set by Ash's theorem.  Products are tested as K G ⊆ K and ⟨G⟩ = K, G
     the seeds, |K| x |G| products in place of |K|^2: write k' in K as
     g_1 ⋯ g_r with each g_i in G; then k g_1 ⋯ g_i is in K for i = 1..r by
-    induction on i, as K G ⊆ K, so k k' is in K.  Conjugation is tested
-    over the pairs (a, ā) with a in gens, A = _generating_set(sg), and ā
-    in the matching entry of bars (_weak_inverses(sg, gens)), as kernel()
-    computed them; that is the whole test once kids is closed under
-    products (the lemma in the module docstring), so the check also checks
-    that A generates sg.
+    induction on i, as K G ⊆ K, so k k' is in K.
+
+    That A = gens generates sg is proved along sg's BFS words: every seed
+    (parent -1) is in A, and every other y is parent(y) g with
+    parent(y) < y and g, the generator of y's letter, in A, so each id is
+    a product of elements of A by induction on the ids.  A letter past
+    sg.generators is clipped to its last generator, which keeps the proof
+    sound and fails it when the words are not sg's.
+
+    Conjugation is tested over the pairs (a, ā) with a in A and ā in the
+    matching entry of bars, as kernel() chose them (_inverses).  Each
+    entry must hold inverses a′ of a alone, a a′ a = a and a′ a a′ = a′,
+    or all of a's weak inverses.  For let K hold every idempotent and be
+    closed under products and under k ↦ a k a′ and k ↦ a′ k a.  Any weak inverse
+    ā of a is e a′ f, with e = ā a and f = a ā idempotents, as
+    ā a a′ a ā = ā a ā = ā; so a k ā = (a (k e) a′) f and
+    ā k a = e (a′ (f k) a) are in K.  So K is closed under every (a, ā),
+    a in A, and then under every weak-inverse pair (the generator lemma in
+    the module docstring): the test over the chosen pairs is the whole
+    test.
     """
-    member = np.zeros(sg.size, dtype=bool)
-    member[kids] = True
+    member = np.isin(np.arange(sg.size), kids)
     if not all(member[block].all() for block in _blocks(sg, kids, seeds)):
         raise KernelFixpointError("the kernel is not closed under products")
     if not np.array_equal(generated_subsemigroup(sg, seeds), np.flatnonzero(member)):
         raise KernelFixpointError("the seeds do not generate the kernel")
     if not member[sg.idempotent_ids()].all():
         raise KernelFixpointError("the kernel misses an idempotent")
-    if len(generated_subsemigroup(sg, gens)) != sg.size:
+    ys = np.flatnonzero(sg.parent >= 0)
+    up, by = sg.parent[ys], np.take(sg.generators, sg.letter[ys], mode="clip")
+    if not (np.isin(np.append(sg.generators, np.flatnonzero(sg.parent < 0)), gens).all()
+            and (up < ys).all() and (sg.multiply(up, by) == ys).all()):
         raise KernelFixpointError("the generators do not generate the semigroup")
+    for a, bar in zip(gens, bars):
+        bar_a = sg.multiply(bar, a)
+        inverse = (sg.multiply(bar_a, bar) == bar) & (sg.multiply(a, bar_a) == a)
+        if not (bar.size and inverse.all() or np.array_equal(bar, _weak_inverses(sg, [a])[0])):
+            raise KernelFixpointError(f"the pairs of {a} are not an inverse pair")
     if _generator_conjugates(sg, member, kids, gens, bars).size:
         raise KernelFixpointError("the kernel is not closed under weak conjugation")
 
@@ -136,18 +165,19 @@ def kernel(sg):
 
     Each round extends the product-closed candidate set by the last
     round's conjugates (first the idempotents), one seed at a time, then
-    takes the conjugates a k ā and ā k a outside it of the ids that joined
-    it in the round, over the generator pairs; the first round that adds
-    nothing beyond those conjugates is the last.  The fixpoint is checked
-    again (_check_fixpoint), over the same generator pairs:
-    KernelFixpointError unless it holds every idempotent and is closed
-    under products and under weak conjugation by the generators.
-    kernel_ids is the kernel's ids as an ascending read-only array, and
-    witness the first of them whose period is over 1, or None.
+    takes the conjugates a k a′ and a′ k a outside it of the ids that
+    joined it in the round, over one inverse pair (a, a′) per generator
+    and the identity (_inverses); the first round that adds nothing beyond
+    those conjugates is the last.  The fixpoint is checked again
+    (_check_fixpoint), over the same pairs: KernelFixpointError unless
+    they are inverse pairs and it holds every idempotent and is closed
+    under products and under weak conjugation by them.  kernel_ids is the
+    kernel's ids as an ascending read-only array, and witness the first of
+    them whose period is over 1, or None.
     """
     sg.product_table()  # kept under TABLE_CELL_LIMIT, so the products below are gathers
-    gen_set = _generating_set(sg)
-    bars = _weak_inverses(sg, gen_set)
+    gens = _generating_set(sg)
+    bars = _inverses(sg, gens)
     member = np.zeros(sg.size, dtype=bool)
     seeds, new = [], sg.idempotent_ids()
     iterations = 0
@@ -156,19 +186,15 @@ def kernel(sg):
         before = int(member.sum()) + len(new)
         old = member.copy()
         seeds = _table_generators(sg, member, seeds, new)
-        new = _generator_conjugates(sg, member, np.flatnonzero(member & ~old),
-                                    gen_set, bars)
+        new = _generator_conjugates(sg, member, np.flatnonzero(member & ~old), gens, bars)
         if int(member.sum()) + len(new) == before:
             break
 
     kids = np.flatnonzero(member)
-    _check_fixpoint(sg, kids, seeds, gen_set, bars)
+    _check_fixpoint(sg, kids, seeds, gens, bars)
     kids.flags.writeable = False
 
-    periodic = np.flatnonzero(~period_one(sg, kids))
-    return KernelResult(
-        kernel_ids=kids,
-        iterations=iterations,
-        is_aperiodic=not periodic.size,
-        witness=int(kids[periodic[0]]) if periodic.size else None,
-    )
+    periodic = kids[~period_one(sg, kids)]
+    witness = int(periodic[0]) if periodic.size else None
+    return KernelResult(kernel_ids=kids, iterations=iterations,
+                        is_aperiodic=witness is None, witness=witness)

@@ -51,6 +51,11 @@ subsemigroup search and squaring map.  oracle_generator_kernel runs
 kernel.kernel's rounds one (a, ā, k) at a time in plain Python, each
 round over all of the set, where kernel.kernel takes only the ids new to
 it and reads only the table cells that can leave it.
+oracle_weak_inverse_kernel keeps kernel.kernel's rounds over every weak
+inverse of each generator, which kernel.kernel replaced with one inverse
+per generator, reading only the products y ā or ā y with y or ā outside
+the set; it shares the engine's seed picks, so its rounds are
+kernel.kernel's.
 oracle_principal_ideal keeps the breadth-first search over the summed
 Cayley graphs that principal_ideal replaced by reading the J-order, and
 oracle_associativity_failure the loop of scalar products that
@@ -657,6 +662,56 @@ def oracle_generator_kernel(sg):
     kids = sorted(closed)
     witness = next((k for k in kids if _oracle_period(rows, k) != 1), None)
     return tuple(kids), rounds, witness is None, witness
+
+
+def _weak_inverse_conjugates(sg, member, ks, gens, bars):
+    """Ids outside member among a k ā and ā k a, for k in ks, a in gens and
+    ā in the matching entry of bars, reading y ā (y = a k) and ā y
+    (y = k a) only where y or ā is outside the product-closed member."""
+    out = np.zeros(sg.size, dtype=bool)
+    for a, bar in zip(gens, bars):
+        bar_out = bar[~member[bar]]
+        for ys, left in ((sg.multiply(a, ks), True), (sg.multiply(ks, a), False)):
+            hit = np.zeros(sg.size, dtype=bool)
+            hit[ys] = True
+            for y, b in ((np.flatnonzero(hit & ~member), bar),
+                         (np.flatnonzero(hit & member), bar_out)):
+                if len(y) and len(b):
+                    out[sg._products(*((y, b) if left else (b, y)))] = True
+    return np.flatnonzero(out & ~member)
+
+
+def oracle_weak_inverse_kernel(sg):
+    """Group kernel as (ids, rounds, aperiodic, witness) by the rounds over
+    every weak inverse ā of each generator and the identity.
+
+    Each round extends the product-closed set by the last round's
+    conjugates (first the idempotents), one seed at a time
+    (engine._table_generators), then conjugates the ids that joined it,
+    over every (a, ā); the first round that adds nothing beyond those
+    conjugates is the last.  The witness is the smallest kernel id whose
+    period is over 1 (oracle_period_one).
+    """
+    gens = sg.generators if sg.identity_id is None else np.union1d(sg.generators,
+                                                                   [sg.identity_id])
+    ids = np.arange(sg.size)[:, None]
+    bars = [np.flatnonzero(col) for col in
+            (sg.multiply(sg._products(ids[:, 0], gens), ids) == ids).T]
+    member = np.zeros(sg.size, dtype=bool)
+    seeds, new = [], sg.idempotent_ids()
+    rounds = 0
+    while True:
+        rounds += 1
+        before = int(member.sum()) + len(new)
+        old = member.copy()
+        seeds = engine._table_generators(sg, member, seeds, new)
+        new = _weak_inverse_conjugates(sg, member, np.flatnonzero(member & ~old), gens, bars)
+        if int(member.sum()) + len(new) == before:
+            break
+    kids = np.flatnonzero(member)
+    periodic = np.flatnonzero(~oracle_period_one(sg, kids))
+    witness = int(kids[periodic[0]]) if periodic.size else None
+    return tuple(kids.tolist()), rounds, witness is None, witness
 
 
 def oracle_period_one(sg, ids):

@@ -226,11 +226,9 @@ _KERNELS_PAST_THE_TABLE_LIMIT = {
 }
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("family, n", _KERNELS_PAST_THE_TABLE_LIMIT)
-def test_kernel_runs_past_the_table_limit(family, n, tmp_path):
-    """`brauerkit kernel` on closures whose product table is over
-    TABLE_CELL_LIMIT exits 0 in under 5 s and 200 MB peak RSS, read for
+def _kernel_child(family, n, tmp_path):
+    """`brauerkit kernel --format json` on family:n in a child process:
+    its exit code, output, wall seconds and peak RSS in bytes, read for
     the one child by wait4; a 60 s CPU limit stops a runaway child."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -243,16 +241,38 @@ def test_kernel_runs_past_the_table_limit(family, n, tmp_path):
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (60, 60)))
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         text = out.read()
-    assert proc.returncode == 0, text
+    # ru_maxrss is in KiB on Linux
+    return os.waitstatus_to_exitcode(status), text, seconds, usage.ru_maxrss * 1024
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n", _KERNELS_PAST_THE_TABLE_LIMIT)
+def test_kernel_runs_past_the_table_limit(family, n, tmp_path):
+    """`brauerkit kernel` on closures whose product table is over
+    TABLE_CELL_LIMIT exits 0 in under 5 s and 200 MB peak RSS."""
+    code, text, seconds, peak = _kernel_child(family, n, tmp_path)
+    assert code == 0, text
     data = json.loads(text)
     assert (data["kernel_size"], data["iterations"], data["kernel_aperiodic"],
             data["witness"], data["witness_index"], data["witness_period"]
             ) == _KERNELS_PAST_THE_TABLE_LIMIT[family, n]
     assert seconds < 5
-    assert usage.ru_maxrss * 1024 < 200e6  # ru_maxrss is in KiB on Linux
+    assert peak < 200e6
+
+
+def test_kernel_reaches_annular_10(tmp_path):
+    """A:10's kernel, whose generators have about 30,000 weak inverses
+    each, grows over one inverse per generator in under 5 s and 200 MiB
+    peak RSS."""
+    code, text, seconds, peak = _kernel_child("A", 10, tmp_path)
+    assert code == 0, text
+    data = json.loads(text)
+    assert (data["semigroup_size"], data["kernel_size"], data["kernel_aperiodic"]
+            ) == (160_524, 81_140, False)
+    assert seconds < 5
+    assert peak < 200 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from brauerkit.errors import KernelFixpointError
 from brauerkit.verify import verify_parity_morphism_a4
 from oracles import (
     _oracle_closure,
+    _weak_inverse_conjugates,
     dense_conjugates,
     dense_pair_matrix,
     elements_of,
@@ -37,6 +38,7 @@ from oracles import (
     oracle_generator_kernel,
     oracle_kernel,
     oracle_period_one,
+    oracle_weak_inverse_kernel,
     oracle_weak_inverse_pairs,
     table_closure,
     transformation_table,
@@ -219,13 +221,41 @@ def test_kernel_matches_the_dense_oracle_on_every_ledger_kernel(
         assert _result(kernel(sg)) == oracle_generator_kernel(sg)
 
 
-# PJ:4 and T:38 take one round more over the generator pairs than over
-# every pair
-@pytest.mark.parametrize("name, path", _paths(
-    _PER_PAIR_NAMES + ["A:4", "PB:4", "A:6", "EA:6", "J:6", "PA:4", "T:34", "T:0", "T:23",
-                       "PJ:4", "T:38"]))
+# every closure a kernel oracle runs on; PJ:4 and T:38 take one round more
+# over the generator pairs than over every pair
+_ORACLE_NAMES = _PER_PAIR_NAMES + ["A:4", "PB:4", "A:6", "EA:6", "J:6", "PA:4", "T:34", "T:0",
+                                   "T:23", "PJ:4", "T:38"]
+
+
+@pytest.mark.parametrize("name, path", _paths(_ORACLE_NAMES))
 def test_kernel_matches_the_generator_pair_oracle(name, path, monkeypatch):
     _assert_kernel_matches(oracle_generator_kernel, name, path, monkeypatch)
+
+
+@pytest.mark.parametrize("name, path", _paths(_ORACLE_NAMES))
+def test_kernel_matches_the_weak_inverse_rounds(name, path, monkeypatch):
+    """The rounds over one inverse per generator find the kernel and the
+    witness that the rounds over every weak inverse find, on every closure
+    the other kernel oracles run on."""
+    want = _oracle(oracle_weak_inverse_kernel, name)
+    sg = _on_path(name, path, monkeypatch)
+    got = _result(kernel(sg))
+    assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
+
+
+# T:23's generators are all regular
+@pytest.mark.parametrize("name", ["T:34", "T:0", "T:38"])
+def test_generators_with_no_inverse_keep_every_weak_inverse(name):
+    """T:seed has a generator with no inverse, which keeps all its weak
+    inverses; every other generator keeps one, its first inverse."""
+    sg = _named(name)
+    gens = kernel_module._generating_set(sg)
+    weak = kernel_module._weak_inverses(sg, gens)
+    kept = kernel_module._inverses(sg, gens)
+    inverses = [bar[sg.multiply(a, sg.multiply(bar, a)) == a] for a, bar in zip(gens, weak)]
+    assert not all(map(len, inverses))
+    for bar, one, inverse in zip(weak, kept, inverses):
+        assert one.tolist() == (inverse[:1] if len(inverse) else bar).tolist()
 
 
 def test_kernel_at_the_table_limit_engine_holds_walks_to_the_table_result(monkeypatch):
@@ -249,9 +279,10 @@ def test_kernel_without_a_product_table_walks_to_the_table_result(monkeypatch):
 @pytest.mark.parametrize("name, path", _paths(["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
                                                "EA:4", "C:3"]))
 def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name, path, monkeypatch):
-    """_generator_conjugates, which reads only the cells with y or ā
-    outside the set, finds the conjugates outside it that the plain
-    oracle finds over every (a, ā, k)."""
+    """_generator_conjugates, and the weak-inverse rounds' pruned sweep,
+    which reads only the cells with y or ā outside the set, find the
+    conjugates outside it that the plain oracle finds over every
+    (a, ā, k)."""
     ref = _named(name)
     rows = np.asarray(ref.product_table()).tolist()
     pairs = oracle_weak_inverse_pairs(ref)
@@ -270,6 +301,7 @@ def test_pruned_sweep_matches_the_dense_sweep_on_random_closed_sets(name, path, 
             got = kernel_module._generator_conjugates(sg, member, ks, gens, bars)
             want = oracle_generator_conjugates(ref, rows, ks) - set(kids.tolist())
             assert got.tolist() == sorted(want)
+            assert _weak_inverse_conjugates(sg, member, ks, gens, bars).tolist() == got.tolist()
     assert (sg._table is None) == (path == "walk")
 
 
@@ -295,8 +327,7 @@ def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name, path
     so the generator conjugates outside it are empty iff the dense ones
     are, and they are always among the dense ones.  Half the sets are
     closed under conjugation too; outside the group SYM:4 most miss an
-    idempotent.  On T:34 the conjugates are wrong without the cells y ā
-    with y inside and ā outside the set, or without the ā y."""
+    idempotent."""
     ref = _named(name)
     table = np.asarray(ref.product_table())
     pairs = dense_pair_matrix(table)
@@ -319,16 +350,45 @@ def test_generator_test_matches_the_dense_sweep_on_seeded_closed_sets(name, path
     assert 0 < sum(found) < len(found)
 
 
+@pytest.mark.parametrize("name, path", _paths(["B:3", "A:4", "PA:3", "PB:3", "SYM:4", "J:4",
+                                               "EA:4", "C:3", "T:34", "T:0", "T:23"]))
+def test_inverse_pair_test_matches_the_dense_sweep_on_sets_with_every_idempotent(
+        name, path, monkeypatch):
+    """The inverse-pair lemma: a product-closed set holding every
+    idempotent is closed under weak conjugation by every pair iff it is by
+    one inverse pair per generator and the identity (_inverses).  Half the
+    sets are closed under conjugation too."""
+    ref = _named(name)
+    table = np.asarray(ref.product_table())
+    pairs = dense_pair_matrix(table)
+    sg = _on_path(name, path, monkeypatch)
+    gens = kernel_module._generating_set(sg)
+    bars = kernel_module._inverses(sg, gens)
+    rng = random.Random(name)
+    found = []
+    for i in range(40):
+        seeds = rng.sample(range(sg.size), rng.randint(0, 3)) + ref.idempotent_ids().tolist()
+        kids = (_conjugation_closed(ref, table, pairs, seeds) if i % 2
+                else generated_subsemigroup(ref, seeds))
+        member = np.zeros(sg.size, dtype=bool)
+        member[kids] = True
+        dense = set(np.flatnonzero(dense_conjugates(table, pairs, kids) & ~member).tolist())
+        got = kernel_module._generator_conjugates(sg, member, kids, gens, bars)
+        assert bool(got.size) == bool(dense)
+        assert set(got.tolist()) <= dense
+        found.append(not dense)
+    assert any(found)
+
+
 def _seeds(sg, kids):
     """A generating set of the subsemigroup kids, picked as the rounds pick."""
     return engine_module._table_generators(sg, np.zeros(sg.size, dtype=bool), [], kids)
 
 
 def _check_fixpoint(sg, kids, seeds):
-    """_check_fixpoint over sg's generator pairs, as kernel() passes them."""
+    """_check_fixpoint over sg's inverse pairs, as kernel() passes them."""
     gens = kernel_module._generating_set(sg)
-    kernel_module._check_fixpoint(sg, kids, seeds, gens,
-                                  kernel_module._weak_inverses(sg, gens))
+    kernel_module._check_fixpoint(sg, kids, seeds, gens, kernel_module._inverses(sg, gens))
 
 
 @pytest.mark.parametrize("name", ["SYM:3", "A:4", "PB:4"])
@@ -342,6 +402,33 @@ def test_fixpoint_check_needs_generators_that_generate(name, monkeypatch):
         _check_fixpoint(sg, kids, seeds)
     with pytest.raises(KernelFixpointError):
         kernel(sg)
+
+
+@pytest.mark.parametrize("name", ["B:3", "A:4", "PA:4", "PB:4", "A:6"])
+def test_fixpoint_check_needs_inverse_pairs(name):
+    """The check takes one inverse pair per generator or all of its weak
+    inverses, and raises for a weak inverse ā that is not an inverse
+    (a ā a ≠ a), alone or beside an inverse, picked at a seed."""
+    sg = _named(name)
+    kids = kernel(sg).kernel_ids
+    seeds = _seeds(sg, kids)
+    gens = kernel_module._generating_set(sg)
+    weak = kernel_module._weak_inverses(sg, gens)
+    kernel_module._check_fixpoint(sg, kids, seeds, gens, weak)
+    bars = kernel_module._inverses(sg, gens)
+    rng = random.Random(name)
+    at = [i for i, (a, bar) in enumerate(zip(gens, weak))
+          if (sg.multiply(a, sg.multiply(bar, a)) != a).any()]
+    assert at
+    i = rng.choice(at)
+    a = gens[i]
+    bad = rng.choice(weak[i][sg.multiply(a, sg.multiply(weak[i], a)) != a].tolist())
+    assert sg.multiply(bad, sg.multiply(a, bad)) == bad
+    for wrong in ([bad], sorted({bad, int(bars[i][0])})):
+        handed = list(bars)
+        handed[i] = np.array(wrong)
+        with pytest.raises(KernelFixpointError, match="not an inverse pair"):
+            kernel_module._check_fixpoint(sg, kids, seeds, gens, handed)
 
 
 _PRODUCT_FAILURES = {"the kernel is not closed under products",
@@ -419,8 +506,9 @@ def test_generator_test_is_empty_iff_the_rounds_sweep_is(name, monkeypatch):
 @pytest.mark.parametrize("name", ["A:4", "PA:4", "PB:4", "t1sub(EA:6)"])
 def test_kernel_rounds_extend_one_closure(name, monkeypatch):
     """The rounds pick their seeds into one mask, one id at a time, each
-    id K does not hold yet; only the fixpoint check closes a set anew,
-    first the seeds, then the generators."""
+    id K does not hold yet; only the fixpoint check closes a set anew, the
+    seeds, and it proves that the generators generate along the BFS words
+    without closing them."""
     sg = _named(name)
     pick = kernel_module._table_generators
     masks, picked, closed = [], [], []
@@ -440,7 +528,7 @@ def test_kernel_rounds_extend_one_closure(name, monkeypatch):
     res = kernel(sg)
     assert all(mask is masks[0] for mask in masks)
     seeds = picked[-1].tolist()
-    assert closed == [seeds, kernel_module._generating_set(sg).tolist()]
+    assert closed == [seeds]
     assert seeds == sorted(set(seeds)) and len(seeds) < len(sg.idempotent_ids())
     assert set(seeds) <= set(res.kernel_ids.tolist())
 
