@@ -578,8 +578,12 @@ def extend_subsemigroup(sg, member, gens, new):
     BadIndex for an id outside 0..size-1.
     """
     new = np.unique(_checked_ids(sg, new))
-    new = new[~member[new]]
-    seeds = np.union1d(np.asarray(gens, dtype=np.int64), new)
+    return _extended(sg, member, np.asarray(gens, dtype=np.int64), new[~member[new]])
+
+
+def _extended(sg, member, gens, new):
+    """extend_subsemigroup for new ascending, in range and outside member."""
+    seeds = np.union1d(gens, new)
 
     def joined(xs, ys):
         """The products xs ys outside member, marked in it; each block's
@@ -589,7 +593,7 @@ def extend_subsemigroup(sg, member, gens, new):
         for lo in range(0, len(xs), step):
             hit = np.zeros(sg.size, dtype=bool)
             hit[sg.multiply(xs[lo:lo + step, None], ys)] = True
-            out.append(np.flatnonzero(hit & ~member))
+            out.append((hit > member).nonzero()[0])  # hit and not member
             member[out[-1]] = True
         return np.concatenate(out)
 
@@ -607,11 +611,12 @@ def _table_generators(sg, member, gens, ids):
     next pick and extends it (extend_subsemigroup).  Returns gens and the
     picks as one ascending array.  Over a closed id set, from no member,
     the picks generate it in at most k x |picks| products; subsemigroup
-    finds its generators this way, and the kernel rounds their seeds."""
+    finds its generators this way, and the kernel rounds their seeds.  The
+    ids must be in 0..size-1: they are not checked again."""
     gens = np.asarray(gens, dtype=np.int64)
     for i in ids:
         if not member[i]:
-            gens = extend_subsemigroup(sg, member, gens, [i])
+            gens = _extended(sg, member, gens, np.array([i]))
     return gens
 
 

@@ -36,7 +36,7 @@ Rounds: each round closes K under products, then adds the a k ā and
 ā k a outside K over the chosen pairs.  Conjugation acts on K element by
 element, and before a round K already holds every conjugate of the last
 round's K, so a round conjugates only the ids that joined K in it, a
-block of products at a time.  A round takes its seeds one id at a time,
+block of pairs at a time.  A round takes its seeds one id at a time,
 in ascending order, and skips the ids K already holds, so K's seeds G
 stay few.
 """
@@ -100,13 +100,19 @@ def _inverses(sg, gens):
 
 def _generator_conjugates(sg, member, ks, gens, bars):
     """Ids outside member among a k ā and ā k a, for k in ks, a in gens and
-    ā in the matching entry of bars (_inverses), ascending: the products
-    y ā with y = a k and ā y with y = k a, _blocks at a time."""
+    ā in the matching entry of bars (_inverses), ascending.
+
+    Each pair (a, ā) gives two rows (x, y), (a, ā) and (ā, a), and a row
+    gives the products (x k) y: a k ā, and ā k a as (ā k) a.  A block of
+    rows at a time, at most _PAIR_BATCH products or one row, takes its
+    x k in one _products call and their products by y in one multiply.
+    """
+    a = np.repeat(gens, [len(bar) for bar in bars])
+    xs, ys = np.concatenate([a, *bars]), np.concatenate([*bars, a])
     out = np.zeros(sg.size, dtype=bool)
-    for a, bar in zip(gens, bars):
-        for xs, ys in ((sg.multiply(a, ks), bar), (bar, sg.multiply(ks, a))):
-            for block in _blocks(sg, xs, ys):
-                out[block] = True
+    step = max(1, engine._PAIR_BATCH // max(1, len(ks)))
+    for lo in range(0, len(xs), step):
+        out[sg.multiply(sg._products(xs[lo:lo + step], ks), ys[lo:lo + step, None])] = True
     return np.flatnonzero(out & ~member)
 
 
@@ -131,8 +137,8 @@ def _check_fixpoint(sg, kids, seeds, gens, bars):
     matching entry of bars, as kernel() chose them (_inverses).  Each
     entry must hold inverses a′ of a alone, a a′ a = a and a′ a a′ = a′,
     or all of a's weak inverses.  For let K hold every idempotent and be
-    closed under products and under k ↦ a k a′ and k ↦ a′ k a.  Any weak inverse
-    ā of a is e a′ f, with e = ā a and f = a ā idempotents, as
+    closed under products and under k ↦ a k a′ and k ↦ a′ k a.  Any weak
+    inverse ā of a is e a′ f, with e = ā a and f = a ā idempotents, as
     ā a a′ a ā = ā a ā = ā; so a k ā = (a (k e) a′) f and
     ā k a = e (a′ (f k) a) are in K.  So K is closed under every (a, ā),
     a in A, and then under every weak-inverse pair (the generator lemma in
@@ -179,8 +185,7 @@ def kernel(sg):
     gens = _generating_set(sg)
     bars = _inverses(sg, gens)
     member = np.zeros(sg.size, dtype=bool)
-    seeds, new = [], sg.idempotent_ids()
-    iterations = 0
+    seeds, new, iterations = [], sg.idempotent_ids(), 0
     while True:
         iterations += 1
         before = int(member.sum()) + len(new)
