@@ -581,8 +581,13 @@ def extend_subsemigroup(sg, member, gens, new):
     return _extended(sg, member, np.asarray(gens, dtype=np.int64), new[~member[new]])
 
 
-def _extended(sg, member, gens, new):
-    """extend_subsemigroup for new ascending, in range and outside member."""
+def _extended(sg, member, gens, new, stop=None):
+    """extend_subsemigroup for new ascending, in range and outside member.
+
+    With ids stop, the search ends before its next block of products once
+    member holds them all, so member may then be short of the subsemigroup
+    and is only known to hold stop.
+    """
     seeds = np.union1d(gens, new)
 
     def joined(xs, ys):
@@ -591,6 +596,8 @@ def _extended(sg, member, gens, new):
         step = max(1, _PAIR_BATCH // max(1, len(ys)))
         out = [xs[:0]]
         for lo in range(0, len(xs), step):
+            if stop is not None and member[stop].all():
+                break
             hit = np.zeros(sg.size, dtype=bool)
             hit[sg.multiply(xs[lo:lo + step, None], ys)] = True
             out.append((hit > member).nonzero()[0])  # hit and not member
@@ -618,6 +625,23 @@ def _table_generators(sg, member, gens, ids):
         if not member[i]:
             gens = _extended(sg, member, gens, np.array([i]))
     return gens
+
+
+def _words_generate(sg, member):
+    """True when the ids the mask member marks generate sg, proved along
+    sg's BFS words by one batched product.
+
+    Every seed (parent -1) and every generator must be marked, and every
+    other y must be parent(y) g with parent(y) < y and g the generator of
+    y's letter; then each id is a product of marked ids, by induction on
+    the ids.  A letter past sg.generators is clipped to its last
+    generator, which keeps the proof sound and fails it when the words
+    are not sg's.
+    """
+    ys = np.flatnonzero(sg.parent >= 0)
+    up, by = sg.parent[ys], np.take(sg.generators, sg.letter[ys], mode="clip")
+    return bool(member[sg.generators].all() and member[sg.parent < 0].all()
+                and (up < ys).all() and (sg.multiply(up, by) == ys).all())
 
 
 # ---------------------------------------------------------------------------
@@ -831,16 +855,42 @@ def index_period(sg, i):
 def is_aperiodic(sg):
     """True when every subgroup is trivial.
 
-    Computed two ways (all H-classes singletons; all element periods 1,
-    by period_one over every id) and cross-checked; CrossCheckFailed if
-    they disagree.  With the Green data built, the period test takes one
-    batched product beyond the squaring map.
+    Decided two ways and cross-checked; CrossCheckFailed if they disagree.
+    One side is the H-classes: all are singletons.  The other is periods.
+    When the H-classes say "not aperiodic", it is one witness's period:
+    that of an element x other than the identity of a group H-class of
+    order over 1 (_period_witness), which is x's order in that group, so
+    over 1.  Otherwise, or when the witness has period 1, it is every
+    element's (period_one over every id).  With the Green data built,
+    either period test takes one batched product beyond the squaring map.
     """
     g = green(sg)
     by_h = g.num_h == sg.size
-    if by_h != period_one(sg, np.arange(sg.size)).all():
+    witness = None if by_h else _period_witness(sg, g)
+    if witness is None or period_one(sg, [witness])[0]:
+        by_period = period_one(sg, np.arange(sg.size)).all()
+    else:
+        by_period = False
+    if by_h != by_period:
         raise CrossCheckFailed("H-class and period aperiodicity tests disagree")
     return by_h
+
+
+def _period_witness(sg, g):
+    """An element of a group H-class of order over 1 other than its
+    idempotent, read off the Green data g: in the first J-class c with
+    j_subgroup_order[c] > 1, the H-class of c's first idempotent, its
+    first other member.  None when g names no such element."""
+    essential = np.flatnonzero(g.j_subgroup_order > 1)
+    if not essential.size:
+        return None
+    idem = sg.idempotent_ids()
+    f = idem[g.j[idem] == essential[0]]
+    if not f.size:
+        return None
+    group = np.flatnonzero(g.h == g.h[f[0]])
+    others = group[group != f[0]]
+    return int(others[0]) if others.size else None
 
 
 def period_one(sg, ids):
@@ -931,6 +981,11 @@ def is_ideal(sg, ids):
     outside 0..size-1."""
     member = np.zeros(sg.size, dtype=bool)
     member[_checked_ids(sg, ids)] = True
+    return _is_ideal_mask(sg, member)
+
+
+def _is_ideal_mask(sg, member):
+    """is_ideal for the ids the mask member marks."""
     ids = np.flatnonzero(member)
     return bool(ids.size and member[sg.right_cayley[ids]].all()
                 and member[sg.left_cayley[ids]].all())
@@ -944,37 +999,54 @@ def rees_quotient(sg, ideal_ids):
     sg's words restricted to the kept ids are a BFS tree of S/I over the
     same generators; the kept ids keep their order.  The zero's word goes
     through the first product of the search (the generators first, then
-    the rows in id order) that lands in I, and the zero takes the id the
-    search would give it there, so it need not be the last id.  The Cayley
-    arrays are sg's at the kept ids, with I mapped to the zero and a zero
-    row; a generator column repeating the zero is dropped.  Raises
-    NotAnIdeal when I is empty or not an ideal (is_ideal), and BadIndex for
-    an id outside 0..size-1.
+    the rows in id order) that lands in I, and the zero takes the id z the
+    search would give it there, so it need not be the last id.  Each
+    kept id's new id is its rank, plus one from z on (at), so every array
+    of the quotient is sg's at the kept ids, written at at, with the
+    zero's entry at z.  The Cayley arrays are sg's with I mapped to the
+    zero and a zero row; a generator column repeating the zero is dropped.
+    Raises NotAnIdeal when I is empty or not an ideal (is_ideal), and
+    BadIndex for an id outside 0..size-1.
     """
-    ideal_ids = _checked_ids(sg, ideal_ids)
-    if not is_ideal(sg, ideal_ids):
+    inside = np.zeros(sg.size, dtype=bool)
+    inside[_checked_ids(sg, ideal_ids)] = True
+    if not _is_ideal_mask(sg, inside):
         raise NotAnIdeal("set is empty or not closed under multiplication by generators")
-    inside = np.isin(np.arange(sg.size), ideal_ids)
     keep = np.flatnonzero(~inside)
-    g = len(sg.generators)
-    cells = np.flatnonzero(inside[np.vstack([sg.generators, sg.right_cayley[keep]])])
-    row, let = divmod(int(cells[0]), g) if cells.size else (0, -1)  # no generators: I = S = {1}
-    up = int(np.append(-1, keep)[row])  # the zero's parent, -1 for a seed
+    k, g = len(keep), len(sg.generators)
+    cells = np.flatnonzero(inside[sg.generators])
+    if cells.size:  # a generator in I: the zero is a seed
+        up, let = -1, int(cells[0])
+    else:  # the zero's parent is kept, or there are no generators and I = S = {1}
+        cells = np.flatnonzero(inside[sg.right_cayley[keep]])
+        row, let = divmod(int(cells[0]), g) if cells.size else (0, -1)
+        up = int(keep[row]) if cells.size else -1
     codes = sg.parent[keep].astype(np.int64) * g + sg.letter[keep]  # ascending, as ids are
     z = int(np.searchsorted(codes, up * g + let))
+    at = np.arange(k, dtype=np.int32)
+    at[z:] += 1
     pos = np.full(sg.size + 1, z, dtype=np.int32)  # pos[-1] = -1 is a seed's parent
-    pos[keep], pos[-1] = np.arange(len(keep)) + (np.arange(len(keep)) >= z), -1
+    pos[keep], pos[-1] = at, -1
     gens = pos[sg.generators]
-    cols = np.sort(np.unique(gens, return_index=True)[1])  # the zero's column once
-    # letters renumbered over cols, and an identity seed's -1 kept
-    letter = np.searchsorted(np.append(-1, cols), np.insert(sg.letter[keep], z, let)) - 1
-    rc, lc = (np.insert(pos[cayley[keep][:, cols]], z, z, axis=0)
+    listed = gens.tolist()
+    cols = [c for c, x in enumerate(listed) if x not in listed[:c]]  # the zero's column once
+    col_of = np.full(g + 1, -1, dtype=np.int32)  # letters over cols; col_of[-1] = -1
+    col_of[cols] = np.arange(len(cols))
+
+    def placed(kept, zero):
+        """kept, the kept ids' rows, at at, and zero at z."""
+        out = np.empty((k + 1,) + kept.shape[1:], dtype=kept.dtype)
+        out[at], out[z] = kept, zero
+        return out
+
+    rc, lc = (placed(pos[cayley[keep][:, cols]], z)
               for cayley in (sg.right_cayley, sg.left_cayley))
     quotient = SemigroupClosure(
         None, None, _identity(rc, lc, gens[cols]),
         gen_ids=_frozen(gens[cols].astype(np.int64)), right_cayley=rc, left_cayley=lc,
-        parent=pos[np.insert(sg.parent[keep], z, up)], letter=letter.astype(np.int32),
-        depth=np.insert(sg._depth[keep], z, np.append(sg._depth, -1)[up] + 1))
+        parent=placed(pos[sg.parent[keep]], pos[up]),
+        letter=placed(col_of[sg.letter[keep]], col_of[let]),
+        depth=placed(sg._depth[keep], sg._depth[up] + 1 if up >= 0 else 0))
     _spot_check_associativity(quotient)
     return quotient
 

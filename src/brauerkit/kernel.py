@@ -49,7 +49,7 @@ import numpy as np
 
 # _PAIR_BATCH is read through engine, so a patch reaches it
 from . import engine
-from .engine import _table_generators, generated_subsemigroup, period_one
+from .engine import _table_generators, _words_generate, generated_subsemigroup, period_one
 from .errors import KernelFixpointError
 
 
@@ -126,12 +126,9 @@ def _check_fixpoint(sg, kids, seeds, gens, bars):
     g_1 ⋯ g_r with each g_i in G; then k g_1 ⋯ g_i is in K for i = 1..r by
     induction on i, as K G ⊆ K, so k k' is in K.
 
-    That A = gens generates sg is proved along sg's BFS words: every seed
-    (parent -1) is in A, and every other y is parent(y) g with
-    parent(y) < y and g, the generator of y's letter, in A, so each id is
-    a product of elements of A by induction on the ids.  A letter past
-    sg.generators is clipped to its last generator, which keeps the proof
-    sound and fails it when the words are not sg's.
+    That A = gens generates sg is proved along sg's BFS words
+    (engine._words_generate): every seed and generator is in A, and every
+    other id is its parent times its letter's generator.
 
     Conjugation is tested over the pairs (a, ā) with a in A and ā in the
     matching entry of bars, as kernel() chose them (_inverses).  Each
@@ -152,10 +149,7 @@ def _check_fixpoint(sg, kids, seeds, gens, bars):
         raise KernelFixpointError("the seeds do not generate the kernel")
     if not member[sg.idempotent_ids()].all():
         raise KernelFixpointError("the kernel misses an idempotent")
-    ys = np.flatnonzero(sg.parent >= 0)
-    up, by = sg.parent[ys], np.take(sg.generators, sg.letter[ys], mode="clip")
-    if not (np.isin(np.append(sg.generators, np.flatnonzero(sg.parent < 0)), gens).all()
-            and (up < ys).all() and (sg.multiply(up, by) == ys).all()):
+    if not _words_generate(sg, np.isin(np.arange(sg.size), gens)):
         raise KernelFixpointError("the generators do not generate the semigroup")
     for a, bar in zip(gens, bars):
         bar_a = sg.multiply(bar, a)

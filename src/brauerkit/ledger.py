@@ -28,9 +28,44 @@ diagrams or makes one per element.  The iso rule's mapping takes a label
 array to a label array (such as diagrams.pads); phi, a's ids to b's, is
 one ids_of call on the image of a's labels, and phi(x y) is compared with
 phi(x) phi(y) for every pair of ids.  A registered instance is its
-closure alone (Ledger.instances maps each ref to its closure): the ideal
-rule asks is_ideal of the ids, and the local, kernel-chain and subset
-rules compare element sets read from the closures' labels.
+closure alone (Ledger.instances maps each ref to its closure).
+
+How each check decides:
+
+  aperiodic, non-aperiodic   engine.is_aperiodic: the H-classes, against
+                             one period witness when they say "not
+                             aperiodic", else every element's period
+  essential-depth, inverse   the Green data
+  kernel-aperiodic,          kernel(), whose fixpoint is checked again;
+  kernel-matches             kernel-matches compares element sets
+  two-sided-ideal            is_ideal: closed under the generators on
+                             both sides
+  quotient-matches           rees_quotient again, its generators and
+                             Cayley arrays compared
+  idempotent,                the products e e and p p
+  idempotent-nonunit,
+  pool-idempotent
+  ideal-is-SeS               principal_ideal, read off the J-order
+  local-is-eSe               the ids e y, y in S e, against the ids of
+                             the local instance's labels (ids_of)
+  units-nontrivial           the order of units(sg)
+  unit-generators            a full search of the units' generators,
+                             compared with units(sg)
+  units-and-e-generate       a search of <units, e> that stops once it
+                             holds S's generators and seeds, which
+                             generate S along its BFS words
+                             (engine._words_generate)
+  SeS-in-idempotent-span     a search of the pool's span that stops once
+                             it holds S e S
+  t1-chain                   the down-sets of the generator pool
+  subset                     element sets
+  iso-bijection,             phi by one ids_of call; every pair of ids
+  iso-multiplicative
+
+unit-generators stays a full search: its target, units(sg), comes from
+green's H-classes, so stopping once the span covers it would take
+green's word that the span reaches nothing outside, and this check is
+where the search tests that word.
 
 Each rule application is data: its checks and its bound moves (see
 _RuleApp).  derive_all iterates the moves to a fixpoint; the
@@ -166,6 +201,49 @@ def _iso_multiplicative(a_sg, b_sg, mapping):
         if (phi[a_sg.multiply(xs, ids)] != b_sg.multiply(phi[xs], phi)).any():
             return False
     return True
+
+
+def _units_and_e_generate(sg, gens, e_id):
+    """The ids gens and e_id generate sg.
+
+    The search of the subsemigroup they generate stops once it holds sg's
+    generators and seeds (the ids with parent -1), and those generate sg
+    along its BFS words (engine._words_generate, one batched product).  A
+    search that ends short of them has reached all it generates, which
+    then misses an element of sg.
+    """
+    new = np.unique(engine._checked_ids(sg, np.append(gens, e_id)))
+    member = np.zeros(sg.size, dtype=bool)
+    roots = np.union1d(sg.generators, np.flatnonzero(sg.parent < 0))
+    engine._extended(sg, member, new[:0], new, stop=roots)
+    return engine._words_generate(sg, member)
+
+
+def _span_covers(sg, pool, ids):
+    """The subsemigroup the ids pool generate holds the ids ids; its
+    search stops once it does."""
+    pool = np.unique(engine._checked_ids(sg, pool))
+    member = np.zeros(sg.size, dtype=bool)
+    engine._extended(sg, member, pool[:0], pool, stop=ids)
+    return bool(member[ids].all())
+
+
+def _distinct(sg, ids):
+    """The distinct ids among ids, ascending, read off a mask over sg's ids."""
+    hit = np.zeros(sg.size, dtype=bool)
+    hit[ids] = True
+    return np.flatnonzero(hit)
+
+
+def _local_is_ese(sg, e_id, local):
+    """(verdict, detail): local's elements are e x e for x in sg, compared
+    as ids of sg: every row of local's labels is an element of sg, and
+    their ids are the products e y for y in S e.  S e is taken once each,
+    so e y walks the words of its few distinct ids alone."""
+    ese = _distinct(sg, sg.multiply(e_id, _distinct(sg, sg.multiply(np.arange(sg.size), e_id))))
+    ids = sg.ids_of(local._rows())
+    return (bool((ids >= 0).all()) and np.array_equal(np.unique(ids), ese),
+            f"local monoid has {len(ese)} elements")
 
 
 class Ledger:
@@ -310,13 +388,8 @@ class Ledger:
 
     def _check_local_is_ese(self, sg, e_id, local_ref):
         local = self._inst(local_ref)
-
-        def local_is_ese():
-            ese_ids = np.unique(sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id)))
-            ese = sg.element_set(ese_ids)
-            return ese == local.element_set(), f"local monoid has {len(ese)} elements"
-
-        return self._check(f"local-is-eSe({local_ref})", local_is_ese)
+        return self._check(f"local-is-eSe({local_ref})",
+                           lambda: _local_is_ese(sg, e_id, local))
 
     def apply_local_rule(self, s_ref, e_id, ideal_ref, local_ref):
         sg = self._inst(s_ref)
@@ -360,18 +433,19 @@ class Ledger:
                 f"idempotent-nonunit(e in {s_ref})",
                 lambda: (int(sg.multiply(e_id, e_id)) == e_id and e_id not in units(sg),
                          outside)),
+            # a full search: its target comes from green (module docstring)
             self._check(
                 f"unit-generators({s_ref})",
                 lambda: (np.array_equal(generated_subsemigroup(sg, gens), units(sg)),
                          f"{len(gens)} generators span the {len(unit_ids)} units")),
             self._check(
                 f"units-and-e-generate({s_ref})",
-                lambda: (len(generated_subsemigroup(sg, np.append(gens, e_id))) == sg.size,
+                lambda: (_units_and_e_generate(sg, gens, e_id),
                          "units together with e generate the whole monoid")),
             self._check(f"pool-idempotent({s_ref})", pool_idempotent),
             self._check(
                 f"SeS-in-idempotent-span({s_ref})",
-                lambda: (np.isin(ses_ids, generated_subsemigroup(sg, pool)).all(),
+                lambda: (_span_covers(sg, pool, ses_ids),
                          f"ideal of {len(ses_ids)} elements inside the idempotent span")),
             self._check_local_is_ese(sg, e_id, local_ref),
         )

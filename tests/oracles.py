@@ -67,6 +67,12 @@ the semigroup of a product table, such as the random transformation
 semigroups T:k, as the subsemigroup of all of a TableProduct's ids, so
 by the same integer search; TableProduct reads a table as a semigroup
 whose products are gathers.
+oracle_units_and_e_generate, oracle_span_covers, oracle_is_aperiodic and
+oracle_local_is_ese keep the four side conditions the ledger decided by
+full searches: the whole subsemigroup the units and e generate, the whole
+idempotent span, every element's period, and two element sets compared;
+the ledger's forms stop a search at its target, test one period witness
+and compare ids.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ from brauerkit import (
 )
 from brauerkit import engine
 from brauerkit.engine import GreenData, SemigroupClosure
-from brauerkit.errors import BadDegree, BadIndex, BudgetExceeded
+from brauerkit.errors import BadDegree, BadIndex, BudgetExceeded, CrossCheckFailed
 
 
 def signed_blocks(a):
@@ -1160,3 +1166,35 @@ def transformation_table(seed):
     for b, y in enumerate(maps):
         table[:, b] = order[np.searchsorted(codes, y[maps] @ weights, sorter=order)]
     return table
+
+
+# ---------------------------------------------------------------------------
+# side conditions by full searches
+
+
+def oracle_units_and_e_generate(sg, gens, e_id):
+    """The subsemigroup the ids gens and e_id generate, searched to its
+    end, is all of sg."""
+    return len(engine.generated_subsemigroup(sg, np.append(gens, e_id))) == sg.size
+
+
+def oracle_span_covers(sg, pool, ids):
+    """The whole subsemigroup the ids pool generate holds the ids ids."""
+    return bool(np.isin(ids, engine.generated_subsemigroup(sg, pool)).all())
+
+
+def oracle_is_aperiodic(sg):
+    """All H-classes singletons, cross-checked with every element's period
+    (engine.period_one over every id); CrossCheckFailed if they disagree."""
+    by_h = engine.green(sg).num_h == sg.size
+    if by_h != engine.period_one(sg, np.arange(sg.size)).all():
+        raise CrossCheckFailed("H-class and period aperiodicity tests disagree")
+    return by_h
+
+
+def oracle_local_is_ese(sg, e_id, local):
+    """(verdict, detail): the set of the elements e (x e) of sg equals
+    local's element set."""
+    ese_ids = np.unique(sg.multiply(e_id, sg.multiply(np.arange(sg.size), e_id)))
+    ese = sg.element_set(ese_ids)
+    return ese == local.element_set(), f"local monoid has {len(ese)} elements"

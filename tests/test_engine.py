@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -989,12 +988,63 @@ def test_aperiodicity():
     assert not is_aperiodic(_b(3))
 
 
+def _period_one_calls(monkeypatch):
+    """The number of ids of each engine.period_one call, as a list."""
+    calls = []
+    period = engine.period_one
+
+    def counted(sg, ids):
+        calls.append(len(ids))
+        return period(sg, ids)
+
+    monkeypatch.setattr(engine, "period_one", counted)
+    return calls
+
+
 def test_aperiodicity_cross_check_raises_on_disagreement(monkeypatch):
+    """The forged Green data of the aperiodic J:3 put its first idempotent
+    f and one other element x in a group H-class of order 2, so the
+    H-classes say "not aperiodic".  x is the period witness; its period
+    is 1, so every id's period is tested, and they disagree."""
     sg = _j(3)
-    forged = SimpleNamespace(num_h=sg.size - 1)  # claims a nontrivial H-class
+    real = green(sg)
+    f = int(sg.idempotent_ids()[0])
+    x = (f + 1) % sg.size
+    h, order = real.h.copy(), real.j_subgroup_order.copy()
+    h[x], order[real.j[f]] = h[f], 2
+    forged = dataclasses.replace(real, num_h=sg.size - 1, h=h, j_subgroup_order=order)
+    monkeypatch.setattr(engine, "green", lambda _: forged)
+    assert engine._period_witness(sg, forged) == x
+    calls = _period_one_calls(monkeypatch)
+    with pytest.raises(CrossCheckFailed, match="disagree"):
+        is_aperiodic(sg)
+    assert calls == [1, sg.size]
+
+
+def test_aperiodicity_cross_check_raises_when_h_classes_hide_a_group(monkeypatch):
+    """Forged Green data that make every H-class of B:3 a singleton say
+    "aperiodic", which every id's periods deny."""
+    sg = _b(3)
+    forged = dataclasses.replace(green(sg), num_h=sg.size)
     monkeypatch.setattr(engine, "green", lambda _: forged)
     with pytest.raises(CrossCheckFailed, match="disagree"):
         is_aperiodic(sg)
+
+
+@pytest.mark.parametrize("name", ["B:3", "B:6", "A:5", "PB:4", "SYM:4"])
+def test_a_non_aperiodic_closure_tests_one_period_witness(name, monkeypatch):
+    """The witness lies in a group H-class of order over 1 and is not its
+    idempotent, and is_aperiodic tests its period alone."""
+    family, n = name.split(":")
+    sg = as_closure(construct(family, int(n)))
+    g = green(sg)
+    x = engine._period_witness(sg, g)
+    group = np.flatnonzero(g.h == g.h[x])
+    assert g.j_subgroup_order[g.j[x]] == len(group) > 1
+    assert int(sg.multiply(x, x)) != x and index_period(sg, x)[1] > 1
+    calls = _period_one_calls(monkeypatch)
+    assert not is_aperiodic(sg)
+    assert calls == [1]
 
 
 def test_period_one_matches_repeated_squaring_on_ledger_instances(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from brauerkit import (
@@ -19,6 +20,8 @@ from brauerkit import (
     contraction,
     encode,
     from_permutation,
+    green,
+    is_aperiodic,
     local_monoid,
     partial_identity,
     principal_ideal,
@@ -29,8 +32,9 @@ from brauerkit import (
     units,
 )
 from brauerkit.cli import main
-from brauerkit.derivations import build_standard_ledger
+from brauerkit.derivations import _brauer_unit_gens, _contractions, build_standard_ledger
 from brauerkit.diagrams import Diagram, label_array, labels, pads
+from brauerkit.engine import SemigroupClosure
 from brauerkit.errors import (
     CrossCheckFailed,
     NotAnIdeal,
@@ -38,7 +42,20 @@ from brauerkit.errors import (
     NotIdempotent,
     SideConditionFailed,
 )
-from oracles import count_products, elements_of, id_of, oracle_iso, oracle_pad
+from brauerkit.ledger import _local_is_ese, _span_covers, _units_and_e_generate
+from oracles import (
+    count_products,
+    elements_of,
+    id_of,
+    oracle_is_aperiodic,
+    oracle_iso,
+    oracle_local_is_ese,
+    oracle_pad,
+    oracle_span_covers,
+    oracle_units_and_e_generate,
+    table_closure,
+    transformation_table,
+)
 
 
 def _family(led, code, n):
@@ -301,6 +318,190 @@ def test_principal_rule_requires_nontrivial_units():
     with pytest.raises(SideConditionFailed) as info:
         led.apply_principal_rule(ref, sg.idempotent_ids()[0], l_ref)
     assert info.value.condition.startswith("units-nontrivial")
+
+
+# ---------------------------------------------------------------------------
+# the principal rule's searches and local-is-eSe against their full forms
+
+
+def _spread(ids, most):
+    """At most most of ids, spread evenly from the first to the last."""
+    return np.unique(ids[np.linspace(0, len(ids) - 1, min(most, len(ids))).astype(int)])
+
+
+def _assert_forms_agree(sg):
+    """The ledger's forms of the four side conditions give the verdicts
+    (and local-is-eSe its detail) of their full-search oracles on sg.
+
+    is_aperiodic is compared once.  For up to four idempotents e spread
+    over the ids: units-and-e-generate over sg's units (its first
+    generator when sg has no identity) and e, and over all generators
+    but the last with the last as e; SeS-in-idempotent-span over at most
+    32 idempotents of e's J-class, and over them but one, for S e S; and,
+    when sg's ids stand for diagrams, local-is-eSe of the local monoid at
+    e and at the next idempotent.
+    """
+    assert is_aperiodic(sg) == oracle_is_aperiodic(sg)
+    idem, g = sg.idempotent_ids(), green(sg)
+    gens = sg.generators[:1] if sg.identity_id is None else units(sg)
+    cases = [(sg.generators[:-1], sg.generators[-1])] if len(sg.generators) else []
+    for e in _spread(idem, 4).tolist():
+        cases.append((gens, e))
+        ses = principal_ideal(sg, e)
+        pool = _spread(idem[g.j[idem] == g.j[e]], 32)
+        for pool in (pool, np.delete(pool, len(pool) // 2)):
+            assert _span_covers(sg, pool, ses) == oracle_span_covers(sg, pool, ses), (pool, e)
+        if sg.labels is not None:
+            for local_e in (e, idem[(np.searchsorted(idem, e) + 1) % len(idem)]):
+                local = local_monoid(sg, local_e)
+                assert _local_is_ese(sg, e, local) == oracle_local_is_ese(sg, e, local)
+    for gens, e in cases:
+        assert _units_and_e_generate(sg, gens, e) == oracle_units_and_e_generate(sg, gens, e)
+
+
+def test_principal_rule_forms_agree_on_every_standard_ledger_subject(
+        derived_standard_ledger):
+    led, _ = derived_standard_ledger
+    assert len(led.instances) == 56
+    for ref, sg in led.instances.items():
+        try:
+            _assert_forms_agree(sg)
+        except AssertionError as failure:
+            raise AssertionError(f"{ref}: {failure}") from None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_principal_rule_forms_agree_on_transformation_semigroups(seed):
+    _assert_forms_agree(table_closure(transformation_table(seed)))
+
+
+def _principal_inputs(n):
+    """B:n's closure and the principal rule's inputs on it in the standard
+    ledger: the end-cap e, the unit generators, the contractions and
+    S e S."""
+    sg = as_closure(construct("B", n))
+    e = id_of(sg, adjacent_contraction(n, n - 1))
+    gens = np.unique([id_of(sg, d) for d in _brauer_unit_gens(n)])
+    pool = np.unique([id_of(sg, d) for d in _contractions(n)])
+    return sg, e, gens, pool, principal_ideal(sg, e)
+
+
+def _b4_principal_rule(sg, local=None, pool=None):
+    """Apply the principal rule to a B:4 closure sg at the end-cap, over
+    the standard unit generators and contractions (or pool) and the local
+    monoid at e (or local)."""
+    led = Ledger()
+    ref = led.register("family", "B:4", sg)
+    e = id_of(sg, adjacent_contraction(4, 3))
+    l_ref = led.register("local", "pad(B:2)", local or local_monoid(sg, e))
+    pool = [id_of(sg, d) for d in _contractions(4)] if pool is None else pool
+    led.apply_principal_rule(
+        ref, e, l_ref, unit_gen_ids=[id_of(sg, d) for d in _brauer_unit_gens(4)],
+        idempotent_pool_ids=pool)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("part", ["parent", "letter"])
+def test_a_closure_with_a_corrupted_word_fails_units_and_e_generate(part, seed):
+    """One element's BFS word, its parent or its letter, is changed to one
+    that no longer spells it; the Cayley arrays and the walks multiply
+    reads are built first, so products stay right.  The search of
+    <units, e> still reaches everything, and the proof along the words
+    fails."""
+    sg = closure(construct("B", 4).generators, include_identity=True)
+    local = local_monoid(sg, id_of(sg, adjacent_contraction(4, 3)))
+    green(sg)
+    rng = np.random.default_rng(seed)
+    g = len(sg.generators)
+    corrupted = getattr(sg, part).copy()
+    for y in rng.permutation(np.flatnonzero(sg.parent >= 0)).tolist():
+        up, let = int(sg.parent[y]), int(sg.letter[y])
+        if part == "parent":
+            other = [p for p in range(y) if sg.right_cayley[p, let] != y]
+        else:
+            other = [b for b in range(g) if sg.right_cayley[up, b] != y]
+        if other:
+            corrupted[y] = other[int(rng.integers(len(other)))]
+            break
+    setattr(sg, part, corrupted)
+    e = id_of(sg, adjacent_contraction(4, 3))
+    gens = [id_of(sg, d) for d in _brauer_unit_gens(4)]
+    assert oracle_units_and_e_generate(sg, gens, e) and not _units_and_e_generate(sg, gens, e)
+    with pytest.raises(SideConditionFailed) as info:
+        _b4_principal_rule(sg, local)
+    assert info.value.condition == "units-and-e-generate(B:4)"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_pool_short_of_one_contraction_fails_the_span_check(seed):
+    """Every rank n - 2 element of B:n is a product of contractions whose
+    first has its top cap, so the contractions without one miss it, and
+    it lies in S e S."""
+    sg, e, _, pool, ses = _principal_inputs(4)
+    pool = np.delete(pool, np.random.default_rng(seed).integers(len(pool)))
+    assert not _span_covers(sg, pool, ses) and not oracle_span_covers(sg, pool, ses)
+    with pytest.raises(SideConditionFailed) as info:
+        _b4_principal_rule(sg, pool=pool)
+    assert info.value.condition == "SeS-in-idempotent-span(B:4)"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_local_instance_with_one_row_swapped_fails_local_is_ese(seed):
+    """One row of the local monoid's labels is replaced by the row of an
+    element of B:4 outside e S e, or by a copy of another of its rows."""
+    sg, e, *_ = _principal_inputs(4)
+    local = local_monoid(sg, e)
+    rng = np.random.default_rng(seed)
+    outside = np.setdiff1d(np.arange(sg.size), sg.ids_of(local.labels))
+    at, row = rng.integers(local.size), rng.integers(len(outside))
+    for source in (sg.labels[outside[row]], local.labels[(at + 1) % local.size]):
+        labels = local.labels.copy()
+        labels[at] = source
+        swapped = SemigroupClosure(
+            local.degree, labels, local.identity_id, gen_ids=local.generators,
+            right_cayley=local.right_cayley, left_cayley=local.left_cayley,
+            parent=local.parent, letter=local.letter, depth=local._depth)
+        assert _local_is_ese(sg, e, swapped) == oracle_local_is_ese(sg, e, swapped)
+        assert not _local_is_ese(sg, e, swapped)[0]
+        with pytest.raises(SideConditionFailed) as info:
+            _b4_principal_rule(sg, swapped)
+        assert info.value.condition == "local-is-eSe(pad(B:2))"
+
+
+def test_units_and_e_generate_takes_fewer_products_than_a_full_search(monkeypatch):
+    """On B:6 the search of <units, e> stops once it holds the family's
+    generators and the identity, and the words prove the rest with one
+    batched product: fewer multiply calls and products than searching all
+    10,395 elements."""
+    sg, e, gens, *_ = _principal_inputs(6)
+    calls = []
+    multiply = SemigroupClosure.multiply
+
+    def counted(self, xs, ys):
+        calls.append(np.broadcast(xs, ys).size)
+        return multiply(self, xs, ys)
+
+    monkeypatch.setattr(SemigroupClosure, "multiply", counted)
+    assert oracle_units_and_e_generate(sg, gens, e)
+    full = list(calls)
+    calls.clear()
+    assert _units_and_e_generate(sg, gens, e)
+    assert len(calls) < len(full) and sum(calls) < sum(full)
+
+
+@pytest.mark.slow
+def test_principal_rule_forms_agree_on_brauer_7():
+    """The principal rule's inputs on B:7 (135,135 elements), as the
+    standard ledger builds them for B:3 to B:6, with the padded B:5 as the
+    local monoid."""
+    sg, e, gens, pool, ses = _principal_inputs(7)
+    assert _units_and_e_generate(sg, gens, e) == oracle_units_and_e_generate(sg, gens, e)
+    assert _span_covers(sg, pool, ses) == oracle_span_covers(sg, pool, ses)
+    assert is_aperiodic(sg) == oracle_is_aperiodic(sg)
+    b5 = as_closure(construct("B", 5))
+    local = subsemigroup(sg, sg.ids_of(pads(b5.labels, 7)))
+    assert _local_is_ese(sg, e, local) == oracle_local_is_ese(sg, e, local)
+    assert _local_is_ese(sg, e, local)[0]
 
 
 def test_kernel_chain_rule_needs_a_chain():
